@@ -126,10 +126,21 @@ class Model(ABC):
             SpectralPair(float(s), self.element(atom))
             for s, atom in self.decompose_coords(np.asarray(a.coords, dtype=float), tol)
         )
-        return SpectralForm(pairs=pairs, complete=True)
+        return SpectralForm(pairs=pairs)
+
+    def eigenvalues_coords(self, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """Eigenvalues of the frame of ``coords``, without its atoms.
+
+        Contract: the result equals, bit for bit, the eigenvalues of
+        ``decompose_coords(coords, tol)`` in the same order, so a check may
+        compare the two at tolerance 0.  The default reads them off the full
+        frame; a backend overrides it only with the same arithmetic minus the
+        atoms.
+        """
+        return np.array([s for s, _ in self.decompose_coords(coords, tol)])
 
     def eigenvalues(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return np.array([s for s, _ in self.decompose_coords(a.coords, tol)])
+        return self.eigenvalues_coords(a.coords, tol)
 
     # ------------------------------------------------------------------
     # atoms

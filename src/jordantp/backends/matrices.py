@@ -69,7 +69,8 @@ class _MatrixModel(Model):
     def param_items(self) -> tuple:
         return (("n", self._n),)
 
-    # subclasses provide to_matrix / matrix_coords
+    # subclasses provide _matrix_from_coords / matrix_coords; matrix_coords
+    # maps a stack (..., n, n) of matrices to a stack of coordinate vectors
 
     def to_matrix(self, a: Element | np.ndarray) -> np.ndarray:
         coords = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
@@ -81,21 +82,35 @@ class _MatrixModel(Model):
     def order_unit_coords(self) -> np.ndarray:
         return self.matrix_coords(np.eye(self._n))
 
-    def decompose_coords(self, coords, tol: Tolerance):
+    def _spectrum(self, coords, tol: Tolerance):
+        """Eigenvalues sorted descending with each cluster replaced by its
+        mean, the eigenvectors as columns, and the cluster slices."""
         mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
         eigvals, eigvecs = np.linalg.eigh(mat)
         order = np.argsort(-eigvals, kind="stable")
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order]
-        out = []
-        for cl in cluster_descending(eigvals, tol.eig_cluster):
-            basis = eigvecs[:, cl]
-            projector = basis @ basis.conj().T
+        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+        clusters = cluster_descending(eigvals, tol.eig_cluster)
+        for cl in clusters:
+            if cl.stop - cl.start > 1:
+                eigvals[cl] = np.mean(eigvals[cl])
+        return eigvals, eigvecs, clusters
+
+    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
+        return self._spectrum(coords, tol)[0]
+
+    def decompose_coords(self, coords, tol: Tolerance):
+        eigvals, eigvecs, clusters = self._spectrum(coords, tol)
+        # a rank-one cluster keeps its eigenvector; only a degenerate one
+        # needs a reproducible basis of its range
+        for cl in clusters:
             rank = cl.stop - cl.start
-            value = float(np.mean(eigvals[cl]))
-            for v in _deterministic_basis(projector, rank):
-                out.append((value, self.matrix_coords(np.outer(v, v.conj()))))
-        return out
+            if rank > 1:
+                basis = eigvecs[:, cl]
+                eigvecs[:, cl] = np.column_stack(
+                    _deterministic_basis(basis @ basis.conj().T, rank))
+        vecs = eigvecs.T
+        atoms = self.matrix_coords(vecs[:, :, None] * vecs.conj()[:, None, :])
+        return list(zip(eigvals.tolist(), atoms))
 
     def _unit_vector(self, param) -> np.ndarray:
         vec = np.asarray(param)
@@ -159,11 +174,11 @@ class SymMatrixModel(_MatrixModel):
 
     def matrix_coords(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat, dtype=float)
-        mat = 0.5 * (mat + mat.T)
+        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
         n = self._n
-        coords = np.empty(self.ambient_dim)
-        coords[:n] = np.diag(mat)
-        coords[n:] = mat[self._iu]
+        coords = np.empty(mat.shape[:-2] + (self.ambient_dim,))
+        coords[..., :n] = np.diagonal(mat, axis1=-2, axis2=-1)
+        coords[..., n:] = mat[..., self._iu[0], self._iu[1]]
         return coords
 
     def _matrix_from_coords(self, coords: np.ndarray) -> np.ndarray:
@@ -185,13 +200,13 @@ class HermMatrixModel(_MatrixModel):
 
     def matrix_coords(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat, dtype=complex)
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2).conj())
         n = self._n
-        coords = np.empty(self.ambient_dim)
-        coords[:n] = np.real(np.diag(mat))
-        upper = mat[self._iu]
-        coords[n::2] = upper.real
-        coords[n + 1 :: 2] = upper.imag
+        coords = np.empty(mat.shape[:-2] + (self.ambient_dim,))
+        coords[..., :n] = np.diagonal(mat, axis1=-2, axis2=-1).real
+        upper = mat[..., self._iu[0], self._iu[1]]
+        coords[..., n::2] = upper.real
+        coords[..., n + 1 :: 2] = upper.imag
         return coords
 
     def _matrix_from_coords(self, coords: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 probability tables and polytope geometry checks.
 
 Exit codes: 0 all checks passed, 1 at least one check or property failed,
-2 usage or input errors.  Identical command lines with identical seeds
-produce byte-identical reports (except wall_time_ms).
+2 usage or input errors, 3 an internal failure of the library.  Identical
+command lines with identical seeds produce byte-identical reports (except
+wall_time_ms).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .backends import parse_model_spec
 from .convexgeom import check_extreme_affinity, polytope_from_csv
 from .core import order_norm
 from .elements import Tolerance
-from .errors import JordanTpError, NotAtomError
+from .errors import JordanTpError
 from .reports import dump_canonical_json, format_double
 from .spectral import spectral_decompose
 from .suites import SUITES, run_suite
@@ -177,12 +178,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotAtomError as exc:
+    except (JordanTpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (JordanTpError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # an internal failure must not read as a failed check
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

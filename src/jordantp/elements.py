@@ -7,7 +7,7 @@ of the coordinates is fixed by the owning backend (see ``jordantp.backends``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class SpectralForm:
     """
 
     pairs: tuple[SpectralPair, ...]
-    complete: bool = True
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -139,7 +138,3 @@ class SpectralForm:
                 raise ValueError(f"function not finite at eigenvalue {p.eigenvalue}")
             coords += value * p.atom.coords
         return Element(coords, model)
-
-
-def as_coords(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float)

@@ -143,8 +143,8 @@ class SpectralSelfDualCone(SelfDualCone):
         return self.model.native_pairing(self.as_vec(x), self.as_vec(y))
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-        eigs = [s for s, _ in self.model.decompose_coords(self.as_vec(x), tol)]
-        return min(eigs) >= -tol.cone_slack
+        eigs = self.model.eigenvalues_coords(self.as_vec(x), tol)
+        return bool(eigs.min() >= -tol.cone_slack)
 
     def order_unit(self) -> Element:
         return self.model.order_unit()
@@ -371,7 +371,7 @@ def is_atom_sd(cone: SelfDualCone, e, tol: Tolerance = DEFAULT_TOL) -> bool:
     if abs(cone.inner(e, e) - 1.0) > tol.check_tol:
         return False
     if isinstance(cone, SpectralSelfDualCone):
-        eigs = np.array([s for s, _ in cone.model.decompose_coords(cone.as_vec(e), tol)])
+        eigs = cone.model.eigenvalues_coords(cone.as_vec(e), tol)
         if eigs.min() < -tol.cone_slack:
             return False
         return int(np.sum(np.abs(eigs) > 1e-7)) == 1

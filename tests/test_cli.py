@@ -136,6 +136,23 @@ def test_spectral_malformed_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "spectral", "classical:2", str(short))[0] == 2
 
 
+def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
+    # a degenerate spectrum reaches the deterministic-basis step of the kernel
+    from jordantp.backends import matrices
+
+    def broken(projector, rank):
+        raise RuntimeError("projector basis extraction failed")
+
+    monkeypatch.setattr(matrices, "_deterministic_basis", broken)
+    element = tmp_path / "unit.json"
+    element.write_text("[1.0, 1.0, 0.0]")
+    code, out, err = run_cli(capsys, "spectral", "sym:2", str(element))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "projector basis extraction failed" in err
+
+
 def test_geom_triangle_exit_zero(capsys, tmp_path):
     path = tmp_path / "tri.csv"
     np.savetxt(path, [[0, 0], [1, 0], [0, 1]], delimiter=",")

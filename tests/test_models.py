@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_projection
 from jordantp import (
     NotAtomError,
     UnnormalizedParamError,
@@ -284,3 +285,80 @@ def test_lpq_one_dimensional_ball_is_symmetric():
     e_plus = sp.atom(np.array([1.0]))
     e_minus = sp.atom(np.array([-1.0]))
     np.testing.assert_allclose((e_plus + e_minus).coords, sp.order_unit().coords, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# matrix spectral kernel: eigenvalue-only path and stacked rank-one frame
+# ---------------------------------------------------------------------------
+
+MATRIX_KERNEL_SPECS = [("sym", 2), ("sym", 3), ("sym", 4), ("herm", 2), ("herm", 3)]
+
+
+def _kernel_elements(model, rng):
+    """Random, logic-shaped (eigenvalues 0 and 1), repeated-eigenvalue and
+    1e+-100-scaled elements, by label."""
+    n = model.n
+    unit = model.order_unit()
+    random = random_element(model, int(rng.integers(1 << 30)))
+    out = {"random": random, "zero": model.zero(), "unit": unit}
+    for rank in range(1, n):
+        out[f"logic{rank}"] = random_projection(model, rank, rng)
+    # spectra (2, ..., 2, -1) and (3, -0.5, ..., -0.5)
+    out["repeated"] = 3.0 * random_projection(model, n - 1, rng) - unit
+    out["repeated_low"] = 3.5 * random_projection(model, 1, rng) - 0.5 * unit
+    for scale in (1e100, 1e-100):
+        out[f"random*{scale:g}"] = random * scale
+        out[f"repeated*{scale:g}"] = out["repeated"] * scale
+    return out
+
+
+def _reference_frame(model, coords, tol):
+    """The frame as the kernel built it one cluster and one atom at a time,
+    every cluster, rank one included, through _deterministic_basis."""
+    from jordantp.backends.base import cluster_descending
+    from jordantp.backends.matrices import _deterministic_basis
+
+    eigvals, eigvecs = np.linalg.eigh(model.to_matrix(coords))
+    order = np.argsort(-eigvals, kind="stable")
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    out = []
+    for cl in cluster_descending(eigvals, tol.eig_cluster):
+        basis = eigvecs[:, cl]
+        rank = cl.stop - cl.start
+        for v in _deterministic_basis(basis @ basis.conj().T, rank):
+            out.append((float(np.mean(eigvals[cl])), rank,
+                        model.matrix_coords(np.outer(v, v.conj()))))
+    return out
+
+
+@pytest.mark.parametrize("kind,n", MATRIX_KERNEL_SPECS)
+def test_matrix_kernel_paths_agree(kind, n, tol):
+    model = get_model(kind, n)
+    unit = model.order_unit_coords()
+    rng = np.random.default_rng(2312 + 10 * n + len(kind))
+    for label, a in _kernel_elements(model, rng).items():
+        frame = model.decompose_coords(a.coords, tol)
+        eigs = np.array([s for s, _ in frame])
+        # tolerance-0 contract between the two kernel entry points
+        np.testing.assert_array_equal(model.eigenvalues(a, tol), eigs, err_msg=label)
+        np.testing.assert_array_equal(model.eigenvalues_coords(a.coords, tol), eigs,
+                                      err_msg=label)
+        reference = _reference_frame(model, a.coords, tol)
+        np.testing.assert_array_equal(eigs, [s for s, _, _ in reference], err_msg=label)
+        for (_, atom), (_, rank, ref_atom) in zip(frame, reference):
+            if rank > 1:  # a degenerate cluster keeps its deterministic atoms
+                np.testing.assert_array_equal(atom, ref_atom, err_msg=label)
+            else:
+                np.testing.assert_allclose(atom, ref_atom, rtol=0, atol=1e-14, err_msg=label)
+        np.testing.assert_allclose(sum(atom for _, atom in frame), unit, rtol=0, atol=1e-13,
+                                   err_msg=label)
+
+
+def test_matrix_coords_maps_a_stack():
+    for kind, n in MATRIX_KERNEL_SPECS:
+        model = get_model(kind, n)
+        mats = np.stack([model.to_matrix(random_element(model, k)) for k in range(6)])
+        stacked = model.matrix_coords(mats.reshape(2, 3, n, n))
+        assert stacked.shape == (2, 3, model.ambient_dim)
+        for k, mat in enumerate(mats):
+            np.testing.assert_array_equal(stacked[k // 3, k % 3], model.matrix_coords(mat))
