@@ -192,17 +192,19 @@ def cluster_descending(eigenvalues: np.ndarray, eig_cluster: float) -> list[slic
     """Group a descending eigenvalue vector into clusters.
 
     The gap threshold is relative to the spectral diameter, so clustering is
-    scale invariant.
+    scale invariant.  Gaps are compared halved: a difference of two finite
+    doubles can overflow, one of their halves cannot, and halving is exact
+    above the subnormal range, so the clusters are those of the full gaps.
     """
     n = len(eigenvalues)
     if n == 0:
         return []
-    diameter = float(eigenvalues[0] - eigenvalues[-1])
-    threshold = eig_cluster * diameter
+    half = (0.5 * np.asarray(eigenvalues, dtype=float)).tolist()
+    threshold = eig_cluster * float(half[0] - half[-1])
     slices = []
     start = 0
     for k in range(1, n):
-        if eigenvalues[k - 1] - eigenvalues[k] > threshold:
+        if half[k - 1] - half[k] > threshold:
             slices.append(slice(start, k))
             start = k
     slices.append(slice(start, n))

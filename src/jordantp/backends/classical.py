@@ -44,6 +44,10 @@ class ClassicalModel(Model):
             out.append((float(coords[idx]), atom))
         return out
 
+    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        return coords[np.argsort(-coords, kind="stable")]
+
     def atom_coords(self, param) -> np.ndarray:
         idx = int(param)
         if not 0 <= idx < self._n:

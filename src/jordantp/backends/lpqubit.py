@@ -113,6 +113,11 @@ class LpQubitModel(Model):
         minus = np.concatenate(([0.5], -0.5 * g))
         return [(c + r, plus), (c - r, minus)]
 
+    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
+        c = float(coords[0])
+        r = self._pnorm(np.asarray(coords[1:], dtype=float), self._q)
+        return np.array([c + r, c - r])
+
     def atom_coords(self, param) -> np.ndarray:
         omega = self._check_boundary(param)
         f = self.supporting_functional(omega)

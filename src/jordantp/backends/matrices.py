@@ -92,7 +92,8 @@ class _MatrixModel(Model):
         clusters = cluster_descending(eigvals, tol.eig_cluster)
         for cl in clusters:
             if cl.stop - cl.start > 1:
-                eigvals[cl] = np.mean(eigvals[cl])
+                # the mean of the halves cannot overflow; halving is exact
+                eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
         return eigvals, eigvecs, clusters
 
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:

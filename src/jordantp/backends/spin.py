@@ -54,6 +54,11 @@ class SpinFactorModel(Model):
         minus = np.concatenate(([0.5], -0.5 * u))
         return [(t + r, plus), (t - r, minus)]
 
+    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
+        t, x = self._split(coords)
+        r = float(np.linalg.norm(x))
+        return np.array([t + r, t - r])
+
     def atom_coords(self, param) -> np.ndarray:
         u = np.asarray(param, dtype=float)
         if u.shape != (self._n,):

@@ -17,12 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .backends.classical import ClassicalModel
 from .backends.lpqubit import LpQubitModel
 from .elements import DEFAULT_TOL, Tolerance
 from .errors import InfeasiblePointError, LinearProgramError, UnnormalizedParamError
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: loading scipy.optimize
+    costs several times the rest of the package's import."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .backends.base import Model
 from .elements import DEFAULT_TOL, Element, Tolerance
@@ -229,6 +228,8 @@ class GeneratorSelfDualCone(SelfDualCone):
     def _extreme_mask(self) -> np.ndarray:
         """Generators not expressible as nonnegative combinations of the
         other, non-parallel generators."""
+        import scipy.optimize
+
         gen = self.generators
         unit = gen / np.linalg.norm(gen, axis=1)[:, None]
         mask = np.ones(len(gen), dtype=bool)
@@ -252,6 +253,8 @@ class GeneratorSelfDualCone(SelfDualCone):
         return float(np.dot(self.as_vec(x), self.as_vec(y)))
 
     def nnls_fit(self, target: np.ndarray) -> tuple[np.ndarray, float]:
+        import scipy.optimize
+
         maxiter = max(10 * self.ambient_dim**2, 3 * len(self.generators))
         try:
             coeffs, residual = scipy.optimize.nnls(self.generators.T, target, maxiter=maxiter)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .backends.base import Model
 from .core import cone_contains, order_norm
@@ -384,6 +383,8 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int,
     if model.info_capacity < 2:
         return [skipped_check("states.pure_states_extremal",
                               "capacity-1 model has a single state")]
+
+    import scipy.optimize
 
     def state_vec(state: State) -> np.ndarray:
         return state.vector.coords if state.kind == "dual_vector" else state.point

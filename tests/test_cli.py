@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ def test_spectral_malformed_exit_two(capsys, tmp_path):
     short = tmp_path / "short.json"
     short.write_text("[1.0]")
     assert run_cli(capsys, "spectral", "classical:2", str(short))[0] == 2
+
+
+@pytest.mark.parametrize("coords", [[1e308, -1e308, 1e308], [1.5e308, 1.5e308, 0.0]])
+def test_spectral_near_overflow(capsys, tmp_path, coords):
+    # the eigenvalues (+-sqrt(2)e308, and 1.5e308 twice) are finite doubles;
+    # their gap and their cluster sum are not
+    element = tmp_path / "big.json"
+    element.write_text(json.dumps(coords))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "spectral", "sym:2", str(element))
+    assert (code, err) == (0, "")
+    a, b, c = coords
+    expected = np.linalg.eigvalsh(np.array([[a, c], [c, b]]))[::-1]
+    payload = json.loads(out)
+    np.testing.assert_allclose([p["eigenvalue"] for p in payload["pairs"]], expected,
+                               rtol=1e-14, atol=0)
+    assert payload["reconstruction_residual"] <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):

@@ -354,6 +354,27 @@ def test_matrix_kernel_paths_agree(kind, n, tol):
                                    err_msg=label)
 
 
+CLOSED_FORM_KERNEL_SPECS = [("classical", 1, None), ("classical", 4, None), ("spin", 1, None),
+                            ("spin", 3, None), ("lpq", 2, 2.0), ("lpq", 2, 3.0), ("lpq", 3, 1.5)]
+
+
+@pytest.mark.parametrize("kind,n,p", CLOSED_FORM_KERNEL_SPECS)
+def test_closed_form_kernel_paths_agree(kind, n, p, tol):
+    from jordantp.backends.base import Model
+
+    model = get_model(kind, n, p)
+    assert type(model).eigenvalues_coords is not Model.eigenvalues_coords
+    random = random_element(model, 2312 + n)
+    elements = {"random": random, "zero": model.zero(), "unit": model.order_unit(),
+                "ties": model.element(np.resize([1.0, -2.0, 1.0, -0.0], model.ambient_dim)),
+                "random*1e100": random * 1e100, "random*1e-100": random * 1e-100}
+    for label, a in elements.items():
+        eigs = np.array([s for s, _ in model.decompose_coords(a.coords, tol)])
+        np.testing.assert_array_equal(model.eigenvalues(a, tol), eigs, err_msg=label)
+        np.testing.assert_array_equal(model.eigenvalues_coords(a.coords, tol), eigs,
+                                      err_msg=label)
+
+
 def test_matrix_coords_maps_a_stack():
     for kind, n in MATRIX_KERNEL_SPECS:
         model = get_model(kind, n)

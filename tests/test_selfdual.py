@@ -334,3 +334,20 @@ def test_oblique_cone_fails_unity_resolution(tol):
     cone = GeneratorSelfDualCone(gens)
     checks = verify_unity_resolution(cone, 3, 30, tol)
     assert not all(c.passed for c in checks)
+
+
+def test_failed_unit_recovery_is_explained(monkeypatch, tol):
+    from jordantp import suites
+
+    model = get_model("classical", 3)
+    check = "unit.recovered_from_families"
+    by_name = {c.name: c for c in suites.selfdual_suite(model, 0, 4, tol)}
+    assert by_name[check].passed and by_name[check].note is None
+
+    def fails(cone, seed, families, tol):
+        raise TransitionProbabilityViolation("families disagree")
+
+    monkeypatch.setattr(suites, "recover_order_unit", fails)
+    by_name = {c.name: c for c in suites.selfdual_suite(model, 0, 4, tol)}
+    assert by_name[check].defect == float("inf")
+    assert by_name[check].note == "TransitionProbabilityViolation: families disagree"
