@@ -7,6 +7,8 @@ ball, the information capacity is 2 regardless of n, and atoms are
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..elements import Tolerance
@@ -42,9 +44,15 @@ class SpinFactorModel(Model):
     def _split(self, coords):
         return float(coords[0]), np.asarray(coords[1:], dtype=float)
 
+    @staticmethod
+    def _radius(x) -> float:
+        # hypot scales instead of squaring, so |x| is finite whenever it is
+        # representable (np.linalg.norm overflows from about 1.3e154)
+        return math.hypot(*x)
+
     def decompose_coords(self, coords, tol: Tolerance):
         t, x = self._split(coords)
-        r = float(np.linalg.norm(x))
+        r = self._radius(x)
         if r == 0.0:
             u = np.zeros(self._n)
             u[0] = 1.0  # deterministic direction for multiples of the unit
@@ -56,7 +64,7 @@ class SpinFactorModel(Model):
 
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         t, x = self._split(coords)
-        r = float(np.linalg.norm(x))
+        r = self._radius(x)
         return np.array([t + r, t - r])
 
     def atom_coords(self, param) -> np.ndarray:
@@ -69,7 +77,7 @@ class SpinFactorModel(Model):
 
     def atom_param_from_coords(self, coords, tol: Tolerance):
         t, x = self._split(coords)
-        r = float(np.linalg.norm(x))
+        r = self._radius(x)
         if abs(t - 0.5) > 1e-7 or abs(r - 0.5) > 1e-7:
             raise NotAtomError("spin atoms have the form (1, u)/2 with |u| = 1")
         return x / r

@@ -4,7 +4,8 @@ affinity property of extreme points.
 For each extreme point omega of a polytope, e_omega(zeta) is the infimum of
 a(zeta) over affine functions a with 0 <= a <= 1 on the polytope and
 a(omega) = 1.  Bounding affine functions by their vertex values is exact on a
-polytope, so the infimum reduces to a small dense LP with d + 1 unknowns.
+polytope, so the infimum reduces to a small LP with d + 1 unknowns; all the
+query points of one omega are solved together as one block-diagonal LP.
 
 The polytope passes the affinity property iff every e_omega is affine on the
 hull and attains 1 only at omega.  Smooth bodies (the l^p balls) are handled
@@ -111,30 +112,44 @@ def polytope_from_csv(path) -> PolytopeStateSpace:
 # ---------------------------------------------------------------------------
 
 
-def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zeta: np.ndarray,
-                unit_capped: bool = True) -> float:
-    """minimize c + f . zeta  s.t.  c + f . v >= 0 on vertices, c + f . omega = 1,
-    optionally also c + f . v <= 1 (competitors restricted to unit effects)."""
+def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zetas: np.ndarray,
+                unit_capped: bool = True) -> np.ndarray:
+    """Values of e_omega at each row of ``zetas`` (shape (K, d)), from one LP.
+
+    Per point: minimize c + f . zeta  s.t.  c + f . v >= 0 on vertices,
+    c + f . omega = 1, optionally also c + f . v <= 1 (competitors restricted
+    to unit effects).  The feasible region does not depend on zeta, so the K
+    problems are stacked block-diagonally with one variable block (c_k, f_k)
+    per point; the blocks share no variable, so the stacked optimum is
+    optimal in every block.
+    """
+    from scipy import sparse
+
     verts = poly.vertices
     d = poly.dim
+    k = len(zetas)
     ones = np.ones((len(verts), 1))
     rows = [np.hstack([-ones, -verts])]
     rhs = [np.zeros(len(verts))]
     if unit_capped:
         rows.append(np.hstack([ones, verts]))
         rhs.append(np.ones(len(verts)))
-    a_eq = np.concatenate([[1.0], verts[omega_index]])[None, :]
-    objective = np.concatenate([[1.0], zeta])
+    blocks = sparse.identity(k, format="csr")
+    a_ub = sparse.kron(blocks, np.vstack(rows), format="csr")
+    b_ub = np.tile(np.concatenate(rhs), k)
+    a_eq = sparse.kron(blocks, np.concatenate([[1.0], verts[omega_index]])[None, :],
+                       format="csr")
+    objectives = np.hstack([np.ones((k, 1)), zetas])
     # without the cap the feasible region is an unbounded polyhedron and the
     # default solver occasionally gives up; fall back before failing
     attempts = [("highs", (None, None))]
     if not unit_capped:
         attempts += [("highs-ds", (None, None)), ("highs", (-1e9, 1e9))]
     for method, box in attempts:
-        res = linprog(objective, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                      A_eq=a_eq, b_eq=[1.0], bounds=[box] * (d + 1), method=method)
+        res = linprog(objectives.ravel(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(k),
+                      bounds=box, method=method)
         if res.status == 0:
-            return float(res.fun)
+            return np.einsum("ij,ij->i", objectives, res.x.reshape(k, d + 1))
     raise LinearProgramError(
         f"LP for extreme point {omega_index} failed with status {res.status}: {res.message}")
 
@@ -157,7 +172,7 @@ def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta,
         raise ValueError(f"query point must live in R^{poly.dim}")
     if not poly.contains(zeta):
         raise InfeasiblePointError("query point lies outside the convex hull")
-    return _e_omega_lp(poly, omega_index, zeta, unit_capped)
+    return float(_e_omega_lp(poly, omega_index, zeta[None, :], unit_capped)[0])
 
 
 def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
@@ -170,6 +185,8 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
     combinations; the LP value function is piecewise linear, so midpoint
     violations detect non-affinity.
     """
+    if midpoint_samples < 0:
+        raise ValueError("midpoint_samples must be nonnegative")
     verts = poly.vertices
     n = poly.n_vertices
     rng = np.random.default_rng(seed)
@@ -181,15 +198,16 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
             combos.append(lam)
     for _ in range(midpoint_samples):
         combos.append(rng.dirichlet(np.ones(n)))
+    # one LP per extreme point: the vertices first, then every probe
+    points = np.vstack([verts] + [verts.T @ lam for lam in combos])
 
     reports = []
     for w in range(n):
-        vertex_values = np.array([_e_omega_lp(poly, w, v, unit_capped) for v in verts])
+        values = _e_omega_lp(poly, w, points, unit_capped)
+        vertex_values = values[:n]
         defect = 0.0
-        for lam in combos:
-            zeta = verts.T @ lam
-            value = _e_omega_lp(poly, w, zeta, unit_capped)
-            defect = max(defect, abs(value - float(np.dot(lam, vertex_values))))
+        for lam, value in zip(combos, values[n:]):
+            defect = max(defect, abs(float(value) - float(np.dot(lam, vertex_values))))
         off = np.delete(vertex_values, w)
         max_off = float(off.max()) if len(off) else 0.0
         passes = bool(defect <= tol.check_tol and max_off <= 1.0 - 1e-6)
@@ -208,8 +226,7 @@ def vertex_tp_matrix(poly: PolytopeStateSpace) -> np.ndarray:
     n = poly.n_vertices
     mat = np.empty((n, n))
     for j in range(n):
-        for i in range(n):
-            mat[i, j] = _e_omega_lp(poly, j, poly.vertices[i])
+        mat[:, j] = _e_omega_lp(poly, j, poly.vertices)
     return mat
 
 
@@ -221,8 +238,8 @@ def vertex_tp_matrix(poly: PolytopeStateSpace) -> np.ndarray:
 def smooth_ball_e_omega(lp_model: LpQubitModel, omega, zeta) -> float:
     """Minimal unit effect on a smooth strictly convex ball.
 
-    The effect allocates exactly 1 to omega and exactly 0 to its antipode;
-    the formula is arranged so both endpoint values are exact in floating
+    It is the backend's transition probability from zeta to omega, which
+    allocates exactly 1 to omega and exactly 0 to its antipode in floating
     point.
     """
     omega = np.asarray(omega, dtype=float)
@@ -232,8 +249,7 @@ def smooth_ball_e_omega(lp_model: LpQubitModel, omega, zeta) -> float:
         raise UnnormalizedParamError("omega must lie on the boundary sphere")
     if lp_model._pnorm(zeta, p) > 1.0 + 1e-9:
         raise ValueError("zeta must lie in the closed unit ball")
-    f = np.sign(omega) * np.abs(omega) ** (p - 1.0)
-    return float(np.dot(f, omega + zeta) / (2.0 * np.dot(f, omega)))
+    return lp_model.transition_from_params(zeta, omega)
 
 
 # ---------------------------------------------------------------------------

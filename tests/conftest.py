@@ -21,6 +21,39 @@ SYMMETRIC_MODEL_SPECS = [
 ]
 
 
+
+def _regular_polygon(k):
+    angles = 2.0 * np.pi * np.arange(k) / k
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _simplex(d):
+    return np.vstack([np.zeros(d), np.eye(d)])
+
+
+# name -> (vertices, is a simplex); the shapes of the geom benchmark.  By the
+# paper's criterion exactly the simplices have affine minimal unit effects.
+POLYTOPE_SHAPES = {
+    "triangle": (_simplex(2), True),
+    "tetrahedron": (_simplex(3), True),
+    "4-simplex": (_simplex(4), True),
+    "5-simplex": (_simplex(5), True),
+    "square": (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), False),
+    "pentagon": (_regular_polygon(5), False),
+    "hexagon": (_regular_polygon(6), False),
+    "cube": (np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float), False),
+    "octahedron": (np.vstack([np.eye(3), -np.eye(3)]), False),
+}
+
+
+def similar_copy(vertices, rng):
+    """Rotate, scale and translate: the affinity verdict is affine invariant."""
+    d = vertices.shape[1]
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    q = q * np.sign(np.diag(r))
+    return rng.uniform(0.5, 2.0) * vertices @ q.T + rng.normal(size=d)
+
+
 @pytest.fixture
 def tol():
     return Tolerance()

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -155,6 +156,20 @@ def test_spectral_near_overflow(capsys, tmp_path, coords):
     assert payload["reconstruction_residual"] <= 1e-14 * np.max(np.abs(expected))
 
 
+def test_spin_spectral_near_overflow(capsys, tmp_path):
+    # |x| = sqrt(2)e308 is a finite double although |x|^2 is not
+    element = tmp_path / "big.json"
+    element.write_text(json.dumps([0.0, 1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "spectral", "spin:2", str(element))
+    assert (code, err) == (0, "")
+    radius = math.hypot(1e308, 1e308)
+    payload = json.loads(out)
+    assert [p["eigenvalue"] for p in payload["pairs"]] == [radius, -radius]
+    assert payload["reconstruction_residual"] <= 1e-14 * radius
+
+
 def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     # a degenerate spectrum reaches the deterministic-basis step of the kernel
     from jordantp.backends import matrices
@@ -196,6 +211,14 @@ def test_geom_pentagon_exit_one(capsys, tmp_path):
     verts = [[np.cos(2 * np.pi * k / 5), np.sin(2 * np.pi * k / 5)] for k in range(5)]
     np.savetxt(path, verts, delimiter=",")
     assert run_cli(capsys, "geom", str(path), "--midpoint-samples", "8")[0] == 1
+
+
+def test_geom_negative_samples_exit_two(capsys, tmp_path):
+    path = tmp_path / "tri.csv"
+    np.savetxt(path, [[0, 0], [1, 0], [0, 1]], delimiter=",")
+    code, out, err = run_cli(capsys, "geom", str(path), "--midpoint-samples", "-3")
+    assert (code, out) == (2, "")
+    assert "midpoint_samples" in err
 
 
 def test_geom_malformed_exit_two(capsys, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import POLYTOPE_SHAPES, similar_copy
 from jordantp import (
     InfeasiblePointError,
     PolytopeStateSpace,
@@ -16,6 +17,9 @@ from jordantp import (
     verify_certainty_order,
     vertex_tp_matrix,
 )
+from jordantp import convexgeom
+from jordantp.convexgeom import _e_omega_lp
+from jordantp.errors import LinearProgramError
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -72,6 +76,10 @@ def test_lp_matches_enumeration_oracle():
                 got = e_omega_value(poly, w, zeta)
                 want = e_omega_by_enumeration(verts, w, zeta)
                 assert got == pytest.approx(want, abs=1e-9)
+            # one stacked LP answers every point of a stack, vertices included
+            points = np.vstack([verts, rng.dirichlet(np.ones(len(verts)), size=4) @ verts])
+            want = [e_omega_by_enumeration(verts, w, zeta) for zeta in points]
+            np.testing.assert_allclose(_e_omega_lp(poly, w, points), want, rtol=0, atol=1e-9)
 
 
 def test_triangle_passes_affinity():
@@ -236,3 +244,94 @@ def test_uncapped_infimum_variant():
         simplex = PolytopeStateSpace(np.vstack([np.zeros(dim), np.eye(dim)]))
         reports = check_extreme_affinity(simplex, midpoint_samples=8, unit_capped=False)
         assert all(r.passes for r in reports)
+
+
+def e_omega_per_point(poly, omega_index, zeta, unit_capped=True):
+    """Reference: the single-point LP, one fresh solve per query point."""
+    from scipy.optimize import linprog
+
+    verts = poly.vertices
+    ones = np.ones((len(verts), 1))
+    rows = [np.hstack([-ones, -verts])]
+    rhs = [np.zeros(len(verts))]
+    if unit_capped:
+        rows.append(np.hstack([ones, verts]))
+        rhs.append(np.ones(len(verts)))
+    a_eq = np.concatenate([[1.0], verts[omega_index]])[None, :]
+    objective = np.concatenate([[1.0], zeta])
+    attempts = [("highs", (None, None))]
+    if not unit_capped:
+        attempts += [("highs-ds", (None, None)), ("highs", (-1e9, 1e9))]
+    for method, box in attempts:
+        res = linprog(objective, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                      A_eq=a_eq, b_eq=[1.0], bounds=[box] * (poly.dim + 1), method=method)
+        if res.status == 0:
+            return float(res.fun)
+    raise AssertionError(f"reference LP failed: {res.message}")
+
+
+def _probe_points(verts, rng):
+    """Vertices, two vertex midpoints and three random convex combinations."""
+    n = len(verts)
+    mids = [(verts[0] + verts[1]) / 2, (verts[0] + verts[n - 1]) / 2]
+    return np.vstack([verts, mids, rng.dirichlet(np.ones(n), size=3) @ verts])
+
+
+@pytest.mark.parametrize("unit_capped", [True, False])
+@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+def test_stacked_lp_matches_per_point_lp(shape, unit_capped):
+    rng = np.random.default_rng(41)
+    verts = POLYTOPE_SHAPES[shape][0]
+    for copy in (verts, similar_copy(verts, rng)):
+        poly = PolytopeStateSpace(copy)
+        points = _probe_points(copy, rng)
+        for w in range(poly.n_vertices):
+            got = _e_omega_lp(poly, w, points, unit_capped)
+            want = [e_omega_per_point(poly, w, zeta, unit_capped) for zeta in points]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _counting_linprog(monkeypatch, fail_first=0):
+    """Wrap convexgeom.linprog: count solves and fail the first few."""
+    calls = []
+    solve = convexgeom.linprog
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["method"], kwargs["bounds"]))
+        res = solve(*args, **kwargs)
+        if len(calls) <= fail_first:
+            res.status, res.message = 4, "forced failure"
+        return res
+
+    monkeypatch.setattr(convexgeom, "linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", ["triangle", "square", "cube"])
+def test_one_lp_per_extreme_point(monkeypatch, shape):
+    poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
+    calls = _counting_linprog(monkeypatch)
+    check_extreme_affinity(poly, midpoint_samples=8)
+    assert len(calls) == poly.n_vertices
+    calls.clear()
+    vertex_tp_matrix(poly)
+    assert len(calls) == poly.n_vertices
+
+
+def test_uncapped_fallback_recovers(monkeypatch):
+    poly = PolytopeStateSpace(PENTAGON)
+    points = _probe_points(PENTAGON, np.random.default_rng(5))
+    want = [e_omega_per_point(poly, 1, zeta, unit_capped=False) for zeta in points]
+    calls = _counting_linprog(monkeypatch, fail_first=1)
+    got = _e_omega_lp(poly, 1, points, unit_capped=False)
+    assert [method for method, _ in calls] == ["highs", "highs-ds"]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_uncapped_lp_raises_when_every_attempt_fails(monkeypatch):
+    poly = PolytopeStateSpace(PENTAGON)
+    calls = _counting_linprog(monkeypatch, fail_first=3)
+    with pytest.raises(LinearProgramError, match="LP for extreme point 2 failed with status 4"):
+        _e_omega_lp(poly, 2, PENTAGON, unit_capped=False)
+    assert calls == [("highs", (None, None)), ("highs-ds", (None, None)),
+                     ("highs", (-1e9, 1e9))]
