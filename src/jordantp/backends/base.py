@@ -43,6 +43,7 @@ class Model(ABC):
     """
 
     kind: str = ""
+    state_kind: str = "dual_vector"  # atom states: "dual_vector" | "point_evaluation"
 
     # ------------------------------------------------------------------
     # descriptor data
@@ -141,6 +142,16 @@ class Model(ABC):
 
     def eigenvalues(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return self.eigenvalues_coords(a.coords, tol)
+
+    @abstractmethod
+    def cone_oracle(self, coords: np.ndarray, slack: float) -> bool:
+        """Closed-form cone membership, independent of the spectral kernel."""
+
+    @abstractmethod
+    def split_orthogonal_coords(self, coords: np.ndarray, tol: Tolerance):
+        """Two orthogonal positive parts ``(head, rest)`` of a positive
+        element, or None for a multiple of one atom; computed without
+        ``decompose_coords``, so that peeling checks the kernel."""
 
     # ------------------------------------------------------------------
     # atoms

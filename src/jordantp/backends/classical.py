@@ -48,6 +48,17 @@ class ClassicalModel(Model):
         coords = np.asarray(coords, dtype=float)
         return coords[np.argsort(-coords, kind="stable")]
 
+    def cone_oracle(self, coords, slack: float) -> bool:
+        return bool(coords.min() >= -slack)
+
+    def split_orthogonal_coords(self, coords, tol: Tolerance):
+        support = np.flatnonzero(np.abs(coords) > tol.check_tol)
+        if len(support) <= 1:
+            return None
+        head = np.zeros_like(coords)
+        head[support[0]] = coords[support[0]]
+        return head, coords - head
+
     def atom_coords(self, param) -> np.ndarray:
         idx = int(param)
         if not 0 <= idx < self._n:

@@ -22,11 +22,14 @@ import numpy as np
 
 from ..elements import Tolerance
 from ..errors import NotAtomError, UnnormalizedParamError
-from .base import Model
+from .qubit import _QubitModel, half_atom
+
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
-class LpQubitModel(Model):
+class LpQubitModel(_QubitModel):
     kind = "lpq"
+    state_kind = "point_evaluation"
 
     def __init__(self, n: int, p: float):
         if n < 1:
@@ -34,7 +37,7 @@ class LpQubitModel(Model):
         p = float(p)
         if not (1.0 < p < math.inf):
             raise ValueError("lp qubit needs 1 < p < inf (smooth, strictly convex ball)")
-        self._n = int(n)
+        super().__init__(n)
         self._p = p
         self._q = p / (p - 1.0)
 
@@ -47,14 +50,6 @@ class LpQubitModel(Model):
         return self._q
 
     @property
-    def ambient_dim(self) -> int:
-        return self._n + 1
-
-    @property
-    def info_capacity(self) -> int:
-        return 2
-
-    @property
     def symmetric_tp(self) -> bool:
         # the 1-dimensional ball is the interval [-1, 1] for every exponent,
         # so only n >= 2 with p != 2 produces genuine asymmetry
@@ -64,84 +59,70 @@ class LpQubitModel(Model):
     def param_items(self) -> tuple:
         return (("n", self._n), ("p", self._p))
 
-    def order_unit_coords(self) -> np.ndarray:
-        coords = np.zeros(self._n + 1)
-        coords[0] = 1.0
-        return coords
-
     # ------------------------------------------------------------------
     # duality map between the p-sphere and the q-sphere
     # ------------------------------------------------------------------
 
-    def _pnorm(self, v, exponent) -> float:
-        return float(np.sum(np.abs(v) ** exponent) ** (1.0 / exponent))
+    @staticmethod
+    def pnorm(v, exponent) -> float:
+        """The l^exponent norm of v.  The entries are divided by the largest
+        one first only where the plain sum of powers could overflow or lose
+        the normal range, so a representable norm is always found."""
+        a = np.abs(v)
+        top = max(a.tolist(), default=0.0)
+        try:
+            peak = top ** exponent
+        except OverflowError:
+            peak = math.inf
+        if _TINY <= peak and peak * a.size < math.inf:
+            return float(np.sum(a ** exponent) ** (1.0 / exponent))
+        if not 0.0 < top < math.inf:
+            return float(np.sum(a))  # zero, or inf or nan as the entries say
+        return top * float(np.sum((a / top) ** exponent) ** (1.0 / exponent))
 
     def supporting_functional(self, omega) -> np.ndarray:
         """Norm-one functional with f . omega = 1, unique by smoothness."""
         omega = np.asarray(omega, dtype=float)
         f = np.sign(omega) * np.abs(omega) ** (self._p - 1.0)
-        return f / self._pnorm(f, self._q)
+        return f / self.pnorm(f, self._q)
 
     def sphere_point_of_functional(self, f) -> np.ndarray:
         """Inverse of the duality map: boundary point supported by ``f``."""
         f = np.asarray(f, dtype=float)
         omega = np.sign(f) * np.abs(f) ** (self._q - 1.0)
-        return omega / self._pnorm(omega, self._p)
+        return omega / self.pnorm(omega, self._p)
 
     def _check_boundary(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
         if omega.shape != (self._n,):
             raise UnnormalizedParamError(f"boundary point must live in R^{self._n}")
-        if abs(self._pnorm(omega, self._p) - 1.0) > 1e-9:
+        if abs(self.pnorm(omega, self._p) - 1.0) > 1e-9:
             raise UnnormalizedParamError("boundary point must lie on the unit l^p sphere")
         return omega
 
-    # ------------------------------------------------------------------
-    # spectral kernel: spectrum {c - |f|_q, c + |f|_q}
-    # ------------------------------------------------------------------
+    def _radius(self, x) -> float:  # the spectrum is {c - |f|_q, c + |f|_q}
+        return self.pnorm(x, self._q)
 
-    def decompose_coords(self, coords, tol: Tolerance):
-        c = float(coords[0])
-        f = np.asarray(coords[1:], dtype=float)
-        r = self._pnorm(f, self._q)
-        if r == 0.0:
-            g = np.zeros(self._n)
-            g[0] = 1.0  # deterministic direction for multiples of the unit
-        else:
-            g = f / r
-        plus = np.concatenate(([0.5], 0.5 * g))
-        minus = np.concatenate(([0.5], -0.5 * g))
-        return [(c + r, plus), (c - r, minus)]
+    def _split_radius(self, x) -> float:
+        return self.pnorm(x, 2.0)
 
-    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
-        c = float(coords[0])
-        r = self._pnorm(np.asarray(coords[1:], dtype=float), self._q)
-        return np.array([c + r, c - r])
+    def cone_oracle(self, coords, slack: float) -> bool:
+        return bool(coords[0] - self.pnorm(coords[1:], self._q) >= -slack)
 
     def atom_coords(self, param) -> np.ndarray:
         omega = self._check_boundary(param)
-        f = self.supporting_functional(omega)
-        return np.concatenate(([0.5], 0.5 * f))
+        return half_atom(self.supporting_functional(omega))
 
     def atom_param_from_coords(self, coords, tol: Tolerance):
         c = float(coords[0])
         f = 2.0 * np.asarray(coords[1:], dtype=float)
-        if abs(c - 0.5) > 1e-7 or abs(self._pnorm(f, self._q) - 1.0) > 1e-7:
+        if abs(c - 0.5) > 1e-7 or abs(self.pnorm(f, self._q) - 1.0) > 1e-7:
             raise NotAtomError("lp qubit atoms have the form (1, f_omega)/2 with |f_omega|_q = 1")
         return self.sphere_point_of_functional(f)
 
     def random_atom_param(self, rng: np.random.Generator):
         v = rng.normal(size=self._n)
-        return v / self._pnorm(v, self._p)
-
-    def random_frame_params(self, rng: np.random.Generator):
-        omega = self.random_atom_param(rng)
-        return [omega, -omega]
-
-    def state_value(self, param, coords) -> float:
-        # point evaluation at a ball point; for atoms this is delta_omega
-        zeta = np.asarray(param, dtype=float)
-        return float(coords[0] + np.dot(coords[1:], zeta))
+        return v / self.pnorm(v, self._p)
 
     def transition_from_params(self, param_src, param_dst) -> float:
         # e_{dst}(src) written so that the values at dst and at its antipode
@@ -150,8 +131,3 @@ class LpQubitModel(Model):
         dst = np.asarray(param_dst, dtype=float)
         f = np.sign(dst) * np.abs(dst) ** (self._p - 1.0)
         return float(np.dot(f, dst + src) / (2.0 * np.dot(f, dst)))
-
-    def native_pairing(self, ca, cb) -> float:
-        if not self.symmetric_tp:
-            return super().native_pairing(ca, cb)
-        return float(2.0 * np.dot(ca, cb))

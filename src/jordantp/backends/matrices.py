@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..elements import Element, Tolerance
-from ..errors import NotAtomError, UnnormalizedParamError
+from ..errors import ConeProjectionError, NotAtomError, UnnormalizedParamError
 from .base import Model, cluster_descending
 
 
@@ -43,6 +43,40 @@ def _deterministic_basis(projector: np.ndarray, rank: int) -> list[np.ndarray]:
     if len(vecs) != rank:
         raise RuntimeError("projector basis extraction failed")  # pragma: no cover
     return vecs
+
+
+def _eigenpair_split(mat: np.ndarray, tol: Tolerance):
+    """One accurate eigenpair of a PSD matrix via power iteration with
+    Rayleigh-quotient polish; kept independent of the dense eigensolver."""
+    n = mat.shape[0]
+    scale = max(float(np.real(np.trace(mat))), 1e-30)
+    starts = [np.linspace(1.0, 2.0, n)]
+    starts += [np.eye(n)[k] for k in range(n)]
+    for start in starts:
+        v = start.astype(mat.dtype) / np.linalg.norm(start)
+        for _ in range(60):
+            w = mat @ v
+            norm = np.linalg.norm(w)
+            if norm <= 1e-14 * scale:
+                break
+            v = w / norm
+        lam = float(np.real(np.vdot(v, mat @ v)))
+        if lam <= 1e-12 * scale:
+            continue
+        for _ in range(4):  # Rayleigh-quotient iteration, cubic convergence
+            try:
+                w = np.linalg.solve(mat - lam * np.eye(n, dtype=mat.dtype), v)
+            except np.linalg.LinAlgError:
+                break
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm) or norm == 0.0:
+                break
+            v = w / norm
+            lam = float(np.real(np.vdot(v, mat @ v)))
+        residual = float(np.linalg.norm(mat @ v - lam * v))
+        if residual <= 1e-9 * scale and lam > 1e-12 * scale:
+            return lam, v
+    raise ConeProjectionError("eigenpair search failed on a PSD matrix")
 
 
 class _MatrixModel(Model):
@@ -112,6 +146,25 @@ class _MatrixModel(Model):
         vecs = eigvecs.T
         atoms = self.matrix_coords(vecs[:, :, None] * vecs.conj()[:, None, :])
         return list(zip(eigvals.tolist(), atoms))
+
+    def cone_oracle(self, coords, slack: float) -> bool:
+        mat = self._matrix_from_coords(coords)
+        shifted = mat + (slack + 1e-15) * np.eye(mat.shape[0])
+        try:
+            np.linalg.cholesky(shifted)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+
+    def split_orthogonal_coords(self, coords, tol: Tolerance):
+        mat = self._matrix_from_coords(coords)
+        scale = max(float(np.real(np.trace(mat))), 1e-30)
+        lam, v = _eigenpair_split(mat, tol)
+        head = lam * np.outer(v, v.conj())
+        rest = mat - head
+        if float(np.linalg.norm(rest)) <= 1e-9 * scale:
+            return None
+        return self.matrix_coords(head), self.matrix_coords(rest)
 
     def _unit_vector(self, param) -> np.ndarray:
         vec = np.asarray(param)

@@ -1,0 +1,86 @@
+"""Generalized qubits: the capacity-two backends on coordinates (t, x).
+
+The spectrum is {t + r(x), t - r(x)} for a norm r, with atoms (1, g) / 2 at
+the unit directions g of r.  The spin factor is the Euclidean member of the
+family, the l^p qubits are the others (Faraut & Koranyi, Analysis on
+Symmetric Cones, ch. V).
+"""
+
+from __future__ import annotations
+
+from abc import abstractmethod
+
+import numpy as np
+
+from ..elements import Tolerance
+from .base import Model
+
+
+def half_atom(g: np.ndarray) -> np.ndarray:
+    """Coordinates (1, g) / 2 of the atom along the unit direction g."""
+    return np.concatenate(([0.5], 0.5 * g))
+
+
+class _QubitModel(Model):
+    """Everything but the radius, the atom parametrisation and the oracle."""
+
+    def __init__(self, n: int):
+        self._n = int(n)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._n + 1
+
+    @property
+    def info_capacity(self) -> int:
+        return 2
+
+    def order_unit_coords(self) -> np.ndarray:
+        coords = np.zeros(self._n + 1)
+        coords[0] = 1.0
+        return coords
+
+    @abstractmethod
+    def _radius(self, x) -> float:
+        """The norm r whose unit sphere carries the atom directions."""
+
+    def _split_radius(self, x) -> float:
+        """Euclidean length of x, as the orthogonal split measures it."""
+        return float(np.linalg.norm(x))
+
+    def decompose_coords(self, coords, tol: Tolerance):
+        t = float(coords[0])
+        x = np.asarray(coords[1:], dtype=float)
+        r = self._radius(x)
+        if r == 0.0:
+            g = np.zeros(self._n)
+            g[0] = 1.0  # deterministic direction for multiples of the unit
+        else:
+            g = x / r
+        return [(t + r, half_atom(g)), (t - r, half_atom(-g))]
+
+    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
+        t = float(coords[0])
+        r = self._radius(np.asarray(coords[1:], dtype=float))
+        return np.array([t + r, t - r])
+
+    def split_orthogonal_coords(self, coords, tol: Tolerance):
+        t, f = float(coords[0]), coords[1:]
+        r = self._split_radius(f)
+        if abs(t - r) <= 10.0 * tol.check_tol * max(1.0, abs(t)):
+            return None  # single atom direction
+        u = f / r if r > 0 else np.eye(len(f))[0]
+        return (t + r) * half_atom(u), (t - r) * half_atom(-u)
+
+    def random_frame_params(self, rng: np.random.Generator):
+        first = self.random_atom_param(rng)
+        return [first, -first]
+
+    def state_value(self, param, coords) -> float:
+        return float(coords[0] + np.dot(coords[1:], np.asarray(param, dtype=float)))
+
+    def native_pairing(self, ca, cb) -> float:
+        if not self.symmetric_tp:
+            return super().native_pairing(ca, cb)
+        # twice the ambient dot product; atoms then have unit self-pairing
+        return float(2.0 * np.dot(ca, cb))

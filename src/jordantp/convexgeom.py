@@ -245,9 +245,9 @@ def smooth_ball_e_omega(lp_model: LpQubitModel, omega, zeta) -> float:
     omega = np.asarray(omega, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     p = lp_model.p
-    if abs(lp_model._pnorm(omega, p) - 1.0) > 1e-9:
+    if abs(lp_model.pnorm(omega, p) - 1.0) > 1e-9:
         raise UnnormalizedParamError("omega must lie on the boundary sphere")
-    if lp_model._pnorm(zeta, p) > 1.0 + 1e-9:
+    if lp_model.pnorm(zeta, p) > 1.0 + 1e-9:
         raise ValueError("zeta must lie in the closed unit ball")
     return lp_model.transition_from_params(zeta, omega)
 

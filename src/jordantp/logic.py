@@ -25,7 +25,6 @@ class MeetThresholdWarning(UserWarning):
 @dataclass(frozen=True)
 class LogicElement:
     value: Element
-    validated: bool = True
 
 
 def _unwrap(a) -> Element:
@@ -40,18 +39,18 @@ def is_logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> 
 
 
 def logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
-    if isinstance(a, LogicElement) and a.validated:
+    if isinstance(a, LogicElement):
         return a
     a = _unwrap(a)
     if not is_logic_element(model, a, tol):
         raise ValueError("element is not in the quantum logic (eigenvalues not in {0, 1})")
-    return LogicElement(a, validated=True)
+    return LogicElement(a)
 
 
 def orthocomplement(model: Model, p, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
     """p' = order unit minus p; an involution on the logic."""
     p = logic_element(model, p, tol)
-    return LogicElement(model.order_unit() - p.value, validated=True)
+    return LogicElement(model.order_unit() - p.value)
 
 
 def is_orthogonal_family(model: Model, ps, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -87,7 +86,7 @@ def meet(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
     for pair in form.pairs:
         if pair.eigenvalue >= threshold:
             coords += pair.atom.coords
-    return LogicElement(model.element(coords), validated=True)
+    return LogicElement(model.element(coords))
 
 
 def join(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:

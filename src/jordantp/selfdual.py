@@ -84,40 +84,6 @@ class SelfDualCone:
 # ---------------------------------------------------------------------------
 
 
-def _eigenpair_split(mat: np.ndarray, tol: Tolerance):
-    """One accurate eigenpair of a PSD matrix via power iteration with
-    Rayleigh-quotient polish; kept independent of the dense eigensolver."""
-    n = mat.shape[0]
-    scale = max(float(np.real(np.trace(mat))), 1e-30)
-    starts = [np.linspace(1.0, 2.0, n)]
-    starts += [np.eye(n)[k] for k in range(n)]
-    for start in starts:
-        v = start.astype(mat.dtype) / np.linalg.norm(start)
-        for _ in range(60):
-            w = mat @ v
-            norm = np.linalg.norm(w)
-            if norm <= 1e-14 * scale:
-                break
-            v = w / norm
-        lam = float(np.real(np.vdot(v, mat @ v)))
-        if lam <= 1e-12 * scale:
-            continue
-        for _ in range(4):  # Rayleigh-quotient iteration, cubic convergence
-            try:
-                w = np.linalg.solve(mat - lam * np.eye(n, dtype=mat.dtype), v)
-            except np.linalg.LinAlgError:
-                break
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm) or norm == 0.0:
-                break
-            v = w / norm
-            lam = float(np.real(np.vdot(v, mat @ v)))
-        residual = float(np.linalg.norm(mat @ v - lam * v))
-        if residual <= 1e-9 * scale and lam > 1e-12 * scale:
-            return lam, v
-    raise ConeProjectionError("eigenpair search failed on a PSD matrix")
-
-
 class SpectralSelfDualCone(SelfDualCone):
     """Positive cone of a backend with symmetric transition probability,
     carrying the self-dualizing inner product."""
@@ -168,34 +134,8 @@ class SpectralSelfDualCone(SelfDualCone):
         return _random_element(self.model, rng)
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
-        kind = self.model.kind
-        coords = self.as_vec(x)
-        if kind == "classical":
-            support = np.flatnonzero(np.abs(coords) > tol.check_tol)
-            if len(support) <= 1:
-                return None
-            head = np.zeros_like(coords)
-            head[support[0]] = coords[support[0]]
-            return self.wrap(head), self.wrap(coords - head)
-        if kind in ("spin", "lpq"):
-            t, f = float(coords[0]), coords[1:]
-            r = float(np.linalg.norm(f)) if kind == "spin" else self.model._pnorm(f, 2.0)
-            if abs(t - r) <= 10.0 * tol.check_tol * max(1.0, abs(t)):
-                return None  # single atom direction
-            u = f / r if r > 0 else np.eye(len(f))[0]
-            plus = np.concatenate(([0.5], 0.5 * u))
-            minus = np.concatenate(([0.5], -0.5 * u))
-            return self.wrap((t + r) * plus), self.wrap((t - r) * minus)
-        # matrix backends: split off one accurate eigenpair
-        mat = self.model._matrix_from_coords(coords)
-        scale = max(float(np.real(np.trace(mat))), 1e-30)
-        lam, v = _eigenpair_split(mat, tol)
-        head = lam * np.outer(v, v.conj())
-        rest = mat - head
-        if float(np.linalg.norm(rest)) <= 1e-9 * scale:
-            return None
-        return (self.wrap(self.model.matrix_coords(head)),
-                self.wrap(self.model.matrix_coords(rest)))
+        parts = self.model.split_orthogonal_coords(self.as_vec(x), tol)
+        return None if parts is None else tuple(self.wrap(v) for v in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ with canonical check ordering.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -47,42 +48,6 @@ from .transition import (
 )
 
 
-def _cone_membership_oracle(model: Model, coords: np.ndarray, slack: float) -> bool:
-    """Backend-specific closed-form membership, independent of the generic
-    eigenvalue route (Cholesky for the matrix backends)."""
-    kind = model.kind
-    if kind in ("classical", "polytope_affine"):
-        return bool(coords.min() >= -slack)
-    if kind == "spin":
-        return bool(coords[0] - np.linalg.norm(coords[1:]) >= -slack)
-    if kind == "lpq":
-        return bool(coords[0] - model._pnorm(coords[1:], model.dual_exponent) >= -slack)
-    mat = model._matrix_from_coords(coords)
-    shifted = mat + (slack + 1e-15) * np.eye(mat.shape[0])
-    try:
-        np.linalg.cholesky(shifted)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _frame_orthogonality_defect(model: Model, form, tol: Tolerance) -> float:
-    worst = 0.0
-    pairs = form.pairs
-    if model.symmetric_tp:
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                worst = max(worst, abs(model.native_pairing(pairs[i].atom.coords,
-                                                            pairs[j].atom.coords)))
-        return worst
-    params = [model.atom_param_from_coords(p.atom.coords, tol) for p in pairs]
-    for i in range(len(params)):
-        for j in range(len(params)):
-            if i != j:
-                worst = max(worst, abs(model.transition_from_params(params[i], params[j])))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # spectral suite
 # ---------------------------------------------------------------------------
@@ -117,10 +82,11 @@ def spectral_suite(model: Model, seed: int, trials: int,
         spectral_member = bool(eigs.min() >= -tol.cone_slack)
         if spectral_member != cone_contains(model, a, tol):
             cone_mismatch += 1
-        if spectral_member != _cone_membership_oracle(model, a.coords, tol.cone_slack):
+        if spectral_member != model.cone_oracle(a.coords, tol.cone_slack):
             oracle_mismatch += 1
         if k % 10 == 0:  # frame orthogonality and calculus identities, thinned
-            frame_orth = max(frame_orth, _frame_orthogonality_defect(model, form, tol))
+            frame_orth = max([frame_orth] + [_tp_of_atoms(model, e1, e2, tol)
+                                             for e1, e2 in combinations(form.atoms, 2)])
             ident_defect = max(ident_defect, order_norm(
                 model, func_calculus(model, a, lambda s: s, tol) - a, tol))
             unit_product = max(unit_product, order_norm(

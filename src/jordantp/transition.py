@@ -59,7 +59,7 @@ def state_of_atom(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL) -> Sta
 
 
 def _state_from_param(model: Model, param) -> State:
-    if model.kind == "lpq":
+    if model.state_kind == "point_evaluation":
         return State(model, "point_evaluation", point=np.asarray(param, dtype=float))
     return State(model, "dual_vector", vector=model.atom(param))
 

@@ -170,6 +170,23 @@ def test_spin_spectral_near_overflow(capsys, tmp_path):
     assert payload["reconstruction_residual"] <= 1e-14 * radius
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-250])
+def test_lpq_spectral_extreme_scale(capsys, tmp_path, scale):
+    # |f|_q = 2^(2/3) * scale is a finite nonzero double although scale^q
+    # overflows (1e308) or underflows to zero (1e-250)
+    element = tmp_path / "extreme.json"
+    element.write_text(json.dumps([0.0, scale, scale]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "spectral", "lpq:2:3", str(element))
+    assert (code, err) == (0, "")
+    radius = 2.0 ** (2.0 / 3.0) * scale
+    payload = json.loads(out)
+    np.testing.assert_allclose([p["eigenvalue"] for p in payload["pairs"]], [radius, -radius],
+                               rtol=1e-14, atol=0)
+    assert payload["reconstruction_residual"] <= 1e-14 * radius
+
+
 def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     # a degenerate spectrum reaches the deterministic-basis step of the kernel
     from jordantp.backends import matrices

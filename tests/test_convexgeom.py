@@ -12,6 +12,7 @@ from jordantp import (
     get_model,
     induced_affine_model,
     polytope_from_csv,
+    run_suite,
     smooth_ball_e_omega,
     verify_atom_state_uniqueness,
     verify_certainty_order,
@@ -190,6 +191,20 @@ def test_induced_model_on_triangle():
         assert check.passed, check
     for check in verify_certainty_order(model, 2, 30):
         assert check.passed, check
+
+
+@pytest.mark.parametrize("name", ["triangle", "tetrahedron"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_induced_model_passes_every_suite(name, seed):
+    # the induced model is a classical subclass with its own kind string; it
+    # must reach the classical formulas through the backend, not fall through
+    # a kind switch into another backend's branch
+    vertices, _ = POLYTOPE_SHAPES[name]
+    model = induced_affine_model(PolytopeStateSpace(vertices))
+    report = run_suite(model, "all", seed, 40)
+    assert [c.name for c in report.checks if not c.passed] == []
+    names = {c.name for c in report.checks}
+    assert {"spectral.cone_matches_oracle", "peel.matches_spectrum"} <= names
 
 
 def test_induced_model_rejects_square():

@@ -245,7 +245,6 @@ def test_information_capacity(spec, expected):
 def test_logic_element_wrapper_validates():
     m = get_model("classical", 2)
     wrapped = logic_element(m, m.element([1.0, 0.0]))
-    assert wrapped.validated
     assert logic_element(m, wrapped) is wrapped
     with pytest.raises(ValueError):
         logic_element(m, m.element([0.25, 0.0]))
