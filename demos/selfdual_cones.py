@@ -18,7 +18,9 @@ from jordantp import (
     recover_order_unit,
     self_duality_report,
     verify_induced_axioms,
+    verify_unity_resolution,
 )
+from jordantp.selfdual import verify_certainty_order
 
 
 def main():
@@ -45,7 +47,10 @@ def main():
     print("\nrotated orthant (a self-dual polyhedral cone):")
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
     orthant = GeneratorSelfDualCone(q.T)
-    for check in verify_induced_axioms(orthant, seed=2, trials=40):
+    for check in (verify_unity_resolution(orthant, seed=2, trials=40)
+                  + verify_certainty_order(orthant, seed=2, trials=40)
+                  + verify_induced_axioms(orthant, seed=2, trials=40)
+                  + self_duality_report(orthant, seed=2, trials=40)):
         print(f"  {check.name:36s} defect {check.defect:9.2e}  "
               f"{'ok' if check.passed else 'FAIL'}")
 

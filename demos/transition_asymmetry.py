@@ -10,10 +10,11 @@ between the order norm and sqrt(capacity) times the order norm.
 import numpy as np
 
 from jordantp import (
-    check_norm_equivalence,
-    check_self_duality,
+    SpectralSelfDualCone,
+    check_inner_product,
     get_model,
     inner_product,
+    self_duality_report,
     symmetry_defect,
     tp_matrix,
 )
@@ -44,9 +45,10 @@ def main():
 
     print("\ninner product on herm(2): <unit|unit> =",
           inner_product(he, he.order_unit(), he.order_unit()))
-    print("self-duality and norm equivalence checks:")
-    for check in check_self_duality(he, 1, 100) + check_norm_equivalence(he, 1, 100):
-        print(f"  {check.name:32s} defect {check.defect:9.2e}  "
+    print("inner product (with norm equivalence) and self-duality checks:")
+    for check in (check_inner_product(he, 1, 100)
+                  + self_duality_report(SpectralSelfDualCone(he), 1, 100)):
+        print(f"  {check.name:36s} defect {check.defect:9.2e}  "
               f"{'ok' if check.passed else 'FAIL'}")
 
 

@@ -94,8 +94,6 @@ from .transition import (
     State,
     TPMatrix,
     check_inner_product,
-    check_norm_equivalence,
-    check_self_duality,
     inner_product,
     mix_states,
     state_of_atom,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -123,11 +125,16 @@ class Model(ABC):
 
     def spectral_form(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:
         self.check_element(a)
-        pairs = tuple(
-            SpectralPair(float(s), self.element(atom))
-            for s, atom in self.decompose_coords(np.asarray(a.coords, dtype=float), tol)
-        )
-        return SpectralForm(pairs=pairs)
+        coords = np.asarray(a.coords, dtype=float)
+        frame = self.decompose_coords(coords, tol)
+        for k, (s, _) in enumerate(frame):
+            if not math.isfinite(s):
+                # eigenvalues are homogeneous: halving the element names the value
+                half = self.eigenvalues_coords(0.5 * coords, tol)[k]
+                raise ValueError(f"eigenvalue {k} (largest first) of the element is "
+                                 f"{2 * Decimal(half):.6e}, outside the range of a double")
+        return SpectralForm(pairs=tuple(SpectralPair(float(s), self.element(atom))
+                                        for s, atom in frame))
 
     def eigenvalues_coords(self, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
         """Eigenvalues of the frame of ``coords``, without its atoms.

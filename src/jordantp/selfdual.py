@@ -23,7 +23,7 @@ from .backends.base import Model
 from .elements import DEFAULT_TOL, Element, Tolerance
 from .errors import ConeProjectionError, TransitionProbabilityViolation, UnsupportedModelError
 from .reports import CheckResult
-from .spectral import trial_rng
+from .spectral import _random_element, trial_rng
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,22 @@ class PeeledAtom:
 
 class SelfDualCone:
     """Interface shared by the two cone flavors; vectors are kept in the
-    flavor's natural element type (Element or raw ndarray)."""
+    flavor's natural element type (Element or raw ndarray).  The defaults are
+    raw ndarrays with the ambient dot product, and the Moreau split and the
+    atom test read off the flavor's frame."""
 
     @property
     def ambient_dim(self) -> int:
         raise NotImplementedError
 
     def as_vec(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return np.asarray(x, dtype=float)
 
     def wrap(self, vec: np.ndarray):
-        raise NotImplementedError
+        return np.asarray(vec, dtype=float)
 
     def inner(self, x, y) -> float:
-        raise NotImplementedError
+        return float(np.dot(self.as_vec(x), self.as_vec(y)))
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise NotImplementedError
@@ -73,10 +75,33 @@ class SelfDualCone:
     def random_element(self, rng: np.random.Generator):
         raise NotImplementedError
 
+    def random_positive(self, rng: np.random.Generator):
+        raise NotImplementedError
+
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         """Default atom oracle: two orthogonal positive parts, or None if
         ``x`` is (numerically) a positive multiple of an atom."""
         raise NotImplementedError
+
+    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+        """Signed coefficients on pairwise-orthogonal atoms summing to ``x``."""
+        raise NotImplementedError
+
+    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
+        """The formula behind ``moreau_decompose``."""
+        plus = np.zeros(self.ambient_dim)
+        minus = np.zeros(self.ambient_dim)
+        for p in self.frame(a, tol):
+            if p.coefficient >= 0.0:
+                plus += p.coefficient * self.as_vec(p.atom)
+            else:
+                minus -= p.coefficient * self.as_vec(p.atom)
+        return MoreauPair(self.wrap(plus), self.wrap(minus))
+
+    def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether ``e``, of unit self-pairing, is positive and indecomposable."""
+        coeffs = np.array([p.coefficient for p in self.frame(e, tol)])
+        return bool(coeffs.min() >= -tol.cone_slack and np.sum(np.abs(coeffs) > 1e-7) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +136,6 @@ class SpectralSelfDualCone(SelfDualCone):
         eigs = self.model.eigenvalues_coords(self.as_vec(x), tol)
         return bool(eigs.min() >= -tol.cone_slack)
 
-    def order_unit(self) -> Element:
-        return self.model.order_unit()
-
     def random_atom(self, rng: np.random.Generator) -> Element:
         return self.model.atom(self.model.random_atom_param(rng))
 
@@ -129,13 +151,18 @@ class SpectralSelfDualCone(SelfDualCone):
         return [p.atom for p in peel_positive(self, rest, tol=tol)]
 
     def random_element(self, rng: np.random.Generator) -> Element:
-        from .spectral import _random_element
-
         return _random_element(self.model, rng)
+
+    def random_positive(self, rng: np.random.Generator) -> Element:
+        return _random_element(self.model, rng, "positive")
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         parts = self.model.split_orthogonal_coords(self.as_vec(x), tol)
         return None if parts is None else tuple(self.wrap(v) for v in parts)
+
+    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+        return [PeeledAtom(p.eigenvalue, p.atom)
+                for p in self.model.spectral_form(self.wrap(self.as_vec(x)), tol).pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +210,6 @@ class GeneratorSelfDualCone(SelfDualCone):
                 mask[j] = False
         return mask
 
-    def as_vec(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
-    def wrap(self, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec, dtype=float)
-
-    def inner(self, x, y) -> float:
-        return float(np.dot(self.as_vec(x), self.as_vec(y)))
-
     def nnls_fit(self, target: np.ndarray) -> tuple[np.ndarray, float]:
         import scipy.optimize
 
@@ -210,9 +228,7 @@ class GeneratorSelfDualCone(SelfDualCone):
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the cone."""
-        vec = self.as_vec(x)
-        coeffs, _ = self.nnls_fit(vec)
-        return self.generators.T @ coeffs
+        return self.generators.T @ self.nnls_fit(self.as_vec(x))[0]
 
     def extreme_generators(self) -> np.ndarray:
         gen = self.generators[self._extreme]
@@ -222,28 +238,50 @@ class GeneratorSelfDualCone(SelfDualCone):
         ext = self.extreme_generators()
         return ext[int(rng.integers(len(ext)))]
 
-    def random_maximal_family(self, rng: np.random.Generator) -> list[np.ndarray]:
-        ext = self.extreme_generators()
-        order = rng.permutation(len(ext))
-        family: list[np.ndarray] = []
-        for idx in order:
-            cand = ext[idx]
+    @staticmethod
+    def _extend_orthogonally(family: list, candidates) -> list[np.ndarray]:
+        """Append each candidate orthogonal to every member of ``family`` so far."""
+        for cand in candidates:
             if all(abs(np.dot(cand, f)) <= 1e-12 for f in family):
                 family.append(cand)
         return family
 
-    def complement_atoms(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+    def random_maximal_family(self, rng: np.random.Generator) -> list[np.ndarray]:
         ext = self.extreme_generators()
-        vec = self.as_vec(e)
-        out = []
-        for cand in ext:
-            if abs(np.dot(cand, vec)) <= 1e-12 and all(
-                    abs(np.dot(cand, f)) <= 1e-12 for f in out):
-                out.append(cand)
-        return out
+        return self._extend_orthogonally([], ext[rng.permutation(len(ext))])
+
+    def complement_atoms(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        return self._extend_orthogonally([self.as_vec(e)], self.extreme_generators())[1:]
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(size=self.ambient_dim)
+
+    def random_positive(self, rng: np.random.Generator) -> np.ndarray:
+        return self.generators.T @ np.abs(rng.normal(size=len(self.generators)))
+
+    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
+        vec = self.as_vec(a)
+        plus = self.project(vec)
+        minus = plus - vec
+        scale = max(float(np.linalg.norm(vec)), 1.0)
+        cross = abs(self.inner(plus, minus))
+        dual_slack = float(np.min(self.generators @ minus))
+        if cross > 1e-8 * scale**2 or dual_slack < -1e-8 * scale:
+            raise ConeProjectionError(
+                f"projection failed Moreau conditions (cross={cross:.3e}, "
+                f"dual slack={dual_slack:.3e})", residual=cross)
+        return MoreauPair(plus, minus)
+
+    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+        # the projections of x and -x are the Moreau parts exactly when the
+        # cone is self-dual, and unlike plus - x they carry no rounding noise
+        vec = self.as_vec(x)
+        return (peel_positive(self, self.project(vec), tol=tol)
+                + [PeeledAtom(-p.coefficient, p.atom)
+                   for p in peel_positive(self, self.project(-vec), tol=tol)])
+
+    def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
+        return bool(np.any(self.extreme_generators() @ self.as_vec(e) > 1.0 - 1e-9))
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         vec = self.as_vec(x)
@@ -279,29 +317,7 @@ def generator_cone_from_csv(path) -> GeneratorSelfDualCone:
 def moreau_decompose(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
     """Unique split a = a_plus - a_minus with both parts in the cone and
     <a_plus|a_minus> = 0."""
-    if isinstance(cone, SpectralSelfDualCone):
-        form = cone.model.spectral_form(a if isinstance(a, Element) else cone.wrap(a), tol)
-        plus = np.zeros(cone.ambient_dim)
-        minus = np.zeros(cone.ambient_dim)
-        for pair in form.pairs:
-            if pair.eigenvalue >= 0.0:
-                plus += pair.eigenvalue * pair.atom.coords
-            else:
-                minus -= pair.eigenvalue * pair.atom.coords
-        return MoreauPair(cone.wrap(plus), cone.wrap(minus))
-
-    vec = cone.as_vec(a)
-    plus = cone.project(vec)
-    minus = plus - vec
-    scale = max(float(np.linalg.norm(vec)), 1.0)
-    cross = abs(cone.inner(plus, minus))
-    dual_slack = float(np.min(cone.generators @ minus)) if isinstance(
-        cone, GeneratorSelfDualCone) else 0.0
-    if cross > 1e-8 * scale**2 or dual_slack < -1e-8 * scale:
-        raise ConeProjectionError(
-            f"projection failed Moreau conditions (cross={cross:.3e}, "
-            f"dual slack={dual_slack:.3e})", residual=cross)
-    return MoreauPair(cone.wrap(plus), cone.wrap(minus))
+    return cone.moreau(a, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +327,7 @@ def moreau_decompose(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> Mor
 
 def is_atom_sd(cone: SelfDualCone, e, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Indecomposable positive element with unit self-pairing."""
-    if abs(cone.inner(e, e) - 1.0) > tol.check_tol:
-        return False
-    if isinstance(cone, SpectralSelfDualCone):
-        eigs = cone.model.eigenvalues_coords(cone.as_vec(e), tol)
-        if eigs.min() < -tol.cone_slack:
-            return False
-        return int(np.sum(np.abs(eigs) > 1e-7)) == 1
-    if isinstance(cone, GeneratorSelfDualCone):
-        vec = cone.as_vec(e)
-        ext = cone.extreme_generators()
-        cos = ext @ vec
-        return bool(np.any(cos > 1.0 - 1e-9))
-    raise UnsupportedModelError("unsupported cone form")
+    return abs(cone.inner(e, e) - 1.0) <= tol.check_tol and cone.on_extreme_ray(e, tol)
 
 
 def peel_positive(cone: SelfDualCone, a, atom_oracle: Callable | None = None,
@@ -379,13 +383,11 @@ def recover_order_unit(cone: SelfDualCone, seed: int, families: int | Sequence =
     resolve unity consistently) and every sampled atom must pair to 1 with it.
     """
     if isinstance(families, int):
-        if families < 2:
-            raise ValueError("need at least two families")
         fams = [cone.random_maximal_family(trial_rng(seed, k)) for k in range(families)]
     else:
         fams = [list(f) for f in families]
-        if len(fams) < 2:
-            raise ValueError("need at least two families")
+    if len(fams) < 2:
+        raise ValueError("need at least two families")
     sums = [sum(cone.as_vec(e) for e in fam) for fam in fams]
     unit = sums[0]
     scale = max(np.sqrt(abs(cone.inner(unit, unit))), 1.0)
@@ -452,37 +454,64 @@ def verify_certainty_order(cone: SelfDualCone, seed: int, trials: int,
 
 def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
                         tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Witness both inclusions of self-duality on samples."""
+    """Witness both inclusions of self-duality on samples.
+
+    The cone lies in its dual when cone elements pair nonnegatively; the
+    dual lies in the cone when the frame pairings of an element recover its
+    coefficients, so that their signs decide membership, and when Moreau
+    minus parts (dual vectors) lie in the cone.
+    """
     forward = 0.0
+    reverse = 0.0
+    mismatches = 0
+    witness_defect = 0.0
+    witness: tuple | None = None
+    plus_pairing = 0.0
     dual_in_cone = 0.0
     for k in range(trials):
         rng = trial_rng(seed, k)
-        if isinstance(cone, GeneratorSelfDualCone):
-            lam = np.abs(rng.normal(size=len(cone.generators)))
-            a = cone.generators.T @ lam
-            lam2 = np.abs(rng.normal(size=len(cone.generators)))
-            b = cone.generators.T @ lam2
-        else:
-            pair_a = moreau_decompose(cone, cone.random_element(rng), tol)
-            pair_b = moreau_decompose(cone, cone.random_element(rng), tol)
-            a, b = pair_a.a_plus, pair_b.a_plus
-        forward = max(forward, -cone.inner(a, b))
-        # a Moreau minus-part is always a dual vector; it must lie in the cone
-        x = cone.random_element(rng)
-        minus = moreau_decompose(cone, x, tol).a_minus
-        if not cone.contains(minus, tol):
-            dual_in_cone = max(dual_in_cone, 1.0)
+        a = cone.random_positive(rng)
+        forward = max(forward, -cone.inner(a, cone.random_positive(rng)))
+        c = cone.random_element(rng)
+        frame = cone.frame(c, tol)
+        pairings = [cone.inner(p.atom, c) for p in frame]
+        reverse = max([reverse] + [abs(v - p.coefficient) for v, p in zip(pairings, frame)])
+        if all(v >= -tol.cone_slack for v in pairings) != cone.contains(c, tol):
+            mismatches += 1
+        # witness: one negative coefficient on a maximal family pairs
+        # negatively with its own atom
+        family = cone.random_maximal_family(rng)
+        coeffs = np.abs(rng.normal(size=len(family))) + 0.1
+        neg = int(rng.integers(len(family)))
+        coeffs[neg] = -0.1 - abs(rng.normal())
+        bad = sum(w * cone.as_vec(f) for w, f in zip(coeffs, family))
+        pairing = cone.inner(bad, family[neg])
+        if pairing + 0.05 > witness_defect:
+            witness_defect = pairing + 0.05
+            witness = tuple(bad)
+        pair = moreau_decompose(cone, c, tol)
+        plus_pairing = max(plus_pairing, -cone.inner(pair.a_plus, a))
+        if not cone.contains(pair.a_minus, tol):
+            dual_in_cone = 1.0
     return [
-        CheckResult("selfdual.cone_pairings_nonnegative", forward, tol.check_tol),
+        CheckResult("selfdual.forward", forward, tol.check_tol,
+                    note="<a|b> >= 0 for sampled positive pairs"),
+        CheckResult("selfdual.reverse", reverse, tol.check_tol,
+                    note="frame pairings recover eigenvalues"),
+        CheckResult("selfdual.membership_agreement", float(mismatches), 0.0),
+        CheckResult("selfdual.negative_witness", witness_defect, 0.0, witness=witness,
+                    note="one negative eigenvalue yields a strictly negative pairing"),
+        CheckResult("selfdual.cone_pairings_nonnegative", plus_pairing, tol.check_tol),
         CheckResult("selfdual.dual_vectors_in_cone", dual_in_cone, 0.0),
     ]
 
 
 def verify_induced_axioms(cone: SelfDualCone, seed: int, trials: int,
                           tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Chain check: a cone passing unity resolution and certainty order also
-    shows atom-state uniqueness, certainty and a symmetric transition
-    probability through its pairing."""
+    """Chain check: a cone passing unity resolution and certainty order (see
+    ``verify_unity_resolution`` and ``verify_certainty_order``) also shows
+    atom-state uniqueness, certainty and a symmetric transition probability
+    through its pairing."""
     unit = cone.as_vec(recover_order_unit(cone, seed, 3, tol))
     atom_one = 0.0
     mixed_max = 0.0
@@ -505,11 +534,8 @@ def verify_induced_axioms(cone: SelfDualCone, seed: int, trials: int,
         lam = float(rng.uniform(0.2, 0.8))
         sigma = lam * cone.as_vec(e) + (1.0 - lam) * cone.as_vec(g)
         mixed_max = max(mixed_max, cone.inner(sigma, e))
-    checks = verify_unity_resolution(cone, seed, trials, tol)
-    checks += verify_certainty_order(cone, seed, trials, tol)
-    checks += [
+    return [
         CheckResult("chain.atom_pairs_one_with_unit", atom_one, tol.check_tol),
         CheckResult("chain.mixed_states_below_one", mixed_max, 1.0 - 1e-6),
         CheckResult("chain.symmetric_pairing", symmetry, tol.check_tol),
     ]
-    return checks

@@ -109,9 +109,6 @@ class TPMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def atoms(self) -> list[Element]:
-        return [self.model.atom(p) for p in self.params]
-
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.T))) if self.size else 0.0
 
@@ -178,7 +175,8 @@ def inner_product(model: Model, a: Element, b: Element, tol: Tolerance = DEFAULT
 
 def check_inner_product(model: Model, seed: int, trials: int,
                         tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Symmetry, bilinearity, positive definiteness and atom pairing."""
+    """Symmetry, bilinearity, positive definiteness and atom pairing, and the
+    norm equivalence |a| <= sqrt(<a|a>) <= sqrt(m) |a| on the same samples."""
     if not model.symmetric_tp:
         raised = False
         try:
@@ -188,16 +186,19 @@ def check_inner_product(model: Model, seed: int, trials: int,
         return [
             CheckResult("ip.unsupported_raises", 0.0 if raised else 1.0, 0.0,
                         note="non-symmetric model must reject the inner product"),
-            skipped_check("ip.symmetry", "model has no symmetric transition probability"),
-            skipped_check("ip.bilinearity", "model has no symmetric transition probability"),
-            skipped_check("ip.positive_definite", "model has no symmetric transition probability"),
-            skipped_check("ip.atom_pairing", "model has no symmetric transition probability"),
+            *[skipped_check(f"ip.{name}", "model has no symmetric transition probability")
+              for name in ("symmetry", "bilinearity", "positive_definite", "atom_pairing")],
+            *[skipped_check(f"norms.{name}", "model has no inner product")
+              for name in ("lower", "upper", "tightness")],
         ]
 
+    m = model.info_capacity
     sym_defect = 0.0
     bilin_defect = 0.0
     pd_defect = -np.inf
     atom_defect = 0.0
+    lower = 0.0
+    upper = 0.0
     for k in range(trials):
         rng = trial_rng(seed, k)
         a = _random_element(model, rng)
@@ -205,107 +206,38 @@ def check_inner_product(model: Model, seed: int, trials: int,
         c = _random_element(model, rng)
         alpha = float(rng.normal())
         ab = inner_product(model, a, b, tol)
-        sym_defect = max(sym_defect, abs(ab - inner_product(model, b, a, tol)))
+        ba = inner_product(model, b, a, tol)
+        sym_defect = max(sym_defect, abs(ab - ba))
         lhs = inner_product(model, alpha * a + c, b, tol)
         bilin_defect = max(bilin_defect, abs(lhs - alpha * ab - inner_product(model, c, b, tol)))
         lhs2 = inner_product(model, b, alpha * a + c, tol)
-        bilin_defect = max(bilin_defect, abs(lhs2 - alpha * inner_product(model, b, a, tol)
-                                             - inner_product(model, b, c, tol)))
+        bilin_defect = max(bilin_defect, abs(lhs2 - alpha * ba - inner_product(model, b, c, tol)))
         norm_a = order_norm(model, a, tol)
-        pd_defect = max(pd_defect, norm_a**2 - inner_product(model, a, a, tol))
+        aa = inner_product(model, a, a, tol)
+        pd_defect = max(pd_defect, norm_a**2 - aa)
+        hilbert = np.sqrt(max(aa, 0.0))
+        lower = max(lower, norm_a - hilbert)
+        upper = max(upper, hilbert - np.sqrt(m) * norm_a)
         e1 = model.random_atom_param(rng)
         e2 = model.random_atom_param(rng)
         atom_defect = max(atom_defect, abs(
             inner_product(model, model.atom(e1), model.atom(e2), tol)
             - model.transition_from_params(e1, e2)))
     unit = model.order_unit()
-    unit_defect = abs(inner_product(model, unit, unit, tol) - model.info_capacity)
+    unit_unit = inner_product(model, unit, unit, tol)
+    # the upper bound is tight at the unit, the lower bound at atoms
+    e = model.atom(model.random_atom_param(trial_rng(seed, trials)))
+    tight_unit = abs(np.sqrt(unit_unit) - np.sqrt(m) * order_norm(model, unit, tol))
+    tight_atom = max(abs(np.sqrt(inner_product(model, e, e, tol)) - 1.0),
+                     abs(order_norm(model, e, tol) - 1.0))
     return [
         CheckResult("ip.symmetry", sym_defect, tol.check_tol),
         CheckResult("ip.bilinearity", bilin_defect, tol.check_tol),
         CheckResult("ip.positive_definite", float(pd_defect), tol.check_tol,
                     note="lower bound <a|a> >= |a|^2"),
         CheckResult("ip.atom_pairing", atom_defect, tol.check_tol),
-        CheckResult("ip.unit_pairing", unit_defect, tol.check_tol,
+        CheckResult("ip.unit_pairing", abs(unit_unit - m), tol.check_tol,
                     note="<unit|unit> equals the information capacity"),
-    ]
-
-
-def check_self_duality(model: Model, seed: int, trials: int,
-                       tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Both directions of cone self-duality, on samples plus witnesses."""
-    if not model.symmetric_tp:
-        return [skipped_check("selfdual.forward", "model has no inner product"),
-                skipped_check("selfdual.reverse", "model has no inner product"),
-                skipped_check("selfdual.negative_witness", "model has no inner product")]
-    forward = 0.0
-    reverse = 0.0
-    mismatches = 0
-    witness_defect = 0.0
-    witness: tuple | None = None
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        a = _random_element(model, rng, "positive")
-        b = _random_element(model, rng, "positive")
-        forward = max(forward, -inner_product(model, a, b, tol))
-        # reverse: the frame pairings recover the eigenvalues, so positivity
-        # of <a|e_k> on a's own frame decides membership
-        c = _random_element(model, rng)
-        form = model.spectral_form(c, tol)
-        for pair in form.pairs:
-            reverse = max(reverse, abs(
-                model.native_pairing(pair.atom.coords, c.coords) - pair.eigenvalue))
-        pairing_pos = all(model.native_pairing(p.atom.coords, c.coords) >= -tol.cone_slack
-                          for p in form.pairs)
-        if pairing_pos != cone_contains(model, c, tol):
-            mismatches += 1
-        # witness: force one negative eigenvalue and pair against its atom
-        frame = model.random_frame_params(rng)
-        coeffs = np.abs(rng.normal(size=len(frame))) + 0.1
-        neg = int(rng.integers(len(frame)))
-        coeffs[neg] = -0.1 - abs(rng.normal())
-        bad = model.element(sum(w * model.atom_coords(q) for w, q in zip(coeffs, frame)))
-        pairing = inner_product(model, bad, model.atom(frame[neg]), tol)
-        if pairing + 0.05 > witness_defect:
-            witness_defect = max(witness_defect, pairing + 0.05)
-            witness = tuple(bad.coords)
-    return [
-        CheckResult("selfdual.forward", forward, tol.check_tol,
-                    note="<a|b> >= 0 for sampled positive pairs"),
-        CheckResult("selfdual.reverse", reverse, tol.check_tol,
-                    note="frame pairings recover eigenvalues"),
-        CheckResult("selfdual.membership_agreement", float(mismatches), 0.0),
-        CheckResult("selfdual.negative_witness", max(0.0, witness_defect), 0.0,
-                    witness=witness,
-                    note="one negative eigenvalue yields a strictly negative pairing"),
-    ]
-
-
-def check_norm_equivalence(model: Model, seed: int, trials: int,
-                           tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """|a| <= sqrt(<a|a>) <= sqrt(m) |a|, with tight cases at the unit and atoms."""
-    if not model.symmetric_tp:
-        return [skipped_check("norms.lower", "model has no inner product"),
-                skipped_check("norms.upper", "model has no inner product"),
-                skipped_check("norms.tightness", "model has no inner product")]
-    m = model.info_capacity
-    lower = 0.0
-    upper = 0.0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        a = _random_element(model, rng)
-        hilbert = np.sqrt(max(inner_product(model, a, a, tol), 0.0))
-        unit_norm = order_norm(model, a, tol)
-        lower = max(lower, unit_norm - hilbert)
-        upper = max(upper, hilbert - np.sqrt(m) * unit_norm)
-    unit = model.order_unit()
-    rng = trial_rng(seed, trials)
-    e = model.atom(model.random_atom_param(rng))
-    tight_unit = abs(np.sqrt(inner_product(model, unit, unit, tol))
-                     - np.sqrt(m) * order_norm(model, unit, tol))
-    tight_atom = max(abs(np.sqrt(inner_product(model, e, e, tol)) - 1.0),
-                     abs(order_norm(model, e, tol) - 1.0))
-    return [
         CheckResult("norms.lower", lower, tol.check_tol),
         CheckResult("norms.upper", upper, tol.check_tol),
         CheckResult("norms.tightness", max(tight_unit, tight_atom), tol.check_tol,

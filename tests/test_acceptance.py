@@ -19,8 +19,6 @@ from jordantp import (
     SpectralSelfDualCone,
     Tolerance,
     check_inner_product,
-    check_norm_equivalence,
-    check_self_duality,
     cone_contains,
     get_model,
     information_capacity_empirical,
@@ -196,9 +194,8 @@ def test_criterion_06_inner_product_and_self_duality():
     worst = 0.0
     detail = []
     for model in _models(SYMMETRIC_BACKENDS):
-        checks = (check_inner_product(model, 6, 150, TOL)
-                  + check_self_duality(model, 6, 150, TOL)
-                  + check_norm_equivalence(model, 6, 500, TOL))
+        checks = (check_inner_product(model, 6, 500, TOL)
+                  + self_duality_report(SpectralSelfDualCone(model), 6, 150, TOL))
         for c in checks:
             assert c.passed, f"{model.kind}: {c.name} defect={c.defect}"
             if c.name.startswith(("ip.", "norms.")):

@@ -3,8 +3,10 @@
 Outside the backends, the generic layers reach a model only through its
 public methods.  This test walks the syntax tree of every such module and
 fails on a comparison against a backend kind string (a switch that a new
-backend or subclass silently falls through) or on a read of a private
-attribute of an object other than ``self`` or ``cls``.
+backend or subclass silently falls through), on a read of a private
+attribute of an object other than ``self`` or ``cls``, or on an
+``isinstance`` test against a self-dual cone flavour (each flavour supplies
+its formulas as methods of the cone interface).
 """
 
 import ast
@@ -15,6 +17,7 @@ from jordantp.backends import REGISTRY
 
 PACKAGE = Path(jordantp.__file__).parent
 BACKEND_KINDS = frozenset(REGISTRY) | {"polytope_affine"}
+CONE_FLAVOURS = frozenset({"SpectralSelfDualCone", "GeneratorSelfDualCone"})
 
 
 def _generic_modules():
@@ -42,6 +45,12 @@ def contract_violations(source: str, filename: str = "<source>") -> list[str]:
             own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
             if private and not own:
                 hits.append((node.lineno, f"reads private attribute {name!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            for sub in ast.walk(node.args[1]):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in CONE_FLAVOURS:
+                    hits.append((node.lineno, f"switches on cone flavour {name!r}"))
     return [f"{filename}:{line}: {what}" for line, what in sorted(hits, key=lambda h: h[0])]
 
 
@@ -68,4 +77,21 @@ def test_guard_flags_both_kinds_of_violation():
         "<source>:2: compares against kind 'lpq'",
         "<source>:3: reads private attribute '_pnorm'",
         "<source>:4: compares against kind 'polytope_affine'",
+    ]
+
+
+def test_guard_flags_cone_flavour_switches():
+    source = (
+        "def f(cone, model, state):\n"
+        "    if isinstance(cone, SpectralSelfDualCone) or isinstance(state, Element):\n"
+        "        return isinstance(cone, (selfdual.GeneratorSelfDualCone, int))\n"
+        "    if isinstance(cone, SpectralSelfDualCone | GeneratorSelfDualCone):\n"
+        "        return SpectralSelfDualCone(model)\n"
+        "    return isinstance(state, SelfDualCone)\n"
+    )
+    assert contract_violations(source) == [
+        "<source>:2: switches on cone flavour 'SpectralSelfDualCone'",
+        "<source>:3: switches on cone flavour 'GeneratorSelfDualCone'",
+        "<source>:4: switches on cone flavour 'SpectralSelfDualCone'",
+        "<source>:4: switches on cone flavour 'GeneratorSelfDualCone'",
     ]

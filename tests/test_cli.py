@@ -187,6 +187,20 @@ def test_lpq_spectral_extreme_scale(capsys, tmp_path, scale):
     assert payload["reconstruction_residual"] <= 1e-14 * radius
 
 
+@pytest.mark.parametrize("spec, top", [("spin:2", 1.0 + math.sqrt(2.0)),
+                                       ("lpq:2:3", 1.0 + 2.0 ** (2.0 / 3.0))])
+def test_spectral_overflow_names_the_eigenvalue(capsys, tmp_path, spec, top):
+    # the input is finite, but its top eigenvalue t + r is not a double
+    element = tmp_path / "overflow.json"
+    element.write_text(json.dumps([1e308, 1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "spectral", spec, str(element))
+    assert (code, out) == (2, "")
+    assert err == (f"error: eigenvalue 0 (largest first) of the element is {top:.6f}e+308, "
+                   "outside the range of a double\n")
+
+
 def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     # a degenerate spectrum reaches the deterministic-basis step of the kernel
     from jordantp.backends import matrices

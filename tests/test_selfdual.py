@@ -46,6 +46,11 @@ def square_cone():
     return GeneratorSelfDualCone(gens)
 
 
+SELF_DUALITY_CHECKS = {f"selfdual.{name}" for name in (
+    "forward", "reverse", "membership_agreement", "negative_witness",
+    "cone_pairings_nonnegative", "dual_vectors_in_cone")}
+
+
 def rotated_orthant(n=4, seed=0):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
     return GeneratorSelfDualCone(q.T)
@@ -284,20 +289,26 @@ def test_self_duality_report_spectral(cone, tol):
 
 
 def test_induced_axioms_chain_spectral(cone, tol):
-    _assert_all_pass(verify_induced_axioms(cone, 16, 30, tol))
+    checks = verify_induced_axioms(cone, 16, 30, tol)
+    assert all(c.name.startswith("chain.") for c in checks)
+    _assert_all_pass(checks)
 
 
 def test_generator_cone_chain_rotated_orthant(tol):
     gcone = rotated_orthant()
     _assert_all_pass(verify_unity_resolution(gcone, 1, 30, tol))
     _assert_all_pass(sd_certainty_order(gcone, 2, 30, tol))
-    _assert_all_pass(self_duality_report(gcone, 3, 30, tol))
+    report = self_duality_report(gcone, 3, 30, tol)
+    assert {c.name for c in report} == SELF_DUALITY_CHECKS
+    _assert_all_pass(report)
     _assert_all_pass(verify_induced_axioms(gcone, 4, 30, tol))
 
 
 def test_square_cone_not_self_dual(tol):
     checks = self_duality_report(square_cone(), 5, 60, tol)
     by_name = {c.name: c for c in checks}
+    assert set(by_name) == SELF_DUALITY_CHECKS
+    assert by_name["selfdual.forward"].passed                    # K inside K*
     assert by_name["selfdual.cone_pairings_nonnegative"].passed  # K inside K*
     assert not by_name["selfdual.dual_vectors_in_cone"].passed   # K* not inside K
 

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from jordantp import (
+    SpectralSelfDualCone,
     UnsupportedModelError,
     check_inner_product,
-    check_norm_equivalence,
-    check_self_duality,
     cone_contains,
     get_model,
     inner_product,
     mix_states,
     order_norm,
     random_element,
+    self_duality_report,
     state_of_atom,
     symmetry_defect,
     tp_matrix,
@@ -222,10 +222,11 @@ def test_check_inner_product_reports_rejection():
     by_name = {c.name: c for c in checks}
     assert by_name["ip.unsupported_raises"].passed
     assert by_name["ip.symmetry"].skipped
+    assert all(by_name[f"norms.{name}"].skipped for name in ("lower", "upper", "tightness"))
 
 
 def test_check_self_duality_passes(symmetric_model):
-    _assert_all_pass(check_self_duality(symmetric_model, 2, 60))
+    _assert_all_pass(self_duality_report(SpectralSelfDualCone(symmetric_model), 2, 60))
 
 
 def test_self_duality_negative_witness():
@@ -239,7 +240,9 @@ def test_self_duality_negative_witness():
 
 
 def test_check_norm_equivalence(symmetric_model):
-    _assert_all_pass(check_norm_equivalence(symmetric_model, 3, 60))
+    norms = [c for c in check_inner_product(symmetric_model, 3, 60) if c.name.startswith("norms.")]
+    assert [c.name for c in norms] == ["norms.lower", "norms.upper", "norms.tightness"]
+    _assert_all_pass(norms)
 
 
 def test_norm_equivalence_tightness():
