@@ -29,15 +29,7 @@ from .convexgeom import (
     smooth_ball_e_omega,
     vertex_tp_matrix,
 )
-from .core import (
-    cone_contains,
-    element_from_json,
-    element_to_json,
-    in_unit_interval,
-    leq,
-    order_norm,
-    order_unit,
-)
+from .core import cone_contains, in_unit_interval, order_norm
 from .elements import DEFAULT_TOL, Element, SpectralForm, SpectralPair, Tolerance
 from .errors import (
     ConeProjectionError,

@@ -22,13 +22,10 @@ class ModelDescriptor:
     ambient_dim: int
     info_capacity: int
     symmetric_tp: bool
-    has_inner_product: bool
 
     def __post_init__(self):
         if self.info_capacity > self.ambient_dim:
             raise ValueError("information capacity cannot exceed the ambient dimension")
-        if self.symmetric_tp and not self.has_inner_product:
-            raise ValueError("a symmetric transition probability implies an inner product")
 
     def to_json(self) -> dict:
         out = {"kind": self.backend_kind}
@@ -45,7 +42,6 @@ class Model(ABC):
     """
 
     kind: str = ""
-    state_kind: str = "dual_vector"  # atom states: "dual_vector" | "point_evaluation"
 
     # ------------------------------------------------------------------
     # descriptor data
@@ -64,10 +60,6 @@ class Model(ABC):
         return True
 
     @property
-    def has_inner_product(self) -> bool:
-        return self.symmetric_tp
-
-    @property
     @abstractmethod
     def param_items(self) -> tuple:
         """Backend parameters as ordered (name, value) pairs."""
@@ -80,7 +72,6 @@ class Model(ABC):
             ambient_dim=self.ambient_dim,
             info_capacity=self.info_capacity,
             symmetric_tp=self.symmetric_tp,
-            has_inner_product=self.has_inner_product,
         )
 
     def __repr__(self) -> str:

@@ -29,7 +29,6 @@ _TINY = np.finfo(float).tiny  # smallest normal double
 
 class LpQubitModel(_QubitModel):
     kind = "lpq"
-    state_kind = "point_evaluation"
 
     def __init__(self, n: int, p: float):
         if n < 1:
@@ -44,10 +43,6 @@ class LpQubitModel(_QubitModel):
     @property
     def p(self) -> float:
         return self._p
-
-    @property
-    def dual_exponent(self) -> float:
-        return self._q
 
     @property
     def symmetric_tp(self) -> bool:

@@ -65,7 +65,7 @@ class EOmegaReport:
 class PolytopeStateSpace:
     """Compact convex set given by its vertex list (one point per row)."""
 
-    def __init__(self, vertices, check_extreme: bool = True):
+    def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.ndim != 2 or verts.shape[0] < 2:
             raise ValueError("a polytope needs at least two vertices")
@@ -78,10 +78,9 @@ class PolytopeStateSpace:
                     raise ValueError(f"vertices {i} and {j} coincide")
         self.vertices = verts
         self.dim = verts.shape[1]
-        if check_extreme:
-            for i in range(len(verts)):
-                if self._in_hull(verts[i], exclude=i):
-                    raise ValueError(f"vertex {i} is not extreme (inside the hull of the others)")
+        for i in range(len(verts)):
+            if self._in_hull(verts[i], exclude=i):
+                raise ValueError(f"vertex {i} is not extreme (inside the hull of the others)")
 
     @property
     def n_vertices(self) -> int:
@@ -112,16 +111,14 @@ def polytope_from_csv(path) -> PolytopeStateSpace:
 # ---------------------------------------------------------------------------
 
 
-def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zetas: np.ndarray,
-                unit_capped: bool = True) -> np.ndarray:
+def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zetas: np.ndarray) -> np.ndarray:
     """Values of e_omega at each row of ``zetas`` (shape (K, d)), from one LP.
 
-    Per point: minimize c + f . zeta  s.t.  c + f . v >= 0 on vertices,
-    c + f . omega = 1, optionally also c + f . v <= 1 (competitors restricted
-    to unit effects).  The feasible region does not depend on zeta, so the K
-    problems are stacked block-diagonally with one variable block (c_k, f_k)
-    per point; the blocks share no variable, so the stacked optimum is
-    optimal in every block.
+    Per point: minimize c + f . zeta  s.t.  0 <= c + f . v <= 1 on vertices
+    and c + f . omega = 1.  The feasible region does not depend on zeta, so
+    the K problems are stacked block-diagonally with one variable block
+    (c_k, f_k) per point; the blocks share no variable, so the stacked
+    optimum is optimal in every block.
     """
     from scipy import sparse
 
@@ -129,42 +126,25 @@ def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zetas: np.ndarray,
     d = poly.dim
     k = len(zetas)
     ones = np.ones((len(verts), 1))
-    rows = [np.hstack([-ones, -verts])]
-    rhs = [np.zeros(len(verts))]
-    if unit_capped:
-        rows.append(np.hstack([ones, verts]))
-        rhs.append(np.ones(len(verts)))
+    rows = np.vstack([np.hstack([-ones, -verts]), np.hstack([ones, verts])])
+    rhs = np.concatenate([np.zeros(len(verts)), np.ones(len(verts))])
     blocks = sparse.identity(k, format="csr")
-    a_ub = sparse.kron(blocks, np.vstack(rows), format="csr")
-    b_ub = np.tile(np.concatenate(rhs), k)
+    a_ub = sparse.kron(blocks, rows, format="csr")
+    b_ub = np.tile(rhs, k)
     a_eq = sparse.kron(blocks, np.concatenate([[1.0], verts[omega_index]])[None, :],
                        format="csr")
     objectives = np.hstack([np.ones((k, 1)), zetas])
-    # without the cap the feasible region is an unbounded polyhedron and the
-    # default solver occasionally gives up; fall back before failing
-    attempts = [("highs", (None, None))]
-    if not unit_capped:
-        attempts += [("highs-ds", (None, None)), ("highs", (-1e9, 1e9))]
-    for method, box in attempts:
-        res = linprog(objectives.ravel(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(k),
-                      bounds=box, method=method)
-        if res.status == 0:
-            return np.einsum("ij,ij->i", objectives, res.x.reshape(k, d + 1))
-    raise LinearProgramError(
-        f"LP for extreme point {omega_index} failed with status {res.status}: {res.message}")
+    res = linprog(objectives.ravel(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(k),
+                  bounds=(None, None), method="highs")
+    if res.status != 0:
+        raise LinearProgramError(
+            f"LP for extreme point {omega_index} failed with status {res.status}: {res.message}")
+    return np.einsum("ij,ij->i", objectives, res.x.reshape(k, d + 1))
 
 
-def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta,
-                  tol: Tolerance = DEFAULT_TOL, unit_capped: bool = True) -> float:
-    """Value at zeta of the minimal unit effect pinned to 1 at the vertex.
-
-    With ``unit_capped`` the infimum runs over affine functions with values in
-    [0, 1] on the polytope; without it, over all nonnegative affine functions
-    pinned to 1 at the vertex.  The two coincide on shapes where the effects
-    are affine (and on the square), and the pass/fail verdict of
-    ``check_extreme_affinity`` agrees under both; on failing shapes the
-    uncapped infimum can be strictly smaller at interior points.
-    """
+def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta) -> float:
+    """Value at zeta of the minimal unit effect pinned to 1 at the vertex: the
+    infimum over affine functions with values in [0, 1] on the polytope."""
     if not 0 <= omega_index < poly.n_vertices:
         raise ValueError(f"omega_index {omega_index} out of range")
     zeta = np.asarray(zeta, dtype=float)
@@ -172,12 +152,11 @@ def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta,
         raise ValueError(f"query point must live in R^{poly.dim}")
     if not poly.contains(zeta):
         raise InfeasiblePointError("query point lies outside the convex hull")
-    return float(_e_omega_lp(poly, omega_index, zeta[None, :], unit_capped)[0])
+    return float(_e_omega_lp(poly, omega_index, zeta[None, :])[0])
 
 
 def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
-                           midpoint_samples: int = 64, seed: int = 0,
-                           unit_capped: bool = True) -> list[EOmegaReport]:
+                           midpoint_samples: int = 64, seed: int = 0) -> list[EOmegaReport]:
     """Decide, per extreme point, whether its minimal unit effect is affine
     and attains 1 only there.
 
@@ -203,7 +182,7 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
 
     reports = []
     for w in range(n):
-        values = _e_omega_lp(poly, w, points, unit_capped)
+        values = _e_omega_lp(poly, w, points)
         vertex_values = values[:n]
         defect = 0.0
         for lam, value in zip(combos, values[n:]):

@@ -7,17 +7,10 @@ truth per model.  All functions are pure.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .backends.base import Model
 from .elements import DEFAULT_TOL, Element, Tolerance
-
-
-def order_unit(model: Model) -> Element:
-    """The distinguished order unit of the model."""
-    return model.order_unit()
 
 
 def cone_contains(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -36,19 +29,3 @@ def in_unit_interval(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> 
     """True iff all eigenvalues lie in [-cone_slack, 1 + cone_slack]."""
     eigs = model.eigenvalues(model.check_element(a), tol)
     return bool(eigs.min() >= -tol.cone_slack and eigs.max() <= 1.0 + tol.cone_slack)
-
-
-def leq(model: Model, a: Element, b: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Order relation a <= b, i.e. b - a lies in the positive cone."""
-    return cone_contains(model, b - a, tol)
-
-
-def element_to_json(a: Element) -> str:
-    return json.dumps(a.to_json())
-
-
-def element_from_json(model: Model, text: str) -> Element:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("element JSON must be an array of doubles")
-    return model.element(np.asarray(data, dtype=float))

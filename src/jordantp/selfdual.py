@@ -362,11 +362,22 @@ def peel_positive(cone: SelfDualCone, a, atom_oracle: Callable | None = None,
 def peel_spectral(cone: SelfDualCone, a, atom_oracle: Callable | None = None,
                   tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
     """Atom representation of an arbitrary element: route through the Moreau
-    split, then peel both positive parts."""
+    split, then peel both positive parts.
+
+    A part whose norm is at most 1e-10 of the input's (the cutoff
+    ``peel_positive`` applies to its own remainder) is rounding noise, such as
+    the minus part of a cone element, and is skipped: peeled relative to its
+    own norm, it would give spurious atoms or fail the split oracle.
+    """
     pair = moreau_decompose(cone, a, tol)
-    out = peel_positive(cone, pair.a_plus, atom_oracle, tol)
-    out += [PeeledAtom(-p.coefficient, p.atom)
-            for p in peel_positive(cone, pair.a_minus, atom_oracle, tol)]
+    vec = cone.as_vec(a)
+    scale = np.sqrt(abs(cone.inner(vec, vec)))
+    out = []
+    for sign, part in ((1.0, pair.a_plus), (-1.0, pair.a_minus)):
+        pv = cone.as_vec(part)
+        if np.sqrt(abs(cone.inner(pv, pv))) > 1e-10 * scale:
+            out += [PeeledAtom(sign * p.coefficient, p.atom)
+                    for p in peel_positive(cone, part, atom_oracle, tol)]
     return out
 
 

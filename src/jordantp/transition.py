@@ -35,49 +35,37 @@ def atom_param(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class State:
-    """Positive normalized functional, either a dual vector or a point
-    evaluation on the state-space ball."""
+    """Convex combination sum_i w_i P_{e_i} of atom states, stored as the
+    atom parameters and the weights."""
 
     model: Model
-    kind: str  # "dual_vector" | "point_evaluation"
-    vector: Element | None = None
-    point: np.ndarray | None = None
+    params: tuple
+    weights: tuple
 
     def value(self, a: Element) -> float:
         self.model.check_element(a)
-        if self.kind == "dual_vector":
-            return self.model.native_pairing(self.vector.coords, a.coords)
-        return self.model.state_value(self.point, a.coords)
+        return float(sum(w * self.model.state_value(p, a.coords)
+                         for p, w in zip(self.params, self.weights)))
 
     __call__ = value
 
 
 def state_of_atom(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL) -> State:
     """The unique state with value 1 at the atom e."""
-    param = atom_param(model, e, tol)
-    return _state_from_param(model, param)
-
-
-def _state_from_param(model: Model, param) -> State:
-    if model.state_kind == "point_evaluation":
-        return State(model, "point_evaluation", point=np.asarray(param, dtype=float))
-    return State(model, "dual_vector", vector=model.atom(param))
+    return State(model, (atom_param(model, e, tol),), (1.0,))
 
 
 def mix_states(states: Sequence[State], weights: Sequence[float]) -> State:
-    """Convex mixture of states of one model (and one representation kind)."""
+    """Convex mixture of states of one model."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ValueError("mixture weights must be nonnegative")
     weights = weights / weights.sum()
-    first = states[0]
-    if any(s.kind != first.kind or s.model is not first.model for s in states):
-        raise ValueError("states must share model and representation kind")
-    if first.kind == "dual_vector":
-        coords = sum(w * s.vector.coords for w, s in zip(weights, states))
-        return State(first.model, "dual_vector", vector=first.model.element(coords))
-    point = sum(w * s.point for w, s in zip(weights, states))
-    return State(first.model, "point_evaluation", point=point)
+    model = states[0].model
+    if any(s.model is not model for s in states):
+        raise ValueError("states must share one model")
+    return State(model, tuple(p for s in states for p in s.params),
+                 tuple(float(w * v) for w, s in zip(weights, states) for v in s.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +85,6 @@ class TPMatrix:
     """Matrix of transition probabilities T[i][j] = P_{e_i}(e_j)."""
 
     model: Model
-    params: tuple
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -128,7 +115,7 @@ def tp_matrix_from_params(model: Model, params: Sequence) -> TPMatrix:
     for i, pi in enumerate(params):
         for j, pj in enumerate(params):
             mat[i, j] = model.transition_from_params(pi, pj)
-    return TPMatrix(model, tuple(params), mat)
+    return TPMatrix(model, mat)
 
 
 def tp_matrix(model: Model, atoms: Sequence[Element], tol: Tolerance = DEFAULT_TOL) -> TPMatrix:
@@ -263,8 +250,7 @@ def _random_bounded_mixture(model: Model, rng: np.random.Generator, tp_cap: floa
     if p2 is None:
         raise RuntimeError("could not sample a boundedly mixed state")
     lam = float(rng.uniform(0.2, 0.8))
-    return mix_states([_state_from_param(model, p1), _state_from_param(model, p2)],
-                      [lam, 1.0 - lam])
+    return State(model, (p1, p2), (lam, 1.0 - lam))
 
 
 def verify_atom_state_uniqueness(model: Model, seed: int, trials: int,
@@ -290,8 +276,7 @@ def verify_atom_state_uniqueness(model: Model, seed: int, trials: int,
         # half/half mixture with an orthogonal atom evaluates to one half
         comp = atomic_decomposition(model, model.order_unit() - e, tol)
         if comp:
-            other = _state_from_param(model, atom_param(model, comp[0], tol))
-            half = mix_states([_state_from_param(model, ep), other], [0.5, 0.5])
+            half = State(model, (ep, atom_param(model, comp[0], tol)), (0.5, 0.5))
             half_defect = max(half_defect, abs(half.value(e) - 0.5))
     checks = [CheckResult("states.atom_state_attains_one", self_defect, tol.check_tol)]
     if can_mix:
@@ -318,8 +303,10 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int,
 
     import scipy.optimize
 
+    basis = [model.element(row) for row in np.eye(model.ambient_dim)]
+
     def state_vec(state: State) -> np.ndarray:
-        return state.vector.coords if state.kind == "dual_vector" else state.point
+        return np.array([state.value(b) for b in basis])
 
     rng = trial_rng(seed, 0)
     cloud = np.array([state_vec(_random_bounded_mixture(model, rng))
@@ -327,7 +314,7 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int,
     min_residual = np.inf
     for k in range(8):
         rng = trial_rng(seed, k + 1)
-        pure = state_vec(_state_from_param(model, model.random_atom_param(rng)))
+        pure = state_vec(State(model, (model.random_atom_param(rng),), (1.0,)))
         # distance from the pure state to the convex hull of the cloud,
         # via nonnegative least squares with a penalized sum-to-one row
         scale = 1e3

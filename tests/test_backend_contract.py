@@ -3,10 +3,13 @@
 Outside the backends, the generic layers reach a model only through its
 public methods.  This test walks the syntax tree of every such module and
 fails on a comparison against a backend kind string (a switch that a new
-backend or subclass silently falls through), on a read of a private
+backend or subclass silently falls through), on a comparison between an
+attribute and a string literal (a per-kind tag such as a representation
+name, which a backend method should replace), on a read of a private
 attribute of an object other than ``self`` or ``cls``, or on an
 ``isinstance`` test against a self-dual cone flavour (each flavour supplies
-its formulas as methods of the cone interface).
+its formulas as methods of the cone interface).  The CLI is exempt from the
+string rule: it compares parsed option values, not tags of a model.
 """
 
 import ast
@@ -18,6 +21,7 @@ from jordantp.backends import REGISTRY
 PACKAGE = Path(jordantp.__file__).parent
 BACKEND_KINDS = frozenset(REGISTRY) | {"polytope_affine"}
 CONE_FLAVOURS = frozenset({"SpectralSelfDualCone", "GeneratorSelfDualCone"})
+STRING_COMPARE_EXEMPT = frozenset({"cli.py"})
 
 
 def _generic_modules():
@@ -25,20 +29,26 @@ def _generic_modules():
                   if "backends" not in path.relative_to(PACKAGE).parts)
 
 
-def _kind_strings(node):
-    """Backend kind strings among a comparison operand (or its elements)."""
+def _strings(node):
+    """String literals among a comparison operand (or its elements)."""
     items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
     return [item.value for item in items
-            if isinstance(item, ast.Constant) and item.value in BACKEND_KINDS]
+            if isinstance(item, ast.Constant) and isinstance(item.value, str)]
 
 
 def contract_violations(source: str, filename: str = "<source>") -> list[str]:
     hits = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Compare):
-            for operand in [node.left, *node.comparators]:
-                for kind in _kind_strings(operand):
-                    hits.append((node.lineno, f"compares against kind {kind!r}"))
+            operands = [node.left, *node.comparators]
+            strings = [text for operand in operands for text in _strings(operand)]
+            kinds = [text for text in strings if text in BACKEND_KINDS]
+            for kind in kinds:
+                hits.append((node.lineno, f"compares against kind {kind!r}"))
+            if (not kinds and strings and filename not in STRING_COMPARE_EXEMPT
+                    and any(isinstance(operand, ast.Attribute) for operand in operands)):
+                for text in strings:
+                    hits.append((node.lineno, f"compares an attribute against {text!r}"))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             name = node.attr
             private = name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
@@ -77,7 +87,26 @@ def test_guard_flags_both_kinds_of_violation():
         "<source>:2: compares against kind 'lpq'",
         "<source>:3: reads private attribute '_pnorm'",
         "<source>:4: compares against kind 'polytope_affine'",
+        "<source>:6: compares an attribute against 'dual_vector'",
     ]
+
+
+def test_guard_flags_attribute_string_switches():
+    source = (
+        "def f(model, state, args, name):\n"
+        "    if model.state_kind == 'point_evaluation':\n"
+        "        return state.point\n"
+        "    if state.kind != other.kind or name == 'x':\n"
+        "        return ('a', 'b') == state.tags\n"
+        "    return args.format == 'json'\n"
+    )
+    assert contract_violations(source) == [
+        "<source>:2: compares an attribute against 'point_evaluation'",
+        "<source>:5: compares an attribute against 'a'",
+        "<source>:5: compares an attribute against 'b'",
+        "<source>:6: compares an attribute against 'json'",
+    ]
+    assert contract_violations(source, "cli.py") == []
 
 
 def test_guard_flags_cone_flavour_switches():

@@ -228,61 +228,20 @@ def test_e_omega_report_values_in_unit_range():
         assert np.all(values >= -1e-9) and np.all(values <= 1.0 + 1e-9)
 
 
-def test_uncapped_infimum_variant():
-    # restricting competitors to unit effects never changes the verdict and
-    # never changes values on passing shapes; on failing shapes the bare
-    # infimum over nonnegative pinned functions can dip lower
-    tri = PolytopeStateSpace(TRIANGLE)
-    rng = np.random.default_rng(31)
-    for _ in range(6):
-        lam = rng.dirichlet(np.ones(3))
-        zeta = TRIANGLE.T @ lam
-        capped = e_omega_value(tri, 0, zeta)
-        bare = e_omega_value(tri, 0, zeta, unit_capped=False)
-        assert capped == pytest.approx(bare, abs=1e-9)
-
-    sq = PolytopeStateSpace(SQUARE)
-    assert e_omega_value(sq, 0, [0.5, 0.5], unit_capped=False) == pytest.approx(0.5, abs=1e-9)
-
-    pent = PolytopeStateSpace(PENTAGON)
-    capped_reports = check_extreme_affinity(pent, midpoint_samples=8)
-    bare_reports = check_extreme_affinity(pent, midpoint_samples=8, unit_capped=False)
-    assert not any(r.passes for r in capped_reports)
-    assert not any(r.passes for r in bare_reports)
-    # golden-ratio pair: capped defect sqrt(5) - 2, bare defect (sqrt(5) - 1)/2
-    assert max(r.affinity_defect for r in capped_reports) == pytest.approx(
-        np.sqrt(5.0) - 2.0, abs=1e-9)
-    assert max(r.affinity_defect for r in bare_reports) == pytest.approx(
-        (np.sqrt(5.0) - 1.0) / 2.0, abs=1e-9)
-
-    for dim in (2, 3):
-        simplex = PolytopeStateSpace(np.vstack([np.zeros(dim), np.eye(dim)]))
-        reports = check_extreme_affinity(simplex, midpoint_samples=8, unit_capped=False)
-        assert all(r.passes for r in reports)
-
-
-def e_omega_per_point(poly, omega_index, zeta, unit_capped=True):
+def e_omega_per_point(poly, omega_index, zeta):
     """Reference: the single-point LP, one fresh solve per query point."""
     from scipy.optimize import linprog
 
     verts = poly.vertices
     ones = np.ones((len(verts), 1))
-    rows = [np.hstack([-ones, -verts])]
-    rhs = [np.zeros(len(verts))]
-    if unit_capped:
-        rows.append(np.hstack([ones, verts]))
-        rhs.append(np.ones(len(verts)))
+    a_ub = np.vstack([np.hstack([-ones, -verts]), np.hstack([ones, verts])])
+    b_ub = np.concatenate([np.zeros(len(verts)), np.ones(len(verts))])
     a_eq = np.concatenate([[1.0], verts[omega_index]])[None, :]
     objective = np.concatenate([[1.0], zeta])
-    attempts = [("highs", (None, None))]
-    if not unit_capped:
-        attempts += [("highs-ds", (None, None)), ("highs", (-1e9, 1e9))]
-    for method, box in attempts:
-        res = linprog(objective, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                      A_eq=a_eq, b_eq=[1.0], bounds=[box] * (poly.dim + 1), method=method)
-        if res.status == 0:
-            return float(res.fun)
-    raise AssertionError(f"reference LP failed: {res.message}")
+    res = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(None, None)] * (poly.dim + 1), method="highs")
+    assert res.status == 0, f"reference LP failed: {res.message}"
+    return float(res.fun)
 
 
 def _probe_points(verts, rng):
@@ -292,18 +251,19 @@ def _probe_points(verts, rng):
     return np.vstack([verts, mids, rng.dirichlet(np.ones(n), size=3) @ verts])
 
 
-@pytest.mark.parametrize("unit_capped", [True, False])
+@pytest.mark.parametrize("similar", [False, True])
 @pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
-def test_stacked_lp_matches_per_point_lp(shape, unit_capped):
+def test_stacked_lp_matches_per_point_lp(shape, similar):
     rng = np.random.default_rng(41)
     verts = POLYTOPE_SHAPES[shape][0]
-    for copy in (verts, similar_copy(verts, rng)):
-        poly = PolytopeStateSpace(copy)
-        points = _probe_points(copy, rng)
-        for w in range(poly.n_vertices):
-            got = _e_omega_lp(poly, w, points, unit_capped)
-            want = [e_omega_per_point(poly, w, zeta, unit_capped) for zeta in points]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    if similar:
+        verts = similar_copy(verts, rng)
+    poly = PolytopeStateSpace(verts)
+    points = _probe_points(verts, rng)
+    for w in range(poly.n_vertices):
+        got = _e_omega_lp(poly, w, points)
+        want = [e_omega_per_point(poly, w, zeta) for zeta in points]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _counting_linprog(monkeypatch, fail_first=0):
@@ -333,20 +293,9 @@ def test_one_lp_per_extreme_point(monkeypatch, shape):
     assert len(calls) == poly.n_vertices
 
 
-def test_uncapped_fallback_recovers(monkeypatch):
+def test_lp_failure_raises_after_one_attempt(monkeypatch):
     poly = PolytopeStateSpace(PENTAGON)
-    points = _probe_points(PENTAGON, np.random.default_rng(5))
-    want = [e_omega_per_point(poly, 1, zeta, unit_capped=False) for zeta in points]
     calls = _counting_linprog(monkeypatch, fail_first=1)
-    got = _e_omega_lp(poly, 1, points, unit_capped=False)
-    assert [method for method, _ in calls] == ["highs", "highs-ds"]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_uncapped_lp_raises_when_every_attempt_fails(monkeypatch):
-    poly = PolytopeStateSpace(PENTAGON)
-    calls = _counting_linprog(monkeypatch, fail_first=3)
     with pytest.raises(LinearProgramError, match="LP for extreme point 2 failed with status 4"):
-        _e_omega_lp(poly, 2, PENTAGON, unit_capped=False)
-    assert calls == [("highs", (None, None)), ("highs-ds", (None, None)),
-                     ("highs", (-1e9, 1e9))]
+        _e_omega_lp(poly, 2, PENTAGON)
+    assert calls == [("highs", (None, None))]

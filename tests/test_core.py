@@ -8,28 +8,27 @@ from jordantp import (
     get_model,
     in_unit_interval,
     order_norm,
-    order_unit,
     random_element,
 )
 
 
 def test_order_unit_classical():
     m = get_model("classical", 3)
-    np.testing.assert_array_equal(order_unit(m).coords, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(m.order_unit().coords, [1.0, 1.0, 1.0])
 
 
 def test_order_unit_spin():
     m = get_model("spin", 2)
-    np.testing.assert_array_equal(order_unit(m).coords, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(m.order_unit().coords, [1.0, 0.0, 0.0])
 
 
 def test_order_unit_sym_is_identity():
     m = get_model("sym", 2)
-    np.testing.assert_allclose(m.to_matrix(order_unit(m)), np.eye(2))
+    np.testing.assert_allclose(m.to_matrix(m.order_unit()), np.eye(2))
 
 
 def test_order_unit_spectrum_is_all_ones(any_model):
-    eigs = any_model.eigenvalues(order_unit(any_model))
+    eigs = any_model.eigenvalues(any_model.order_unit())
     np.testing.assert_allclose(eigs, np.ones_like(eigs), atol=1e-12)
 
 
@@ -70,7 +69,7 @@ def test_order_norm_matches_interval_definition():
     m = get_model("sym", 3)
     a = random_element(m, 7)
     s = order_norm(m, a)
-    unit = order_unit(m)
+    unit = m.order_unit()
     assert cone_contains(m, s * unit - a)
     assert cone_contains(m, a + s * unit)
     shrunk = (s - 1e-6) * unit
@@ -78,7 +77,7 @@ def test_order_norm_matches_interval_definition():
 
 
 def test_in_unit_interval(any_model):
-    assert in_unit_interval(any_model, order_unit(any_model))
+    assert in_unit_interval(any_model, any_model.order_unit())
     assert in_unit_interval(any_model, random_element(any_model, 3, "unit_interval"))
 
 
@@ -107,13 +106,13 @@ def test_norm_homogeneity_and_triangle(any_model, tol):
 
 
 def test_two_sided_cone_membership_forces_zero(any_model, tol):
-    a = 0.3 * tol.cone_slack * order_unit(any_model)
+    a = 0.3 * tol.cone_slack * any_model.order_unit()
     assert cone_contains(any_model, a, tol) and cone_contains(any_model, -a, tol)
     assert order_norm(any_model, a) <= tol.cone_slack
 
 
 def test_unit_norm_is_one(any_model, tol):
-    assert order_norm(any_model, order_unit(any_model)) == pytest.approx(1.0, abs=tol.check_tol)
+    assert order_norm(any_model, any_model.order_unit()) == pytest.approx(1.0, abs=tol.check_tol)
 
 
 def test_dimension_mismatch_raises():

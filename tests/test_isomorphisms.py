@@ -1,9 +1,12 @@
-"""Differential oracle: the l^2 qubit lpq:n:2 is the spin factor spin:n.
+"""Differential oracles: models that are isomorphic, or one a restriction of
+the other, must agree on every kernel output across the map.
 
-Both models use the coordinates (t, x) and the Euclidean unit sphere for
-their atom parameters, so every kernel output must agree on shared inputs,
-at any coordinate scale a double can carry (Faraut & Koranyi, *Analysis on
-Symmetric Cones*, 1994, ch. V).
+- the l^2 qubit lpq:n:2 is the spin factor spin:n;
+- sym:2 is spin:2 and herm:2 is spin:3 (the Pauli picture);
+- classical:n is the diagonal of sym:n.
+
+Each map is checked at any coordinate scale a double can carry (Faraut &
+Koranyi, *Analysis on Symmetric Cones*, 1994, ch. V).
 """
 
 import numpy as np
@@ -13,10 +16,14 @@ from hypothesis import strategies as st
 from jordantp import Tolerance, get_model
 
 TOL = Tolerance()
+# the matrix kernel merges eigenvalues closer than eig_cluster of the spectral
+# diameter; this keeps that merge below the comparison tolerance
+FINE = Tolerance(eig_cluster=1e-15)
 REL = 1e-14
 
 # unit-scale entries, kept off the subnormal range once scaled by 1e-150
 unit_entries = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+exponents = st.integers(-150, 150)
 
 
 def _vector(data, size):
@@ -30,7 +37,7 @@ def _direction(data, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 4), exponent=st.integers(-150, 150), data=st.data())
+@given(n=st.integers(1, 4), exponent=exponents, data=st.data())
 def test_lpq_with_p_two_is_the_spin_factor(n, exponent, data):
     spin, lpq = get_model("spin", n), get_model("lpq", n, 2.0)
     scale = 10.0 ** exponent
@@ -46,3 +53,87 @@ def test_lpq_with_p_two_is_the_spin_factor(n, exponent, data):
     u, v = _direction(data, n), _direction(data, n)
     np.testing.assert_allclose(lpq.atom_coords(u), spin.atom_coords(u), rtol=0, atol=REL)
     assert abs(lpq.transition_from_params(u, v) - spin.transition_from_params(u, v)) <= REL
+
+
+def _sym2_coords(c):
+    """(t, x) of spin:2 as the matrix [[t + x0, x1], [x1, t - x0]]."""
+    t, x0, x1 = c
+    return np.array([t + x0, t - x0, x1])
+
+
+def _sym2_param(u):
+    """Unit vector v with v v^T the matrix of the spin:2 atom (1, u) / 2."""
+    v = np.array([1.0 + u[0], u[1]]) if u[0] >= 0 else np.array([u[1], 1.0 - u[0]])
+    return v / np.linalg.norm(v)
+
+
+def _herm2_coords(c):
+    """(t, x) of spin:3 as t + x . sigma in the Pauli matrices sigma."""
+    t, x0, x1, x2 = c
+    return np.array([t + x2, t - x2, x0, -x1])
+
+
+def _herm2_param(u):
+    """Unit vector v with v v^* the matrix of the spin:3 atom (1, u) / 2."""
+    if u[2] >= 0:
+        v = np.array([1.0 + u[2], u[0] + 1j * u[1]])
+    else:
+        v = np.array([u[0] - 1j * u[1], 1.0 - u[2]])
+    return v / np.linalg.norm(v)
+
+
+def _check_spin_map(spin, other, coords, param, data, exponent):
+    scale = 10.0 ** exponent
+    dim = spin.ambient_dim
+    a = scale * _vector(data, dim)
+    b = scale * _vector(data, dim)
+    u, w = _direction(data, dim - 1), _direction(data, dim - 1)
+
+    np.testing.assert_allclose(other.eigenvalues_coords(coords(a), FINE),
+                               spin.eigenvalues_coords(a, FINE), rtol=0, atol=REL * scale)
+    assert abs(other.native_pairing(coords(a), coords(b))
+               - spin.native_pairing(a, b)) <= REL * scale**2
+    np.testing.assert_allclose(other.atom_coords(param(u)), coords(spin.atom_coords(u)),
+                               rtol=0, atol=REL)
+    assert abs(other.state_value(param(u), coords(a)) - spin.state_value(u, a)) <= REL * scale
+    assert abs(other.transition_from_params(param(u), param(w))
+               - spin.transition_from_params(u, w)) <= REL
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=exponents, data=st.data())
+def test_sym2_is_spin2(exponent, data):
+    _check_spin_map(get_model("spin", 2), get_model("sym", 2), _sym2_coords, _sym2_param,
+                    data, exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=exponents, data=st.data())
+def test_herm2_is_spin3(exponent, data):
+    _check_spin_map(get_model("spin", 3), get_model("herm", 2), _herm2_coords, _herm2_param,
+                    data, exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), exponent=exponents, data=st.data())
+def test_classical_is_the_diagonal_of_sym(n, exponent, data):
+    classical, sym = get_model("classical", n), get_model("sym", n)
+    scale = 10.0 ** exponent
+    a = scale * _vector(data, n)
+    b = scale * _vector(data, n)
+    off = np.zeros(n * (n - 1) // 2)
+
+    def diag(c):
+        return np.concatenate([c, off])
+
+    np.testing.assert_allclose(sym.eigenvalues_coords(diag(a), FINE),
+                               classical.eigenvalues_coords(a, FINE), rtol=0, atol=REL * scale)
+    assert abs(sym.native_pairing(diag(a), diag(b))
+               - classical.native_pairing(a, b)) <= REL * scale**2
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    basis = np.eye(n)
+    np.testing.assert_allclose(sym.atom_coords(basis[i]), diag(classical.atom_coords(i)),
+                               rtol=0, atol=REL)
+    assert abs(sym.state_value(basis[i], diag(a)) - classical.state_value(i, a)) <= REL * scale
+    assert abs(sym.transition_from_params(basis[i], basis[j])
+               - classical.transition_from_params(i, j)) <= REL

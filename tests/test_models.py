@@ -258,8 +258,6 @@ def test_herm_coords_round_trip():
 def test_model_descriptor_contents(any_model):
     desc = any_model.descriptor
     assert desc.info_capacity <= desc.ambient_dim
-    if desc.symmetric_tp:
-        assert desc.has_inner_product
     echo = desc.to_json()
     assert echo["kind"] == any_model.kind
     assert echo["n"] >= 1
@@ -269,16 +267,13 @@ def test_descriptor_rejects_inconsistency():
     from jordantp import ModelDescriptor
     with pytest.raises(ValueError):
         ModelDescriptor("classical", (("n", 2),), ambient_dim=2, info_capacity=3,
-                        symmetric_tp=True, has_inner_product=True)
-    with pytest.raises(ValueError):
-        ModelDescriptor("lpq", (("n", 2), ("p", 3.0)), ambient_dim=3, info_capacity=2,
-                        symmetric_tp=True, has_inner_product=False)
+                        symmetric_tp=True)
 
 
 def test_lpq_one_dimensional_ball_is_symmetric():
     # the interval [-1, 1] is the same model for every exponent
     m = get_model("lpq", 1, 3.0)
-    assert m.symmetric_tp and m.has_inner_product
+    assert m.symmetric_tp
     from jordantp import symmetry_defect
     assert symmetry_defect(m, 0, 50) <= 1e-12
     sp = get_model("lpq", 1, 7.5)

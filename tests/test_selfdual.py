@@ -224,6 +224,21 @@ def test_peel_generator_cone():
     np.testing.assert_allclose(coeffs, [0.5, 2.0], atol=1e-9)
 
 
+def test_peel_spectral_generator_cone_elements():
+    # on a cone element the Moreau minus part plus - x is rounding noise; it
+    # must be skipped, not peeled into atoms relative to its own norm
+    gcone = rotated_orthant()
+    gens = gcone.extreme_generators()
+    rng = np.random.default_rng(3)
+    for k in range(200):
+        x = rng.uniform(0.0, 2.0, size=4) @ gens if k % 2 else rng.normal(size=4)
+        peeled = peel_spectral(gcone, x)
+        recon = sum((p.coefficient * p.atom for p in peeled), np.zeros(4))
+        np.testing.assert_allclose(recon, x, rtol=0, atol=1e-9)
+        for p in peeled:
+            assert gcone.inner(p.atom, x) == pytest.approx(p.coefficient, abs=1e-9)
+
+
 def test_peel_custom_oracle():
     # a hand-rolled oracle (argmax coordinate split) drives the same recursion
     cone = SpectralSelfDualCone(get_model("classical", 4))

@@ -63,7 +63,8 @@ def test_state_of_atom_examples():
     h = get_model("herm", 2)
     e = h.atom(np.array([1.0, 0.0]))
     state = state_of_atom(h, e)
-    assert state.kind == "dual_vector"
+    assert state.weights == (1.0,)
+    assert abs(np.vdot(state.params[0], [1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)  # up to phase
     assert state.value(h.order_unit()) == pytest.approx(1.0, abs=1e-12)
     assert state.value(e) == pytest.approx(1.0, abs=1e-12)
 
@@ -74,8 +75,9 @@ def test_state_of_atom_examples():
     lq = get_model("lpq", 2, 3.0)
     omega = np.array([1.0, 0.0])
     st = state_of_atom(lq, lq.atom(omega))
-    assert st.kind == "point_evaluation"
-    np.testing.assert_allclose(st.point, omega, atol=1e-12)
+    np.testing.assert_allclose(st.params[0], omega, atol=1e-12)
+    # the state of e_omega is the point evaluation at omega: (c, f) -> c + f . omega
+    assert st.value(lq.element([0.25, -2.0, 5.0])) == pytest.approx(-1.75, abs=1e-12)
 
 
 def test_state_normalization_and_positivity(any_model, tol):
@@ -94,6 +96,38 @@ def test_mix_states_is_affine(any_model):
     mixed = mix_states([s1, s2], [0.3, 0.7])
     a = random_element(any_model, 5)
     assert mixed.value(a) == pytest.approx(0.3 * s1.value(a) + 0.7 * s2.value(a), abs=1e-9)
+
+
+def test_mixed_state_matches_dual_vector(symmetric_model):
+    # reference formula: on a symmetric model a mixed state is the pairing
+    # with the mixture of its atoms
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        p1, p2 = symmetric_model.random_atom_param(rng), symmetric_model.random_atom_param(rng)
+        lam = float(rng.uniform())
+        mixed = mix_states([state_of_atom(symmetric_model, symmetric_model.atom(p))
+                            for p in (p1, p2)], [lam, 1.0 - lam])
+        dual = lam * symmetric_model.atom_coords(p1) + (1.0 - lam) * symmetric_model.atom_coords(p2)
+        a = random_element(symmetric_model, int(rng.integers(1000)))
+        scale = max(1.0, float(np.max(np.abs(a.coords))))
+        assert mixed.value(a) == pytest.approx(symmetric_model.native_pairing(dual, a.coords),
+                                               abs=1e-14 * scale)
+
+
+def test_mixed_state_matches_point_evaluation():
+    # reference formula: on the l^p qubit a mixed state evaluates c + f . zeta
+    # at the mixture zeta of its boundary points
+    m = get_model("lpq", 2, 3.0)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        w1, w2 = m.random_atom_param(rng), m.random_atom_param(rng)
+        lam = float(rng.uniform())
+        mixed = mix_states([state_of_atom(m, m.atom(w)) for w in (w1, w2)], [lam, 1.0 - lam])
+        a = random_element(m, int(rng.integers(1000)))
+        zeta = lam * w1 + (1.0 - lam) * w2
+        scale = max(1.0, float(np.max(np.abs(a.coords))))
+        assert mixed.value(a) == pytest.approx(a.coords[0] + np.dot(a.coords[1:], zeta),
+                                               abs=1e-14 * scale)
 
 
 def test_tp_matrix_orthogonal_family_is_identity(symmetric_model):
