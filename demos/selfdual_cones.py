@@ -37,11 +37,11 @@ def main():
     peeled = peel_spectral(cone, a)
     print(f"  peeled into {len(peeled)} atoms with coefficients "
           f"{np.round([p.coefficient for p in peeled], 4)}")
-    print("  (the peeling uses power iteration with Rayleigh-quotient polish,"
-          " not the dense eigensolver)")
+    print("  (the peeling takes one eigenpair per step from a plain SVD,"
+          " not from the dense eigensolver)")
 
-    unit = recover_order_unit(cone, seed=1, families=5)
-    print(f"\norder unit recovered from five random maximal atom families:\n"
+    unit = recover_order_unit(cone, seed=1)
+    print(f"\norder unit recovered as the sum of a random maximal atom family:\n"
           f"{np.round(he.to_matrix(unit), 10)}")
 
     print("\nrotated orthant (a self-dual polyhedral cone):")

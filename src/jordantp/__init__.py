@@ -39,7 +39,6 @@ from .errors import (
     LinearProgramError,
     ModelMismatchError,
     NotAtomError,
-    TransitionProbabilityViolation,
     UnnormalizedParamError,
     UnsupportedModelError,
 )

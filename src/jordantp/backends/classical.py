@@ -60,6 +60,9 @@ class ClassicalModel(Model):
         return head, coords - head
 
     def atom_coords(self, param) -> np.ndarray:
+        if (np.ndim(param) != 0 or isinstance(param, (bool, np.bool_))
+                or not float(param).is_integer()):
+            raise UnnormalizedParamError(f"basis index must be an integer, got {param!r}")
         idx = int(param)
         if not 0 <= idx < self._n:
             raise UnnormalizedParamError(f"basis index {idx} out of range for n={self._n}")

@@ -45,40 +45,6 @@ def _deterministic_basis(projector: np.ndarray, rank: int) -> list[np.ndarray]:
     return vecs
 
 
-def _eigenpair_split(mat: np.ndarray, tol: Tolerance):
-    """One accurate eigenpair of a PSD matrix via power iteration with
-    Rayleigh-quotient polish; kept independent of the dense eigensolver."""
-    n = mat.shape[0]
-    scale = max(float(np.real(np.trace(mat))), 1e-30)
-    starts = [np.linspace(1.0, 2.0, n)]
-    starts += [np.eye(n)[k] for k in range(n)]
-    for start in starts:
-        v = start.astype(mat.dtype) / np.linalg.norm(start)
-        for _ in range(60):
-            w = mat @ v
-            norm = np.linalg.norm(w)
-            if norm <= 1e-14 * scale:
-                break
-            v = w / norm
-        lam = float(np.real(np.vdot(v, mat @ v)))
-        if lam <= 1e-12 * scale:
-            continue
-        for _ in range(4):  # Rayleigh-quotient iteration, cubic convergence
-            try:
-                w = np.linalg.solve(mat - lam * np.eye(n, dtype=mat.dtype), v)
-            except np.linalg.LinAlgError:
-                break
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm) or norm == 0.0:
-                break
-            v = w / norm
-            lam = float(np.real(np.vdot(v, mat @ v)))
-        residual = float(np.linalg.norm(mat @ v - lam * v))
-        if residual <= 1e-9 * scale and lam > 1e-12 * scale:
-            return lam, v
-    raise ConeProjectionError("eigenpair search failed on a PSD matrix")
-
-
 class _MatrixModel(Model):
     """Common spectral kernel for the two matrix backends."""
 
@@ -157,9 +123,14 @@ class _MatrixModel(Model):
             return False
 
     def split_orthogonal_coords(self, coords, tol: Tolerance):
+        # the top singular pair of a PSD matrix is its top eigenpair; plain
+        # SVD (LAPACK gesdd) keeps the oracle independent of the eigh kernel
         mat = self._matrix_from_coords(coords)
         scale = max(float(np.real(np.trace(mat))), 1e-30)
-        lam, v = _eigenpair_split(mat, tol)
+        v = np.linalg.svd(mat)[0][:, 0]
+        lam = float(np.real(np.vdot(v, mat @ v)))
+        if lam <= 1e-12 * scale or np.linalg.norm(mat @ v - lam * v) > 1e-9 * scale:
+            raise ConeProjectionError("orthogonal-split oracle needs a cone element")
         head = lam * np.outer(v, v.conj())
         rest = mat - head
         if float(np.linalg.norm(rest)) <= 1e-9 * scale:

@@ -33,10 +33,6 @@ class ConeProjectionError(JordanTpError):
         self.residual = residual
 
 
-class TransitionProbabilityViolation(JordanTpError):
-    """Maximal orthogonal atom families do not resolve unity consistently."""
-
-
 class LinearProgramError(JordanTpError):
     """LP solver failed or returned an unusable status."""
 

@@ -56,10 +56,15 @@ def state_of_atom(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL) -> Sta
 
 
 def mix_states(states: Sequence[State], weights: Sequence[float]) -> State:
-    """Convex mixture of states of one model."""
+    """Convex mixture of states of one model; the weights are normalised."""
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("mixture weights must be nonnegative")
+    if len(states) == 0 or weights.shape != (len(states),):
+        raise ValueError("a mixture needs one weight per state and at least one state")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("mixture weights must be finite and nonnegative")
+    if weights.max() == 0.0:
+        raise ValueError("mixture weights must not all be zero")
+    weights = weights / weights.max()  # keeps the sum of huge weights finite
     weights = weights / weights.sum()
     model = states[0].model
     if any(s.model is not model for s in states):
@@ -285,8 +290,8 @@ def verify_atom_state_uniqueness(model: Model, seed: int, trials: int,
             note="uniqueness is analytic per backend; sampled evidence only"))
         checks.append(CheckResult("states.half_mixture_value", half_defect, tol.check_tol))
     else:
-        checks.append(skipped_check("states.mixed_states_below_one",
-                                    "capacity-1 model has a single state"))
+        checks += [skipped_check(name, "capacity-1 model has a single state")
+                   for name in ("states.mixed_states_below_one", "states.half_mixture_value")]
     return checks
 
 

@@ -218,7 +218,7 @@ def test_criterion_07_selfdual_cone_suite():
             worst = max(worst, order_norm(model, (pair.a_plus - pair.a_minus) - a))
             worst = max(worst, abs(cone.inner(pair.a_plus, pair.a_minus)))
             assert cone.contains(pair.a_plus, TOL) and cone.contains(pair.a_minus, TOL)
-        unit = recover_order_unit(cone, 7, 5, TOL)
+        unit = recover_order_unit(cone, 7)
         worst = max(worst, order_norm(model, unit - model.order_unit()))
         for c in (verify_unity_resolution(cone, 7, 60, TOL)
                   + sd_certainty_order(cone, 7, 60, TOL)

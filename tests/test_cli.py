@@ -296,6 +296,23 @@ def test_tpmatrix_non_atom_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "tpmatrix", "herm:2", str(atoms))[0] == 2
 
 
+@pytest.mark.parametrize("param", [1.5, -0.5, True, [1]])
+def test_tpmatrix_classical_non_integer_index_exit_two(capsys, tmp_path, param):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps([param]))
+    code, out, err = run_cli(capsys, "tpmatrix", "classical:2", str(atoms))
+    assert code == 2 and out == ""
+    assert "basis index must be an integer" in err
+
+
+def test_tpmatrix_classical_integral_float_index(capsys, tmp_path):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps([0, 1.0]))
+    code, out, _ = run_cli(capsys, "tpmatrix", "classical:2", str(atoms))
+    assert code == 0
+    assert out.split("\n")[1:3] == ["1,0", "0,1"]
+
+
 def test_tpmatrix_requires_source(capsys):
     assert run_cli(capsys, "tpmatrix", "herm:2")[0] == 2
 

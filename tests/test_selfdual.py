@@ -5,7 +5,6 @@ from jordantp import (
     ConeProjectionError,
     GeneratorSelfDualCone,
     SpectralSelfDualCone,
-    TransitionProbabilityViolation,
     UnsupportedModelError,
     generator_cone_from_csv,
     get_model,
@@ -239,22 +238,47 @@ def test_peel_spectral_generator_cone_elements():
             assert gcone.inner(p.atom, x) == pytest.approx(p.coefficient, abs=1e-9)
 
 
-def test_peel_custom_oracle():
-    # a hand-rolled oracle (argmax coordinate split) drives the same recursion
-    cone = SpectralSelfDualCone(get_model("classical", 4))
+def _kernel_forbidden(*args, **kwargs):
+    raise AssertionError("an independent oracle reached the spectral kernel")
 
-    def oracle(x, tol):
-        coords = cone.as_vec(x)
-        support = np.flatnonzero(np.abs(coords) > 1e-12)
-        if len(support) <= 1:
-            return None
-        head = np.zeros_like(coords)
-        head[support[0]] = coords[support[0]]
-        return cone.wrap(head), cone.wrap(coords - head)
 
-    a = cone.model.element([3.0, 1.0, 0.0, 2.0])
-    peeled = peel_positive(cone, a, atom_oracle=oracle)
-    np.testing.assert_allclose(sorted(p.coefficient for p in peeled), [1.0, 2.0, 3.0])
+def test_oracles_do_not_use_the_spectral_kernel(any_model, monkeypatch, tol):
+    # peeling and membership check the kernel, so they must run without it
+    positives = [random_element(any_model, seed, "positive") for seed in range(6)]
+    positives.append(any_model.atom(any_model.random_atom_param(np.random.default_rng(1))))
+    monkeypatch.setattr(np.linalg, "eigh", _kernel_forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _kernel_forbidden)
+    monkeypatch.setattr(any_model, "decompose_coords", _kernel_forbidden)
+    monkeypatch.setattr(any_model, "eigenvalues_coords", _kernel_forbidden)
+    for a in positives:
+        assert any_model.cone_oracle(a.coords, tol.cone_slack)
+        parts = any_model.split_orthogonal_coords(a.coords, tol)
+        if parts is not None:
+            np.testing.assert_allclose(parts[0] + parts[1], a.coords, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind, n", [("sym", 4), ("herm", 3), ("sym", 6), ("herm", 5)])
+def test_peel_coefficients_match_eigvalsh_to_rounding(kind, n):
+    # degenerate spectra, 1e-9 gaps and scales from 1e-6 to 1e6
+    model = get_model(kind, n)
+    cone = SpectralSelfDualCone(model)
+    rng = np.random.default_rng(n)
+    for k in range(30):
+        spectrum = rng.uniform(0.05, 1.0, size=n)
+        if k % 3 == 0:
+            spectrum[: n // 2 + 1] = spectrum[0]
+        elif k % 3 == 1:
+            spectrum = spectrum[0] + 1e-9 * np.arange(n)
+        spectrum *= 10.0 ** rng.uniform(-6.0, 6.0)
+        gauss = rng.normal(size=(n, n))
+        if kind == "herm":
+            gauss = gauss + 1j * rng.normal(size=(n, n))
+        frame, _ = np.linalg.qr(gauss)
+        a = model.from_matrix((frame * spectrum) @ frame.conj().T)
+        eigs = np.sort(np.linalg.eigvalsh(model.to_matrix(a)))
+        coeffs = np.sort([p.coefficient for p in peel_positive(cone, a)])
+        coeffs = np.sort(np.pad(coeffs, (len(eigs) - len(coeffs), 0)))
+        assert np.max(np.abs(coeffs - eigs)) <= 1e-12 * eigs[-1], (k, coeffs, eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +287,14 @@ def test_peel_custom_oracle():
 
 
 def test_recover_order_unit_matches_backend(cone, tol):
-    got = recover_order_unit(cone, 11, 5, tol)
+    got = recover_order_unit(cone, 11)
     assert order_norm(cone.model, got - cone.model.order_unit()) <= 1e-9
-
-
-def test_recover_order_unit_explicit_families():
-    m = get_model("herm", 2)
-    cone = SpectralSelfDualCone(m)
-    fam1 = [m.atom(np.array([1.0, 0.0])), m.atom(np.array([0.0, 1.0]))]
-    eta = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    zeta = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    fam2 = [m.atom(eta), m.atom(zeta)]
-    got = recover_order_unit(cone, 0, [fam1, fam2])
-    np.testing.assert_allclose(m.to_matrix(got), np.eye(2).astype(complex), atol=1e-12)
 
 
 def test_recover_order_unit_rotated_frames_sym3():
     cone = SpectralSelfDualCone(get_model("sym", 3))
-    got = recover_order_unit(cone, 21, 6)
+    got = recover_order_unit(cone, 21)
     np.testing.assert_allclose(cone.model.to_matrix(got), np.eye(3), atol=1e-9)
-
-
-def test_recover_order_unit_flags_disagreement():
-    # families drawn from a cone that cannot resolve unity: scaled orthant rays
-    gens = np.diag([1.0, 2.0, 4.0])  # rows not unit-normalized on purpose
-    cone = GeneratorSelfDualCone(gens)
-    fam1 = [gens[0] / 1.0, gens[1] / 2.0, gens[2] / 4.0]
-    fam2 = [2.0 * fam1[0], fam1[1], fam1[2]]
-    with pytest.raises(TransitionProbabilityViolation):
-        recover_order_unit(cone, 0, [fam1, fam2])
 
 
 def test_unity_resolution_and_certainty(cone, tol):
@@ -351,6 +354,9 @@ def test_projection_failure_is_diagnosed():
     outside = np.array([1.0, 0.0, -5.0])
     with pytest.raises(ConeProjectionError):
         cone.split_orthogonal(outside)
+    herm = SpectralSelfDualCone(get_model("herm", 2))
+    with pytest.raises(ConeProjectionError):
+        herm.split_orthogonal(-herm.model.order_unit())
 
 
 def test_oblique_cone_fails_unity_resolution(tol):
@@ -360,20 +366,3 @@ def test_oblique_cone_fails_unity_resolution(tol):
     cone = GeneratorSelfDualCone(gens)
     checks = verify_unity_resolution(cone, 3, 30, tol)
     assert not all(c.passed for c in checks)
-
-
-def test_failed_unit_recovery_is_explained(monkeypatch, tol):
-    from jordantp import suites
-
-    model = get_model("classical", 3)
-    check = "unit.recovered_from_families"
-    by_name = {c.name: c for c in suites.selfdual_suite(model, 0, 4, tol)}
-    assert by_name[check].passed and by_name[check].note is None
-
-    def fails(cone, seed, families, tol):
-        raise TransitionProbabilityViolation("families disagree")
-
-    monkeypatch.setattr(suites, "recover_order_unit", fails)
-    by_name = {c.name: c for c in suites.selfdual_suite(model, 0, 4, tol)}
-    assert by_name[check].defect == float("inf")
-    assert by_name[check].note == "TransitionProbabilityViolation: families disagree"

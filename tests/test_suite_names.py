@@ -14,7 +14,13 @@ from jordantp.suites import SUITES
 from test_selfdual import SELF_DUALITY_CHECKS as SELF_DUALITY
 from test_verdict_gate import ASYMMETRIC_CHECKS, SYMMETRIC_CHECKS, _spec
 
-@pytest.mark.parametrize("spec", ALL_MODEL_SPECS, ids=[_spec(*s) for s in ALL_MODEL_SPECS])
+# n = 1 in each family; classical, sym and herm then have capacity 1
+SMALLEST_MODEL_SPECS = [("classical", 1, None), ("sym", 1, None), ("herm", 1, None),
+                        ("spin", 1, None), ("lpq", 1, 3.0)]
+SPECS = ALL_MODEL_SPECS + SMALLEST_MODEL_SPECS
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[_spec(*s) for s in SPECS])
 def test_each_check_comes_from_one_suite(spec):
     model = get_model(*spec)
     by_suite = {name: suite(model, 0, 4) for name, suite in SUITES.items()}

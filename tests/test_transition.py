@@ -96,6 +96,24 @@ def test_mix_states_is_affine(any_model):
     mixed = mix_states([s1, s2], [0.3, 0.7])
     a = random_element(any_model, 5)
     assert mixed.value(a) == pytest.approx(0.3 * s1.value(a) + 0.7 * s2.value(a), abs=1e-9)
+    assert mix_states([s1, s2], [1e308, 1e308]).weights == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("n_states, weights", [
+    (0, []),                    # no state
+    (2, [1.0]),                 # fewer weights than states
+    (1, [0.5, 0.5]),            # more weights than states
+    (2, [np.nan, 1.0]),
+    (2, [np.inf, 1.0]),
+    (2, [0.0, 0.0]),            # zero sum
+    (2, [-0.5, 1.5]),
+])
+def test_mix_states_rejects_bad_weights(n_states, weights):
+    m = get_model("spin", 2)
+    rng = np.random.default_rng(4)
+    states = [state_of_atom(m, m.atom(m.random_atom_param(rng))) for _ in range(n_states)]
+    with pytest.raises(ValueError):
+        mix_states(states, weights)
 
 
 def test_mixed_state_matches_dual_vector(symmetric_model):
