@@ -83,7 +83,7 @@ class Model(ABC):
     # ------------------------------------------------------------------
 
     def element(self, values) -> Element:
-        return Element(np.asarray(values, dtype=float), self)
+        return Element(values, self)
 
     def zero(self) -> Element:
         return self.element(np.zeros(self.ambient_dim))
@@ -92,7 +92,12 @@ class Model(ABC):
     def order_unit_coords(self) -> np.ndarray: ...
 
     def order_unit(self) -> Element:
-        return self.element(self.order_unit_coords())
+        """The order unit, built once per model: elements are immutable."""
+        try:
+            return self._order_unit
+        except AttributeError:
+            self._order_unit = self.element(self.order_unit_coords())
+            return self._order_unit
 
     def check_element(self, a: Element) -> Element:
         if a.model is not self and a.model.descriptor != self.descriptor:

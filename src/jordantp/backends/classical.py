@@ -59,15 +59,23 @@ class ClassicalModel(Model):
         head[support[0]] = coords[support[0]]
         return head, coords - head
 
-    def atom_coords(self, param) -> np.ndarray:
+    def _index(self, param) -> int:
+        """The basis index named by an atom parameter.  Raises
+        UnnormalizedParamError unless it is an integer in [0, n); a bool is
+        not an index, and a negative one does not count from the end."""
+        if type(param) is int and 0 <= param < self._n:
+            return param
         if (np.ndim(param) != 0 or isinstance(param, (bool, np.bool_))
                 or not float(param).is_integer()):
             raise UnnormalizedParamError(f"basis index must be an integer, got {param!r}")
         idx = int(param)
         if not 0 <= idx < self._n:
             raise UnnormalizedParamError(f"basis index {idx} out of range for n={self._n}")
+        return idx
+
+    def atom_coords(self, param) -> np.ndarray:
         atom = np.zeros(self._n)
-        atom[idx] = 1.0
+        atom[self._index(param)] = 1.0
         return atom
 
     def atom_param_from_coords(self, coords, tol: Tolerance):
@@ -85,7 +93,7 @@ class ClassicalModel(Model):
         return [int(i) for i in rng.permutation(self._n)]
 
     def state_value(self, param, coords) -> float:
-        return float(coords[int(param)])
+        return float(coords[self._index(param)])
 
     def native_pairing(self, ca, cb) -> float:
         return float(np.dot(ca, cb))

@@ -70,10 +70,10 @@ class LpQubitModel(_QubitModel):
         except OverflowError:
             peak = math.inf
         if _TINY <= peak and peak * a.size < math.inf:
-            return float(np.sum(a ** exponent) ** (1.0 / exponent))
+            return float((a ** exponent).sum() ** (1.0 / exponent))
         if not 0.0 < top < math.inf:
-            return float(np.sum(a))  # zero, or inf or nan as the entries say
-        return top * float(np.sum((a / top) ** exponent) ** (1.0 / exponent))
+            return float(a.sum())  # zero, or inf or nan as the entries say
+        return top * float(((a / top) ** exponent).sum() ** (1.0 / exponent))
 
     def supporting_functional(self, omega) -> np.ndarray:
         """Norm-one functional with f . omega = 1, unique by smoothness."""

@@ -18,7 +18,7 @@ from .base import Model
 
 def half_atom(g: np.ndarray) -> np.ndarray:
     """Coordinates (1, g) / 2 of the atom along the unit direction g."""
-    return np.concatenate(([0.5], 0.5 * g))
+    return 0.5 * np.array([1.0, *g.tolist()])
 
 
 class _QubitModel(Model):

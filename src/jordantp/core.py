@@ -7,8 +7,6 @@ truth per model.  All functions are pure.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .backends.base import Model
 from .elements import DEFAULT_TOL, Element, Tolerance
 
@@ -22,7 +20,7 @@ def cone_contains(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> boo
 def order_norm(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> float:
     """Order unit norm: the largest eigenvalue magnitude."""
     eigs = model.eigenvalues(model.check_element(a), tol)
-    return float(np.max(np.abs(eigs)))
+    return float(abs(eigs).max())
 
 
 def in_unit_interval(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:

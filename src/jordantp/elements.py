@@ -6,6 +6,7 @@ of the coordinates is fixed by the owning backend (see ``jordantp.backends``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -56,14 +57,17 @@ class Element:
     model: "Model" = field(repr=False)
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        # Every element, the results of arithmetic included, is checked here:
+        # a sum or multiple of finite coordinates can overflow to inf.  The
+        # finiteness test runs on Python floats, which is exact for a 1-D
+        # float vector and avoids numpy's reduction dispatch.
+        coords = np.array(self.coords, dtype=float)
         if coords.ndim != 1 or coords.shape[0] != self.model.ambient_dim:
             raise DimensionMismatchError(
                 f"expected {self.model.ambient_dim} coordinates, got shape {coords.shape}"
             )
-        if not np.all(np.isfinite(coords)):
+        if not all(map(math.isfinite, coords.tolist())):
             raise ValueError("element coordinates must be finite")
-        coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 

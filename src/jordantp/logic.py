@@ -34,8 +34,9 @@ def _unwrap(a) -> Element:
 def is_logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every eigenvalue is within eig_cluster of 0 or of 1."""
     eigs = model.eigenvalues(_unwrap(a), tol)
-    return bool(np.all(np.abs(eigs - np.round(eigs)) <= tol.eig_cluster)
-                and np.all((np.round(eigs) == 0) | (np.round(eigs) == 1)))
+    nearest = eigs.round()
+    return bool((abs(eigs - nearest) <= tol.eig_cluster).all()
+                and ((nearest == 0) | (nearest == 1)).all())
 
 
 def logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> LogicElement:

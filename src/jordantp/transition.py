@@ -8,6 +8,7 @@ of that state is analytic per backend and is only sampled here, never proven.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +42,13 @@ class State:
     model: Model
     params: tuple
     weights: tuple
+
+    def __post_init__(self):
+        if len(self.params) != len(self.weights):
+            raise ValueError(f"a state needs one weight per atom parameter, got "
+                             f"{len(self.params)} parameters and {len(self.weights)} weights")
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError("state weights must be finite")
 
     def value(self, a: Element) -> float:
         self.model.check_element(a)

@@ -10,6 +10,13 @@ attribute of an object other than ``self`` or ``cls``, or on an
 ``isinstance`` test against a self-dual cone flavour (each flavour supplies
 its formulas as methods of the cone interface).  The CLI is exempt from the
 string rule: it compares parsed option values, not tags of a model.
+
+A second walk, over every module but ``elements.py`` (the backends
+included), keeps ``Element`` to its one checked constructor: it fails on
+``Element.__new__``, on ``object.__new__(Element)`` and on an
+``object.__setattr__`` that writes to anything but ``self`` or writes
+``coords``.  Each of these would make an element whose coordinates were
+never checked.
 """
 
 import ast
@@ -61,6 +68,31 @@ def contract_violations(source: str, filename: str = "<source>") -> list[str]:
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
                 if name in CONE_FLAVOURS:
                     hits.append((node.lineno, f"switches on cone flavour {name!r}"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits, key=lambda h: h[0])]
+
+
+def _names_element(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "Element") or (
+        isinstance(node, ast.Attribute) and node.attr == "Element")
+
+
+def constructor_violations(source: str, filename: str = "<source>") -> list[str]:
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and _names_element(node.value)):
+            hits.append((node.lineno, "calls Element.__new__"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+            args = node.args
+            if node.func.attr == "__new__" and args and _names_element(args[0]):
+                hits.append((node.lineno, "calls object.__new__(Element)"))
+            elif node.func.attr == "__setattr__":
+                own = args and isinstance(args[0], ast.Name) and args[0].id == "self"
+                coords = (len(args) > 1 and isinstance(args[1], ast.Constant)
+                          and args[1].value == "coords")
+                if not own or coords:
+                    hits.append((node.lineno, "sets an attribute through object.__setattr__"))
     return [f"{filename}:{line}: {what}" for line, what in sorted(hits, key=lambda h: h[0])]
 
 
@@ -123,4 +155,33 @@ def test_guard_flags_cone_flavour_switches():
         "<source>:3: switches on cone flavour 'GeneratorSelfDualCone'",
         "<source>:4: switches on cone flavour 'SpectralSelfDualCone'",
         "<source>:4: switches on cone flavour 'GeneratorSelfDualCone'",
+    ]
+
+
+def test_elements_have_one_checked_constructor():
+    modules = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "elements.py")
+    assert any("backends" in path.parts for path in modules)
+    hits = []
+    for path in modules:
+        hits += constructor_violations(path.read_text(), str(path.relative_to(PACKAGE)))
+    assert hits == []
+
+
+def test_guard_flags_unchecked_element_construction():
+    source = (
+        "def f(model, coords, a):\n"
+        "    fast = Element.__new__(Element)\n"
+        "    raw = object.__new__(elements.Element)\n"
+        "    object.__setattr__(raw, 'coords', coords)\n"
+        "    object.__setattr__(a, 'model', model)\n"
+        "    object.__setattr__(self, 'coords', coords)\n"
+        "    object.__setattr__(self, 'matrix', coords)\n"
+        "    return object.__new__(Tolerance), Element(coords, model)\n"
+    )
+    assert constructor_violations(source) == [
+        "<source>:2: calls Element.__new__",
+        "<source>:3: calls object.__new__(Element)",
+        "<source>:4: sets an attribute through object.__setattr__",
+        "<source>:5: sets an attribute through object.__setattr__",
+        "<source>:6: sets an attribute through object.__setattr__",
     ]

@@ -3,6 +3,8 @@ import pytest
 
 from jordantp import (
     SpectralSelfDualCone,
+    State,
+    UnnormalizedParamError,
     UnsupportedModelError,
     check_inner_product,
     cone_contains,
@@ -78,6 +80,37 @@ def test_state_of_atom_examples():
     np.testing.assert_allclose(st.params[0], omega, atol=1e-12)
     # the state of e_omega is the point evaluation at omega: (c, f) -> c + f . omega
     assert st.value(lq.element([0.25, -2.0, 5.0])) == pytest.approx(-1.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("param", [1.5, True, np.True_, -1, 3, np.int64(-1), [1], np.array([1])])
+def test_classical_state_rejects_bad_index(param):
+    # one index check serves atom_coords and state_value: a bool, a fraction
+    # or a negative index never reads a coordinate
+    cl = get_model("classical", 3)
+    a = cl.element([0.0, 7.0, 0.0])
+    with pytest.raises(UnnormalizedParamError):
+        State(cl, (param,), (1.0,)).value(a)
+    with pytest.raises(UnnormalizedParamError):
+        cl.atom_coords(param)
+
+
+@pytest.mark.parametrize("param", [1, 1.0, np.int64(1), np.float64(1.0)])
+def test_classical_state_accepts_integral_index(param):
+    cl = get_model("classical", 3)
+    assert State(cl, (param,), (1.0,)).value(cl.element([0.0, 7.0, 0.0])) == 7.0
+    assert cl.atom_coords(param).tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("params, weights", [
+    ((0, 1), (1.0,)),           # an atom without a weight
+    ((0,), (0.5, 0.5)),         # a weight without an atom
+    ((0,), (np.nan,)),
+    ((0, 1), (np.inf, 0.0)),
+    ((0, 1), (0.5, -np.inf)),
+])
+def test_state_rejects_bad_shape_or_weights(params, weights):
+    with pytest.raises(ValueError):
+        State(get_model("classical", 3), params, weights)
 
 
 def test_state_normalization_and_positivity(any_model, tol):
