@@ -17,10 +17,11 @@ from jordantp import (
     peel_spectral,
     recover_order_unit,
     self_duality_report,
-    verify_induced_axioms,
+    symmetry_defect,
+    verify_atom_state_uniqueness,
+    verify_certainty_order,
     verify_unity_resolution,
 )
-from jordantp.selfdual import verify_certainty_order
 
 
 def main():
@@ -49,10 +50,12 @@ def main():
     orthant = GeneratorSelfDualCone(q.T)
     for check in (verify_unity_resolution(orthant, seed=2, trials=40)
                   + verify_certainty_order(orthant, seed=2, trials=40)
-                  + verify_induced_axioms(orthant, seed=2, trials=40)
+                  + verify_atom_state_uniqueness(orthant, seed=2, trials=40)
                   + self_duality_report(orthant, seed=2, trials=40)):
         print(f"  {check.name:36s} defect {check.defect:9.2e}  "
               f"{'ok' if check.passed else 'FAIL'}")
+    print(f"  {'pairing symmetry defect':36s} defect "
+          f"{symmetry_defect(orthant, seed=2, trials=40):9.2e}")
 
     print("\ncone over a square (strictly contained in its dual):")
     gens = 0.5 * np.array([[1, 1, np.sqrt(2)], [1, -1, np.sqrt(2)],

@@ -8,11 +8,11 @@ possible measurement outcomes; the order norm is the largest magnitude.
 
 import numpy as np
 
-from jordantp import get_model, order_norm, spectral_decompose
+from jordantp import get_model, order_norm
 
 
 def show(model, a, label):
-    form = spectral_decompose(model, a)
+    form = model.spectral_form(a)
     print(f"\n{label}  (model {model!r})")
     print(f"  element        {np.array2string(a.coords, precision=4)}")
     print(f"  eigenvalues    {np.array2string(form.eigenvalues, precision=6)}")
@@ -45,7 +45,7 @@ def main():
 
     print("\nDegenerate spectra resolve deterministically:")
     a = sy.from_matrix(np.diag([2.0, 2.0, -1.0]))
-    form = spectral_decompose(sy, a)
+    form = sy.spectral_form(a)
     print(f"  eigenvalues {form.eigenvalues} -> "
           f"{len(form.pairs)} atoms, frame still exact")
 

@@ -68,16 +68,12 @@ from .selfdual import (
     peel_spectral,
     recover_order_unit,
     self_duality_report,
-    verify_induced_axioms,
-    verify_unity_resolution,
 )
 from .spectral import (
-    atom_from_param,
     func_calculus,
     jordan_product_polarized,
     linearity_defect,
     random_element,
-    spectral_decompose,
     square,
 )
 from .suites import SUITES, run_suite
@@ -96,6 +92,7 @@ from .transition import (
     verify_certainty_order,
     verify_pure_state_sampling,
     verify_strong_state_space,
+    verify_unity_resolution,
 )
 
 __version__ = "0.1.0"

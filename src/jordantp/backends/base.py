@@ -120,6 +120,7 @@ class Model(ABC):
         """
 
     def spectral_form(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:
+        """The frame of ``decompose_coords`` as elements, eigenvalues descending."""
         self.check_element(a)
         coords = np.asarray(a.coords, dtype=float)
         frame = self.decompose_coords(coords, tol)
@@ -145,6 +146,11 @@ class Model(ABC):
 
     def eigenvalues(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return self.eigenvalues_coords(a.coords, tol)
+
+    def cone_defect(self, coords: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+        """How far ``coords`` lies outside the positive cone: minus its least
+        eigenvalue, 0 inside the cone."""
+        return max(0.0, -float(self.eigenvalues(self.element(coords), tol).min()))
 
     @abstractmethod
     def cone_oracle(self, coords: np.ndarray, slack: float) -> bool:
@@ -181,6 +187,12 @@ class Model(ABC):
     @abstractmethod
     def random_frame_params(self, rng: np.random.Generator) -> list:
         """Parameters of a random maximal orthogonal family of atoms."""
+
+    def complement_coords(self, e: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        """Coordinates of the atoms that complete the atom ``e`` to a maximal
+        orthogonal family: the frame of the logic element unit - e."""
+        form = self.spectral_form(self.element(self.order_unit().coords - e), tol)
+        return [p.atom.coords for p in form.pairs if p.eigenvalue > 0.5]
 
     # ------------------------------------------------------------------
     # states and pairings

@@ -22,7 +22,6 @@ from .core import order_norm
 from .elements import Tolerance
 from .errors import JordanTpError
 from .reports import dump_canonical_json, format_double
-from .spectral import spectral_decompose
 from .suites import SUITES, run_suite
 from .transition import tp_matrix, tp_matrix_from_params
 
@@ -80,7 +79,7 @@ def _cmd_spectral(args) -> int:
     if not isinstance(data, list):
         raise ValueError("element file must hold a JSON array of doubles")
     a = model.element(np.asarray(data, dtype=float))
-    form = spectral_decompose(model, a, tol)
+    form = model.spectral_form(a, tol)
     payload = {
         "model": model.descriptor.to_json(),
         "pairs": [{"eigenvalue": p.eigenvalue, "atom": p.atom.to_json()}

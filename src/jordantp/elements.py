@@ -49,9 +49,12 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Element:
-    """Coordinate vector in a model's ambient real space."""
+    """Coordinate vector in a model's ambient real space.
+
+    Equality and hashing are by identity: comparing coordinates needs a
+    tolerance, which ``==`` cannot take."""
 
     coords: np.ndarray
     model: "Model" = field(repr=False)

@@ -15,7 +15,7 @@ import numpy as np
 from .backends.base import Model
 from .core import cone_contains, order_norm
 from .elements import DEFAULT_TOL, Element, Tolerance
-from .spectral import random_atom, trial_rng
+from .spectral import trial_rng
 
 
 class MeetThresholdWarning(UserWarning):
@@ -121,7 +121,7 @@ def information_capacity_empirical(
     best = 0
     for k in range(trials):
         rng = trial_rng(seed, k)
-        family = [random_atom(model, rng)]
+        family = [model.atom(model.random_atom_param(rng))]
         while True:
             rest = unit
             for e in family:

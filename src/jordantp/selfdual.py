@@ -1,5 +1,5 @@
 """Euclidean spaces with self-dual cones: Moreau splits, atom peeling,
-order-unit recovery and the unity-resolution / certainty-order verifiers.
+order-unit recovery and the self-duality verifier.
 
 Two cone flavors are supported:
 
@@ -43,11 +43,14 @@ class SelfDualCone:
     """Interface shared by the two cone flavors; vectors are kept in the
     flavor's natural element type (Element or raw ndarray).  The defaults are
     raw ndarrays with the ambient dot product, and the Moreau split and the
-    atom test read off the flavor's frame."""
+    atom test read off the flavor's frame.
 
-    @property
-    def ambient_dim(self) -> int:
-        raise NotImplementedError
+    A cone is also an atom space, so the atom verifiers of ``transition``
+    run on it as on a model: an atom is its own parameter, and its state is
+    the pairing.  Besides the methods below, a flavor supplies
+    ``ambient_dim``, ``info_capacity``, ``random_atom_param``,
+    ``random_element`` and ``random_positive``.
+    """
 
     def as_vec(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -58,23 +61,30 @@ class SelfDualCone:
     def inner(self, x, y) -> float:
         return float(np.dot(self.as_vec(x), self.as_vec(y)))
 
+    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
+        """How far ``x`` lies outside the cone, 0 inside it."""
+        raise NotImplementedError
+
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
+        return self.cone_defect(x, tol) <= tol.cone_slack
+
+    def atom_coords(self, param) -> np.ndarray:
+        return self.as_vec(param)
+
+    def atom_param_from_coords(self, coords, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        return self.as_vec(coords)
+
+    def state_value(self, param, coords) -> float:
+        return self.inner(param, coords)
+
+    transition_from_params = state_value  # an atom is its own parameter
+
+    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
+        """A random maximal pairwise-orthogonal family of atoms."""
         raise NotImplementedError
 
-    def random_atom(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def random_maximal_family(self, rng: np.random.Generator) -> list:
-        raise NotImplementedError
-
-    def complement_atoms(self, e, tol: Tolerance = DEFAULT_TOL) -> list:
+    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         """Atoms completing ``e`` to a maximal pairwise-orthogonal family."""
-        raise NotImplementedError
-
-    def random_element(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def random_positive(self, rng: np.random.Generator):
         raise NotImplementedError
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
@@ -122,6 +132,10 @@ class SpectralSelfDualCone(SelfDualCone):
     def ambient_dim(self) -> int:
         return self.model.ambient_dim
 
+    @property
+    def info_capacity(self) -> int:
+        return self.model.info_capacity
+
     def as_vec(self, x) -> np.ndarray:
         return x.coords if isinstance(x, Element) else np.asarray(x, dtype=float)
 
@@ -131,23 +145,22 @@ class SpectralSelfDualCone(SelfDualCone):
     def inner(self, x, y) -> float:
         return self.model.native_pairing(self.as_vec(x), self.as_vec(y))
 
-    def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-        eigs = self.model.eigenvalues_coords(self.as_vec(x), tol)
-        return bool(eigs.min() >= -tol.cone_slack)
+    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
+        return self.model.cone_defect(self.as_vec(x), tol)
 
-    def random_atom(self, rng: np.random.Generator) -> Element:
-        return self.model.atom(self.model.random_atom_param(rng))
+    def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
+        return self.model.atom_coords(self.model.random_atom_param(rng))
 
-    def random_maximal_family(self, rng: np.random.Generator) -> list[Element]:
-        return [self.model.atom(p) for p in self.model.random_frame_params(rng)]
+    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
+        return [self.model.atom_coords(p) for p in self.model.random_frame_params(rng)]
 
-    def complement_atoms(self, e, tol: Tolerance = DEFAULT_TOL) -> list[Element]:
-        rest = self.model.order_unit() - e
+    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        rest = self.model.order_unit().coords - self.as_vec(e)
         # the complement of an atom has norm 0 (capacity one) or at least 1,
         # so clip subtraction noise against the unit scale before peeling
         if np.sqrt(abs(self.inner(rest, rest))) <= 1e3 * tol.check_tol:
             return []
-        return [p.atom for p in peel_positive(self, rest, tol=tol)]
+        return [self.as_vec(p.atom) for p in peel_positive(self, rest, tol=tol)]
 
     def random_element(self, rng: np.random.Generator) -> Element:
         return _random_element(self.model, rng)
@@ -174,7 +187,9 @@ class GeneratorSelfDualCone(SelfDualCone):
     with the ambient dot product.
 
     Self-duality itself is a property to be *witnessed* (see
-    ``self_duality_report``), not assumed by construction.
+    ``self_duality_report``), not assumed by construction.  The rows are
+    scaled to unit length once, since scaling a generator leaves the cone
+    unchanged; every cutoff below is then relative to unit generators.
     """
 
     def __init__(self, generators: np.ndarray):
@@ -184,8 +199,9 @@ class GeneratorSelfDualCone(SelfDualCone):
         norms = np.linalg.norm(gen, axis=1)
         if np.any(norms <= 0):
             raise ValueError("zero generator")
-        self.generators = gen
+        self.generators = gen / norms[:, None]
         self._extreme = self._extreme_mask()
+        self.info_capacity = len(self._extend_orthogonally([], self.extreme_generators()))
 
     @property
     def ambient_dim(self) -> int:
@@ -197,15 +213,14 @@ class GeneratorSelfDualCone(SelfDualCone):
         import scipy.optimize
 
         gen = self.generators
-        unit = gen / np.linalg.norm(gen, axis=1)[:, None]
         mask = np.ones(len(gen), dtype=bool)
         for j in range(len(gen)):
-            cos = unit @ unit[j]
+            cos = gen @ gen[j]
             others = [i for i in range(len(gen)) if i != j and cos[i] < 1.0 - 1e-9]
             if not others:
                 continue
             coeffs, residual = scipy.optimize.nnls(gen[others].T, gen[j])
-            if residual <= 1e-8 * np.linalg.norm(gen[j]):
+            if residual <= 1e-8:
                 mask[j] = False
         return mask
 
@@ -219,21 +234,20 @@ class GeneratorSelfDualCone(SelfDualCone):
             raise ConeProjectionError(f"nonnegative least squares stalled: {exc}") from exc
         return coeffs, float(residual)
 
-    def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
+        # the distance to the cone relative to max(|x|, 1), in hundredths:
+        # an NNLS residual carries more rounding than an eigenvalue
         vec = self.as_vec(x)
-        scale = max(float(np.linalg.norm(vec)), 1.0)
-        _, residual = self.nnls_fit(vec)
-        return residual <= 1e2 * tol.cone_slack * scale
+        return self.nnls_fit(vec)[1] / (1e2 * max(float(np.linalg.norm(vec)), 1.0))
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the cone."""
         return self.generators.T @ self.nnls_fit(self.as_vec(x))[0]
 
     def extreme_generators(self) -> np.ndarray:
-        gen = self.generators[self._extreme]
-        return gen / np.linalg.norm(gen, axis=1)[:, None]
+        return self.generators[self._extreme]
 
-    def random_atom(self, rng: np.random.Generator) -> np.ndarray:
+    def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
         ext = self.extreme_generators()
         return ext[int(rng.integers(len(ext)))]
 
@@ -245,11 +259,11 @@ class GeneratorSelfDualCone(SelfDualCone):
                 family.append(cand)
         return family
 
-    def random_maximal_family(self, rng: np.random.Generator) -> list[np.ndarray]:
+    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
         ext = self.extreme_generators()
         return self._extend_orthogonally([], ext[rng.permutation(len(ext))])
 
-    def complement_atoms(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         return self._extend_orthogonally([self.as_vec(e)], self.extreme_generators())[1:]
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -378,7 +392,7 @@ def peel_spectral(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> list[P
 
 
 # ---------------------------------------------------------------------------
-# order-unit recovery and the two cone properties
+# order-unit recovery and self-duality
 # ---------------------------------------------------------------------------
 
 
@@ -386,57 +400,10 @@ def recover_order_unit(cone: SelfDualCone, seed: int):
     """Sum of the maximal orthogonal atom family drawn from ``trial_rng(seed, 0)``.
 
     That every maximal family resolves this one element, and that atoms pair
-    to 1 with it, is what ``verify_unity_resolution`` checks.
+    to 1 with it, is what ``transition.verify_unity_resolution`` checks.
     """
-    family = cone.random_maximal_family(trial_rng(seed, 0))
+    family = cone.random_frame_params(trial_rng(seed, 0))
     return cone.wrap(sum(cone.as_vec(e) for e in family))
-
-
-def verify_unity_resolution(cone: SelfDualCone, seed: int, trials: int,
-                            tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Every maximal orthogonal atom family resolves unity: the pairings of
-    the family against any further atom sum to 1."""
-    sum_defect = 0.0
-    family_defect = 0.0
-    reference = None
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        family = cone.random_maximal_family(rng)
-        total = sum(cone.as_vec(e) for e in family)
-        if reference is None:
-            reference = total
-        family_defect = max(family_defect, float(np.linalg.norm(total - reference)))
-        extra = cone.random_atom(rng)
-        sum_defect = max(sum_defect, abs(
-            sum(cone.inner(e, extra) for e in family) - 1.0))
-    return [
-        CheckResult("unity.family_pairings_sum_to_one", sum_defect, tol.check_tol),
-        CheckResult("unity.families_share_one_sum", family_defect, tol.check_tol),
-    ]
-
-
-def verify_certainty_order(cone: SelfDualCone, seed: int, trials: int,
-                           tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Unit pairing with an atom forces the atom below the effect.
-
-    Positive cases are constructed as atom plus padding on its orthogonal
-    complement family; the effect stays in [0, unit] by construction.
-    """
-    pairing_defect = 0.0
-    order_defect = 0.0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        e = cone.random_atom(rng)
-        a = cone.as_vec(e).copy()
-        for f in cone.complement_atoms(e, tol):
-            a = a + float(rng.uniform()) * cone.as_vec(f)
-        pairing_defect = max(pairing_defect, abs(cone.inner(e, a) - 1.0))
-        if not cone.contains(cone.wrap(a - cone.as_vec(e)), tol):
-            order_defect = max(order_defect, 1.0)
-    return [
-        CheckResult("certainty_ip.pairing_attains_one", pairing_defect, tol.check_tol),
-        CheckResult("certainty_ip.atom_below_effect", order_defect, 0.0),
-    ]
 
 
 def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
@@ -467,7 +434,7 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
             mismatches += 1
         # witness: one negative coefficient on a maximal family pairs
         # negatively with its own atom
-        family = cone.random_maximal_family(rng)
+        family = cone.random_frame_params(rng)
         coeffs = np.abs(rng.normal(size=len(family))) + 0.1
         neg = int(rng.integers(len(family)))
         coeffs[neg] = -0.1 - abs(rng.normal())
@@ -492,37 +459,3 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
         CheckResult("selfdual.dual_vectors_in_cone", dual_in_cone, 0.0),
     ]
 
-
-def verify_induced_axioms(cone: SelfDualCone, seed: int, trials: int,
-                          tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Chain check: a cone passing unity resolution and certainty order (see
-    ``verify_unity_resolution`` and ``verify_certainty_order``) also shows
-    atom-state uniqueness, certainty and a symmetric transition probability
-    through its pairing."""
-    unit = cone.as_vec(recover_order_unit(cone, seed))
-    atom_one = 0.0
-    mixed_max = 0.0
-    symmetry = 0.0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        e = cone.random_atom(rng)
-        atom_one = max(atom_one, abs(cone.inner(e, unit) - 1.0))
-        f = cone.random_atom(rng)
-        symmetry = max(symmetry, abs(cone.inner(e, f) - cone.inner(f, e)))
-        # bounded mixture of two non-parallel atoms, normalized against unit
-        g = None
-        for _ in range(200):
-            cand = cone.random_atom(rng)
-            if cone.inner(cand, e) <= 0.95:
-                g = cand
-                break
-        if g is None:
-            continue
-        lam = float(rng.uniform(0.2, 0.8))
-        sigma = lam * cone.as_vec(e) + (1.0 - lam) * cone.as_vec(g)
-        mixed_max = max(mixed_max, cone.inner(sigma, e))
-    return [
-        CheckResult("chain.atom_pairs_one_with_unit", atom_one, tol.check_tol),
-        CheckResult("chain.mixed_states_below_one", mixed_max, 1.0 - 1e-6),
-        CheckResult("chain.symmetric_pairing", symmetry, tol.check_tol),
-    ]

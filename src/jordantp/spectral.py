@@ -1,4 +1,4 @@
-"""Spectral decomposition, atoms, seeded sampling and the functional calculus."""
+"""Seeded sampling, the functional calculus and the polarized product."""
 
 from __future__ import annotations
 
@@ -8,24 +8,9 @@ import numpy as np
 
 from .backends.base import Model
 from .core import order_norm
-from .elements import DEFAULT_TOL, Element, SpectralForm, Tolerance
+from .elements import DEFAULT_TOL, Element, Tolerance
 
 SHAPES = ("any", "positive", "unit_interval", "logic")
-
-
-def spectral_decompose(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:
-    """Complete spectral form of ``a``, eigenvalues sorted descending.
-
-    Within an eigenvalue cluster (relative gap below ``tol.eig_cluster``) the
-    atoms are a deterministic orthogonal resolution of the eigenspace, so the
-    output is reproducible for identical input.
-    """
-    return model.spectral_form(a, tol)
-
-
-def atom_from_param(model: Model, param) -> Element:
-    """Minimal extreme point of the unit interval described by ``param``."""
-    return model.atom(param)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -61,10 +46,6 @@ def _random_element(model: Model, rng: np.random.Generator, shape: str = "any") 
     for w, param in zip(weights, frame):
         coords += w * model.atom_coords(param)
     return model.element(coords)
-
-
-def random_atom(model: Model, rng: np.random.Generator) -> Element:
-    return model.atom(model.random_atom_param(rng))
 
 
 def func_calculus(

@@ -32,8 +32,6 @@ from .selfdual import (
     peel_spectral,
     recover_order_unit,
     self_duality_report,
-    verify_certainty_order as sd_verify_certainty_order,
-    verify_unity_resolution,
 )
 from .spectral import _random_element, linearity_defect, jordan_product_polarized, func_calculus, trial_rng
 from .transition import (
@@ -43,6 +41,7 @@ from .transition import (
     verify_certainty_order,
     verify_pure_state_sampling,
     verify_strong_state_space,
+    verify_unity_resolution,
 )
 
 
@@ -222,8 +221,6 @@ def tp_suite(model: Model, seed: int, trials: int,
     biconditional = 0
     top_atom = 0.0
     top_atom_cone = 0.0
-    unity_rows = 0.0
-    unity_cols = 0.0
     for k in range(trials):
         rng = trial_rng(seed, k)
         p1 = model.random_atom_param(rng)
@@ -260,23 +257,17 @@ def tp_suite(model: Model, seed: int, trials: int,
                                      - order_norm(model, a, tol)))
         top_atom_cone = max(top_atom_cone, max(
             0.0, -model.eigenvalues(a - order_norm(model, a, tol) * top.atom, tol).min()))
-        # maximal families resolve unity against any further atom
-        extra = model.random_atom_param(rng)
-        unity_rows = max(unity_rows, abs(
-            sum(model.transition_from_params(extra, f) for f in frame) - 1.0))
-        unity_cols = max(unity_cols, abs(
-            sum(model.transition_from_params(f, extra) for f in frame) - 1.0))
     checks = [
         CheckResult("tp.diagonal_is_one", diag, tol.check_tol),
         CheckResult("tp.values_in_unit_range", value_range, tol.check_tol),
         CheckResult("tp.orthogonality_biconditional", float(biconditional), 0.0),
         CheckResult("tp.top_atom_attains_norm", top_atom, tol.check_tol),
         CheckResult("tp.top_atom_below_element", top_atom_cone, tol.cone_slack * 10.0),
-        CheckResult("tp.unity_resolution_rows", unity_rows, tol.check_tol),
-        CheckResult("tp.unity_resolution_columns", unity_cols, tol.check_tol),
         CheckResult("tp.symmetry", symmetry_defect(model, seed, trials), tol.check_tol,
                     note="fails by design on models with non-symmetric transition probability"),
     ]
+    checks += verify_unity_resolution(model, seed, trials, tol, names={
+        "rows": "tp.unity_resolution_rows", "columns": "tp.unity_resolution_columns"})
     checks += check_inner_product(model, seed, min(trials, 200), tol)
     return checks
 
@@ -291,8 +282,21 @@ def axioms_suite(model: Model, seed: int, trials: int,
     checks = verify_atom_state_uniqueness(model, seed, trials, tol)
     checks += verify_pure_state_sampling(model, seed, min(trials, 64), tol)
     checks += verify_certainty_order(model, seed, trials, tol)
+    checks.append(_uncertain_samples(model, seed, trials))
     checks += verify_strong_state_space(model, seed, trials, tol)
     return checks
+
+
+def _uncertain_samples(model: Model, seed: int, trials: int) -> CheckResult:
+    """Counts sampled effects an atom state is not certain of; no claim made."""
+    uncertain = 0
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        ep = model.random_atom_param(rng)
+        b = _random_element(model, rng, "unit_interval")
+        uncertain += model.state_value(ep, b.coords) < 1.0 - 1e-6
+    return CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
+                       note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +372,8 @@ def selfdual_suite(model: Model, seed: int, trials: int,
         CheckResult("orthogonal.parts_inherit_orthogonality", orth_parts, tol.check_tol),
     ]
     checks += verify_unity_resolution(cone, seed, sweep, tol)
-    checks += sd_verify_certainty_order(cone, seed, sweep, tol)
+    checks += verify_certainty_order(cone, seed, sweep, tol, names=(
+        "certainty_ip.pairing_attains_one", "certainty_ip.atom_below_effect"))
     checks += self_duality_report(cone, seed, min(trials, 200), tol)
     return checks
 

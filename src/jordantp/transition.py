@@ -4,6 +4,8 @@ product, and the sampling verifiers for the foundational properties.
 The value P_e(a) of the unique state attaining 1 at atom e is always computed
 backend-natively (trace pairing, spin pairing, point evaluation); uniqueness
 of that state is analytic per backend and is only sampled here, never proven.
+The axioms on atoms are verified once for models and self-dual cones alike
+(see "atom-space verifiers" below).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .backends.base import Model
 from .core import cone_contains, order_norm
 from .elements import DEFAULT_TOL, Element, Tolerance
-from .errors import NotAtomError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .logic import atomic_decomposition
 from .reports import CheckResult, skipped_check
 from .spectral import _random_element, trial_rng
@@ -34,7 +36,7 @@ def atom_param(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Convex combination sum_i w_i P_{e_i} of atom states, stored as the
     atom parameters and the weights."""
@@ -52,8 +54,7 @@ class State:
 
     def value(self, a: Element) -> float:
         self.model.check_element(a)
-        return float(sum(w * self.model.state_value(p, a.coords)
-                         for p, w in zip(self.params, self.weights)))
+        return _mixture_value(self.model, self.params, self.weights, a.coords)
 
     __call__ = value
 
@@ -93,7 +94,7 @@ def transition_prob(model: Model, e1: Element, e2: Element, tol: Tolerance = DEF
     return model.transition_from_params(p1, p2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TPMatrix:
     """Matrix of transition probabilities T[i][j] = P_{e_i}(e_j)."""
 
@@ -136,20 +137,6 @@ def tp_matrix(model: Model, atoms: Sequence[Element], tol: Tolerance = DEFAULT_T
         raise ValueError("need at least one atom")
     params = tuple(atom_param(model, e, tol) for e in atoms)
     return tp_matrix_from_params(model, params)
-
-
-def symmetry_defect(model: Model, seed: int, trials: int) -> float:
-    """Largest observed |P_{e1}(e2) - P_{e2}(e1)| over sampled atom pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    worst = 0.0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        p1 = model.random_atom_param(rng)
-        p2 = model.random_atom_param(rng)
-        worst = max(worst, abs(model.transition_from_params(p1, p2)
-                               - model.transition_from_params(p2, p1)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +233,55 @@ def check_inner_product(model: Model, seed: int, trials: int,
 
 
 # ---------------------------------------------------------------------------
-# state-level verifiers
+# atom-space verifiers
+#
+# Each axiom on atoms is verified once, for models and self-dual cones alike.
+# A verifier uses only what both supply: random_atom_param,
+# random_frame_params, atom_coords, atom_param_from_coords, state_value,
+# transition_from_params, info_capacity, complement_coords (the atoms that
+# complete an atom to a maximal family) and cone_defect.  Atoms enter as
+# coordinate vectors; on a cone an atom is its own parameter and its state is
+# the pairing.  A caller whose checks are pinned under other names passes them.
 # ---------------------------------------------------------------------------
 
 
-def _random_bounded_mixture(model: Model, rng: np.random.Generator, tp_cap: float = 0.95):
-    """Two-atom mixture whose components are boundedly non-parallel."""
-    p1 = model.random_atom_param(rng)
+def _mixture_value(space, params, weights, coords) -> float:
+    """Value at ``coords`` of the weighted sum of the atom states of ``params``."""
+    return float(sum(w * space.state_value(p, coords) for p, w in zip(params, weights)))
+
+
+def symmetry_defect(space, seed: int, trials: int) -> float:
+    """Largest observed |P_{e1}(e2) - P_{e2}(e1)| over sampled atom pairs."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    worst = 0.0
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        p1 = space.random_atom_param(rng)
+        p2 = space.random_atom_param(rng)
+        worst = max(worst, abs(space.transition_from_params(p1, p2)
+                               - space.transition_from_params(p2, p1)))
+    return worst
+
+
+def _random_bounded_mixture(space, rng: np.random.Generator, tp_cap: float = 0.95):
+    """Atom parameters and weights of a two-atom mixture whose atoms are
+    boundedly non-parallel."""
+    p1 = space.random_atom_param(rng)
     p2 = None
     for _ in range(500):
-        cand = model.random_atom_param(rng)
-        if (model.transition_from_params(p1, cand) <= tp_cap
-                and model.transition_from_params(cand, p1) <= tp_cap):
+        cand = space.random_atom_param(rng)
+        if (space.transition_from_params(p1, cand) <= tp_cap
+                and space.transition_from_params(cand, p1) <= tp_cap):
             p2 = cand
             break
     if p2 is None:
         raise RuntimeError("could not sample a boundedly mixed state")
     lam = float(rng.uniform(0.2, 0.8))
-    return State(model, (p1, p2), (lam, 1.0 - lam))
+    return (p1, p2), (lam, 1.0 - lam)
 
 
-def verify_atom_state_uniqueness(model: Model, seed: int, trials: int,
+def verify_atom_state_uniqueness(space, seed: int, trials: int,
                                  tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """Sampled evidence that P_e is the only state attaining 1 at atom e.
 
@@ -276,21 +291,20 @@ def verify_atom_state_uniqueness(model: Model, seed: int, trials: int,
     self_defect = 0.0
     mixed_max = 0.0
     half_defect = 0.0
-    can_mix = model.info_capacity >= 2
+    can_mix = space.info_capacity >= 2
     for k in range(trials):
         rng = trial_rng(seed, k)
-        ep = model.random_atom_param(rng)
-        e = model.atom(ep)
-        self_defect = max(self_defect, abs(model.state_value(ep, e.coords) - 1.0))
+        ep = space.random_atom_param(rng)
+        e = space.atom_coords(ep)
+        self_defect = max(self_defect, abs(space.state_value(ep, e) - 1.0))
         if not can_mix:
             continue
-        sigma = _random_bounded_mixture(model, rng)
-        mixed_max = max(mixed_max, sigma.value(e))
+        mixed_max = max(mixed_max, _mixture_value(space, *_random_bounded_mixture(space, rng), e))
         # half/half mixture with an orthogonal atom evaluates to one half
-        comp = atomic_decomposition(model, model.order_unit() - e, tol)
+        comp = space.complement_coords(e, tol)
         if comp:
-            half = State(model, (ep, atom_param(model, comp[0], tol)), (0.5, 0.5))
-            half_defect = max(half_defect, abs(half.value(e) - 0.5))
+            half = (ep, space.atom_param_from_coords(comp[0], tol))
+            half_defect = max(half_defect, abs(_mixture_value(space, half, (0.5, 0.5), e) - 0.5))
     checks = [CheckResult("states.atom_state_attains_one", self_defect, tol.check_tol)]
     if can_mix:
         checks.append(CheckResult(
@@ -301,6 +315,66 @@ def verify_atom_state_uniqueness(model: Model, seed: int, trials: int,
         checks += [skipped_check(name, "capacity-1 model has a single state")
                    for name in ("states.mixed_states_below_one", "states.half_mixture_value")]
     return checks
+
+
+UNITY_NAMES = {"columns": "unity.family_pairings_sum_to_one",
+               "shared_sum": "unity.families_share_one_sum"}
+
+
+def verify_unity_resolution(space, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
+                            names: dict = UNITY_NAMES) -> list[CheckResult]:
+    """Every maximal orthogonal atom family resolves unity.
+
+    For a sampled family f and a further atom x the measures are ``rows``,
+    |P_x(sum f) - 1|; ``columns``, |sum P_f(x) - 1|; and ``shared_sum``, the
+    distance of sum f from the first family's sum.  ``names`` maps each
+    measure the caller reports to its check name.
+    """
+    rows = columns = shared_sum = 0.0
+    reference = None
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        frame = space.random_frame_params(rng)
+        extra = space.random_atom_param(rng)
+        total = sum(space.atom_coords(f) for f in frame)
+        if reference is None:
+            reference = total
+        rows = max(rows, abs(space.state_value(extra, total) - 1.0))
+        columns = max(columns, abs(
+            sum(space.transition_from_params(f, extra) for f in frame) - 1.0))
+        shared_sum = max(shared_sum, float(np.linalg.norm(total - reference)))
+    measured = {"rows": rows, "columns": columns, "shared_sum": shared_sum}
+    return [CheckResult(name, measured[key], tol.check_tol) for key, name in names.items()]
+
+
+def verify_certainty_order(space, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
+                           names: tuple = ("certainty.state_attains_one",
+                                           "certainty.atom_below_effect")) -> list[CheckResult]:
+    """If a state is certain of an effect in [0, unit], its atom lies below it.
+
+    Positive cases are constructed as the atom plus convex junk on its
+    complement family, so the effect lies in [0, unit].  The checks are the
+    atom state's distance from 1 at the effect, and the distance of effect
+    minus atom from the cone.
+    """
+    value_defect = 0.0
+    order_defect = 0.0
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        ep = space.random_atom_param(rng)
+        e = space.atom_coords(ep)
+        a = e
+        for f in space.complement_coords(e, tol):
+            a = a + float(rng.uniform()) * f
+        value_defect = max(value_defect, abs(space.state_value(ep, a) - 1.0))
+        order_defect = max(order_defect, space.cone_defect(a - e, tol))
+    return [CheckResult(names[0], value_defect, tol.check_tol),
+            CheckResult(names[1], order_defect, tol.cone_slack)]
+
+
+# ---------------------------------------------------------------------------
+# model-only state verifiers
+# ---------------------------------------------------------------------------
 
 
 def verify_pure_state_sampling(model: Model, seed: int, trials: int,
@@ -322,7 +396,7 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int,
         return np.array([state.value(b) for b in basis])
 
     rng = trial_rng(seed, 0)
-    cloud = np.array([state_vec(_random_bounded_mixture(model, rng))
+    cloud = np.array([state_vec(State(model, *_random_bounded_mixture(model, rng)))
                       for _ in range(min(max(trials, 8), 64))])
     min_residual = np.inf
     for k in range(8):
@@ -338,37 +412,6 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int,
     return [CheckResult("states.pure_states_extremal",
                         max(0.0, 1e-3 - min_residual), 0.0,
                         note="sampled, not proven")]
-
-
-def verify_certainty_order(model: Model, seed: int, trials: int,
-                           tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """If a state is certain of an effect in [0, unit], its atom lies below it.
-
-    Positive cases are constructed as the atom plus convex junk on the
-    complement frame; samples with P_e(a) < 1 are counted without any claim.
-    """
-    value_defect = 0.0
-    cone_defect = 0.0
-    uncertain = 0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        ep = model.random_atom_param(rng)
-        e = model.atom(ep)
-        a = e
-        for f in atomic_decomposition(model, model.order_unit() - e, tol):
-            a = a + float(rng.uniform()) * f
-        value_defect = max(value_defect, abs(model.state_value(ep, a.coords) - 1.0))
-        eigs = model.eigenvalues(a - e, tol)
-        cone_defect = max(cone_defect, max(0.0, -float(eigs.min())))
-        b = _random_element(model, rng, "unit_interval")
-        if model.state_value(ep, b.coords) < 1.0 - 1e-6:
-            uncertain += 1
-    return [
-        CheckResult("certainty.state_attains_one", value_defect, tol.check_tol),
-        CheckResult("certainty.atom_below_effect", cone_defect, tol.cone_slack),
-        CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
-                    note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made"),
-    ]
 
 
 def verify_strong_state_space(model: Model, seed: int, trials: int,

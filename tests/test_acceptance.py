@@ -33,12 +33,12 @@ from jordantp import (
     smooth_ball_e_omega,
     symmetry_defect,
     transition_prob,
+    verify_certainty_order,
     verify_unity_resolution,
     PolytopeStateSpace,
     check_extreme_affinity,
 )
 from jordantp.cli import main as cli_main
-from jordantp.selfdual import verify_certainty_order as sd_certainty_order
 from jordantp.spectral import _random_element, trial_rng
 from conftest import random_projection
 
@@ -221,7 +221,7 @@ def test_criterion_07_selfdual_cone_suite():
         unit = recover_order_unit(cone, 7)
         worst = max(worst, order_norm(model, unit - model.order_unit()))
         for c in (verify_unity_resolution(cone, 7, 60, TOL)
-                  + sd_certainty_order(cone, 7, 60, TOL)
+                  + verify_certainty_order(cone, 7, 60, TOL)
                   + self_duality_report(cone, 7, 40, TOL)):
             assert c.passed, f"{kind}: {c.name} defect={c.defect}"
     _report(7, "self-dual cone suite", worst <= 1e-9,

@@ -7,9 +7,10 @@ backend or subclass silently falls through), on a comparison between an
 attribute and a string literal (a per-kind tag such as a representation
 name, which a backend method should replace), on a read of a private
 attribute of an object other than ``self`` or ``cls``, or on an
-``isinstance`` test against a self-dual cone flavour (each flavour supplies
-its formulas as methods of the cone interface).  The CLI is exempt from the
-string rule: it compares parsed option values, not tags of a model.
+``isinstance`` test against ``Model``, ``SelfDualCone`` or any subclass of
+either (each model and cone flavour supplies its formulas as methods, so
+that one verifier serves them all).  The CLI is exempt from the string rule:
+it compares parsed option values, not tags of a model.
 
 A second walk, over every module but ``elements.py`` (the backends
 included), keeps ``Element`` to its one checked constructor: it fails on
@@ -24,11 +25,21 @@ from pathlib import Path
 
 import jordantp
 from jordantp.backends import REGISTRY
+from jordantp.backends.base import Model
+from jordantp.selfdual import SelfDualCone
 
 PACKAGE = Path(jordantp.__file__).parent
 BACKEND_KINDS = frozenset(REGISTRY) | {"polytope_affine"}
-CONE_FLAVOURS = frozenset({"SpectralSelfDualCone", "GeneratorSelfDualCone"})
 STRING_COMPARE_EXEMPT = frozenset({"cli.py"})
+
+
+def _class_names(cls):
+    return {cls.__name__}.union(*(_class_names(sub) for sub in cls.__subclasses__()))
+
+
+# class name -> what an isinstance test against it switches on
+SPACE_CLASSES = {**dict.fromkeys(_class_names(Model), "model class"),
+                 **dict.fromkeys(_class_names(SelfDualCone), "cone flavour")}
 
 
 def _generic_modules():
@@ -66,8 +77,8 @@ def contract_violations(source: str, filename: str = "<source>") -> list[str]:
               and node.func.id == "isinstance" and len(node.args) == 2):
             for sub in ast.walk(node.args[1]):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name in CONE_FLAVOURS:
-                    hits.append((node.lineno, f"switches on cone flavour {name!r}"))
+                if name in SPACE_CLASSES:
+                    hits.append((node.lineno, f"switches on {SPACE_CLASSES[name]} {name!r}"))
     return [f"{filename}:{line}: {what}" for line, what in sorted(hits, key=lambda h: h[0])]
 
 
@@ -155,6 +166,25 @@ def test_guard_flags_cone_flavour_switches():
         "<source>:3: switches on cone flavour 'GeneratorSelfDualCone'",
         "<source>:4: switches on cone flavour 'SpectralSelfDualCone'",
         "<source>:4: switches on cone flavour 'GeneratorSelfDualCone'",
+        "<source>:6: switches on cone flavour 'SelfDualCone'",
+    ]
+
+
+def test_guard_flags_model_class_switches():
+    source = (
+        "def f(space, a):\n"
+        "    if isinstance(space, Model) and not isinstance(a, Element):\n"
+        "        return isinstance(space, (backends.SymMatrixModel, HermMatrixModel))\n"
+        "    if isinstance(space, PolytopeAffineModel | LpQubitModel):\n"
+        "        return ClassicalModel(3)\n"
+        "    return isinstance(space, dict)\n"
+    )
+    assert contract_violations(source) == [
+        "<source>:2: switches on model class 'Model'",
+        "<source>:3: switches on model class 'SymMatrixModel'",
+        "<source>:3: switches on model class 'HermMatrixModel'",
+        "<source>:4: switches on model class 'PolytopeAffineModel'",
+        "<source>:4: switches on model class 'LpQubitModel'",
     ]
 
 

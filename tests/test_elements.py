@@ -18,9 +18,12 @@ from jordantp import (
     Element,
     LpQubitModel,
     Tolerance,
+    get_model,
     is_logic_element,
     order_norm,
     random_element,
+    state_of_atom,
+    tp_matrix_from_params,
 )
 
 FINITE_MESSAGE = "^element coordinates must be finite$"
@@ -90,6 +93,19 @@ def test_order_unit_is_one_immutable_element(any_model):
     assert any_model.order_unit() is unit
     assert not unit.coords.flags.writeable
     assert unit.coords.tolist() == any_model.order_unit_coords().tolist()
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # comparing coordinates needs a tolerance, so == is identity; it used to
+    # raise "truth value of an array is ambiguous" on two or more coordinates
+    m = get_model("spin", 2)
+    a, b = m.element([1.0, 0.0, 0.0]), m.element([1.0, 0.0, 0.0])
+    state = state_of_atom(m, m.atom(np.array([1.0, 0.0])))
+    matrix = tp_matrix_from_params(m, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    for x, y in ((a, b), (state, dataclasses.replace(state)),
+                 (matrix, dataclasses.replace(matrix))):
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from jordantp import (
     order_norm,
     orthocomplement,
     random_element,
-    spectral_decompose,
 )
 from conftest import random_projection
 

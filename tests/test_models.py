@@ -5,14 +5,12 @@ from conftest import random_projection
 from jordantp import (
     NotAtomError,
     UnnormalizedParamError,
-    atom_from_param,
     func_calculus,
     get_model,
     jordan_product_polarized,
     linearity_defect,
     order_norm,
     random_element,
-    spectral_decompose,
     square,
     transition_prob,
 )
@@ -24,7 +22,7 @@ LPQ4_LINEARITY_BASELINE = 0.5048018407634511
 
 def test_decompose_classical_coordinates():
     m = get_model("classical", 2)
-    form = spectral_decompose(m, m.element([3.0, -1.0]))
+    form = m.spectral_form(m.element([3.0, -1.0]))
     np.testing.assert_array_equal(form.eigenvalues, [3.0, -1.0])
     np.testing.assert_array_equal(form.pairs[0].atom.coords, [1.0, 0.0])
     np.testing.assert_array_equal(form.pairs[1].atom.coords, [0.0, 1.0])
@@ -32,7 +30,7 @@ def test_decompose_classical_coordinates():
 
 def test_decompose_spin_closed_form():
     m = get_model("spin", 2)
-    form = spectral_decompose(m, m.element([1.0, 1.0, 0.0]))
+    form = m.spectral_form(m.element([1.0, 1.0, 0.0]))
     np.testing.assert_allclose(form.eigenvalues, [2.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(form.pairs[0].atom.coords, [0.5, 0.5, 0.0], atol=1e-14)
     np.testing.assert_allclose(form.pairs[1].atom.coords, [0.5, -0.5, 0.0], atol=1e-14)
@@ -40,7 +38,7 @@ def test_decompose_spin_closed_form():
 
 def test_decompose_sym_standard():
     m = get_model("sym", 2)
-    form = spectral_decompose(m, m.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    form = m.spectral_form(m.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     np.testing.assert_allclose(form.eigenvalues, [1.0, -1.0], atol=1e-14)
     np.testing.assert_allclose(m.to_matrix(form.pairs[0].atom), 0.5 * np.ones((2, 2)), atol=1e-12)
     np.testing.assert_allclose(m.to_matrix(form.pairs[1].atom),
@@ -49,8 +47,8 @@ def test_decompose_sym_standard():
 
 def test_decompose_is_deterministic(any_model):
     a = random_element(any_model, 9)
-    f1 = spectral_decompose(any_model, a)
-    f2 = spectral_decompose(any_model, a)
+    f1 = any_model.spectral_form(a)
+    f2 = any_model.spectral_form(a)
     for p1, p2 in zip(f1.pairs, f2.pairs):
         assert p1.eigenvalue == p2.eigenvalue
         np.testing.assert_array_equal(p1.atom.coords, p2.atom.coords)
@@ -60,7 +58,7 @@ def test_degenerate_frame_is_deterministic_and_valid():
     # multiplicity-2 eigenspace: frame must still resolve the unit exactly
     m = get_model("sym", 3)
     a = m.from_matrix(np.diag([2.0, 2.0, -1.0]))
-    form = spectral_decompose(m, a)
+    form = m.spectral_form(a)
     np.testing.assert_allclose(form.eigenvalues, [2.0, 2.0, -1.0], atol=1e-12)
     total = sum(p.atom.coords for p in form.pairs)
     np.testing.assert_allclose(total, m.order_unit().coords, atol=1e-12)
@@ -71,7 +69,7 @@ def test_reconstruction_and_frame_invariants(any_model, tol):
     unit = any_model.order_unit()
     for seed in range(50):
         a = random_element(any_model, seed)
-        form = spectral_decompose(any_model, a, tol)
+        form = any_model.spectral_form(a, tol)
         assert len(form.pairs) <= any_model.info_capacity
         assert order_norm(any_model, form.reconstruct() - a) <= 1e-9
         total = any_model.zero()
@@ -89,7 +87,7 @@ def test_reconstruction_and_frame_invariants(any_model, tol):
 
 def test_frame_atoms_pairwise_orthogonal(any_model, tol):
     for seed in range(10):
-        form = spectral_decompose(any_model, random_element(any_model, seed), tol)
+        form = any_model.spectral_form(random_element(any_model, seed), tol)
         params = [any_model.atom_param_from_coords(p.atom.coords, tol) for p in form.pairs]
         for i in range(len(params)):
             for j in range(len(params)):
@@ -99,14 +97,14 @@ def test_frame_atoms_pairwise_orthogonal(any_model, tol):
 
 def test_atom_from_param_herm_projection():
     m = get_model("herm", 2)
-    atom = atom_from_param(m, np.array([1.0, 0.0]))
+    atom = m.atom(np.array([1.0, 0.0]))
     np.testing.assert_allclose(m.to_matrix(atom), np.diag([1.0, 0.0]).astype(complex))
 
 
 def test_atom_from_param_lpq_euclidean_identity():
     # p = 2: the ball duality map is the identity
     m = get_model("lpq", 2, 2.0)
-    atom = atom_from_param(m, np.array([1.0, 0.0]))
+    atom = m.atom(np.array([1.0, 0.0]))
     np.testing.assert_allclose(atom.coords, [0.5, 0.5, 0.0], atol=1e-14)
 
 
@@ -114,7 +112,7 @@ def test_atom_from_param_lpq_p3_supporting_functional():
     # omega = 2^(-1/3) (1,1): f_i = |omega_i|^(p-1) = 2^(-2/3), already dual-norm one
     m = get_model("lpq", 2, 3.0)
     omega = 2.0 ** (-1.0 / 3.0) * np.ones(2)
-    atom = atom_from_param(m, omega)
+    atom = m.atom(omega)
     f = 2.0 * atom.coords[1:]
     np.testing.assert_allclose(f, 2.0 ** (-2.0 / 3.0) * np.ones(2), atol=1e-12)
     assert np.dot(f, omega) == pytest.approx(1.0, abs=1e-12)
@@ -130,11 +128,11 @@ def test_atom_eigenvalues_are_one_and_zero(any_model):
 
 def test_atom_param_rejects_unnormalized():
     with pytest.raises(UnnormalizedParamError):
-        atom_from_param(get_model("sym", 3), np.array([1.0, 1.0, 0.0]))
+        get_model("sym", 3).atom(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(UnnormalizedParamError):
-        atom_from_param(get_model("lpq", 2, 3.0), np.array([1.0, 1.0]))
+        get_model("lpq", 2, 3.0).atom(np.array([1.0, 1.0]))
     with pytest.raises(UnnormalizedParamError):
-        atom_from_param(get_model("spin", 2), np.array([0.5, 0.0]))
+        get_model("spin", 2).atom(np.array([0.5, 0.0]))
 
 
 def test_non_atom_rejected(any_model):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jordantp import cone_contains, get_model, order_norm, spectral_decompose
+from jordantp import cone_contains, get_model, order_norm
 
 finite_coords = dict(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -38,7 +38,7 @@ def test_spin_triangle_inequality(x, y):
 def test_spin_reconstruction(coords):
     m = get_model("spin", 2)
     a = m.element(coords)
-    form = spectral_decompose(m, a)
+    form = m.spectral_form(a)
     scale = max(1.0, order_norm(m, a))
     assert order_norm(m, form.reconstruct() - a) <= 1e-12 * scale
     assert len(form.pairs) == 2

@@ -16,10 +16,11 @@ from jordantp import (
     random_element,
     recover_order_unit,
     self_duality_report,
-    verify_induced_axioms,
+    symmetry_defect,
+    verify_atom_state_uniqueness,
+    verify_certainty_order,
     verify_unity_resolution,
 )
-from jordantp.selfdual import verify_certainty_order as sd_certainty_order
 
 
 def _assert_all_pass(checks):
@@ -34,9 +35,9 @@ def cone(request):
     return SpectralSelfDualCone(model)
 
 
-def square_cone():
+def square_cone(scale=1.0):
     # cone over a square: contained in its dual but not equal to it
-    gens = 0.5 * np.array([
+    gens = 0.5 * scale * np.array([
         [1.0, 1.0, np.sqrt(2.0)],
         [1.0, -1.0, np.sqrt(2.0)],
         [-1.0, 1.0, np.sqrt(2.0)],
@@ -50,9 +51,9 @@ SELF_DUALITY_CHECKS = {f"selfdual.{name}" for name in (
     "cone_pairings_nonnegative", "dual_vectors_in_cone")}
 
 
-def rotated_orthant(n=4, seed=0):
+def rotated_orthant(n=4, seed=0, scale=1.0):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
-    return GeneratorSelfDualCone(q.T)
+    return GeneratorSelfDualCone(scale * q.T)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_extreme_generator_detection():
 
 def test_peel_atom_is_single(cone):
     rng = np.random.default_rng(3)
-    e = cone.random_atom(rng)
+    e = cone.random_atom_param(rng)
     peeled = peel_positive(cone, e)
     assert len(peeled) == 1
     assert peeled[0].coefficient == pytest.approx(1.0, abs=1e-9)
@@ -299,7 +300,7 @@ def test_recover_order_unit_rotated_frames_sym3():
 
 def test_unity_resolution_and_certainty(cone, tol):
     _assert_all_pass(verify_unity_resolution(cone, 13, 40, tol))
-    _assert_all_pass(sd_certainty_order(cone, 14, 40, tol))
+    _assert_all_pass(verify_certainty_order(cone, 14, 40, tol))
 
 
 def test_self_duality_report_spectral(cone, tol):
@@ -307,19 +308,46 @@ def test_self_duality_report_spectral(cone, tol):
 
 
 def test_induced_axioms_chain_spectral(cone, tol):
-    checks = verify_induced_axioms(cone, 16, 30, tol)
-    assert all(c.name.startswith("chain.") for c in checks)
-    _assert_all_pass(checks)
+    # through its pairing the cone has unique atom states and a symmetric
+    # transition probability
+    _assert_all_pass(verify_atom_state_uniqueness(cone, 16, 30, tol))
+    assert symmetry_defect(cone, 16, 30) <= tol.check_tol
 
 
 def test_generator_cone_chain_rotated_orthant(tol):
     gcone = rotated_orthant()
     _assert_all_pass(verify_unity_resolution(gcone, 1, 30, tol))
-    _assert_all_pass(sd_certainty_order(gcone, 2, 30, tol))
+    _assert_all_pass(verify_certainty_order(gcone, 2, 30, tol))
     report = self_duality_report(gcone, 3, 30, tol)
     assert {c.name for c in report} == SELF_DUALITY_CHECKS
     _assert_all_pass(report)
-    _assert_all_pass(verify_induced_axioms(gcone, 4, 30, tol))
+    _assert_all_pass(verify_atom_state_uniqueness(gcone, 4, 30, tol))
+    assert symmetry_defect(gcone, 4, 30) <= tol.check_tol
+
+
+# report every measure of unity resolution
+ALL_UNITY_MEASURES = {key: f"unity.{key}" for key in ("rows", "columns", "shared_sum")}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_verifiers_pass_on_model_and_its_cone(symmetric_model, seed, tol):
+    # one verifier per axiom: the model and its spectral cone both satisfy it
+    for space in (symmetric_model, SpectralSelfDualCone(symmetric_model)):
+        _assert_all_pass(verify_atom_state_uniqueness(space, seed, 30, tol))
+        _assert_all_pass(verify_unity_resolution(space, seed, 30, tol, ALL_UNITY_MEASURES))
+        _assert_all_pass(verify_certainty_order(space, seed, 30, tol))
+        assert symmetry_defect(space, seed, 30) <= tol.check_tol
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e12])
+def test_generator_cone_verdicts_are_scale_invariant(scale, tol):
+    # scaling the generators leaves the cone, hence every verdict, unchanged
+    def verdicts(cone, seed):
+        return {c.name: c.passed for c in self_duality_report(cone, seed, 30, tol)}
+
+    for seed in range(3):
+        assert all(verdicts(rotated_orthant(scale=scale), seed).values())
+        assert verdicts(square_cone(scale), seed) == verdicts(square_cone(), seed)
 
 
 def test_square_cone_not_self_dual(tol):
