@@ -4,13 +4,16 @@ affinity property of extreme points.
 For each extreme point omega of a polytope, e_omega(zeta) is the infimum of
 a(zeta) over affine functions a with 0 <= a <= 1 on the polytope and
 a(omega) = 1.  Bounding affine functions by their vertex values is exact on a
-polytope, so the infimum reduces to a small LP with d + 1 unknowns; all the
-query points of one omega are solved together as one block-diagonal LP.
+polytope, and a(omega) = 1 fixes the constant, so the infimum reduces to a
+small LP over the d linear coefficients; all the query points of one omega
+are solved together as one block-diagonal LP.
 
 The polytope passes the affinity property iff every e_omega is affine on the
-hull and attains 1 only at omega.  Smooth bodies (the l^p balls) are handled
-analytically through the generalized qubit backend instead: polygonal
-approximation would change the verdict.
+hull and attains 1 only at omega.  The property is affine invariant, so every
+LP runs on a normalised copy of the vertices: centred on their mean and
+divided by their largest absolute centred entry.  Smooth bodies (the l^p
+balls) are handled analytically through the generalized qubit backend
+instead: polygonal approximation would change the verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ from .backends.lpqubit import LpQubitModel
 from .elements import DEFAULT_TOL, Tolerance
 from .errors import InfeasiblePointError, LinearProgramError, UnnormalizedParamError
 
+# A point whose L1 distance from a convex hull is at most this, in normalised
+# units (the largest absolute centred vertex entry is 1), counts as inside
+# it.  HiGHS accepts bound violations up to its primal feasibility tolerance
+# of 1e-7, so a distance below a few times that can read as 0; the cutoff
+# sits above that band.
+HULL_CUTOFF = 1e-6
+
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use: loading scipy.optimize
@@ -31,6 +41,47 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
+
+
+def _block_diagonal(blocks: np.ndarray):
+    """CSR matrix with the K dense blocks of ``blocks`` (shape (K, h, w)) on
+    its diagonal."""
+    from scipy import sparse
+
+    k, h, w = blocks.shape
+    b, r, c = np.nonzero(blocks)
+    return sparse.csr_array((blocks[b, r, c], (b * h + r, b * w + c)), shape=(k * h, k * w))
+
+
+def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
+    """L1 distance from each ``points[b]`` (shape (B, d)) to the convex hull
+    of the rows of ``hulls[b]`` (shape (B, m, d)), all from one LP.
+
+    Block b has weights lam >= 0 with sum 1 and slacks u+, u- >= 0 tied by
+    hulls[b].T lam + u+ - u- = points[b], and minimises sum(u+ + u-).  Every
+    block is feasible and bounded below by 0, so the stacked optimum is
+    optimal in every block.
+    """
+    k, m, d = hulls.shape
+    blocks = np.zeros((k, d + 1, m + 2 * d))
+    blocks[:, :d, :m] = hulls.transpose(0, 2, 1)
+    blocks[:, :d, m:m + d] = np.eye(d)
+    blocks[:, :d, m + d:] = -np.eye(d)
+    blocks[:, d, :m] = 1.0
+    cost = np.concatenate([np.zeros(m), np.ones(2 * d)])
+    res = linprog(np.tile(cost, k), A_eq=_block_diagonal(blocks),
+                  b_eq=np.hstack([points, np.ones((k, 1))]).ravel(), bounds=(0, None),
+                  method="highs")
+    if res.status != 0:
+        raise LinearProgramError(f"hull LP failed with status {res.status}: {res.message}")
+    return res.x.reshape(k, m + 2 * d)[:, m:].sum(axis=1)
+
+
+def _vertex_hull_distances(verts: np.ndarray) -> np.ndarray:
+    """L1 distance of each vertex from the hull of the others, from one LP."""
+    n, d = verts.shape
+    others = np.broadcast_to(verts, (n, n, d))[~np.eye(n, dtype=bool)].reshape(n, n - 1, d)
+    return _hull_distances(verts, others)
 
 
 @dataclass(frozen=True)
@@ -63,7 +114,11 @@ class EOmegaReport:
 
 
 class PolytopeStateSpace:
-    """Compact convex set given by its vertex list (one point per row)."""
+    """Compact convex set given by its vertex list (one point per row).
+
+    ``vertices`` is the input as given; ``normalised`` is its image under
+    ``normalise``, the affine map on which every LP runs.
+    """
 
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -71,34 +126,33 @@ class PolytopeStateSpace:
             raise ValueError("a polytope needs at least two vertices")
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertices must be finite")
-        scale = max(float(np.max(np.abs(verts))), 1.0)
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if np.linalg.norm(verts[i] - verts[j]) <= 1e-12 * scale:
-                    raise ValueError(f"vertices {i} and {j} coincide")
         self.vertices = verts
         self.dim = verts.shape[1]
-        for i in range(len(verts)):
-            if self._in_hull(verts[i], exclude=i):
-                raise ValueError(f"vertex {i} is not extreme (inside the hull of the others)")
+        self._center = verts.mean(axis=0)
+        centred = verts - self._center
+        self._scale = float(np.max(np.abs(centred)))
+        if self._scale == 0.0:
+            raise ValueError("vertices 0 and 1 coincide")
+        self.normalised = centred / self._scale
+        gaps = np.abs(self.normalised[:, None, :] - self.normalised[None, :, :]).sum(axis=2)
+        close = np.argwhere(np.triu(gaps <= HULL_CUTOFF, 1))
+        if len(close):
+            raise ValueError(f"vertices {close[0][0]} and {close[0][1]} coincide")
+        inside = np.flatnonzero(_vertex_hull_distances(self.normalised) <= HULL_CUTOFF)
+        if len(inside):
+            raise ValueError(f"vertex {inside[0]} is not extreme (inside the hull of the others)")
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def _in_hull(self, zeta: np.ndarray, exclude: int | None = None) -> bool:
-        verts = self.vertices
-        if exclude is not None:
-            verts = np.delete(verts, exclude, axis=0)
-        k = len(verts)
-        a_eq = np.vstack([verts.T, np.ones(k)])
-        b_eq = np.concatenate([np.asarray(zeta, dtype=float), [1.0]])
-        res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * k,
-                      method="highs")
-        return bool(res.status == 0)
+    def normalise(self, points) -> np.ndarray:
+        """Points in the normalised coordinates of the LPs."""
+        return (np.asarray(points, dtype=float) - self._center) / self._scale
 
     def contains(self, zeta) -> bool:
-        return self._in_hull(np.asarray(zeta, dtype=float))
+        distance = _hull_distances(self.normalise(zeta)[None, :], self.normalised[None])[0]
+        return bool(distance <= HULL_CUTOFF)
 
 
 def polytope_from_csv(path) -> PolytopeStateSpace:
@@ -111,35 +165,38 @@ def polytope_from_csv(path) -> PolytopeStateSpace:
 # ---------------------------------------------------------------------------
 
 
-def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zetas: np.ndarray) -> np.ndarray:
-    """Values of e_omega at each row of ``zetas`` (shape (K, d)), from one LP.
+def _e_omega_normalised_lp(poly: PolytopeStateSpace, omega_index: int,
+                           zetas: np.ndarray) -> np.ndarray:
+    """Values of e_omega at each row of ``zetas`` (shape (K, d), normalised
+    coordinates), from one LP.
 
-    Per point: minimize c + f . zeta  s.t.  0 <= c + f . v <= 1 on vertices
-    and c + f . omega = 1.  The feasible region does not depend on zeta, so
-    the K problems are stacked block-diagonally with one variable block
-    (c_k, f_k) per point; the blocks share no variable, so the stacked
-    optimum is optimal in every block.
+    a(omega) = 1 fixes a = 1 + f . (x - omega), so per point: minimize
+    f . (zeta - omega)  s.t.  -1 <= f . (v - omega) <= 0 on the other
+    vertices, and e_omega(zeta) = 1 + the minimum (exactly 1 at omega).  The
+    feasible region does not depend on zeta, so the K problems are stacked
+    block-diagonally with one variable block f_k per point; the blocks share
+    no variable, so the stacked optimum is optimal in every block.
     """
-    from scipy import sparse
-
-    verts = poly.vertices
-    d = poly.dim
-    k = len(zetas)
-    ones = np.ones((len(verts), 1))
-    rows = np.vstack([np.hstack([-ones, -verts]), np.hstack([ones, verts])])
-    rhs = np.concatenate([np.zeros(len(verts)), np.ones(len(verts))])
-    blocks = sparse.identity(k, format="csr")
-    a_ub = sparse.kron(blocks, rows, format="csr")
-    b_ub = np.tile(rhs, k)
-    a_eq = sparse.kron(blocks, np.concatenate([[1.0], verts[omega_index]])[None, :],
-                       format="csr")
-    objectives = np.hstack([np.ones((k, 1)), zetas])
-    res = linprog(objectives.ravel(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(k),
-                  bounds=(None, None), method="highs")
+    verts = poly.normalised
+    omega = verts[omega_index]
+    edges = np.delete(verts, omega_index, axis=0) - omega
+    k, d = zetas.shape
+    rows = np.vstack([edges, -edges])
+    rhs = np.concatenate([np.zeros(len(edges)), np.ones(len(edges))])
+    a_ub = _block_diagonal(np.broadcast_to(rows, (k, *rows.shape)))
+    objectives = zetas - omega
+    res = linprog(objectives.ravel(), A_ub=a_ub, b_ub=np.tile(rhs, k), bounds=(None, None),
+                  method="highs")
     if res.status != 0:
         raise LinearProgramError(
             f"LP for extreme point {omega_index} failed with status {res.status}: {res.message}")
-    return np.einsum("ij,ij->i", objectives, res.x.reshape(k, d + 1))
+    return 1.0 + np.einsum("ij,ij->i", objectives, res.x.reshape(k, d))
+
+
+def _e_omega_lp(poly: PolytopeStateSpace, omega_index: int, zetas: np.ndarray) -> np.ndarray:
+    """Values of e_omega at each row of ``zetas`` (shape (K, d), the
+    polytope's own coordinates), from one LP."""
+    return _e_omega_normalised_lp(poly, omega_index, poly.normalise(zetas))
 
 
 def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta) -> float:
@@ -166,34 +223,28 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
     """
     if midpoint_samples < 0:
         raise ValueError("midpoint_samples must be nonnegative")
-    verts = poly.vertices
+    verts = poly.normalised
     n = poly.n_vertices
     rng = np.random.default_rng(seed)
-    combos: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam = np.zeros(n)
-            lam[i] = lam[j] = 0.5
-            combos.append(lam)
-    for _ in range(midpoint_samples):
-        combos.append(rng.dirichlet(np.ones(n)))
+    first, second = np.triu_indices(n, 1)
+    midpoints = 0.5 * (np.eye(n)[first] + np.eye(n)[second])
+    # one row of convex weights per probe
+    combos = np.vstack([midpoints, rng.dirichlet(np.ones(n), size=midpoint_samples)])
     # one LP per extreme point: the vertices first, then every probe
-    points = np.vstack([verts] + [verts.T @ lam for lam in combos])
+    points = np.vstack([verts, combos @ verts])
 
     reports = []
     for w in range(n):
-        values = _e_omega_lp(poly, w, points)
+        values = _e_omega_normalised_lp(poly, w, points)
         vertex_values = values[:n]
-        defect = 0.0
-        for lam, value in zip(combos, values[n:]):
-            defect = max(defect, abs(float(value) - float(np.dot(lam, vertex_values))))
+        defect = float(np.max(np.abs(values[n:] - combos @ vertex_values)))
         off = np.delete(vertex_values, w)
         max_off = float(off.max()) if len(off) else 0.0
         passes = bool(defect <= tol.check_tol and max_off <= 1.0 - 1e-6)
         reports.append(EOmegaReport(
             omega_index=w,
             values_at_vertices=tuple(float(v) for v in vertex_values),
-            affinity_defect=float(defect),
+            affinity_defect=defect,
             max_off_value=max_off,
             passes=passes,
         ))
@@ -205,7 +256,7 @@ def vertex_tp_matrix(poly: PolytopeStateSpace) -> np.ndarray:
     n = poly.n_vertices
     mat = np.empty((n, n))
     for j in range(n):
-        mat[:, j] = _e_omega_lp(poly, j, poly.vertices)
+        mat[:, j] = _e_omega_normalised_lp(poly, j, poly.normalised)
     return mat
 
 
@@ -261,7 +312,7 @@ def induced_affine_model(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
     if not all(r.passes for r in reports):
         failing = [r.omega_index for r in reports if not r.passes]
         raise ValueError(f"polytope fails the affinity property at extreme points {failing}")
-    diffs = poly.vertices[1:] - poly.vertices[0]
+    diffs = poly.normalised[1:] - poly.normalised[0]
     if np.linalg.matrix_rank(diffs, tol=1e-9) != poly.n_vertices - 1:
         raise ValueError("vertex-value representation needs affinely independent vertices")
     return PolytopeAffineModel(poly)

@@ -299,3 +299,122 @@ def test_lp_failure_raises_after_one_attempt(monkeypatch):
     with pytest.raises(LinearProgramError, match="LP for extreme point 2 failed with status 4"):
         _e_omega_lp(poly, 2, PENTAGON)
     assert calls == [("highs", (None, None))]
+
+
+def in_hull_by_feasibility(verts, zeta, exclude=None):
+    """Reference: the per-point feasibility LP, one fresh solve per point."""
+    from scipy.optimize import linprog
+
+    if exclude is not None:
+        verts = np.delete(verts, exclude, axis=0)
+    k = len(verts)
+    res = linprog(np.zeros(k), A_eq=np.vstack([verts.T, np.ones(k)]),
+                  b_eq=np.concatenate([zeta, [1.0]]), bounds=[(0, None)] * k, method="highs")
+    return bool(res.status == 0)
+
+
+def _normalised(verts):
+    centred = verts - verts.mean(axis=0)
+    return centred / np.max(np.abs(centred))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_hull_lp_matches_feasibility_oracle(seed):
+    # Gaussian clouds: most points are inside the hull of the others
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 3
+    cloud = rng.normal(size=(8 + 2 * seed, dim)) * rng.uniform(0.1, 10.0) + rng.normal(size=dim)
+    want = [not in_hull_by_feasibility(cloud, cloud[i], exclude=i) for i in range(len(cloud))]
+    assert 0 < sum(want) < len(cloud)
+    got = convexgeom._vertex_hull_distances(_normalised(cloud)) > convexgeom.HULL_CUTOFF
+    assert got.tolist() == want
+    with pytest.raises(ValueError, match=f"vertex {want.index(False)} is not extreme"):
+        PolytopeStateSpace(cloud)
+    extreme = cloud[np.array(want)]
+    assert PolytopeStateSpace(extreme).n_vertices == len(extreme)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shift", [1e-6, 1e8])
+def test_hull_cutoff_near_the_boundary(dim, shift):
+    # the cube [-1, 1]^d plus the points +-(1 + delta) e_1: each lies at L1
+    # distance delta from the hull of the others; the shape is symmetric, so
+    # the normalisation divides by 1 + delta and the distance stays delta
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
+    cutoff = convexgeom.HULL_CUTOFF
+
+    def with_caps(delta):
+        cap = np.zeros(dim)
+        cap[0] = 1.0 + delta
+        return shift + np.vstack([cube, cap, -cap])
+
+    assert PolytopeStateSpace(with_caps(10.0 * cutoff)).n_vertices == 2 ** dim + 2
+    for delta in (0.1 * cutoff, 0.0, -0.1 * cutoff):
+        with pytest.raises(ValueError, match=f"vertex {2 ** dim} is not extreme"):
+            PolytopeStateSpace(with_caps(delta))
+
+
+def test_contains_near_the_boundary():
+    # the square's centred entries are at most 1/2: normalised distance 2a
+    poly = PolytopeStateSpace(SQUARE)
+    cutoff = convexgeom.HULL_CUTOFF
+    assert not poly.contains([1.0 + 5.0 * cutoff, 0.5])
+    assert poly.contains([1.0 + 0.05 * cutoff, 0.5])
+    assert poly.contains([0.5, 0.5]) and poly.contains(SQUARE[2])
+    assert not poly.contains([-0.5, 0.5])
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-10, 1.0, 1e13])
+def test_coincidence_is_scale_free(scale):
+    assert PolytopeStateSpace(TRIANGLE * scale).n_vertices == 3
+    with pytest.raises(ValueError, match="vertices 1 and 3 coincide"):
+        PolytopeStateSpace(np.vstack([TRIANGLE, TRIANGLE[1]]) * scale)
+    with pytest.raises(ValueError, match="vertices 0 and 1 coincide"):
+        PolytopeStateSpace(np.full((3, 2), scale))
+
+
+@pytest.mark.parametrize("shape", ["triangle", "square", "cube"])
+def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
+    vertices = POLYTOPE_SHAPES[shape][0]
+    calls = _counting_linprog(monkeypatch)
+    poly = PolytopeStateSpace(vertices)
+    assert calls == [("highs", (0, None))]
+    calls.clear()
+    assert poly.contains(vertices.mean(axis=0))
+    assert calls == [("highs", (0, None))]
+    calls.clear()
+    e_omega_value(poly, 0, vertices.mean(axis=0))
+    assert calls == [("highs", (0, None)), ("highs", (None, None))]
+
+
+def affinity_defects_by_loop(poly, midpoint_samples, seed):
+    """Reference: the probe defect of each omega, one np.dot per probe."""
+    verts = poly.normalised
+    n = poly.n_vertices
+    rng = np.random.default_rng(seed)
+    combos = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lam = np.zeros(n)
+            lam[i] = lam[j] = 0.5
+            combos.append(lam)
+    for _ in range(midpoint_samples):
+        combos.append(rng.dirichlet(np.ones(n)))
+    points = np.vstack([verts] + [verts.T @ lam for lam in combos])
+    defects = []
+    for w in range(n):
+        values = convexgeom._e_omega_normalised_lp(poly, w, points)
+        defect = 0.0
+        for lam, value in zip(combos, values[n:]):
+            defect = max(defect, abs(float(value) - float(np.dot(lam, values[:n]))))
+        defects.append(defect)
+    return defects
+
+
+@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+def test_vectorised_defect_matches_loop(shape):
+    # the probes are summed in another order, so values agree to rounding
+    poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
+    reports = check_extreme_affinity(poly, midpoint_samples=12, seed=5)
+    np.testing.assert_allclose([r.affinity_defect for r in reports],
+                               affinity_defects_by_loop(poly, 12, 5), rtol=0, atol=1e-13)

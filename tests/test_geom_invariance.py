@@ -1,0 +1,69 @@
+"""Invariance gate for ``geom``: the extreme-point affinity property is
+affine invariant, so moving, scaling, stretching or embedding a polytope must
+not change its verdict.
+
+The expected verdicts come from theory, as in the verdict gate: a simplex
+passes (exit 0) and every other shape fails (exit 1).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import POLYTOPE_SHAPES
+from jordantp.cli import main
+
+
+def _shifted(vertices, s):
+    return vertices + s
+
+
+def _scaled(vertices, s):
+    return vertices * s
+
+
+def _anisotropic(vertices, seed):
+    # rotate, stretch each axis by 1e-2 to 1e2, rotate, move far away
+    rng = np.random.default_rng(seed)
+    d = vertices.shape[1]
+    left, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    right, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    linear = left @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, d)) @ right
+    return vertices @ linear.T + rng.normal(size=d) * 10.0 ** rng.uniform(0.0, 6.0)
+
+
+def _embedded(vertices, seed):
+    # a random affine map into R^3: the polytope spans a tilted plane
+    rng = np.random.default_rng(seed)
+    return vertices @ rng.normal(size=(3, vertices.shape[1])).T + rng.normal(size=3)
+
+
+MAPS = ([(_shifted, s) for s in (1e3, 1e6, 1e7, 1e8, 1e10)]
+        + [(_scaled, s) for s in (1e-10, 1e-6, 1e6)]
+        + [(_anisotropic, seed) for seed in range(3)])
+PLANAR = ["triangle", "square"]
+
+
+def _check(capsys, tmp_path, shape, transform, arg):
+    vertices, simplex = POLYTOPE_SHAPES[shape]
+    path = tmp_path / "shape.csv"
+    np.savetxt(path, transform(vertices, arg), delimiter=",", fmt="%.17g")
+    code = main(["geom", str(path), "--midpoint-samples", "16", "--seed", "0"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == (0 if simplex else 1)
+    assert [r["omega_index"] for r in reports] == list(range(len(vertices)))
+    assert all(r["passes"] for r in reports) == simplex
+
+
+@pytest.mark.parametrize("transform,arg", MAPS,
+                         ids=[f"{t.__name__.strip('_')}-{a:g}" for t, a in MAPS])
+@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+def test_geom_verdict_survives_affine_maps(capsys, tmp_path, shape, transform, arg):
+    _check(capsys, tmp_path, shape, transform, arg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", PLANAR)
+def test_geom_verdict_survives_embedding_in_r3(capsys, tmp_path, shape, seed):
+    _check(capsys, tmp_path, shape, _embedded, seed)
