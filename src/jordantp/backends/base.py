@@ -144,13 +144,17 @@ class Model(ABC):
         """
         return np.array([s for s, _ in self.decompose_coords(coords, tol)])
 
-    def eigenvalues(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return self.eigenvalues_coords(a.coords, tol)
+    def eigenvalues(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """Eigenvalues of an element or of a coordinate vector, descending."""
+        coords = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
+        return self.eigenvalues_coords(coords, tol)
 
-    def cone_defect(self, coords: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
-        """How far ``coords`` lies outside the positive cone: minus its least
-        eigenvalue, 0 inside the cone."""
-        return max(0.0, -float(self.eigenvalues(self.element(coords), tol).min()))
+    def cone_defect(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+        """How far ``a`` (an element or coordinates) lies outside the positive
+        cone: minus its least eigenvalue, 0 inside the cone.  The one
+        cone-distance formula; a NaN spectrum is infinitely far."""
+        least = float(self.eigenvalues(a, tol).min())
+        return math.inf if math.isnan(least) else max(0.0, -least)
 
     @abstractmethod
     def cone_oracle(self, coords: np.ndarray, slack: float) -> bool:
@@ -178,7 +182,7 @@ class Model(ABC):
         return self.element(self.atom_coords(param))
 
     @abstractmethod
-    def atom_param_from_coords(self, coords: np.ndarray, tol: Tolerance):
+    def atom_param_from_coords(self, coords: np.ndarray):
         """Recover the defining parameter of an atom given its coordinates."""
 
     @abstractmethod

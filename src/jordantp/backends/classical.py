@@ -78,7 +78,7 @@ class ClassicalModel(Model):
         atom[self._index(param)] = 1.0
         return atom
 
-    def atom_param_from_coords(self, coords, tol: Tolerance):
+    def atom_param_from_coords(self, coords):
         idx = int(np.argmax(coords))
         atom = np.zeros(self._n)
         atom[idx] = 1.0

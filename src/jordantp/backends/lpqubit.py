@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from ..elements import Tolerance
 from ..errors import NotAtomError, UnnormalizedParamError
 from .qubit import _QubitModel, half_atom
 
@@ -108,7 +107,7 @@ class LpQubitModel(_QubitModel):
         omega = self._check_boundary(param)
         return half_atom(self.supporting_functional(omega))
 
-    def atom_param_from_coords(self, coords, tol: Tolerance):
+    def atom_param_from_coords(self, coords):
         c = float(coords[0])
         f = 2.0 * np.asarray(coords[1:], dtype=float)
         if abs(c - 0.5) > 1e-7 or abs(self.pnorm(f, self._q) - 1.0) > 1e-7:

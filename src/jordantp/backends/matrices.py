@@ -157,7 +157,7 @@ class _MatrixModel(Model):
         vec = self._unit_vector(param)
         return self.matrix_coords(np.outer(vec, vec.conj()))
 
-    def atom_param_from_coords(self, coords, tol: Tolerance):
+    def atom_param_from_coords(self, coords):
         mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
         eigvals, eigvecs = np.linalg.eigh(mat)
         rest = float(np.max(np.abs(eigvals[:-1]))) if len(eigvals) > 1 else 0.0

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from ..elements import Tolerance
 from ..errors import NotAtomError, UnnormalizedParamError
 from .qubit import _QubitModel, half_atom
 
@@ -44,7 +43,7 @@ class SpinFactorModel(_QubitModel):
             raise UnnormalizedParamError("spin atom direction must be a unit vector")
         return half_atom(u)
 
-    def atom_param_from_coords(self, coords, tol: Tolerance):
+    def atom_param_from_coords(self, coords):
         t = float(coords[0])
         x = np.asarray(coords[1:], dtype=float)
         r = self._radius(x)

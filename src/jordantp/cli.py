@@ -101,7 +101,6 @@ def _cmd_geom(args) -> int:
 
 def _cmd_tpmatrix(args) -> int:
     model = parse_model_spec(args.model)
-    tol = _parse_tol(args.tol)
     if args.random is not None:
         if args.random < 1:
             raise ValueError("--random needs at least one atom")
@@ -115,7 +114,7 @@ def _cmd_tpmatrix(args) -> int:
             raise ValueError("atoms file must hold a JSON array of atom parameters")
         atoms = [model.atom(entry if np.isscalar(entry) else np.asarray(entry, dtype=float))
                  for entry in data]
-        matrix = tp_matrix(model, atoms, tol)
+        matrix = tp_matrix(model, atoms)
     else:
         raise ValueError("provide an atoms file or --random K")
     text = matrix.to_csv()
@@ -132,10 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "probabilities, self-dual cones and polytope geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="PATH", help="write output to a file")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
                         help=f"tolerance override, keys: {', '.join(TOL_KEYS)}")
-    common.add_argument("--out", metavar="PATH", help="write output to a file")
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run a verification suite on a model")
@@ -156,11 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     geom = sub.add_parser("geom", parents=[common],
                           help="decide the extreme-point affinity property of a polytope")
     geom.add_argument("vertices_csv", help="CSV, one vertex per row")
-    geom.add_argument("--midpoint-samples", type=int, default=64)
+    geom.add_argument("--midpoint-samples", type=int, default=0,
+                      help="random probes cross-checking the exact certificate")
     geom.add_argument("--seed", type=int, default=None)
     geom.set_defaults(func=_cmd_geom)
 
-    tpm = sub.add_parser("tpmatrix", parents=[common],
+    tpm = sub.add_parser("tpmatrix", parents=[output],
                          help="tabulate transition probabilities between atoms")
     tpm.add_argument("model")
     tpm.add_argument("atoms_file", nargs="?",

@@ -213,13 +213,21 @@ def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta) -> float:
 
 
 def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
-                           midpoint_samples: int = 64, seed: int = 0) -> list[EOmegaReport]:
+                           midpoint_samples: int = 0, seed: int = 0) -> list[EOmegaReport]:
     """Decide, per extreme point, whether its minimal unit effect is affine
     and attains 1 only there.
 
-    Affinity is probed on all pairwise vertex midpoints plus random convex
-    combinations; the LP value function is piecewise linear, so midpoint
-    violations detect non-affinity.
+    The affinity defect is the largest gap |e(c) - sum_i w_i e(v_i)| over
+    probe points c = sum_i w_i v_i.  The first probe, the vertex centroid
+    (w_i = 1/n), is an exact certificate: e = e_omega is concave, being an
+    infimum of affine functions, and it is affine on the hull exactly when
+    e(centroid) equals the mean of its vertex values.  Proof: let a be the
+    LP optimum at the centroid.  a is feasible, so a(v_i) >= e(v_i) at every
+    vertex, while mean a(v_i) = a(centroid) = e(centroid) = mean e(v_i);
+    hence a(v_i) = e(v_i) for every i.  Then at any hull point
+    z = sum_i l_i v_i, e(z) <= a(z) = sum_i l_i e(v_i) <= e(z) by
+    concavity, so e = a.  Pairwise midpoints alone can miss a defect, and
+    ``midpoint_samples`` random convex combinations are an opt-in cross-check.
     """
     if midpoint_samples < 0:
         raise ValueError("midpoint_samples must be nonnegative")
@@ -229,7 +237,8 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
     first, second = np.triu_indices(n, 1)
     midpoints = 0.5 * (np.eye(n)[first] + np.eye(n)[second])
     # one row of convex weights per probe
-    combos = np.vstack([midpoints, rng.dirichlet(np.ones(n), size=midpoint_samples)])
+    combos = np.vstack([np.full((1, n), 1.0 / n), midpoints,
+                        rng.dirichlet(np.ones(n), size=midpoint_samples)])
     # one LP per extreme point: the vertices first, then every probe
     points = np.vstack([verts, combos @ verts])
 
@@ -306,7 +315,7 @@ class PolytopeAffineModel(ClassicalModel):
 
 
 def induced_affine_model(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
-                         midpoint_samples: int = 32) -> PolytopeAffineModel:
+                         midpoint_samples: int = 0) -> PolytopeAffineModel:
     """Vertex-value model of a polytope that passes the affinity property."""
     reports = check_extreme_affinity(poly, tol, midpoint_samples)
     if not all(r.passes for r in reports):

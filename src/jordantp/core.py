@@ -12,9 +12,8 @@ from .elements import DEFAULT_TOL, Element, Tolerance
 
 
 def cone_contains(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Positivity test: true iff the least eigenvalue is >= -cone_slack."""
-    eigs = model.eigenvalues(model.check_element(a), tol)
-    return bool(eigs.min() >= -tol.cone_slack)
+    """Positivity test: true iff ``model.cone_defect`` is at most cone_slack."""
+    return model.cone_defect(model.check_element(a), tol) <= tol.cone_slack
 
 
 def order_norm(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> float:

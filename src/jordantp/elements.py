@@ -126,11 +126,7 @@ class SpectralForm:
         return [p.atom for p in self.pairs]
 
     def reconstruct(self) -> Element:
-        model = self.pairs[0].atom.model
-        coords = np.zeros(model.ambient_dim)
-        for p in self.pairs:
-            coords += p.eigenvalue * p.atom.coords
-        return Element(coords, model)
+        return self.apply(float)
 
     def apply(self, func) -> Element:
         """Resum the frame with eigenvalues mapped through ``func``."""

@@ -71,7 +71,7 @@ class SelfDualCone:
     def atom_coords(self, param) -> np.ndarray:
         return self.as_vec(param)
 
-    def atom_param_from_coords(self, coords, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    def atom_param_from_coords(self, coords) -> np.ndarray:
         return self.as_vec(coords)
 
     def state_value(self, param, coords) -> float:
@@ -88,8 +88,9 @@ class SelfDualCone:
         raise NotImplementedError
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
-        """Default atom oracle: two orthogonal positive parts, or None if
-        ``x`` is (numerically) a positive multiple of an atom."""
+        """Default atom oracle: two orthogonal positive parts of the
+        coordinates ``x``, as coordinate arrays, or None if ``x`` is
+        (numerically) a positive multiple of an atom."""
         raise NotImplementedError
 
     def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
@@ -169,8 +170,7 @@ class SpectralSelfDualCone(SelfDualCone):
         return _random_element(self.model, rng, "positive")
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
-        parts = self.model.split_orthogonal_coords(self.as_vec(x), tol)
-        return None if parts is None else tuple(self.wrap(v) for v in parts)
+        return self.model.split_orthogonal_coords(self.as_vec(x), tol)
 
     def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
         return [PeeledAtom(p.eigenvalue, p.atom)
@@ -354,19 +354,15 @@ def peel_positive(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> list[P
         if budget <= 0:
             raise ConeProjectionError("peeling did not terminate (oracle failure)")
         budget -= 1
-        split = cone.split_orthogonal(cone.wrap(current), tol)
+        split = cone.split_orthogonal(current, tol)
         if split is None:
             s = float(np.sqrt(cone.inner(current, current)))
             out.append(PeeledAtom(s, cone.wrap(current / s)))
             break
-        head, rest = split
-        hv = cone.as_vec(head)
-        s = float(np.sqrt(cone.inner(hv, hv)))
-        if s <= 1e-12 * scale:
-            current = cone.as_vec(rest)
-            continue
-        out.append(PeeledAtom(s, cone.wrap(hv / s)))
-        current = cone.as_vec(rest)
+        head, current = split
+        s = float(np.sqrt(cone.inner(head, head)))
+        if s > 1e-12 * scale:
+            out.append(PeeledAtom(s, cone.wrap(head / s)))
     return out
 
 

@@ -25,10 +25,10 @@ from .reports import CheckResult, skipped_check
 from .spectral import _random_element, trial_rng
 
 
-def atom_param(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL):
+def atom_param(model: Model, e: Element):
     """Defining parameter of an atom element; raises NotAtomError otherwise."""
     model.check_element(e)
-    return model.atom_param_from_coords(e.coords, tol)
+    return model.atom_param_from_coords(e.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,9 @@ class State:
     __call__ = value
 
 
-def state_of_atom(model: Model, e: Element, tol: Tolerance = DEFAULT_TOL) -> State:
+def state_of_atom(model: Model, e: Element) -> State:
     """The unique state with value 1 at the atom e."""
-    return State(model, (atom_param(model, e, tol),), (1.0,))
+    return State(model, (atom_param(model, e),), (1.0,))
 
 
 def mix_states(states: Sequence[State], weights: Sequence[float]) -> State:
@@ -87,11 +87,9 @@ def mix_states(states: Sequence[State], weights: Sequence[float]) -> State:
 # ---------------------------------------------------------------------------
 
 
-def transition_prob(model: Model, e1: Element, e2: Element, tol: Tolerance = DEFAULT_TOL) -> float:
+def transition_prob(model: Model, e1: Element, e2: Element) -> float:
     """P_{e1}(e2): the state of e1 evaluated at e2.  Not symmetric in general."""
-    p1 = atom_param(model, e1, tol)
-    p2 = atom_param(model, e2, tol)
-    return model.transition_from_params(p1, p2)
+    return model.transition_from_params(atom_param(model, e1), atom_param(model, e2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +130,10 @@ def tp_matrix_from_params(model: Model, params: Sequence) -> TPMatrix:
     return TPMatrix(model, mat)
 
 
-def tp_matrix(model: Model, atoms: Sequence[Element], tol: Tolerance = DEFAULT_TOL) -> TPMatrix:
+def tp_matrix(model: Model, atoms: Sequence[Element]) -> TPMatrix:
     if len(atoms) < 1:
         raise ValueError("need at least one atom")
-    params = tuple(atom_param(model, e, tol) for e in atoms)
-    return tp_matrix_from_params(model, params)
+    return tp_matrix_from_params(model, [atom_param(model, e) for e in atoms])
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +261,15 @@ def symmetry_defect(space, seed: int, trials: int) -> float:
     return worst
 
 
-def _random_bounded_mixture(space, rng: np.random.Generator, tp_cap: float = 0.95):
+def _random_bounded_mixture(space, rng: np.random.Generator):
     """Atom parameters and weights of a two-atom mixture whose atoms are
-    boundedly non-parallel."""
+    boundedly non-parallel: neither transition probability exceeds 0.95."""
     p1 = space.random_atom_param(rng)
     p2 = None
     for _ in range(500):
         cand = space.random_atom_param(rng)
-        if (space.transition_from_params(p1, cand) <= tp_cap
-                and space.transition_from_params(cand, p1) <= tp_cap):
+        if (space.transition_from_params(p1, cand) <= 0.95
+                and space.transition_from_params(cand, p1) <= 0.95):
             p2 = cand
             break
     if p2 is None:
@@ -303,7 +300,7 @@ def verify_atom_state_uniqueness(space, seed: int, trials: int,
         # half/half mixture with an orthogonal atom evaluates to one half
         comp = space.complement_coords(e, tol)
         if comp:
-            half = (ep, space.atom_param_from_coords(comp[0], tol))
+            half = (ep, space.atom_param_from_coords(comp[0]))
             half_defect = max(half_defect, abs(_mixture_value(space, half, (0.5, 0.5), e) - 0.5))
     checks = [CheckResult("states.atom_state_attains_one", self_defect, tol.check_tol)]
     if can_mix:
@@ -377,8 +374,7 @@ def verify_certainty_order(space, seed: int, trials: int, tol: Tolerance = DEFAU
 # ---------------------------------------------------------------------------
 
 
-def verify_pure_state_sampling(model: Model, seed: int, trials: int,
-                               tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[CheckResult]:
     """Sampled check that atom states sit outside the hull of mixed states.
 
     This is the extreme-point side of the pure-state postulate on a small
@@ -433,7 +429,7 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
         p = _random_element(model, rng, "logic")
         q = _random_element(model, rng, "logic")
         atoms = atomic_decomposition(model, p, tol)
-        params = [atom_param(model, e, tol) for e in atoms]
+        params = [atom_param(model, e) for e in atoms]
         if cone_contains(model, q - p, tol):
             comparable += 1
             for ep in params:

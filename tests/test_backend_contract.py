@@ -18,6 +18,13 @@ included), keeps ``Element`` to its one checked constructor: it fails on
 ``object.__setattr__`` that writes to anything but ``self`` or writes
 ``coords``.  Each of these would make an element whose coordinates were
 never checked.
+
+A third walk, over every module, fails on a parameter that no concrete
+definition of a function reads.  Definitions are grouped by name, so the
+same-named methods of different classes (and the overrides of an abstract
+method) count as one protocol: a parameter one of them reads is live in all.
+A declaration whose body is only a docstring, ``raise``, ``pass`` or ``...``
+counts as neither a read nor a definition.
 """
 
 import ast
@@ -215,3 +222,62 @@ def test_guard_flags_unchecked_element_construction():
         "<source>:5: sets an attribute through object.__setattr__",
         "<source>:6: sets an attribute through object.__setattr__",
     ]
+
+
+def _is_declaration(fn) -> bool:
+    """A body of only a docstring, ``raise``, ``pass`` or ``...``."""
+    return all(isinstance(stmt, (ast.Raise, ast.Pass)) or (
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        for stmt in fn.body)
+
+
+def dead_parameters(sources: dict[str, str]) -> list[str]:
+    """``name(param)`` for each parameter no concrete definition reads."""
+    params: dict[str, set] = {}
+    read: dict[str, set] = {}
+    for filename, source in sources.items():
+        for fn in ast.walk(ast.parse(source, filename)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_declaration(fn):
+                continue
+            args = fn.args
+            names = {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg] if arg is not None}
+            params.setdefault(fn.name, set()).update(names - {"self", "cls"})
+            read.setdefault(fn.name, set()).update(
+                node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    return sorted(f"{name}({param})" for name, names in params.items()
+                  for param in names - read[name])
+
+
+def test_no_parameter_is_dead():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert len(sources) >= 15
+    assert dead_parameters(sources) == []
+
+
+def test_guard_flags_dead_parameters():
+    source = (
+        "class Base:\n"
+        "    def kernel(self, coords, tol):\n"
+        "        \"Declared only.\"\n"
+        "    def probe(self, x, hint):\n"
+        "        raise NotImplementedError\n"
+        "class A(Base):\n"
+        "    def kernel(self, coords, tol):\n"
+        "        return coords * tol\n"
+        "    def probe(self, x, hint):\n"
+        "        return x\n"
+        "class B(Base):\n"
+        "    def kernel(self, coords, tol):\n"
+        "        return coords\n"
+        "def forward(model, coords, tol, *rest, **opts):\n"
+        "    return model.kernel(coords, tol) + len(opts)\n"
+        "def closure(scale, unused):\n"
+        "    return lambda v: v * scale\n"
+        "def stub(a):\n"
+        "    ...\n"
+    )
+    assert dead_parameters({"<source>": source}) == [
+        "closure(unused)", "forward(rest)", "probe(hint)"]

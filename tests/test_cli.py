@@ -328,3 +328,9 @@ def test_verify_classical_logic_suite_exit_zero(capsys):
                            "--seed", "0", "--trials", "40")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_tpmatrix_takes_no_tolerance():
+    with pytest.raises(SystemExit) as exc:
+        main(["tpmatrix", "spin:2", "--random", "2", "--tol", "check_tol=1e-6"])
+    assert exc.value.code == 2

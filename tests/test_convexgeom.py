@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -418,3 +419,27 @@ def test_vectorised_defect_matches_loop(shape):
     reports = check_extreme_affinity(poly, midpoint_samples=12, seed=5)
     np.testing.assert_allclose([r.affinity_defect for r in reports],
                                affinity_defects_by_loop(poly, 12, 5), rtol=0, atol=1e-13)
+
+
+# A polytope in R^4 on which every pairwise midpoint of e_4 sits on the
+# affine interpolant of its vertex values; only the centroid exposes it.
+MIDPOINT_BLIND = np.vstack([np.eye(4), -0.25 * np.ones(4), 0.3 * np.ones(4)])
+
+
+def test_centroid_certificate_catches_what_midpoints_miss():
+    poly = PolytopeStateSpace(MIDPOINT_BLIND)
+    assert affinity_defects_by_loop(poly, 0, 0)[4] <= 1e-12
+    report = check_extreme_affinity(poly, midpoint_samples=0)[4]
+    assert report.affinity_defect == pytest.approx(2.0 / 33.0, abs=1e-9)
+    assert not report.passes
+
+
+def test_geom_fails_the_midpoint_blind_polytope(tmp_path, capsys):
+    from jordantp.cli import main
+
+    path = tmp_path / "blind.csv"
+    np.savetxt(path, MIDPOINT_BLIND, delimiter=",")
+    assert main(["geom", str(path), "--midpoint-samples", "0"]) == 1
+    report = json.loads(capsys.readouterr().out)[4]
+    assert report["affinity_defect"] == pytest.approx(2.0 / 33.0, abs=1e-9)
+    assert report["passes"] is False

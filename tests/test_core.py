@@ -136,3 +136,25 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eig_cluster=1e-2)
     assert Tolerance().replace(check_tol=1e-8).check_tol == 1e-8
+
+
+def test_cone_contains_is_the_cone_defect_test(any_model):
+    tol = Tolerance()
+    for seed in range(20):
+        for shape in ("any", "positive"):
+            a = random_element(any_model, seed, shape)
+            assert cone_contains(any_model, a, tol) == (
+                any_model.cone_defect(a, tol) <= tol.cone_slack)
+
+
+@pytest.mark.parametrize("coords, inside", [
+    ([1e308, 1e308, 1e308], True),          # eigenvalues inf and 0
+    ([-1e308, -1e308, 1e308], False),       # eigenvalues 0 and -inf
+    ([1e308, -1e308, 1.7e308], False),      # the kernel's spectrum is NaN
+])
+def test_cone_contains_on_spectra_outside_the_doubles(coords, inside):
+    m = get_model("sym", 2)
+    a = m.element(coords)
+    with np.errstate(all="ignore"):
+        assert cone_contains(m, a) is inside
+        assert (m.cone_defect(a) <= Tolerance().cone_slack) is inside

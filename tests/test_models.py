@@ -88,7 +88,7 @@ def test_reconstruction_and_frame_invariants(any_model, tol):
 def test_frame_atoms_pairwise_orthogonal(any_model, tol):
     for seed in range(10):
         form = any_model.spectral_form(random_element(any_model, seed), tol)
-        params = [any_model.atom_param_from_coords(p.atom.coords, tol) for p in form.pairs]
+        params = [any_model.atom_param_from_coords(p.atom.coords) for p in form.pairs]
         for i in range(len(params)):
             for j in range(len(params)):
                 if i != j:
@@ -376,3 +376,11 @@ def test_matrix_coords_maps_a_stack():
         assert stacked.shape == (2, 3, model.ambient_dim)
         for k, mat in enumerate(mats):
             np.testing.assert_array_equal(stacked[k // 3, k % 3], model.matrix_coords(mat))
+
+
+def test_eigenvalues_take_coordinates(any_model, tol):
+    # an element and its coordinate vector reach the one kernel alike
+    for seed in range(5):
+        a = random_element(any_model, seed)
+        assert any_model.eigenvalues(a.coords, tol).tobytes() == \
+            any_model.eigenvalues(a, tol).tobytes()

@@ -394,3 +394,13 @@ def test_oblique_cone_fails_unity_resolution(tol):
     cone = GeneratorSelfDualCone(gens)
     checks = verify_unity_resolution(cone, 3, 30, tol)
     assert not all(c.passed for c in checks)
+
+
+def test_spectral_split_returns_coordinate_arrays(tol):
+    cone = SpectralSelfDualCone(get_model("herm", 2))
+    a = random_element(cone.model, 4, "positive")
+    head, rest = cone.split_orthogonal(a.coords, tol)
+    assert type(head) is np.ndarray and type(rest) is np.ndarray
+    np.testing.assert_allclose(head + rest, a.coords, atol=1e-12)
+    with pytest.raises(ConeProjectionError):
+        cone.split_orthogonal(-cone.model.order_unit().coords, tol)

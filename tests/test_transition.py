@@ -260,7 +260,7 @@ def test_top_atom_attains_norm(any_model, tol):
         a = random_element(any_model, seed, "positive")
         form = any_model.spectral_form(a, tol)
         top = form.pairs[0]
-        param = any_model.atom_param_from_coords(top.atom.coords, tol)
+        param = any_model.atom_param_from_coords(top.atom.coords)
         norm = order_norm(any_model, a)
         assert any_model.state_value(param, a.coords) == pytest.approx(norm, abs=1e-9)
         assert cone_contains(any_model, a - norm * top.atom, tol.replace(cone_slack=1e-8))
