@@ -7,6 +7,18 @@ Coordinate layout (one serialization per model, exact round trip):
 
 Atoms are rank-one projections; an atom parameter is a unit vector spanning
 the range.
+
+Pairings and atoms are formulas in the coordinates and build no matrix:
+  - trace form: tr(AB) = sum_k w_k a_k b_k, with weight w_k = 1 on the n
+    diagonal coordinates and 2 on every other one (on herm an off-diagonal
+    entry gives 2 Re(a_ij conj(b_ij)) = 2 (re re' + im im')).  This is
+    ``native_pairing``, and ``state_value`` is the same form at v v*; with
+    weights 1 and 2 both are exactly symmetric.
+  - rank one: v v* has diagonal coordinates |v_i|^2 and off-diagonal entries
+    v_i conj(v_j) for i < j.
+The spectral kernel (``eigh``), ``atom_param_from_coords`` and the two
+oracles (Cholesky, SVD) gather the coordinates into a matrix with one
+precomputed index array.
 """
 
 from __future__ import annotations
@@ -14,7 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..elements import Element, Tolerance
-from ..errors import ConeProjectionError, NotAtomError, UnnormalizedParamError
+from ..errors import (
+    ConeProjectionError,
+    DimensionMismatchError,
+    NotAtomError,
+    UnnormalizedParamError,
+)
 from .base import Model, cluster_descending
 
 
@@ -45,6 +62,10 @@ def _deterministic_basis(projector: np.ndarray, rank: int) -> list[np.ndarray]:
     return vecs
 
 
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
+
 class _MatrixModel(Model):
     """Common spectral kernel for the two matrix backends."""
 
@@ -54,8 +75,13 @@ class _MatrixModel(Model):
         if n < 1:
             raise ValueError("matrix model needs n >= 1")
         self._n = int(n)
-        self._iu = np.triu_indices(self._n, k=1)
-        self._diag = np.diag_indices(self._n)
+        # the matrix entries that carry coordinates, in coordinate order: the
+        # diagonal, then the strict upper triangle row-major
+        iu = np.triu_indices(self._n, k=1)
+        self._rows = np.concatenate((np.arange(self._n), iu[0]))
+        self._cols = np.concatenate((np.arange(self._n), iu[1]))
+        self._weights = np.full(self.ambient_dim, 2.0)
+        self._weights[: self._n] = 1.0
 
     @property
     def n(self) -> int:
@@ -69,8 +95,24 @@ class _MatrixModel(Model):
     def param_items(self) -> tuple:
         return (("n", self._n),)
 
-    # subclasses provide _matrix_from_coords / matrix_coords; matrix_coords
-    # maps a stack (..., n, n) of matrices to a stack of coordinate vectors
+    # subclasses provide _matrix_from_coords, matrix_coords (a stack
+    # (..., n, n) of matrices to a stack of coordinate vectors) and
+    # _rank_one_coords (a stack (..., n) of vectors v to the coordinates of
+    # v v*, equal bit for bit to matrix_coords of the outer products)
+
+    def _symmetric_index(self, values) -> np.ndarray:
+        """(n, n) array holding ``values[k]`` at the k-th coordinate-carrying
+        entry and at its mirror image."""
+        index = np.empty((self._n, self._n), dtype=np.intp)
+        index[self._rows, self._cols] = values
+        index[self._cols, self._rows] = values
+        return index
+
+    def _checked(self, coords: np.ndarray) -> np.ndarray:
+        if coords.shape != (self.ambient_dim,):
+            raise DimensionMismatchError(
+                f"expected {self.ambient_dim} coordinates, got shape {coords.shape}")
+        return coords
 
     def to_matrix(self, a: Element | np.ndarray) -> np.ndarray:
         coords = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
@@ -109,9 +151,7 @@ class _MatrixModel(Model):
                 basis = eigvecs[:, cl]
                 eigvecs[:, cl] = np.column_stack(
                     _deterministic_basis(basis @ basis.conj().T, rank))
-        vecs = eigvecs.T
-        atoms = self.matrix_coords(vecs[:, :, None] * vecs.conj()[:, None, :])
-        return list(zip(eigvals.tolist(), atoms))
+        return list(zip(eigvals.tolist(), self._rank_one_coords(eigvecs.T)))
 
     def cone_oracle(self, coords, slack: float) -> bool:
         mat = self._matrix_from_coords(coords)
@@ -154,8 +194,7 @@ class _MatrixModel(Model):
         return vec
 
     def atom_coords(self, param) -> np.ndarray:
-        vec = self._unit_vector(param)
-        return self.matrix_coords(np.outer(vec, vec.conj()))
+        return self._rank_one_coords(self._unit_vector(param))
 
     def atom_param_from_coords(self, coords):
         mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
@@ -178,20 +217,26 @@ class _MatrixModel(Model):
         q, _ = np.linalg.qr(gauss)
         return [q[:, k] for k in range(self._n)]
 
+    def _trace_form(self, ca, cb) -> float:
+        """tr(AB) of the matrices with coordinates ``ca`` and ``cb``; exactly
+        symmetric, since the weights are 1 and 2."""
+        return float(np.dot(np.asarray(ca, dtype=float) * self._weights,
+                            np.asarray(cb, dtype=float)))
+
     def state_value(self, param, coords) -> float:
-        mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
-        vec = self._unit_vector(param)
-        return float(np.real(np.vdot(vec, mat @ vec)))
+        return self._trace_form(self._rank_one_coords(self._unit_vector(param)), coords)
 
     def native_pairing(self, ca, cb) -> float:
-        a = self._matrix_from_coords(np.asarray(ca, dtype=float))
-        b = self._matrix_from_coords(np.asarray(cb, dtype=float))
-        return float(np.real(np.trace(a @ b)))
+        return self._trace_form(ca, cb)
 
 
 class SymMatrixModel(_MatrixModel):
     kind = "sym"
     _complex = False
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._gather = self._symmetric_index(np.arange(self.ambient_dim))
 
     @property
     def ambient_dim(self) -> int:
@@ -200,45 +245,57 @@ class SymMatrixModel(_MatrixModel):
     def matrix_coords(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat, dtype=float)
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-        n = self._n
-        coords = np.empty(mat.shape[:-2] + (self.ambient_dim,))
-        coords[..., :n] = np.diagonal(mat, axis1=-2, axis2=-1)
-        coords[..., n:] = mat[..., self._iu[0], self._iu[1]]
-        return coords
+        return mat[..., self._rows, self._cols]
+
+    def _rank_one_coords(self, vecs: np.ndarray) -> np.ndarray:
+        return vecs[..., self._rows] * vecs[..., self._cols]
 
     def _matrix_from_coords(self, coords: np.ndarray) -> np.ndarray:
-        n = self._n
-        mat = np.zeros((n, n))
-        mat[self._diag] = coords[:n]
-        mat[self._iu] = coords[n:]
-        mat[(self._iu[1], self._iu[0])] = coords[n:]
-        return mat
+        return self._checked(coords)[self._gather]
 
 
 class HermMatrixModel(_MatrixModel):
     kind = "herm"
     _complex = True
 
+    def __init__(self, n: int):
+        super().__init__(n)
+        n = self._n
+        upper = n + 2 * np.arange(len(self._rows) - n)
+        # (re, im) coordinate of every entry; the imaginary part of a diagonal
+        # entry reads the zero appended after the coordinates
+        self._gather = np.stack(
+            (self._symmetric_index(np.concatenate((np.arange(n), upper))),
+             self._symmetric_index(np.concatenate((np.full(n, self.ambient_dim), upper + 1)))),
+            axis=-1)
+        self._signs = np.ones((n, n, 2))
+        self._signs[self._cols[n:], self._rows[n:], 1] = -1.0  # below the diagonal
+
     @property
     def ambient_dim(self) -> int:
         return self._n * self._n
 
+    def _coords_of_entries(self, entries: np.ndarray) -> np.ndarray:
+        """Coordinates from the coordinate-carrying entries of a Hermitian
+        matrix: the diagonal's real parts, then the (re, im) pairs."""
+        entries = np.ascontiguousarray(entries)  # so that each entry views as a pair
+        return np.concatenate((entries[..., : self._n].real, entries[..., self._n :].view(float)),
+                              axis=-1)
+
     def matrix_coords(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat, dtype=complex)
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2).conj())
-        n = self._n
-        coords = np.empty(mat.shape[:-2] + (self.ambient_dim,))
-        coords[..., :n] = np.diagonal(mat, axis1=-2, axis2=-1).real
-        upper = mat[..., self._iu[0], self._iu[1]]
-        coords[..., n::2] = upper.real
-        coords[..., n + 1 :: 2] = upper.imag
-        return coords
+        return self._coords_of_entries(mat[..., self._rows, self._cols])
+
+    def _rank_one_coords(self, vecs: np.ndarray) -> np.ndarray:
+        lo, hi = vecs[..., self._rows], vecs[..., self._cols]
+        # v_i conj(v_j) averaged with conj(v_j conj(v_i)), as matrix_coords
+        # averages a matrix with its adjoint: complex products may be fused,
+        # so the two can differ in the last bit
+        return self._coords_of_entries(0.5 * (lo * hi.conj() + (hi * lo.conj()).conj()))
 
     def _matrix_from_coords(self, coords: np.ndarray) -> np.ndarray:
-        n = self._n
-        mat = np.zeros((n, n), dtype=complex)
-        mat[self._diag] = coords[:n]
-        upper = coords[n::2] + 1j * coords[n + 1 :: 2]
-        mat[self._iu] = upper
-        mat[(self._iu[1], self._iu[0])] = upper.conj()
-        return mat
+        # one gather of every entry's (re, im) pair, the imaginary parts below
+        # the diagonal negated, read as complex numbers
+        pairs = np.concatenate((self._checked(coords), _ZERO))[self._gather] * self._signs
+        return pairs.view(complex)[..., 0]

@@ -173,8 +173,9 @@ class SpectralSelfDualCone(SelfDualCone):
         return self.model.split_orthogonal_coords(self.as_vec(x), tol)
 
     def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
-        return [PeeledAtom(p.eigenvalue, p.atom)
-                for p in self.model.spectral_form(self.wrap(self.as_vec(x)), tol).pairs]
+        # an element is already checked; only a raw array needs wrapping
+        a = x if isinstance(x, Element) else self.wrap(self.as_vec(x))
+        return [PeeledAtom(p.eigenvalue, p.atom) for p in self.model.spectral_form(a, tol).pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ the other, must agree on every kernel output across the map.
 
 - the l^2 qubit lpq:n:2 is the spin factor spin:n;
 - sym:2 is spin:2 and herm:2 is spin:3 (the Pauli picture);
-- classical:n is the diagonal of sym:n.
+- classical:n is the diagonal of sym:n;
+- sym:n is the real part of herm:n.
 
 Each map is checked at any coordinate scale a double can carry (Faraut &
 Koranyi, *Analysis on Symmetric Cones*, 1994, ch. V).
@@ -137,3 +138,28 @@ def test_classical_is_the_diagonal_of_sym(n, exponent, data):
     assert abs(sym.state_value(basis[i], diag(a)) - classical.state_value(i, a)) <= REL * scale
     assert abs(sym.transition_from_params(basis[i], basis[j])
                - classical.transition_from_params(i, j)) <= REL
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), exponent=exponents, data=st.data())
+def test_sym_is_the_real_part_of_herm(n, exponent, data):
+    # checks the real and the complex coordinate formulas against each other
+    sym, herm = get_model("sym", n), get_model("herm", n)
+    scale = 10.0 ** exponent
+    a = scale * _vector(data, sym.ambient_dim)
+    b = scale * _vector(data, sym.ambient_dim)
+
+    def embed(c):
+        """Off-diagonal x of sym:n as the pair (x, 0) of herm:n."""
+        out = np.zeros(herm.ambient_dim)
+        out[:n] = c[:n]
+        out[n::2] = c[n:]
+        return out
+
+    np.testing.assert_allclose(herm.eigenvalues_coords(embed(a), FINE),
+                               sym.eigenvalues_coords(a, FINE), rtol=0, atol=REL * scale)
+    assert abs(herm.native_pairing(embed(a), embed(b))
+               - sym.native_pairing(a, b)) <= REL * scale**2
+    u = _direction(data, n)
+    np.testing.assert_allclose(herm.atom_coords(u), embed(sym.atom_coords(u)), rtol=0, atol=REL)
+    assert abs(herm.state_value(u, embed(a)) - sym.state_value(u, a)) <= REL * scale

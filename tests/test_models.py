@@ -127,8 +127,13 @@ def test_atom_eigenvalues_are_one_and_zero(any_model):
 
 
 def test_atom_param_rejects_unnormalized():
-    with pytest.raises(UnnormalizedParamError):
-        get_model("sym", 3).atom(np.array([1.0, 1.0, 0.0]))
+    for m in (get_model("sym", 3), get_model("herm", 3)):
+        # not unit, wrong dimension, zero; atoms and states check alike
+        for bad in (np.array([1.0, 1.0, 0.0]), np.full(4, 0.5), np.zeros(3)):
+            with pytest.raises(UnnormalizedParamError):
+                m.atom(bad)
+            with pytest.raises(UnnormalizedParamError):
+                m.state_value(bad, m.order_unit_coords())
     with pytest.raises(UnnormalizedParamError):
         get_model("lpq", 2, 3.0).atom(np.array([1.0, 1.0]))
     with pytest.raises(UnnormalizedParamError):
@@ -384,3 +389,69 @@ def test_eigenvalues_take_coordinates(any_model, tol):
         a = random_element(any_model, seed)
         assert any_model.eigenvalues(a.coords, tol).tobytes() == \
             any_model.eigenvalues(a, tol).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# matrix backends in coordinates: rank-one atoms and the trace form
+# ---------------------------------------------------------------------------
+
+COORDINATE_KERNEL_SPECS = [("sym", 1), ("sym", 2), ("sym", 3), ("sym", 4),
+                           ("herm", 1), ("herm", 2), ("herm", 3)]
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,n", COORDINATE_KERNEL_SPECS)
+def test_atom_coords_are_the_outer_product_coords(kind, n):
+    model = get_model(kind, n)
+    rng = np.random.default_rng(31 + n)
+    params = [model.random_atom_param(rng) for _ in range(50)] + list(np.eye(n))
+    for v in params:
+        want = model.matrix_coords(np.outer(v, v.conj()))
+        assert _same_bits(model.atom_coords(v), want)
+        if kind == "herm":  # the interleaved (re, im) parameter names the same atom
+            pairs = np.column_stack((v.real, v.imag)).ravel()
+            assert _same_bits(model.atom_coords(pairs), want)
+
+
+@pytest.mark.parametrize("kind,n", COORDINATE_KERNEL_SPECS)
+def test_matrix_coords_invert_to_matrix(kind, n):
+    model = get_model(kind, n)
+    rng = np.random.default_rng(47 + n)
+    for scale in (1.0, 1e-150, 1e150):
+        coords = scale * rng.normal(size=model.ambient_dim)
+        mat = model.to_matrix(coords)
+        assert np.array_equal(mat, mat.conj().T)
+        assert _same_bits(model.matrix_coords(mat), coords)
+
+
+@pytest.mark.parametrize("kind,n", COORDINATE_KERNEL_SPECS)
+def test_native_pairing_is_the_trace_form(kind, n):
+    model = get_model(kind, n)
+    rng = np.random.default_rng(59 + n)
+    for _ in range(50):
+        ca, cb = rng.normal(size=(2, model.ambient_dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 1))
+        a, b = model.to_matrix(ca), model.to_matrix(cb)
+        pairing = model.native_pairing(ca, cb)
+        assert pairing == model.native_pairing(cb, ca)
+        assert abs(pairing - np.trace(a @ b).real) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", ["sym", "herm"])
+def test_pairings_and_atoms_build_no_matrix(kind, monkeypatch):
+    model = get_model(kind, 3)
+    rng = np.random.default_rng(71)
+    ca, cb = rng.normal(size=(2, model.ambient_dim))
+    v = model.random_atom_param(rng)
+
+    def no_matrix(coords):
+        raise AssertionError("the coordinate formulas need no matrix")
+
+    monkeypatch.setattr(model, "_matrix_from_coords", no_matrix)
+    model.atom_coords(v)
+    model.state_value(v, ca)
+    model.native_pairing(ca, cb)
+    with pytest.raises(AssertionError):
+        model.to_matrix(ca)

@@ -3,6 +3,7 @@ import pytest
 
 from jordantp import (
     ConeProjectionError,
+    DimensionMismatchError,
     GeneratorSelfDualCone,
     SpectralSelfDualCone,
     UnsupportedModelError,
@@ -404,3 +405,25 @@ def test_spectral_split_returns_coordinate_arrays(tol):
     np.testing.assert_allclose(head + rest, a.coords, atol=1e-12)
     with pytest.raises(ConeProjectionError):
         cone.split_orthogonal(-cone.model.order_unit().coords, tol)
+
+
+def test_spectral_frame_passes_an_element_through(monkeypatch):
+    model = get_model("sym", 3)
+    cone = SpectralSelfDualCone(model)
+    a = random_element(model, 5)
+    seen = []
+    spectral_form = model.spectral_form
+    monkeypatch.setattr(model, "spectral_form",
+                        lambda x, tol: seen.append(x) or spectral_form(x, tol))
+    by_element = cone.frame(a)
+    by_coords = cone.frame(a.coords)
+    assert seen[0] is a  # no second element for an input that is one
+    assert seen[1] is not a and np.array_equal(seen[1].coords, a.coords)
+    for p, q in zip(by_element, by_coords):
+        assert p.coefficient == q.coefficient
+        assert np.array_equal(cone.as_vec(p.atom), cone.as_vec(q.atom))
+    # a raw array is still checked
+    with pytest.raises(DimensionMismatchError):
+        cone.frame(np.zeros(model.ambient_dim + 1))
+    with pytest.raises(ValueError):
+        cone.frame(np.full(model.ambient_dim, np.inf))
