@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -11,6 +13,52 @@ import numpy as np
 
 from ..elements import DEFAULT_TOL, Element, SpectralForm, SpectralPair, Tolerance
 from ..errors import DimensionMismatchError, UnsupportedModelError
+
+
+# The memo of the innermost open ``remembering_spectra`` block of this thread
+# or task; None outside every block.
+_MEMO: ContextVar[dict | None] = ContextVar("jordantp_memo", default=None)
+MEMO_ENTRIES = 1024
+
+
+@contextmanager
+def remembering_spectra():
+    """Within the block, ``remembered`` computes each key's value once.
+
+    One block is one verification run (``run_suite`` opens it around its
+    suites): its memo is made empty on entry and dropped on exit, so nothing
+    carries over from one run to the next, and a ``ContextVar`` keeps the
+    memos of concurrent threads apart.  The memo holds at most
+    ``MEMO_ENTRIES`` values and drops the oldest one first.  It remembers
+    spectra (``Model.spectral_form`` and ``Model.eigenvalues``, in separate
+    slots) and the seed words of ``spectral.trial_rng``; every value is
+    immutable, so sharing it is safe.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def remembered(key, make):
+    """``make()``, computed once per ``key`` inside ``remembering_spectra``.
+
+    Outside every block this is a plain call.  A ``make`` that raises stores
+    nothing, so it raises again on the next call.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return make()
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    value = make()
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -120,9 +168,23 @@ class Model(ABC):
         """
 
     def spectral_form(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:
-        """The frame of ``decompose_coords`` as elements, eigenvalues descending."""
+        """The frame of ``decompose_coords`` as elements, eigenvalues descending.
+
+        Inside ``remembering_spectra`` (one verification run, at most
+        ``MEMO_ENTRIES`` remembered values) an element whose coordinates, model
+        and tolerance were already decomposed gets the same (immutable) form
+        back; outside it every call decomposes.
+        The form is only ever made by ``decompose_coords`` and the eigenvalues
+        of ``eigenvalues`` only by ``eigenvalues_coords``: neither is served
+        from the other, so a check comparing the two paths still compares two
+        computations.  A spectrum outside the doubles raises on every call.
+        """
         self.check_element(a)
         coords = np.asarray(a.coords, dtype=float)
+        return remembered(("form", self, tol, coords.shape, coords.tobytes()),
+                          lambda: self._spectral_form(coords, tol))
+
+    def _spectral_form(self, coords: np.ndarray, tol: Tolerance) -> SpectralForm:
         frame = self.decompose_coords(coords, tol)
         for k, (s, _) in enumerate(frame):
             if not math.isfinite(s):
@@ -145,9 +207,12 @@ class Model(ABC):
         return np.array([s for s, _ in self.decompose_coords(coords, tol)])
 
     def eigenvalues(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """Eigenvalues of an element or of a coordinate vector, descending."""
+        """Eigenvalues of an element or of a coordinate vector, descending, as
+        a read-only array; remembered like ``spectral_form``, in a slot of
+        their own."""
         coords = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
-        return self.eigenvalues_coords(coords, tol)
+        return remembered(("eigenvalues", self, tol, coords.shape, coords.tobytes()),
+                          lambda: _read_only(self.eigenvalues_coords(coords, tol)))
 
     def cone_defect(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
         """How far ``a`` (an element or coordinates) lies outside the positive
@@ -216,6 +281,11 @@ class Model(ABC):
             f"model kind {self.kind!r} has no symmetric transition probability, "
             "hence no inner product"
         )
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def cluster_descending(eigenvalues: np.ndarray, eig_cluster: float) -> list[slice]:

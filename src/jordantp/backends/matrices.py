@@ -126,23 +126,26 @@ class _MatrixModel(Model):
 
     def _spectrum(self, coords, tol: Tolerance):
         """Eigenvalues sorted descending with each cluster replaced by its
-        mean, the eigenvectors as columns, and the cluster slices."""
+        mean, the eigenvectors as columns in eigh's ascending order, the
+        permutation that sorts them like the eigenvalues, and the cluster
+        slices."""
         mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
         eigvals, eigvecs = np.linalg.eigh(mat)
         order = np.argsort(-eigvals, kind="stable")
-        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+        eigvals = eigvals[order]
         clusters = cluster_descending(eigvals, tol.eig_cluster)
         for cl in clusters:
             if cl.stop - cl.start > 1:
                 # the mean of the halves cannot overflow; halving is exact
                 eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
-        return eigvals, eigvecs, clusters
+        return eigvals, eigvecs, order, clusters
 
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         return self._spectrum(coords, tol)[0]
 
     def decompose_coords(self, coords, tol: Tolerance):
-        eigvals, eigvecs, clusters = self._spectrum(coords, tol)
+        eigvals, eigvecs, order, clusters = self._spectrum(coords, tol)
+        eigvecs = eigvecs[:, order]
         # a rank-one cluster keeps its eigenvector; only a degenerate one
         # needs a reproducible basis of its range
         for cl in clusters:

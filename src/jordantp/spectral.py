@@ -6,19 +6,43 @@ from typing import Callable
 
 import numpy as np
 
-from .backends.base import Model
+from .backends.base import Model, remembered
 from .core import order_norm
 from .elements import DEFAULT_TOL, Element, Tolerance
 
 SHAPES = ("any", "positive", "unit_interval", "logic")
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The four 64-bit words PCG64 draws from ``SeedSequence(entropy=seed,
+    spawn_key=(trial,))``, hashed once: a generator seeded from them draws
+    exactly what ``default_rng`` of that seed sequence draws."""
+
+    def __init__(self, seed: int, trial: int):
+        self.words = np.random.SeedSequence(entropy=seed, spawn_key=(trial,)).generate_state(
+            4, np.uint64)
+        self.words.setflags(write=False)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words are 4 of uint64, not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Per-trial generator derived from (seed, trial index).
 
     Parallel and serial sweeps over trials therefore draw identical samples.
+    The draws are those of ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(trial,)))``.  Inside ``remembering_spectra`` (one verification
+    run, whose memo keeps at most ``MEMO_ENTRIES`` values) the hashed seed
+    words of each (seed, trial) are computed once, so the verifiers that
+    replay a trial share that cost; every call still returns a fresh
+    generator at the start of the trial's stream.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),)))
+    seed, trial = int(seed), int(trial)
+    words = remembered(("seed", seed, trial), lambda: _SeedWords(seed, trial))
+    return np.random.Generator(np.random.PCG64(words))
 
 
 def random_element(model: Model, seed: int, shape: str = "any") -> Element:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .backends.base import Model
+from .backends.base import Model, remembering_spectra
 from .core import cone_contains, order_norm
 from .elements import DEFAULT_TOL, Tolerance
 from .logic import (
@@ -393,8 +393,9 @@ def run_suite(model: Model, suite: str, seed: int, trials: int,
     start = time.monotonic()
     names = list(SUITES) if suite == "all" else [suite]
     checks: list[CheckResult] = []
-    for name in names:
-        checks += SUITES[name](model, seed, trials, tol)
+    with remembering_spectra():
+        for name in names:
+            checks += SUITES[name](model, seed, trials, tol)
     report = VerificationReport(
         model=model.descriptor.to_json(),
         suite=suite,
