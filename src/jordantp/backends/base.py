@@ -164,8 +164,37 @@ class Model(ABC):
 
         Returns at most ``info_capacity`` pairs whose atoms are pairwise
         orthogonal and sum to the order unit; degenerate eigenspaces are
-        resolved deterministically.
+        resolved deterministically.  The per-element form of
+        ``decompose_batch``, with the same arithmetic; it is kept apart
+        because the batch kernel's fixed cost per call would slow the many
+        one-element calls of the other suites.
         """
+
+    def decompose_batch(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+        """The frames of the rows of a (K, d) stack: eigenvalues (K, m) and
+        atoms (K, m, d), row k equal bit for bit to ``decompose_coords`` of
+        ``stack[k]``.  A row with an eigenvalue outside the doubles raises
+        the ``ValueError`` that ``spectral_form`` raises for it.  The atoms
+        are C-contiguous, so that a reduction over an atom (a dot product)
+        adds up in the order it does on an element's coordinates."""
+        values, atoms = self._frames(stack, tol)
+        self._refuse_overflow(values, stack, tol)
+        return values, np.ascontiguousarray(atoms)
+
+    @abstractmethod
+    def _frames(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+        """``decompose_batch`` without the check of the eigenvalues."""
+
+    def _refuse_overflow(self, values: np.ndarray, stack: np.ndarray, tol: Tolerance) -> None:
+        """Raise for the first eigenvalue of a (K, m) stack of spectra of the
+        rows of ``stack`` that is not finite, row by row."""
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            row, k = bad[0]
+            # eigenvalues are homogeneous: halving the element names the value
+            half = self.eigenvalues_coords(0.5 * stack[row], tol)[k]
+            raise ValueError(f"eigenvalue {k} (largest first) of the element is "
+                             f"{2 * Decimal(half):.6e}, outside the range of a double")
 
     def spectral_form(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:
         """The frame of ``decompose_coords`` as elements, eigenvalues descending.
@@ -186,25 +215,27 @@ class Model(ABC):
 
     def _spectral_form(self, coords: np.ndarray, tol: Tolerance) -> SpectralForm:
         frame = self.decompose_coords(coords, tol)
-        for k, (s, _) in enumerate(frame):
-            if not math.isfinite(s):
-                # eigenvalues are homogeneous: halving the element names the value
-                half = self.eigenvalues_coords(0.5 * coords, tol)[k]
-                raise ValueError(f"eigenvalue {k} (largest first) of the element is "
-                                 f"{2 * Decimal(half):.6e}, outside the range of a double")
+        if not all(math.isfinite(s) for s, _ in frame):
+            self._refuse_overflow(np.array([[s for s, _ in frame]]), coords[np.newaxis], tol)
         return SpectralForm(pairs=tuple(SpectralPair(float(s), self.element(atom))
                                         for s, atom in frame))
 
+    @abstractmethod
     def eigenvalues_coords(self, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
         """Eigenvalues of the frame of ``coords``, without its atoms.
 
         Contract: the result equals, bit for bit, the eigenvalues of
         ``decompose_coords(coords, tol)`` in the same order, so a check may
-        compare the two at tolerance 0.  The default reads them off the full
-        frame; a backend overrides it only with the same arithmetic minus the
-        atoms.
+        compare the two at tolerance 0; the per-element form of
+        ``eigenvalues_batch``.
         """
-        return np.array([s for s, _ in self.decompose_coords(coords, tol)])
+
+    @abstractmethod
+    def eigenvalues_batch(self, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """The (K, m) eigenvalues of the rows of a (K, d) stack, row k equal
+        bit for bit to ``eigenvalues_coords`` of ``stack[k]``; the same
+        arithmetic as ``decompose_batch`` minus the atoms, so a non-finite
+        eigenvalue is returned, not refused."""
 
     def eigenvalues(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Eigenvalues of an element or of a coordinate vector, descending, as
@@ -216,10 +247,8 @@ class Model(ABC):
 
     def cone_defect(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
         """How far ``a`` (an element or coordinates) lies outside the positive
-        cone: minus its least eigenvalue, 0 inside the cone.  The one
-        cone-distance formula; a NaN spectrum is infinitely far."""
-        least = float(self.eigenvalues(a, tol).min())
-        return math.inf if math.isnan(least) else max(0.0, -least)
+        cone: ``cone_distance`` of its least eigenvalue."""
+        return cone_distance(float(self.eigenvalues(a, tol).min()))
 
     @abstractmethod
     def cone_oracle(self, coords: np.ndarray, slack: float) -> bool:
@@ -281,6 +310,12 @@ class Model(ABC):
             f"model kind {self.kind!r} has no symmetric transition probability, "
             "hence no inner product"
         )
+
+
+def cone_distance(least: float) -> float:
+    """How far a spectrum with least eigenvalue ``least`` lies outside the
+    positive cone: the one cone-distance formula.  NaN is infinitely far."""
+    return math.inf if math.isnan(least) else max(0.0, -least)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

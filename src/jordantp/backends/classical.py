@@ -44,9 +44,16 @@ class ClassicalModel(Model):
             out.append((float(coords[idx]), atom))
         return out
 
+    def _frames(self, stack, tol: Tolerance):
+        order = np.argsort(-stack, axis=1, kind="stable")
+        return np.take_along_axis(stack, order, axis=1), np.eye(self._n)[order]
+
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         return coords[np.argsort(-coords, kind="stable")]
+
+    def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
+        return np.take_along_axis(stack, np.argsort(-stack, axis=1, kind="stable"), axis=1)
 
     def cone_oracle(self, coords, slack: float) -> bool:
         return bool(coords.min() >= -slack)

@@ -74,6 +74,23 @@ class LpQubitModel(_QubitModel):
             return float(a.sum())  # zero, or inf or nan as the entries say
         return top * float(((a / top) ** exponent).sum() ** (1.0 / exponent))
 
+    @classmethod
+    def pnorms(cls, rows: np.ndarray, exponent) -> np.ndarray:
+        """``pnorm`` of each row of a (K, n) stack, bit for bit.  The powers
+        and sums are taken for the whole stack and the root row by row (the
+        vectorised power rounds differently from the scalar one); a row
+        whose sum of powers leaves the normal range, or comes near leaving
+        it, goes through ``pnorm``."""
+        a = np.abs(rows)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = (a ** exponent).sum(axis=1)
+            peaks = a.max(axis=1, initial=0.0) ** exponent
+        # margins of 4 keep the branch of pnorm's scalar peak test
+        plain = ((4.0 * _TINY <= peaks) & (peaks * (4.0 * a.shape[1]) < math.inf)).tolist()
+        root = 1.0 / exponent
+        return np.array([s ** root if ok else cls.pnorm(row, exponent)
+                         for s, ok, row in zip(sums.tolist(), plain, rows)])
+
     def supporting_functional(self, omega) -> np.ndarray:
         """Norm-one functional with f . omega = 1, unique by smoothness."""
         omega = np.asarray(omega, dtype=float)
@@ -96,6 +113,9 @@ class LpQubitModel(_QubitModel):
 
     def _radius(self, x) -> float:  # the spectrum is {c - |f|_q, c + |f|_q}
         return self.pnorm(x, self._q)
+
+    def _radii(self, xs) -> np.ndarray:
+        return self.pnorms(xs, self._q)
 
     def _split_radius(self, x) -> float:
         return self.pnorm(x, 2.0)

@@ -62,8 +62,26 @@ def _deterministic_basis(projector: np.ndarray, rank: int) -> list[np.ndarray]:
     return vecs
 
 
-_ZERO = np.zeros(1)
-_ZERO.setflags(write=False)
+def _average_clusters(eigvals: np.ndarray, eig_cluster: float) -> list[slice]:
+    """The clusters of a descending eigenvalue vector, each cluster of more
+    than one eigenvalue replaced by its mean in place."""
+    clusters = cluster_descending(eigvals, eig_cluster)
+    for cl in clusters:
+        if cl.stop - cl.start > 1:
+            # the mean of the halves cannot overflow; halving is exact
+            eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
+    return clusters
+
+
+def _resolve_degenerate(eigvecs: np.ndarray, clusters: list[slice]) -> None:
+    """Give each degenerate cluster a reproducible basis of its range, in
+    place; the eigenvectors are columns sorted like the eigenvalues.  A
+    rank-one cluster keeps its eigenvector."""
+    for cl in clusters:
+        rank = cl.stop - cl.start
+        if rank > 1:
+            basis = eigvecs[:, cl]
+            eigvecs[:, cl] = np.column_stack(_deterministic_basis(basis @ basis.conj().T, rank))
 
 
 class _MatrixModel(Model):
@@ -95,7 +113,8 @@ class _MatrixModel(Model):
     def param_items(self) -> tuple:
         return (("n", self._n),)
 
-    # subclasses provide _matrix_from_coords, matrix_coords (a stack
+    # subclasses provide _matrix_from_coords (a stack (..., d) of coordinate
+    # vectors to a stack of matrices), matrix_coords (a stack
     # (..., n, n) of matrices to a stack of coordinate vectors) and
     # _rank_one_coords (a stack (..., n) of vectors v to the coordinates of
     # v v*, equal bit for bit to matrix_coords of the outer products)
@@ -109,7 +128,8 @@ class _MatrixModel(Model):
         return index
 
     def _checked(self, coords: np.ndarray) -> np.ndarray:
-        if coords.shape != (self.ambient_dim,):
+        """``coords``, a coordinate vector or a stack (..., d) of them."""
+        if coords.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"expected {self.ambient_dim} coordinates, got shape {coords.shape}")
         return coords
@@ -133,12 +153,7 @@ class _MatrixModel(Model):
         eigvals, eigvecs = np.linalg.eigh(mat)
         order = np.argsort(-eigvals, kind="stable")
         eigvals = eigvals[order]
-        clusters = cluster_descending(eigvals, tol.eig_cluster)
-        for cl in clusters:
-            if cl.stop - cl.start > 1:
-                # the mean of the halves cannot overflow; halving is exact
-                eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
-        return eigvals, eigvecs, order, clusters
+        return eigvals, eigvecs, order, _average_clusters(eigvals, tol.eig_cluster)
 
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         return self._spectrum(coords, tol)[0]
@@ -146,15 +161,33 @@ class _MatrixModel(Model):
     def decompose_coords(self, coords, tol: Tolerance):
         eigvals, eigvecs, order, clusters = self._spectrum(coords, tol)
         eigvecs = eigvecs[:, order]
-        # a rank-one cluster keeps its eigenvector; only a degenerate one
-        # needs a reproducible basis of its range
-        for cl in clusters:
-            rank = cl.stop - cl.start
-            if rank > 1:
-                basis = eigvecs[:, cl]
-                eigvecs[:, cl] = np.column_stack(
-                    _deterministic_basis(basis @ basis.conj().T, rank))
+        _resolve_degenerate(eigvecs, clusters)
         return list(zip(eigvals.tolist(), self._rank_one_coords(eigvecs.T)))
+
+    def _spectra(self, stack, tol: Tolerance):
+        """``_spectrum`` of every row of a (K, d) stack, the cluster slices
+        kept only for rows with a cluster of more than one eigenvalue, by
+        row.  One stacked ``eigh`` gives each matrix's ``eigh`` bit for bit,
+        and the gap test of ``cluster_descending`` runs on all rows at once."""
+        eigvals, eigvecs = np.linalg.eigh(self._matrix_from_coords(stack))
+        order = np.argsort(-eigvals, axis=1, kind="stable")
+        eigvals = np.take_along_axis(eigvals, order, axis=1)
+        half = 0.5 * eigvals
+        threshold = tol.eig_cluster * (half[:, :1] - half[:, -1:])
+        joined = ~(half[:, :-1] - half[:, 1:] > threshold)
+        clustered = {row: _average_clusters(eigvals[row], tol.eig_cluster)
+                     for row in np.flatnonzero(joined.any(axis=1))}
+        return eigvals, eigvecs, order, clustered
+
+    def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
+        return self._spectra(stack, tol)[0]
+
+    def _frames(self, stack, tol: Tolerance):
+        eigvals, eigvecs, order, clustered = self._spectra(stack, tol)
+        eigvecs = np.take_along_axis(eigvecs, order[:, np.newaxis, :], axis=2)
+        for row, clusters in clustered.items():
+            _resolve_degenerate(eigvecs[row], clusters)
+        return eigvals, self._rank_one_coords(np.swapaxes(eigvecs, 1, 2))
 
     def cone_oracle(self, coords, slack: float) -> bool:
         mat = self._matrix_from_coords(coords)
@@ -254,7 +287,7 @@ class SymMatrixModel(_MatrixModel):
         return vecs[..., self._rows] * vecs[..., self._cols]
 
     def _matrix_from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return self._checked(coords)[self._gather]
+        return self._checked(coords)[..., self._gather]
 
 
 class HermMatrixModel(_MatrixModel):
@@ -300,5 +333,7 @@ class HermMatrixModel(_MatrixModel):
     def _matrix_from_coords(self, coords: np.ndarray) -> np.ndarray:
         # one gather of every entry's (re, im) pair, the imaginary parts below
         # the diagonal negated, read as complex numbers
-        pairs = np.concatenate((self._checked(coords), _ZERO))[self._gather] * self._signs
+        coords = self._checked(coords)
+        padded = np.concatenate((coords, np.zeros(coords.shape[:-1] + (1,))), axis=-1)
+        pairs = padded.take(self._gather, axis=-1) * self._signs
         return pairs.view(complex)[..., 0]

@@ -21,6 +21,13 @@ def half_atom(g: np.ndarray) -> np.ndarray:
     return 0.5 * np.array([1.0, *g.tolist()])
 
 
+def _t_plus_minus_r(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (K, 2) spectra t + r, t - r; a sum beyond the doubles is inf
+    without a warning, as it is in float arithmetic."""
+    with np.errstate(over="ignore"):
+        return np.stack((t + r, t - r), axis=1)
+
+
 class _QubitModel(Model):
     """Everything but the radius, the atom parametrisation and the oracle."""
 
@@ -44,6 +51,10 @@ class _QubitModel(Model):
     def _radius(self, x) -> float:
         """The norm r whose unit sphere carries the atom directions."""
 
+    @abstractmethod
+    def _radii(self, xs: np.ndarray) -> np.ndarray:
+        """``_radius`` of each row of a (K, n) stack, bit for bit."""
+
     def _split_radius(self, x) -> float:
         """Euclidean length of x, as the orthogonal split measures it."""
         return float(np.linalg.norm(x))
@@ -59,10 +70,25 @@ class _QubitModel(Model):
             g = x / r
         return [(t + r, half_atom(g)), (t - r, half_atom(-g))]
 
+    def _frames(self, stack, tol: Tolerance):
+        t, xs = stack[:, 0], stack[:, 1:]
+        r = self._radii(xs)
+        flat = r == 0.0
+        g = xs / np.where(flat, 1.0, r)[:, np.newaxis]
+        g[flat] = 0.0
+        g[flat, 0] = 1.0  # deterministic direction for multiples of the unit
+        atoms = np.full((len(stack), 2, self._n + 1), 0.5)
+        atoms[:, 0, 1:] = 0.5 * g
+        atoms[:, 1, 1:] = -atoms[:, 0, 1:]
+        return _t_plus_minus_r(t, r), atoms
+
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         t = float(coords[0])
         r = self._radius(np.asarray(coords[1:], dtype=float))
         return np.array([t + r, t - r])
+
+    def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
+        return _t_plus_minus_r(stack[:, 0], self._radii(stack[:, 1:]))
 
     def split_orthogonal_coords(self, coords, tol: Tolerance):
         t, f = float(coords[0]), coords[1:]

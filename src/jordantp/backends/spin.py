@@ -32,6 +32,10 @@ class SpinFactorModel(_QubitModel):
         # representable (np.linalg.norm overflows from about 1.3e154)
         return math.hypot(*x)
 
+    def _radii(self, xs) -> np.ndarray:
+        # a hypot per row: numpy's hypot.reduce rounds differently
+        return np.array([math.hypot(*x) for x in xs.tolist()])
+
     def cone_oracle(self, coords, slack: float) -> bool:
         return bool(coords[0] - np.linalg.norm(coords[1:]) >= -slack)
 

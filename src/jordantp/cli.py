@@ -10,6 +10,7 @@ wall_time_ms).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -123,7 +124,10 @@ def _cmd_tpmatrix(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build costs about
+    a millisecond, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="jordantp",
         description="Verification toolkit for desk-scale order unit spaces: "
@@ -174,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (JordanTpError, ValueError, OSError) as exc:

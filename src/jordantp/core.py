@@ -7,6 +7,8 @@ truth per model.  All functions are pure.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .backends.base import Model
 from .elements import DEFAULT_TOL, Element, Tolerance
 
@@ -20,6 +22,11 @@ def order_norm(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> float:
     """Order unit norm: the largest eigenvalue magnitude."""
     eigs = model.eigenvalues(model.check_element(a), tol)
     return float(abs(eigs).max())
+
+
+def order_norms(model: Model, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """``order_norm`` of each row of a (K, d) stack of coordinates, bit for bit."""
+    return np.abs(model.eigenvalues_batch(stack, tol)).max(axis=1)
 
 
 def in_unit_interval(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:

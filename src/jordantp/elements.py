@@ -130,14 +130,29 @@ class SpectralForm:
 
     def apply(self, func) -> Element:
         """Resum the frame with eigenvalues mapped through ``func``."""
-        model = self.pairs[0].atom.model
-        coords = np.zeros(model.ambient_dim)
-        for p in self.pairs:
+        eigenvalues = self.eigenvalues
+        values = np.empty(len(eigenvalues))
+        for k, s in enumerate(eigenvalues.tolist()):
             try:
-                value = float(func(p.eigenvalue))
+                values[k] = float(func(s))
             except (ArithmeticError, ValueError) as exc:
-                raise ValueError(f"function failed at eigenvalue {p.eigenvalue}: {exc}") from exc
-            if not np.isfinite(value):
-                raise ValueError(f"function not finite at eigenvalue {p.eigenvalue}")
-            coords += value * p.atom.coords
-        return Element(coords, model)
+                raise ValueError(f"function failed at eigenvalue {s}: {exc}") from exc
+        atoms = np.array([p.atom.coords for p in self.pairs])
+        return Element(resum(eigenvalues, values, atoms), self.pairs[0].atom.model)
+
+
+def resum(eigenvalues: np.ndarray, values: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Coordinates of the sum over j of ``values[..., j] * atoms[..., j, :]``,
+    added up in frame order from zero: the functional calculus on one frame
+    (values (m,), atoms (m, d)) or on a stack of frames ((K, m), (K, m, d)).
+
+    ``values`` are the ``eigenvalues`` mapped through a function; the first
+    one that is not finite raises, named by its eigenvalue.
+    """
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"function not finite at eigenvalue {float(eigenvalues[tuple(bad[0])])}")
+    coords = np.zeros(atoms.shape[:-2] + atoms.shape[-1:])
+    for j in range(atoms.shape[-2]):
+        coords += values[..., j, np.newaxis] * atoms[..., j, :]
+    return coords

@@ -334,3 +334,23 @@ def test_tpmatrix_takes_no_tolerance():
     with pytest.raises(SystemExit) as exc:
         main(["tpmatrix", "spin:2", "--random", "2", "--tol", "check_tol=1e-6"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    from jordantp import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    parse_tol = cli._parse_tol
+
+    def recording(items):
+        seen.append(list(items))
+        return parse_tol(items)
+
+    monkeypatch.setattr(cli, "_parse_tol", recording)
+    for extra in (["--tol", "check_tol=1e-8"], []):
+        code, _, _ = run_cli(capsys, "verify", "classical:2", "--suite", "spectral",
+                             "--trials", "2", *extra)
+        assert code == 0
+    # the append action's default list is not shared between calls
+    assert seen == [["check_tol=1e-8"], []]

@@ -21,7 +21,7 @@ from jordantp.backends.base import MEMO_ENTRIES, remembered, remembering_spectra
 from jordantp.cli import main
 from jordantp.reports import dump_canonical_json
 from jordantp.spectral import _SeedWords, trial_rng
-from jordantp.suites import SUITES, run_suite
+from jordantp.suites import SUITES, run_suite, spectral_suite
 
 
 def _count_kernel(monkeypatch, model):
@@ -242,8 +242,9 @@ def test_concurrent_runs_keep_their_memos_apart(tol):
 # ---------------------------------------------------------------------------
 
 # decompose_coords calls of one `verify --suite all --seed 1` run with the
-# memo; without it they were 246 and 697
-DECOMPOSITIONS = {("sym:4", 8): 169, ("classical:4", 24): 319}
+# memo and the batched spectral suite; with the memo alone they were 169 and
+# 319, with neither 246 and 697
+DECOMPOSITIONS = {("sym:4", 8): 119, ("classical:4", 24): 169}
 
 
 @pytest.mark.parametrize("spec,trials", list(DECOMPOSITIONS))
@@ -254,3 +255,27 @@ def test_a_run_decomposes_each_spectrum_once(monkeypatch, capsys, spec, trials):
     capsys.readouterr()
     assert code == 0
     assert counts["decompose_coords"] <= DECOMPOSITIONS[spec, trials]
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_the_spectral_suite_calls_the_batch_kernels_a_fixed_number_of_times(
+        monkeypatch, kind, n, p, tol):
+    model = get_model(kind, n, p)
+    counts = _count_kernel(monkeypatch, model)
+    batch = {"decompose_batch": 0, "eigenvalues_batch": 0}
+    for name in batch:
+        kernel = getattr(model, name)
+
+        def counted(stack, tol, kernel=kernel, name=name):
+            batch[name] += 1
+            return kernel(stack, tol)
+
+        monkeypatch.setattr(model, name, counted)
+    seen = []
+    for trials in (1, 8, 101, 250):
+        spectral_suite(model, 3, trials, tol)
+        seen.append(dict(batch))
+        batch.update(dict.fromkeys(batch, 0))
+    assert all(seen[0].values()) and seen == [seen[0]] * len(seen)
+    # no sample goes through the per-element kernels
+    assert counts == {"decompose_coords": 0, "eigenvalues_coords": 0}

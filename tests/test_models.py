@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import random_projection
+from conftest import ALL_MODEL_SPECS, random_projection
 from jordantp import (
+    Tolerance,
     NotAtomError,
     UnnormalizedParamError,
     func_calculus,
@@ -389,6 +392,85 @@ def test_eigenvalues_take_coordinates(any_model, tol):
         a = random_element(any_model, seed)
         assert any_model.eigenvalues(a.coords, tol).tobytes() == \
             any_model.eigenvalues(a, tol).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# batch kernels: every row of a (K, d) stack as the per-element kernels give it
+# ---------------------------------------------------------------------------
+
+# besides the conftest specs: one-dimensional families and extreme exponents
+BATCH_EXTRA_SPECS = [("classical", 1, None), ("spin", 1, None), ("sym", 1, None),
+                     ("lpq", 2, 1.001), ("lpq", 3, 3.0), ("lpq", 2, 1000.0)]
+
+
+def _same(got, want) -> bool:
+    """Equal bit for bit: np.array_equal, and the same signs of zeros."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def _batch_rows(model, seed):
+    """Random rows, logic elements (clustered spectra), multiples of the unit
+    (x = 0 on the capacity-two families) and extreme scales, as one stack."""
+    unit = model.order_unit_coords()
+    rows = [random_element(model, seed + k).coords for k in range(8)]
+    rows += [random_element(model, seed + k, "logic").coords for k in range(8)]
+    rows += [scale * unit for scale in (0.0, -0.0, 1.0, -2.5, 1e-300)]
+    rows += [scale * rows[0] for scale in (1e150, 1e-150, 1e-310)]
+    return np.array(rows)
+
+
+def _assert_rows_match(model, stack, tol):
+    values, atoms = model.decompose_batch(stack, tol)
+    eigs = model.eigenvalues_batch(stack, tol)
+    m, d = model.info_capacity, model.ambient_dim
+    assert values.shape == eigs.shape == (len(stack), m)
+    assert atoms.shape == (len(stack), m, d) and atoms.flags.c_contiguous
+    for k, row in enumerate(stack):
+        frame = model.decompose_coords(row, tol)
+        assert _same(values[k], [s for s, _ in frame])
+        assert _same(atoms[k], [atom for _, atom in frame])
+        assert _same(eigs[k], model.eigenvalues_coords(row, tol))
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS + BATCH_EXTRA_SPECS)
+def test_batch_kernels_equal_the_per_row_kernels(kind, n, p, tol):
+    model = get_model(kind, n, p)
+    stack = _batch_rows(model, 40 + n)
+    _assert_rows_match(model, stack, tol)
+    for k in range(len(stack)):
+        _assert_rows_match(model, stack[k:k + 1], tol)
+    _assert_rows_match(model, stack[:0], tol)
+
+
+def test_batch_kernels_see_clusters_and_empty_directions():
+    # the stacks above hold what the per-row kernels resolve specially
+    tol = Tolerance()
+    herm = get_model("herm", 3)
+    eigs = herm.eigenvalues_batch(_batch_rows(herm, 43), tol)
+    assert (np.diff(eigs, axis=1) == 0.0).any()  # a degenerate cluster
+    spin = get_model("spin", 3)
+    values, atoms = spin.decompose_batch(_batch_rows(spin, 43), tol)
+    assert (values[:, 0] == values[:, 1]).any()  # x = 0: the fixed direction
+    np.testing.assert_array_equal(atoms[16, 0], [0.5, 0.5, 0.0, 0.0])
+
+
+def test_batch_kernels_refuse_an_overflowing_row_like_spectral_form(any_model, tol):
+    big = np.full(any_model.ambient_dim, 1e308)
+    stack = np.stack([random_element(any_model, 3).coords, big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eigs = any_model.eigenvalues_batch(stack, tol)  # returned, like eigenvalues_coords
+        assert _same(eigs[1], any_model.eigenvalues_coords(big, tol))
+        if np.isfinite(eigs).all():  # classical: the eigenvalues are the coordinates
+            assert _same(any_model.decompose_batch(stack, tol)[0], eigs)
+            return
+        with pytest.raises(ValueError, match="outside the range of a double") as form:
+            any_model.spectral_form(any_model.element(big), tol)
+        for rows in (stack, stack[::-1], big[np.newaxis]):
+            with pytest.raises(ValueError) as batch:
+                any_model.decompose_batch(rows, tol)
+            assert str(batch.value) == str(form.value)
 
 
 # ---------------------------------------------------------------------------
