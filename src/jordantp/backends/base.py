@@ -11,7 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from ..elements import DEFAULT_TOL, Element, SpectralForm, SpectralPair, Tolerance
+from ..elements import DEFAULT_TOL, Element, SpectralForm, Tolerance
 from ..errors import DimensionMismatchError, UnsupportedModelError
 
 
@@ -159,15 +159,16 @@ class Model(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def decompose_coords(self, coords: np.ndarray, tol: Tolerance) -> list[tuple[float, np.ndarray]]:
-        """Complete spectral frame, eigenvalues sorted descending.
+    def decompose_coords(self, coords: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+        """Complete spectral frame: eigenvalues (m,) sorted descending and
+        the C-contiguous coordinates (m, d) of their atoms.
 
-        Returns at most ``info_capacity`` pairs whose atoms are pairwise
-        orthogonal and sum to the order unit; degenerate eigenspaces are
-        resolved deterministically.  The per-element form of
-        ``decompose_batch``, with the same arithmetic; it is kept apart
-        because the batch kernel's fixed cost per call would slow the many
-        one-element calls of the other suites.
+        At most ``info_capacity`` atoms, pairwise orthogonal and summing to
+        the order unit; degenerate eigenspaces are resolved
+        deterministically.  Row k of ``decompose_batch`` of a stack whose row
+        k is ``coords``, bit for bit, computed apart: a batch of one costs
+        18-81 us a call against 5-44 us here (timeit, one thread, 2-core
+        host), and most calls decompose one element.
         """
 
     def decompose_batch(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +176,8 @@ class Model(ABC):
         atoms (K, m, d), row k equal bit for bit to ``decompose_coords`` of
         ``stack[k]``.  A row with an eigenvalue outside the doubles raises
         the ``ValueError`` that ``spectral_form`` raises for it.  The atoms
-        are C-contiguous, so that a reduction over an atom (a dot product)
-        adds up in the order it does on an element's coordinates."""
+        are C-contiguous, as there, so that a reduction over an atom (a dot
+        product) adds up in one order on both paths."""
         values, atoms = self._frames(stack, tol)
         self._refuse_overflow(values, stack, tol)
         return values, np.ascontiguousarray(atoms)
@@ -197,12 +198,12 @@ class Model(ABC):
                              f"{2 * Decimal(half):.6e}, outside the range of a double")
 
     def spectral_form(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:
-        """The frame of ``decompose_coords`` as elements, eigenvalues descending.
+        """The frame of ``decompose_coords`` as a ``SpectralForm``.
 
         Inside ``remembering_spectra`` (one verification run, at most
         ``MEMO_ENTRIES`` remembered values) an element whose coordinates, model
-        and tolerance were already decomposed gets the same (immutable) form
-        back; outside it every call decomposes.
+        and tolerance were already decomposed gets the same form object back;
+        outside it every call decomposes.
         The form is only ever made by ``decompose_coords`` and the eigenvalues
         of ``eigenvalues`` only by ``eigenvalues_coords``: neither is served
         from the other, so a check comparing the two paths still compares two
@@ -214,11 +215,10 @@ class Model(ABC):
                           lambda: self._spectral_form(coords, tol))
 
     def _spectral_form(self, coords: np.ndarray, tol: Tolerance) -> SpectralForm:
-        frame = self.decompose_coords(coords, tol)
-        if not all(math.isfinite(s) for s, _ in frame):
-            self._refuse_overflow(np.array([[s for s, _ in frame]]), coords[np.newaxis], tol)
-        return SpectralForm(pairs=tuple(SpectralPair(float(s), self.element(atom))
-                                        for s, atom in frame))
+        values, atoms = self.decompose_coords(coords, tol)
+        if not all(map(math.isfinite, values.tolist())):
+            self._refuse_overflow(values[np.newaxis], coords[np.newaxis], tol)
+        return SpectralForm(_read_only(values), _read_only(atoms), self)
 
     @abstractmethod
     def eigenvalues_coords(self, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -290,7 +290,7 @@ class Model(ABC):
         """Coordinates of the atoms that complete the atom ``e`` to a maximal
         orthogonal family: the frame of the logic element unit - e."""
         form = self.spectral_form(self.element(self.order_unit().coords - e), tol)
-        return [p.atom.coords for p in form.pairs if p.eigenvalue > 0.5]
+        return list(form.atom_coords[form.eigenvalues > 0.5])
 
     # ------------------------------------------------------------------
     # states and pairings

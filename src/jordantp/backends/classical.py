@@ -37,12 +37,7 @@ class ClassicalModel(Model):
 
     def decompose_coords(self, coords, tol: Tolerance):
         order = np.argsort(-coords, kind="stable")
-        out = []
-        for idx in order:
-            atom = np.zeros(self._n)
-            atom[idx] = 1.0
-            out.append((float(coords[idx]), atom))
-        return out
+        return coords[order], np.eye(self._n)[order]
 
     def _frames(self, stack, tol: Tolerance):
         order = np.argsort(-stack, axis=1, kind="stable")

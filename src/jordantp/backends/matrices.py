@@ -162,7 +162,7 @@ class _MatrixModel(Model):
         eigvals, eigvecs, order, clusters = self._spectrum(coords, tol)
         eigvecs = eigvecs[:, order]
         _resolve_degenerate(eigvecs, clusters)
-        return list(zip(eigvals.tolist(), self._rank_one_coords(eigvecs.T)))
+        return eigvals, np.ascontiguousarray(self._rank_one_coords(eigvecs.T))
 
     def _spectra(self, stack, tol: Tolerance):
         """``_spectrum`` of every row of a (K, d) stack, the cluster slices

@@ -63,12 +63,9 @@ class _QubitModel(Model):
         t = float(coords[0])
         x = np.asarray(coords[1:], dtype=float)
         r = self._radius(x)
-        if r == 0.0:
-            g = np.zeros(self._n)
-            g[0] = 1.0  # deterministic direction for multiples of the unit
-        else:
-            g = x / r
-        return [(t + r, half_atom(g)), (t - r, half_atom(-g))]
+        # a deterministic direction for multiples of the unit
+        g = np.eye(self._n)[0] if r == 0.0 else x / r
+        return np.array([t + r, t - r]), np.array([half_atom(g), half_atom(-g)])
 
     def _frames(self, stack, tol: Tolerance):
         t, xs = stack[:, 0], stack[:, 1:]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,39 +107,40 @@ class SpectralPair:
     atom: Element
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralForm:
     """Complete spectral frame: pairwise-orthogonal atoms summing to the order unit.
 
-    Frames are always padded with zero eigenvalues, so the atoms resolve the
-    order unit exactly and the pair count never exceeds the information
-    capacity of the model.
+    The read-only arrays of ``decompose_coords``: eigenvalues (m,) and the
+    coordinates (m, d) of their atoms.  Frames are padded with zero
+    eigenvalues, so the atoms resolve the order unit exactly and m never
+    exceeds the information capacity.  Atoms become elements when read.
     """
 
-    pairs: tuple[SpectralPair, ...]
+    eigenvalues: np.ndarray
+    atom_coords: np.ndarray
+    model: "Model" = field(repr=False)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.eigenvalue for p in self.pairs])
+    @cached_property
+    def atoms(self) -> tuple[Element, ...]:
+        return tuple(Element(atom, self.model) for atom in self.atom_coords)
 
-    @property
-    def atoms(self) -> list[Element]:
-        return [p.atom for p in self.pairs]
+    @cached_property
+    def pairs(self) -> tuple[SpectralPair, ...]:
+        return tuple(SpectralPair(s, e) for s, e in zip(self.eigenvalues.tolist(), self.atoms))
 
     def reconstruct(self) -> Element:
         return self.apply(float)
 
     def apply(self, func) -> Element:
         """Resum the frame with eigenvalues mapped through ``func``."""
-        eigenvalues = self.eigenvalues
-        values = np.empty(len(eigenvalues))
-        for k, s in enumerate(eigenvalues.tolist()):
+        values = np.empty(len(self.eigenvalues))
+        for k, s in enumerate(self.eigenvalues.tolist()):
             try:
                 values[k] = float(func(s))
             except (ArithmeticError, ValueError) as exc:
                 raise ValueError(f"function failed at eigenvalue {s}: {exc}") from exc
-        atoms = np.array([p.atom.coords for p in self.pairs])
-        return Element(resum(eigenvalues, values, atoms), self.pairs[0].atom.model)
+        return Element(resum(self.eigenvalues, values, self.atom_coords), self.model)
 
 
 def resum(eigenvalues: np.ndarray, values: np.ndarray, atoms: np.ndarray) -> np.ndarray:

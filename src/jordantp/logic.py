@@ -83,11 +83,9 @@ def meet(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
             MeetThresholdWarning,
             stacklevel=2,
         )
-    coords = np.zeros(model.ambient_dim)
-    for pair in form.pairs:
-        if pair.eigenvalue >= threshold:
-            coords += pair.atom.coords
-    return LogicElement(model.element(coords))
+    # summed from zeros in frame order, which keeps the signs of zeros
+    top = form.atom_coords[form.eigenvalues >= threshold]
+    return LogicElement(model.element(sum(top, np.zeros(model.ambient_dim))))
 
 
 def join(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:

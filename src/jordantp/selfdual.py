@@ -175,7 +175,8 @@ class SpectralSelfDualCone(SelfDualCone):
     def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
         # an element is already checked; only a raw array needs wrapping
         a = x if isinstance(x, Element) else self.wrap(self.as_vec(x))
-        return [PeeledAtom(p.eigenvalue, p.atom) for p in self.model.spectral_form(a, tol).pairs]
+        form = self.model.spectral_form(a, tol)
+        return list(map(PeeledAtom, form.eigenvalues.tolist(), form.atom_coords))
 
 
 # ---------------------------------------------------------------------------

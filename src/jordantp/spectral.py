@@ -54,6 +54,11 @@ def random_element(model: Model, seed: int, shape: str = "any") -> Element:
 
 
 def _random_element(model: Model, rng: np.random.Generator, shape: str = "any") -> Element:
+    return model.element(_random_coords(model, rng, shape))
+
+
+def _random_coords(model: Model, rng: np.random.Generator, shape: str = "any") -> np.ndarray:
+    """The coordinates of the element ``_random_element`` draws."""
     frame = model.random_frame_params(rng)
     m = len(frame)
     if shape == "any":
@@ -69,7 +74,7 @@ def _random_element(model: Model, rng: np.random.Generator, shape: str = "any") 
     coords = np.zeros(model.ambient_dim)
     for w, param in zip(weights, frame):
         coords += w * model.atom_coords(param)
-    return model.element(coords)
+    return coords
 
 
 def func_calculus(
@@ -132,7 +137,7 @@ def trial_coords(model: Model, seed: int, trials: range, count: int) -> list[np.
     for k, trial in enumerate(trials):
         rng = trial_rng(seed, trial)
         for j in range(count):
-            draws[j, k] = _random_element(model, rng).coords
+            draws[j, k] = _random_coords(model, rng)
     return list(draws)
 
 

@@ -153,8 +153,8 @@ def inner_product(model: Model, a: Element, b: Element, tol: Tolerance = DEFAULT
             f"model {model.descriptor.to_json()} is not symmetric"
         )
     form = model.spectral_form(a, tol)
-    return float(sum(p.eigenvalue * model.native_pairing(p.atom.coords, b.coords)
-                     for p in form.pairs))
+    return float(sum(s * model.native_pairing(atom, b.coords)
+                     for s, atom in zip(form.eigenvalues.tolist(), form.atom_coords)))
 
 
 def check_inner_product(model: Model, seed: int, trials: int,

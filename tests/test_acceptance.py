@@ -84,15 +84,14 @@ def test_criterion_01_02_spectral_reconstruction_and_cone_consistency():
         for k in range(1000):
             rng = trial_rng(k, 0)
             a = _random_element(model, rng).coords
-            pairs = model.decompose_coords(a, TOL)
-            eigs = np.array([s for s, _ in pairs])
-            recon = sum(s * atom for s, atom in pairs)
-            resid = np.abs(np.array([s for s, _ in model.decompose_coords(recon - a, TOL)]))
+            eigs, atoms = model.decompose_coords(a, TOL)
+            recon = sum(s * atom for s, atom in zip(eigs, atoms))
+            resid = np.abs(model.decompose_coords(recon - a, TOL)[0])
             worst_recon = max(worst_recon, float(resid.max()))
-            frame = sum(atom for _, atom in pairs) - unit
-            frame_norm = np.abs(np.array([s for s, _ in model.decompose_coords(frame, TOL)]))
+            frame = sum(atoms) - unit
+            frame_norm = np.abs(model.decompose_coords(frame, TOL)[0])
             worst_frame = max(worst_frame, float(frame_norm.max()))
-            if len(pairs) > model.info_capacity:
+            if len(eigs) > model.info_capacity:
                 oversize += 1
             # criterion 2: cone membership and norm agree with the spectrum
             member = bool(eigs.min() >= -TOL.cone_slack)

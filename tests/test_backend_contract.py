@@ -19,7 +19,13 @@ included), keeps ``Element`` to its one checked constructor: it fails on
 ``coords``.  Each of these would make an element whose coordinates were
 never checked.
 
-A third walk, over every module, fails on a parameter that no concrete
+A third walk, over every module, keeps each spectral frame container to the
+one module that builds it: ``SpectralForm(...)`` is called only in
+``backends/base.py`` (from the arrays of ``decompose_coords``) and
+``SpectralPair(...)`` only in ``elements.py`` (when a caller reads
+``SpectralForm.pairs``), so a frame has one format everywhere else.
+
+A fourth walk, over every module, fails on a parameter that no concrete
 definition of a function reads.  Definitions are grouped by name, so the
 same-named methods of different classes (and the overrides of an abstract
 method) count as one protocol: a parameter one of them reads is live in all.
@@ -222,6 +228,42 @@ def test_guard_flags_unchecked_element_construction():
         "<source>:5: sets an attribute through object.__setattr__",
         "<source>:6: sets an attribute through object.__setattr__",
     ]
+
+
+# frame container -> the one module (relative to the package) that calls it
+FRAME_BUILDERS = {"SpectralForm": "backends/base.py", "SpectralPair": "elements.py"}
+
+
+def frame_violations(source: str, filename: str = "<source>") -> list[str]:
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FRAME_BUILDERS and filename != FRAME_BUILDERS[name]:
+                hits.append(f"{filename}:{node.lineno}: constructs {name}")
+    return hits
+
+
+def test_frames_are_built_in_one_module_each():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += frame_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_frames_built_elsewhere():
+    source = (
+        "def f(model, values, atoms):\n"
+        "    form = SpectralForm(values, atoms, model)\n"
+        "    pair = elements.SpectralPair(1.0, model.zero())\n"
+        "    return form, pair, SpectralFormat(values)\n"
+    )
+    assert frame_violations(source, "logic.py") == [
+        "logic.py:2: constructs SpectralForm", "logic.py:3: constructs SpectralPair"]
+    assert frame_violations(source, "backends/base.py") == [
+        "backends/base.py:3: constructs SpectralPair"]
+    assert frame_violations(source, "elements.py") == ["elements.py:2: constructs SpectralForm"]
 
 
 def _is_declaration(fn) -> bool:

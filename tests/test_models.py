@@ -57,6 +57,27 @@ def test_decompose_is_deterministic(any_model):
         np.testing.assert_array_equal(p1.atom.coords, p2.atom.coords)
 
 
+def test_spectral_form_holds_the_kernel_rows_read_only(any_model, tol):
+    from jordantp.backends.base import remembering_spectra
+
+    a = random_element(any_model, 11)
+    values, atoms = any_model.decompose_coords(a.coords, tol)
+    with remembering_spectra():
+        form = any_model.spectral_form(a, tol)
+        assert any_model.spectral_form(any_model.element(a.coords.copy()), tol) is form
+    for stored, row in ((form.eigenvalues, values), (form.atom_coords, atoms)):
+        assert _same(stored, row) and not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 0.0
+    # the elements are built once, when first read, and match the rows
+    assert form.pairs is form.pairs and form.atoms is form.atoms
+    assert len(form.pairs) == len(values)
+    for pair, s, atom, element in zip(form.pairs, values.tolist(), atoms, form.atoms):
+        assert type(pair.eigenvalue) is float and pair.eigenvalue == s
+        assert pair.atom is element and element.model is any_model
+        assert _same(element.coords, atom)
+
+
 def test_degenerate_frame_is_deterministic_and_valid():
     # multiplicity-2 eigenspace: frame must still resolve the unit exactly
     m = get_model("sym", 3)
@@ -338,20 +359,19 @@ def test_matrix_kernel_paths_agree(kind, n, tol):
     unit = model.order_unit_coords()
     rng = np.random.default_rng(2312 + 10 * n + len(kind))
     for label, a in _kernel_elements(model, rng).items():
-        frame = model.decompose_coords(a.coords, tol)
-        eigs = np.array([s for s, _ in frame])
+        eigs, atoms = model.decompose_coords(a.coords, tol)
         # tolerance-0 contract between the two kernel entry points
         np.testing.assert_array_equal(model.eigenvalues(a, tol), eigs, err_msg=label)
         np.testing.assert_array_equal(model.eigenvalues_coords(a.coords, tol), eigs,
                                       err_msg=label)
         reference = _reference_frame(model, a.coords, tol)
         np.testing.assert_array_equal(eigs, [s for s, _, _ in reference], err_msg=label)
-        for (_, atom), (_, rank, ref_atom) in zip(frame, reference):
+        for atom, (_, rank, ref_atom) in zip(atoms, reference):
             if rank > 1:  # a degenerate cluster keeps its deterministic atoms
                 np.testing.assert_array_equal(atom, ref_atom, err_msg=label)
             else:
                 np.testing.assert_allclose(atom, ref_atom, rtol=0, atol=1e-14, err_msg=label)
-        np.testing.assert_allclose(sum(atom for _, atom in frame), unit, rtol=0, atol=1e-13,
+        np.testing.assert_allclose(sum(atoms), unit, rtol=0, atol=1e-13,
                                    err_msg=label)
 
 
@@ -370,7 +390,7 @@ def test_closed_form_kernel_paths_agree(kind, n, p, tol):
                 "ties": model.element(np.resize([1.0, -2.0, 1.0, -0.0], model.ambient_dim)),
                 "random*1e100": random * 1e100, "random*1e-100": random * 1e-100}
     for label, a in elements.items():
-        eigs = np.array([s for s, _ in model.decompose_coords(a.coords, tol)])
+        eigs = model.decompose_coords(a.coords, tol)[0]
         np.testing.assert_array_equal(model.eigenvalues(a, tol), eigs, err_msg=label)
         np.testing.assert_array_equal(model.eigenvalues_coords(a.coords, tol), eigs,
                                       err_msg=label)
@@ -427,9 +447,9 @@ def _assert_rows_match(model, stack, tol):
     assert values.shape == eigs.shape == (len(stack), m)
     assert atoms.shape == (len(stack), m, d) and atoms.flags.c_contiguous
     for k, row in enumerate(stack):
-        frame = model.decompose_coords(row, tol)
-        assert _same(values[k], [s for s, _ in frame])
-        assert _same(atoms[k], [atom for _, atom in frame])
+        row_values, row_atoms = model.decompose_coords(row, tol)
+        assert _same(values[k], row_values) and _same(atoms[k], row_atoms)
+        assert row_atoms.flags.c_contiguous
         assert _same(eigs[k], model.eigenvalues_coords(row, tol))
 
 
