@@ -305,7 +305,15 @@ class Model(ABC):
         return self.state_value(param_src, self.atom_coords(param_dst))
 
     def native_pairing(self, ca: np.ndarray, cb: np.ndarray) -> float:
-        """Closed-form value of the self-dualizing inner product, where it exists."""
+        """Closed-form value of the self-dualizing inner product, where it
+        exists: the one-row case of ``native_pairings``."""
+        return float(self.native_pairings(ca, cb))
+
+    def native_pairings(self, stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
+        """``native_pairing`` of the rows of two stacks (..., d) that
+        broadcast against each other; a row's value does not depend on the
+        rest of the stack.  The backends add up each row with ``np.vecdot``
+        (``einsum`` adds in another order, so its last bits differ)."""
         raise UnsupportedModelError(
             f"model kind {self.kind!r} has no symmetric transition probability, "
             "hence no inner product"
@@ -316,6 +324,13 @@ def cone_distance(least: float) -> float:
     """How far a spectrum with least eigenvalue ``least`` lies outside the
     positive cone: the one cone-distance formula.  NaN is infinitely far."""
     return math.inf if math.isnan(least) else max(0.0, -least)
+
+
+def cone_distances(eigs: np.ndarray) -> np.ndarray:
+    """``cone_distance`` of the least eigenvalue of each row of a (K, m)
+    stack of spectra."""
+    least = eigs.min(axis=1)
+    return np.where(np.isnan(least), math.inf, np.where(least < 0.0, -least, 0.0))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -97,5 +97,5 @@ class ClassicalModel(Model):
     def state_value(self, param, coords) -> float:
         return float(coords[self._index(param)])
 
-    def native_pairing(self, ca, cb) -> float:
-        return float(np.dot(ca, cb))
+    def native_pairings(self, stack_a, stack_b) -> np.ndarray:
+        return np.vecdot(stack_a, stack_b)

@@ -253,17 +253,13 @@ class _MatrixModel(Model):
         q, _ = np.linalg.qr(gauss)
         return [q[:, k] for k in range(self._n)]
 
-    def _trace_form(self, ca, cb) -> float:
-        """tr(AB) of the matrices with coordinates ``ca`` and ``cb``; exactly
-        symmetric, since the weights are 1 and 2."""
-        return float(np.dot(np.asarray(ca, dtype=float) * self._weights,
-                            np.asarray(cb, dtype=float)))
-
     def state_value(self, param, coords) -> float:
-        return self._trace_form(self._rank_one_coords(self._unit_vector(param)), coords)
+        return float(self.native_pairings(self._rank_one_coords(self._unit_vector(param)), coords))
 
-    def native_pairing(self, ca, cb) -> float:
-        return self._trace_form(ca, cb)
+    def native_pairings(self, stack_a, stack_b) -> np.ndarray:
+        """tr(AB) of the matrices with coordinates in the rows; exactly
+        symmetric, since the weights are 1 and 2."""
+        return np.vecdot(np.asarray(stack_a, dtype=float) * self._weights, stack_b)
 
 
 class SymMatrixModel(_MatrixModel):

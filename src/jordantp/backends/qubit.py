@@ -102,8 +102,8 @@ class _QubitModel(Model):
     def state_value(self, param, coords) -> float:
         return float(coords[0] + np.dot(coords[1:], np.asarray(param, dtype=float)))
 
-    def native_pairing(self, ca, cb) -> float:
+    def native_pairings(self, stack_a, stack_b) -> np.ndarray:
         if not self.symmetric_tp:
-            return super().native_pairing(ca, cb)
+            return super().native_pairings(stack_a, stack_b)
         # twice the ambient dot product; atoms then have unit self-pairing
-        return float(2.0 * np.dot(ca, cb))
+        return 2.0 * np.vecdot(stack_a, stack_b)

@@ -14,8 +14,10 @@ import numpy as np
 
 from .backends.base import Model
 from .core import cone_contains, order_norm
-from .elements import DEFAULT_TOL, Element, Tolerance
+from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .spectral import trial_rng
+
+NOT_IN_LOGIC = "element is not in the quantum logic (eigenvalues not in {0, 1})"
 
 
 class MeetThresholdWarning(UserWarning):
@@ -31,12 +33,18 @@ def _unwrap(a) -> Element:
     return a.value if isinstance(a, LogicElement) else a
 
 
+def logic_rows(eigs: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """For each spectrum of a (K, m) stack, or for one spectrum (m,): is
+    every eigenvalue within eig_cluster of 0 or of 1?  The test of
+    ``is_logic_element``."""
+    nearest = eigs.round()
+    return ((abs(eigs - nearest) <= tol.eig_cluster).all(axis=-1)
+            & ((nearest == 0) | (nearest == 1)).all(axis=-1))
+
+
 def is_logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every eigenvalue is within eig_cluster of 0 or of 1."""
-    eigs = model.eigenvalues(_unwrap(a), tol)
-    nearest = eigs.round()
-    return bool((abs(eigs - nearest) <= tol.eig_cluster).all()
-                and ((nearest == 0) | (nearest == 1)).all())
+    return bool(logic_rows(model.eigenvalues(_unwrap(a), tol), tol))
 
 
 def logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
@@ -44,7 +52,7 @@ def logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> Log
         return a
     a = _unwrap(a)
     if not is_logic_element(model, a, tol):
-        raise ValueError("element is not in the quantum logic (eigenvalues not in {0, 1})")
+        raise ValueError(NOT_IN_LOGIC)
     return LogicElement(a)
 
 
@@ -72,20 +80,29 @@ def meet(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
     q1 = logic_element(model, q1, tol)
     q2 = logic_element(model, q2, tol)
     form = model.spectral_form(q1.value + q2.value, tol)
+    top = meet_coords(form.eigenvalues[np.newaxis], form.atom_coords[np.newaxis], tol)
+    return LogicElement(model.element(top[0]))
+
+
+def meet_coords(values: np.ndarray, atoms: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The meets (K, d) read off the frames (values (K, m), atoms (K, m, d))
+    of K sums q1 + q2: each row sums, from zeros in frame order, the atoms
+    whose eigenvalue reaches the selection threshold.  Each row with an
+    eigenvalue near the threshold warns, in row order; the warning names the
+    caller of this function's caller (for one frame, the caller of ``meet``)."""
     threshold = 2.0 - 10.0 * tol.eig_cluster
-    straddling = [
-        s for s in form.eigenvalues if abs(s - threshold) < 5.0 * tol.eig_cluster
-    ]
-    if straddling:
+    near = abs(values - threshold) < 5.0 * tol.eig_cluster
+    for row in np.flatnonzero(near.any(axis=1)):
         warnings.warn(
-            f"meet eigenvalues {straddling} lie within 5*eig_cluster of the "
-            f"selection threshold {threshold}; result may be unreliable",
+            f"meet eigenvalues {list(values[row][near[row]])} lie within 5*eig_cluster of "
+            f"the selection threshold {threshold}; result may be unreliable",
             MeetThresholdWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    # summed from zeros in frame order, which keeps the signs of zeros
-    top = form.atom_coords[form.eigenvalues >= threshold]
-    return LogicElement(model.element(sum(top, np.zeros(model.ambient_dim))))
+    # 1 * atom is the atom and 0 * atom a zero: the sums of the selected
+    # atoms, the signs of zeros included
+    top = (values >= threshold).astype(float)
+    return resum(top, top, atoms)
 
 
 def join(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
@@ -97,11 +114,16 @@ def join(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
 
 def atomic_decomposition(model: Model, p, tol: Tolerance = DEFAULT_TOL) -> list[Element]:
     """Pairwise-orthogonal atoms summing to p; empty for p = 0."""
+    return [model.element(atom) for atom in _atoms_of(model, p, tol)]
+
+
+def _atoms_of(model: Model, p, tol: Tolerance) -> np.ndarray:
+    """The coordinates (k, d) of the atoms ``atomic_decomposition`` returns."""
     p = logic_element(model, p, tol)
     if order_norm(model, p.value, tol) <= tol.check_tol:
-        return []
+        return np.empty((0, model.ambient_dim))
     form = model.spectral_form(p.value, tol)
-    return [pair.atom for pair in form.pairs if pair.eigenvalue > 0.5]
+    return form.atom_coords[form.eigenvalues > 0.5]
 
 
 def information_capacity_empirical(
@@ -115,20 +137,18 @@ def information_capacity_empirical(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    unit = model.order_unit()
     best = 0
     for k in range(trials):
         rng = trial_rng(seed, k)
-        family = [model.atom(model.random_atom_param(rng))]
-        while True:
-            rest = unit
-            for e in family:
-                rest = rest - e
-            if order_norm(model, rest, tol) <= 1e-6:
+        # the unit minus the family, one atom subtracted at a time
+        rest = model.element(model.order_unit().coords
+                             - model.atom_coords(model.random_atom_param(rng)))
+        size = 1
+        while order_norm(model, rest, tol) > 1e-6:
+            atoms = _atoms_of(model, rest, tol)
+            if not len(atoms):
                 break
-            atoms = atomic_decomposition(model, rest, tol)
-            if not atoms:
-                break
-            family.append(atoms[int(rng.integers(len(atoms)))])
-        best = max(best, len(family))
+            rest = model.element(rest.coords - atoms[int(rng.integers(len(atoms)))])
+            size += 1
+        best = max(best, size)
     return best

@@ -8,22 +8,13 @@ with canonical check ordering.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 
 import numpy as np
 
-from .backends.base import Model, cone_distance, remembering_spectra
-from .core import cone_contains, order_norm, order_norms
+from .backends.base import Model, cone_distances, remembering_spectra
+from .core import order_norm, order_norms
 from .elements import DEFAULT_TOL, Tolerance, resum
-from .logic import (
-    information_capacity_empirical,
-    is_logic_element,
-    is_orthogonal_family,
-    join,
-    logic_element,
-    meet,
-    orthocomplement,
-)
+from .logic import NOT_IN_LOGIC, information_capacity_empirical, logic_rows, meet_coords
 from .reports import CheckResult, VerificationReport, skipped_check
 from .selfdual import (
     SpectralSelfDualCone,
@@ -34,6 +25,7 @@ from .selfdual import (
     self_duality_report,
 )
 from .spectral import (
+    _random_coords,
     _random_element,
     linearity_defects,
     polarized_coords,
@@ -73,19 +65,20 @@ def spectral_suite(model: Model, seed: int, trials: int,
     sort_defect = np.max(np.diff(values, axis=1), axis=1, initial=0.0)
     norm_defect = np.abs(np.abs(eigs).max(axis=1) - np.abs(values).max(axis=1))
     spectral_member = values.min(axis=1) >= -tol.cone_slack
-    contained = [cone_distance(least) <= tol.cone_slack for least in eigs.min(axis=1).tolist()]
+    contained = cone_distances(eigs) <= tol.cone_slack
     oracle = [model.cone_oracle(row, tol.cone_slack) for row in a]
     # frame orthogonality and calculus identities, thinned
     thinned = slice(0, trials, 10)
-    frame_orth = [_tp_of_atoms(model, e1, e2)
-                  for frame in atoms[thinned] for e1, e2 in combinations(frame, 2)]
+    i, j = np.triu_indices(atoms.shape[1], k=1)
+    frame_orth = _tps_of_atoms(model, atoms[thinned][:, i].reshape(-1, model.ambient_dim),
+                               atoms[thinned][:, j].reshape(-1, model.ambient_dim))
     unit_product = order_norms(model, polarized_coords(model, a[thinned], unit, tol)
                                - a[thinned], tol)
     lin_defect = worst(linearity_defects(model, a[:lin], b, c, tol))
     checks = [
         CheckResult("spectral.reconstruction", worst(residuals), tol.check_tol),
         CheckResult("spectral.frame_sums_to_unit", worst(frame_sum), tol.check_tol),
-        CheckResult("spectral.frame_orthogonality", worst(np.array(frame_orth)), tol.check_tol),
+        CheckResult("spectral.frame_orthogonality", worst(frame_orth), tol.check_tol),
         CheckResult("spectral.frame_within_capacity",
                     float(max(0, values.shape[1] - model.info_capacity)), 0.0),
         CheckResult("spectral.eigenvalues_sorted", worst(sort_defect), 0.0),
@@ -113,97 +106,92 @@ def spectral_suite(model: Model, seed: int, trials: int,
 # ---------------------------------------------------------------------------
 
 
-def _random_logic_pair_leq(model: Model, rng: np.random.Generator):
-    """Logic elements p <= q built from one random frame."""
-    frame = [model.atom(param) for param in model.random_frame_params(rng)]
-    m = len(frame)
-    in_q = rng.integers(0, 2, size=m).astype(bool)
-    in_p = in_q & rng.integers(0, 2, size=m).astype(bool)
-    p = model.zero()
-    q = model.zero()
-    for flag_p, flag_q, atom in zip(in_p, in_q, frame):
-        if flag_q:
-            q = q + atom
-        if flag_p:
-            p = p + atom
-    return p, q, frame, in_p, in_q
-
-
 def logic_suite(model: Model, seed: int, trials: int,
                 tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    unit = model.order_unit()
-    involution = 0.0
-    complement_logic = 0
-    sum_rule = 0
-    difference_rule = 0
-    orthomodular = 0.0
-    bounds = 0.0
-    difference_identity = 0.0
-    family_agreement = 0
+    """Each trial draws logic elements p <= q from one random frame; the
+    lattice operations on every trial's pair run as (K, d) stacks, one
+    ``decompose_batch`` per stage of meets and one ``eigenvalues_batch``
+    for every norm, logic test and cone defect."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    frames, in_p, in_q = [], [], []
     for k in range(min(trials, 250)):
         rng = trial_rng(seed, k)
-        p, q, frame, in_p, in_q = _random_logic_pair_leq(model, rng)
-        pl = logic_element(model, p, tol)
-        ql = logic_element(model, q, tol)
-        cp = orthocomplement(model, pl, tol)
-        involution = max(involution, order_norm(
-            model, orthocomplement(model, cp, tol).value - p, tol))
-        if not is_logic_element(model, unit - p, tol):
-            complement_logic += 1
-        # adding an orthogonal atom / removing a contained atom stays in the logic
-        free = [i for i in range(len(frame)) if not in_q[i]]
-        if free and not is_logic_element(model, q + frame[free[0]], tol):
-            sum_rule += 1
-        used = [i for i in range(len(frame)) if in_p[i]]
-        if used and not is_logic_element(model, p - frame[used[0]], tol):
-            difference_rule += 1
-        # orthomodularity and the difference identity for p <= q
-        diff = meet(model, ql, cp, tol)
-        rec = join(model, pl, diff, tol)
-        orthomodular = max(orthomodular, order_norm(model, rec.value - q, tol))
-        difference_identity = max(difference_identity,
-                                  order_norm(model, (q - p) - diff.value, tol))
-        # meet/join bracket the pair
-        mq = meet(model, pl, ql, tol).value
-        jq = join(model, pl, ql, tol).value
-        for upper in (p, q):
-            bounds = max(bounds, model.cone_defect(upper - mq, tol),
-                         model.cone_defect(jq - upper, tol))
-        # orthogonal family criterion equals the pairwise criterion
-        atoms = [frame[i] for i in range(len(frame)) if in_q[i]]
-        if len(atoms) >= 2:
-            pairwise = all(
-                _tp_of_atoms(model, atoms[i].coords, atoms[j].coords) <= 1e-7
-                for i in range(len(atoms)) for j in range(i + 1, len(atoms)) )
-            if pairwise != is_orthogonal_family(model, atoms, tol):
-                family_agreement += 1
-            doubled = atoms + [atoms[0]]
-            if is_orthogonal_family(model, doubled, tol):
-                family_agreement += 1
+        frames.append([model.atom_coords(param) for param in model.random_frame_params(rng)])
+        m = len(frames[-1])
+        in_q.append(rng.integers(0, 2, size=m).astype(bool))
+        in_p.append(in_q[-1] & rng.integers(0, 2, size=m).astype(bool))
+    frames, in_p, in_q = np.array(frames), np.array(in_p), np.array(in_q)
+    rows = np.arange(len(frames))
+    unit = model.order_unit().coords
+    # p and q summed from zeros in frame order, as elements add up
+    p, q = (resum(flags, flags, frames) for flags in (in_p.astype(float), in_q.astype(float)))
+    if not logic_rows(model.eigenvalues_batch(np.concatenate((p, q)), tol), tol).all():
+        raise ValueError(NOT_IN_LOGIC)
+    # the meets q ^ p' (the difference q - p), p ^ q and p' ^ q' (for the join)
+    comp_p = unit - p
+    values, atoms = model.decompose_batch(np.concatenate((q + comp_p, p + q, comp_p + (unit - q))),
+                                          tol)
+    diff, meet_pq, meet_comp = np.split(meet_coords(values, atoms, tol), 3)
+    join_pq = unit - meet_comp
+    # orthomodularity: p v (q - p) rebuilds q, as the complement of p' ^ (q - p)'
+    rebuilt = unit - meet_coords(*model.decompose_batch(comp_p + (unit - diff), tol), tol)
+    # adding an orthogonal atom / removing a contained atom stays in the logic,
+    # on the trials that have one
+    free, used = ~in_q, in_p
+    grown = (q + frames[rows, free.argmax(axis=1)])[free.any(axis=1)]
+    shrunk = (p - frames[rows, used.argmax(axis=1)])[used.any(axis=1)]
+    # the orthogonal family of the atoms of q, and the same family with its
+    # first atom twice, on the trials where q has two atoms or more
+    family = in_q.sum(axis=1) >= 2
+    # order norms of (p')' - p, (p v (q - p)) - q and (q - p) - (q ^ p'); logic
+    # tests of p', the grown q and the shrunk p; cone defects of the meet-join
+    # bracket and of unit minus each family
+    stacks = [(unit - comp_p) - p, rebuilt - q, (q - p) - diff, comp_p, grown, shrunk,
+              p - meet_pq, join_pq - p, q - meet_pq, join_pq - q,
+              (unit - q)[family], (unit - (q + frames[rows, in_q.argmax(axis=1)]))[family]]
+    eigs = np.split(model.eigenvalues_batch(np.concatenate(stacks), tol),
+                    np.cumsum([len(stack) for stack in stacks])[:-1])
+    involution, orthomodular, difference = (np.abs(eig).max(axis=1) for eig in eigs[:3])
+    complement, sum_rule, difference_rule = (np.sum(~logic_rows(eig, tol)) for eig in eigs[3:6])
+    cone = [cone_distances(eig) for eig in eigs[6:]]
+    orthogonal, doubled = (defect <= tol.cone_slack for defect in cone[4:])
+    # the orthogonal family criterion equals the pairwise criterion
+    i, j = np.triu_indices(frames.shape[1], k=1)
+    both = in_q[:, i] & in_q[:, j]
+    pairwise = np.ones(both.shape, dtype=bool)
+    pairwise[both] = _tps_of_atoms(model, frames[:, i][both], frames[:, j][both]) <= 1e-7
+    pairwise = pairwise.all(axis=1)[family]
     capacity = information_capacity_empirical(model, seed, max(4, min(trials, 12)), tol)
     return [
-        CheckResult("logic.involution", involution, tol.check_tol),
-        CheckResult("logic.complement_stays_extreme", float(complement_logic), 0.0),
+        CheckResult("logic.involution", worst(involution), tol.check_tol),
+        CheckResult("logic.complement_stays_extreme", float(complement), 0.0),
         CheckResult("logic.atom_sum_stays_extreme", float(sum_rule), 0.0),
         CheckResult("logic.atom_difference_stays_extreme", float(difference_rule), 0.0),
-        CheckResult("logic.orthomodular_law", orthomodular, 1e-8),
-        CheckResult("logic.difference_identity", difference_identity, 1e-8),
-        CheckResult("logic.meet_join_bracket", bounds, tol.cone_slack * 10.0),
-        CheckResult("logic.orthogonal_family_pairwise", float(family_agreement), 0.0),
+        CheckResult("logic.orthomodular_law", worst(orthomodular), 1e-8),
+        CheckResult("logic.difference_identity", worst(difference), 1e-8),
+        CheckResult("logic.meet_join_bracket", worst(np.concatenate(cone[:4])),
+                    tol.cone_slack * 10.0),
+        CheckResult("logic.orthogonal_family_pairwise",
+                    float(np.sum(pairwise != orthogonal) + np.sum(doubled)), 0.0),
         CheckResult("logic.information_capacity",
                     float(abs(capacity - model.info_capacity)), 0.0,
                     note=f"greedy search found {capacity}, analytic {model.info_capacity}"),
     ]
 
 
-def _tp_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> float:
-    """The larger transition probability between two atoms, by coordinates."""
+def _tps_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """The larger transition probability between the atoms in the rows of
+    two (K, d) stacks, by coordinates."""
     if model.symmetric_tp:
-        return abs(model.native_pairing(e1, e2))
-    p1 = model.atom_param_from_coords(e1)
-    p2 = model.atom_param_from_coords(e2)
-    return max(abs(model.transition_from_params(p1, p2)),
-               abs(model.transition_from_params(p2, p1)))
+        return np.abs(model.native_pairings(e1, e2))
+    tps = []
+    for a, b in zip(e1, e2):
+        p1 = model.atom_param_from_coords(a)
+        p2 = model.atom_param_from_coords(b)
+        tps.append(max(abs(model.transition_from_params(p1, p2)),
+                       abs(model.transition_from_params(p2, p1))))
+    return np.array(tps)
 
 
 # ---------------------------------------------------------------------------
@@ -213,55 +201,57 @@ def _tp_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> float:
 
 def tp_suite(model: Model, seed: int, trials: int,
              tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+    """Transition probabilities are read per trial from the atom parameters;
+    the cone tests and the top atom of every trial's positive element run
+    as (trials, d) stacks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    diag = 0.0
-    value_range = 0.0
-    biconditional = 0
-    top_atom = 0.0
-    top_atom_cone = 0.0
-    symmetry = 0.0
+    tps, pair, frame_tps, frame_pair, positive = [], [], [], [], []
     for k in range(trials):
         rng = trial_rng(seed, k)
         p1 = model.random_atom_param(rng)
         p2 = model.random_atom_param(rng)
-        t11 = model.transition_from_params(p1, p1)
-        t12 = model.transition_from_params(p1, p2)
-        t21 = model.transition_from_params(p2, p1)
-        diag = max(diag, abs(t11 - 1.0))
-        symmetry = max(symmetry, abs(t12 - t21))
-        for t in (t12, t21):
-            value_range = max(value_range, max(0.0, -t), max(0.0, t - 1.0))
-        # orthogonality biconditional on the pair and on an orthogonal frame pair;
-        # pairs in the gray band around zero are set aside, not classified
-        e1, e2 = model.atom(p1), model.atom(p2)
-        values = (t12, t21, model.cone_defect(model.order_unit() - e1 - e2, tol))
-        if not any(1e-8 < v < 1e-4 for v in values):
-            flags = tuple(v <= 1e-8 for v in values)
-            if len(set(flags)) != 1:
-                biconditional += 1
+        tps.append([model.transition_from_params(p1, p1), model.transition_from_params(p1, p2),
+                    model.transition_from_params(p2, p1)])
+        pair.append([model.atom_coords(p1), model.atom_coords(p2)])
         frame = model.random_frame_params(rng)
         if len(frame) >= 2:
-            f12 = model.transition_from_params(frame[0], frame[1])
-            f21 = model.transition_from_params(frame[1], frame[0])
-            both = cone_contains(model, model.order_unit()
-                                 - model.atom(frame[0]) - model.atom(frame[1]), tol)
-            if not (abs(f12) <= 1e-8 and abs(f21) <= 1e-8 and both):
-                biconditional += 1
-        # a positive element attains its norm at the top frame atom
-        a = _random_element(model, rng, "positive")
-        top = model.spectral_form(a, tol).atom_coords[0]
-        top_param = model.atom_param_from_coords(top)
-        norm = order_norm(model, a, tol)
-        top_atom = max(top_atom, abs(model.state_value(top_param, a.coords) - norm))
-        top_atom_cone = max(top_atom_cone, model.cone_defect(a.coords - norm * top, tol))
+            frame_tps.append([model.transition_from_params(frame[0], frame[1]),
+                              model.transition_from_params(frame[1], frame[0])])
+            frame_pair.append([model.atom_coords(frame[0]), model.atom_coords(frame[1])])
+        positive.append(_random_coords(model, rng, "positive"))
+    d = model.ambient_dim
+    t11, t12, t21 = np.array(tps).T
+    pair, frame_pair = np.array(pair), np.array(frame_pair).reshape(-1, 2, d)
+    frame_tps, positive = np.array(frame_tps).reshape(-1, 2), np.array(positive)
+    unit = model.order_unit().coords
+    # a positive element attains its norm at the top frame atom
+    top = model.decompose_batch(positive, tol)[1][:, 0]
+    eigs = model.eigenvalues_batch(np.concatenate((unit - pair[:, 0] - pair[:, 1],
+                                                   unit - frame_pair[:, 0] - frame_pair[:, 1],
+                                                   positive)), tol)
+    cone = cone_distances(eigs[:-trials])
+    norms = np.abs(eigs[-trials:]).max(axis=1)
+    top_value = np.array([model.state_value(model.atom_param_from_coords(e), a)
+                          for e, a in zip(top, positive)])
+    top_cone = cone_distances(model.eigenvalues_batch(positive - norms[:, np.newaxis] * top, tol))
+    # orthogonality biconditional on the pair and on an orthogonal frame pair;
+    # pairs in the gray band around zero are set aside, not classified
+    values = np.column_stack((t12, t21, cone[:trials]))
+    flags = values <= 1e-8
+    split = flags.any(axis=1) & ~flags.all(axis=1)
+    gray = ((1e-8 < values) & (values < 1e-4)).any(axis=1)
+    orthogonal = ((np.abs(frame_tps) <= 1e-8).all(axis=1)
+                  & (cone[trials:] <= tol.cone_slack))
     checks = [
-        CheckResult("tp.diagonal_is_one", diag, tol.check_tol),
-        CheckResult("tp.values_in_unit_range", value_range, tol.check_tol),
-        CheckResult("tp.orthogonality_biconditional", float(biconditional), 0.0),
-        CheckResult("tp.top_atom_attains_norm", top_atom, tol.check_tol),
-        CheckResult("tp.top_atom_below_element", top_atom_cone, tol.cone_slack * 10.0),
-        CheckResult("tp.symmetry", symmetry, tol.check_tol,
+        CheckResult("tp.diagonal_is_one", worst(np.abs(t11 - 1.0)), tol.check_tol),
+        CheckResult("tp.values_in_unit_range",
+                    worst(np.concatenate((-t12, t12 - 1.0, -t21, t21 - 1.0))), tol.check_tol),
+        CheckResult("tp.orthogonality_biconditional",
+                    float(np.sum(split & ~gray) + np.sum(~orthogonal)), 0.0),
+        CheckResult("tp.top_atom_attains_norm", worst(np.abs(top_value - norms)), tol.check_tol),
+        CheckResult("tp.top_atom_below_element", worst(top_cone), tol.cone_slack * 10.0),
+        CheckResult("tp.symmetry", worst(np.abs(t12 - t21)), tol.check_tol,
                     note="fails by design on models with non-symmetric transition probability"),
     ]
     checks += verify_unity_resolution(model, seed, trials, tol, names={

@@ -19,6 +19,7 @@ from jordantp import (
     random_element,
 )
 from conftest import random_projection
+from jordantp.logic import meet_coords
 
 
 def range_intersection_projection(model, p, q):
@@ -149,8 +150,33 @@ def test_meet_threshold_diagnostic_warns():
     p = m.from_matrix(np.outer([1.0, 0.0], [1.0, 0.0]))
     v = np.array([np.cos(theta), np.sin(theta)])
     q = m.from_matrix(np.outer(v, v))
-    with pytest.warns(MeetThresholdWarning):
+    with pytest.warns(MeetThresholdWarning) as record:
         meet(m, p, q)
+    assert [w.filename for w in record] == [__file__]  # names the caller of meet
+
+
+def test_meet_coords_rows_are_the_meets_summed_in_frame_order(any_model, tol):
+    # logic pairs p <= q of one frame and pairs of independent frames; each
+    # row of the stacked selection is the meet of its pair, and the sum from
+    # zeros in frame order of the atoms at the top eigenvalue, bit for bit
+    rng = np.random.default_rng(11)
+    pairs = []
+    for seed in range(12):
+        frame = np.array([any_model.atom_coords(prm) for prm in any_model.random_frame_params(rng)])
+        in_q = rng.integers(0, 2, size=len(frame)).astype(bool)
+        in_p = in_q & rng.integers(0, 2, size=len(frame)).astype(bool)
+        pairs.append((any_model.element(frame[in_p].sum(axis=0)),
+                      any_model.element(frame[in_q].sum(axis=0))))
+        pairs.append((random_element(any_model, seed, "logic"),
+                      random_element(any_model, seed + 100, "logic")))
+    forms = [any_model.spectral_form(p + q, tol) for p, q in pairs]
+    stacked = meet_coords(np.array([form.eigenvalues for form in forms]),
+                          np.array([form.atom_coords for form in forms]), tol)
+    threshold = 2.0 - 10.0 * tol.eig_cluster
+    for row, form, (p, q) in zip(stacked, forms, pairs):
+        want = sum(form.atom_coords[form.eigenvalues >= threshold], np.zeros(any_model.ambient_dim))
+        assert row.tobytes() == want.tobytes()
+        assert meet(any_model, p, q, tol).value.coords.tobytes() == want.tobytes()
 
 
 def test_atomic_decomposition_examples():

@@ -21,7 +21,7 @@ from jordantp.backends.base import MEMO_ENTRIES, remembered, remembering_spectra
 from jordantp.cli import main
 from jordantp.reports import dump_canonical_json
 from jordantp.spectral import _SeedWords, trial_rng
-from jordantp.suites import SUITES, run_suite, spectral_suite
+from jordantp.suites import SUITES, logic_suite, run_suite, spectral_suite, tp_suite
 
 
 def _count_kernel(monkeypatch, model):
@@ -242,9 +242,10 @@ def test_concurrent_runs_keep_their_memos_apart(tol):
 # ---------------------------------------------------------------------------
 
 # decompose_coords calls of one `verify --suite all --seed 1` run with the
-# memo and the batched spectral suite; with the memo alone they were 169 and
+# memo and the batched spectral, tp and logic suites; with the batched
+# spectral suite alone they were 119 and 169, with the memo alone 169 and
 # 319, with neither 246 and 697
-DECOMPOSITIONS = {("sym:4", 8): 119, ("classical:4", 24): 169}
+DECOMPOSITIONS = {("sym:4", 8): 58, ("classical:4", 24): 63}
 
 
 @pytest.mark.parametrize("spec,trials", list(DECOMPOSITIONS))
@@ -257,11 +258,9 @@ def test_a_run_decomposes_each_spectrum_once(monkeypatch, capsys, spec, trials):
     assert counts["decompose_coords"] <= DECOMPOSITIONS[spec, trials]
 
 
-@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
-def test_the_spectral_suite_calls_the_batch_kernels_a_fixed_number_of_times(
-        monkeypatch, kind, n, p, tol):
-    model = get_model(kind, n, p)
-    counts = _count_kernel(monkeypatch, model)
+def _batch_calls_by_trials(monkeypatch, model, suite, tol):
+    """The calls ``suite`` makes to each batch kernel at trials 1, 8, 101
+    and 250."""
     batch = {"decompose_batch": 0, "eigenvalues_batch": 0}
     for name in batch:
         kernel = getattr(model, name)
@@ -273,9 +272,27 @@ def test_the_spectral_suite_calls_the_batch_kernels_a_fixed_number_of_times(
         monkeypatch.setattr(model, name, counted)
     seen = []
     for trials in (1, 8, 101, 250):
-        spectral_suite(model, 3, trials, tol)
+        suite(model, 3, trials, tol)
         seen.append(dict(batch))
         batch.update(dict.fromkeys(batch, 0))
+    return seen
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_the_spectral_suite_calls_the_batch_kernels_a_fixed_number_of_times(
+        monkeypatch, kind, n, p, tol):
+    model = get_model(kind, n, p)
+    counts = _count_kernel(monkeypatch, model)
+    seen = _batch_calls_by_trials(monkeypatch, model, spectral_suite, tol)
     assert all(seen[0].values()) and seen == [seen[0]] * len(seen)
     # no sample goes through the per-element kernels
     assert counts == {"decompose_coords": 0, "eigenvalues_coords": 0}
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+@pytest.mark.parametrize("suite", [tp_suite, logic_suite], ids=["tp", "logic"])
+def test_the_tp_and_logic_suites_call_the_batch_kernels_a_fixed_number_of_times(
+        monkeypatch, suite, kind, n, p, tol):
+    model = get_model(kind, n, p)
+    seen = _batch_calls_by_trials(monkeypatch, model, suite, tol)
+    assert all(seen[0].values()) and seen == [seen[0]] * len(seen)

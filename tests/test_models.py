@@ -8,6 +8,7 @@ from jordantp import (
     Tolerance,
     NotAtomError,
     UnnormalizedParamError,
+    UnsupportedModelError,
     func_calculus,
     get_model,
     jordan_product_polarized,
@@ -491,6 +492,26 @@ def test_batch_kernels_refuse_an_overflowing_row_like_spectral_form(any_model, t
             with pytest.raises(ValueError) as batch:
                 any_model.decompose_batch(rows, tol)
             assert str(batch.value) == str(form.value)
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS + BATCH_EXTRA_SPECS)
+def test_native_pairings_equal_the_per_row_pairing(kind, n, p, tol):
+    # the rows hold +-0, 1e150, 1e-150 and the subnormal 1e-310 multiples
+    model = get_model(kind, n, p)
+    stack = _batch_rows(model, 50 + n)
+    others = [stack, stack[::-1], np.concatenate((-stack[1:], stack[:1]))]
+    if not model.symmetric_tp:
+        with pytest.raises(UnsupportedModelError):
+            model.native_pairings(stack, stack)
+        return
+    for other in others:
+        want = [model.native_pairing(a, b) for a, b in zip(stack, other)]
+        assert _same(model.native_pairings(stack, other), want)
+    assert model.native_pairings(stack[:0], stack[:0]).shape == (0,)
+    # frames (K, m, d) against one row each, as inner products pair them
+    atoms = model.decompose_batch(stack, tol)[1]
+    want = [[model.native_pairing(atom, b) for atom in frame] for frame, b in zip(atoms, stack)]
+    assert _same(model.native_pairings(atoms, stack[:, np.newaxis]), want)
 
 
 # ---------------------------------------------------------------------------
