@@ -250,6 +250,11 @@ class Model(ABC):
         cone: ``cone_distance`` of its least eigenvalue."""
         return cone_distance(float(self.eigenvalues(a, tol).min()))
 
+    def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """``cone_defect`` of each row of a (K, d) stack, bit for bit, from
+        one ``eigenvalues_batch``."""
+        return cone_distances(self.eigenvalues_batch(stack, tol))
+
     @abstractmethod
     def cone_oracle(self, coords: np.ndarray, slack: float) -> bool:
         """Closed-form cone membership, independent of the spectral kernel."""
@@ -286,11 +291,12 @@ class Model(ABC):
     def random_frame_params(self, rng: np.random.Generator) -> list:
         """Parameters of a random maximal orthogonal family of atoms."""
 
-    def complement_coords(self, e: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        """Coordinates of the atoms that complete the atom ``e`` to a maximal
-        orthogonal family: the frame of the logic element unit - e."""
-        form = self.spectral_form(self.element(self.order_unit().coords - e), tol)
-        return list(form.atom_coords[form.eigenvalues > 0.5])
+    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        """For the atom in each row of a (K, d) stack, the coordinates (n, d)
+        of the atoms that complete it to a maximal orthogonal family: the
+        frame of the logic element unit - e, from one ``decompose_batch``."""
+        values, atoms = self.decompose_batch(self.order_unit().coords - stack, tol)
+        return [frame[row > 0.5] for row, frame in zip(values, atoms)]
 
     # ------------------------------------------------------------------
     # states and pairings

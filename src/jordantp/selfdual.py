@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends.base import Model
-from .elements import DEFAULT_TOL, Element, Tolerance
+from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import ConeProjectionError, UnsupportedModelError
 from .reports import CheckResult
-from .spectral import _random_element, trial_rng
+from .spectral import _random_element, trial_rng, worst
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,18 @@ class PeeledAtom:
 class SelfDualCone:
     """Interface shared by the two cone flavors; vectors are kept in the
     flavor's natural element type (Element or raw ndarray).  The defaults are
-    raw ndarrays with the ambient dot product, and the Moreau split and the
-    atom test read off the flavor's frame.
+    raw ndarrays with the ambient dot product, and the atom test reads off
+    the flavor's frame.
 
     A cone is also an atom space, so the atom verifiers of ``transition``
     run on it as on a model: an atom is its own parameter, and its state is
     the pairing.  Besides the methods below, a flavor supplies
     ``ambient_dim``, ``info_capacity``, ``random_atom_param``,
     ``random_element`` and ``random_positive``.
+
+    The stack forms (``inners``, ``cone_defects``, ``frames``,
+    ``moreau_parts`` and ``complements``) take the rows of (K, d) coordinate
+    stacks; their defaults call the per-element method on each row in turn.
     """
 
     def as_vec(self, x) -> np.ndarray:
@@ -61,9 +65,20 @@ class SelfDualCone:
     def inner(self, x, y) -> float:
         return float(np.dot(self.as_vec(x), self.as_vec(y)))
 
+    def inners(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``inner`` of the rows of two stacks (..., d) that broadcast."""
+        xs, ys = np.broadcast_arrays(xs, ys)
+        out = np.empty(xs.shape[:-1])
+        for idx in np.ndindex(out.shape):
+            out[idx] = self.inner(xs[idx], ys[idx])
+        return out
+
     def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
         """How far ``x`` lies outside the cone, 0 inside it."""
         raise NotImplementedError
+
+    def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        return np.array([self.cone_defect(x, tol) for x in stack], dtype=float)
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.cone_defect(x, tol) <= tol.cone_slack
@@ -87,6 +102,9 @@ class SelfDualCone:
         """Atoms completing ``e`` to a maximal pairwise-orthogonal family."""
         raise NotImplementedError
 
+    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list:
+        return [self.complement_coords(e, tol) for e in stack]
+
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         """Default atom oracle: two orthogonal positive parts of the
         coordinates ``x``, as coordinate arrays, or None if ``x`` is
@@ -97,21 +115,47 @@ class SelfDualCone:
         """Signed coefficients on pairwise-orthogonal atoms summing to ``x``."""
         raise NotImplementedError
 
+    def frames(self, stack: np.ndarray,
+               tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """The frames of the rows of a (K, d) stack as coefficients (K, m)
+        and atom coordinates (K, m, d); a shorter frame is padded with zero
+        coefficients on zero atoms."""
+        rows = [self.frame(x, tol) for x in stack]
+        values = np.zeros((len(rows), max(map(len, rows), default=0)))
+        atoms = np.zeros(values.shape + (self.ambient_dim,))
+        for k, row in enumerate(rows):
+            for j, p in enumerate(row):
+                values[k, j] = p.coefficient
+                atoms[k, j] = self.as_vec(p.atom)
+        return values, atoms
+
     def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
         """The formula behind ``moreau_decompose``."""
-        plus = np.zeros(self.ambient_dim)
-        minus = np.zeros(self.ambient_dim)
-        for p in self.frame(a, tol):
-            if p.coefficient >= 0.0:
-                plus += p.coefficient * self.as_vec(p.atom)
-            else:
-                minus -= p.coefficient * self.as_vec(p.atom)
-        return MoreauPair(self.wrap(plus), self.wrap(minus))
+        raise NotImplementedError
+
+    def moreau_parts(self, stack: np.ndarray,
+                     tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """The Moreau parts (plus, minus) of the rows of a (K, d) stack, as
+        two (K, d) stacks."""
+        pairs = [self.moreau(x, tol) for x in stack]
+        return (np.array([self.as_vec(p.a_plus) for p in pairs]),
+                np.array([self.as_vec(p.a_minus) for p in pairs]))
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether ``e``, of unit self-pairing, is positive and indecomposable."""
         coeffs = np.array([p.coefficient for p in self.frame(e, tol)])
         return bool(coeffs.min() >= -tol.cone_slack and np.sum(np.abs(coeffs) > 1e-7) == 1)
+
+
+def _signed_parts(values: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Moreau parts of one frame (values (m,), atoms (m, d)) or of a
+    stack of frames ((K, m), (K, m, d)): the nonnegative coefficients on the
+    plus part and the negated negative ones on the minus part, each summed
+    from zeros in frame order.  A coefficient of the other sign adds a zero,
+    which leaves a sum that starts from +0.0 unchanged."""
+    plus = values >= 0.0
+    return (resum(values, np.where(plus, values, 0.0), atoms),
+            resum(values, np.where(plus, 0.0, -values), atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +190,14 @@ class SpectralSelfDualCone(SelfDualCone):
     def inner(self, x, y) -> float:
         return self.model.native_pairing(self.as_vec(x), self.as_vec(y))
 
+    def inners(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return self.model.native_pairings(xs, ys)
+
     def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
         return self.model.cone_defect(self.as_vec(x), tol)
+
+    def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        return self.model.cone_defects(stack, tol)
 
     def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
         return self.model.atom_coords(self.model.random_atom_param(rng))
@@ -172,11 +222,27 @@ class SpectralSelfDualCone(SelfDualCone):
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         return self.model.split_orthogonal_coords(self.as_vec(x), tol)
 
-    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+    def _form(self, x, tol: Tolerance):
         # an element is already checked; only a raw array needs wrapping
         a = x if isinstance(x, Element) else self.wrap(self.as_vec(x))
-        form = self.model.spectral_form(a, tol)
+        return self.model.spectral_form(a, tol)
+
+    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+        form = self._form(x, tol)
         return list(map(PeeledAtom, form.eigenvalues.tolist(), form.atom_coords))
+
+    def frames(self, stack: np.ndarray,
+               tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        return self.model.decompose_batch(stack, tol)
+
+    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
+        form = self._form(a, tol)
+        plus, minus = _signed_parts(form.eigenvalues, form.atom_coords)
+        return MoreauPair(self.wrap(plus), self.wrap(minus))
+
+    def moreau_parts(self, stack: np.ndarray,
+                     tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        return _signed_parts(*self.frames(stack, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +477,18 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
     The cone lies in its dual when cone elements pair nonnegatively; the
     dual lies in the cone when the frame pairings of an element recover its
     coefficients, so that their signs decide membership, and when Moreau
-    minus parts (dual vectors) lie in the cone.
+    minus parts (dual vectors) lie in the cone.  Each trial draws from
+    ``trial_rng(seed, k)``; the pairings, frames, Moreau parts and cone
+    defects of all trials then come from the cone's stack forms.
     """
-    forward = 0.0
-    reverse = 0.0
-    mismatches = 0
-    witness_defect = 0.0
-    witness: tuple | None = None
-    plus_pairing = 0.0
-    dual_in_cone = 0.0
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    draws = []  # per trial: a, b, c, the witness and its negative atom
     for k in range(trials):
         rng = trial_rng(seed, k)
         a = cone.random_positive(rng)
-        forward = max(forward, -cone.inner(a, cone.random_positive(rng)))
+        b = cone.random_positive(rng)
         c = cone.random_element(rng)
-        frame = cone.frame(c, tol)
-        pairings = [cone.inner(p.atom, c) for p in frame]
-        reverse = max([reverse] + [abs(v - p.coefficient) for v, p in zip(pairings, frame)])
-        if all(v >= -tol.cone_slack for v in pairings) != cone.contains(c, tol):
-            mismatches += 1
         # witness: one negative coefficient on a maximal family pairs
         # negatively with its own atom
         family = cone.random_frame_params(rng)
@@ -437,14 +496,22 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
         neg = int(rng.integers(len(family)))
         coeffs[neg] = -0.1 - abs(rng.normal())
         bad = sum(w * cone.as_vec(f) for w, f in zip(coeffs, family))
-        pairing = cone.inner(bad, family[neg])
-        if pairing + 0.05 > witness_defect:
-            witness_defect = pairing + 0.05
-            witness = tuple(bad)
-        pair = moreau_decompose(cone, c, tol)
-        plus_pairing = max(plus_pairing, -cone.inner(pair.a_plus, a))
-        if not cone.contains(pair.a_minus, tol):
-            dual_in_cone = 1.0
+        draws.append([cone.as_vec(x) for x in (a, b, c, bad, family[neg])])
+    a, b, c, bad, neg_atom = np.array(list(zip(*draws)))
+    forward = worst(-cone.inners(a, b))
+    values, atoms = cone.frames(c, tol)
+    pairings = cone.inners(atoms, c[:, np.newaxis])
+    reverse = worst(np.abs(pairings - values).ravel())
+    plus, minus = cone.moreau_parts(c, tol)
+    contained = cone.cone_defects(np.concatenate((c, minus)), tol) <= tol.cone_slack
+    mismatches = np.sum((pairings >= -tol.cone_slack).all(axis=1) != contained[:trials])
+    witness_defect = 0.0
+    witness: tuple | None = None
+    for row, pairing in zip(bad, (cone.inners(bad, neg_atom) + 0.05).tolist()):
+        if pairing > witness_defect:
+            witness_defect, witness = pairing, tuple(row)
+    plus_pairing = worst(-cone.inners(plus, a))
+    dual_in_cone = 0.0 if contained[trials:].all() else 1.0
     return [
         CheckResult("selfdual.forward", forward, tol.check_tol,
                     note="<a|b> >= 0 for sampled positive pairs"),

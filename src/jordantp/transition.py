@@ -20,7 +20,7 @@ from .backends.base import Model
 from .core import cone_contains, order_norm, order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import UnsupportedModelError
-from .logic import atomic_decomposition
+from .logic import NOT_IN_LOGIC, logic_rows
 from .reports import CheckResult, skipped_check
 from .spectral import _random_coords, _random_element, trial_rng, worst
 
@@ -249,10 +249,11 @@ def check_inner_product(model: Model, seed: int, trials: int,
 # Each axiom on atoms is verified once, for models and self-dual cones alike.
 # A verifier uses only what both supply: random_atom_param,
 # random_frame_params, atom_coords, atom_param_from_coords, state_value,
-# transition_from_params, info_capacity, complement_coords (the atoms that
-# complete an atom to a maximal family) and cone_defect.  Atoms enter as
-# coordinate vectors; on a cone an atom is its own parameter and its state is
-# the pairing.  A caller whose checks are pinned under other names passes them.
+# transition_from_params, info_capacity, complements (for each atom of a
+# (K, d) stack, the atoms that complete it to a maximal family) and
+# cone_defects (of each row of a stack).  Atoms enter as coordinate vectors;
+# on a cone an atom is its own parameter and its state is the pairing.  A
+# caller whose checks are pinned under other names passes them.
 # ---------------------------------------------------------------------------
 
 
@@ -297,35 +298,39 @@ def verify_atom_state_uniqueness(space, seed: int, trials: int,
     """Sampled evidence that P_e is the only state attaining 1 at atom e.
 
     Mixed states stay boundedly below 1 at every sampled atom; exact
-    uniqueness is analytic per backend and recorded as assumed.
+    uniqueness is analytic per backend and recorded as assumed.  The
+    complements of every trial's atom come from one ``complements`` call.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     self_defect = 0.0
     mixed_max = 0.0
-    half_defect = 0.0
     can_mix = space.info_capacity >= 2
+    params, atoms = [], []
     for k in range(trials):
         rng = trial_rng(seed, k)
-        ep = space.random_atom_param(rng)
-        e = space.atom_coords(ep)
-        self_defect = max(self_defect, abs(space.state_value(ep, e) - 1.0))
-        if not can_mix:
-            continue
-        mixed_max = max(mixed_max, _mixture_value(space, *_random_bounded_mixture(space, rng), e))
-        # half/half mixture with an orthogonal atom evaluates to one half
-        comp = space.complement_coords(e, tol)
-        if comp:
+        params.append(space.random_atom_param(rng))
+        atoms.append(space.atom_coords(params[-1]))
+        self_defect = max(self_defect, abs(space.state_value(params[-1], atoms[-1]) - 1.0))
+        if can_mix:
+            mixed_max = max(mixed_max, _mixture_value(
+                space, *_random_bounded_mixture(space, rng), atoms[-1]))
+    checks = [CheckResult("states.atom_state_attains_one", self_defect, tol.check_tol)]
+    if not can_mix:
+        return checks + [skipped_check(name, "capacity-1 model has a single state")
+                         for name in ("states.mixed_states_below_one",
+                                      "states.half_mixture_value")]
+    # half/half mixture with an orthogonal atom evaluates to one half
+    half_defect = 0.0
+    for ep, e, comp in zip(params, atoms, space.complements(np.array(atoms), tol)):
+        if len(comp):
             half = (ep, space.atom_param_from_coords(comp[0]))
             half_defect = max(half_defect, abs(_mixture_value(space, half, (0.5, 0.5), e) - 0.5))
-    checks = [CheckResult("states.atom_state_attains_one", self_defect, tol.check_tol)]
-    if can_mix:
-        checks.append(CheckResult(
-            "states.mixed_states_below_one", mixed_max, 1.0 - 1e-6,
-            note="uniqueness is analytic per backend; sampled evidence only"))
-        checks.append(CheckResult("states.half_mixture_value", half_defect, tol.check_tol))
-    else:
-        checks += [skipped_check(name, "capacity-1 model has a single state")
-                   for name in ("states.mixed_states_below_one", "states.half_mixture_value")]
-    return checks
+    return checks + [
+        CheckResult("states.mixed_states_below_one", mixed_max, 1.0 - 1e-6,
+                    note="uniqueness is analytic per backend; sampled evidence only"),
+        CheckResult("states.half_mixture_value", half_defect, tol.check_tol),
+    ]
 
 
 UNITY_NAMES = {"columns": "unity.family_pairings_sum_to_one",
@@ -341,6 +346,8 @@ def verify_unity_resolution(space, seed: int, trials: int, tol: Tolerance = DEFA
     distance of sum f from the first family's sum.  ``names`` maps each
     measure the caller reports to its check name.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = columns = shared_sum = 0.0
     reference = None
     for k in range(trials):
@@ -366,19 +373,25 @@ def verify_certainty_order(space, seed: int, trials: int, tol: Tolerance = DEFAU
     Positive cases are constructed as the atom plus convex junk on its
     complement family, so the effect lies in [0, unit].  The checks are the
     atom state's distance from 1 at the effect, and the distance of effect
-    minus atom from the cone.
+    minus atom from the cone; the complements and the cone defects of all
+    trials come from one stack call each.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    # each trial's generator draws the atom now and the junk weights once
+    # the complements of every trial's atom are known
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    params = [space.random_atom_param(rng) for rng in rngs]
+    atoms = np.array([space.atom_coords(ep) for ep in params])
+    effects = []
     value_defect = 0.0
-    order_defect = 0.0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        ep = space.random_atom_param(rng)
-        e = space.atom_coords(ep)
+    for ep, e, rng, comp in zip(params, atoms, rngs, space.complements(atoms, tol)):
         a = e
-        for f in space.complement_coords(e, tol):
+        for f in comp:
             a = a + float(rng.uniform()) * f
+        effects.append(a)
         value_defect = max(value_defect, abs(space.state_value(ep, a) - 1.0))
-        order_defect = max(order_defect, space.cone_defect(a - e, tol))
+    order_defect = worst(space.cone_defects(np.array(effects) - atoms, tol))
     return [CheckResult(names[0], value_defect, tol.check_tol),
             CheckResult(names[1], order_defect, tol.cone_slack)]
 
@@ -432,18 +445,27 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     but not of q is sought among the atoms of p.  This is a testable
     surrogate, not a global certificate.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pairs = []
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        pairs.append((_random_element(model, rng, "logic"), _random_element(model, rng, "logic")))
+    # the atoms of every p, as atomic_decomposition finds them: the frame
+    # atoms of eigenvalue above 1/2 (its rule that an order norm at most
+    # check_tol has none adds nothing once each eigenvalue is near 0 or 1)
+    ps = np.array([p.coords for p, _ in pairs])
+    if not logic_rows(model.eigenvalues_batch(ps, tol), tol).all():
+        raise ValueError(NOT_IN_LOGIC)
+    values, frames = model.decompose_batch(ps, tol)
     consistency = 0.0
     witness_missing = 0
     witness_level = 0.0
     worst_margin = 0.0
     comparable = 0
     incomparable = 0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        p = _random_element(model, rng, "logic")
-        q = _random_element(model, rng, "logic")
-        atoms = atomic_decomposition(model, p, tol)
-        params = [atom_param(model, e) for e in atoms]
+    for (p, q), row, frame in zip(pairs, values, frames):
+        params = [model.atom_param_from_coords(e) for e in frame[row > 0.5]]
         if cone_contains(model, q - p, tol):
             comparable += 1
             for ep in params:

@@ -14,14 +14,22 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS
+from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS
 from jordantp import get_model, random_element
 from jordantp.backends import base
 from jordantp.backends.base import MEMO_ENTRIES, remembered, remembering_spectra
 from jordantp.cli import main
 from jordantp.reports import dump_canonical_json
 from jordantp.spectral import _SeedWords, trial_rng
-from jordantp.suites import SUITES, logic_suite, run_suite, spectral_suite, tp_suite
+from jordantp.suites import (
+    SUITES,
+    axioms_suite,
+    logic_suite,
+    run_suite,
+    selfdual_suite,
+    spectral_suite,
+    tp_suite,
+)
 
 
 def _count_kernel(monkeypatch, model):
@@ -242,10 +250,10 @@ def test_concurrent_runs_keep_their_memos_apart(tol):
 # ---------------------------------------------------------------------------
 
 # decompose_coords calls of one `verify --suite all --seed 1` run with the
-# memo and the batched spectral, tp and logic suites; with the batched
-# spectral suite alone they were 119 and 169, with the memo alone 169 and
-# 319, with neither 246 and 697
-DECOMPOSITIONS = {("sym:4", 8): 58, ("classical:4", 24): 63}
+# memo and every suite batched; with the axioms and selfdual suites per
+# element they were 58 and 63, with the batched spectral suite alone 119 and
+# 169, with the memo alone 169 and 319, with neither 246 and 697
+DECOMPOSITIONS = {("sym:4", 8): 28, ("classical:4", 24): 18}
 
 
 @pytest.mark.parametrize("spec,trials", list(DECOMPOSITIONS))
@@ -295,4 +303,21 @@ def test_the_tp_and_logic_suites_call_the_batch_kernels_a_fixed_number_of_times(
         monkeypatch, suite, kind, n, p, tol):
     model = get_model(kind, n, p)
     seen = _batch_calls_by_trials(monkeypatch, model, suite, tol)
+    assert all(seen[0].values()) and seen == [seen[0]] * len(seen)
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_the_axioms_suite_calls_the_batch_kernels_a_fixed_number_of_times(
+        monkeypatch, kind, n, p, tol):
+    model = get_model(kind, n, p)
+    seen = _batch_calls_by_trials(monkeypatch, model, axioms_suite, tol)
+    assert all(seen[0].values()) and seen == [seen[0]] * len(seen)
+
+
+# a model without a symmetric transition probability skips the suite
+@pytest.mark.parametrize("kind,n,p", SYMMETRIC_MODEL_SPECS)
+def test_the_selfdual_suite_calls_the_batch_kernels_a_fixed_number_of_times(
+        monkeypatch, kind, n, p, tol):
+    model = get_model(kind, n, p)
+    seen = _batch_calls_by_trials(monkeypatch, model, selfdual_suite, tol)
     assert all(seen[0].values()) and seen == [seen[0]] * len(seen)
