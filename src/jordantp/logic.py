@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends.base import Model
-from .core import cone_contains, order_norm
+from .core import cone_contains
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .spectral import trial_rng
 
@@ -113,17 +113,11 @@ def join(model: Model, q1, q2, tol: Tolerance = DEFAULT_TOL) -> LogicElement:
 
 
 def atomic_decomposition(model: Model, p, tol: Tolerance = DEFAULT_TOL) -> list[Element]:
-    """Pairwise-orthogonal atoms summing to p; empty for p = 0."""
-    return [model.element(atom) for atom in _atoms_of(model, p, tol)]
-
-
-def _atoms_of(model: Model, p, tol: Tolerance) -> np.ndarray:
-    """The coordinates (k, d) of the atoms ``atomic_decomposition`` returns."""
+    """Pairwise-orthogonal atoms summing to p, the frame atoms of eigenvalue
+    above 1/2; empty for p = 0."""
     p = logic_element(model, p, tol)
-    if order_norm(model, p.value, tol) <= tol.check_tol:
-        return np.empty((0, model.ambient_dim))
     form = model.spectral_form(p.value, tol)
-    return form.atom_coords[form.eigenvalues > 0.5]
+    return [model.element(atom) for atom in form.atom_coords[form.eigenvalues > 0.5]]
 
 
 def information_capacity_empirical(
@@ -132,23 +126,32 @@ def information_capacity_empirical(
     """Size of the largest orthogonal atom family found by greedy extension.
 
     Each restart grows a family by decomposing the complement of its sum, so
-    the search terminates at a maximal family.  The result is a consistency
-    check against the analytic capacity, not a proof.
+    the search terminates at a maximal family.  The restarts step together:
+    one ``decompose_batch`` per step over the remainders still growing, each
+    restart drawing from its own trial generator.  The result is a
+    consistency check against the analytic capacity, not a proof.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    best = 0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        # the unit minus the family, one atom subtracted at a time
-        rest = model.element(model.order_unit().coords
-                             - model.atom_coords(model.random_atom_param(rng)))
-        size = 1
-        while order_norm(model, rest, tol) > 1e-6:
-            atoms = _atoms_of(model, rest, tol)
-            if not len(atoms):
-                break
-            rest = model.element(rest.coords - atoms[int(rng.integers(len(atoms)))])
-            size += 1
-        best = max(best, size)
-    return best
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    # the unit minus each family, one atom subtracted at a time
+    rests = model.order_unit().coords - np.array(
+        [model.atom_coords(model.random_atom_param(rng)) for rng in rngs])
+    sizes = np.ones(trials, dtype=int)
+    running = np.arange(trials)
+    while len(running):
+        values, atoms = model.decompose_batch(rests[running], tol)
+        # the order norm, logic test and atom selection of each remainder
+        live = np.abs(values).max(axis=1) > 1e-6
+        running, values, atoms = running[live], values[live], atoms[live]
+        if not logic_rows(values, tol).all():
+            raise ValueError(NOT_IN_LOGIC)
+        grows = []
+        for k, row, frame in zip(running.tolist(), values, atoms):
+            top = frame[row > 0.5]
+            if len(top):
+                rests[k] = rests[k] - top[int(rngs[k].integers(len(top)))]
+                grows.append(k)
+        running = np.array(grows, dtype=int)
+        sizes[running] += 1
+    return int(sizes.max())

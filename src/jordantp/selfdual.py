@@ -269,6 +269,9 @@ class GeneratorSelfDualCone(SelfDualCone):
             raise ValueError("zero generator")
         self.generators = gen / norms[:, None]
         self._extreme = self._extreme_mask()
+        if not self._extreme.any():
+            raise ValueError("no generator spans an extreme ray (the cone contains a line), "
+                             "so the cone has no atoms")
         self.info_capacity = len(self._extend_orthogonally([], self.extreme_generators()))
 
     @property

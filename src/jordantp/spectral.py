@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .backends.base import Model, remembered
+from .backends.base import Model
 from .core import order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 
@@ -29,20 +30,22 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+@lru_cache(maxsize=1024)
+def _seed_words(seed: int, trial: int) -> _SeedWords:
+    return _SeedWords(seed, trial)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Per-trial generator derived from (seed, trial index).
 
     Parallel and serial sweeps over trials therefore draw identical samples.
     The draws are those of ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(trial,)))``.  Inside ``remembering_spectra`` (one verification
-    run, whose memo keeps at most ``MEMO_ENTRIES`` values) the hashed seed
-    words of each (seed, trial) are computed once, so the verifiers that
-    replay a trial share that cost; every call still returns a fresh
-    generator at the start of the trial's stream.
+    spawn_key=(trial,)))``.  The hashed seed words of the last 1,024
+    (seed, trial) pairs are cached, so the verifiers that replay a trial
+    share that cost; every call still returns a fresh generator at the start
+    of the trial's stream.
     """
-    seed, trial = int(seed), int(trial)
-    words = remembered(("seed", seed, trial), lambda: _SeedWords(seed, trial))
-    return np.random.Generator(np.random.PCG64(words))
+    return np.random.Generator(np.random.PCG64(_seed_words(int(seed), int(trial))))
 
 
 def random_element(model: Model, seed: int, shape: str = "any") -> Element:

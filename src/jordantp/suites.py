@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .backends.base import Model, cone_distances, remembering_spectra
+from .backends.base import Model, cone_distances
 from .core import order_norm, order_norms
 from .elements import DEFAULT_TOL, Tolerance, resum
 from .logic import NOT_IN_LOGIC, information_capacity_empirical, logic_rows, meet_coords
@@ -390,9 +390,8 @@ def run_suite(model: Model, suite: str, seed: int, trials: int,
     start = time.monotonic()
     names = list(SUITES) if suite == "all" else [suite]
     checks: list[CheckResult] = []
-    with remembering_spectra():
-        for name in names:
-            checks += SUITES[name](model, seed, trials, tol)
+    for name in names:
+        checks += SUITES[name](model, seed, trials, tol)
     report = VerificationReport(
         model=model.descriptor.to_json(),
         suite=suite,

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import ALL_MODEL_SPECS
 from jordantp import get_model
-from jordantp.backends.base import Model, remembering_spectra
+from jordantp.backends.base import Model
 from jordantp.core import cone_contains, order_norm
 from jordantp.logic import atomic_decomposition
 from jordantp.reports import CheckResult, dump_canonical_json, skipped_check
@@ -283,10 +283,8 @@ def _report(checks):
 def test_axioms_and_selfdual_suites_equal_the_per_element_references(kind, n, p, trials, tol):
     model = get_model(kind, n, p)
     for seed in range(5):
-        # the references replay a run's repeated spectra from its memo
-        with remembering_spectra():
-            want_axioms = _report(reference_axioms(model, seed, trials, tol))
-            want_selfdual = _report(reference_selfdual(model, seed, trials, tol))
+        want_axioms = _report(reference_axioms(model, seed, trials, tol))
+        want_selfdual = _report(reference_selfdual(model, seed, trials, tol))
         assert _report(axioms_suite(model, seed, trials, tol)) == want_axioms
         assert _report(selfdual_suite(model, seed, trials, tol)) == want_selfdual
 

@@ -1,11 +1,12 @@
-"""The run memo: within one verification run each spectrum and each trial's
-seed words are computed once, and nothing a run reports changes.
+"""Kernel calls: what reaches the per-element and batch spectral kernels.
 
-``remembering_spectra`` (``backends/base.py``) opens the memo that
-``run_suite`` wraps around its suites.  These tests pin its contract: the two
-spectral paths fill separate slots, a failure is never remembered, the memo
-is bounded, dropped at the end of the block and kept apart per thread, and
-the reports and draws are those of the plain calls.
+A spectrum is never cached: every ``spectral_form`` and ``eigenvalues`` call
+reaches its own kernel, so a suite that decomposes a sample twice shows in
+the counts below; the capacity search makes one batch decomposition per
+step.  Only ``spectral.trial_rng`` caches, the hashed seed words
+of recent trials, and it draws what ``default_rng`` of the trial's seed
+sequence draws.  ``run_suite`` reports what the plain suites report, from any
+number of threads.
 """
 
 import sys
@@ -16,11 +17,10 @@ import pytest
 
 from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS
 from jordantp import get_model, random_element
-from jordantp.backends import base
-from jordantp.backends.base import MEMO_ENTRIES, remembered, remembering_spectra
 from jordantp.cli import main
+from jordantp.logic import atomic_decomposition, information_capacity_empirical
 from jordantp.reports import dump_canonical_json
-from jordantp.spectral import _SeedWords, trial_rng
+from jordantp.spectral import _SeedWords, _seed_words, trial_rng
 from jordantp.suites import (
     SUITES,
     axioms_suite,
@@ -46,75 +46,65 @@ def _count_kernel(monkeypatch, model):
     return counts
 
 
-def test_equal_coordinates_reach_each_kernel_once(monkeypatch, any_model, tol):
-    counts = _count_kernel(monkeypatch, any_model)
-    a = random_element(any_model, 5)
-    twin = any_model.element(a.coords.copy())
-    assert twin is not a
-    with remembering_spectra():
-        form = any_model.spectral_form(a, tol)
-        assert any_model.spectral_form(twin, tol) is form
-        eigs = any_model.eigenvalues(a, tol)
-        assert any_model.eigenvalues(twin.coords, tol) is eigs
-        assert counts == {"decompose_coords": 1, "eigenvalues_coords": 1}
-        # another tolerance is another spectrum
-        any_model.eigenvalues(a, tol.replace(eig_cluster=1e-6))
-        assert counts["eigenvalues_coords"] == 2
-    np.testing.assert_array_equal(eigs, form.eigenvalues)
-
-
-def test_the_two_spectral_paths_never_serve_each_other(monkeypatch, any_model, tol):
-    counts = _count_kernel(monkeypatch, any_model)
-    a, b = random_element(any_model, 6), random_element(any_model, 7)
-    with remembering_spectra():
-        any_model.spectral_form(a, tol)
-        any_model.eigenvalues(a, tol)
-        assert counts == {"decompose_coords": 1, "eigenvalues_coords": 1}
-        any_model.eigenvalues(b, tol)
-        any_model.spectral_form(b, tol)
-        assert counts == {"decompose_coords": 2, "eigenvalues_coords": 2}
-
-
-def test_outside_a_run_every_call_reaches_the_kernel(monkeypatch, any_model, tol):
+def test_every_call_reaches_its_own_kernel(monkeypatch, any_model, tol):
     counts = _count_kernel(monkeypatch, any_model)
     a = random_element(any_model, 8)
-    with remembering_spectra():
-        any_model.spectral_form(a, tol)
-        any_model.eigenvalues(a, tol)
-    assert base._MEMO.get() is None
     for _ in range(3):
         any_model.spectral_form(a, tol)
         any_model.eigenvalues(a, tol)
-    assert counts == {"decompose_coords": 4, "eigenvalues_coords": 4}
+        any_model.eigenvalues(a.coords, tol)
+    assert counts == {"decompose_coords": 3, "eigenvalues_coords": 6}
 
 
-def test_memo_keeps_at_most_its_bound(monkeypatch, tol):
-    model = get_model("classical", 4)
-    counts = _count_kernel(monkeypatch, model)
-    elements = [model.element([float(k), 0.0, 1.0, -1.0]) for k in range(3000)]
-    with remembering_spectra():
-        memo = base._MEMO.get()
-        for a in elements:
-            model.spectral_form(a, tol)
-            assert len(memo) <= MEMO_ENTRIES
-        assert len(memo) == MEMO_ENTRIES
-        assert counts["decompose_coords"] == 3000
-        model.spectral_form(elements[-1], tol)  # among the newest: remembered
-        assert counts["decompose_coords"] == 3000
-        model.spectral_form(elements[0], tol)  # the oldest were dropped
-        assert counts["decompose_coords"] == 3001
-        assert len(memo) == MEMO_ENTRIES
+def test_each_spectral_path_reaches_only_its_own_kernel(monkeypatch, any_model, tol):
+    counts = _count_kernel(monkeypatch, any_model)
+    a = random_element(any_model, 6)
+    form = any_model.spectral_form(a, tol)
+    assert counts == {"decompose_coords": 1, "eigenvalues_coords": 0}
+    eigs = any_model.eigenvalues(a, tol)
+    assert counts == {"decompose_coords": 1, "eigenvalues_coords": 1}
+    np.testing.assert_allclose(np.sort(eigs), np.sort(form.eigenvalues),
+                               atol=tol.eig_cluster)
 
 
-def test_remembered_eigenvalues_are_read_only(any_model, tol):
+def test_atomic_decomposition_is_one_logic_test_and_one_decomposition(
+        monkeypatch, any_model, tol):
+    rng = np.random.default_rng(4)
+    atom = any_model.element(any_model.atom_coords(any_model.random_atom_param(rng)))
+    counts = _count_kernel(monkeypatch, any_model)
+    for p, size in ((any_model.order_unit(), any_model.info_capacity), (atom, 1)):
+        before = dict(counts)
+        atoms = atomic_decomposition(any_model, p, tol)
+        assert len(atoms) == size
+        assert counts["decompose_coords"] - before["decompose_coords"] == 1
+        assert counts["eigenvalues_coords"] - before["eigenvalues_coords"] == 1
+
+
+def test_the_capacity_search_decomposes_once_per_step(monkeypatch, any_model, tol):
+    # every restart starts from one atom and grows by one atom per step, so
+    # the search ends at the step where the largest family leaves no rest
+    counts = _count_kernel(monkeypatch, any_model)
+    calls = []
+    kernel = any_model.decompose_batch
+
+    def counted(stack, tol):
+        calls.append(len(stack))
+        return kernel(stack, tol)
+
+    monkeypatch.setattr(any_model, "decompose_batch", counted)
+    capacity = information_capacity_empirical(any_model, 5, 6, tol)
+    assert capacity == any_model.info_capacity
+    assert len(calls) == capacity
+    assert calls[0] == 6 and calls == sorted(calls, reverse=True)
+    assert counts == {"decompose_coords": 0, "eigenvalues_coords": 0}
+
+
+def test_eigenvalues_are_read_only(any_model, tol):
     a = random_element(any_model, 9)
-    with remembering_spectra():
-        eigs = any_model.eigenvalues(a, tol)
+    for eigs in (any_model.eigenvalues(a, tol), any_model.eigenvalues(a.coords, tol)):
         assert not eigs.flags.writeable
         with pytest.raises(ValueError):
             eigs[0] = 0.0
-        assert any_model.eigenvalues(a, tol) is eigs
-    assert not any_model.eigenvalues(a, tol).flags.writeable
 
 
 def test_a_spectrum_outside_the_doubles_raises_on_every_call(monkeypatch, tol):
@@ -122,35 +112,10 @@ def test_a_spectrum_outside_the_doubles_raises_on_every_call(monkeypatch, tol):
     model = get_model("spin", 2)
     counts = _count_kernel(monkeypatch, model)
     a = model.element([1e308, 1e308, 1e308])
-    with remembering_spectra():
-        for calls in (1, 2, 3):
-            with pytest.raises(ValueError, match="outside the range of a double"):
-                model.spectral_form(a, tol)
-            assert counts["decompose_coords"] == calls
-
-
-def test_a_failing_make_is_not_remembered():
-    calls = []
-
-    def make():
-        calls.append(None)
-        raise RuntimeError("no value")
-
-    with remembering_spectra():
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                remembered("key", make)
-    assert len(calls) == 2
-
-
-def test_blocks_do_not_share_a_memo():
-    with remembering_spectra():
-        assert remembered("key", lambda: 1) == 1
-        with remembering_spectra():
-            assert remembered("key", lambda: 2) == 2
-        assert remembered("key", lambda: 3) == 1
-    with remembering_spectra():
-        assert remembered("key", lambda: 4) == 4
+    for calls in (1, 2, 3):
+        with pytest.raises(ValueError, match="outside the range of a double"):
+            model.spectral_form(a, tol)
+        assert counts["decompose_coords"] == calls
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +135,26 @@ def test_trial_rng_draws_the_seed_sequence_stream(seed):
     for trial in RNG_TRIALS:
         sequence = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
         want = _draws(np.random.default_rng(sequence))
-        outside = _draws(trial_rng(seed, trial))
-        with remembering_spectra():
-            first = _draws(trial_rng(seed, trial))
-            again = _draws(trial_rng(seed, trial))
-        for got in (outside, first, again):
+        _seed_words.cache_clear()
+        first = _draws(trial_rng(seed, trial))  # hashes the seed words
+        again = _draws(trial_rng(seed, trial))  # reuses them
+        for got in (first, again):
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         words = _SeedWords(seed, trial).generate_state(4, np.uint64)
         np.testing.assert_array_equal(words, sequence.generate_state(4, np.uint64))
+
+
+def test_seed_words_are_cached_for_the_latest_trials():
+    _seed_words.cache_clear()
+    for trial in range(1500):
+        trial_rng(7, trial)
+    info = _seed_words.cache_info()
+    assert info.maxsize == 1024 and info.currsize == 1024 and info.hits == 0
+    trial_rng(7, 1499)  # among the latest: reused
+    assert _seed_words.cache_info().hits == 1
+    trial_rng(7, 0)  # the oldest were dropped
+    assert _seed_words.cache_info().misses == 1501
 
 
 def test_seed_words_refuse_another_shape():
@@ -192,7 +168,7 @@ def test_seed_words_refuse_another_shape():
 
 
 # ---------------------------------------------------------------------------
-# the memo changes no report
+# run_suite reports what the plain suites report
 # ---------------------------------------------------------------------------
 
 
@@ -209,20 +185,17 @@ def test_run_suite_reports_what_the_plain_suites_report(kind, n, p, tol):
         assert _checks_json(report.checks) == _checks_json(direct)
 
 
-def test_concurrent_runs_keep_their_memos_apart(tol):
-    # a ContextVar gives every thread its own memo, even on one shared model
+def test_concurrent_runs_report_what_serial_runs_report(tol):
+    # four threads on two shared models, switching as often as they can
     specs = [("sym", 4, None), ("classical", 4, None)]
     serial = {spec: _checks_json(run_suite(get_model(*spec), "all", 2, 8, tol).checks)
               for spec in specs}
     barrier = threading.Barrier(4, timeout=60)
-    got, idents, errors = [], [], []
+    got, errors = [], []
 
     def worker(spec):
         try:
-            with remembering_spectra():
-                barrier.wait()
-                idents.append(remembered("owner", threading.get_ident))
-                barrier.wait()
+            barrier.wait()
             got.append((spec, _checks_json(run_suite(get_model(*spec), "all", 2, 8, tol).checks)))
         except Exception as exc:  # reported by the assertions below
             errors.append(exc)
@@ -239,7 +212,6 @@ def test_concurrent_runs_keep_their_memos_apart(tol):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert sorted(idents) == sorted(thread.ident for thread in threads)
     assert len(got) == 4
     for spec, checks in got:
         assert checks == serial[spec]
@@ -249,11 +221,15 @@ def test_concurrent_runs_keep_their_memos_apart(tol):
 # kernel-count guard: a run decomposes each spectrum once
 # ---------------------------------------------------------------------------
 
-# decompose_coords calls of one `verify --suite all --seed 1` run with the
-# memo and every suite batched; with the axioms and selfdual suites per
-# element they were 58 and 63, with the batched spectral suite alone 119 and
-# 169, with the memo alone 169 and 319, with neither 246 and 697
-DECOMPOSITIONS = {("sym:4", 8): 28, ("classical:4", 24): 18}
+# decompose_coords and eigenvalues_coords calls of one `verify --suite all
+# --seed 1` run with every suite and the capacity search batched.  With a
+# per-run spectrum memo and the capacity search per element they were 28 and
+# 18 decompositions and 43 and 31 eigenvalue calls; with the axioms and
+# selfdual suites per element too, 58 and 63 decompositions, with the batched
+# spectral suite alone 119 and 169, with the memo alone 169 and 319, with
+# neither 246 and 697
+DECOMPOSITIONS = {("sym:4", 8): 4, ("classical:4", 24): 7}
+EIGENVALUE_CALLS = {("sym:4", 8): 11, ("classical:4", 24): 27}
 
 
 @pytest.mark.parametrize("spec,trials", list(DECOMPOSITIONS))
@@ -264,6 +240,7 @@ def test_a_run_decomposes_each_spectrum_once(monkeypatch, capsys, spec, trials):
     capsys.readouterr()
     assert code == 0
     assert counts["decompose_coords"] <= DECOMPOSITIONS[spec, trials]
+    assert counts["eigenvalues_coords"] <= EIGENVALUE_CALLS[spec, trials]
 
 
 def _batch_calls_by_trials(monkeypatch, model, suite, tol):

@@ -372,6 +372,17 @@ def test_generator_cone_csv_round_trip(tmp_path):
     np.testing.assert_allclose(pair.a_minus, [0.0, 3.0, 0.0], atol=1e-12)
 
 
+def test_a_cone_without_extreme_generators_is_refused(tmp_path):
+    # six random generators in the plane span all of it: no extreme ray
+    gens = np.random.default_rng(0).normal(size=(6, 2))
+    with pytest.raises(ValueError, match="no generator spans an extreme ray"):
+        GeneratorSelfDualCone(gens)
+    path = tmp_path / "plane.csv"
+    np.savetxt(path, gens, delimiter=",")
+    with pytest.raises(ValueError, match="no generator spans an extreme ray"):
+        generator_cone_from_csv(path)
+
+
 def test_spectral_cone_requires_symmetry():
     with pytest.raises(UnsupportedModelError):
         SpectralSelfDualCone(get_model("lpq", 2, 3.0))

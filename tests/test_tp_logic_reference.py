@@ -14,7 +14,6 @@ import pytest
 
 from conftest import ALL_MODEL_SPECS
 from jordantp import get_model
-from jordantp.backends.base import remembering_spectra
 from jordantp.core import cone_contains, order_norm
 from jordantp.logic import (
     atomic_decomposition,
@@ -250,10 +249,8 @@ def _report(checks):
 def test_tp_and_logic_suites_equal_the_per_element_references(kind, n, p, trials, tol):
     model = get_model(kind, n, p)
     for seed in range(5):
-        # the references replay a run's repeated spectra from its memo
-        with remembering_spectra():
-            want_tp = _report(reference_tp(model, seed, trials, tol))
-            want_logic = _report(reference_logic(model, seed, trials, tol))
+        want_tp = _report(reference_tp(model, seed, trials, tol))
+        want_logic = _report(reference_logic(model, seed, trials, tol))
         assert _report(tp_suite(model, seed, trials, tol)) == want_tp
         assert _report(logic_suite(model, seed, trials, tol)) == want_logic
 
