@@ -6,11 +6,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Sequence
 
 import numpy as np
 
 from ..elements import DEFAULT_TOL, Element, SpectralForm, Tolerance
-from ..errors import DimensionMismatchError, UnsupportedModelError
+from ..errors import DimensionMismatchError, UnnormalizedParamError, UnsupportedModelError
 
 
 @dataclass(frozen=True)
@@ -211,13 +212,33 @@ class Model(ABC):
     # atoms
     # ------------------------------------------------------------------
 
-    @abstractmethod
-    def atom_coords(self, param) -> np.ndarray:
-        """Coordinates of the minimal extreme point described by ``param``.
+    # The atom kernels work on stacks; each per-element form below is the
+    # one-row case of its stack form, defined here once.  One atom parameter
+    # has ``param_ndim`` array dimensions: a vector, or a basis index on
+    # classical.
 
-        Raises UnnormalizedParamError when the parameter is not normalized in
-        the backend's relevant norm.
+    param_ndim = 1
+    _not_a_param = "atom parameter must be a vector"
+
+    def _one_row(self, param) -> np.ndarray:
+        """The stack (1, ...) of a single atom parameter."""
+        row = np.asarray(param)
+        if row.ndim != self.param_ndim:
+            raise UnnormalizedParamError(self._not_a_param.format(param))
+        return row[np.newaxis]
+
+    @abstractmethod
+    def atom_coords_batch(self, params) -> np.ndarray:
+        """Coordinates of the minimal extreme point described by each
+        parameter in a stack, as a C-contiguous stack (..., d), so that a
+        dot product with a row adds up in one order whatever the stack.
+
+        Raises UnnormalizedParamError when a parameter is not normalized in
+        the backend's relevant norm; the whole stack is tested at once.
         """
+
+    def atom_coords(self, param) -> np.ndarray:
+        return self.atom_coords_batch(self._one_row(param))[0]
 
     def atom(self, param) -> Element:
         return self.element(self.atom_coords(param))
@@ -226,12 +247,26 @@ class Model(ABC):
     def atom_param_from_coords(self, coords: np.ndarray):
         """Recover the defining parameter of an atom given its coordinates."""
 
-    @abstractmethod
-    def random_atom_param(self, rng: np.random.Generator): ...
+    # The samplers take a list of generators, one per trial.  Row k is drawn
+    # from rngs[k] alone, so a generator makes the same draws whatever the
+    # other rows; only the raw draws loop over the generators, the
+    # normalisation runs once over the stack.
 
     @abstractmethod
+    def random_atom_param_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """The parameter of a random atom from each generator, as a stack."""
+
+    @abstractmethod
+    def random_frame_params_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Parameters of a random maximal orthogonal family of atoms from
+        each generator, as a stack (K, m, ...): row k holds the m parameters
+        of the family drawn from rngs[k]."""
+
+    def random_atom_param(self, rng: np.random.Generator):
+        return self.random_atom_param_batch([rng])[0]
+
     def random_frame_params(self, rng: np.random.Generator) -> list:
-        """Parameters of a random maximal orthogonal family of atoms."""
+        return list(self.random_frame_params_batch([rng])[0])
 
     def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         """For the atom in each row of a (K, d) stack, the coordinates (n, d)
@@ -245,12 +280,22 @@ class Model(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
+    def state_values(self, params, coords: np.ndarray) -> np.ndarray:
+        """Value of the unique atom state P_e of each row of a stack of
+        parameters at the element in the same row of a (K, d) stack of
+        coordinates, as a (K,) array."""
+
     def state_value(self, param, coords: np.ndarray) -> float:
-        """Value of the unique atom state P_e at the element with ``coords``."""
+        return float(self.state_values(self._one_row(param), np.asarray(coords)[np.newaxis])[0])
+
+    def transitions_from_params(self, src, dst) -> np.ndarray:
+        """P_{e_src}(e_dst) evaluated natively from the atom parameters in
+        the rows of two stacks, as a (K,) array."""
+        return self.state_values(src, self.atom_coords_batch(dst))
 
     def transition_from_params(self, param_src, param_dst) -> float:
-        """P_{e_src}(e_dst) evaluated natively from the atom parameters."""
-        return self.state_value(param_src, self.atom_coords(param_dst))
+        return float(self.transitions_from_params(self._one_row(param_src),
+                                                  self._one_row(param_dst))[0])
 
     def native_pairing(self, ca: np.ndarray, cb: np.ndarray) -> float:
         """Closed-form value of the self-dualizing inner product, where it
@@ -279,6 +324,21 @@ def cone_distances(eigs: np.ndarray) -> np.ndarray:
     stack of spectra."""
     least = eigs.min(axis=1)
     return np.where(np.isnan(least), math.inf, np.where(least < 0.0, -least, 0.0))
+
+
+def normal_draws(rngs: Sequence[np.random.Generator], shape: tuple) -> np.ndarray:
+    """A standard normal array of ``shape`` from each generator, stacked
+    (K, *shape): what ``rng.normal(size=shape)`` draws from each."""
+    return np.array([rng.normal(size=shape) for rng in rngs]).reshape((len(rngs),) + shape)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a stack (..., n), bit for bit: the
+    squares add up as one dot product per row (real and imaginary parts
+    apart), as there; ``norm(axis=-1)`` adds them in another order."""
+    if np.iscomplexobj(rows):
+        return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

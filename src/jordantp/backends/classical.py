@@ -61,24 +61,28 @@ class ClassicalModel(Model):
         head[support[0]] = coords[support[0]]
         return head, coords - head
 
-    def _index(self, param) -> int:
-        """The basis index named by an atom parameter.  Raises
-        UnnormalizedParamError unless it is an integer in [0, n); a bool is
-        not an index, and a negative one does not count from the end."""
-        if type(param) is int and 0 <= param < self._n:
-            return param
-        if (np.ndim(param) != 0 or isinstance(param, (bool, np.bool_))
-                or not float(param).is_integer()):
-            raise UnnormalizedParamError(f"basis index must be an integer, got {param!r}")
-        idx = int(param)
-        if not 0 <= idx < self._n:
-            raise UnnormalizedParamError(f"basis index {idx} out of range for n={self._n}")
-        return idx
+    param_ndim = 0
+    _not_a_param = "basis index must be an integer, got {!r}"
 
-    def atom_coords(self, param) -> np.ndarray:
-        atom = np.zeros(self._n)
-        atom[self._index(param)] = 1.0
-        return atom
+    def _indices(self, params) -> np.ndarray:
+        """The basis indices named by a stack of atom parameters.  Raises
+        UnnormalizedParamError unless each is an integer in [0, n); a bool is
+        not an index, and a negative one does not count from the end."""
+        idx = np.asarray(params)
+        if idx.dtype.kind not in "iuf":
+            raise UnnormalizedParamError(self._not_a_param.format(params))
+        if idx.dtype.kind == "f":
+            fractional = np.floor(idx) != idx  # NaN included
+            if fractional.any():
+                raise UnnormalizedParamError(self._not_a_param.format(idx[fractional][0].item()))
+        if idx.size and (idx.min() < 0 or idx.max() >= self._n):
+            outside = (idx < 0) | (idx >= self._n)
+            raise UnnormalizedParamError(
+                f"basis index {idx[outside][0].item():.0f} out of range for n={self._n}")
+        return idx.astype(np.intp, copy=False)
+
+    def atom_coords_batch(self, params) -> np.ndarray:
+        return np.eye(self._n)[self._indices(params)]
 
     def atom_param_from_coords(self, coords):
         idx = int(np.argmax(coords))
@@ -88,14 +92,18 @@ class ClassicalModel(Model):
             raise NotAtomError("classical atoms are exactly the standard basis vectors")
         return idx
 
-    def random_atom_param(self, rng: np.random.Generator):
-        return int(rng.integers(self._n))
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
+        return np.array([rng.integers(self._n) for rng in rngs], dtype=np.intp)
 
-    def random_frame_params(self, rng: np.random.Generator):
-        return [int(i) for i in rng.permutation(self._n)]
+    def random_frame_params_batch(self, rngs) -> np.ndarray:
+        return np.array([rng.permutation(self._n) for rng in rngs],
+                        dtype=np.intp).reshape(len(rngs), self._n)
 
-    def state_value(self, param, coords) -> float:
-        return float(coords[self._index(param)])
+    def state_values(self, params, coords) -> np.ndarray:
+        idx = self._indices(params)
+        if idx.shape != np.shape(coords)[:-1]:  # one index per row
+            raise UnnormalizedParamError(self._not_a_param.format(params))
+        return np.take_along_axis(coords, idx[:, np.newaxis], axis=1)[:, 0]
 
     def native_pairings(self, stack_a, stack_b) -> np.ndarray:
         return np.vecdot(stack_a, stack_b)

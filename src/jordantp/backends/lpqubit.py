@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from ..errors import NotAtomError, UnnormalizedParamError
+from .base import normal_draws
 from .qubit import _QubitModel, half_atom
 
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -92,24 +93,17 @@ class LpQubitModel(_QubitModel):
                          for s, ok, row in zip(sums.tolist(), plain, rows)])
 
     def supporting_functional(self, omega) -> np.ndarray:
-        """Norm-one functional with f . omega = 1, unique by smoothness."""
+        """Norm-one functional with f . omega = 1, unique by smoothness, or
+        the stack (..., n) of them for a stack of boundary points."""
         omega = np.asarray(omega, dtype=float)
-        f = np.sign(omega) * np.abs(omega) ** (self._p - 1.0)
-        return f / self.pnorm(f, self._q)
+        f = (np.sign(omega) * np.abs(omega) ** (self._p - 1.0)).reshape(-1, self._n)
+        return (f / self.pnorms(f, self._q)[:, np.newaxis]).reshape(omega.shape)
 
     def sphere_point_of_functional(self, f) -> np.ndarray:
         """Inverse of the duality map: boundary point supported by ``f``."""
         f = np.asarray(f, dtype=float)
         omega = np.sign(f) * np.abs(f) ** (self._q - 1.0)
         return omega / self.pnorm(omega, self._p)
-
-    def _check_boundary(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (self._n,):
-            raise UnnormalizedParamError(f"boundary point must live in R^{self._n}")
-        if abs(self.pnorm(omega, self._p) - 1.0) > 1e-9:
-            raise UnnormalizedParamError("boundary point must lie on the unit l^p sphere")
-        return omega
 
     def _radius(self, x) -> float:  # the spectrum is {c - |f|_q, c + |f|_q}
         return self.pnorm(x, self._q)
@@ -123,9 +117,14 @@ class LpQubitModel(_QubitModel):
     def cone_oracle(self, coords, slack: float) -> bool:
         return bool(coords[0] - self.pnorm(coords[1:], self._q) >= -slack)
 
-    def atom_coords(self, param) -> np.ndarray:
-        omega = self._check_boundary(param)
-        return half_atom(self.supporting_functional(omega))
+    def atom_coords_batch(self, params) -> np.ndarray:
+        # one pnorms for the boundary test of the stack, one for the functionals
+        omegas = np.asarray(params, dtype=float)
+        if omegas.shape[-1:] != (self._n,):
+            raise UnnormalizedParamError(f"boundary point must live in R^{self._n}")
+        if np.any(np.abs(self.pnorms(omegas.reshape(-1, self._n), self._p) - 1.0) > 1e-9):
+            raise UnnormalizedParamError("boundary point must lie on the unit l^p sphere")
+        return half_atom(self.supporting_functional(omegas))
 
     def atom_param_from_coords(self, coords):
         c = float(coords[0])
@@ -134,14 +133,13 @@ class LpQubitModel(_QubitModel):
             raise NotAtomError("lp qubit atoms have the form (1, f_omega)/2 with |f_omega|_q = 1")
         return self.sphere_point_of_functional(f)
 
-    def random_atom_param(self, rng: np.random.Generator):
-        v = rng.normal(size=self._n)
-        return v / self.pnorm(v, self._p)
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
+        v = normal_draws(rngs, (self._n,))
+        return v / self.pnorms(v, self._p)[:, np.newaxis]
 
-    def transition_from_params(self, param_src, param_dst) -> float:
+    def transitions_from_params(self, src, dst) -> np.ndarray:
         # e_{dst}(src) written so that the values at dst and at its antipode
         # are exactly 1 and 0 (scale invariant in the functional)
-        src = np.asarray(param_src, dtype=float)
-        dst = np.asarray(param_dst, dtype=float)
+        src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
         f = np.sign(dst) * np.abs(dst) ** (self._p - 1.0)
-        return float(np.dot(f, dst + src) / (2.0 * np.dot(f, dst)))
+        return np.vecdot(f, dst + src) / (2.0 * np.vecdot(f, dst))

@@ -32,7 +32,7 @@ from ..errors import (
     NotAtomError,
     UnnormalizedParamError,
 )
-from .base import Model, cluster_descending
+from .base import Model, cluster_descending, normal_draws, row_norms
 
 
 def _deterministic_basis(projector: np.ndarray, rank: int) -> list[np.ndarray]:
@@ -213,24 +213,26 @@ class _MatrixModel(Model):
             return None
         return self.matrix_coords(head), self.matrix_coords(rest)
 
-    def _unit_vector(self, param) -> np.ndarray:
-        vec = np.asarray(param)
-        if self._complex:
-            if vec.dtype.kind != "c":
-                if vec.shape == (2 * self._n,):  # interleaved (re, im) pairs
-                    vec = vec[0::2] + 1j * vec[1::2]
-                else:
-                    vec = vec.astype(complex)
-        else:
-            vec = vec.astype(float)
-        if vec.shape != (self._n,):
-            raise UnnormalizedParamError(f"atom parameter must be a vector in dimension {self._n}")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-            raise UnnormalizedParamError("atom parameter must be a unit vector")
-        return vec
+    def _vectors(self, params) -> np.ndarray:
+        """The vectors (..., n) a stack of atom parameters holds; complex on
+        herm, where real (re, im) pairs may come interleaved."""
+        vecs = np.asarray(params)
+        if not self._complex:
+            return vecs.astype(float)
+        if vecs.dtype.kind == "c":
+            return vecs
+        if vecs.shape[-1:] == (2 * self._n,):  # interleaved (re, im) pairs
+            return vecs[..., 0::2] + 1j * vecs[..., 1::2]
+        return vecs.astype(complex)
 
-    def atom_coords(self, param) -> np.ndarray:
-        return self._rank_one_coords(self._unit_vector(param))
+    def atom_coords_batch(self, params) -> np.ndarray:
+        vecs = self._vectors(params)
+        if vecs.shape[-1:] != (self._n,):
+            raise UnnormalizedParamError(f"atom parameter must be a vector in dimension {self._n}")
+        if np.any(np.abs(row_norms(vecs) - 1.0) > 1e-9):
+            raise UnnormalizedParamError("atom parameter must be a unit vector")
+        # a gather from a stack is not C-contiguous
+        return np.ascontiguousarray(self._rank_one_coords(vecs))
 
     def atom_param_from_coords(self, coords):
         mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
@@ -240,21 +242,29 @@ class _MatrixModel(Model):
             raise NotAtomError("matrix atoms are rank-one projections")
         return eigvecs[:, -1]
 
-    def random_atom_param(self, rng: np.random.Generator):
-        vec = rng.normal(size=self._n)
+    def _gaussians(self, rngs, shape: tuple) -> np.ndarray:
+        """A standard normal array of ``shape`` from each generator, complex
+        on herm with the real parts drawn first."""
         if self._complex:
-            vec = vec + 1j * rng.normal(size=self._n)
-        return vec / np.linalg.norm(vec)
+            draws = normal_draws(rngs, (2,) + shape)
+            return draws[:, 0] + 1j * draws[:, 1]
+        return normal_draws(rngs, shape)
 
-    def random_frame_params(self, rng: np.random.Generator):
-        gauss = rng.normal(size=(self._n, self._n))
-        if self._complex:
-            gauss = gauss + 1j * rng.normal(size=(self._n, self._n))
-        q, _ = np.linalg.qr(gauss)
-        return [q[:, k] for k in range(self._n)]
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
+        vecs = self._gaussians(rngs, (self._n,))
+        return vecs / row_norms(vecs)[:, np.newaxis]
 
-    def state_value(self, param, coords) -> float:
-        return float(self.native_pairings(self._rank_one_coords(self._unit_vector(param)), coords))
+    def random_frame_params_batch(self, rngs) -> np.ndarray:
+        # a stacked qr gives each matrix's qr bit for bit, real and imaginary
+        # Gaussians drawn apart on herm; the frame is the columns of Q
+        q, _ = np.linalg.qr(self._gaussians(rngs, (self._n, self._n)))
+        return np.swapaxes(q, 1, 2)
+
+    def state_values(self, params, coords) -> np.ndarray:
+        atoms = self.atom_coords_batch(params)
+        if atoms.shape != np.shape(coords):  # one vector per row
+            raise UnnormalizedParamError(self._not_a_param)
+        return self.native_pairings(atoms, coords)
 
     def native_pairings(self, stack_a, stack_b) -> np.ndarray:
         """tr(AB) of the matrices with coordinates in the rows; exactly

@@ -17,8 +17,12 @@ from .base import Model
 
 
 def half_atom(g: np.ndarray) -> np.ndarray:
-    """Coordinates (1, g) / 2 of the atom along the unit direction g."""
-    return 0.5 * np.array([1.0, *g.tolist()])
+    """Coordinates (1, g) / 2 of the atom along the unit direction g, or the
+    stack (..., n + 1) of those along the rows of a stack of directions."""
+    atoms = np.empty(g.shape[:-1] + (g.shape[-1] + 1,))
+    atoms[..., 0] = 0.5
+    atoms[..., 1:] = 0.5 * g
+    return atoms
 
 
 def _t_plus_minus_r(t: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -95,12 +99,12 @@ class _QubitModel(Model):
         u = f / r if r > 0 else np.eye(len(f))[0]
         return (t + r) * half_atom(u), (t - r) * half_atom(-u)
 
-    def random_frame_params(self, rng: np.random.Generator):
-        first = self.random_atom_param(rng)
-        return [first, -first]
+    def random_frame_params_batch(self, rngs) -> np.ndarray:
+        first = self.random_atom_param_batch(rngs)
+        return np.concatenate((first, -first), axis=1).reshape(len(first), 2, self._n)
 
-    def state_value(self, param, coords) -> float:
-        return float(coords[0] + np.dot(coords[1:], np.asarray(param, dtype=float)))
+    def state_values(self, params, coords) -> np.ndarray:
+        return coords[:, 0] + np.vecdot(coords[:, 1:], np.asarray(params, dtype=float))
 
     def native_pairings(self, stack_a, stack_b) -> np.ndarray:
         if not self.symmetric_tp:

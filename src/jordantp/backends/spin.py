@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ..errors import NotAtomError, UnnormalizedParamError
+from .base import normal_draws, row_norms
 from .qubit import _QubitModel, half_atom
 
 
@@ -39,11 +40,11 @@ class SpinFactorModel(_QubitModel):
     def cone_oracle(self, coords, slack: float) -> bool:
         return bool(coords[0] - np.linalg.norm(coords[1:]) >= -slack)
 
-    def atom_coords(self, param) -> np.ndarray:
-        u = np.asarray(param, dtype=float)
-        if u.shape != (self._n,):
+    def atom_coords_batch(self, params) -> np.ndarray:
+        u = np.asarray(params, dtype=float)
+        if u.shape[-1:] != (self._n,):
             raise UnnormalizedParamError(f"direction must live in R^{self._n}")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+        if np.any(np.abs(row_norms(u) - 1.0) > 1e-9):
             raise UnnormalizedParamError("spin atom direction must be a unit vector")
         return half_atom(u)
 
@@ -55,6 +56,6 @@ class SpinFactorModel(_QubitModel):
             raise NotAtomError("spin atoms have the form (1, u)/2 with |u| = 1")
         return x / r
 
-    def random_atom_param(self, rng: np.random.Generator):
-        u = rng.normal(size=self._n)
-        return u / np.linalg.norm(u)
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
+        u = normal_draws(rngs, (self._n,))
+        return u / row_norms(u)[:, np.newaxis]

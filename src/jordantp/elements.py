@@ -151,8 +151,8 @@ def resum(eigenvalues: np.ndarray, values: np.ndarray, atoms: np.ndarray) -> np.
     ``values`` are the ``eigenvalues`` mapped through a function; the first
     one that is not finite raises, named by its eigenvalue.
     """
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))
         raise ValueError(f"function not finite at eigenvalue {float(eigenvalues[tuple(bad[0])])}")
     coords = np.zeros(atoms.shape[:-2] + atoms.shape[-1:])
     for j in range(atoms.shape[-2]):

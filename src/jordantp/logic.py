@@ -135,8 +135,8 @@ def information_capacity_empirical(
         raise ValueError("trials must be >= 1")
     rngs = [trial_rng(seed, k) for k in range(trials)]
     # the unit minus each family, one atom subtracted at a time
-    rests = model.order_unit().coords - np.array(
-        [model.atom_coords(model.random_atom_param(rng)) for rng in rngs])
+    rests = model.order_unit().coords - model.atom_coords_batch(
+        model.random_atom_param_batch(rngs))
     sizes = np.ones(trials, dtype=int)
     running = np.arange(trials)
     while len(running):

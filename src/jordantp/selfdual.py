@@ -47,8 +47,9 @@ class SelfDualCone:
 
     A cone is also an atom space, so the atom verifiers of ``transition``
     run on it as on a model: an atom is its own parameter, and its state is
-    the pairing.  Besides the methods below, a flavor supplies
-    ``ambient_dim``, ``info_capacity``, ``random_atom_param``,
+    the pairing.  The batch samplers and state values follow the model
+    contract (``backends/base.py``).  Besides the methods below, a flavor
+    supplies ``ambient_dim``, ``info_capacity``, ``random_atom_param``,
     ``random_element`` and ``random_positive``.
 
     The stack forms (``inners``, ``cone_defects``, ``frames``,
@@ -86,17 +87,39 @@ class SelfDualCone:
     def atom_coords(self, param) -> np.ndarray:
         return self.as_vec(param)
 
+    def atom_coords_batch(self, params) -> np.ndarray:
+        return np.ascontiguousarray(params, dtype=float)
+
     def atom_param_from_coords(self, coords) -> np.ndarray:
         return self.as_vec(coords)
 
     def state_value(self, param, coords) -> float:
         return self.inner(param, coords)
 
+    def state_values(self, params, coords) -> np.ndarray:
+        return self.inners(params, coords)
+
     transition_from_params = state_value  # an atom is its own parameter
+    transitions_from_params = state_values
+
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
+        """``random_atom_param`` of each generator, as a (K, d) stack."""
+        return np.array([self.random_atom_param(rng) for rng in rngs],
+                        dtype=float).reshape(len(rngs), self.ambient_dim)
 
     def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
         """A random maximal pairwise-orthogonal family of atoms."""
         raise NotImplementedError
+
+    def random_frame_params_batch(self, rngs) -> np.ndarray:
+        """``random_frame_params`` of each generator, as a (K, m, d) stack;
+        a shorter family is padded with zero atoms (no atom is zero), whose
+        pairings are zero and add nothing to a sum that starts from zero."""
+        families = [self.random_frame_params(rng) for rng in rngs]
+        out = np.zeros((len(families), max(map(len, families), default=0), self.ambient_dim))
+        for row, family in zip(out, families):
+            row[:len(family)] = np.reshape(family, (len(family), self.ambient_dim))
+        return out
 
     def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         """Atoms completing ``e`` to a maximal pairwise-orthogonal family."""
@@ -199,11 +222,17 @@ class SpectralSelfDualCone(SelfDualCone):
     def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return self.model.cone_defects(stack, tol)
 
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
+        return self.model.atom_coords_batch(self.model.random_atom_param_batch(rngs))
+
+    def random_frame_params_batch(self, rngs) -> np.ndarray:
+        return self.model.atom_coords_batch(self.model.random_frame_params_batch(rngs))
+
     def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
-        return self.model.atom_coords(self.model.random_atom_param(rng))
+        return self.random_atom_param_batch([rng])[0]
 
     def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
-        return [self.model.atom_coords(p) for p in self.model.random_frame_params(rng)]
+        return list(self.random_frame_params_batch([rng])[0])
 
     def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         rest = self.model.order_unit().coords - self.as_vec(e)

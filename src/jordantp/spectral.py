@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -11,7 +12,14 @@ from .backends.base import Model
 from .core import order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 
-SHAPES = ("any", "positive", "unit_interval", "logic")
+# the weights of the m frame atoms of an element of each spectral shape
+_WEIGHTS = {
+    "any": lambda rng, m: rng.normal(size=m),
+    "positive": lambda rng, m: np.abs(rng.normal(size=m)),
+    "unit_interval": lambda rng, m: rng.uniform(size=m),
+    "logic": lambda rng, m: rng.integers(0, 2, size=m).astype(float),
+}
+SHAPES = tuple(_WEIGHTS)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -40,7 +48,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
     Parallel and serial sweeps over trials therefore draw identical samples.
     The draws are those of ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(trial,)))``.  The hashed seed words of the last 1,024
+    spawn_key=(trial,)))``.  The verifiers keep one generator per trial and
+    pass the list of them to the batch samplers (``random_coords_batch`` and
+    the backends' ``random_*_batch``): row k of a batch is trial k's, drawn
+    from its generator alone, and each generator makes its draws in the
+    order of the per-trial loop (the first atom of every trial, then the
+    second of every trial, ...), so a batched sweep draws exactly what that
+    loop draws.  The hashed seed words of the last 1,024
     (seed, trial) pairs are cached, so the verifiers that replay a trial
     share that cost; every call still returns a fresh generator at the start
     of the trial's stream.
@@ -62,22 +76,23 @@ def _random_element(model: Model, rng: np.random.Generator, shape: str = "any") 
 
 def _random_coords(model: Model, rng: np.random.Generator, shape: str = "any") -> np.ndarray:
     """The coordinates of the element ``_random_element`` draws."""
-    frame = model.random_frame_params(rng)
-    m = len(frame)
-    if shape == "any":
-        weights = rng.normal(size=m)
-    elif shape == "positive":
-        weights = np.abs(rng.normal(size=m))
-    elif shape == "unit_interval":
-        weights = rng.uniform(size=m)
-    elif shape == "logic":
-        weights = rng.integers(0, 2, size=m).astype(float)
-    else:  # pragma: no cover
-        raise ValueError(shape)
-    coords = np.zeros(model.ambient_dim)
-    for w, param in zip(weights, frame):
-        coords += w * model.atom_coords(param)
-    return coords
+    return random_coords_batch(model, [rng], shape)[0]
+
+
+def random_coords_batch(model: Model, rngs: Sequence[np.random.Generator],
+                        shape: str = "any") -> np.ndarray:
+    """A (K, d) stack whose row k holds the coordinates of the element drawn
+    from rngs[k]: a random frame, then one weight per atom of that frame,
+    the weighted atoms summed in frame order from zero."""
+    atoms = model.atom_coords_batch(model.random_frame_params_batch(rngs))
+    # a cone pads a shorter family with zero atoms, and no atom is zero: each
+    # generator draws the weights of its own family, and a padded atom gets
+    # weight -0.0, which adds nothing to a sum, signed zeros included
+    sizes = np.count_nonzero(atoms.any(axis=-1), axis=1).tolist()
+    weights = np.full(atoms.shape[:2], -0.0)
+    for row, rng, size in zip(weights, rngs, sizes):
+        row[:size] = _WEIGHTS[shape](rng, size)
+    return resum(weights, weights, atoms)
 
 
 def func_calculus(
@@ -136,15 +151,13 @@ def trial_coords(model: Model, seed: int, trials: range, count: int) -> list[np.
     """``count`` stacks (len(trials), d): row k of the j-th holds the
     coordinates of the j-th element that ``_random_element`` draws from
     ``trial_rng(seed, trials[k])``."""
-    draws = np.empty((count, len(trials), model.ambient_dim))
-    for k, trial in enumerate(trials):
-        rng = trial_rng(seed, trial)
-        for j in range(count):
-            draws[j, k] = _random_coords(model, rng)
-    return list(draws)
+    rngs = [trial_rng(seed, trial) for trial in trials]
+    return [random_coords_batch(model, rngs) for _ in range(count)]
 
 
-def worst(defects: np.ndarray) -> float:
-    """The largest of 0 and the defects, as a running ``max`` over them in
-    order finds it: a NaN is passed over."""
-    return max([0.0, *defects.tolist()])
+def worst(defects: np.ndarray, floor: float = 0.0) -> float:
+    """The largest of ``floor`` and the defects.  A NaN defect is infinitely
+    large, as ``cone_distance`` reads a NaN spectrum: a check whose defect was
+    never evaluated fails."""
+    values = defects.tolist()
+    return math.inf if any(map(math.isnan, values)) else max([floor, *values])

@@ -24,10 +24,9 @@ from .selfdual import (
     self_duality_report,
 )
 from .spectral import (
-    _random_coords,
-    _random_element,
     linearity_defects,
     polarized_coords,
+    random_coords_batch,
     trial_coords,
     trial_rng,
     worst,
@@ -113,14 +112,15 @@ def logic_suite(model: Model, seed: int, trials: int,
     for every norm, logic test and cone defect."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    frames, in_p, in_q = [], [], []
-    for k in range(min(trials, 250)):
-        rng = trial_rng(seed, k)
-        frames.append([model.atom_coords(param) for param in model.random_frame_params(rng)])
-        m = len(frames[-1])
-        in_q.append(rng.integers(0, 2, size=m).astype(bool))
-        in_p.append(in_q[-1] & rng.integers(0, 2, size=m).astype(bool))
-    frames, in_p, in_q = np.array(frames), np.array(in_p), np.array(in_q)
+    rngs = [trial_rng(seed, k) for k in range(min(trials, 250))]
+    params = model.random_frame_params_batch(rngs)
+    m = params.shape[1]
+    # each generator draws the flags of q, then those of p among them
+    flags = np.array([(rng.integers(0, 2, size=m), rng.integers(0, 2, size=m))
+                      for rng in rngs], dtype=bool)
+    in_q = flags[:, 0]
+    in_p = in_q & flags[:, 1]
+    frames = model.atom_coords_batch(params)
     rows = np.arange(len(frames))
     unit = model.order_unit().coords
     # p and q summed from zeros in frame order, as elements add up
@@ -184,13 +184,11 @@ def _tps_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     two (K, d) stacks, by coordinates."""
     if model.symmetric_tp:
         return np.abs(model.native_pairings(e1, e2))
-    tps = []
-    for a, b in zip(e1, e2):
-        p1 = model.atom_param_from_coords(a)
-        p2 = model.atom_param_from_coords(b)
-        tps.append(max(abs(model.transition_from_params(p1, p2)),
-                       abs(model.transition_from_params(p2, p1))))
-    return np.array(tps)
+    if not len(e1):
+        return np.zeros(0)
+    p1, p2 = (np.array([model.atom_param_from_coords(e) for e in stack]) for stack in (e1, e2))
+    return np.maximum(np.abs(model.transitions_from_params(p1, p2)),
+                      np.abs(model.transitions_from_params(p2, p1)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +198,25 @@ def _tps_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
 def tp_suite(model: Model, seed: int, trials: int,
              tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Transition probabilities are read per trial from the atom parameters;
-    the cone tests and the top atom of every trial's positive element run
-    as (trials, d) stacks."""
+    """Transition probabilities are read from the atom parameters of every
+    trial at once; the cone tests and the top atom of every trial's positive
+    element run as (trials, d) stacks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tps, pair, frame_tps, frame_pair, positive = [], [], [], [], []
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        p1 = model.random_atom_param(rng)
-        p2 = model.random_atom_param(rng)
-        tps.append([model.transition_from_params(p1, p1), model.transition_from_params(p1, p2),
-                    model.transition_from_params(p2, p1)])
-        pair.append([model.atom_coords(p1), model.atom_coords(p2)])
-        frame = model.random_frame_params(rng)
-        if len(frame) >= 2:
-            frame_tps.append([model.transition_from_params(frame[0], frame[1]),
-                              model.transition_from_params(frame[1], frame[0])])
-            frame_pair.append([model.atom_coords(frame[0]), model.atom_coords(frame[1])])
-        positive.append(_random_coords(model, rng, "positive"))
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    p1 = model.random_atom_param_batch(rngs)
+    p2 = model.random_atom_param_batch(rngs)
+    frames = model.random_frame_params_batch(rngs)
+    positive = random_coords_batch(model, rngs, "positive")
+    t11, t12, t21 = (model.transitions_from_params(src, dst)
+                     for src, dst in ((p1, p1), (p1, p2), (p2, p1)))
+    pair = model.atom_coords_batch(np.stack((p1, p2), axis=1))
     d = model.ambient_dim
-    t11, t12, t21 = np.array(tps).T
-    pair, frame_pair = np.array(pair), np.array(frame_pair).reshape(-1, 2, d)
-    frame_tps, positive = np.array(frame_tps).reshape(-1, 2), np.array(positive)
+    frame_tps, frame_pair = np.empty((0, 2)), np.empty((0, 2, d))
+    if frames.shape[1] >= 2:  # the first two atoms of each frame
+        frame_tps = np.column_stack((model.transitions_from_params(frames[:, 0], frames[:, 1]),
+                                     model.transitions_from_params(frames[:, 1], frames[:, 0])))
+        frame_pair = model.atom_coords_batch(frames[:, :2])
     unit = model.order_unit().coords
     # a positive element attains its norm at the top frame atom
     top = model.decompose_batch(positive, tol)[1][:, 0]
@@ -231,8 +225,8 @@ def tp_suite(model: Model, seed: int, trials: int,
                                                    positive)), tol)
     cone = cone_distances(eigs[:-trials])
     norms = np.abs(eigs[-trials:]).max(axis=1)
-    top_value = np.array([model.state_value(model.atom_param_from_coords(e), a)
-                          for e, a in zip(top, positive)])
+    top_value = model.state_values(np.array([model.atom_param_from_coords(e) for e in top]),
+                                   positive)
     top_cone = cone_distances(model.eigenvalues_batch(positive - norms[:, np.newaxis] * top, tol))
     # orthogonality biconditional on the pair and on an orthogonal frame pair;
     # pairs in the gray band around zero are set aside, not classified
@@ -278,11 +272,10 @@ def axioms_suite(model: Model, seed: int, trials: int,
 
 def _uncertain_samples(model: Model, seed: int, trials: int) -> CheckResult:
     """Counts sampled effects an atom state is not certain of; no claim made."""
-    uncertain = 0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        ep = model.random_atom_param(rng)
-        uncertain += model.state_value(ep, _random_coords(model, rng, "unit_interval")) < 1.0 - 1e-6
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    params = model.random_atom_param_batch(rngs)
+    effects = random_coords_batch(model, rngs, "unit_interval")
+    uncertain = int(np.sum(model.state_values(params, effects) < 1.0 - 1e-6))
     return CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
                        note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made")
 
@@ -320,13 +313,9 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     cone = SpectralSelfDualCone(model)
     sweep = min(trials, 120)
     thinned = range(0, sweep, 5)
-    drawn, effects = [], []
-    for k in range(sweep):
-        rng = trial_rng(seed, k)
-        drawn.append(cone.random_element(rng))
-        if k % 5 == 0:
-            effects.append(_random_element(model, rng, "unit_interval"))
-    a = np.array([x.coords for x in drawn])
+    rngs = [trial_rng(seed, k) for k in range(sweep)]
+    a = random_coords_batch(model, rngs)
+    effects = random_coords_batch(model, rngs[::5], "unit_interval")
     plus, minus = cone.moreau_parts(a, tol)
     again_plus, again_minus = cone.moreau_parts(plus - minus, tol)
     # order norms of the reconstruction and uniqueness residuals and of the
@@ -341,7 +330,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     peel_interval = 0.0
     orth_parts = 0.0
     for k, b, spectrum in zip(thinned, effects, eigs[5]):
-        peeled = peel_spectral(cone, drawn[k], tol=tol)
+        peeled = peel_spectral(cone, a[k], tol=tol)
         coeffs = np.array([p.coefficient for p in peeled])
         width = max(len(coeffs), len(spectrum))
         coeffs = np.sort(np.pad(coeffs, (0, width - len(coeffs))))

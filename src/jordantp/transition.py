@@ -16,13 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends.base import Model
+from .backends.base import Model, row_norms
 from .core import cone_contains, order_norm, order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import UnsupportedModelError
 from .logic import NOT_IN_LOGIC, logic_rows
 from .reports import CheckResult, skipped_check
-from .spectral import _random_coords, _random_element, trial_rng, worst
+from .spectral import random_coords_batch, trial_rng, worst
 
 
 def atom_param(model: Model, e: Element):
@@ -193,20 +193,13 @@ def check_inner_product(model: Model, seed: int, trials: int,
         ]
 
     m, d = model.info_capacity, model.ambient_dim
-    samples = np.empty((5, trials, d))  # a, b, c and the atoms e1, e2
-    alpha = np.empty(trials)
-    atom_tp = np.empty(trials)
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        for j in range(3):
-            samples[j, k] = _random_coords(model, rng)
-        alpha[k] = rng.normal()
-        e1 = model.random_atom_param(rng)
-        e2 = model.random_atom_param(rng)
-        samples[3, k] = model.atom_coords(e1)
-        samples[4, k] = model.atom_coords(e2)
-        atom_tp[k] = model.transition_from_params(e1, e2)
-    a, b, c, e1, e2 = samples
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    a, b, c = (random_coords_batch(model, rngs) for _ in range(3))
+    alpha = np.array([rng.normal() for rng in rngs])
+    p1 = model.random_atom_param_batch(rngs)
+    p2 = model.random_atom_param_batch(rngs)
+    e1, e2 = model.atom_coords_batch(p1), model.atom_coords_batch(p2)
+    atom_tp = model.transitions_from_params(p1, p2)
     mixed = alpha[:, np.newaxis] * a + c
     values, atoms = model.decompose_batch(np.concatenate((a, b, mixed, c, e1)), tol)
     values, atoms = values.reshape(5, trials, -1), atoms.reshape(5, trials, -1, d)
@@ -231,7 +224,7 @@ def check_inner_product(model: Model, seed: int, trials: int,
         CheckResult("ip.symmetry", worst(np.abs(ab - ba)), tol.check_tol),
         CheckResult("ip.bilinearity", worst(np.abs(np.concatenate(
             (lhs - alpha * ab - cb, lhs2 - alpha * ba - bc)))), tol.check_tol),
-        CheckResult("ip.positive_definite", max([-np.inf, *definite.tolist()]), tol.check_tol,
+        CheckResult("ip.positive_definite", worst(definite, -math.inf), tol.check_tol,
                     note="lower bound <a|a> >= |a|^2"),
         CheckResult("ip.atom_pairing", worst(np.abs(atom_ip - atom_tp)), tol.check_tol),
         CheckResult("ip.unit_pairing", abs(unit_unit - m), tol.check_tol,
@@ -247,50 +240,65 @@ def check_inner_product(model: Model, seed: int, trials: int,
 # atom-space verifiers
 #
 # Each axiom on atoms is verified once, for models and self-dual cones alike.
-# A verifier uses only what both supply: random_atom_param,
-# random_frame_params, atom_coords, atom_param_from_coords, state_value,
-# transition_from_params, info_capacity, complements (for each atom of a
-# (K, d) stack, the atoms that complete it to a maximal family) and
-# cone_defects (of each row of a stack).  Atoms enter as coordinate vectors;
+# A verifier uses only what both supply: the batch samplers
+# random_atom_param_batch and random_frame_params_batch, atom_coords_batch,
+# atom_param_from_coords, state_values, transitions_from_params (and their
+# per-element forms), info_capacity, complements (for each atom of a (K, d)
+# stack, the atoms that complete it to a maximal family) and cone_defects
+# (of each row of a stack).  Atoms enter as coordinate vectors;
 # on a cone an atom is its own parameter and its state is the pairing.  A
 # caller whose checks are pinned under other names passes them.
 # ---------------------------------------------------------------------------
 
 
+def _mixture_values(space, params, weights, coords: np.ndarray) -> np.ndarray:
+    """Value at each row of a (K, d) stack of coordinates of a weighted sum
+    of atom states: ``params[j]`` is the stack of the j-th atoms and
+    ``weights[j]`` their weights, and the terms add up in that order from
+    zero."""
+    total = np.zeros(len(coords))
+    for p, w in zip(params, weights):
+        total = total + w * space.state_values(p, coords)
+    return total
+
+
 def _mixture_value(space, params, weights, coords) -> float:
     """Value at ``coords`` of the weighted sum of the atom states of ``params``."""
-    return float(sum(w * space.state_value(p, coords) for p, w in zip(params, weights)))
+    return float(_mixture_values(space, [np.asarray(p)[np.newaxis] for p in params], weights,
+                                 np.asarray(coords)[np.newaxis])[0])
 
 
 def symmetry_defect(space, seed: int, trials: int) -> float:
     """Largest observed |P_{e1}(e2) - P_{e2}(e1)| over sampled atom pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    worst = 0.0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        p1 = space.random_atom_param(rng)
-        p2 = space.random_atom_param(rng)
-        worst = max(worst, abs(space.transition_from_params(p1, p2)
-                               - space.transition_from_params(p2, p1)))
-    return worst
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    p1 = space.random_atom_param_batch(rngs)
+    p2 = space.random_atom_param_batch(rngs)
+    return worst(np.abs(space.transitions_from_params(p1, p2)
+                        - space.transitions_from_params(p2, p1)))
 
 
-def _random_bounded_mixture(space, rng: np.random.Generator):
-    """Atom parameters and weights of a two-atom mixture whose atoms are
-    boundedly non-parallel: neither transition probability exceeds 0.95."""
-    p1 = space.random_atom_param(rng)
-    p2 = None
+def _random_bounded_mixtures(space, rngs: Sequence[np.random.Generator]):
+    """Atom parameters and weights of a two-atom mixture from each generator,
+    as stacks, whose atoms are boundedly non-parallel: neither transition
+    probability exceeds 0.95.  Each generator draws its first atom, then
+    candidates until one passes, then the weight of the first atom."""
+    first = space.random_atom_param_batch(rngs)
+    second = np.empty_like(first)
+    pending = np.arange(len(rngs))
     for _ in range(500):
-        cand = space.random_atom_param(rng)
-        if (space.transition_from_params(p1, cand) <= 0.95
-                and space.transition_from_params(cand, p1) <= 0.95):
-            p2 = cand
+        if not len(pending):
             break
-    if p2 is None:
+        cand = space.random_atom_param_batch([rngs[k] for k in pending])
+        passed = ((space.transitions_from_params(first[pending], cand) <= 0.95)
+                  & (space.transitions_from_params(cand, first[pending]) <= 0.95))
+        second[pending[passed]] = cand[passed]
+        pending = pending[~passed]
+    if len(pending):
         raise RuntimeError("could not sample a boundedly mixed state")
-    lam = float(rng.uniform(0.2, 0.8))
-    return (p1, p2), (lam, 1.0 - lam)
+    lam = np.array([rng.uniform(0.2, 0.8) for rng in rngs])
+    return (first, second), (lam, 1.0 - lam)
 
 
 def verify_atom_state_uniqueness(space, seed: int, trials: int,
@@ -303,31 +311,27 @@ def verify_atom_state_uniqueness(space, seed: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    self_defect = 0.0
-    mixed_max = 0.0
-    can_mix = space.info_capacity >= 2
-    params, atoms = [], []
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        params.append(space.random_atom_param(rng))
-        atoms.append(space.atom_coords(params[-1]))
-        self_defect = max(self_defect, abs(space.state_value(params[-1], atoms[-1]) - 1.0))
-        if can_mix:
-            mixed_max = max(mixed_max, _mixture_value(
-                space, *_random_bounded_mixture(space, rng), atoms[-1]))
-    checks = [CheckResult("states.atom_state_attains_one", self_defect, tol.check_tol)]
-    if not can_mix:
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    params = space.random_atom_param_batch(rngs)
+    atoms = space.atom_coords_batch(params)
+    checks = [CheckResult("states.atom_state_attains_one",
+                          worst(np.abs(space.state_values(params, atoms) - 1.0)), tol.check_tol)]
+    if space.info_capacity < 2:
         return checks + [skipped_check(name, "capacity-1 model has a single state")
                          for name in ("states.mixed_states_below_one",
                                       "states.half_mixture_value")]
+    # each trial's generator draws its mixture once every trial has its atom
+    mixed = _mixture_values(space, *_random_bounded_mixtures(space, rngs), atoms)
     # half/half mixture with an orthogonal atom evaluates to one half
+    comps = space.complements(atoms, tol)
+    rows = [k for k, comp in enumerate(comps) if len(comp)]
     half_defect = 0.0
-    for ep, e, comp in zip(params, atoms, space.complements(np.array(atoms), tol)):
-        if len(comp):
-            half = (ep, space.atom_param_from_coords(comp[0]))
-            half_defect = max(half_defect, abs(_mixture_value(space, half, (0.5, 0.5), e) - 0.5))
+    if rows:
+        others = np.array([space.atom_param_from_coords(comps[k][0]) for k in rows])
+        half_defect = worst(np.abs(_mixture_values(
+            space, (params[rows], others), (0.5, 0.5), atoms[rows]) - 0.5))
     return checks + [
-        CheckResult("states.mixed_states_below_one", mixed_max, 1.0 - 1e-6,
+        CheckResult("states.mixed_states_below_one", worst(mixed), 1.0 - 1e-6,
                     note="uniqueness is analytic per backend; sampled evidence only"),
         CheckResult("states.half_mixture_value", half_defect, tol.check_tol),
     ]
@@ -348,20 +352,17 @@ def verify_unity_resolution(space, seed: int, trials: int, tol: Tolerance = DEFA
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = columns = shared_sum = 0.0
-    reference = None
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        frame = space.random_frame_params(rng)
-        extra = space.random_atom_param(rng)
-        total = sum(space.atom_coords(f) for f in frame)
-        if reference is None:
-            reference = total
-        rows = max(rows, abs(space.state_value(extra, total) - 1.0))
-        columns = max(columns, abs(
-            sum(space.transition_from_params(f, extra) for f in frame) - 1.0))
-        shared_sum = max(shared_sum, float(np.linalg.norm(total - reference)))
-    measured = {"rows": rows, "columns": columns, "shared_sum": shared_sum}
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    frames = space.random_frame_params_batch(rngs)
+    extra = space.random_atom_param_batch(rngs)
+    ones = np.ones(frames.shape[:2])
+    total = resum(ones, ones, space.atom_coords_batch(frames))
+    columns = np.zeros(trials)
+    for j in range(frames.shape[1]):
+        columns += space.transitions_from_params(frames[:, j], extra)
+    measured = {"rows": worst(np.abs(space.state_values(extra, total) - 1.0)),
+                "columns": worst(np.abs(columns - 1.0)),
+                "shared_sum": worst(row_norms(total - total[0]))}
     return [CheckResult(name, measured[key], tol.check_tol) for key, name in names.items()]
 
 
@@ -381,17 +382,21 @@ def verify_certainty_order(space, seed: int, trials: int, tol: Tolerance = DEFAU
     # each trial's generator draws the atom now and the junk weights once
     # the complements of every trial's atom are known
     rngs = [trial_rng(seed, k) for k in range(trials)]
-    params = [space.random_atom_param(rng) for rng in rngs]
-    atoms = np.array([space.atom_coords(ep) for ep in params])
-    effects = []
-    value_defect = 0.0
-    for ep, e, rng, comp in zip(params, atoms, rngs, space.complements(atoms, tol)):
-        a = e
-        for f in comp:
-            a = a + float(rng.uniform()) * f
-        effects.append(a)
-        value_defect = max(value_defect, abs(space.state_value(ep, a) - 1.0))
-    order_defect = worst(space.cone_defects(np.array(effects) - atoms, tol))
+    params = space.random_atom_param_batch(rngs)
+    atoms = space.atom_coords_batch(params)
+    comps = space.complements(atoms, tol)
+    # a shorter complement is padded with weight -0.0 on a zero atom: the
+    # product -0.0 leaves every sum unchanged, signed zeros included
+    weights = np.full((trials, max(map(len, comps))), -0.0)
+    junk = np.zeros(weights.shape + (space.ambient_dim,))
+    for k, (rng, comp) in enumerate(zip(rngs, comps)):
+        weights[k, :len(comp)] = rng.uniform(size=len(comp))
+        junk[k, :len(comp)] = np.reshape(comp, (len(comp), space.ambient_dim))
+    effects = atoms.copy()
+    for j in range(weights.shape[1]):
+        effects += weights[:, j, np.newaxis] * junk[:, j]
+    value_defect = worst(np.abs(space.state_values(params, effects) - 1.0))
+    order_defect = worst(space.cone_defects(effects - atoms, tol))
     return [CheckResult(names[0], value_defect, tol.check_tol),
             CheckResult(names[1], order_defect, tol.cone_slack)]
 
@@ -413,18 +418,16 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
 
     import scipy.optimize
 
-    basis = [model.element(row) for row in np.eye(model.ambient_dim)]
-
-    def state_vec(state: State) -> np.ndarray:
-        return np.array([state.value(b) for b in basis])
-
     rng = trial_rng(seed, 0)
-    cloud = np.array([state_vec(State(model, *_random_bounded_mixture(model, rng)))
-                      for _ in range(min(max(trials, 8), 64))])
+    # the mixtures of the cloud come one after another from one generator
+    pairs, weights = zip(*(_random_bounded_mixtures(model, [rng])
+                           for _ in range(min(max(trials, 8), 64))))
+    cloud = _state_vectors(model, [np.concatenate(ps) for ps in zip(*pairs)],
+                           [np.concatenate(ws) for ws in zip(*weights)])
+    pures = _state_vectors(model, [model.random_atom_param_batch(
+        [trial_rng(seed, k + 1) for k in range(8)])], [np.ones(8)])
     min_residual = np.inf
-    for k in range(8):
-        rng = trial_rng(seed, k + 1)
-        pure = state_vec(State(model, (model.random_atom_param(rng),), (1.0,)))
+    for pure in pures:
         # distance from the pure state to the convex hull of the cloud,
         # via nonnegative least squares with a penalized sum-to-one row
         scale = 1e3
@@ -437,6 +440,15 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
                         note="sampled, not proven")]
 
 
+def _state_vectors(model: Model, params, weights) -> np.ndarray:
+    """The values at the ambient basis vectors of N states, one row each:
+    state i is the sum over j of weights[j][i] P_{params[j][i]}."""
+    d = model.ambient_dim
+    basis = np.tile(np.eye(d), (len(weights[0]), 1))
+    return _mixture_values(model, [np.repeat(p, d, axis=0) for p in params],
+                           [np.repeat(w, d) for w in weights], basis).reshape(-1, d)
+
+
 def verify_strong_state_space(model: Model, seed: int, trials: int,
                               tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """Contrapositive sampling surrogate for strongness of the state space.
@@ -447,43 +459,42 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pairs = []
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        pairs.append((_random_element(model, rng, "logic"), _random_element(model, rng, "logic")))
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    ps = random_coords_batch(model, rngs, "logic")
+    qs = random_coords_batch(model, rngs, "logic")
     # the atoms of every p, as atomic_decomposition finds them: the frame
     # atoms of eigenvalue above 1/2 (its rule that an order norm at most
     # check_tol has none adds nothing once each eigenvalue is near 0 or 1)
-    ps = np.array([p.coords for p, _ in pairs])
     if not logic_rows(model.eigenvalues_batch(ps, tol), tol).all():
         raise ValueError(NOT_IN_LOGIC)
     values, frames = model.decompose_batch(ps, tol)
+    atoms = [frame[row > 0.5] for row, frame in zip(values, frames)]
+    # P_e(q) and P_e(p) for every atom e of every p, split by trial
+    owner = np.repeat(np.arange(trials), [len(a) for a in atoms])
+    at_q = at_p = np.empty(0)
+    if len(owner):
+        params = np.array([model.atom_param_from_coords(e) for a in atoms for e in a])
+        at_q, at_p = (model.state_values(params, x[owner]) for x in (qs, ps))
+    splits = np.cumsum([len(a) for a in atoms])[:-1]
     consistency = 0.0
     witness_missing = 0
     witness_level = 0.0
     worst_margin = 0.0
     comparable = 0
-    incomparable = 0
-    for (p, q), row, frame in zip(pairs, values, frames):
-        params = [model.atom_param_from_coords(e) for e in frame[row > 0.5]]
-        if cone_contains(model, q - p, tol):
+    for k, (margins, at_p_k) in enumerate(zip(np.split(1.0 - at_q, splits),
+                                              np.split(at_p, splits))):
+        if cone_contains(model, model.element(qs[k] - ps[k]), tol):
             comparable += 1
-            for ep in params:
-                consistency = max(consistency, 1.0 - model.state_value(ep, q.coords))
+            consistency = worst(margins, consistency)
             continue
-        incomparable += 1
-        found = False
-        best_margin = 0.0
-        for ep in params:
-            margin = 1.0 - model.state_value(ep, q.coords)
-            best_margin = max(best_margin, margin)
-            if margin > 1e-6:
-                witness_level = max(witness_level, 1.0 - model.state_value(ep, p.coords))
-                found = True
-                break
-        if not found:
+        # the first atom of p, in frame order, whose margin clears 1e-6
+        found = np.flatnonzero(margins > 1e-6)
+        if len(found):
+            witness_level = max(witness_level, float(1.0 - at_p_k[found[0]]))
+        else:
             witness_missing += 1
-            worst_margin = max(worst_margin, float(best_margin))
+            worst_margin = max(worst_margin, worst(margins))
+    incomparable = trials - comparable
     note = f"{incomparable} incomparable pairs; sampling surrogate, not a global certificate"
     if witness_missing:
         note += (f"; {witness_missing} pairs had no atom with margin 1 - P_e(q) above "

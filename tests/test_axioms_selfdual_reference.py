@@ -34,7 +34,7 @@ from jordantp.spectral import _random_element, trial_rng
 from jordantp.suites import axioms_suite, selfdual_suite
 from jordantp.transition import (
     _mixture_value,
-    _random_bounded_mixture,
+    _random_bounded_mixtures,
     atom_param,
     verify_atom_state_uniqueness,
     verify_certainty_order,
@@ -43,6 +43,12 @@ from jordantp.transition import (
     verify_unity_resolution,
 )
 from test_selfdual import rotated_orthant, square_cone
+
+
+def _random_bounded_mixture(space, rng):
+    """One generator's mixture: the one-row draw of ``_random_bounded_mixtures``."""
+    (first, second), (lam, rest) = _random_bounded_mixtures(space, [rng])
+    return (first[0], second[0]), (lam[0], rest[0])
 
 
 def _complement(space, e, tol):

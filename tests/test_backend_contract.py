@@ -31,15 +31,26 @@ same-named methods of different classes (and the overrides of an abstract
 method) count as one protocol: a parameter one of them reads is live in all.
 A declaration whose body is only a docstring, ``raise``, ``pass`` or ``...``
 counts as neither a read nor a definition.
+
+The last tests pin the batch sampling kernels on every model family and both
+cone flavours: row k of each equals the per-element kernel of row k bit for
+bit, every generator is left where the per-element calls leave it, and a
+stack with one unnormalised row raises the per-element error.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import jordantp
+from conftest import ALL_MODEL_SPECS
+from jordantp import UnnormalizedParamError, get_model
 from jordantp.backends import REGISTRY
 from jordantp.backends.base import Model
-from jordantp.selfdual import SelfDualCone
+from jordantp.selfdual import GeneratorSelfDualCone, SelfDualCone, SpectralSelfDualCone
+from jordantp.spectral import SHAPES, _random_coords, random_coords_batch, trial_rng
 
 PACKAGE = Path(jordantp.__file__).parent
 BACKEND_KINDS = frozenset(REGISTRY) | {"polytope_affine"}
@@ -323,3 +334,109 @@ def test_guard_flags_dead_parameters():
     )
     assert dead_parameters({"<source>": source}) == [
         "closure(unused)", "forward(rest)", "probe(hint)"]
+
+
+# ---------------------------------------------------------------------------
+# batch sampling kernels: row k of each is the per-element form of row k
+# ---------------------------------------------------------------------------
+
+TRIALS = 24
+
+
+def _spec_id(spec):
+    kind, n, p = spec
+    return f"{kind}:{n}" + (f":{p:g}" if p else "")
+
+
+# every model family, a spectral cone of each symmetric one, and two
+# generator cones: an orthant, and an oblique cone whose maximal orthogonal
+# families have one or two atoms
+SPACES = {
+    **{_spec_id(spec): (lambda spec=spec: get_model(*spec)) for spec in ALL_MODEL_SPECS},
+    **{f"cone {_spec_id(spec)}": (lambda spec=spec: SpectralSelfDualCone(get_model(*spec)))
+       for spec in ALL_MODEL_SPECS if get_model(*spec).symmetric_tp},
+    "rotated orthant": lambda: GeneratorSelfDualCone(
+        np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0].T),
+    "oblique cone": lambda: GeneratorSelfDualCone(
+        np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])),
+}
+
+
+def _bits(x, dtype):
+    x = np.asarray(x, dtype=dtype)
+    return x.shape, x.tobytes()
+
+
+@pytest.fixture(params=list(SPACES.values()), ids=list(SPACES))
+def space(request):
+    return request.param()
+
+
+def test_batch_samplers_draw_what_the_per_element_samplers_draw(space):
+    per_element = [trial_rng(5, k) for k in range(TRIALS)]
+    batched = [trial_rng(5, k) for k in range(TRIALS)]
+    atoms = space.random_atom_param_batch(batched)
+    frames = space.random_frame_params_batch(batched)
+    assert len(atoms) == len(frames) == TRIALS
+    for k, rng in enumerate(per_element):
+        assert _bits(atoms[k], atoms.dtype) == _bits(space.random_atom_param(rng), atoms.dtype)
+        frame = space.random_frame_params(rng)
+        assert (_bits(frames[k, :len(frame)], frames.dtype)
+                == _bits(np.reshape(frame, frames[k, :len(frame)].shape), frames.dtype))
+        assert not frames[k, len(frame):].any()  # a shorter family is padded with zeros
+    # every generator is left where the per-element calls leave it
+    assert [rng.random() for rng in batched] == [rng.random() for rng in per_element]
+
+
+def test_batch_atom_kernels_equal_the_per_element_kernels(space):
+    rngs = [trial_rng(6, k) for k in range(TRIALS)]
+    src = space.random_atom_param_batch(rngs)
+    dst = space.random_atom_param_batch(rngs)
+    frames = space.random_frame_params_batch(rngs)
+    coords = np.random.default_rng(6).normal(size=(TRIALS, space.ambient_dim))
+    atoms = space.atom_coords_batch(src)
+    frame_atoms = space.atom_coords_batch(frames)
+    values = space.state_values(src, coords)
+    tps = space.transitions_from_params(src, dst)
+    assert atoms.flags.c_contiguous and frame_atoms.flags.c_contiguous
+    assert atoms.shape == coords.shape and values.shape == tps.shape == (TRIALS,)
+    for k in range(TRIALS):
+        assert _bits(atoms[k], float) == _bits(space.atom_coords(src[k]), float)
+        for atom, param in zip(frame_atoms[k], frames[k]):
+            assert _bits(atom, float) == _bits(space.atom_coords(param), float)
+        assert values[k].tobytes() == np.float64(space.state_value(src[k], coords[k])).tobytes()
+        assert tps[k].tobytes() == np.float64(
+            space.transition_from_params(src[k], dst[k])).tobytes()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_batched_elements_are_the_per_element_draws(space, shape):
+    # on the oblique cone the stack pads the one-atom families, and each
+    # generator must still draw the weights of its own family only
+    per_element = [trial_rng(7, k) for k in range(TRIALS)]
+    batched = [trial_rng(7, k) for k in range(TRIALS)]
+    for _ in range(2):  # the second draw continues each generator's stream
+        stack = random_coords_batch(space, batched, shape)
+        for row, rng in zip(stack, per_element):
+            assert row.tobytes() == _random_coords(space, rng, shape).tobytes()
+    assert [rng.random() for rng in batched] == [rng.random() for rng in per_element]
+    assert random_coords_batch(space, [], shape).shape == (0, space.ambient_dim)
+
+
+def _unnormalised(model, param):
+    """A parameter that names no atom: out of range on classical, off the
+    unit sphere elsewhere."""
+    return model.ambient_dim if np.ndim(param) == 0 else 1.5 * param
+
+
+@pytest.mark.parametrize("row", [0, 3])
+def test_a_stack_with_one_unnormalised_row_raises_the_per_element_error(any_model, row):
+    params = any_model.random_atom_param_batch([trial_rng(8, k) for k in range(6)])
+    bad = _unnormalised(any_model, params[row])
+    params = params.astype(np.result_type(params, np.asarray(bad)))
+    params[row] = bad
+    with pytest.raises(UnnormalizedParamError) as per_element:
+        any_model.atom_coords(bad)
+    with pytest.raises(UnnormalizedParamError) as batched:
+        any_model.atom_coords_batch(params)
+    assert str(batched.value) == str(per_element.value)

@@ -3,7 +3,9 @@ import pytest
 
 from jordantp import (
     SpectralSelfDualCone,
+    SpinFactorModel,
     State,
+    SymMatrixModel,
     UnnormalizedParamError,
     UnsupportedModelError,
     check_inner_product,
@@ -383,3 +385,44 @@ def test_half_mixture_example():
     other = m.atom(np.array([0.0, 1.0]))
     sigma = mix_states([state_of_atom(m, e), state_of_atom(m, other)], [0.5, 0.5])
     assert sigma.value(e) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_worst_reads_a_nan_defect_as_infinite():
+    from jordantp.spectral import worst
+
+    assert worst(np.array([np.nan, 0.0])) == np.inf
+    assert worst(np.array([0.0, np.nan])) == np.inf
+    assert worst(np.array([np.nan])) == np.inf
+    assert worst(np.array([-1.0, 2.0])) == 2.0
+    assert worst(np.array([])) == 0.0
+    assert worst(np.array([-2.0, -1.0]), -np.inf) == -1.0
+
+
+def _with_nan_row(kernel):
+    """``kernel`` with row 1 of every stack of two or more rows set to NaN."""
+    def broken(*args):
+        values = np.array(kernel(*args), dtype=float)
+        if len(values) > 1:
+            values[1] = np.nan
+        return values
+    return broken
+
+
+# the NaN tests patch fresh models, so that the cached ones stay untouched
+
+
+def test_a_nan_state_value_fails_its_check(monkeypatch):
+    model = SpinFactorModel(3)
+    monkeypatch.setattr(model, "state_values", _with_nan_row(model.state_values))
+    checks = {c.name: c for c in verify_atom_state_uniqueness(model, 0, 8)}
+    assert checks["states.atom_state_attains_one"].defect == np.inf
+    assert not checks["states.atom_state_attains_one"].passed
+
+
+def test_a_nan_norm_fails_positive_definiteness(monkeypatch):
+    # a NaN |a|^2 - <a|a> once passed: the reduction from -inf skipped it
+    model = SymMatrixModel(3)
+    monkeypatch.setattr(model, "eigenvalues_batch", _with_nan_row(model.eigenvalues_batch))
+    checks = {c.name: c for c in check_inner_product(model, 0, 8)}
+    assert not checks["ip.positive_definite"].passed
+    assert not checks["norms.lower"].passed
