@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jordantp import Tolerance, get_model
+from jordantp import Tolerance, backends, get_model
 
 ALL_MODEL_SPECS = [
     ("classical", 4, None),
@@ -52,6 +52,18 @@ def similar_copy(vertices, rng):
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     q = q * np.sign(np.diag(r))
     return rng.uniform(0.5, 2.0) * vertices @ q.T + rng.normal(size=d)
+
+
+@pytest.fixture(autouse=True)
+def cached_models_keep_their_class_methods():
+    """After every test, no model in ``get_model``'s cache holds an instance
+    attribute that shadows a method of its class: one left behind by a patch
+    hides any later wrapper installed on the class.  Patch a cached model with
+    ``monkeypatch.setitem(vars(model), name, fn)``, whose undo deletes it."""
+    yield
+    shadowing = [(key, name) for key, model in backends._CACHE.items()
+                 for name in vars(model) if callable(getattr(type(model), name, None))]
+    assert shadowing == []
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from jordantp import (
     polytope_from_csv,
     run_suite,
     smooth_ball_e_omega,
+    tp_matrix,
     verify_atom_state_uniqueness,
     verify_certainty_order,
     vertex_tp_matrix,
@@ -178,10 +179,18 @@ def test_smooth_ball_validates_inputs():
         smooth_ball_e_omega(ball, np.array([1.0, 0.0]), np.array([3.0, 0.0]))
 
 
-def test_simplex_classicality_tp_identity():
-    for verts in (TRIANGLE, np.vstack([np.zeros(3), np.eye(3)])):
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_simplex_classicality_tp_identity(n):
+    # the standard simplex is the state space of classical:n, whose basis
+    # atoms are certain of themselves and never of each other
+    classical = get_model("classical", n)
+    atoms_tp = tp_matrix(classical, [classical.atom(i) for i in range(n)]).matrix
+    np.testing.assert_array_equal(atoms_tp, np.eye(n))
+    rng = np.random.default_rng(n)
+    corner = np.vstack([np.zeros(n - 1), np.eye(n - 1)])
+    for verts in (np.eye(n), similar_copy(np.eye(n), rng), corner):
         mat = vertex_tp_matrix(PolytopeStateSpace(verts))
-        np.testing.assert_allclose(mat, np.eye(len(verts)), atol=1e-9)
+        np.testing.assert_allclose(mat, atoms_tp, rtol=0, atol=1e-12)
 
 
 def test_induced_model_on_triangle():
@@ -254,17 +263,21 @@ def _probe_points(verts, rng):
 
 @pytest.mark.parametrize("similar", [False, True])
 @pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
-def test_stacked_lp_matches_per_point_lp(shape, similar):
+def test_stacked_lp_matches_per_point_lp(monkeypatch, shape, similar):
     rng = np.random.default_rng(41)
     verts = POLYTOPE_SHAPES[shape][0]
     if similar:
         verts = similar_copy(verts, rng)
     poly = PolytopeStateSpace(verts)
     points = _probe_points(verts, rng)
+    want = [[e_omega_per_point(poly, w, zeta) for zeta in points] for w in range(poly.n_vertices)]
+    calls = _counting_linprog(monkeypatch)
+    # every shipped shape fits all its extreme points in one stack
+    got = convexgeom._e_omega_stacks(poly, poly.normalise(points))
+    assert len(calls) == 1
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for w in range(poly.n_vertices):
-        got = _e_omega_lp(poly, w, points)
-        want = [e_omega_per_point(poly, w, zeta) for zeta in points]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_e_omega_lp(poly, w, points), want[w], rtol=0, atol=1e-12)
 
 
 def _counting_linprog(monkeypatch, fail_first=0):
@@ -283,15 +296,38 @@ def _counting_linprog(monkeypatch, fail_first=0):
     return calls
 
 
-@pytest.mark.parametrize("shape", ["triangle", "square", "cube"])
-def test_one_lp_per_extreme_point(monkeypatch, shape):
+@pytest.mark.parametrize("shape,midpoint_samples,n_lps", [("hexagon", 16, 2), ("cube", 75, 8)])
+def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n_lps):
+    # the budget splits the hexagon's stack; with 75 random probes a single
+    # extreme point of the cube exceeds it and is one LP on its own
+    poly = PolytopeStateSpace(similar_copy(POLYTOPE_SHAPES[shape][0], np.random.default_rng(7)))
+    combos = _probe_combos(poly.n_vertices, midpoint_samples, 3)
+    probes = combos @ poly.vertices
+    calls = _counting_linprog(monkeypatch)
+    reports = check_extreme_affinity(poly, midpoint_samples=midpoint_samples, seed=3)
+    assert len(calls) == n_lps
+    for r in reports:
+        at_vertices = [e_omega_per_point(poly, r.omega_index, v) for v in poly.vertices]
+        at_probes = [e_omega_per_point(poly, r.omega_index, zeta) for zeta in probes]
+        np.testing.assert_allclose(r.values_at_vertices, at_vertices, rtol=0, atol=1e-12)
+        defect = np.max(np.abs(np.array(at_probes) - combos @ at_vertices))
+        assert r.affinity_defect == pytest.approx(defect, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape,affinity_lps", [("triangle", 1), ("square", 1), ("cube", 4)])
+def test_one_lp_per_stack(monkeypatch, shape, affinity_lps):
     poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
+    n = poly.n_vertices
     calls = _counting_linprog(monkeypatch)
     check_extreme_affinity(poly, midpoint_samples=8)
-    assert len(calls) == poly.n_vertices
+    # per extreme point, 2(n - 1) rows for each vertex and probe: the
+    # centroid, the n(n - 1)/2 midpoints and the 8 random combinations
+    rows = 2 * (n - 1) * (n + 1 + n * (n - 1) // 2 + 8)
+    assert len(calls) == affinity_lps == -(-n // max(1, convexgeom.LP_STACK_ROWS // rows))
     calls.clear()
     vertex_tp_matrix(poly)
-    assert len(calls) == poly.n_vertices
+    assert 2 * (n - 1) * n * n <= convexgeom.LP_STACK_ROWS
+    assert len(calls) == 1
 
 
 def test_lp_failure_raises_after_one_attempt(monkeypatch):
@@ -299,6 +335,11 @@ def test_lp_failure_raises_after_one_attempt(monkeypatch):
     calls = _counting_linprog(monkeypatch, fail_first=1)
     with pytest.raises(LinearProgramError, match="LP for extreme point 2 failed with status 4"):
         _e_omega_lp(poly, 2, PENTAGON)
+    assert calls == [("highs", (None, None))]
+    calls.clear()
+    with pytest.raises(LinearProgramError,
+                       match=r"LP for extreme points \[0, 1, 2, 3, 4\] failed with status 4"):
+        check_extreme_affinity(poly)
     assert calls == [("highs", (None, None))]
 
 
@@ -388,12 +429,11 @@ def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
     assert calls == [("highs", (0, None)), ("highs", (None, None))]
 
 
-def affinity_defects_by_loop(poly, midpoint_samples, seed):
-    """Reference: the probe defect of each omega, one np.dot per probe."""
-    verts = poly.normalised
-    n = poly.n_vertices
+def _probe_combos(n, midpoint_samples, seed):
+    """The convex weights of ``check_extreme_affinity``'s probes, one row
+    each: the centroid, the pairwise midpoints, then the random ones."""
     rng = np.random.default_rng(seed)
-    combos = []
+    combos = [np.full(n, 1.0 / n)]
     for i in range(n):
         for j in range(i + 1, n):
             lam = np.zeros(n)
@@ -401,6 +441,14 @@ def affinity_defects_by_loop(poly, midpoint_samples, seed):
             combos.append(lam)
     for _ in range(midpoint_samples):
         combos.append(rng.dirichlet(np.ones(n)))
+    return np.array(combos)
+
+
+def affinity_defects_by_loop(poly, midpoint_samples, seed):
+    """Reference: the probe defect of each omega, one np.dot per probe."""
+    verts = poly.normalised
+    n = poly.n_vertices
+    combos = _probe_combos(n, midpoint_samples, seed)[1:]
     points = np.vstack([verts] + [verts.T @ lam for lam in combos])
     defects = []
     for w in range(n):

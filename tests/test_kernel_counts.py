@@ -42,8 +42,17 @@ def _count_kernel(monkeypatch, model):
             counts[name] += 1
             return kernel(coords, tol)
 
-        monkeypatch.setattr(model, name, counted)
+        monkeypatch.setitem(vars(model), name, counted)
     return counts
+
+
+def test_an_undone_kernel_count_leaves_the_model_as_it_was(tol):
+    model = get_model("classical", 4)
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _count_kernel(patch, model)
+        model.spectral_form(model.order_unit(), tol)
+    assert counts == {"decompose_coords": 1, "eigenvalues_coords": 0}
+    assert not {"decompose_coords", "eigenvalues_coords"} & set(vars(model))
 
 
 def test_every_call_reaches_its_own_kernel(monkeypatch, any_model, tol):
@@ -91,7 +100,7 @@ def test_the_capacity_search_decomposes_once_per_step(monkeypatch, any_model, to
         calls.append(len(stack))
         return kernel(stack, tol)
 
-    monkeypatch.setattr(any_model, "decompose_batch", counted)
+    monkeypatch.setitem(vars(any_model), "decompose_batch", counted)
     capacity = information_capacity_empirical(any_model, 5, 6, tol)
     assert capacity == any_model.info_capacity
     assert len(calls) == capacity
@@ -254,7 +263,7 @@ def _batch_calls_by_trials(monkeypatch, model, suite, tol):
             batch[name] += 1
             return kernel(stack, tol)
 
-        monkeypatch.setattr(model, name, counted)
+        monkeypatch.setitem(vars(model), name, counted)
     seen = []
     for trials in (1, 8, 101, 250):
         suite(model, 3, trials, tol)

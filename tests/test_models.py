@@ -568,7 +568,7 @@ def test_pairings_and_atoms_build_no_matrix(kind, monkeypatch):
     def no_matrix(coords):
         raise AssertionError("the coordinate formulas need no matrix")
 
-    monkeypatch.setattr(model, "_matrix_from_coords", no_matrix)
+    monkeypatch.setitem(vars(model), "_matrix_from_coords", no_matrix)
     model.atom_coords(v)
     model.state_value(v, ca)
     model.native_pairing(ca, cb)
