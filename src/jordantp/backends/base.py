@@ -121,7 +121,10 @@ class Model(ABC):
         deterministically.  Row k of ``decompose_batch`` of a stack whose row
         k is ``coords``, bit for bit, computed apart: a batch of one costs
         18-81 us a call against 5-44 us here (timeit, one thread, 2-core
-        host), and most calls decompose one element.
+        host), and most calls decompose one element.  So the matrix
+        backends keep a cheap spectrum here, and only its degenerate
+        clusters go through the basis routine that ``decompose_batch`` runs
+        once per cluster rank over the whole stack, as stacks of one.
         """
 
     def decompose_batch(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:

@@ -35,53 +35,44 @@ from ..errors import (
 from .base import Model, cluster_descending, normal_draws, row_norms
 
 
-def _deterministic_basis(projector: np.ndarray, rank: int) -> list[np.ndarray]:
-    """Orthonormal basis of a projector's range, reproducible across runs.
+def _eigenspace_bases(vecs: np.ndarray) -> np.ndarray:
+    """Orthonormal bases, reproducible across runs, of the spans of a stack
+    (G, r, n) of r orthonormal eigenvectors each, as rows, in the same layout.
 
-    Columns of the projector are orthogonalized in index order and each kept
-    vector is phase-fixed so its first significant component is real positive.
+    The columns of each span's projector are orthogonalized in index order
+    (twice, for stability) against the vectors kept so far; a column of norm
+    at most 1e-6 is skipped, and each kept vector is phase-fixed so that its
+    first significant component is real positive.  Each column index is one
+    pass over the spans that still lack vectors.  The gathers are contiguous
+    copies, so that each dot product and norm adds up as for one vector.
     """
-    vecs: list[np.ndarray] = []
-    n = projector.shape[0]
+    cols = np.ascontiguousarray(np.swapaxes(vecs, 1, 2))
+    projectors = cols @ np.swapaxes(cols.conj(), 1, 2)
+    count, rank, n = vecs.shape
+    basis = np.zeros_like(vecs)
+    kept = np.zeros(count, dtype=np.intp)
     for i in range(n):
-        if len(vecs) == rank:
+        todo = np.flatnonzero(kept < rank)
+        if not len(todo):
             break
-        w = projector[:, i].copy()
-        for _ in range(2):  # re-orthogonalize for stability
-            for v in vecs:
-                w = w - v * np.vdot(v, w)
-        norm = np.linalg.norm(w)
-        if norm <= 1e-6:
-            continue
-        w = w / norm
-        j = int(np.argmax(np.abs(w) > 1e-8))
-        phase = w[j] / abs(w[j])
-        vecs.append(w / phase)
-    if len(vecs) != rank:
+        w = projectors[todo, :, i]  # a contiguous copy of column i
+        have = kept[todo]
+        least = have.min()
+        for k in list(range(have.max())) * 2:
+            v = basis[todo, k]
+            step = w - v * np.vecdot(v, w)[:, np.newaxis]
+            # a row with at most k vectors so far keeps its w
+            w = step if k < least else np.where((have > k)[:, np.newaxis], step, w)
+        norms = row_norms(w)
+        keep = ~(norms <= 1e-6)
+        w = w[keep] / norms[keep, np.newaxis]
+        lead = w[np.arange(len(w)), np.argmax(np.abs(w) > 1e-8, axis=1)]
+        rows = todo[keep]
+        basis[rows, kept[rows]] = w / (lead / np.abs(lead))[:, np.newaxis]
+        kept[rows] += 1
+    if np.any(kept != rank):
         raise RuntimeError("projector basis extraction failed")  # pragma: no cover
-    return vecs
-
-
-def _average_clusters(eigvals: np.ndarray, eig_cluster: float) -> list[slice]:
-    """The clusters of a descending eigenvalue vector, each cluster of more
-    than one eigenvalue replaced by its mean in place."""
-    clusters = cluster_descending(eigvals, eig_cluster)
-    for cl in clusters:
-        if cl.stop - cl.start > 1:
-            # the mean of the halves cannot overflow; halving is exact
-            eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
-    return clusters
-
-
-def _resolve_degenerate(eigvecs: np.ndarray, clusters: list[slice]) -> None:
-    """Give each degenerate cluster a reproducible basis of its range, in
-    place; the eigenvectors are columns sorted like the eigenvalues.  A
-    rank-one cluster keeps its eigenvector."""
-    for cl in clusters:
-        rank = cl.stop - cl.start
-        if rank > 1:
-            basis = eigvecs[:, cl]
-            eigvecs[:, cl] = np.column_stack(_deterministic_basis(basis @ basis.conj().T, rank))
+    return basis
 
 
 class _MatrixModel(Model):
@@ -147,13 +138,18 @@ class _MatrixModel(Model):
     def _spectrum(self, coords, tol: Tolerance):
         """Eigenvalues sorted descending with each cluster replaced by its
         mean, the eigenvectors as columns in eigh's ascending order, the
-        permutation that sorts them like the eigenvalues, and the cluster
-        slices."""
+        permutation that sorts them like the eigenvalues, and the slices of
+        the clusters of more than one eigenvalue."""
         mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
         eigvals, eigvecs = np.linalg.eigh(mat)
         order = np.argsort(-eigvals, kind="stable")
         eigvals = eigvals[order]
-        return eigvals, eigvecs, order, _average_clusters(eigvals, tol.eig_cluster)
+        clusters = [cl for cl in cluster_descending(eigvals, tol.eig_cluster)
+                    if cl.stop - cl.start > 1]
+        for cl in clusters:
+            # the mean of the halves cannot overflow; halving is exact
+            eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
+        return eigvals, eigvecs, order, clusters
 
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         return self._spectrum(coords, tol)[0]
@@ -161,32 +157,49 @@ class _MatrixModel(Model):
     def decompose_coords(self, coords, tol: Tolerance):
         eigvals, eigvecs, order, clusters = self._spectrum(coords, tol)
         eigvecs = eigvecs[:, order]
-        _resolve_degenerate(eigvecs, clusters)
+        for cl in clusters:  # a rank-one cluster keeps its eigenvector
+            eigvecs[:, cl] = _eigenspace_bases(eigvecs[:, cl].T[np.newaxis])[0].T
         return eigvals, np.ascontiguousarray(self._rank_one_coords(eigvecs.T))
 
     def _spectra(self, stack, tol: Tolerance):
-        """``_spectrum`` of every row of a (K, d) stack, the cluster slices
-        kept only for rows with a cluster of more than one eigenvalue, by
-        row.  One stacked ``eigh`` gives each matrix's ``eigh`` bit for bit,
-        and the gap test of ``cluster_descending`` runs on all rows at once."""
+        """``_spectrum`` of every row of a (K, d) stack, the clusters of more
+        than one eigenvalue grouped by rank: for each rank r, the rows (G, 1)
+        and columns (G, r) of the clusters of that rank.  One stacked
+        ``eigh`` gives each matrix's ``eigh`` bit for bit, the gap test of
+        ``cluster_descending`` runs on all rows at once, and the means of all
+        clusters of one rank are one reduction, which adds up each cluster
+        as the mean of one cluster does."""
         eigvals, eigvecs = np.linalg.eigh(self._matrix_from_coords(stack))
         order = np.argsort(-eigvals, axis=1, kind="stable")
         eigvals = np.take_along_axis(eigvals, order, axis=1)
         half = 0.5 * eigvals
         threshold = tol.eig_cluster * (half[:, :1] - half[:, -1:])
-        joined = ~(half[:, :-1] - half[:, 1:] > threshold)
-        clustered = {row: _average_clusters(eigvals[row], tol.eig_cluster)
-                     for row in np.flatnonzero(joined.any(axis=1))}
-        return eigvals, eigvecs, order, clustered
+        starts = np.ones(eigvals.shape, dtype=bool)
+        starts[:, 1:] = half[:, :-1] - half[:, 1:] > threshold
+        # every row starts a cluster at column 0, so the next start in the
+        # flattened stack ends each cluster, the last one of a row included
+        first = np.flatnonzero(starts)
+        ranks = np.append(first[1:], starts.size) - first
+        clusters = []
+        for rank in range(2, eigvals.shape[1] + 1):
+            at = first[ranks == rank]
+            if not len(at):
+                continue
+            rows, cols = np.divmod(at, eigvals.shape[1])
+            at = rows[:, np.newaxis], cols[:, np.newaxis] + np.arange(rank)
+            eigvals[at] = 2.0 * np.mean(0.5 * eigvals[at], axis=1, keepdims=True)
+            clusters.append(at)
+        return eigvals, eigvecs, order, clusters
 
     def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
         return self._spectra(stack, tol)[0]
 
     def _frames(self, stack, tol: Tolerance):
-        eigvals, eigvecs, order, clustered = self._spectra(stack, tol)
+        eigvals, eigvecs, order, clusters = self._spectra(stack, tol)
         eigvecs = np.take_along_axis(eigvecs, order[:, np.newaxis, :], axis=2)
-        for row, clusters in clustered.items():
-            _resolve_degenerate(eigvecs[row], clusters)
+        for rows, cols in clusters:  # one basis pass per cluster rank
+            at = rows, slice(None), cols  # (G, r, n): each cluster's eigenvectors as rows
+            eigvecs[at] = _eigenspace_bases(eigvecs[at])
         return eigvals, self._rank_one_coords(np.swapaxes(eigvecs, 1, 2))
 
     def cone_oracle(self, coords, slack: float) -> bool:

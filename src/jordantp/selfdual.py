@@ -353,9 +353,10 @@ class GeneratorSelfDualCone(SelfDualCone):
 
     @staticmethod
     def _extend_orthogonally(family: list, candidates) -> list[np.ndarray]:
-        """Append each candidate orthogonal to every member of ``family`` so far."""
+        """Append each candidate (a unit generator) orthogonal to every member
+        of ``family`` so far, to a cutoff relative to that member's norm."""
         for cand in candidates:
-            if all(abs(np.dot(cand, f)) <= 1e-12 for f in family):
+            if all(abs(np.dot(cand, f)) <= 1e-12 * np.linalg.norm(f) for f in family):
                 family.append(cand)
         return family
 
@@ -394,7 +395,9 @@ class GeneratorSelfDualCone(SelfDualCone):
                    for p in peel_positive(self, self.project(-vec), tol=tol)])
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return bool(np.any(self.extreme_generators() @ self.as_vec(e) > 1.0 - 1e-9))
+        # the cosine with a unit generator, whatever the scale of e; e = 0 is on no ray
+        vec = self.as_vec(e)
+        return bool(np.any(self.extreme_generators() @ vec > (1.0 - 1e-9) * np.linalg.norm(vec)))
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         vec = self.as_vec(x)

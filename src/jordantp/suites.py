@@ -126,7 +126,7 @@ def logic_suite(model: Model, seed: int, trials: int,
     # p and q summed from zeros in frame order, as elements add up
     p, q = (resum(flags, flags, frames) for flags in (in_p.astype(float), in_q.astype(float)))
     if not logic_rows(model.eigenvalues_batch(np.concatenate((p, q)), tol), tol).all():
-        raise ValueError(NOT_IN_LOGIC)
+        raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
     # the meets q ^ p' (the difference q - p), p ^ q and p' ^ q' (for the join)
     comp_p = unit - p
     values, atoms = model.decompose_batch(np.concatenate((q + comp_p, p + q, comp_p + (unit - q))),

@@ -466,7 +466,7 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     # atoms of eigenvalue above 1/2 (its rule that an order norm at most
     # check_tol has none adds nothing once each eigenvalue is near 0 or 1)
     if not logic_rows(model.eigenvalues_batch(ps, tol), tol).all():
-        raise ValueError(NOT_IN_LOGIC)
+        raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
     values, frames = model.decompose_batch(ps, tol)
     atoms = [frame[row > 0.5] for row, frame in zip(values, frames)]
     # P_e(q) and P_e(p) for every atom e of every p, split by trial

@@ -205,10 +205,10 @@ def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     # a degenerate spectrum reaches the deterministic-basis step of the kernel
     from jordantp.backends import matrices
 
-    def broken(projector, rank):
+    def broken(vecs):
         raise RuntimeError("projector basis extraction failed")
 
-    monkeypatch.setattr(matrices, "_deterministic_basis", broken)
+    monkeypatch.setattr(matrices, "_eigenspace_bases", broken)
     element = tmp_path / "unit.json"
     element.write_text("[1.0, 1.0, 0.0]")
     code, out, err = run_cli(capsys, "spectral", "sym:2", str(element))
@@ -216,6 +216,21 @@ def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "projector basis extraction failed" in err
+
+
+@pytest.mark.parametrize("module,suite", [("suites", "logic"), ("transition", "axioms")])
+def test_a_sampled_element_outside_the_logic_exits_three(capsys, monkeypatch, module, suite):
+    # the suites draw their logic elements themselves, so an element that
+    # fails the logic test is an internal fault, not the user's input
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"jordantp.{module}"), "logic_rows",
+                        lambda eigs, tol: np.zeros(len(eigs), dtype=bool))
+    code, out, err = run_cli(capsys, "verify", "sym:2", "--suite", suite, "--trials", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not in the quantum logic" in err
 
 
 def test_geom_triangle_exit_zero(capsys, tmp_path):

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS
+from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS, random_projection
 from jordantp import get_model, random_element
 from jordantp.cli import main
 from jordantp.logic import atomic_decomposition, information_capacity_empirical
@@ -106,6 +106,28 @@ def test_the_capacity_search_decomposes_once_per_step(monkeypatch, any_model, to
     assert len(calls) == capacity
     assert calls[0] == 6 and calls == sorted(calls, reverse=True)
     assert counts == {"decompose_coords": 0, "eigenvalues_coords": 0}
+
+
+def test_degenerate_eigenspaces_take_one_basis_pass_per_cluster_rank(monkeypatch, tol):
+    # every row is degenerate: projections of rank 1 and 3 have one cluster
+    # of rank 3, those of rank 2 two clusters of rank 2, the unit one of rank 4
+    from jordantp.backends import matrices
+
+    model = get_model("sym", 4)
+    rng = np.random.default_rng(11)
+    stack = np.array([random_projection(model, rank, rng).coords
+                      for _ in range(10) for rank in (1, 2, 3)]
+                     + [model.order_unit_coords()])
+    passes = []
+    bases = matrices._eigenspace_bases
+
+    def counted(vecs):
+        passes.append(vecs.shape)
+        return bases(vecs)
+
+    monkeypatch.setattr(matrices, "_eigenspace_bases", counted)
+    model.decompose_batch(stack, tol)
+    assert passes == [(20, 2, 4), (20, 3, 4), (1, 4, 4)]
 
 
 def test_eigenvalues_are_read_only(any_model, tol):

@@ -331,22 +331,62 @@ def _kernel_elements(model, rng):
     return out
 
 
-def _reference_frame(model, coords, tol):
-    """The frame as the kernel built it one cluster and one atom at a time,
-    every cluster, rank one included, through _deterministic_basis."""
-    from jordantp.backends.base import cluster_descending
-    from jordantp.backends.matrices import _deterministic_basis
+def _frozen_clusters(eigenvalues, eig_cluster):
+    """The clusters of a descending eigenvalue vector, as slices: a frozen
+    copy of the kernel's rule, so that the reference shares no code with it.
+    A new cluster starts where a halved gap exceeds eig_cluster times the
+    halved spectral diameter."""
+    half = (0.5 * np.asarray(eigenvalues, dtype=float)).tolist()
+    threshold = eig_cluster * float(half[0] - half[-1])
+    slices = []
+    start = 0
+    for k in range(1, len(half)):
+        if half[k - 1] - half[k] > threshold:
+            slices.append(slice(start, k))
+            start = k
+    slices.append(slice(start, len(half)))
+    return slices
 
+
+def _frozen_basis(projector, rank):
+    """Orthonormal basis of a projector's range, one vector at a time: a
+    frozen copy of the kernel's rule.  Columns are orthogonalized in index
+    order, twice, a column of norm at most 1e-6 is skipped, and each kept
+    vector is phase-fixed so that its first significant component is real
+    positive."""
+    vecs = []
+    for i in range(projector.shape[0]):
+        if len(vecs) == rank:
+            break
+        w = projector[:, i].copy()
+        for _ in range(2):
+            for v in vecs:
+                w = w - v * np.vdot(v, w)
+        norm = np.linalg.norm(w)
+        if norm <= 1e-6:
+            continue
+        w = w / norm
+        j = int(np.argmax(np.abs(w) > 1e-8))
+        vecs.append(w / (w[j] / abs(w[j])))
+    assert len(vecs) == rank
+    return vecs
+
+
+def _reference_frame(model, coords, tol):
+    """The frame built one cluster and one atom at a time, every cluster,
+    rank one included, through the frozen basis rule above."""
     eigvals, eigvecs = np.linalg.eigh(model.to_matrix(coords))
     order = np.argsort(-eigvals, kind="stable")
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     out = []
-    for cl in cluster_descending(eigvals, tol.eig_cluster):
+    for cl in _frozen_clusters(eigvals, tol.eig_cluster):
         basis = eigvecs[:, cl]
         rank = cl.stop - cl.start
-        for v in _deterministic_basis(basis @ basis.conj().T, rank):
-            out.append((float(np.mean(eigvals[cl])), rank,
-                        model.matrix_coords(np.outer(v, v.conj()))))
+        # a cluster's mean is that of the halves, doubled, which rounds
+        # otherwise where the eigenvalues are subnormal
+        mean = float(2.0 * np.mean(0.5 * eigvals[cl]) if rank > 1 else eigvals[cl.start])
+        for v in _frozen_basis(basis @ basis.conj().T, rank):
+            out.append((mean, rank, model.matrix_coords(np.outer(v, v.conj()))))
     return out
 
 
@@ -370,6 +410,52 @@ def test_matrix_kernel_paths_agree(kind, n, tol):
                 np.testing.assert_allclose(atom, ref_atom, rtol=0, atol=1e-14, err_msg=label)
         np.testing.assert_allclose(sum(atoms), unit, rtol=0, atol=1e-13,
                                    err_msg=label)
+
+
+def _assert_same_bits(actual, desired, label):
+    np.testing.assert_array_equal(actual, desired, err_msg=label)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(desired), err_msg=label)
+
+
+def _with_spectrum(model, spectrum, rng):
+    """The element with the given eigenvalues in a random frame."""
+    gauss = rng.normal(size=(model.n, model.n))
+    if model.kind == "herm":
+        gauss = gauss + 1j * rng.normal(size=(model.n, model.n))
+    q = np.linalg.qr(gauss)[0]
+    return model.matrix_coords((q * spectrum) @ q.conj().T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind,n", MATRIX_KERNEL_SPECS)
+def test_a_mixed_stack_gives_every_row_its_own_frame(kind, n, tol):
+    # rows of different cluster patterns share one stack, so each cluster
+    # rank is resolved over rows that differ in everything else
+    model = get_model(kind, n)
+    rng = np.random.default_rng(4112 + 10 * n + len(kind))
+    rows = {label: a.coords for label, a in _kernel_elements(model, rng).items()}
+    for label, spectrum in (("1100", [1.0] * (n // 2) + [0.0] * (n - n // 2)),
+                            ("222-1", [2.0] * (n - 1) + [-1.0]),
+                            ("3-.5", [3.0] + [-0.5] * (n - 1))):
+        rows[label] = _with_spectrum(model, np.array(spectrum), rng)
+        for scale in (1e300, 1e-300):
+            rows[f"{label}*{scale:g}"] = rows[label] * scale
+    rows["-zero"] = -0.0 * rows["zero"]
+    # its degenerate eigenspaces have zero projector columns, which are skipped
+    rows["axes"] = model.matrix_coords(np.diag([0.0] + [1.0] * (n - 1)))
+    labels = list(rows)
+    stack = np.array([rows[label] for label in labels])
+    values, atoms = model.decompose_batch(stack, tol)
+    _assert_same_bits(model.eigenvalues_batch(stack, tol), values, "eigenvalues_batch")
+    for k, label in enumerate(labels):
+        one_values, one_atoms = model.decompose_coords(stack[k], tol)
+        _assert_same_bits(values[k], one_values, label)
+        _assert_same_bits(atoms[k], one_atoms, label)
+        reference = _reference_frame(model, stack[k], tol)
+        _assert_same_bits(values[k], [s for s, _, _ in reference], label)
+        for atom, (_, rank, ref_atom) in zip(atoms[k], reference):
+            if rank > 1:  # a degenerate cluster takes the frozen basis rule's atoms
+                _assert_same_bits(atom, ref_atom, label)
 
 
 CLOSED_FORM_KERNEL_SPECS = [("classical", 1, None), ("classical", 4, None), ("spin", 1, None),

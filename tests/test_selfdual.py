@@ -351,6 +351,19 @@ def test_generator_cone_verdicts_are_scale_invariant(scale, tol):
         assert verdicts(square_cone(scale), seed) == verdicts(square_cone(), seed)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 0.5, 2.0, 1e6])
+def test_generator_cone_cutoffs_do_not_depend_on_the_scale_of_e(scale):
+    # a positive multiple of an extreme generator lies on its ray, and the
+    # generators orthogonal to it complete it to a frame, at any scale
+    orthant = GeneratorSelfDualCone(np.eye(3))
+    assert orthant.on_extreme_ray(scale * np.eye(3)[0])
+    assert not orthant.on_extreme_ray(scale * np.array([1.0, 1.0, 0.0]))
+    assert not orthant.on_extreme_ray(np.zeros(3))
+    rotated = rotated_orthant()
+    e = rotated.extreme_generators()[0]
+    assert len(rotated.complement_coords(scale * e)) == 3
+
+
 def test_square_cone_not_self_dual(tol):
     checks = self_duality_report(square_cone(), 5, 60, tol)
     by_name = {c.name: c for c in checks}
