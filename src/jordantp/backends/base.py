@@ -206,10 +206,20 @@ class Model(ABC):
         """Closed-form cone membership, independent of the spectral kernel."""
 
     @abstractmethod
+    def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance):
+        """Two orthogonal positive parts of the positive element in each row
+        of a (K, d) stack, computed without the spectral kernel, so that
+        peeling checks it: heads (K, d), rests (K, d) and a (K,) mask of the
+        rows that are a multiple of one atom, whose parts are not defined.
+        A row's parts do not depend on the rest of the stack; a row that is
+        not a cone element raises ``ConeProjectionError``."""
+
     def split_orthogonal_coords(self, coords: np.ndarray, tol: Tolerance):
-        """Two orthogonal positive parts ``(head, rest)`` of a positive
-        element, or None for a multiple of one atom; computed without
-        ``decompose_coords``, so that peeling checks the kernel."""
+        """``(head, rest)`` of one element, or None for a multiple of one
+        atom: the one-row case of ``split_orthogonal_batch``."""
+        heads, rests, single = self.split_orthogonal_batch(
+            np.asarray(coords, dtype=float)[np.newaxis], tol)
+        return None if single[0] else (heads[0], rests[0])
 
     # ------------------------------------------------------------------
     # atoms

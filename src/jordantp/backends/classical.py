@@ -41,25 +41,26 @@ class ClassicalModel(Model):
 
     def _frames(self, stack, tol: Tolerance):
         order = np.argsort(-stack, axis=1, kind="stable")
-        return np.take_along_axis(stack, order, axis=1), np.eye(self._n)[order]
+        return stack[np.arange(len(stack))[:, np.newaxis], order], np.eye(self._n)[order]
 
     def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         return coords[np.argsort(-coords, kind="stable")]
 
     def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
-        return np.take_along_axis(stack, np.argsort(-stack, axis=1, kind="stable"), axis=1)
+        order = np.argsort(-stack, axis=1, kind="stable")
+        return stack[np.arange(len(stack))[:, np.newaxis], order]
 
     def cone_oracle(self, coords, slack: float) -> bool:
         return bool(coords.min() >= -slack)
 
-    def split_orthogonal_coords(self, coords, tol: Tolerance):
-        support = np.flatnonzero(np.abs(coords) > tol.check_tol)
-        if len(support) <= 1:
-            return None
-        head = np.zeros_like(coords)
-        head[support[0]] = coords[support[0]]
-        return head, coords - head
+    def split_orthogonal_batch(self, stack, tol: Tolerance):
+        # the head is the first coordinate of the support
+        support = np.abs(stack) > tol.check_tol
+        rows, first = np.arange(len(stack)), np.argmax(support, axis=1)
+        heads = np.zeros_like(stack)
+        heads[rows, first] = stack[rows, first]
+        return heads, stack - heads, np.count_nonzero(support, axis=1) <= 1
 
     param_ndim = 0
     _not_a_param = "basis index must be an integer, got {!r}"
@@ -103,7 +104,7 @@ class ClassicalModel(Model):
         idx = self._indices(params)
         if idx.shape != np.shape(coords)[:-1]:  # one index per row
             raise UnnormalizedParamError(self._not_a_param.format(params))
-        return np.take_along_axis(coords, idx[:, np.newaxis], axis=1)[:, 0]
+        return coords[np.arange(len(idx)), idx]
 
     def native_pairings(self, stack_a, stack_b) -> np.ndarray:
         return np.vecdot(stack_a, stack_b)

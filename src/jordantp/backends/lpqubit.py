@@ -111,8 +111,8 @@ class LpQubitModel(_QubitModel):
     def _radii(self, xs) -> np.ndarray:
         return self.pnorms(xs, self._q)
 
-    def _split_radius(self, x) -> float:
-        return self.pnorm(x, 2.0)
+    def _split_radii(self, xs) -> np.ndarray:
+        return self.pnorms(xs, 2.0)
 
     def cone_oracle(self, coords, slack: float) -> bool:
         return bool(coords[0] - self.pnorm(coords[1:], self._q) >= -slack)

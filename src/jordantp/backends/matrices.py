@@ -171,7 +171,7 @@ class _MatrixModel(Model):
         as the mean of one cluster does."""
         eigvals, eigvecs = np.linalg.eigh(self._matrix_from_coords(stack))
         order = np.argsort(-eigvals, axis=1, kind="stable")
-        eigvals = np.take_along_axis(eigvals, order, axis=1)
+        eigvals = eigvals[np.arange(len(order))[:, np.newaxis], order]
         half = 0.5 * eigvals
         threshold = tol.eig_cluster * (half[:, :1] - half[:, -1:])
         starts = np.ones(eigvals.shape, dtype=bool)
@@ -196,7 +196,9 @@ class _MatrixModel(Model):
 
     def _frames(self, stack, tol: Tolerance):
         eigvals, eigvecs, order, clusters = self._spectra(stack, tol)
-        eigvecs = np.take_along_axis(eigvecs, order[:, np.newaxis, :], axis=2)
+        # the columns of each row's eigenvectors in that row's order
+        eigvecs = eigvecs[np.arange(len(order))[:, np.newaxis, np.newaxis],
+                          np.arange(order.shape[1])[:, np.newaxis], order[:, np.newaxis]]
         for rows, cols in clusters:  # one basis pass per cluster rank
             at = rows, slice(None), cols  # (G, r, n): each cluster's eigenvectors as rows
             eigvecs[at] = _eigenspace_bases(eigvecs[at])
@@ -211,20 +213,23 @@ class _MatrixModel(Model):
         except np.linalg.LinAlgError:
             return False
 
-    def split_orthogonal_coords(self, coords, tol: Tolerance):
+    def split_orthogonal_batch(self, stack, tol: Tolerance):
         # the top singular pair of a PSD matrix is its top eigenpair; plain
-        # SVD (LAPACK gesdd) keeps the oracle independent of the eigh kernel
-        mat = self._matrix_from_coords(coords)
-        scale = max(float(np.real(np.trace(mat))), 1e-30)
-        v = np.linalg.svd(mat)[0][:, 0]
-        lam = float(np.real(np.vdot(v, mat @ v)))
-        if lam <= 1e-12 * scale or np.linalg.norm(mat @ v - lam * v) > 1e-9 * scale:
+        # SVD (LAPACK gesdd) keeps the oracle independent of the eigh kernel.
+        # On a C-contiguous stack, the stacked svd and matmul give each
+        # matrix's own bits
+        mats = np.ascontiguousarray(self._matrix_from_coords(stack))
+        scale = np.maximum(np.trace(mats, axis1=1, axis2=2).real, 1e-30)
+        v = np.linalg.svd(mats)[0][:, :, :1]  # (K, n, 1): the top singular vectors
+        mv = (mats @ v)[:, :, 0]
+        lam = np.vecdot(v[:, :, 0], mv).real
+        residual = row_norms(mv - lam[:, np.newaxis] * v[:, :, 0])
+        if np.any((lam <= 1e-12 * scale) | (residual > 1e-9 * scale)):
             raise ConeProjectionError("orthogonal-split oracle needs a cone element")
-        head = lam * np.outer(v, v.conj())
-        rest = mat - head
-        if float(np.linalg.norm(rest)) <= 1e-9 * scale:
-            return None
-        return self.matrix_coords(head), self.matrix_coords(rest)
+        heads = lam[:, np.newaxis, np.newaxis] * (v * np.swapaxes(v.conj(), 1, 2))
+        rests = mats - heads
+        single = row_norms(rests.reshape(len(rests), -1)) <= 1e-9 * scale
+        return self.matrix_coords(heads), self.matrix_coords(rests), single
 
     def _vectors(self, params) -> np.ndarray:
         """The vectors (..., n) a stack of atom parameters holds; complex on

@@ -13,7 +13,7 @@ from abc import abstractmethod
 import numpy as np
 
 from ..elements import Tolerance
-from .base import Model
+from .base import Model, row_norms
 
 
 def half_atom(g: np.ndarray) -> np.ndarray:
@@ -59,9 +59,10 @@ class _QubitModel(Model):
     def _radii(self, xs: np.ndarray) -> np.ndarray:
         """``_radius`` of each row of a (K, n) stack, bit for bit."""
 
-    def _split_radius(self, x) -> float:
-        """Euclidean length of x, as the orthogonal split measures it."""
-        return float(np.linalg.norm(x))
+    def _split_radii(self, xs: np.ndarray) -> np.ndarray:
+        """Euclidean length of each row of a (K, n) stack, as the orthogonal
+        split measures it."""
+        return row_norms(xs)
 
     def decompose_coords(self, coords, tol: Tolerance):
         t = float(coords[0])
@@ -91,13 +92,15 @@ class _QubitModel(Model):
     def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
         return _t_plus_minus_r(stack[:, 0], self._radii(stack[:, 1:]))
 
-    def split_orthogonal_coords(self, coords, tol: Tolerance):
-        t, f = float(coords[0]), coords[1:]
-        r = self._split_radius(f)
-        if abs(t - r) <= 10.0 * tol.check_tol * max(1.0, abs(t)):
-            return None  # single atom direction
-        u = f / r if r > 0 else np.eye(len(f))[0]
-        return (t + r) * half_atom(u), (t - r) * half_atom(-u)
+    def split_orthogonal_batch(self, stack, tol: Tolerance):
+        t, f = stack[:, 0], stack[:, 1:]
+        r = self._split_radii(f)
+        single = np.abs(t - r) <= 10.0 * tol.check_tol * np.maximum(1.0, np.abs(t))
+        flat = ~(r > 0)
+        u = f / np.where(flat, 1.0, r)[:, np.newaxis]
+        u[flat] = np.eye(self._n)[0]  # a deterministic direction
+        return ((t + r)[:, np.newaxis] * half_atom(u), (t - r)[:, np.newaxis] * half_atom(-u),
+                single)
 
     def random_frame_params_batch(self, rngs) -> np.ndarray:
         first = self.random_atom_param_batch(rngs)

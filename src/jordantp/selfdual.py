@@ -53,8 +53,11 @@ class SelfDualCone:
     ``random_element`` and ``random_positive``.
 
     The stack forms (``inners``, ``cone_defects``, ``frames``,
-    ``moreau_parts`` and ``complements``) take the rows of (K, d) coordinate
-    stacks; their defaults call the per-element method on each row in turn.
+    ``moreau_parts``, ``complements`` and ``split_orthogonal_batch``) take
+    the rows of (K, d) coordinate stacks.  The defaults of ``inners``,
+    ``cone_defects`` and ``moreau_parts`` call the per-element method on
+    each row in turn; ``frame``, ``complement_coords`` and
+    ``split_orthogonal`` are the one-row cases of their stack forms.
     """
 
     def as_vec(self, x) -> np.ndarray:
@@ -121,36 +124,44 @@ class SelfDualCone:
             row[:len(family)] = np.reshape(family, (len(family), self.ambient_dim))
         return out
 
-    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        """Atoms completing ``e`` to a maximal pairwise-orthogonal family."""
+    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        """For the atom e in each row of a (K, d) stack, the atoms (n, d)
+        completing it to a maximal pairwise-orthogonal family."""
         raise NotImplementedError
 
-    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list:
-        return [self.complement_coords(e, tol) for e in stack]
+    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        """The atoms completing one atom ``e``: the one-row case of
+        ``complements``."""
+        return list(self.complements(self.as_vec(e)[np.newaxis], tol)[0])
+
+    def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
+        """The atom oracle on the rows of a (K, d) stack, as the model
+        contract's ``split_orthogonal_batch``: heads, rests and the mask of
+        the rows that are (numerically) a positive multiple of an atom.  A
+        row is a remainder of the element being peeled, whose norm is that
+        row of ``scales``."""
+        raise NotImplementedError
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
-        """Default atom oracle: two orthogonal positive parts of the
-        coordinates ``x``, as coordinate arrays, or None if ``x`` is
-        (numerically) a positive multiple of an atom."""
-        raise NotImplementedError
+        """Two orthogonal positive parts of the coordinates ``x``, as
+        coordinate arrays, or None if ``x`` is a positive multiple of an
+        atom: the one-row case of ``split_orthogonal_batch``."""
+        vec = self.as_vec(x)[np.newaxis]
+        heads, rests, single = self.split_orthogonal_batch(
+            vec, tol, np.sqrt(np.abs(self.inners(vec, vec))))
+        return None if single[0] else (heads[0], rests[0])
 
     def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
-        """Signed coefficients on pairwise-orthogonal atoms summing to ``x``."""
-        raise NotImplementedError
+        """Signed coefficients on pairwise-orthogonal atoms summing to ``x``:
+        the one-row case of ``frames``."""
+        return _peeled(self, *self.frames(self.as_vec(x)[np.newaxis], tol))
 
     def frames(self, stack: np.ndarray,
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """The frames of the rows of a (K, d) stack as coefficients (K, m)
         and atom coordinates (K, m, d); a shorter frame is padded with zero
         coefficients on zero atoms."""
-        rows = [self.frame(x, tol) for x in stack]
-        values = np.zeros((len(rows), max(map(len, rows), default=0)))
-        atoms = np.zeros(values.shape + (self.ambient_dim,))
-        for k, row in enumerate(rows):
-            for j, p in enumerate(row):
-                values[k, j] = p.coefficient
-                atoms[k, j] = self.as_vec(p.atom)
-        return values, atoms
+        raise NotImplementedError
 
     def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
         """The formula behind ``moreau_decompose``."""
@@ -234,13 +245,18 @@ class SpectralSelfDualCone(SelfDualCone):
     def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
         return list(self.random_frame_params_batch([rng])[0])
 
-    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        rest = self.model.order_unit().coords - self.as_vec(e)
+    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        """The peeled atoms of unit - e, from one stacked peel."""
+        rests = self.model.order_unit().coords - stack
         # the complement of an atom has norm 0 (capacity one) or at least 1,
         # so clip subtraction noise against the unit scale before peeling
-        if np.sqrt(abs(self.inner(rest, rest))) <= 1e3 * tol.check_tol:
-            return []
-        return [self.as_vec(p.atom) for p in peel_positive(self, rest, tol=tol)]
+        clipped = np.sqrt(np.abs(self.inners(rests, rests))) <= 1e3 * tol.check_tol
+        values, atoms = peel_positive(self, rests[~clipped], tol)
+        out = [np.zeros((0, self.ambient_dim))] * len(stack)
+        for k, row, count in zip(np.flatnonzero(~clipped), atoms,
+                                 np.count_nonzero(values, axis=1).tolist()):
+            out[k] = row[:count]
+        return out
 
     def random_element(self, rng: np.random.Generator) -> Element:
         return _random_element(self.model, rng)
@@ -248,8 +264,9 @@ class SpectralSelfDualCone(SelfDualCone):
     def random_positive(self, rng: np.random.Generator) -> Element:
         return _random_element(self.model, rng, "positive")
 
-    def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
-        return self.model.split_orthogonal_coords(self.as_vec(x), tol)
+    def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
+        # the kernel's cutoffs are relative to each row's own trace
+        return self.model.split_orthogonal_batch(stack, tol)
 
     def _form(self, x, tol: Tolerance):
         # an element is already checked; only a raw array needs wrapping
@@ -364,8 +381,9 @@ class GeneratorSelfDualCone(SelfDualCone):
         ext = self.extreme_generators()
         return self._extend_orthogonally([], ext[rng.permutation(len(ext))])
 
-    def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        return self._extend_orthogonally([self.as_vec(e)], self.extreme_generators())[1:]
+    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        return [np.reshape(self._extend_orthogonally([e], self.extreme_generators())[1:],
+                           (-1, self.ambient_dim)) for e in np.asarray(stack, dtype=float)]
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(size=self.ambient_dim)
@@ -386,37 +404,46 @@ class GeneratorSelfDualCone(SelfDualCone):
                 f"dual slack={dual_slack:.3e})", residual=cross)
         return MoreauPair(plus, minus)
 
-    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+    def frames(self, stack: np.ndarray,
+               tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         # the projections of x and -x are the Moreau parts exactly when the
         # cone is self-dual, and unlike plus - x they carry no rounding noise
-        vec = self.as_vec(x)
-        return (peel_positive(self, self.project(vec), tol=tol)
-                + [PeeledAtom(-p.coefficient, p.atom)
-                   for p in peel_positive(self, self.project(-vec), tol=tol)])
+        stack = np.asarray(stack, dtype=float)
+        parts = [np.array([self.project(x) for x in rows]).reshape(stack.shape)
+                 for rows in (stack, -stack)]
+        every = np.ones(len(stack), dtype=bool)
+        return _peel_signed(self, parts, (every, every), tol)
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
         # the cosine with a unit generator, whatever the scale of e; e = 0 is on no ray
         vec = self.as_vec(e)
         return bool(np.any(self.extreme_generators() @ vec > (1.0 - 1e-9) * np.linalg.norm(vec)))
 
-    def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
-        vec = self.as_vec(x)
-        coeffs, residual = self.nnls_fit(vec)
-        scale = max(float(np.linalg.norm(vec)), 1e-30)
-        if residual > 1e-7 * scale:
-            raise ConeProjectionError(
-                "orthogonal-split oracle needs a cone element", residual=residual)
-        if coeffs.max() <= 0.0:
-            return None
-        active = np.flatnonzero(coeffs > 1e-12 * coeffs.max())
-        if len(active) <= 1:
-            return None
-        for head_idx in active:
-            head = coeffs[head_idx] * self.generators[head_idx]
-            rest = vec - head
-            if abs(np.dot(head, rest)) <= 1e-9 * scale**2:
-                return head, rest
-        return None  # no orthogonal split among the active generators
+    def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
+        heads, rests = np.zeros_like(stack), np.zeros_like(stack)
+        single = np.ones(len(stack), dtype=bool)
+        for k, (vec, peeled) in enumerate(zip(stack, np.maximum(scales, 1e-30).tolist())):
+            coeffs, residual = self.nnls_fit(vec)
+            # the NNLS residual is rounding noise on the scale of the element
+            # being peeled, however small its remainder
+            if residual > 1e-7 * peeled:
+                raise ConeProjectionError(
+                    "orthogonal-split oracle needs a cone element", residual=residual)
+            if coeffs.max() <= 0.0:
+                continue
+            active = np.flatnonzero(coeffs > 1e-12 * coeffs.max())
+            if len(active) <= 1:
+                continue
+            scale = max(float(np.linalg.norm(vec)), 1e-30)
+            for head_idx in active:
+                head = coeffs[head_idx] * self.generators[head_idx]
+                rest = vec - head
+                if abs(np.dot(head, rest)) <= 1e-9 * scale**2:
+                    heads[k], rests[k], single[k] = head, rest, False
+                    break
+            # with no orthogonal split among the active generators, the row
+            # counts as one atom
+        return heads, rests, single
 
 
 def generator_cone_from_csv(path) -> GeneratorSelfDualCone:
@@ -432,8 +459,11 @@ def generator_cone_from_csv(path) -> GeneratorSelfDualCone:
 
 def moreau_decompose(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
     """Unique split a = a_plus - a_minus with both parts in the cone and
-    <a_plus|a_minus> = 0."""
-    return cone.moreau(a, tol)
+    <a_plus|a_minus> = 0; of each row of a (K, d) stack, a pair of stacks."""
+    vec = cone.as_vec(a)
+    if vec.ndim == 1:
+        return cone.moreau(a, tol)
+    return MoreauPair(*cone.moreau_parts(vec, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -446,48 +476,106 @@ def is_atom_sd(cone: SelfDualCone, e, tol: Tolerance = DEFAULT_TOL) -> bool:
     return abs(cone.inner(e, e) - 1.0) <= tol.check_tol and cone.on_extreme_ray(e, tol)
 
 
-def peel_positive(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+def _peeled(cone: SelfDualCone, values: np.ndarray, atoms: np.ndarray) -> list[PeeledAtom]:
+    """The one frame of a stack of one, (1, m) and (1, m, d), as a list."""
+    return [PeeledAtom(c, cone.wrap(e)) for c, e in zip(values[0].tolist(), atoms[0])]
+
+
+def peel_positive(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL):
     """Represent a positive element as a sum of pairwise orthogonal atoms
-    with positive coefficients, by recursion on ``cone.split_orthogonal``."""
-    out: list[PeeledAtom] = []
-    current = cone.as_vec(a).copy()
-    scale = max(np.sqrt(abs(cone.inner(current, current))), 1e-30)
-    budget = 4 * cone.ambient_dim + 8
-    while np.sqrt(abs(cone.inner(current, current))) > 1e-10 * scale:
-        if budget <= 0:
-            raise ConeProjectionError("peeling did not terminate (oracle failure)")
-        budget -= 1
-        split = cone.split_orthogonal(current, tol)
-        if split is None:
-            s = float(np.sqrt(cone.inner(current, current)))
-            out.append(PeeledAtom(s, cone.wrap(current / s)))
+    with positive coefficients, by recursion on the cone's orthogonal split.
+
+    The rows of a (K, d) stack are peeled together, one
+    ``split_orthogonal_batch`` call per step for the rows not yet done; the
+    result is the padded frames of ``SelfDualCone.frames``, coefficients
+    (K, m) and atoms (K, m, d), each row's atoms in the order they were
+    split off.  One element gives its list of ``PeeledAtom``, the one-row
+    case.  The step budget and the cutoffs hold row by row: a row is done
+    when its remainder's norm is at most 1e-10 of its own, and a head of
+    norm at most 1e-12 of it is dropped.
+    """
+    vec = cone.as_vec(a)
+    if vec.ndim == 1:
+        return _peeled(cone, *peel_positive(cone, vec[np.newaxis], tol))
+    current = np.array(vec, dtype=float)
+    found = []  # per step: the rows that gained an atom, its column, coefficient and coordinates
+    count = np.zeros(len(current), dtype=np.intp)
+    squares = cone.inners(current, current)
+    norms = np.sqrt(np.abs(squares))
+    scale = np.maximum(norms, 1e-30)
+    todo = np.flatnonzero(norms > 1e-10 * scale)
+    for _ in range(4 * cone.ambient_dim + 8):
+        if not len(todo):
             break
-        head, current = split
-        s = float(np.sqrt(cone.inner(head, head)))
-        if s > 1e-12 * scale:
-            out.append(PeeledAtom(s, cone.wrap(head / s)))
-    return out
+        heads, rests, single = cone.split_orthogonal_batch(current[todo], tol, scale[todo])
+        # a multiple of one atom is its own last atom
+        done = todo[single]
+        last = np.sqrt(squares[done])
+        todo, heads = todo[~single], heads[~single]
+        current[todo] = rests[~single]
+        s = np.sqrt(cone.inners(heads, heads))
+        kept = s > 1e-12 * scale[todo]
+        rows = np.concatenate((done, todo[kept]))
+        found.append((rows, count[rows], np.concatenate((last, s[kept])),
+                      np.concatenate((current[done] / last[:, np.newaxis],
+                                      heads[kept] / s[kept, np.newaxis]))))
+        count[rows] += 1
+        squares[todo] = cone.inners(current[todo], current[todo])
+        todo = todo[np.sqrt(np.abs(squares[todo])) > 1e-10 * scale[todo]]
+    if len(todo):
+        raise ConeProjectionError("peeling did not terminate (oracle failure)")
+    values = np.zeros((len(current), count.max(initial=0)))
+    atoms = np.zeros(values.shape + (cone.ambient_dim,))
+    for rows, cols, s, peeled in found:
+        values[rows, cols] = s
+        atoms[rows, cols] = peeled
+    return values, atoms
 
 
-def peel_spectral(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+def _peel_signed(cone: SelfDualCone, parts, kept, tol: Tolerance):
+    """The frames of the rows of two (K, d) stacks of positive parts, plus
+    and minus, as one padded frame per row: the atoms peeled from the plus
+    part, then those of the minus part with negated coefficients.  Only the
+    rows in ``kept`` (a (K,) mask per part) are peeled, in one stacked
+    ``peel_positive``."""
+    rows = [np.flatnonzero(mask) for mask in kept]
+    values, atoms = peel_positive(
+        cone, np.concatenate([part[at] for part, at in zip(parts, rows)]), tol)
+    plus = len(rows[0])
+    # each row's plus and minus frames side by side; 0 - c negates a
+    # coefficient exactly and keeps the padding +0.0
+    signed = np.zeros((len(parts[0]), 2, values.shape[1]))
+    frames = np.zeros(signed.shape + (cone.ambient_dim,))
+    signed[rows[0], 0], frames[rows[0], 0] = values[:plus], atoms[:plus]
+    signed[rows[1], 1], frames[rows[1], 1] = 0.0 - values[plus:], atoms[plus:]
+    signed = signed.reshape(len(signed), -1)
+    frames = frames.reshape(signed.shape + (cone.ambient_dim,))
+    # the padding moves behind the atoms, which keep their order
+    width = np.count_nonzero(signed, axis=1).max(initial=0)
+    at = (np.arange(len(signed))[:, np.newaxis],
+          np.argsort(signed == 0.0, axis=1, kind="stable")[:, :width])
+    return signed[at], frames[at]
+
+
+def peel_spectral(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL):
     """Atom representation of an arbitrary element: route through the Moreau
     split, then peel both positive parts.
 
     A part whose norm is at most 1e-10 of the input's (the cutoff
     ``peel_positive`` applies to its own remainder) is rounding noise, such as
     the minus part of a cone element, and is skipped: peeled relative to its
-    own norm, it would give spurious atoms or fail the split oracle.
+    own norm, it would give spurious atoms or fail the split oracle.  A
+    (K, d) stack gives padded frames, the plus part's atoms first in each
+    row, as ``peel_positive`` does; one element its list of ``PeeledAtom``.
     """
-    pair = moreau_decompose(cone, a, tol)
     vec = cone.as_vec(a)
-    scale = np.sqrt(abs(cone.inner(vec, vec)))
-    out = []
-    for sign, part in ((1.0, pair.a_plus), (-1.0, pair.a_minus)):
-        pv = cone.as_vec(part)
-        if np.sqrt(abs(cone.inner(pv, pv))) > 1e-10 * scale:
-            out += [PeeledAtom(sign * p.coefficient, p.atom)
-                    for p in peel_positive(cone, part, tol)]
-    return out
+    if vec.ndim == 1:
+        return _peeled(cone, *peel_spectral(cone, vec[np.newaxis], tol))
+    pair = moreau_decompose(cone, vec, tol)
+    scale = np.sqrt(np.abs(cone.inners(vec, vec)))
+    parts = (pair.a_plus, pair.a_minus)
+    kept = [np.sqrt(np.abs(cone.inners(part, part))) > 1e-10 * scale for part in parts]
+    return _peel_signed(cone, parts, kept, tol)
 
 
 # ---------------------------------------------------------------------------

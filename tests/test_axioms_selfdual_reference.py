@@ -10,27 +10,37 @@ taken one element at a time (``spectral_form``, ``order_norm``,
 ``cone_defect``, ``inner``, ``frame``, ...), drawing from ``trial_rng`` in the
 same order.  Every defect, note and witness must agree exactly, signs of
 zeros included.
+
+Peeling runs on stacks, and its one-element form is the stack of one, so
+the references peel with the per-element peel and split oracles frozen
+below, as they were before the stacks; the stacked peel is pinned to them
+row by row.
 """
 
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS
+from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS
 from jordantp import get_model
+from jordantp.backends import ClassicalModel, LpQubitModel, SpinFactorModel
 from jordantp.backends.base import Model
+from jordantp.backends.qubit import half_atom
 from jordantp.core import cone_contains, order_norm
+from jordantp.errors import ConeProjectionError
 from jordantp.logic import atomic_decomposition
 from jordantp.reports import CheckResult, dump_canonical_json, skipped_check
 from jordantp.selfdual import (
     GeneratorSelfDualCone,
     MoreauPair,
+    PeeledAtom,
     SpectralSelfDualCone,
+    moreau_decompose,
     peel_positive,
     peel_spectral,
     recover_order_unit,
     self_duality_report,
 )
-from jordantp.spectral import _random_element, trial_rng
+from jordantp.spectral import _random_element, random_element, trial_rng
 from jordantp.suites import axioms_suite, selfdual_suite
 from jordantp.transition import (
     _mixture_value,
@@ -45,6 +55,92 @@ from jordantp.transition import (
 from test_selfdual import rotated_orthant, square_cone
 
 
+# ---------------------------------------------------------------------------
+# the per-element peel, frozen
+# ---------------------------------------------------------------------------
+
+
+def split_one(cone, x, tol):
+    """The per-element orthogonal split: ``(head, rest)`` or None.  The
+    model kernels are the per-element forms the stacked kernels replaced;
+    a generator cone's split was always per row."""
+    if isinstance(cone, GeneratorSelfDualCone):
+        return cone.split_orthogonal(x, tol)
+    model, coords = cone.model, cone.as_vec(x)
+    if isinstance(model, ClassicalModel):
+        support = np.flatnonzero(np.abs(coords) > tol.check_tol)
+        if len(support) <= 1:
+            return None
+        head = np.zeros_like(coords)
+        head[support[0]] = coords[support[0]]
+        return head, coords - head
+    if isinstance(model, (SpinFactorModel, LpQubitModel)):
+        t, f = float(coords[0]), coords[1:]
+        r = model.pnorm(f, 2.0) if isinstance(model, LpQubitModel) else float(np.linalg.norm(f))
+        if abs(t - r) <= 10.0 * tol.check_tol * max(1.0, abs(t)):
+            return None
+        u = f / r if r > 0 else np.eye(len(f))[0]
+        return (t + r) * half_atom(u), (t - r) * half_atom(-u)
+    mat = model.to_matrix(coords)
+    scale = max(float(np.real(np.trace(mat))), 1e-30)
+    v = np.linalg.svd(mat)[0][:, 0]
+    lam = float(np.real(np.vdot(v, mat @ v)))
+    if lam <= 1e-12 * scale or np.linalg.norm(mat @ v - lam * v) > 1e-9 * scale:
+        raise ConeProjectionError("orthogonal-split oracle needs a cone element")
+    head = lam * np.outer(v, v.conj())
+    rest = mat - head
+    if float(np.linalg.norm(rest)) <= 1e-9 * scale:
+        return None
+    return model.matrix_coords(head), model.matrix_coords(rest)
+
+
+def peel_one(cone, a, tol):
+    """``peel_positive`` of one element, one split at a time."""
+    out = []
+    current = cone.as_vec(a).copy()
+    scale = max(np.sqrt(abs(cone.inner(current, current))), 1e-30)
+    budget = 4 * cone.ambient_dim + 8
+    while np.sqrt(abs(cone.inner(current, current))) > 1e-10 * scale:
+        if budget <= 0:
+            raise ConeProjectionError("peeling did not terminate (oracle failure)")
+        budget -= 1
+        split = split_one(cone, current, tol)
+        if split is None:
+            s = float(np.sqrt(cone.inner(current, current)))
+            out.append(PeeledAtom(s, cone.wrap(current / s)))
+            break
+        head, current = split
+        s = float(np.sqrt(cone.inner(head, head)))
+        if s > 1e-12 * scale:
+            out.append(PeeledAtom(s, cone.wrap(head / s)))
+    return out
+
+
+def peel_spectral_one(cone, a, tol):
+    """``peel_spectral`` of one element: both Moreau parts peeled, a part
+    at most 1e-10 of the input's norm skipped."""
+    pair = moreau_decompose(cone, a, tol)
+    vec = cone.as_vec(a)
+    scale = np.sqrt(abs(cone.inner(vec, vec)))
+    out = []
+    for sign, part in ((1.0, pair.a_plus), (-1.0, pair.a_minus)):
+        pv = cone.as_vec(part)
+        if np.sqrt(abs(cone.inner(pv, pv))) > 1e-10 * scale:
+            out += [PeeledAtom(sign * p.coefficient, p.atom) for p in peel_one(cone, part, tol)]
+    return out
+
+
+def frame_one(cone, x, tol):
+    """A cone's frame of one element: a generator cone peels the
+    projections of x and -x, a spectral cone reads its spectral form."""
+    if not isinstance(cone, GeneratorSelfDualCone):
+        return cone.frame(x, tol)
+    vec = cone.as_vec(x)
+    return (peel_one(cone, cone.project(vec), tol)
+            + [PeeledAtom(-p.coefficient, p.atom)
+               for p in peel_one(cone, cone.project(-vec), tol)])
+
+
 def _random_bounded_mixture(space, rng):
     """One generator's mixture: the one-row draw of ``_random_bounded_mixtures``."""
     (first, second), (lam, rest) = _random_bounded_mixtures(space, [rng])
@@ -57,7 +153,12 @@ def _complement(space, e, tol):
     if isinstance(space, Model):
         form = space.spectral_form(space.element(space.order_unit().coords - e), tol)
         return list(form.atom_coords[form.eigenvalues > 0.5])
-    return space.complement_coords(e, tol)
+    if isinstance(space, GeneratorSelfDualCone):
+        return space.complement_coords(e, tol)
+    rest = space.model.order_unit().coords - e
+    if np.sqrt(abs(space.inner(rest, rest))) <= 1e3 * tol.check_tol:
+        return []
+    return [space.as_vec(p.atom) for p in peel_one(space, rest, tol)]
 
 
 def _moreau(cone, a, tol):
@@ -67,7 +168,7 @@ def _moreau(cone, a, tol):
         return cone.moreau(a, tol)
     plus = np.zeros(cone.ambient_dim)
     minus = np.zeros(cone.ambient_dim)
-    for p in cone.frame(a, tol):
+    for p in frame_one(cone, a, tol):
         if p.coefficient >= 0.0:
             plus += p.coefficient * cone.as_vec(p.atom)
         else:
@@ -195,7 +296,7 @@ def reference_self_duality(cone, seed, trials, tol):
         a = cone.random_positive(rng)
         forward = max(forward, -cone.inner(a, cone.random_positive(rng)))
         c = cone.random_element(rng)
-        frame = cone.frame(c, tol)
+        frame = frame_one(cone, c, tol)
         pairings = [cone.inner(p.atom, c) for p in frame]
         reverse = max([reverse] + [abs(v - p.coefficient) for v, p in zip(pairings, frame)])
         if all(v >= -tol.cone_slack for v in pairings) != cone.contains(c, tol):
@@ -246,16 +347,16 @@ def reference_selfdual(model, seed, trials, tol):
                          order_norm(model, again.a_plus - pair.a_plus, tol),
                          order_norm(model, again.a_minus - pair.a_minus, tol))
         if k % 5 == 0:
-            coeffs = np.array([p.coefficient for p in peel_spectral(cone, a, tol=tol)])
+            coeffs = np.array([p.coefficient for p in peel_spectral_one(cone, a, tol)])
             eigs = model.eigenvalues(a, tol)
             width = max(len(coeffs), len(eigs))
             coeffs = np.sort(np.pad(coeffs, (0, width - len(coeffs))))
             eigs = np.sort(np.pad(eigs, (0, width - len(eigs))))
             peel_match = max(peel_match, float(np.max(np.abs(coeffs - eigs))))
             b = _random_element(model, rng, "unit_interval")
-            for p in peel_positive(cone, b, tol=tol):
+            for p in peel_one(cone, b, tol):
                 peel_interval = max(peel_interval, -p.coefficient, p.coefficient - 1.0)
-            parts = peel_positive(cone, pair.a_plus, tol=tol)
+            parts = peel_one(cone, pair.a_plus, tol)
             if parts and order_norm(model, pair.a_minus, tol) > 1e-6:
                 half = sum(p.coefficient * cone.as_vec(p.atom) for p in parts[::2])
                 orth_parts = max(orth_parts, abs(cone.inner(cone.wrap(half), pair.a_minus)))
@@ -317,6 +418,65 @@ def test_cone_verifiers_equal_the_per_element_references_on_generator_cones(make
                     == _report(reference_certainty(cone, seed, trials, tol)))
             assert (_report(verify_atom_state_uniqueness(cone, seed, trials, tol))
                     == _report(reference_uniqueness(cone, seed, trials, tol)))
+
+
+def _assert_rows_peeled(cone, stacked, per_row):
+    """Padded frames (K, m), (K, m, d) against one list of ``PeeledAtom``
+    per row: the same number of atoms, the same bits, zero padding."""
+    values, atoms = stacked
+    assert len(values) == len(per_row)
+    for row_values, row_atoms, want in zip(values, atoms, per_row):
+        count = len(want)
+        assert np.count_nonzero(row_values) == count
+        assert row_values[:count].tobytes() == np.array([p.coefficient for p in want]).tobytes()
+        got = row_atoms[:count].tobytes()
+        want_atoms = np.array([cone.as_vec(p.atom) for p in want]).reshape(count, cone.ambient_dim)
+        assert got == want_atoms.tobytes()
+        assert not row_values[count:].any() and not row_atoms[count:].any()
+
+
+@pytest.mark.parametrize("kind,n,p", SYMMETRIC_MODEL_SPECS)
+def test_the_stacked_peel_equals_the_per_element_peel_row_by_row(kind, n, p, tol):
+    # the atom count of a complement fixes the junk-weight draws of
+    # verify_certainty_order, so counts must agree exactly
+    model = get_model(kind, n, p)
+    cone = SpectralSelfDualCone(model)
+    draws = {shape: np.array([random_element(model, seed, shape).coords for seed in range(40)])
+             for shape in ("positive", "any", "logic", "unit_interval")}
+    atoms = model.atom_coords_batch(model.random_atom_param_batch(
+        [trial_rng(5, k) for k in range(40)]))
+    positive = draws["positive"]
+    for stack in (positive, 1e-6 * positive, 1e6 * positive, draws["logic"],
+                  draws["unit_interval"], model.order_unit().coords - atoms):
+        _assert_rows_peeled(cone, peel_positive(cone, stack, tol),
+                            [peel_one(cone, x, tol) for x in stack])
+    for stack in (draws["any"], positive, draws["logic"]):
+        _assert_rows_peeled(cone, peel_spectral(cone, stack, tol),
+                            [peel_spectral_one(cone, x, tol) for x in stack])
+    for got, e in zip(cone.complements(atoms, tol), atoms):
+        want = _complement(cone, e, tol)
+        assert len(got) == len(want)
+        assert got.tobytes() == np.array(want).reshape(len(want), cone.ambient_dim).tobytes()
+
+
+@pytest.mark.parametrize("make", list(GENERATOR_CONES.values()), ids=list(GENERATOR_CONES))
+def test_the_stacked_peel_equals_the_per_element_peel_on_generator_cones(make, tol):
+    # on a cone that is not self-dual, a minus part may lie outside the cone,
+    # and the stack raises where a row raises
+    cone = make()
+    rngs = [trial_rng(2, k) for k in range(12)]
+    positive = np.array([cone.random_positive(rng) for rng in rngs])
+    mixed = np.array([cone.random_element(rng) for rng in rngs])
+    for stacked, one, stack in ((peel_positive, peel_one, positive),
+                                (type(cone).frames, frame_one, mixed),
+                                (peel_spectral, peel_spectral_one, mixed)):
+        try:
+            per_row = [one(cone, x, tol) for x in stack]
+        except ConeProjectionError:
+            with pytest.raises(ConeProjectionError):
+                stacked(cone, stack, tol)
+            continue
+        _assert_rows_peeled(cone, stacked(cone, stack, tol), per_row)
 
 
 def test_the_square_cone_fails_the_same_self_duality_checks(tol):

@@ -258,8 +258,8 @@ def test_concurrent_runs_report_what_serial_runs_report(tol):
 # 18 decompositions and 43 and 31 eigenvalue calls; with the axioms and
 # selfdual suites per element too, 58 and 63 decompositions, with the batched
 # spectral suite alone 119 and 169, with the memo alone 169 and 319, with
-# neither 246 and 697
-DECOMPOSITIONS = {("sym:4", 8): 4, ("classical:4", 24): 7}
+# neither 246 and 697; with the peel check's Moreau splits per element, 4 and 7
+DECOMPOSITIONS = {("sym:4", 8): 2, ("classical:4", 24): 2}
 EIGENVALUE_CALLS = {("sym:4", 8): 11, ("classical:4", 24): 27}
 
 
@@ -329,3 +329,23 @@ def test_the_selfdual_suite_calls_the_batch_kernels_a_fixed_number_of_times(
     model = get_model(kind, n, p)
     seen = _batch_calls_by_trials(monkeypatch, model, selfdual_suite, tol)
     assert all(seen[0].values()) and seen == [seen[0]] * len(seen)
+
+
+@pytest.mark.parametrize("kind,n,p", SYMMETRIC_MODEL_SPECS)
+def test_the_selfdual_suite_peels_with_a_fixed_number_of_split_calls(monkeypatch, kind, n, p, tol):
+    # three stacked peels (the complements, the Moreau parts and the effects
+    # with the plus parts), each one split call per step; peeling one element
+    # at a time made about 3 * capacity calls per fifth trial
+    model = get_model(kind, n, p)
+    calls = []
+    kernel = model.split_orthogonal_batch
+
+    def counted(stack, tol):
+        calls.append(len(stack))
+        return kernel(stack, tol)
+
+    monkeypatch.setitem(vars(model), "split_orthogonal_batch", counted)
+    for trials in (1, 8, 101, 250):
+        calls.clear()
+        selfdual_suite(model, 3, trials, tol)
+        assert 0 < len(calls) <= 3 * (model.info_capacity + 1), trials

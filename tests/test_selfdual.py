@@ -412,6 +412,27 @@ def test_projection_failure_is_diagnosed():
         herm.split_orthogonal(-herm.model.order_unit())
 
 
+def near_duplicate_orthant(seed):
+    """A rotated orthant in dimension 2-5 whose first d - 1 generators are
+    repeated with 1e-9 noise: the same cone, with near-parallel generators."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 4
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return GeneratorSelfDualCone(np.vstack((q.T, q.T[:d - 1] + 1e-9 * rng.normal(size=(d - 1, d)))))
+
+
+def test_near_duplicate_generators_peel_without_raising(tol):
+    # peeling leaves remainders of about 1e-9 with NNLS residuals of about
+    # 1e-16; the split's cutoff is relative to the element being peeled, so
+    # they are not taken for points outside the cone
+    for seed in range(50):
+        cone = near_duplicate_orthant(seed)
+        report = self_duality_report(cone, seed, 30, tol)
+        assert {c.name for c in report} == SELF_DUALITY_CHECKS
+        with pytest.raises(ConeProjectionError):
+            cone.split_orthogonal(-cone.generators[0], tol)
+
+
 def test_oblique_cone_fails_unity_resolution(tol):
     # a simplicial cone with non-orthogonal extreme rays has only singleton
     # orthogonal atom families, which cannot share one sum or resolve unity
