@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="decide the extreme-point affinity property of a polytope")
     geom.add_argument("vertices_csv", help="CSV, one vertex per row")
     geom.add_argument("--midpoint-samples", type=int, default=0,
-                      help="random probes cross-checking the exact certificate")
+                      help="add N random convex combinations of the vertices as probes "
+                           "that cross-check the exact centroid certificate")
     geom.add_argument("--seed", type=int, default=None)
     geom.set_defaults(func=_cmd_geom)
 

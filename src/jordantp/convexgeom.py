@@ -11,9 +11,9 @@ one LP of at most ``LP_STACK_ROWS`` constraint rows.
 
 The polytope passes the affinity property iff every e_omega is affine on the
 hull and attains 1 only at omega.  The property is affine invariant, so every
-LP runs on a normalised copy of the vertices: centred on their mean and
-divided by their largest absolute centred entry.  Smooth bodies (the l^p
-balls) are handled analytically through the generalized qubit backend
+LP runs on a normalised copy of the vertices: centred, whitened on the axes of
+their affine hull and scaled to largest absolute entry 1.  Smooth bodies (the
+l^p balls) are handled analytically through the generalized qubit backend
 instead: polygonal approximation would change the verdict.
 """
 
@@ -29,7 +29,7 @@ from .elements import DEFAULT_TOL, Tolerance
 from .errors import InfeasiblePointError, LinearProgramError, UnnormalizedParamError
 
 # A point whose L1 distance from a convex hull is at most this, in normalised
-# units (the largest absolute centred vertex entry is 1), counts as inside
+# units (the largest absolute whitened vertex entry is 1), counts as inside
 # it.  HiGHS accepts bound violations up to its primal feasibility tolerance
 # of 1e-7, so a distance below a few times that can read as 0; the cutoff
 # sits above that band.
@@ -38,10 +38,9 @@ HULL_CUTOFF = 1e-6
 # The e_omega LPs of several extreme points are solved as one stacked LP of
 # at most this many constraint rows.  One call has a fixed cost of about
 # 2 ms, most of it outside the solver, while HiGHS holds over 1 KB per row:
-# with 16 random probes, the cube's affinity check as one 5,936-row LP
-# raised the peak RSS by 10 MB, against 3 MB in four LPs at this budget.
-# At this budget, every polytope with up to 5 vertices and 16 random probes
-# is one LP.
+# one 5,936-row LP raised the peak RSS by 10 MB, against 3 MB as four LPs at
+# this budget.  With 16 random probes, every polytope with up to 6 vertices
+# is one LP at this budget, and the cube's 2,800 rows are two.
 LP_STACK_ROWS = 1536
 
 
@@ -130,7 +129,8 @@ class PolytopeStateSpace:
     """Compact convex set given by its vertex list (one point per row).
 
     ``vertices`` is the input as given; ``normalised`` is its image under
-    ``normalise``, the affine map on which every LP runs.
+    ``normalise``, the affine map on which every LP runs, with one column
+    per axis of the affine hull (which may be fewer than ``dim``).
     """
 
     def __init__(self, vertices):
@@ -143,10 +143,19 @@ class PolytopeStateSpace:
         self.dim = verts.shape[1]
         self._center = verts.mean(axis=0)
         centred = verts - self._center
-        self._scale = float(np.max(np.abs(centred)))
-        if self._scale == 0.0:
+        whitened, spread, axes = np.linalg.svd(centred, full_matrices=False)
+        # an axis spans the affine hull only where its spread is well above
+        # what rounding every entry at the input's magnitude can make
+        rounding = 64 * np.finfo(float).eps * np.sqrt(verts.size) * np.max(np.abs(verts))
+        keep = spread > rounding
+        if not keep[0]:
             raise ValueError("vertices 0 and 1 coincide")
-        self.normalised = centred / self._scale
+        scale = np.max(np.abs(whitened[:, keep]))
+        self._map = axes[keep].T / (spread[keep] * scale)
+        # the component off the affine hull, in normalised units of the widest
+        # axis; the LPs never see it, being rounding noise at the vertices
+        self._off_hull = (np.eye(self.dim) - axes[keep].T @ axes[keep]) / (spread[0] * scale)
+        self.normalised = centred @ self._map
         gaps = np.abs(self.normalised[:, None, :] - self.normalised[None, :, :]).sum(axis=2)
         close = np.argwhere(np.triu(gaps <= HULL_CUTOFF, 1))
         if len(close):
@@ -161,11 +170,15 @@ class PolytopeStateSpace:
 
     def normalise(self, points) -> np.ndarray:
         """Points in the normalised coordinates of the LPs."""
-        return (np.asarray(points, dtype=float) - self._center) / self._scale
+        return (np.asarray(points, dtype=float) - self._center) @ self._map
 
     def contains(self, zeta) -> bool:
-        distance = _hull_distances(self.normalise(zeta)[None, :], self.normalised[None])[0]
-        return bool(distance <= HULL_CUTOFF)
+        """Whether zeta lies within L1 distance ``HULL_CUTOFF`` of the hull, in
+        normalised units: its distance within the affine hull plus its
+        off-hull residual."""
+        offset = np.asarray(zeta, dtype=float) - self._center
+        distance = _hull_distances((offset @ self._map)[None, :], self.normalised[None])[0]
+        return bool(distance + np.abs(offset @ self._off_hull).sum() <= HULL_CUTOFF)
 
 
 def polytope_from_csv(path) -> PolytopeStateSpace:
@@ -209,22 +222,24 @@ def _e_omega_normalised_lp(poly: PolytopeStateSpace, omega_index,
     return 1.0 + np.einsum("ij,ij->i", objectives, res.x.reshape(k, d))
 
 
-def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray) -> np.ndarray:
-    """Values of every e_omega at each row of ``zetas`` (shape (K, d),
-    normalised coordinates): row omega of the (n, K) result.
+def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray, omegas=None) -> np.ndarray:
+    """Values of e_omega for each of ``omegas`` (default: every extreme
+    point) at each row of ``zetas`` (shape (K, d), normalised coordinates):
+    row j of the (len(omegas), K) result is omegas[j]'s.
 
     Whole extreme points are grouped into LPs of at most ``LP_STACK_ROWS``
     constraint rows, an extreme point alone being one LP however many rows
     it needs.
     """
     n = poly.n_vertices
+    omegas = np.arange(n) if omegas is None else np.asarray(omegas)
     k = len(zetas)
     per_lp = max(1, LP_STACK_ROWS // (2 * (n - 1) * k))
-    values = np.empty((n, k))
-    for start in range(0, n, per_lp):
-        omegas = np.arange(start, min(start + per_lp, n))
-        values[omegas] = _e_omega_normalised_lp(
-            poly, np.repeat(omegas, k), np.tile(zetas, (len(omegas), 1))).reshape(len(omegas), k)
+    values = np.empty((len(omegas), k))
+    for start in range(0, len(omegas), per_lp):
+        group = omegas[start:start + per_lp]
+        values[start:start + len(group)] = _e_omega_normalised_lp(
+            poly, np.repeat(group, k), np.tile(zetas, (len(group), 1))).reshape(len(group), k)
     return values
 
 
@@ -261,33 +276,44 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
     vertex, while mean a(v_i) = a(centroid) = e(centroid) = mean e(v_i);
     hence a(v_i) = e(v_i) for every i.  Then at any hull point
     z = sum_i l_i v_i, e(z) <= a(z) = sum_i l_i e(v_i) <= e(z) by
-    concavity, so e = a.  Pairwise midpoints alone can miss a defect, and
-    ``midpoint_samples`` random convex combinations are an opt-in cross-check.
+    concavity, so e = a.  Near the tolerance this is approximate: a centroid
+    gap g bounds each vertex gap a(v_i) - e(v_i), so every probe's gap, only
+    by n g.  Where check_tol / n < g <= check_tol and no probe has failed the
+    extreme point yet, its pairwise midpoints are solved too, stacked under
+    the same row budget, and enter the defect.  ``midpoint_samples``
+    random convex combinations are an opt-in cross-check.
     """
     if midpoint_samples < 0:
         raise ValueError("midpoint_samples must be nonnegative")
     verts = poly.normalised
     n = poly.n_vertices
     rng = np.random.default_rng(seed)
-    first, second = np.triu_indices(n, 1)
-    midpoints = 0.5 * (np.eye(n)[first] + np.eye(n)[second])
-    # one row of convex weights per probe
-    combos = np.vstack([np.full((1, n), 1.0 / n), midpoints,
+    # one row of convex weights per probe: the centroid, then the random ones
+    combos = np.vstack([np.full((1, n), 1.0 / n),
                         rng.dirichlet(np.ones(n), size=midpoint_samples)])
     # the vertices first, then every probe
     all_values = _e_omega_stacks(poly, np.vstack([verts, combos @ verts]))
+    vertex_values = all_values[:, :n]
+    gaps = np.abs(all_values[:, n:] - vertex_values @ combos.T)
+    defects = gaps.max(axis=1)
+    # an omega that no probe has failed yet, with a centroid gap in the band
+    band = np.flatnonzero((gaps[:, 0] > tol.check_tol / n) & (defects <= tol.check_tol))
+    if len(band):
+        first, second = np.triu_indices(n, 1)
+        halves = 0.5 * (np.eye(n)[first] + np.eye(n)[second])
+        at_halves = _e_omega_stacks(poly, halves @ verts, band)
+        defects[band] = np.maximum(defects[band], np.abs(
+            at_halves - vertex_values[band] @ halves.T).max(axis=1))
 
     reports = []
-    for w, values in enumerate(all_values):
-        vertex_values = values[:n]
-        defect = float(np.max(np.abs(values[n:] - combos @ vertex_values)))
-        off = np.delete(vertex_values, w)
+    for w, (values, defect) in enumerate(zip(vertex_values, defects)):
+        off = np.delete(values, w)
         max_off = float(off.max()) if len(off) else 0.0
         passes = bool(defect <= tol.check_tol and max_off <= 1.0 - 1e-6)
         reports.append(EOmegaReport(
             omega_index=w,
-            values_at_vertices=tuple(float(v) for v in vertex_values),
-            affinity_defect=defect,
+            values_at_vertices=tuple(float(v) for v in values),
+            affinity_defect=float(defect),
             max_off_value=max_off,
             passes=passes,
         ))

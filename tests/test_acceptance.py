@@ -38,6 +38,7 @@ from jordantp import (
     PolytopeStateSpace,
     check_extreme_affinity,
 )
+from jordantp.convexgeom import _e_omega_lp
 from jordantp.cli import main as cli_main
 from jordantp.spectral import _random_element, trial_rng
 from conftest import random_projection
@@ -239,8 +240,13 @@ def test_criterion_08_polytope_geometry():
 
     square = PolytopeStateSpace([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     square_reports = check_extreme_affinity(square, TOL, midpoint_samples=32)
-    square_defect = max(r.affinity_defect for r in square_reports)
     assert not any(r.passes for r in square_reports)
+    # the centre halves the diagonal whose ends e_w sends to 0
+    square_defect = 0.0
+    for w in range(4):
+        at_ends = _e_omega_lp(square, w, square.vertices[[(w + 1) % 4, (w + 3) % 4]])
+        at_centre = _e_omega_lp(square, w, square.vertices.mean(axis=0)[None])[0]
+        square_defect = max(square_defect, at_centre - at_ends.mean())
 
     pentagon = PolytopeStateSpace(
         [[np.cos(2 * np.pi * k / 5 + np.pi / 2), np.sin(2 * np.pi * k / 5 + np.pi / 2)]

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jordantp import PolytopeStateSpace, check_extreme_affinity
 from jordantp.cli import main
 
 
@@ -242,14 +243,20 @@ def test_geom_triangle_exit_zero(capsys, tmp_path):
     assert all(r["passes"] for r in reports)
 
 
-def test_geom_square_exit_one_with_half_defect(capsys, tmp_path):
+def test_geom_square_exit_one_with_centroid_gap(capsys, tmp_path):
     path = tmp_path / "sq.csv"
     np.savetxt(path, [[0, 0], [1, 0], [1, 1], [0, 1]], delimiter=",")
-    code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "8")
+    code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "0")
     assert code == 1
     reports = json.loads(out)
     assert not any(r["passes"] for r in reports)
-    assert reports[0]["affinity_defect"] == pytest.approx(0.5, abs=1e-6)
+    # e_0(centre) - mean e_0(v_i) = 1/2 - 1/4
+    assert reports[0]["affinity_defect"] == pytest.approx(0.25, abs=1e-6)
+    code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "8", "--seed", "3")
+    assert code == 1
+    want = check_extreme_affinity(PolytopeStateSpace(np.loadtxt(path, delimiter=",")),
+                                  midpoint_samples=8, seed=3)
+    assert json.loads(out) == [r.to_json() for r in want]
 
 
 def test_geom_pentagon_exit_one(capsys, tmp_path):

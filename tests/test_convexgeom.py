@@ -8,6 +8,7 @@ from conftest import POLYTOPE_SHAPES, similar_copy
 from jordantp import (
     InfeasiblePointError,
     PolytopeStateSpace,
+    Tolerance,
     check_extreme_affinity,
     e_omega_value,
     get_model,
@@ -96,12 +97,34 @@ def test_triangle_passes_affinity():
         assert np.max(np.delete(values, r.omega_index)) <= 1e-10
 
 
+def pairwise_midpoint_gaps(poly, omega_index):
+    """e_omega at each pairwise vertex midpoint minus the mean of its two
+    vertex values, from ``_e_omega_lp``: entry [i, j] for i < j."""
+    verts = poly.vertices
+    n = poly.n_vertices
+    at_vertices = _e_omega_lp(poly, omega_index, verts)
+    first, second = np.triu_indices(n, 1)
+    gaps = np.zeros((n, n))
+    gaps[first, second] = (_e_omega_lp(poly, omega_index, 0.5 * (verts[first] + verts[second]))
+                           - 0.5 * (at_vertices[first] + at_vertices[second]))
+    return gaps
+
+
 def test_square_fails_with_half_defect():
-    reports = check_extreme_affinity(PolytopeStateSpace(SQUARE), midpoint_samples=16)
+    poly = PolytopeStateSpace(SQUARE)
+    reports = check_extreme_affinity(poly, midpoint_samples=16)
     assert not any(r.passes for r in reports)
-    for r in reports:
-        # the diagonal midpoint representation exposes the non-affinity
-        assert r.affinity_defect == pytest.approx(0.5, abs=1e-6)
+    for w in range(4):
+        # the diagonal midpoint representation exposes the non-affinity: the
+        # centre halves the diagonal whose ends e_w sends to 0
+        gaps = pairwise_midpoint_gaps(poly, w)
+        i, j = sorted(((w + 1) % 4, (w + 3) % 4))
+        assert gaps[i, j] == pytest.approx(0.5, abs=1e-6)
+        assert np.max(gaps) == pytest.approx(0.5, abs=1e-6)
+    # the centroid certificate alone: e_w(centre) - mean e_w(v_i) = 1/2 - 1/4
+    for r in check_extreme_affinity(poly):
+        assert r.affinity_defect == pytest.approx(0.25, abs=1e-6)
+        assert not r.passes
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -113,11 +136,15 @@ def test_simplices_pass(dim):
 
 
 def test_pentagon_fails_with_positive_defect():
-    reports = check_extreme_affinity(PolytopeStateSpace(PENTAGON), midpoint_samples=16)
+    poly = PolytopeStateSpace(PENTAGON)
+    reports = check_extreme_affinity(poly, midpoint_samples=16)
     assert not any(r.passes for r in reports)
-    defect = max(r.affinity_defect for r in reports)
     # golden-ratio geometry: the worst midpoint defect is sqrt(5) - 2
-    assert defect == pytest.approx(np.sqrt(5.0) - 2.0, abs=1e-9)
+    worst = max(np.max(np.abs(pairwise_midpoint_gaps(poly, w))) for w in range(5))
+    assert worst == pytest.approx(np.sqrt(5.0) - 2.0, abs=1e-9)
+    # and the centroid gap is 2/5 of it at every extreme point
+    for r in check_extreme_affinity(poly):
+        assert r.affinity_defect == pytest.approx(0.4 * (np.sqrt(5.0) - 2.0), abs=1e-9)
 
 
 def test_e_omega_below_feasible_functions():
@@ -280,13 +307,16 @@ def test_stacked_lp_matches_per_point_lp(monkeypatch, shape, similar):
         np.testing.assert_allclose(_e_omega_lp(poly, w, points), want[w], rtol=0, atol=1e-12)
 
 
-def _counting_linprog(monkeypatch, fail_first=0):
-    """Wrap convexgeom.linprog: count solves and fail the first few."""
+def _counting_linprog(monkeypatch, fail_first=0, rows=None):
+    """Wrap convexgeom.linprog: count solves and fail the first few; append
+    each solve's number of inequality rows to ``rows`` if given."""
     calls = []
     solve = convexgeom.linprog
 
     def counted(*args, **kwargs):
         calls.append((kwargs["method"], kwargs["bounds"]))
+        if rows is not None:
+            rows.append(kwargs["A_ub"].shape[0])
         res = solve(*args, **kwargs)
         if len(calls) <= fail_first:
             res.status, res.message = 4, "forced failure"
@@ -296,9 +326,9 @@ def _counting_linprog(monkeypatch, fail_first=0):
     return calls
 
 
-@pytest.mark.parametrize("shape,midpoint_samples,n_lps", [("hexagon", 16, 2), ("cube", 75, 8)])
+@pytest.mark.parametrize("shape,midpoint_samples,n_lps", [("hexagon", 24, 2), ("cube", 110, 8)])
 def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n_lps):
-    # the budget splits the hexagon's stack; with 75 random probes a single
+    # the budget splits the hexagon's stack; with 110 random probes a single
     # extreme point of the cube exceeds it and is one LP on its own
     poly = PolytopeStateSpace(similar_copy(POLYTOPE_SHAPES[shape][0], np.random.default_rng(7)))
     combos = _probe_combos(poly.n_vertices, midpoint_samples, 3)
@@ -314,15 +344,15 @@ def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n
         assert r.affinity_defect == pytest.approx(defect, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("shape,affinity_lps", [("triangle", 1), ("square", 1), ("cube", 4)])
+@pytest.mark.parametrize("shape,affinity_lps", [("triangle", 1), ("square", 1), ("cube", 2)])
 def test_one_lp_per_stack(monkeypatch, shape, affinity_lps):
     poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
     n = poly.n_vertices
     calls = _counting_linprog(monkeypatch)
     check_extreme_affinity(poly, midpoint_samples=8)
     # per extreme point, 2(n - 1) rows for each vertex and probe: the
-    # centroid, the n(n - 1)/2 midpoints and the 8 random combinations
-    rows = 2 * (n - 1) * (n + 1 + n * (n - 1) // 2 + 8)
+    # centroid and the 8 random combinations
+    rows = 2 * (n - 1) * (n + 1 + 8)
     assert len(calls) == affinity_lps == -(-n // max(1, convexgeom.LP_STACK_ROWS // rows))
     calls.clear()
     vertex_tp_matrix(poly)
@@ -380,8 +410,9 @@ def test_stacked_hull_lp_matches_feasibility_oracle(seed):
 @pytest.mark.parametrize("shift", [1e-6, 1e8])
 def test_hull_cutoff_near_the_boundary(dim, shift):
     # the cube [-1, 1]^d plus the points +-(1 + delta) e_1: each lies at L1
-    # distance delta from the hull of the others; the shape is symmetric, so
-    # the normalisation divides by 1 + delta and the distance stays delta
+    # distance delta from the hull of the others; whitening shrinks the e_1
+    # axis against the others by sqrt(2^d / (2^d + 2)), so the normalised
+    # distance is 0.82 delta in 2-D and 0.89 delta in 3-D
     cube = np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
     cutoff = convexgeom.HULL_CUTOFF
 
@@ -415,6 +446,47 @@ def test_coincidence_is_scale_free(scale):
         PolytopeStateSpace(np.full((3, 2), scale))
 
 
+@pytest.mark.parametrize("squash", [1e-7, 1e-9])
+def test_anisotropic_triangle_passes_geom(tmp_path, capsys, squash):
+    # the short axis is whitened before any cutoff applies, so the squashed
+    # triangle is a simplex like any other
+    from jordantp.cli import main
+
+    path = tmp_path / "squashed.csv"
+    np.savetxt(path, TRIANGLE * [1.0, squash], delimiter=",", fmt="%.17g")
+    assert main(["geom", str(path)]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["passes"] for r in reports] == [True, True, True]
+    poly = PolytopeStateSpace(TRIANGLE * [1.0, squash])
+    assert poly.contains([0.25, 0.25 * squash])
+    assert not poly.contains([0.25, -0.25 * squash])
+
+
+def test_contains_rejects_points_off_the_affine_hull():
+    # a triangle in the plane z = 0 of R^3: the hull LP sees only the
+    # projection, so the off-hull residual decides
+    poly = PolytopeStateSpace(np.column_stack([TRIANGLE, np.zeros(3)]))
+    cutoff = convexgeom.HULL_CUTOFF
+    assert poly.normalised.shape == (3, 2)
+    assert poly.contains([0.25, 0.25, 0.0])
+    assert poly.contains([0.25, 0.25, 0.1 * cutoff])
+    assert not poly.contains([0.25, 0.25, 10.0 * cutoff])
+    with pytest.raises(InfeasiblePointError):
+        e_omega_value(poly, 0, [0.25, 0.25, 1e-3])
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+def test_e_omega_value_on_a_far_embedded_square(shift):
+    # the square on a tilted plane of R^3, moved far away: rounding puts its
+    # vertices off the plane, which must not reach the LPs as an axis, so e
+    # at the centroid stays 1/2
+    rng = np.random.default_rng(1)
+    square = SQUARE @ rng.normal(size=(3, 2)).T + rng.normal(size=3) + shift
+    poly = PolytopeStateSpace(square)
+    assert poly.normalised.shape == (4, 2)
+    assert e_omega_value(poly, 0, square.mean(axis=0)) == pytest.approx(0.5, abs=1e-6)
+
+
 @pytest.mark.parametrize("shape", ["triangle", "square", "cube"])
 def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
     vertices = POLYTOPE_SHAPES[shape][0]
@@ -429,12 +501,14 @@ def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
     assert calls == [("highs", (0, None)), ("highs", (None, None))]
 
 
-def _probe_combos(n, midpoint_samples, seed):
+def _probe_combos(n, midpoint_samples, seed, midpoints=False):
     """The convex weights of ``check_extreme_affinity``'s probes, one row
-    each: the centroid, the pairwise midpoints, then the random ones."""
+    each: the centroid, then the random ones.  With ``midpoints``, the
+    pairwise midpoints, which it probes only for an extreme point in the
+    tolerance band, follow the centroid."""
     rng = np.random.default_rng(seed)
     combos = [np.full(n, 1.0 / n)]
-    for i in range(n):
+    for i in range(n if midpoints else 0):
         for j in range(i + 1, n):
             lam = np.zeros(n)
             lam[i] = lam[j] = 0.5
@@ -444,11 +518,11 @@ def _probe_combos(n, midpoint_samples, seed):
     return np.array(combos)
 
 
-def affinity_defects_by_loop(poly, midpoint_samples, seed):
-    """Reference: the probe defect of each omega, one np.dot per probe."""
+def affinity_defects_by_loop(poly, combos):
+    """Reference: the defect of each omega over the probes with the convex
+    weights ``combos`` (one row each), one np.dot per probe."""
     verts = poly.normalised
     n = poly.n_vertices
-    combos = _probe_combos(n, midpoint_samples, seed)[1:]
     points = np.vstack([verts] + [verts.T @ lam for lam in combos])
     defects = []
     for w in range(n):
@@ -465,8 +539,97 @@ def test_vectorised_defect_matches_loop(shape):
     # the probes are summed in another order, so values agree to rounding
     poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
     reports = check_extreme_affinity(poly, midpoint_samples=12, seed=5)
+    combos = _probe_combos(poly.n_vertices, 12, 5)
     np.testing.assert_allclose([r.affinity_defect for r in reports],
-                               affinity_defects_by_loop(poly, 12, 5), rtol=0, atol=1e-13)
+                               affinity_defects_by_loop(poly, combos), rtol=0, atol=1e-13)
+
+
+# The triangle with its hypotenuse pushed out by 1e-5: a quadrilateral whose
+# centroid gaps (1e-5 at vertices 0 and 3, 5e-6 at 1 and 2) are tiny, while
+# the midpoint gaps are twice as large.
+NEAR_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5 + 1e-5, 0.5 + 1e-5]])
+
+
+def test_centroid_gap_in_the_band_falls_back_to_midpoints(monkeypatch):
+    # check_tol / n = 3.75e-6 < every centroid gap <= check_tol: each omega
+    # is in the band, and the midpoints fail vertices 0 and 3, whose centroid
+    # gaps alone would pass
+    poly = PolytopeStateSpace(NEAR_TRIANGLE)
+    tol = Tolerance(check_tol=1.5e-5)
+    calls = _counting_linprog(monkeypatch)
+    reports = check_extreme_affinity(poly, tol)
+    assert len(calls) == 2  # every omega's vertices and centroid, then the midpoints
+    every_probe = affinity_defects_by_loop(poly, _probe_combos(4, 0, 0, midpoints=True))
+    np.testing.assert_allclose([r.affinity_defect for r in reports], every_probe,
+                               rtol=0, atol=1e-13)
+    assert [r.passes for r in reports] == [False, True, True, False]
+    centroid_only = affinity_defects_by_loop(poly, _probe_combos(4, 0, 0))
+    assert max(centroid_only) <= tol.check_tol < min(every_probe[0], every_probe[3])
+
+
+def test_centroid_gap_below_the_band_solves_no_midpoint_lp(monkeypatch):
+    # every centroid gap is at most check_tol / n = 2.5e-5: exact, and the
+    # stack of vertices and centroids is the only affinity LP
+    poly = PolytopeStateSpace(NEAR_TRIANGLE)
+    tol = Tolerance(check_tol=1e-4)
+    calls = _counting_linprog(monkeypatch)
+    reports = check_extreme_affinity(poly, tol)
+    assert len(calls) == 1
+    np.testing.assert_allclose([r.affinity_defect for r in reports],
+                               affinity_defects_by_loop(poly, _probe_combos(4, 0, 0)),
+                               rtol=0, atol=1e-13)
+    assert all(r.passes for r in reports)
+
+
+def test_band_midpoints_keep_the_row_budget(monkeypatch):
+    # the triangle with nine points bulging out of its hypotenuse by at most
+    # 1e-4: n = 12, and the midpoints of one omega are 1,452 rows, so the
+    # band's omegas are one LP each rather than one LP over the budget
+    t = np.arange(1, 10) / 10
+    bulge = np.column_stack([1 - t, t]) + (4e-4 * t * (1 - t))[:, None]
+    poly = PolytopeStateSpace(np.vstack([TRIANGLE, bulge]))
+    n = poly.n_vertices
+    tol = Tolerance(check_tol=1.2e-4)
+    centroid_only = np.array(affinity_defects_by_loop(poly, _probe_combos(n, 0, 0)))
+    every_probe = affinity_defects_by_loop(poly, _probe_combos(n, 0, 0, midpoints=True))
+    in_band = (centroid_only > tol.check_tol / n) & (centroid_only <= tol.check_tol)
+    assert in_band.sum() >= 2
+    rows = []
+    _counting_linprog(monkeypatch, rows=rows)
+    reports = check_extreme_affinity(poly, tol)
+    one_omega = 2 * (n - 1) * n * (n - 1) // 2
+    first_pass = -(-n // (convexgeom.LP_STACK_ROWS // (2 * (n - 1) * (n + 1))))
+    assert rows[first_pass:] == [one_omega] * in_band.sum()
+    assert max(rows) <= max(convexgeom.LP_STACK_ROWS, one_omega)
+    np.testing.assert_allclose([r.affinity_defect for r in reports],
+                               np.where(in_band, every_probe, centroid_only), rtol=0, atol=1e-13)
+
+
+def test_band_skips_an_omega_a_random_probe_failed(monkeypatch):
+    # every centroid gap is in the band of check_tol = 1.5e-5, but random
+    # probes already fail vertices 1 and 2 (defect 1.76e-5), so only 0 and
+    # 3 (random defect 1.22e-5) get midpoints, which fail them too
+    poly = PolytopeStateSpace(NEAR_TRIANGLE)
+    tol = Tolerance(check_tol=1.5e-5)
+    rows = []
+    _counting_linprog(monkeypatch, rows=rows)
+    reports = check_extreme_affinity(poly, tol, midpoint_samples=16, seed=4)
+    one_omega = 2 * 3 * 6
+    assert rows == [4 * 2 * 3 * (4 + 1 + 16), 2 * one_omega]
+    assert not any(r.passes for r in reports)
+
+
+def test_regular_32_gon_probes_no_midpoints(monkeypatch):
+    # the midpoints would add n(n - 1)/2 = 496 probes to each extreme point
+    n = 32
+    angles = 2.0 * np.pi * np.arange(n) / n
+    poly = PolytopeStateSpace(np.column_stack([np.cos(angles), np.sin(angles)]))
+    rows = []
+    _counting_linprog(monkeypatch, rows=rows)
+    reports = check_extreme_affinity(poly, midpoint_samples=0)
+    # 2(n - 1) rows for each vertex and the centroid, for every extreme point
+    assert sum(rows) == n * 2 * (n - 1) * (n + 1)
+    assert not any(r.passes for r in reports)
 
 
 # A polytope in R^4 on which every pairwise midpoint of e_4 sits on the
@@ -476,7 +639,8 @@ MIDPOINT_BLIND = np.vstack([np.eye(4), -0.25 * np.ones(4), 0.3 * np.ones(4)])
 
 def test_centroid_certificate_catches_what_midpoints_miss():
     poly = PolytopeStateSpace(MIDPOINT_BLIND)
-    assert affinity_defects_by_loop(poly, 0, 0)[4] <= 1e-12
+    midpoints = _probe_combos(poly.n_vertices, 0, 0, midpoints=True)[1:]
+    assert affinity_defects_by_loop(poly, midpoints)[4] <= 1e-12
     report = check_extreme_affinity(poly, midpoint_samples=0)[4]
     assert report.affinity_defect == pytest.approx(2.0 / 33.0, abs=1e-9)
     assert not report.passes

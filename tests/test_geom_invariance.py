@@ -67,3 +67,13 @@ def test_geom_verdict_survives_affine_maps(capsys, tmp_path, shape, transform, a
 @pytest.mark.parametrize("shape", PLANAR)
 def test_geom_verdict_survives_embedding_in_r3(capsys, tmp_path, shape, seed):
     _check(capsys, tmp_path, shape, _embedded, seed)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", PLANAR)
+def test_geom_verdict_survives_embedding_far_from_the_origin(capsys, tmp_path, shape, seed,
+                                                             shift):
+    # rounding the embedded coordinates at the shift's magnitude moves the
+    # vertices off their plane; that noise must not count as a third axis
+    _check(capsys, tmp_path, shape, lambda v, s: _shifted(_embedded(v, seed), s), shift)
