@@ -5,9 +5,9 @@ For each extreme point omega of a polytope, e_omega(zeta) is the infimum of
 a(zeta) over affine functions a with 0 <= a <= 1 on the polytope and
 a(omega) = 1.  Bounding affine functions by their vertex values is exact on a
 polytope, and a(omega) = 1 fixes the constant, so the infimum reduces to a
-small LP over the d linear coefficients.  These LPs share no variable, so
-the query points of whole extreme points are stacked block-diagonally into
-one LP of at most ``LP_STACK_ROWS`` constraint rows.
+small LP over the d linear coefficients, one row 0 <= a(v) <= 1 per other
+vertex v.  These LPs share no variable, so those of whole extreme points are
+stacked block-diagonally into one LP of at most ``LP_STACK_ROWS`` rows.
 
 The polytope passes the affinity property iff every e_omega is affine on the
 hull and attains 1 only at omega.  The property is affine invariant, so every
@@ -27,6 +27,7 @@ from .backends.classical import ClassicalModel
 from .backends.lpqubit import LpQubitModel
 from .elements import DEFAULT_TOL, Tolerance
 from .errors import InfeasiblePointError, LinearProgramError, UnnormalizedParamError
+from .reports import read_csv_rows
 
 # A point whose L1 distance from a convex hull is at most this, in normalised
 # units (the largest absolute whitened vertex entry is 1), counts as inside
@@ -36,30 +37,32 @@ from .errors import InfeasiblePointError, LinearProgramError, UnnormalizedParamE
 HULL_CUTOFF = 1e-6
 
 # The e_omega LPs of several extreme points are solved as one stacked LP of
-# at most this many constraint rows.  One call has a fixed cost of about
-# 2 ms, most of it outside the solver, while HiGHS holds over 1 KB per row:
-# one 5,936-row LP raised the peak RSS by 10 MB, against 3 MB as four LPs at
-# this budget.  With 16 random probes, every polytope with up to 6 vertices
-# is one LP at this budget, and the cube's 2,800 rows are two.
+# at most this many two-sided rows, n - 1 per query point.  A call has a
+# fixed cost of about 0.85 ms (2.1 ms through ``scipy.optimize.linprog``),
+# while HiGHS holds over 1 KB per row: one 11,704-row LP raised the peak RSS
+# by 15 MB, against 1.8 MB as eight LPs at this budget (Intel Xeon, scipy
+# 1.17).  With 16 random probes, every polytope with up to 8 vertices is one
+# LP at this budget, the cube's 1,400 rows included.
 LP_STACK_ROWS = 1536
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: loading scipy.optimize
-    costs several times the rest of the package's import."""
-    from scipy.optimize import linprog as scipy_linprog
+    """``scipy.optimize.milp``, imported on first use: loading scipy.optimize
+    costs several times the rest of the package's import.  With no integer
+    variable it is an LP with two-sided rows, minus ``linprog``'s overhead."""
+    from scipy.optimize import milp
 
-    return scipy_linprog(*args, **kwargs)
+    return milp(*args, **kwargs)
 
 
 def _block_diagonal(blocks: np.ndarray):
-    """CSR matrix with the K dense blocks of ``blocks`` (shape (K, h, w)) on
+    """CSC matrix with the K dense blocks of ``blocks`` (shape (K, h, w)) on
     its diagonal."""
     from scipy import sparse
 
     k, h, w = blocks.shape
     b, r, c = np.nonzero(blocks)
-    return sparse.csr_array((blocks[b, r, c], (b * h + r, b * w + c)), shape=(k * h, k * w))
+    return sparse.csc_array((blocks[b, r, c], (b * h + r, b * w + c)), shape=(k * h, k * w))
 
 
 def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
@@ -78,9 +81,9 @@ def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
     blocks[:, :d, m + d:] = -np.eye(d)
     blocks[:, d, :m] = 1.0
     cost = np.concatenate([np.zeros(m), np.ones(2 * d)])
-    res = linprog(np.tile(cost, k), A_eq=_block_diagonal(blocks),
-                  b_eq=np.hstack([points, np.ones((k, 1))]).ravel(), bounds=(0, None),
-                  method="highs")
+    rhs = np.hstack([points, np.ones((k, 1))]).ravel()
+    res = linprog(np.tile(cost, k), constraints=(_block_diagonal(blocks), rhs, rhs),
+                  bounds=(0, np.inf))
     if res.status != 0:
         raise LinearProgramError(f"hull LP failed with status {res.status}: {res.message}")
     return res.x.reshape(k, m + 2 * d)[:, m:].sum(axis=1)
@@ -183,7 +186,7 @@ class PolytopeStateSpace:
 
 def polytope_from_csv(path) -> PolytopeStateSpace:
     """Load a polytope: one vertex per CSV row."""
-    return PolytopeStateSpace(np.loadtxt(path, delimiter=",", ndmin=2))
+    return PolytopeStateSpace(read_csv_rows(path))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +212,9 @@ def _e_omega_normalised_lp(poly: PolytopeStateSpace, omega_index,
     k, d = zetas.shape
     omegas = np.broadcast_to(np.asarray(omega_index), (k,))
     edges = verts[_others(n)[omegas]] - verts[omegas][:, None, :]
-    rhs = np.concatenate([np.zeros(n - 1), np.ones(n - 1)])
-    a_ub = _block_diagonal(np.concatenate([edges, -edges], axis=1))
     objectives = zetas - verts[omegas]
-    res = linprog(objectives.ravel(), A_ub=a_ub, b_ub=np.tile(rhs, k), bounds=(None, None),
-                  method="highs")
+    res = linprog(objectives.ravel(), constraints=(_block_diagonal(edges), -1.0, 0.0),
+                  bounds=(-np.inf, np.inf))
     if res.status != 0:
         failed = np.unique(omegas).tolist()
         which = f"point {failed[0]}" if len(failed) == 1 else f"points {failed}"
@@ -234,7 +235,7 @@ def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray, omegas=None) ->
     n = poly.n_vertices
     omegas = np.arange(n) if omegas is None else np.asarray(omegas)
     k = len(zetas)
-    per_lp = max(1, LP_STACK_ROWS // (2 * (n - 1) * k))
+    per_lp = max(1, LP_STACK_ROWS // ((n - 1) * k))
     values = np.empty((len(omegas), k))
     for start in range(0, len(omegas), per_lp):
         group = omegas[start:start + per_lp]

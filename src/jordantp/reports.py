@@ -1,4 +1,5 @@
-"""Check results and machine-readable verification reports.
+"""Check results and machine-readable verification reports, and the CSV
+input of polytopes and generator cones.
 
 Reports are emitted as canonical JSON with 17-significant-digit doubles so
 identical runs produce byte-identical output (modulo wall_time_ms).
@@ -7,7 +8,18 @@ identical runs produce byte-identical output (modulo wall_time_ms).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def read_csv_rows(path) -> np.ndarray:
+    """The rows of a CSV file of numbers, one array row each.  An empty file
+    gives no rows and no warning: the caller's size check names it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def format_double(x: float) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 from .backends.base import Model
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import ConeProjectionError, UnsupportedModelError
-from .reports import CheckResult
+from .reports import CheckResult, read_csv_rows
 from .spectral import _random_element, trial_rng, worst
 
 
@@ -303,7 +303,11 @@ class GeneratorSelfDualCone(SelfDualCone):
     Self-duality itself is a property to be *witnessed* (see
     ``self_duality_report``), not assumed by construction.  The rows are
     scaled to unit length once, since scaling a generator leaves the cone
-    unchanged; every cutoff below is then relative to unit generators.
+    unchanged; every cutoff below is then relative to unit generators.  Of
+    unit generators closer than 1e-7 to each other only the first is kept:
+    they differ by noise, and would split NNLS coefficients between them.  The
+    cutoff is on the chord, which float64 resolves where 1 - cosine (half its
+    square) does not; generators at a larger angle change the cone, and stay.
     """
 
     def __init__(self, generators: np.ndarray):
@@ -313,7 +317,12 @@ class GeneratorSelfDualCone(SelfDualCone):
         norms = np.linalg.norm(gen, axis=1)
         if np.any(norms <= 0):
             raise ValueError("zero generator")
-        self.generators = gen / norms[:, None]
+        unit = gen / norms[:, None]
+        keep = []
+        for j, row in enumerate(unit):
+            if np.all(np.linalg.norm(unit[keep] - row, axis=1) >= 1e-7):
+                keep.append(j)
+        self.generators = unit[keep]
         self._extreme = self._extreme_mask()
         if not self._extreme.any():
             raise ValueError("no generator spans an extreme ray (the cone contains a line), "
@@ -326,17 +335,15 @@ class GeneratorSelfDualCone(SelfDualCone):
 
     def _extreme_mask(self) -> np.ndarray:
         """Generators not expressible as nonnegative combinations of the
-        other, non-parallel generators."""
+        others."""
         import scipy.optimize
 
         gen = self.generators
         mask = np.ones(len(gen), dtype=bool)
+        if len(gen) == 1:  # no others, and NNLS aborts on an empty matrix
+            return mask
         for j in range(len(gen)):
-            cos = gen @ gen[j]
-            others = [i for i in range(len(gen)) if i != j and cos[i] < 1.0 - 1e-9]
-            if not others:
-                continue
-            coeffs, residual = scipy.optimize.nnls(gen[others].T, gen[j])
+            coeffs, residual = scipy.optimize.nnls(np.delete(gen, j, axis=0).T, gen[j])
             if residual <= 1e-8:
                 mask[j] = False
         return mask
@@ -448,8 +455,7 @@ class GeneratorSelfDualCone(SelfDualCone):
 
 def generator_cone_from_csv(path) -> GeneratorSelfDualCone:
     """Load a finitely generated cone: one generator per CSV row."""
-    gen = np.loadtxt(path, delimiter=",", ndmin=2)
-    return GeneratorSelfDualCone(gen)
+    return GeneratorSelfDualCone(read_csv_rows(path))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ one module that builds it: ``SpectralForm(...)`` is called only in
 ``SpectralPair(...)`` only in ``elements.py`` (when a caller reads
 ``SpectralForm.pairs``), so a frame has one format everywhere else.
 
-A fourth walk, over every module, fails on a parameter that no concrete
+A fourth walk, over every module, keeps scipy's LP solvers ``linprog`` and
+``milp`` inside ``convexgeom.linprog``: anywhere else it fails on importing
+either from scipy, on naming either as an attribute of anything but
+``convexgeom``, and on importing a private ``scipy.optimize._*`` module.  So
+every solve goes through the one wrapper and shows in the traced LP count.
+
+A fifth walk, over every module, fails on a parameter that no concrete
 definition of a function reads.  Definitions are grouped by name, so the
 same-named methods of different classes (and the overrides of an abstract
 method) count as one protocol: a parameter one of them reads is live in all.
@@ -275,6 +281,69 @@ def test_guard_flags_frames_built_elsewhere():
     assert frame_violations(source, "backends/base.py") == [
         "backends/base.py:3: constructs SpectralPair"]
     assert frame_violations(source, "elements.py") == ["elements.py:2: constructs SpectralForm"]
+
+
+# scipy's LP solvers: the package names them only inside convexgeom.linprog,
+# so every solve goes through it and shows in the traced LP count
+LP_SOLVERS = frozenset({"linprog", "milp"})
+
+
+def lp_solver_violations(source: str, filename: str = "<source>") -> list[str]:
+    tree = ast.parse(source, filename)
+    allowed = set()
+    if filename == "convexgeom.py":
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "linprog":
+                allowed = {id(node) for node in ast.walk(fn)}
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            if node.module.startswith("scipy.optimize._"):
+                hits.append((node.lineno, f"imports the private module {node.module}"))
+            hits += [(node.lineno, f"imports scipy's {alias.name}") for alias in node.names
+                     if alias.name in LP_SOLVERS | {"*"}]
+        elif isinstance(node, ast.Import):
+            hits += [(node.lineno, f"imports the private module {alias.name}")
+                     for alias in node.names if alias.name.startswith("scipy.optimize._")]
+        elif (isinstance(node, ast.Attribute) and node.attr in LP_SOLVERS
+              and not (isinstance(node.value, ast.Name) and node.value.id == "convexgeom")):
+            hits.append((node.lineno, f"names .{node.attr}"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_scipy_lp_solvers_are_named_only_in_convexgeom_linprog():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += lp_solver_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_a_second_lp_call_site():
+    source = (
+        "from scipy.optimize import linprog, nnls\n"
+        "from scipy import optimize as opt\n"
+        "from scipy.optimize._milp import milp as solve\n"
+        "def f(c, a):\n"
+        "    return opt.milp(c), scipy.optimize.linprog(c), convexgeom.linprog(c), nnls(a, c)\n"
+        "def linprog(*args):\n"
+        "    from scipy.optimize import milp\n"
+        "    return milp(*args)\n"
+    )
+    planted = [
+        "1: imports scipy's linprog",
+        "3: imports scipy's milp",
+        "3: imports the private module scipy.optimize._milp",
+        "5: names .linprog",
+        "5: names .milp",
+    ]
+    assert lp_solver_violations(source, "selfdual.py") == [
+        *[f"selfdual.py:{hit}" for hit in planted], "selfdual.py:7: imports scipy's milp"]
+    assert lp_solver_violations(source, "convexgeom.py") == [
+        f"convexgeom.py:{hit}" for hit in planted]
+    assert lp_solver_violations("import scipy.optimize._linprog_highs\n") == [
+        "<source>:1: imports the private module scipy.optimize._linprog_highs"]
 
 
 def _is_declaration(fn) -> bool:

@@ -280,6 +280,16 @@ def test_geom_malformed_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "geom", str(path))[0] == 2
 
 
+def test_geom_empty_csv_prints_one_error_line(capsys, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "geom", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a polytope needs at least two vertices\n"
+
+
 def test_tpmatrix_orthogonal_atoms_identity(capsys, tmp_path):
     atoms = tmp_path / "atoms.json"
     atoms.write_text(json.dumps([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]))

@@ -308,15 +308,16 @@ def test_stacked_lp_matches_per_point_lp(monkeypatch, shape, similar):
 
 
 def _counting_linprog(monkeypatch, fail_first=0, rows=None):
-    """Wrap convexgeom.linprog: count solves and fail the first few; append
-    each solve's number of inequality rows to ``rows`` if given."""
+    """Wrap convexgeom.linprog: record each solve's variable bounds and fail
+    the first few; append each solve's number of constraint rows to ``rows``
+    if given."""
     calls = []
     solve = convexgeom.linprog
 
     def counted(*args, **kwargs):
-        calls.append((kwargs["method"], kwargs["bounds"]))
+        calls.append(kwargs["bounds"])
         if rows is not None:
-            rows.append(kwargs["A_ub"].shape[0])
+            rows.append(kwargs["constraints"][0].shape[0])
         res = solve(*args, **kwargs)
         if len(calls) <= fail_first:
             res.status, res.message = 4, "forced failure"
@@ -326,9 +327,9 @@ def _counting_linprog(monkeypatch, fail_first=0, rows=None):
     return calls
 
 
-@pytest.mark.parametrize("shape,midpoint_samples,n_lps", [("hexagon", 24, 2), ("cube", 110, 8)])
+@pytest.mark.parametrize("shape,midpoint_samples,n_lps", [("hexagon", 55, 2), ("cube", 220, 8)])
 def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n_lps):
-    # the budget splits the hexagon's stack; with 110 random probes a single
+    # the budget splits the hexagon's stack; with 220 random probes a single
     # extreme point of the cube exceeds it and is one LP on its own
     poly = PolytopeStateSpace(similar_copy(POLYTOPE_SHAPES[shape][0], np.random.default_rng(7)))
     combos = _probe_combos(poly.n_vertices, midpoint_samples, 3)
@@ -344,19 +345,19 @@ def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n
         assert r.affinity_defect == pytest.approx(defect, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("shape,affinity_lps", [("triangle", 1), ("square", 1), ("cube", 2)])
+@pytest.mark.parametrize("shape,affinity_lps", [("triangle", 1), ("square", 1), ("cube", 1)])
 def test_one_lp_per_stack(monkeypatch, shape, affinity_lps):
     poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
     n = poly.n_vertices
     calls = _counting_linprog(monkeypatch)
     check_extreme_affinity(poly, midpoint_samples=8)
-    # per extreme point, 2(n - 1) rows for each vertex and probe: the
-    # centroid and the 8 random combinations
-    rows = 2 * (n - 1) * (n + 1 + 8)
+    # per extreme point, n - 1 rows for each vertex and probe: the centroid
+    # and the 8 random combinations
+    rows = (n - 1) * (n + 1 + 8)
     assert len(calls) == affinity_lps == -(-n // max(1, convexgeom.LP_STACK_ROWS // rows))
     calls.clear()
     vertex_tp_matrix(poly)
-    assert 2 * (n - 1) * n * n <= convexgeom.LP_STACK_ROWS
+    assert (n - 1) * n * n <= convexgeom.LP_STACK_ROWS
     assert len(calls) == 1
 
 
@@ -365,12 +366,12 @@ def test_lp_failure_raises_after_one_attempt(monkeypatch):
     calls = _counting_linprog(monkeypatch, fail_first=1)
     with pytest.raises(LinearProgramError, match="LP for extreme point 2 failed with status 4"):
         _e_omega_lp(poly, 2, PENTAGON)
-    assert calls == [("highs", (None, None))]
+    assert calls == [(-np.inf, np.inf)]
     calls.clear()
     with pytest.raises(LinearProgramError,
                        match=r"LP for extreme points \[0, 1, 2, 3, 4\] failed with status 4"):
         check_extreme_affinity(poly)
-    assert calls == [("highs", (None, None))]
+    assert calls == [(-np.inf, np.inf)]
 
 
 def in_hull_by_feasibility(verts, zeta, exclude=None):
@@ -492,13 +493,13 @@ def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
     vertices = POLYTOPE_SHAPES[shape][0]
     calls = _counting_linprog(monkeypatch)
     poly = PolytopeStateSpace(vertices)
-    assert calls == [("highs", (0, None))]
+    assert calls == [(0, np.inf)]
     calls.clear()
     assert poly.contains(vertices.mean(axis=0))
-    assert calls == [("highs", (0, None))]
+    assert calls == [(0, np.inf)]
     calls.clear()
     e_omega_value(poly, 0, vertices.mean(axis=0))
-    assert calls == [("highs", (0, None)), ("highs", (None, None))]
+    assert calls == [(0, np.inf), (-np.inf, np.inf)]
 
 
 def _probe_combos(n, midpoint_samples, seed, midpoints=False):
@@ -583,8 +584,8 @@ def test_centroid_gap_below_the_band_solves_no_midpoint_lp(monkeypatch):
 
 def test_band_midpoints_keep_the_row_budget(monkeypatch):
     # the triangle with nine points bulging out of its hypotenuse by at most
-    # 1e-4: n = 12, and the midpoints of one omega are 1,452 rows, so the
-    # band's omegas are one LP each rather than one LP over the budget
+    # 1e-4: n = 12, and the midpoints of one omega are 726 rows, so the
+    # band's omegas go two to an LP rather than all in one LP over the budget
     t = np.arange(1, 10) / 10
     bulge = np.column_stack([1 - t, t]) + (4e-4 * t * (1 - t))[:, None]
     poly = PolytopeStateSpace(np.vstack([TRIANGLE, bulge]))
@@ -597,10 +598,12 @@ def test_band_midpoints_keep_the_row_budget(monkeypatch):
     rows = []
     _counting_linprog(monkeypatch, rows=rows)
     reports = check_extreme_affinity(poly, tol)
-    one_omega = 2 * (n - 1) * n * (n - 1) // 2
-    first_pass = -(-n // (convexgeom.LP_STACK_ROWS // (2 * (n - 1) * (n + 1))))
-    assert rows[first_pass:] == [one_omega] * in_band.sum()
-    assert max(rows) <= max(convexgeom.LP_STACK_ROWS, one_omega)
+    one_omega = (n - 1) * n * (n - 1) // 2
+    assert convexgeom.LP_STACK_ROWS // one_omega == 2
+    first_pass = -(-n // (convexgeom.LP_STACK_ROWS // ((n - 1) * (n + 1))))
+    band_lps = [one_omega * min(2, in_band.sum() - i) for i in range(0, in_band.sum(), 2)]
+    assert rows[first_pass:] == band_lps
+    assert max(rows) <= convexgeom.LP_STACK_ROWS
     np.testing.assert_allclose([r.affinity_defect for r in reports],
                                np.where(in_band, every_probe, centroid_only), rtol=0, atol=1e-13)
 
@@ -614,8 +617,8 @@ def test_band_skips_an_omega_a_random_probe_failed(monkeypatch):
     rows = []
     _counting_linprog(monkeypatch, rows=rows)
     reports = check_extreme_affinity(poly, tol, midpoint_samples=16, seed=4)
-    one_omega = 2 * 3 * 6
-    assert rows == [4 * 2 * 3 * (4 + 1 + 16), 2 * one_omega]
+    one_omega = 3 * 6
+    assert rows == [4 * 3 * (4 + 1 + 16), 2 * one_omega]
     assert not any(r.passes for r in reports)
 
 
@@ -627,8 +630,8 @@ def test_regular_32_gon_probes_no_midpoints(monkeypatch):
     rows = []
     _counting_linprog(monkeypatch, rows=rows)
     reports = check_extreme_affinity(poly, midpoint_samples=0)
-    # 2(n - 1) rows for each vertex and the centroid, for every extreme point
-    assert sum(rows) == n * 2 * (n - 1) * (n + 1)
+    # n - 1 rows for each vertex and the centroid, for every extreme point
+    assert sum(rows) == n * (n - 1) * (n + 1)
     assert not any(r.passes for r in reports)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,15 @@ def test_a_cone_without_extreme_generators_is_refused(tmp_path):
         generator_cone_from_csv(path)
 
 
+def test_an_empty_generator_csv_raises_without_a_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="generator matrix must have one generator per row"):
+            generator_cone_from_csv(path)
+
+
 def test_spectral_cone_requires_symmetry():
     with pytest.raises(UnsupportedModelError):
         SpectralSelfDualCone(get_model("lpq", 2, 3.0))
@@ -412,25 +423,70 @@ def test_projection_failure_is_diagnosed():
         herm.split_orthogonal(-herm.model.order_unit())
 
 
-def near_duplicate_orthant(seed):
+def near_duplicate_orthant(seed, noise=1e-9):
     """A rotated orthant in dimension 2-5 whose first d - 1 generators are
-    repeated with 1e-9 noise: the same cone, with near-parallel generators."""
+    repeated with ``noise``: at 1e-9 the same cone, with near-parallel
+    generators."""
     rng = np.random.default_rng(seed)
     d = 2 + seed % 4
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    return GeneratorSelfDualCone(np.vstack((q.T, q.T[:d - 1] + 1e-9 * rng.normal(size=(d - 1, d)))))
+    return GeneratorSelfDualCone(np.vstack((q.T, q.T[:d - 1] + noise * rng.normal(size=(d - 1, d)))))
 
 
 def test_near_duplicate_generators_peel_without_raising(tol):
-    # peeling leaves remainders of about 1e-9 with NNLS residuals of about
-    # 1e-16; the split's cutoff is relative to the element being peeled, so
-    # they are not taken for points outside the cone
+    # construction keeps the first of each near-parallel pair, so the cone is
+    # the orthant on its d extreme rays and NNLS has no coefficient to spread
+    # over two copies of a ray
     for seed in range(50):
         cone = near_duplicate_orthant(seed)
+        assert len(cone.generators) == len(cone.extreme_generators()) == cone.ambient_dim
+        assert cone.info_capacity == cone.ambient_dim
         report = self_duality_report(cone, seed, 30, tol)
         assert {c.name for c in report} == SELF_DUALITY_CHECKS
+        assert [c.name for c in report if not c.passed] == []
         with pytest.raises(ConeProjectionError):
             cone.split_orthogonal(-cone.generators[0], tol)
+
+
+def test_generators_a_small_angle_apart_are_kept_in_any_row_order(tol):
+    # e1 rotated by 3e-5 is 3e-5 from e1 in chord but only 4.5e-10 from it in
+    # 1 - cosine; it changes the cone, so no row order may merge it away
+    theta = 3e-5
+    e1, e2, u = np.eye(2)[0], np.eye(2)[1], np.array([np.cos(theta), -np.sin(theta)])
+    reports = []
+    for rows in ([e1, e2, u], [u, e2, e1]):
+        cone = GeneratorSelfDualCone(np.array(rows))
+        assert len(cone.generators) == 3
+        ext = cone.extreme_generators()
+        # e1 = u / cos + tan e2 is not extreme; the cone is {u, e2}, whose rays
+        # pair negatively, so it does not lie in its dual
+        np.testing.assert_allclose(sorted(map(tuple, ext)), sorted([tuple(u), tuple(e2)]), atol=1e-15)
+        assert np.min(ext @ ext.T) == pytest.approx(-np.sin(theta), abs=1e-15)
+        assert cone.info_capacity == 1
+        reports.append([(c.name, c.passed) for c in self_duality_report(cone, 0, 30, tol)])
+    assert reports[0] == reports[1]
+
+
+def test_near_parallel_generators_the_merge_keeps_peel_without_raising(tol):
+    # generators 1e-6 apart are kept; peeling then leaves remainders of about
+    # 1e-9 whose NNLS residuals are rounding noise on the scale of the element
+    # being peeled, and the split's cutoff is relative to that scale
+    for seed in range(50):
+        cone = near_duplicate_orthant(seed, noise=1e-6)
+        assert len(cone.generators) == 2 * cone.ambient_dim - 1
+        report = self_duality_report(cone, seed, 30, tol)
+        assert {c.name for c in report} == SELF_DUALITY_CHECKS
+
+
+def test_split_cutoff_is_relative_to_the_peeled_element(tol):
+    # a remainder of norm 1e-9 just outside the orthant, NNLS residual 1e-15:
+    # noise for an element of norm 1, but not for one of norm 1e-9
+    cone = GeneratorSelfDualCone(np.eye(2))
+    rest = np.array([[1e-9, -1e-15]])
+    heads, rests, single = cone.split_orthogonal_batch(rest, tol, np.array([1.0]))
+    assert single.tolist() == [True]
+    with pytest.raises(ConeProjectionError):
+        cone.split_orthogonal_batch(rest, tol, np.linalg.norm(rest, axis=1))
 
 
 def test_oblique_cone_fails_unity_resolution(tol):
