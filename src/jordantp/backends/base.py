@@ -111,36 +111,39 @@ class Model(ABC):
     # spectral kernel
     # ------------------------------------------------------------------
 
-    @abstractmethod
-    def decompose_coords(self, coords: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-        """Complete spectral frame: eigenvalues (m,) sorted descending and
-        the C-contiguous coordinates (m, d) of their atoms.
+    # A backend writes its kernel once, on (K, d) stacks: ``_frames`` and
+    # ``_eigenvalues``.  The per-element entry points are their one-row cases
+    # and call them, not the batch names, so they never count as batch calls.
 
-        At most ``info_capacity`` atoms, pairwise orthogonal and summing to
-        the order unit; degenerate eigenspaces are resolved
-        deterministically.  Row k of ``decompose_batch`` of a stack whose row
-        k is ``coords``, bit for bit, computed apart: a batch of one costs
-        18-81 us a call against 5-44 us here (timeit, one thread, 2-core
-        host), and most calls decompose one element.  So the matrix
-        backends keep a cheap spectrum here, and only its degenerate
-        clusters go through the basis routine that ``decompose_batch`` runs
-        once per cluster rank over the whole stack, as stacks of one.
-        """
+    @abstractmethod
+    def _frames(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+        """Complete spectral frames of the rows of a (K, d) stack:
+        eigenvalues (K, m) sorted descending and their atoms (K, m, d), at
+        most ``info_capacity`` a row, pairwise orthogonal and summing to the
+        order unit, degenerate eigenspaces resolved deterministically.  A
+        row's frame does not depend on the rest of the stack; a non-finite
+        eigenvalue is returned, not refused."""
+
+    @abstractmethod
+    def _eigenvalues(self, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """The eigenvalues of ``_frames`` of a (K, d) stack without its
+        atoms, bit for bit: the same arithmetic, and no frame is built, so a
+        check may compare the two paths at tolerance 0."""
 
     def decompose_batch(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-        """The frames of the rows of a (K, d) stack: eigenvalues (K, m) and
-        atoms (K, m, d), row k equal bit for bit to ``decompose_coords`` of
-        ``stack[k]``.  A row with an eigenvalue outside the doubles raises
-        the ``ValueError`` that ``spectral_form`` raises for it.  The atoms
-        are C-contiguous, as there, so that a reduction over an atom (a dot
-        product) adds up in one order on both paths."""
+        """The frames of ``_frames``, with the atoms C-contiguous so that a
+        reduction over an atom (a dot product) adds up in one order whatever
+        the stack.  A row with an eigenvalue outside the doubles raises the
+        ``ValueError`` that ``spectral_form`` raises for it."""
         values, atoms = self._frames(stack, tol)
         self._refuse_overflow(values, stack, tol)
         return values, np.ascontiguousarray(atoms)
 
-    @abstractmethod
-    def _frames(self, stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-        """``decompose_batch`` without the check of the eigenvalues."""
+    def decompose_coords(self, coords: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+        """The frame (m,), (m, d) of one coordinate vector, the one-row case
+        of ``_frames``: a non-finite eigenvalue is returned, not refused."""
+        values, atoms = self._frames(np.asarray(coords, dtype=float)[np.newaxis], tol)
+        return values[0], np.ascontiguousarray(atoms[0])
 
     def _refuse_overflow(self, values: np.ndarray, stack: np.ndarray, tol: Tolerance) -> None:
         """Raise for the first eigenvalue of a (K, m) stack of spectra of the
@@ -168,22 +171,15 @@ class Model(ABC):
             self._refuse_overflow(values[np.newaxis], coords[np.newaxis], tol)
         return SpectralForm(_read_only(values), _read_only(atoms), self)
 
-    @abstractmethod
-    def eigenvalues_coords(self, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
-        """Eigenvalues of the frame of ``coords``, without its atoms.
-
-        Contract: the result equals, bit for bit, the eigenvalues of
-        ``decompose_coords(coords, tol)`` in the same order, so a check may
-        compare the two at tolerance 0; the per-element form of
-        ``eigenvalues_batch``.
-        """
-
-    @abstractmethod
     def eigenvalues_batch(self, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
-        """The (K, m) eigenvalues of the rows of a (K, d) stack, row k equal
-        bit for bit to ``eigenvalues_coords`` of ``stack[k]``; the same
-        arithmetic as ``decompose_batch`` minus the atoms, so a non-finite
-        eigenvalue is returned, not refused."""
+        """The (K, m) eigenvalues of ``_eigenvalues``: those of
+        ``decompose_batch`` bit for bit, a non-finite one returned."""
+        return self._eigenvalues(stack, tol)
+
+    def eigenvalues_coords(self, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """The eigenvalues of ``decompose_coords(coords, tol)`` without its
+        atoms, bit for bit: the one-row case of ``_eigenvalues``."""
+        return self._eigenvalues(np.asarray(coords, dtype=float)[np.newaxis], tol)[0]
 
     def eigenvalues(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Eigenvalues of an element or of a coordinate vector, descending, as
@@ -358,25 +354,3 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
 
-
-def cluster_descending(eigenvalues: np.ndarray, eig_cluster: float) -> list[slice]:
-    """Group a descending eigenvalue vector into clusters.
-
-    The gap threshold is relative to the spectral diameter, so clustering is
-    scale invariant.  Gaps are compared halved: a difference of two finite
-    doubles can overflow, one of their halves cannot, and halving is exact
-    above the subnormal range, so the clusters are those of the full gaps.
-    """
-    n = len(eigenvalues)
-    if n == 0:
-        return []
-    half = (0.5 * np.asarray(eigenvalues, dtype=float)).tolist()
-    threshold = eig_cluster * float(half[0] - half[-1])
-    slices = []
-    start = 0
-    for k in range(1, n):
-        if half[k - 1] - half[k] > threshold:
-            slices.append(slice(start, k))
-            start = k
-    slices.append(slice(start, n))
-    return slices

@@ -35,19 +35,11 @@ class ClassicalModel(Model):
     def order_unit_coords(self) -> np.ndarray:
         return np.ones(self._n)
 
-    def decompose_coords(self, coords, tol: Tolerance):
-        order = np.argsort(-coords, kind="stable")
-        return coords[order], np.eye(self._n)[order]
-
     def _frames(self, stack, tol: Tolerance):
         order = np.argsort(-stack, axis=1, kind="stable")
         return stack[np.arange(len(stack))[:, np.newaxis], order], np.eye(self._n)[order]
 
-    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        return coords[np.argsort(-coords, kind="stable")]
-
-    def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
+    def _eigenvalues(self, stack, tol: Tolerance) -> np.ndarray:
         order = np.argsort(-stack, axis=1, kind="stable")
         return stack[np.arange(len(stack))[:, np.newaxis], order]
 

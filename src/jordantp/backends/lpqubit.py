@@ -105,10 +105,7 @@ class LpQubitModel(_QubitModel):
         omega = np.sign(f) * np.abs(f) ** (self._q - 1.0)
         return omega / self.pnorm(omega, self._p)
 
-    def _radius(self, x) -> float:  # the spectrum is {c - |f|_q, c + |f|_q}
-        return self.pnorm(x, self._q)
-
-    def _radii(self, xs) -> np.ndarray:
+    def _radii(self, xs) -> np.ndarray:  # the spectrum is {c - |f|_q, c + |f|_q}
         return self.pnorms(xs, self._q)
 
     def _split_radii(self, xs) -> np.ndarray:

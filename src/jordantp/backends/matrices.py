@@ -32,7 +32,7 @@ from ..errors import (
     NotAtomError,
     UnnormalizedParamError,
 )
-from .base import Model, cluster_descending, normal_draws, row_norms
+from .base import Model, normal_draws, row_norms
 
 
 def _eigenspace_bases(vecs: np.ndarray) -> np.ndarray:
@@ -135,40 +135,14 @@ class _MatrixModel(Model):
     def order_unit_coords(self) -> np.ndarray:
         return self.matrix_coords(np.eye(self._n))
 
-    def _spectrum(self, coords, tol: Tolerance):
-        """Eigenvalues sorted descending with each cluster replaced by its
-        mean, the eigenvectors as columns in eigh's ascending order, the
-        permutation that sorts them like the eigenvalues, and the slices of
-        the clusters of more than one eigenvalue."""
-        mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
-        eigvals, eigvecs = np.linalg.eigh(mat)
-        order = np.argsort(-eigvals, kind="stable")
-        eigvals = eigvals[order]
-        clusters = [cl for cl in cluster_descending(eigvals, tol.eig_cluster)
-                    if cl.stop - cl.start > 1]
-        for cl in clusters:
-            # the mean of the halves cannot overflow; halving is exact
-            eigvals[cl] = 2.0 * np.mean(0.5 * eigvals[cl])
-        return eigvals, eigvecs, order, clusters
-
-    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
-        return self._spectrum(coords, tol)[0]
-
-    def decompose_coords(self, coords, tol: Tolerance):
-        eigvals, eigvecs, order, clusters = self._spectrum(coords, tol)
-        eigvecs = eigvecs[:, order]
-        for cl in clusters:  # a rank-one cluster keeps its eigenvector
-            eigvecs[:, cl] = _eigenspace_bases(eigvecs[:, cl].T[np.newaxis])[0].T
-        return eigvals, np.ascontiguousarray(self._rank_one_coords(eigvecs.T))
-
     def _spectra(self, stack, tol: Tolerance):
-        """``_spectrum`` of every row of a (K, d) stack, the clusters of more
-        than one eigenvalue grouped by rank: for each rank r, the rows (G, 1)
-        and columns (G, r) of the clusters of that rank.  One stacked
-        ``eigh`` gives each matrix's ``eigh`` bit for bit, the gap test of
-        ``cluster_descending`` runs on all rows at once, and the means of all
-        clusters of one rank are one reduction, which adds up each cluster
-        as the mean of one cluster does."""
+        """Of each row of a (K, d) stack: the eigenvalues sorted descending,
+        each cluster replaced by its mean; the eigenvectors as columns in
+        eigh's ascending order; the permutation sorting them like the
+        eigenvalues; and the clusters of more than one eigenvalue by rank r,
+        as rows (G, 1) and columns (G, r).  A gap above ``eig_cluster`` times
+        the spectral diameter ends a cluster.  Gaps and means are of halves,
+        which cannot overflow and are exact above the subnormal range."""
         eigvals, eigvecs = np.linalg.eigh(self._matrix_from_coords(stack))
         order = np.argsort(-eigvals, axis=1, kind="stable")
         eigvals = eigvals[np.arange(len(order))[:, np.newaxis], order]
@@ -191,7 +165,7 @@ class _MatrixModel(Model):
             clusters.append(at)
         return eigvals, eigvecs, order, clusters
 
-    def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
+    def _eigenvalues(self, stack, tol: Tolerance) -> np.ndarray:
         return self._spectra(stack, tol)[0]
 
     def _frames(self, stack, tol: Tolerance):

@@ -52,25 +52,14 @@ class _QubitModel(Model):
         return coords
 
     @abstractmethod
-    def _radius(self, x) -> float:
-        """The norm r whose unit sphere carries the atom directions."""
-
-    @abstractmethod
     def _radii(self, xs: np.ndarray) -> np.ndarray:
-        """``_radius`` of each row of a (K, n) stack, bit for bit."""
+        """The norm r of each row of a (K, n) stack, whose unit sphere
+        carries the atom directions."""
 
     def _split_radii(self, xs: np.ndarray) -> np.ndarray:
         """Euclidean length of each row of a (K, n) stack, as the orthogonal
         split measures it."""
         return row_norms(xs)
-
-    def decompose_coords(self, coords, tol: Tolerance):
-        t = float(coords[0])
-        x = np.asarray(coords[1:], dtype=float)
-        r = self._radius(x)
-        # a deterministic direction for multiples of the unit
-        g = np.eye(self._n)[0] if r == 0.0 else x / r
-        return np.array([t + r, t - r]), np.array([half_atom(g), half_atom(-g)])
 
     def _frames(self, stack, tol: Tolerance):
         t, xs = stack[:, 0], stack[:, 1:]
@@ -84,12 +73,7 @@ class _QubitModel(Model):
         atoms[:, 1, 1:] = -atoms[:, 0, 1:]
         return _t_plus_minus_r(t, r), atoms
 
-    def eigenvalues_coords(self, coords, tol: Tolerance) -> np.ndarray:
-        t = float(coords[0])
-        r = self._radius(np.asarray(coords[1:], dtype=float))
-        return np.array([t + r, t - r])
-
-    def eigenvalues_batch(self, stack, tol: Tolerance) -> np.ndarray:
+    def _eigenvalues(self, stack, tol: Tolerance) -> np.ndarray:
         return _t_plus_minus_r(stack[:, 0], self._radii(stack[:, 1:]))
 
     def split_orthogonal_batch(self, stack, tol: Tolerance):

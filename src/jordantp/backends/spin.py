@@ -28,13 +28,10 @@ class SpinFactorModel(_QubitModel):
     def param_items(self) -> tuple:
         return (("n", self._n),)
 
-    def _radius(self, x) -> float:
-        # hypot scales instead of squaring, so |x| is finite whenever it is
-        # representable (np.linalg.norm overflows from about 1.3e154)
-        return math.hypot(*x)
-
     def _radii(self, xs) -> np.ndarray:
-        # a hypot per row: numpy's hypot.reduce rounds differently
+        # a hypot per row: numpy's hypot.reduce rounds differently, and hypot
+        # scales instead of squaring, so |x| is finite whenever it is
+        # representable (np.linalg.norm overflows from about 1.3e154)
         return np.array([math.hypot(*x) for x in xs.tolist()])
 
     def cone_oracle(self, coords, slack: float) -> bool:
@@ -51,7 +48,7 @@ class SpinFactorModel(_QubitModel):
     def atom_param_from_coords(self, coords):
         t = float(coords[0])
         x = np.asarray(coords[1:], dtype=float)
-        r = self._radius(x)
+        r = math.hypot(*x)
         if abs(t - 0.5) > 1e-7 or abs(r - 0.5) > 1e-7:
             raise NotAtomError("spin atoms have the form (1, u)/2 with |u| = 1")
         return x / r

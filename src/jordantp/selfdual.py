@@ -175,6 +175,12 @@ class SelfDualCone:
         return (np.array([self.as_vec(p.a_plus) for p in pairs]),
                 np.array([self.as_vec(p.a_minus) for p in pairs]))
 
+    def extreme_generators(self) -> np.ndarray:
+        """Unit generators (r, d) of the cone's extreme rays where the cone
+        is given by finitely many; a spectral cone, whose atoms in general
+        form a continuum, gives an empty (0, d) stack."""
+        return np.zeros((0, self.ambient_dim))
+
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether ``e``, of unit self-pairing, is positive and indecomposable."""
         coeffs = np.array([p.coefficient for p in self.frame(e, tol)])
@@ -422,9 +428,13 @@ class GeneratorSelfDualCone(SelfDualCone):
         return _peel_signed(self, parts, (every, every), tol)
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
-        # the cosine with a unit generator, whatever the scale of e; e = 0 is on no ray
+        # the chord from the direction of e to an extreme unit generator,
+        # whatever the scale of e, below the cutoff that merges generators
         vec = self.as_vec(e)
-        return bool(np.any(self.extreme_generators() @ vec > (1.0 - 1e-9) * np.linalg.norm(vec)))
+        norm = float(np.linalg.norm(vec))
+        if not norm > 0.0:
+            return False  # e = 0 is on no ray
+        return bool(np.any(np.linalg.norm(self.extreme_generators() - vec / norm, axis=1) < 1e-7))
 
     def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
         heads, rests = np.zeros_like(stack), np.zeros_like(stack)
@@ -603,10 +613,12 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
                         tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """Witness both inclusions of self-duality on samples.
 
-    The cone lies in its dual when cone elements pair nonnegatively; the
-    dual lies in the cone when the frame pairings of an element recover its
-    coefficients, so that their signs decide membership, and when Moreau
-    minus parts (dual vectors) lie in the cone.  Each trial draws from
+    The cone lies in its dual when cone elements pair nonnegatively: the
+    sampled pairs, and every pair of the extreme rays a cone lists
+    (``extreme_generators``), which generate it and so witness this
+    exactly.  The dual lies in the cone when the frame pairings of an
+    element recover its coefficients, so that their signs decide
+    membership, and when Moreau minus parts (dual vectors) lie in the cone.  Each trial draws from
     ``trial_rng(seed, k)``; the pairings, frames, Moreau parts and cone
     defects of all trials then come from the cone's stack forms.
     """
@@ -627,7 +639,9 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
         bad = sum(w * cone.as_vec(f) for w, f in zip(coeffs, family))
         draws.append([cone.as_vec(x) for x in (a, b, c, bad, family[neg])])
     a, b, c, bad, neg_atom = np.array(list(zip(*draws)))
-    forward = worst(-cone.inners(a, b))
+    rays = cone.extreme_generators()
+    forward = worst(np.concatenate((-cone.inners(a, b),
+                                    -cone.inners(rays[:, np.newaxis], rays).ravel())))
     values, atoms = cone.frames(c, tol)
     pairings = cone.inners(atoms, c[:, np.newaxis])
     reverse = worst(np.abs(pairings - values).ravel())

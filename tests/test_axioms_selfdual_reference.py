@@ -284,7 +284,9 @@ def reference_axioms(model, seed, trials, tol):
 
 
 def reference_self_duality(cone, seed, trials, tol):
-    forward = 0.0
+    # every pair of listed extreme rays, then the sampled pairs
+    rays = cone.extreme_generators()
+    forward = max([0.0] + [-cone.inner(r, s) for r in rays for s in rays])
     reverse = 0.0
     mismatches = 0
     witness_defect = 0.0

@@ -23,7 +23,12 @@ A third walk, over every module, keeps each spectral frame container to the
 one module that builds it: ``SpectralForm(...)`` is called only in
 ``backends/base.py`` (from the arrays of ``decompose_coords``) and
 ``SpectralPair(...)`` only in ``elements.py`` (when a caller reads
-``SpectralForm.pairs``), so a frame has one format everywhere else.
+``SpectralForm.pairs``), so a frame has one format everywhere else.  A
+walk of its own keeps the four public spectral entry points
+(``decompose_coords``, ``eigenvalues_coords``, ``decompose_batch``,
+``eigenvalues_batch``) to ``backends/base.py``: a backend supplies only the
+stack kernels ``_frames`` and ``_eigenvalues``, so no backend keeps a second
+kernel path.
 
 A fourth walk, over every module, keeps scipy's LP solvers ``linprog`` and
 ``milp`` inside ``convexgeom.linprog``: anywhere else it fails on importing
@@ -281,6 +286,54 @@ def test_guard_flags_frames_built_elsewhere():
     assert frame_violations(source, "backends/base.py") == [
         "backends/base.py:3: constructs SpectralPair"]
     assert frame_violations(source, "elements.py") == ["elements.py:2: constructs SpectralForm"]
+
+
+# the spectral entry points, written once in backends/base.py on the two
+# stack kernels (``_frames``, ``_eigenvalues``) that each backend supplies
+SPECTRAL_ENTRY_POINTS = frozenset(
+    {"decompose_coords", "eigenvalues_coords", "decompose_batch", "eigenvalues_batch"})
+
+
+def kernel_violations(source: str, filename: str = "<source>") -> list[str]:
+    if filename == "backends/base.py":
+        return []
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        hits += [(node.lineno, name) for name in names if name in SPECTRAL_ENTRY_POINTS]
+    return [f"{filename}:{line}: defines {name}" for line, name in sorted(hits)]
+
+
+def test_each_backend_writes_its_spectral_kernel_once():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += kernel_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_a_second_spectral_kernel():
+    source = (
+        "class M(Model):\n"
+        "    def decompose_coords(self, coords, tol):\n"
+        "        return self._frames(coords[None], tol)\n"
+        "    eigenvalues_batch = _eigenvalues\n"
+        "    def _eigenvalues(self, stack, tol):\n"
+        "        return stack\n"
+        "def eigenvalues_coords(model, coords, tol):\n"
+        "    return model.eigenvalues_coords(coords, tol)\n"
+    )
+    assert kernel_violations(source, "backends/spin.py") == [
+        "backends/spin.py:2: defines decompose_coords",
+        "backends/spin.py:4: defines eigenvalues_batch",
+        "backends/spin.py:7: defines eigenvalues_coords",
+    ]
+    assert kernel_violations(source, "backends/base.py") == []
 
 
 # scipy's LP solvers: the package names them only inside convexgeom.linprog,

@@ -462,21 +462,29 @@ CLOSED_FORM_KERNEL_SPECS = [("classical", 1, None), ("classical", 4, None), ("sp
                             ("spin", 3, None), ("lpq", 2, 2.0), ("lpq", 2, 3.0), ("lpq", 3, 1.5)]
 
 
-@pytest.mark.parametrize("kind,n,p", CLOSED_FORM_KERNEL_SPECS)
-def test_closed_form_kernel_paths_agree(kind, n, p, tol):
-    from jordantp.backends.base import Model
+def _frame_forbidden(*args, **kwargs):
+    raise AssertionError("the eigenvalue path built a frame")
 
+
+@pytest.mark.parametrize("kind,n,p", CLOSED_FORM_KERNEL_SPECS
+                         + [(kind, n, None) for kind, n in MATRIX_KERNEL_SPECS])
+def test_the_eigenvalue_path_builds_no_frame(monkeypatch, kind, n, p, tol):
+    # the eigenvalue entry points give the frame's eigenvalues bit for bit
+    # with the frame kernel unreachable, so a check comparing the two paths
+    # compares two computations
     model = get_model(kind, n, p)
-    assert type(model).eigenvalues_coords is not Model.eigenvalues_coords
     random = random_element(model, 2312 + n)
     elements = {"random": random, "zero": model.zero(), "unit": model.order_unit(),
                 "ties": model.element(np.resize([1.0, -2.0, 1.0, -0.0], model.ambient_dim)),
                 "random*1e100": random * 1e100, "random*1e-100": random * 1e-100}
-    for label, a in elements.items():
-        eigs = model.decompose_coords(a.coords, tol)[0]
-        np.testing.assert_array_equal(model.eigenvalues(a, tol), eigs, err_msg=label)
-        np.testing.assert_array_equal(model.eigenvalues_coords(a.coords, tol), eigs,
-                                      err_msg=label)
+    stack = np.array([a.coords for a in elements.values()])
+    frames = [model.decompose_coords(a.coords, tol)[0] for a in elements.values()]
+    monkeypatch.setitem(vars(model), "_frames", _frame_forbidden)
+    batch = model.eigenvalues_batch(stack, tol)
+    for k, (label, a) in enumerate(elements.items()):
+        _assert_same_bits(model.eigenvalues(a, tol), frames[k], label)
+        _assert_same_bits(model.eigenvalues_coords(a.coords, tol), frames[k], label)
+        _assert_same_bits(batch[k], frames[k], label)
 
 
 def test_matrix_coords_maps_a_stack():

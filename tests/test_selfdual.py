@@ -252,8 +252,9 @@ def test_oracles_do_not_use_the_spectral_kernel(any_model, monkeypatch, tol):
     positives.append(any_model.atom(any_model.random_atom_param(np.random.default_rng(1))))
     monkeypatch.setattr(np.linalg, "eigh", _kernel_forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", _kernel_forbidden)
-    monkeypatch.setitem(vars(any_model), "decompose_coords", _kernel_forbidden)
-    monkeypatch.setitem(vars(any_model), "eigenvalues_coords", _kernel_forbidden)
+    # the public entry points and the two stack kernels behind all four
+    for name in ("decompose_coords", "eigenvalues_coords", "_frames", "_eigenvalues"):
+        monkeypatch.setitem(vars(any_model), name, _kernel_forbidden)
     for a in positives:
         assert any_model.cone_oracle(a.coords, tol.cone_slack)
         parts = any_model.split_orthogonal_coords(a.coords, tol)
@@ -463,8 +464,32 @@ def test_generators_a_small_angle_apart_are_kept_in_any_row_order(tol):
         np.testing.assert_allclose(sorted(map(tuple, ext)), sorted([tuple(u), tuple(e2)]), atol=1e-15)
         assert np.min(ext @ ext.T) == pytest.approx(-np.sin(theta), abs=1e-15)
         assert cone.info_capacity == 1
+        # e1 is interior to the cone, 3e-5 from the ray of u: not an atom
+        assert not is_atom_sd(cone, e1, tol)
+        assert is_atom_sd(cone, u, tol) and is_atom_sd(cone, e2, tol)
         reports.append([(c.name, c.passed) for c in self_duality_report(cone, 0, 30, tol)])
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-2])
+def test_extreme_rays_pairing_negatively_fail_the_forward_inclusion(theta, tol):
+    # the cone of u = e1 rotated by -theta and e2 is not in its dual, as
+    # <u|e2> = -sin(theta) says; sampled positive pairs rarely see it, the
+    # pairings of the extreme rays always do
+    u = np.array([np.cos(theta), -np.sin(theta)])
+    cone = GeneratorSelfDualCone(np.array([u, np.eye(2)[1]]))
+    for seed in range(20):
+        forward = {c.name: c for c in self_duality_report(cone, seed, 30, tol)}["selfdual.forward"]
+        assert not forward.passed
+        assert forward.defect >= np.sin(theta) * (1.0 - 1e-12)
+
+
+def test_a_spectral_cone_lists_no_extreme_generators():
+    # its atoms come from the model and in general form a continuum, so it
+    # lists none and its forward check stays sampled
+    for kind, n in (("sym", 3), ("classical", 4)):
+        cone = SpectralSelfDualCone(get_model(kind, n))
+        assert cone.extreme_generators().shape == (0, cone.ambient_dim)
 
 
 def test_near_parallel_generators_the_merge_keeps_peel_without_raising(tol):
