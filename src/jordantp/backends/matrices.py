@@ -153,12 +153,12 @@ class _MatrixModel(Model):
         # every row starts a cluster at column 0, so the next start in the
         # flattened stack ends each cluster, the last one of a row included
         first = np.flatnonzero(starts)
-        ranks = np.append(first[1:], starts.size) - first
         clusters = []
-        for rank in range(2, eigvals.shape[1] + 1):
+        if len(first) == starts.size:  # no row has a cluster
+            return eigvals, eigvecs, order, clusters
+        ranks = np.append(first[1:], starts.size) - first
+        for rank in np.unique(ranks[ranks > 1]).tolist():
             at = first[ranks == rank]
-            if not len(at):
-                continue
             rows, cols = np.divmod(at, eigvals.shape[1])
             at = rows[:, np.newaxis], cols[:, np.newaxis] + np.arange(rank)
             eigvals[at] = 2.0 * np.mean(0.5 * eigvals[at], axis=1, keepdims=True)

@@ -618,27 +618,29 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
     (``extreme_generators``), which generate it and so witness this
     exactly.  The dual lies in the cone when the frame pairings of an
     element recover its coefficients, so that their signs decide
-    membership, and when Moreau minus parts (dual vectors) lie in the cone.  Each trial draws from
-    ``trial_rng(seed, k)``; the pairings, frames, Moreau parts and cone
-    defects of all trials then come from the cone's stack forms.
+    membership, and when Moreau minus parts (dual vectors) lie in the cone.
+    Each trial draws from ``trial_rng(seed, k)``, its witness family in one
+    ``random_frame_params_batch`` call for all trials; the pairings, frames,
+    Moreau parts and cone defects then come from the cone's stack forms.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    draws = []  # per trial: a, b, c, the witness and its negative atom
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        a = cone.random_positive(rng)
-        b = cone.random_positive(rng)
-        c = cone.random_element(rng)
-        # witness: one negative coefficient on a maximal family pairs
-        # negatively with its own atom
-        family = cone.random_frame_params(rng)
-        coeffs = np.abs(rng.normal(size=len(family))) + 0.1
-        neg = int(rng.integers(len(family)))
-        coeffs[neg] = -0.1 - abs(rng.normal())
-        bad = sum(w * cone.as_vec(f) for w, f in zip(coeffs, family))
-        draws.append([cone.as_vec(x) for x in (a, b, c, bad, family[neg])])
-    a, b, c, bad, neg_atom = np.array(list(zip(*draws)))
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    a = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
+    b = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
+    c = np.array([cone.as_vec(cone.random_element(rng)) for rng in rngs])
+    # witness: one negative coefficient on a maximal family pairs negatively
+    # with its own atom; a padded zero atom gets weight -0.0, adding nothing
+    families = cone.random_frame_params_batch(rngs)
+    coeffs = np.full(families.shape[:2], -0.0)
+    neg = np.empty(trials, dtype=int)
+    for k, (rng, family) in enumerate(zip(rngs, families)):
+        size = np.count_nonzero(family.any(axis=1))
+        coeffs[k, :size] = np.abs(rng.normal(size=size)) + 0.1
+        neg[k] = rng.integers(size)
+        coeffs[k, neg[k]] = -0.1 - abs(rng.normal())
+    bad = resum(coeffs, coeffs, families)
+    neg_atom = families[np.arange(trials), neg]
     rays = cone.extreme_generators()
     forward = worst(np.concatenate((-cone.inners(a, b),
                                     -cone.inners(rays[:, np.newaxis], rays).ravel())))

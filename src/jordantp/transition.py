@@ -411,6 +411,9 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
 
     This is the extreme-point side of the pure-state postulate on a small
     discretization of the state space; it is recorded as sampled, not proven.
+    The cloud's m mixtures are one rejection batch on ``trial_rng(seed, 0)``:
+    it draws the m first atoms, then in each round one candidate for every
+    mixture still pending, in mixture order, then the m weights.
     """
     if model.info_capacity < 2:
         return [skipped_check("states.pure_states_extremal",
@@ -419,19 +422,16 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
     import scipy.optimize
 
     rng = trial_rng(seed, 0)
-    # the mixtures of the cloud come one after another from one generator
-    pairs, weights = zip(*(_random_bounded_mixtures(model, [rng])
-                           for _ in range(min(max(trials, 8), 64))))
-    cloud = _state_vectors(model, [np.concatenate(ps) for ps in zip(*pairs)],
-                           [np.concatenate(ws) for ws in zip(*weights)])
+    cloud = _state_vectors(model, *_random_bounded_mixtures(
+        model, [rng] * min(max(trials, 8), 64)))
     pures = _state_vectors(model, [model.random_atom_param_batch(
         [trial_rng(seed, k + 1) for k in range(8)])], [np.ones(8)])
+    # distance from each pure state to the convex hull of the cloud, via
+    # nonnegative least squares with a penalized sum-to-one row
+    scale = 1e3
+    stacked = np.vstack([cloud.T, scale * np.ones(len(cloud))])
     min_residual = np.inf
     for pure in pures:
-        # distance from the pure state to the convex hull of the cloud,
-        # via nonnegative least squares with a penalized sum-to-one row
-        scale = 1e3
-        stacked = np.vstack([cloud.T, scale * np.ones(len(cloud))])
         target = np.concatenate([pure, [scale]])
         coeffs, _ = scipy.optimize.nnls(stacked, target)
         min_residual = min(min_residual, float(np.linalg.norm(cloud.T @ coeffs - pure)))

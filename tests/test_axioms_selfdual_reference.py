@@ -283,6 +283,34 @@ def reference_axioms(model, seed, trials, tol):
     return checks + reference_strong(model, seed, trials, tol)
 
 
+def reference_cloud_systems(model, seed, trials):
+    """The NNLS systems (matrix, target) of ``verify_pure_state_sampling``,
+    one element at a time: ``trial_rng(seed, 0)`` draws the m first atoms,
+    then in each rejection round one candidate for every mixture still
+    pending, in mixture order, then the m weights; each pure state is the
+    atom of ``trial_rng(seed, k + 1)``."""
+    rng = trial_rng(seed, 0)
+    m = min(max(trials, 8), 64)
+    first = [model.random_atom_param(rng) for _ in range(m)]
+    second = [None] * m
+    pending = list(range(m))
+    while pending:
+        for i in pending:
+            cand = model.random_atom_param(rng)
+            if (model.transition_from_params(first[i], cand) <= 0.95
+                    and model.transition_from_params(cand, first[i]) <= 0.95):
+                second[i] = cand
+        pending = [i for i in pending if second[i] is None]
+    lam = [rng.uniform(0.2, 0.8) for _ in range(m)]
+    basis = np.eye(model.ambient_dim)
+    cloud = np.array([[_mixture_value(model, (f, g), (w, 1.0 - w), e) for e in basis]
+                      for f, g, w in zip(first, second, lam)])
+    matrix = np.vstack([cloud.T, 1e3 * np.ones(m)])
+    pures = [[_mixture_value(model, (model.random_atom_param(trial_rng(seed, k + 1)),),
+                             (1.0,), e) for e in basis] for k in range(8)]
+    return [(matrix, np.concatenate([pure, [1e3]])) for pure in pures]
+
+
 def reference_self_duality(cone, seed, trials, tol):
     # every pair of listed extreme rays, then the sampled pairs
     rays = cone.extreme_generators()
@@ -505,3 +533,45 @@ def test_trial_counts_below_one_are_refused(kind, n, p, tol):
         for cone in spaces[1:]:
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 self_duality_report(cone, 1, trials, tol)
+
+
+# ---------------------------------------------------------------------------
+# the pure-state cloud: one rejection batch on one generator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_the_pure_state_cloud_draws_the_stream_of_the_per_element_loop(monkeypatch, kind, n, p):
+    import scipy.optimize
+
+    model = get_model(kind, n, p)
+    systems = []
+    nnls = scipy.optimize.nnls
+
+    def captured(matrix, target, **kwargs):
+        systems.append((matrix.copy(), target.copy()))
+        return nnls(matrix, target, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", captured)
+    for seed in range(3):
+        for trials in (1, 24, 64):
+            systems.clear()
+            verify_pure_state_sampling(model, seed, trials)
+            want = reference_cloud_systems(model, seed, trials)
+            assert len(systems) == len(want) == 8
+            for (matrix, target), (want_matrix, want_target) in zip(systems, want):
+                assert matrix.shape == want_matrix.shape
+                assert matrix.tobytes() == want_matrix.tobytes()
+                assert target.tobytes() == want_target.tobytes()
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_the_pure_states_stay_outside_the_cloud(kind, n, p):
+    # the residual's margin over the 1e-3 threshold is the check's only
+    # numerics: a cloud that came near a pure state would fail it
+    model = get_model(kind, n, p)
+    for seed in range(20):
+        for trials in (1, 8, 24, 64):
+            (check,) = verify_pure_state_sampling(model, seed, trials)
+            assert check.name == "states.pure_states_extremal"
+            assert check.passed and check.defect == 0.0, (seed, trials)

@@ -6,7 +6,8 @@ the counts below; the capacity search makes one batch decomposition per
 step.  Only ``spectral.trial_rng`` caches, the hashed seed words
 of recent trials, and it draws what ``default_rng`` of the trial's seed
 sequence draws.  ``run_suite`` reports what the plain suites report, from any
-number of threads.
+number of threads.  The pure-state cloud and the self-duality report's
+witness families are drawn in a fixed number of sampler calls.
 """
 
 import sys
@@ -20,6 +21,7 @@ from jordantp import get_model, random_element
 from jordantp.cli import main
 from jordantp.logic import atomic_decomposition, information_capacity_empirical
 from jordantp.reports import dump_canonical_json
+from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone, self_duality_report
 from jordantp.spectral import _SeedWords, _seed_words, trial_rng
 from jordantp.suites import (
     SUITES,
@@ -30,6 +32,7 @@ from jordantp.suites import (
     spectral_suite,
     tp_suite,
 )
+from jordantp.transition import verify_pure_state_sampling
 
 
 def _count_kernel(monkeypatch, model):
@@ -349,3 +352,60 @@ def test_the_selfdual_suite_peels_with_a_fixed_number_of_split_calls(monkeypatch
         calls.clear()
         selfdual_suite(model, 3, trials, tol)
         assert 0 < len(calls) <= 3 * (model.info_capacity + 1), trials
+
+
+# ---------------------------------------------------------------------------
+# sampling batches: the pure-state cloud and the self-duality witnesses
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_the_pure_state_cloud_draws_one_atom_batch_per_rejection_round(
+        monkeypatch, kind, n, p):
+    # one call for the cloud's first atoms, one per rejection round on the
+    # mixtures still pending, one for the eight pure states: at trials 64 as
+    # at trials 8, however many mixtures the cloud holds; drawing the
+    # mixtures one at a time made at least 2m + 1 calls
+    model = get_model(kind, n, p)
+    draws, rounds = [], []
+    sampler, transitions = model.random_atom_param_batch, model.transitions_from_params
+
+    def counted_draws(rngs):
+        draws.append(len(rngs))
+        return sampler(rngs)
+
+    def counted_transitions(first, second):
+        rounds.append(len(first))
+        return transitions(first, second)
+
+    monkeypatch.setitem(vars(model), "random_atom_param_batch", counted_draws)
+    monkeypatch.setitem(vars(model), "transitions_from_params", counted_transitions)
+    for m in (8, 64):
+        for seed in range(5):
+            draws.clear()
+            rounds.clear()
+            verify_pure_state_sampling(model, seed, m)
+            # both transition directions of a round test the same candidates
+            assert rounds[::2] == rounds[1::2]
+            assert draws == [m] + rounds[::2] + [8]
+            assert rounds[0] == m and rounds[::2] == sorted(rounds[::2], reverse=True)
+
+
+@pytest.mark.parametrize("make", [lambda: SpectralSelfDualCone(get_model("sym", 3)),
+                                  lambda: SpectralSelfDualCone(get_model("classical", 4)),
+                                  lambda: GeneratorSelfDualCone(np.eye(3))],
+                         ids=["spectral sym:3", "spectral classical:4", "generator orthant"])
+def test_the_self_duality_report_draws_its_witness_families_in_one_call(make, tol):
+    cone = make()
+    calls = []
+    families = cone.random_frame_params_batch
+
+    def counted(rngs):
+        calls.append(len(rngs))
+        return families(rngs)
+
+    cone.random_frame_params_batch = counted  # a fresh cone, not a cached model
+    for trials in (1, 8, 101):
+        calls.clear()
+        self_duality_report(cone, 3, trials, tol)
+        assert calls == [trials]
