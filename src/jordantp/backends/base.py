@@ -184,13 +184,19 @@ class Model(ABC):
     def eigenvalues(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Eigenvalues of an element or of a coordinate vector, descending, as
         a read-only array."""
-        coords = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
+        if isinstance(a, Element):
+            coords = a.coords
+        else:
+            coords = np.asarray(a, dtype=float)
+            if coords.shape != (self.ambient_dim,):
+                raise DimensionMismatchError(
+                    f"expected {self.ambient_dim} coordinates, got shape {coords.shape}")
         return _read_only(self.eigenvalues_coords(coords, tol))
 
     def cone_defect(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
         """How far ``a`` (an element or coordinates) lies outside the positive
-        cone: ``cone_distance`` of its least eigenvalue."""
-        return cone_distance(float(self.eigenvalues(a, tol).min()))
+        cone: the one-row case of ``cone_distances``."""
+        return float(cone_distances(self.eigenvalues(a, tol)[np.newaxis])[0])
 
     def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """``cone_defect`` of each row of a (K, d) stack, bit for bit, from
@@ -322,15 +328,10 @@ class Model(ABC):
         )
 
 
-def cone_distance(least: float) -> float:
-    """How far a spectrum with least eigenvalue ``least`` lies outside the
-    positive cone: the one cone-distance formula.  NaN is infinitely far."""
-    return math.inf if math.isnan(least) else max(0.0, -least)
-
-
 def cone_distances(eigs: np.ndarray) -> np.ndarray:
-    """``cone_distance`` of the least eigenvalue of each row of a (K, m)
-    stack of spectra."""
+    """How far each spectrum in the rows of a (K, m) stack lies outside the
+    positive cone: its least eigenvalue negated, 0 inside; a NaN spectrum is
+    infinitely far.  The one cone-distance formula."""
     least = eigs.min(axis=1)
     return np.where(np.isnan(least), math.inf, np.where(least < 0.0, -least, 0.0))
 

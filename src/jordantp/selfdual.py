@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends.base import Model
+from .backends.base import Model, row_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import ConeProjectionError, UnsupportedModelError
 from .reports import CheckResult, read_csv_rows
@@ -41,23 +41,17 @@ class PeeledAtom:
 
 class SelfDualCone:
     """Interface shared by the two cone flavors; vectors are kept in the
-    flavor's natural element type (Element or raw ndarray).  The defaults are
-    raw ndarrays with the ambient dot product, and the atom test reads off
-    the flavor's frame.
+    flavor's natural element type (Element or raw ndarray, the default).
 
     A cone is also an atom space, so the atom verifiers of ``transition``
     run on it as on a model: an atom is its own parameter, and its state is
     the pairing.  The batch samplers and state values follow the model
-    contract (``backends/base.py``).  Besides the methods below, a flavor
-    supplies ``ambient_dim``, ``info_capacity``, ``random_atom_param``,
-    ``random_element`` and ``random_positive``.
-
-    The stack forms (``inners``, ``cone_defects``, ``frames``,
-    ``moreau_parts``, ``complements`` and ``split_orthogonal_batch``) take
-    the rows of (K, d) coordinate stacks.  The defaults of ``inners``,
-    ``cone_defects`` and ``moreau_parts`` call the per-element method on
-    each row in turn; ``frame``, ``complement_coords`` and
-    ``split_orthogonal`` are the one-row cases of their stack forms.
+    contract (``backends/base.py``).  A flavor writes each kernel once, on
+    (K, d) stacks or one generator per row: the stack forms below (``inners``
+    defaults to the ambient dot product), plus ``ambient_dim``,
+    ``info_capacity``, ``random_element`` and ``random_positive``.  Each
+    per-element method is the one-row case of its stack form, written here
+    once; a raw array is checked through ``wrap`` first.
     """
 
     def as_vec(self, x) -> np.ndarray:
@@ -66,23 +60,25 @@ class SelfDualCone:
     def wrap(self, vec: np.ndarray):
         return np.asarray(vec, dtype=float)
 
-    def inner(self, x, y) -> float:
-        return float(np.dot(self.as_vec(x), self.as_vec(y)))
+    def _row(self, x) -> np.ndarray:
+        """The stack (1, d) of one vector; a raw array is checked through
+        ``wrap`` (an element's constructor on a spectral cone)."""
+        checked = x if isinstance(x, Element) else self.wrap(self.as_vec(x))
+        return self.as_vec(checked)[np.newaxis]
 
     def inners(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """``inner`` of the rows of two stacks (..., d) that broadcast."""
-        xs, ys = np.broadcast_arrays(xs, ys)
-        out = np.empty(xs.shape[:-1])
-        for idx in np.ndindex(out.shape):
-            out[idx] = self.inner(xs[idx], ys[idx])
-        return out
+        """The pairing of the rows of two stacks (..., d) that broadcast."""
+        return np.vecdot(xs, ys)
 
-    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
-        """How far ``x`` lies outside the cone, 0 inside it."""
-        raise NotImplementedError
+    def inner(self, x, y) -> float:
+        return float(self.inners(self._row(x), self._row(y))[0])
 
     def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return np.array([self.cone_defect(x, tol) for x in stack], dtype=float)
+        """How far each row of a (K, d) stack lies outside the cone, 0 inside it."""
+        raise NotImplementedError
+
+    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
+        return float(self.cone_defects(self._row(x), tol)[0])
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.cone_defect(x, tol) <= tol.cone_slack
@@ -106,23 +102,21 @@ class SelfDualCone:
     transitions_from_params = state_values
 
     def random_atom_param_batch(self, rngs) -> np.ndarray:
-        """``random_atom_param`` of each generator, as a (K, d) stack."""
-        return np.array([self.random_atom_param(rng) for rng in rngs],
-                        dtype=float).reshape(len(rngs), self.ambient_dim)
-
-    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
-        """A random maximal pairwise-orthogonal family of atoms."""
+        """A random atom from each generator, as a (K, d) stack."""
         raise NotImplementedError
 
+    def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
+        return self.random_atom_param_batch([rng])[0]
+
     def random_frame_params_batch(self, rngs) -> np.ndarray:
-        """``random_frame_params`` of each generator, as a (K, m, d) stack;
-        a shorter family is padded with zero atoms (no atom is zero), whose
-        pairings are zero and add nothing to a sum that starts from zero."""
-        families = [self.random_frame_params(rng) for rng in rngs]
-        out = np.zeros((len(families), max(map(len, families), default=0), self.ambient_dim))
-        for row, family in zip(out, families):
-            row[:len(family)] = np.reshape(family, (len(family), self.ambient_dim))
-        return out
+        """A random maximal pairwise-orthogonal family of atoms from each
+        generator, as a (K, m, d) stack; a shorter family is padded with
+        zero atoms (no atom is zero), whose pairings are zero and add nothing
+        to a sum that starts from zero."""
+        raise NotImplementedError
+
+    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
+        return list(self.random_frame_params_batch([rng])[0])
 
     def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         """For the atom e in each row of a (K, d) stack, the atoms (n, d)
@@ -130,9 +124,7 @@ class SelfDualCone:
         raise NotImplementedError
 
     def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        """The atoms completing one atom ``e``: the one-row case of
-        ``complements``."""
-        return list(self.complements(self.as_vec(e)[np.newaxis], tol)[0])
+        return list(self.complements(self._row(e), tol)[0])
 
     def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
         """The atom oracle on the rows of a (K, d) stack, as the model
@@ -145,35 +137,32 @@ class SelfDualCone:
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         """Two orthogonal positive parts of the coordinates ``x``, as
         coordinate arrays, or None if ``x`` is a positive multiple of an
-        atom: the one-row case of ``split_orthogonal_batch``."""
-        vec = self.as_vec(x)[np.newaxis]
+        atom."""
+        vec = self._row(x)
         heads, rests, single = self.split_orthogonal_batch(
             vec, tol, np.sqrt(np.abs(self.inners(vec, vec))))
         return None if single[0] else (heads[0], rests[0])
 
-    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
-        """Signed coefficients on pairwise-orthogonal atoms summing to ``x``:
-        the one-row case of ``frames``."""
-        return _peeled(self, *self.frames(self.as_vec(x)[np.newaxis], tol))
-
     def frames(self, stack: np.ndarray,
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """The frames of the rows of a (K, d) stack as coefficients (K, m)
-        and atom coordinates (K, m, d); a shorter frame is padded with zero
-        coefficients on zero atoms."""
+        """Signed coefficients on pairwise-orthogonal atoms summing to each
+        row of a (K, d) stack, as coefficients (K, m) and atom coordinates
+        (K, m, d); a shorter frame is padded with zero coefficients on zero
+        atoms."""
         raise NotImplementedError
 
-    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
-        """The formula behind ``moreau_decompose``."""
-        raise NotImplementedError
+    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
+        return _peeled(self, *self.frames(self._row(x), tol))
 
     def moreau_parts(self, stack: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """The Moreau parts (plus, minus) of the rows of a (K, d) stack, as
-        two (K, d) stacks."""
-        pairs = [self.moreau(x, tol) for x in stack]
-        return (np.array([self.as_vec(p.a_plus) for p in pairs]),
-                np.array([self.as_vec(p.a_minus) for p in pairs]))
+        two (K, d) stacks: the formula behind ``moreau_decompose``."""
+        raise NotImplementedError
+
+    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
+        plus, minus = self.moreau_parts(self._row(a), tol)
+        return MoreauPair(self.wrap(plus[0]), self.wrap(minus[0]))
 
     def extreme_generators(self) -> np.ndarray:
         """Unit generators (r, d) of the cone's extreme rays where the cone
@@ -183,16 +172,16 @@ class SelfDualCone:
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether ``e``, of unit self-pairing, is positive and indecomposable."""
-        coeffs = np.array([p.coefficient for p in self.frame(e, tol)])
+        coeffs = self.frames(self._row(e), tol)[0][0]
         return bool(coeffs.min() >= -tol.cone_slack and np.sum(np.abs(coeffs) > 1e-7) == 1)
 
 
 def _signed_parts(values: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Moreau parts of one frame (values (m,), atoms (m, d)) or of a
-    stack of frames ((K, m), (K, m, d)): the nonnegative coefficients on the
-    plus part and the negated negative ones on the minus part, each summed
-    from zeros in frame order.  A coefficient of the other sign adds a zero,
-    which leaves a sum that starts from +0.0 unchanged."""
+    """The Moreau parts of a stack of frames ((K, m), (K, m, d)): the
+    nonnegative coefficients on the plus part and the negated negative ones
+    on the minus part, each summed from zeros in frame order.  A coefficient
+    of the other sign adds a zero, which leaves a sum that starts from +0.0
+    unchanged."""
     plus = values >= 0.0
     return (resum(values, np.where(plus, values, 0.0), atoms),
             resum(values, np.where(plus, 0.0, -values), atoms))
@@ -227,14 +216,8 @@ class SpectralSelfDualCone(SelfDualCone):
     def wrap(self, vec: np.ndarray) -> Element:
         return self.model.element(vec)
 
-    def inner(self, x, y) -> float:
-        return self.model.native_pairing(self.as_vec(x), self.as_vec(y))
-
     def inners(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return self.model.native_pairings(xs, ys)
-
-    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
-        return self.model.cone_defect(self.as_vec(x), tol)
 
     def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return self.model.cone_defects(stack, tol)
@@ -244,12 +227,6 @@ class SpectralSelfDualCone(SelfDualCone):
 
     def random_frame_params_batch(self, rngs) -> np.ndarray:
         return self.model.atom_coords_batch(self.model.random_frame_params_batch(rngs))
-
-    def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
-        return self.random_atom_param_batch([rng])[0]
-
-    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
-        return list(self.random_frame_params_batch([rng])[0])
 
     def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         """The peeled atoms of unit - e, from one stacked peel."""
@@ -274,23 +251,9 @@ class SpectralSelfDualCone(SelfDualCone):
         # the kernel's cutoffs are relative to each row's own trace
         return self.model.split_orthogonal_batch(stack, tol)
 
-    def _form(self, x, tol: Tolerance):
-        # an element is already checked; only a raw array needs wrapping
-        a = x if isinstance(x, Element) else self.wrap(self.as_vec(x))
-        return self.model.spectral_form(a, tol)
-
-    def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
-        form = self._form(x, tol)
-        return list(map(PeeledAtom, form.eigenvalues.tolist(), form.atom_coords))
-
     def frames(self, stack: np.ndarray,
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         return self.model.decompose_batch(stack, tol)
-
-    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
-        form = self._form(a, tol)
-        plus, minus = _signed_parts(form.eigenvalues, form.atom_coords)
-        return MoreauPair(self.wrap(plus), self.wrap(minus))
 
     def moreau_parts(self, stack: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -364,22 +327,27 @@ class GeneratorSelfDualCone(SelfDualCone):
             raise ConeProjectionError(f"nonnegative least squares stalled: {exc}") from exc
         return coeffs, float(residual)
 
-    def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
+    def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         # the distance to the cone relative to max(|x|, 1), in hundredths:
         # an NNLS residual carries more rounding than an eigenvalue
-        vec = self.as_vec(x)
-        return self.nnls_fit(vec)[1] / (1e2 * max(float(np.linalg.norm(vec)), 1.0))
+        stack = np.asarray(stack, dtype=float)
+        residuals = np.array([self.nnls_fit(x)[1] for x in stack])
+        return residuals / (1e2 * np.maximum(row_norms(stack), 1.0))
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the cone."""
         return self.generators.T @ self.nnls_fit(self.as_vec(x))[0]
 
+    def _projections(self, stack: np.ndarray) -> np.ndarray:
+        """``project`` of each row of a (K, d) stack."""
+        return np.array([self.project(x) for x in stack]).reshape(stack.shape)
+
     def extreme_generators(self) -> np.ndarray:
         return self.generators[self._extreme]
 
-    def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
+    def random_atom_param_batch(self, rngs) -> np.ndarray:
         ext = self.extreme_generators()
-        return ext[int(rng.integers(len(ext)))]
+        return ext[[int(rng.integers(len(ext))) for rng in rngs]]
 
     @staticmethod
     def _extend_orthogonally(family: list, candidates) -> list[np.ndarray]:
@@ -390,9 +358,14 @@ class GeneratorSelfDualCone(SelfDualCone):
                 family.append(cand)
         return family
 
-    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
+    def random_frame_params_batch(self, rngs) -> np.ndarray:
         ext = self.extreme_generators()
-        return self._extend_orthogonally([], ext[rng.permutation(len(ext))])
+        families = [self._extend_orthogonally([], ext[rng.permutation(len(ext))])
+                    for rng in rngs]
+        out = np.zeros((len(families), max(map(len, families), default=0), self.ambient_dim))
+        for row, family in zip(out, families):
+            row[:len(family)] = family
+        return out
 
     def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         return [np.reshape(self._extend_orthogonally([e], self.extreme_generators())[1:],
@@ -404,26 +377,30 @@ class GeneratorSelfDualCone(SelfDualCone):
     def random_positive(self, rng: np.random.Generator) -> np.ndarray:
         return self.generators.T @ np.abs(rng.normal(size=len(self.generators)))
 
-    def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
-        vec = self.as_vec(a)
-        plus = self.project(vec)
-        minus = plus - vec
-        scale = max(float(np.linalg.norm(vec)), 1.0)
-        cross = abs(self.inner(plus, minus))
-        dual_slack = float(np.min(self.generators @ minus))
-        if cross > 1e-8 * scale**2 or dual_slack < -1e-8 * scale:
+    def moreau_parts(self, stack: np.ndarray,
+                     tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        # the projection is the plus part when the Moreau conditions hold;
+        # the first row that fails them raises
+        stack = np.asarray(stack, dtype=float)
+        plus = self._projections(stack)
+        minus = plus - stack
+        scale = np.maximum(row_norms(stack), 1.0)
+        cross = np.abs(self.inners(plus, minus))
+        dual_slack = np.min(minus @ self.generators.T, axis=1)
+        failed = np.flatnonzero((cross > 1e-8 * scale**2) | (dual_slack < -1e-8 * scale))
+        if len(failed):
+            k = failed[0]
             raise ConeProjectionError(
-                f"projection failed Moreau conditions (cross={cross:.3e}, "
-                f"dual slack={dual_slack:.3e})", residual=cross)
-        return MoreauPair(plus, minus)
+                f"projection failed Moreau conditions (cross={cross[k]:.3e}, "
+                f"dual slack={dual_slack[k]:.3e})", residual=float(cross[k]))
+        return plus, minus
 
     def frames(self, stack: np.ndarray,
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         # the projections of x and -x are the Moreau parts exactly when the
         # cone is self-dual, and unlike plus - x they carry no rounding noise
         stack = np.asarray(stack, dtype=float)
-        parts = [np.array([self.project(x) for x in rows]).reshape(stack.shape)
-                 for rows in (stack, -stack)]
+        parts = [self._projections(stack), self._projections(-stack)]
         every = np.ones(len(stack), dtype=bool)
         return _peel_signed(self, parts, (every, every), tol)
 
@@ -564,7 +541,7 @@ def _peel_signed(cone: SelfDualCone, parts, kept, tol: Tolerance):
     frames = np.zeros(signed.shape + (cone.ambient_dim,))
     signed[rows[0], 0], frames[rows[0], 0] = values[:plus], atoms[:plus]
     signed[rows[1], 1], frames[rows[1], 1] = 0.0 - values[plus:], atoms[plus:]
-    signed = signed.reshape(len(signed), -1)
+    signed = signed.reshape(len(signed), 2 * values.shape[1])
     frames = frames.reshape(signed.shape + (cone.ambient_dim,))
     # the padding moves behind the atoms, which keep their order
     width = np.count_nonzero(signed, axis=1).max(initial=0)

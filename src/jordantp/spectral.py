@@ -157,7 +157,7 @@ def trial_coords(model: Model, seed: int, trials: range, count: int) -> list[np.
 
 def worst(defects: np.ndarray, floor: float = 0.0) -> float:
     """The largest of ``floor`` and the defects.  A NaN defect is infinitely
-    large, as ``cone_distance`` reads a NaN spectrum: a check whose defect was
+    large, as ``cone_distances`` reads a NaN spectrum: a check whose defect was
     never evaluated fails."""
     values = defects.tolist()
     return math.inf if any(map(math.isnan, values)) else max([floor, *values])

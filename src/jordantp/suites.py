@@ -352,7 +352,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     orth = (values != 0.0).any(axis=1) & (minus_norm[thinned] > 1e-6)
     # one per-element pairing per row: the layer the benchmark's tracer
     # counts as ``backends.pairing``, which no other verify check reaches
-    orth_parts = worst(np.array([abs(cone.inner(x, y))
+    orth_parts = worst(np.array([abs(model.native_pairing(x, y))
                                  for x, y in zip(half[orth], minus[thinned][orth])]))
     unit_defect = order_norm(model, recover_order_unit(cone, seed) - model.order_unit(), tol)
     checks = [

@@ -36,6 +36,13 @@ either from scipy, on naming either as an attribute of anything but
 ``convexgeom``, and on importing a private ``scipy.optimize._*`` module.  So
 every solve goes through the one wrapper and shows in the traced LP count.
 
+A walk of its own keeps each cone flavour to its stack kernels: it fails
+on a subclass of ``SelfDualCone`` that defines a per-element cone method
+(``inner``, ``cone_defect``, ``moreau``, ``frame``, ``complement_coords``,
+``split_orthogonal`` or one of the two per-element samplers), each of which
+``SelfDualCone`` writes once as the one-row case of its stack form, and on
+a loop or comprehension in ``SelfDualCone`` itself.
+
 A fifth walk, over every module, fails on a parameter that no concrete
 definition of a function reads.  Definitions are grouped by name, so the
 same-named methods of different classes (and the overrides of an abstract
@@ -46,7 +53,9 @@ counts as neither a read nor a definition.
 The last tests pin the batch sampling kernels on every model family and both
 cone flavours: row k of each equals the per-element kernel of row k bit for
 bit, every generator is left where the per-element calls leave it, and a
-stack with one unnormalised row raises the per-element error.
+stack with one unnormalised row raises the per-element error.  On both cone
+flavours, each per-element cone method equals row k of its stack form bit
+for bit.
 """
 
 import ast
@@ -62,6 +71,7 @@ from jordantp.backends import REGISTRY
 from jordantp.backends.base import Model
 from jordantp.selfdual import GeneratorSelfDualCone, SelfDualCone, SpectralSelfDualCone
 from jordantp.spectral import SHAPES, _random_coords, random_coords_batch, trial_rng
+from test_selfdual import near_duplicate_orthant, rotated_orthant
 
 PACKAGE = Path(jordantp.__file__).parent
 BACKEND_KINDS = frozenset(REGISTRY) | {"polytope_affine"}
@@ -336,6 +346,69 @@ def test_guard_flags_a_second_spectral_kernel():
     assert kernel_violations(source, "backends/base.py") == []
 
 
+# the per-element cone methods: each is the one-row case of its stack form,
+# written once in ``SelfDualCone``, which keeps no per-row loop of its own
+PER_ELEMENT_CONE_METHODS = frozenset({
+    "inner", "cone_defect", "moreau", "frame", "random_atom_param", "random_frame_params",
+    "complement_coords", "split_orthogonal"})
+CONE_CLASSES = frozenset(_class_names(SelfDualCone))
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def cone_violations(source: str, filename: str = "<source>") -> list[str]:
+    hits = []
+    for cls in ast.walk(ast.parse(source, filename)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if cls.name == "SelfDualCone":
+            hits += [(node.lineno, "SelfDualCone loops over rows")
+                     for node in ast.walk(cls) if isinstance(node, LOOPS)]
+            continue
+        bases = {getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases}
+        if not bases & CONE_CLASSES:
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            hits += [(node.lineno, f"{cls.name} defines {name}")
+                     for name in names if name in PER_ELEMENT_CONE_METHODS]
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_cone_flavours_write_only_stack_kernels():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += cone_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_per_element_cone_methods_and_row_loops():
+    source = (
+        "class SelfDualCone:\n"
+        "    def inners(self, xs, ys):\n"
+        "        return [self.inner(x, y) for x, y in zip(xs, ys)]\n"
+        "class Cone(selfdual.SpectralSelfDualCone):\n"
+        "    def frame(self, x, tol):\n"
+        "        return x\n"
+        "    moreau = frame\n"
+        "    def frames(self, stack, tol):\n"
+        "        return stack\n"
+        "class Other(Model):\n"
+        "    def inner(self, x, y):\n"
+        "        return x\n"
+    )
+    assert cone_violations(source, "selfdual.py") == [
+        "selfdual.py:3: SelfDualCone loops over rows",
+        "selfdual.py:5: Cone defines frame",
+        "selfdual.py:7: Cone defines moreau",
+    ]
+
+
 # scipy's LP solvers: the package names them only inside convexgeom.linprog,
 # so every solve goes through it and shows in the traced LP count
 LP_SOLVERS = frozenset({"linprog", "milp"})
@@ -470,15 +543,21 @@ def _spec_id(spec):
     return f"{kind}:{n}" + (f":{p:g}" if p else "")
 
 
-# every model family, a spectral cone of each symmetric one, and two
-# generator cones: an orthant, and an oblique cone whose maximal orthogonal
-# families have one or two atoms
-SPACES = {
-    **{_spec_id(spec): (lambda spec=spec: get_model(*spec)) for spec in ALL_MODEL_SPECS},
+# both cone flavours: a spectral cone of each symmetric family, and two
+# generator cones, a rotated orthant and one whose near-duplicate generators
+# are kept apart
+CONES = {
     **{f"cone {_spec_id(spec)}": (lambda spec=spec: SpectralSelfDualCone(get_model(*spec)))
        for spec in ALL_MODEL_SPECS if get_model(*spec).symmetric_tp},
-    "rotated orthant": lambda: GeneratorSelfDualCone(
-        np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0].T),
+    "rotated orthant": rotated_orthant,
+    "near-duplicate orthant": lambda: near_duplicate_orthant(2, noise=1e-6),
+}
+
+# every model family, the cones above, and an oblique cone whose maximal
+# orthogonal families have one or two atoms
+SPACES = {
+    **{_spec_id(spec): (lambda spec=spec: get_model(*spec)) for spec in ALL_MODEL_SPECS},
+    **CONES,
     "oblique cone": lambda: GeneratorSelfDualCone(
         np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])),
 }
@@ -562,3 +641,51 @@ def test_a_stack_with_one_unnormalised_row_raises_the_per_element_error(any_mode
     with pytest.raises(UnnormalizedParamError) as batched:
         any_model.atom_coords_batch(params)
     assert str(batched.value) == str(per_element.value)
+
+
+@pytest.mark.parametrize("make", list(CONES.values()), ids=list(CONES))
+def test_each_per_element_cone_method_is_row_k_of_its_stack_form(make, tol):
+    cone = make()
+    rngs = [trial_rng(9, k) for k in range(TRIALS)]
+    mixed = random_coords_batch(cone, rngs)
+    positive = random_coords_batch(cone, rngs, "positive")
+    atoms = cone.random_atom_param_batch(rngs)
+    pairings = cone.inners(mixed, positive)
+    defects = cone.cone_defects(mixed, tol)
+    values, frames = cone.frames(mixed, tol)
+    plus, minus = cone.moreau_parts(mixed, tol)
+    complements = cone.complements(atoms, tol)
+    heads, rests, single = cone.split_orthogonal_batch(
+        positive, tol, np.sqrt(np.abs(cone.inners(positive, positive))))
+    for k, x in enumerate(mixed):
+        assert _bits(cone.inner(x, positive[k]), float) == _bits(pairings[k], float)
+        assert _bits(cone.cone_defect(x, tol), float) == _bits(defects[k], float)
+        frame = cone.frame(x, tol)
+        count = len(frame)
+        assert _bits([p.coefficient for p in frame], float) == _bits(values[k, :count], float)
+        assert (_bits([cone.as_vec(p.atom) for p in frame], float)
+                == _bits(frames[k, :count], float))
+        assert not values[k, count:].any() and not frames[k, count:].any()
+        pair = cone.moreau(x, tol)
+        assert _bits(cone.as_vec(pair.a_plus), float) == _bits(plus[k], float)
+        assert _bits(cone.as_vec(pair.a_minus), float) == _bits(minus[k], float)
+        completion = cone.complement_coords(atoms[k], tol)
+        assert (_bits(np.reshape(completion, complements[k].shape), float)
+                == _bits(complements[k], float))
+        split = cone.split_orthogonal(positive[k], tol)
+        assert (split is None) == single[k]
+        if split is not None:
+            assert _bits(split, float) == _bits((heads[k], rests[k]), float)
+
+
+@pytest.mark.parametrize("make", list(CONES.values()), ids=list(CONES))
+def test_cone_stack_forms_take_an_empty_stack(make, tol):
+    cone = make()
+    empty = np.zeros((0, cone.ambient_dim))
+    assert cone.inners(empty, empty).shape == cone.cone_defects(empty, tol).shape == (0,)
+    assert [part.shape for part in cone.moreau_parts(empty, tol)] == [empty.shape] * 2
+    values, atoms = cone.frames(empty, tol)
+    assert len(values) == len(atoms) == 0 and atoms.shape[2:] == (cone.ambient_dim,)
+    assert cone.complements(empty, tol) == []
+    assert cone.random_atom_param_batch([]).shape == empty.shape
+    assert cone.random_frame_params_batch([]).shape[::2] == (0, cone.ambient_dim)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ALL_MODEL_SPECS, random_projection
 from jordantp import (
+    DimensionMismatchError,
     Tolerance,
     NotAtomError,
     UnnormalizedParamError,
@@ -22,6 +23,19 @@ from jordantp import (
 # lpq(2, p=4) additivity defect of the polarized product, seed 42, 100 trials;
 # frozen as a regression baseline for the nonlinearity diagnostic
 LPQ4_LINEARITY_BASELINE = 0.5048018407634511
+
+
+@pytest.mark.parametrize("kind,n,p", [("classical", 3, None), ("spin", 2, None), ("sym", 3, None),
+                                       ("herm", 2, None), ("lpq", 2, 3.0)])
+def test_a_coordinate_vector_of_the_wrong_shape_is_refused(kind, n, p):
+    # the raw-array entry points check the shape as an element does
+    model = get_model(kind, n, p)
+    d = model.ambient_dim
+    for coords in (np.ones(d - 1), np.ones(d + 1), np.ones((1, d))):
+        with pytest.raises(DimensionMismatchError, match=f"expected {d} coordinates"):
+            model.eigenvalues(coords)
+        with pytest.raises(DimensionMismatchError, match=f"expected {d} coordinates"):
+            model.cone_defect(coords)
 
 
 def test_decompose_classical_coordinates():

@@ -6,6 +6,7 @@ import pytest
 from jordantp import (
     ConeProjectionError,
     DimensionMismatchError,
+    Element,
     GeneratorSelfDualCone,
     SpectralSelfDualCone,
     UnsupportedModelError,
@@ -533,23 +534,24 @@ def test_spectral_split_returns_coordinate_arrays(tol):
         cone.split_orthogonal(-cone.model.order_unit().coords, tol)
 
 
-def test_spectral_frame_passes_an_element_through(monkeypatch):
-    model = get_model("sym", 3)
-    cone = SpectralSelfDualCone(model)
-    a = random_element(model, 5)
-    seen = []
-    spectral_form = model.spectral_form
-    monkeypatch.setitem(vars(model), "spectral_form",
-                        lambda x, tol: seen.append(x) or spectral_form(x, tol))
-    by_element = cone.frame(a)
-    by_coords = cone.frame(a.coords)
-    assert seen[0] is a  # no second element for an input that is one
-    assert seen[1] is not a and np.array_equal(seen[1].coords, a.coords)
+def test_spectral_one_row_cases_take_an_element_or_checked_coordinates(cone, tol):
+    # an element and its coordinates give the same bits; a raw array is
+    # checked as the element constructor checks it, whatever the method
+    a = random_element(cone.model, 5)
+    by_element, by_coords = cone.frame(a, tol), cone.frame(a.coords, tol)
+    assert [p.coefficient for p in by_element] == [p.coefficient for p in by_coords]
     for p, q in zip(by_element, by_coords):
-        assert p.coefficient == q.coefficient
-        assert np.array_equal(cone.as_vec(p.atom), cone.as_vec(q.atom))
-    # a raw array is still checked
-    with pytest.raises(DimensionMismatchError):
-        cone.frame(np.zeros(model.ambient_dim + 1))
-    with pytest.raises(ValueError):
-        cone.frame(np.full(model.ambient_dim, np.inf))
+        assert type(p.atom) is type(q.atom) is Element
+        assert p.atom.coords.tobytes() == q.atom.coords.tobytes()
+    pair, again = cone.moreau(a, tol), cone.moreau(a.coords, tol)
+    assert pair.a_plus.coords.tobytes() == again.a_plus.coords.tobytes()
+    assert pair.a_minus.coords.tobytes() == again.a_minus.coords.tobytes()
+    assert cone.cone_defect(a, tol) == cone.cone_defect(a.coords, tol)
+    assert cone.inner(a, a) == cone.inner(a.coords, a.coords)
+    one_rows = [cone.frame, cone.moreau, cone.cone_defect, cone.split_orthogonal,
+                cone.complement_coords, lambda x, tol: cone.inner(x, x)]
+    for one_row in one_rows:
+        with pytest.raises(DimensionMismatchError):
+            one_row(np.zeros(cone.ambient_dim + 1), tol)
+        with pytest.raises(ValueError, match="finite"):
+            one_row(np.full(cone.ambient_dim, np.inf), tol)
