@@ -7,6 +7,7 @@ an LP layer deciding the extreme-point affinity property of polytopes.
 """
 
 from .backends import (
+    AtomSpace,
     ClassicalModel,
     HermMatrixModel,
     LpQubitModel,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .base import Model, ModelDescriptor
+from .base import AtomSpace, Model, ModelDescriptor
 from .classical import ClassicalModel
 from .lpqubit import LpQubitModel
 from .matrices import HermMatrixModel, SymMatrixModel

@@ -35,7 +35,108 @@ class ModelDescriptor:
         return out
 
 
-class Model(ABC):
+class AtomSpace(ABC):
+    """A space whose atoms carry a transition probability: what the atom
+    verifiers of ``transition`` run on.  Every ``Model`` is one, and so is
+    every ``SelfDualCone``, where an atom is its own parameter and its state
+    is the pairing.
+
+    A space supplies ``ambient_dim`` and ``info_capacity``, a checked
+    ``_row`` and its atom kernels on stacks: ``atom_coords_batch``,
+    ``atom_param_from_coords``, the two batch samplers, ``state_values``,
+    ``complements`` and ``cone_defects``.  Atoms enter the verifiers as
+    coordinate vectors.  Each per-element entry point below is the one-row
+    case of its stack form, written here once.  One atom parameter has
+    ``param_ndim`` array dimensions: a vector, or a basis index on
+    classical.
+
+    The samplers take a list of generators, one per trial, as
+    ``spectral.trial_rngs`` makes it.  Row k is drawn from rngs[k] alone, so
+    a generator makes the same draws whatever the other rows; only the raw
+    draws loop over the generators, the normalisation runs once over the
+    stack.
+    """
+
+    param_ndim = 1
+    _not_a_param = "atom parameter must be a vector"
+
+    def _one_row(self, param) -> np.ndarray:
+        """The stack (1, ...) of a single atom parameter."""
+        row = np.asarray(param)
+        if row.ndim != self.param_ndim:
+            raise UnnormalizedParamError(self._not_a_param.format(param))
+        return row[np.newaxis]
+
+    @abstractmethod
+    def _row(self, x) -> np.ndarray:
+        """The stack (1, d) of one element or coordinate vector of this
+        space, after the space's input check."""
+
+    @abstractmethod
+    def atom_coords_batch(self, params) -> np.ndarray:
+        """Coordinates of the minimal extreme point described by each
+        parameter in a stack, as a C-contiguous stack (..., d), so that a
+        dot product with a row adds up in one order whatever the stack.
+
+        Raises UnnormalizedParamError when a parameter is not normalized in
+        the backend's relevant norm; the whole stack is tested at once.
+        """
+
+    def atom_coords(self, param) -> np.ndarray:
+        return self.atom_coords_batch(self._one_row(param))[0]
+
+    @abstractmethod
+    def atom_param_from_coords(self, coords: np.ndarray):
+        """Recover the defining parameter of an atom given its coordinates."""
+
+    @abstractmethod
+    def random_atom_param_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """The parameter of a random atom from each generator, as a stack."""
+
+    @abstractmethod
+    def random_frame_params_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Parameters of a random maximal orthogonal family of atoms from
+        each generator, as a stack (K, m, ...): row k holds the m parameters
+        of the family drawn from rngs[k].  A cone pads a shorter family with
+        zero atoms (no atom is zero), whose pairings are zero and add
+        nothing to a sum that starts from zero."""
+
+    def random_atom_param(self, rng: np.random.Generator):
+        return self.random_atom_param_batch([rng])[0]
+
+    def random_frame_params(self, rng: np.random.Generator) -> list:
+        return list(self.random_frame_params_batch([rng])[0])
+
+    @abstractmethod
+    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+        """For the atom in each row of a (K, d) stack, the coordinates (n, d)
+        of the atoms that complete it to a maximal orthogonal family."""
+
+    @abstractmethod
+    def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """How far each row of a (K, d) stack lies outside the positive
+        cone, 0 inside it."""
+
+    @abstractmethod
+    def state_values(self, params, coords: np.ndarray) -> np.ndarray:
+        """Value of the unique atom state P_e of each row of a stack of
+        parameters at the element in the same row of a (K, d) stack of
+        coordinates, as a (K,) array."""
+
+    def state_value(self, param, coords) -> float:
+        return float(self.state_values(self._one_row(param), self._row(coords))[0])
+
+    def transitions_from_params(self, src, dst) -> np.ndarray:
+        """P_{e_src}(e_dst) evaluated natively from the atom parameters in
+        the rows of two stacks, as a (K,) array."""
+        return self.state_values(src, self.atom_coords_batch(dst))
+
+    def transition_from_params(self, param_src, param_dst) -> float:
+        return float(self.transitions_from_params(self._one_row(param_src),
+                                                  self._one_row(param_dst))[0])
+
+
+class Model(AtomSpace):
     """A concrete order unit space with a spectral backend.
 
     Coordinates are dense real vectors; each backend fixes their meaning.
@@ -107,6 +208,18 @@ class Model(ABC):
             )
         return a
 
+    def _row(self, x) -> np.ndarray:
+        """The stack (1, d) of an element of this model or of d coordinates;
+        an element of another model or coordinates of another shape raise
+        ``DimensionMismatchError``."""
+        if isinstance(x, Element):
+            return self.check_element(x).coords[np.newaxis]
+        coords = np.asarray(x, dtype=float)
+        if coords.shape != (self.ambient_dim,):
+            raise DimensionMismatchError(
+                f"expected {self.ambient_dim} coordinates, got shape {coords.shape}")
+        return coords[np.newaxis]
+
     # ------------------------------------------------------------------
     # spectral kernel
     # ------------------------------------------------------------------
@@ -165,7 +278,7 @@ class Model(ABC):
         from the other, so a check comparing the two paths still compares two
         computations.  A spectrum outside the doubles raises.
         """
-        coords = np.asarray(self.check_element(a).coords, dtype=float)
+        coords = self._row(a)[0]
         values, atoms = self.decompose_coords(coords, tol)
         if not all(map(math.isfinite, values.tolist())):
             self._refuse_overflow(values[np.newaxis], coords[np.newaxis], tol)
@@ -184,14 +297,7 @@ class Model(ABC):
     def eigenvalues(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Eigenvalues of an element or of a coordinate vector, descending, as
         a read-only array."""
-        if isinstance(a, Element):
-            coords = a.coords
-        else:
-            coords = np.asarray(a, dtype=float)
-            if coords.shape != (self.ambient_dim,):
-                raise DimensionMismatchError(
-                    f"expected {self.ambient_dim} coordinates, got shape {coords.shape}")
-        return _read_only(self.eigenvalues_coords(coords, tol))
+        return _read_only(self.eigenvalues_coords(self._row(a)[0], tol))
 
     def cone_defect(self, a: Element | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
         """How far ``a`` (an element or coordinates) lies outside the positive
@@ -224,93 +330,17 @@ class Model(ABC):
         return None if single[0] else (heads[0], rests[0])
 
     # ------------------------------------------------------------------
-    # atoms
+    # atoms, states and pairings
     # ------------------------------------------------------------------
-
-    # The atom kernels work on stacks; each per-element form below is the
-    # one-row case of its stack form, defined here once.  One atom parameter
-    # has ``param_ndim`` array dimensions: a vector, or a basis index on
-    # classical.
-
-    param_ndim = 1
-    _not_a_param = "atom parameter must be a vector"
-
-    def _one_row(self, param) -> np.ndarray:
-        """The stack (1, ...) of a single atom parameter."""
-        row = np.asarray(param)
-        if row.ndim != self.param_ndim:
-            raise UnnormalizedParamError(self._not_a_param.format(param))
-        return row[np.newaxis]
-
-    @abstractmethod
-    def atom_coords_batch(self, params) -> np.ndarray:
-        """Coordinates of the minimal extreme point described by each
-        parameter in a stack, as a C-contiguous stack (..., d), so that a
-        dot product with a row adds up in one order whatever the stack.
-
-        Raises UnnormalizedParamError when a parameter is not normalized in
-        the backend's relevant norm; the whole stack is tested at once.
-        """
-
-    def atom_coords(self, param) -> np.ndarray:
-        return self.atom_coords_batch(self._one_row(param))[0]
 
     def atom(self, param) -> Element:
         return self.element(self.atom_coords(param))
 
-    @abstractmethod
-    def atom_param_from_coords(self, coords: np.ndarray):
-        """Recover the defining parameter of an atom given its coordinates."""
-
-    # The samplers take a list of generators, one per trial.  Row k is drawn
-    # from rngs[k] alone, so a generator makes the same draws whatever the
-    # other rows; only the raw draws loop over the generators, the
-    # normalisation runs once over the stack.
-
-    @abstractmethod
-    def random_atom_param_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """The parameter of a random atom from each generator, as a stack."""
-
-    @abstractmethod
-    def random_frame_params_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Parameters of a random maximal orthogonal family of atoms from
-        each generator, as a stack (K, m, ...): row k holds the m parameters
-        of the family drawn from rngs[k]."""
-
-    def random_atom_param(self, rng: np.random.Generator):
-        return self.random_atom_param_batch([rng])[0]
-
-    def random_frame_params(self, rng: np.random.Generator) -> list:
-        return list(self.random_frame_params_batch([rng])[0])
-
     def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        """For the atom in each row of a (K, d) stack, the coordinates (n, d)
-        of the atoms that complete it to a maximal orthogonal family: the
-        frame of the logic element unit - e, from one ``decompose_batch``."""
+        """The frame of the logic element unit - e, from one
+        ``decompose_batch``."""
         values, atoms = self.decompose_batch(self.order_unit().coords - stack, tol)
         return [frame[row > 0.5] for row, frame in zip(values, atoms)]
-
-    # ------------------------------------------------------------------
-    # states and pairings
-    # ------------------------------------------------------------------
-
-    @abstractmethod
-    def state_values(self, params, coords: np.ndarray) -> np.ndarray:
-        """Value of the unique atom state P_e of each row of a stack of
-        parameters at the element in the same row of a (K, d) stack of
-        coordinates, as a (K,) array."""
-
-    def state_value(self, param, coords: np.ndarray) -> float:
-        return float(self.state_values(self._one_row(param), np.asarray(coords)[np.newaxis])[0])
-
-    def transitions_from_params(self, src, dst) -> np.ndarray:
-        """P_{e_src}(e_dst) evaluated natively from the atom parameters in
-        the rows of two stacks, as a (K,) array."""
-        return self.state_values(src, self.atom_coords_batch(dst))
-
-    def transition_from_params(self, param_src, param_dst) -> float:
-        return float(self.transitions_from_params(self._one_row(param_src),
-                                                  self._one_row(param_dst))[0])
 
     def native_pairing(self, ca: np.ndarray, cb: np.ndarray) -> float:
         """Closed-form value of the self-dualizing inner product, where it

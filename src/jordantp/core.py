@@ -15,12 +15,12 @@ from .elements import DEFAULT_TOL, Element, Tolerance
 
 def cone_contains(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Positivity test: true iff ``model.cone_defect`` is at most cone_slack."""
-    return model.cone_defect(model.check_element(a), tol) <= tol.cone_slack
+    return model.cone_defect(a, tol) <= tol.cone_slack
 
 
 def order_norm(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> float:
     """Order unit norm: the largest eigenvalue magnitude."""
-    eigs = model.eigenvalues(model.check_element(a), tol)
+    eigs = model.eigenvalues(a, tol)
     return float(abs(eigs).max())
 
 
@@ -31,5 +31,5 @@ def order_norms(model: Model, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
 
 def in_unit_interval(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff all eigenvalues lie in [-cone_slack, 1 + cone_slack]."""
-    eigs = model.eigenvalues(model.check_element(a), tol)
+    eigs = model.eigenvalues(a, tol)
     return bool(eigs.min() >= -tol.cone_slack and eigs.max() <= 1.0 + tol.cone_slack)

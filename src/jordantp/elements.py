@@ -6,6 +6,7 @@ of the coordinates is fixed by the owning backend (see ``jordantp.backends``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,13 +39,7 @@ class Tolerance:
                 raise ValueError(f"{name} must lie strictly in (0, 1e-3), got {val}")
 
     def replace(self, **kwargs) -> "Tolerance":
-        merged = {
-            "eig_cluster": self.eig_cluster,
-            "cone_slack": self.cone_slack,
-            "check_tol": self.check_tol,
-        }
-        merged.update(kwargs)
-        return Tolerance(**merged)
+        return dataclasses.replace(self, **kwargs)
 
 
 DEFAULT_TOL = Tolerance()

@@ -15,7 +15,7 @@ import numpy as np
 from .backends.base import Model
 from .core import cone_contains
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
-from .spectral import trial_rng
+from .spectral import trial_rngs
 
 NOT_IN_LOGIC = "element is not in the quantum logic (eigenvalues not in {0, 1})"
 
@@ -131,9 +131,7 @@ def information_capacity_empirical(
     restart drawing from its own trial generator.  The result is a
     consistency check against the analytic capacity, not a proof.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     # the unit minus each family, one atom subtracted at a time
     rests = model.order_unit().coords - model.atom_coords_batch(
         model.random_atom_param_batch(rngs))

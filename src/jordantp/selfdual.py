@@ -14,15 +14,16 @@ is not decidable from membership alone.
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backends.base import Model, row_norms
+from .backends.base import AtomSpace, Model, row_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import ConeProjectionError, UnsupportedModelError
 from .reports import CheckResult, read_csv_rows
-from .spectral import _random_element, trial_rng, worst
+from .spectral import _random_element, trial_rng, trial_rngs, worst
 
 
 @dataclass(frozen=True)
@@ -39,19 +40,18 @@ class PeeledAtom:
     atom: object
 
 
-class SelfDualCone:
+class SelfDualCone(AtomSpace):
     """Interface shared by the two cone flavors; vectors are kept in the
     flavor's natural element type (Element or raw ndarray, the default).
 
-    A cone is also an atom space, so the atom verifiers of ``transition``
-    run on it as on a model: an atom is its own parameter, and its state is
-    the pairing.  The batch samplers and state values follow the model
-    contract (``backends/base.py``).  A flavor writes each kernel once, on
-    (K, d) stacks or one generator per row: the stack forms below (``inners``
-    defaults to the ambient dot product), plus ``ambient_dim``,
-    ``info_capacity``, ``random_element`` and ``random_positive``.  Each
-    per-element method is the one-row case of its stack form, written here
-    once; a raw array is checked through ``wrap`` first.
+    A cone is an atom space whose atoms are their own parameters and whose
+    states are the pairing.  A flavor writes each kernel once, on (K, d)
+    stacks or one generator per row: the stack forms of ``AtomSpace`` and
+    those below (``inners`` defaults to the ambient dot product), plus
+    ``ambient_dim``, ``info_capacity``, ``random_element`` and
+    ``random_positive``.  Each per-element method is the one-row case of its
+    stack form, written here once; a raw array is checked through ``wrap``
+    first.
     """
 
     def as_vec(self, x) -> np.ndarray:
@@ -66,6 +66,8 @@ class SelfDualCone:
         checked = x if isinstance(x, Element) else self.wrap(self.as_vec(x))
         return self.as_vec(checked)[np.newaxis]
 
+    _one_row = _row  # an atom is its own parameter
+
     def inners(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The pairing of the rows of two stacks (..., d) that broadcast."""
         return np.vecdot(xs, ys)
@@ -73,18 +75,11 @@ class SelfDualCone:
     def inner(self, x, y) -> float:
         return float(self.inners(self._row(x), self._row(y))[0])
 
-    def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """How far each row of a (K, d) stack lies outside the cone, 0 inside it."""
-        raise NotImplementedError
-
     def cone_defect(self, x, tol: Tolerance = DEFAULT_TOL) -> float:
         return float(self.cone_defects(self._row(x), tol)[0])
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.cone_defect(x, tol) <= tol.cone_slack
-
-    def atom_coords(self, param) -> np.ndarray:
-        return self.as_vec(param)
 
     def atom_coords_batch(self, params) -> np.ndarray:
         return np.ascontiguousarray(params, dtype=float)
@@ -92,47 +87,19 @@ class SelfDualCone:
     def atom_param_from_coords(self, coords) -> np.ndarray:
         return self.as_vec(coords)
 
-    def state_value(self, param, coords) -> float:
-        return self.inner(param, coords)
-
     def state_values(self, params, coords) -> np.ndarray:
         return self.inners(params, coords)
-
-    transition_from_params = state_value  # an atom is its own parameter
-    transitions_from_params = state_values
-
-    def random_atom_param_batch(self, rngs) -> np.ndarray:
-        """A random atom from each generator, as a (K, d) stack."""
-        raise NotImplementedError
-
-    def random_atom_param(self, rng: np.random.Generator) -> np.ndarray:
-        return self.random_atom_param_batch([rng])[0]
-
-    def random_frame_params_batch(self, rngs) -> np.ndarray:
-        """A random maximal pairwise-orthogonal family of atoms from each
-        generator, as a (K, m, d) stack; a shorter family is padded with
-        zero atoms (no atom is zero), whose pairings are zero and add nothing
-        to a sum that starts from zero."""
-        raise NotImplementedError
-
-    def random_frame_params(self, rng: np.random.Generator) -> list[np.ndarray]:
-        return list(self.random_frame_params_batch([rng])[0])
-
-    def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        """For the atom e in each row of a (K, d) stack, the atoms (n, d)
-        completing it to a maximal pairwise-orthogonal family."""
-        raise NotImplementedError
 
     def complement_coords(self, e, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         return list(self.complements(self._row(e), tol)[0])
 
+    @abstractmethod
     def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
         """The atom oracle on the rows of a (K, d) stack, as the model
         contract's ``split_orthogonal_batch``: heads, rests and the mask of
         the rows that are (numerically) a positive multiple of an atom.  A
         row is a remainder of the element being peeled, whose norm is that
         row of ``scales``."""
-        raise NotImplementedError
 
     def split_orthogonal(self, x, tol: Tolerance = DEFAULT_TOL):
         """Two orthogonal positive parts of the coordinates ``x``, as
@@ -143,22 +110,22 @@ class SelfDualCone:
             vec, tol, np.sqrt(np.abs(self.inners(vec, vec))))
         return None if single[0] else (heads[0], rests[0])
 
+    @abstractmethod
     def frames(self, stack: np.ndarray,
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """Signed coefficients on pairwise-orthogonal atoms summing to each
         row of a (K, d) stack, as coefficients (K, m) and atom coordinates
         (K, m, d); a shorter frame is padded with zero coefficients on zero
         atoms."""
-        raise NotImplementedError
 
     def frame(self, x, tol: Tolerance = DEFAULT_TOL) -> list[PeeledAtom]:
         return _peeled(self, *self.frames(self._row(x), tol))
 
+    @abstractmethod
     def moreau_parts(self, stack: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """The Moreau parts (plus, minus) of the rows of a (K, d) stack, as
         two (K, d) stacks: the formula behind ``moreau_decompose``."""
-        raise NotImplementedError
 
     def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
         plus, minus = self.moreau_parts(self._row(a), tol)
@@ -398,11 +365,11 @@ class GeneratorSelfDualCone(SelfDualCone):
     def frames(self, stack: np.ndarray,
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         # the projections of x and -x are the Moreau parts exactly when the
-        # cone is self-dual, and unlike plus - x they carry no rounding noise
+        # cone is self-dual; unlike plus - x, a part that vanishes is at most
+        # the rounding noise of one projection, which the peel skips
         stack = np.asarray(stack, dtype=float)
-        parts = [self._projections(stack), self._projections(-stack)]
-        every = np.ones(len(stack), dtype=bool)
-        return _peel_signed(self, parts, (every, every), tol)
+        parts = (self._projections(stack), self._projections(-stack))
+        return _peel_signed(self, stack, parts, tol)
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
         # the chord from the direction of e to an extreme unit generator,
@@ -525,19 +492,26 @@ def peel_positive(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL):
     return values, atoms
 
 
-def _peel_signed(cone: SelfDualCone, parts, kept, tol: Tolerance):
-    """The frames of the rows of two (K, d) stacks of positive parts, plus
-    and minus, as one padded frame per row: the atoms peeled from the plus
-    part, then those of the minus part with negated coefficients.  Only the
-    rows in ``kept`` (a (K,) mask per part) are peeled, in one stacked
-    ``peel_positive``."""
-    rows = [np.flatnonzero(mask) for mask in kept]
+def _peel_signed(cone: SelfDualCone, stack: np.ndarray, parts, tol: Tolerance):
+    """The frames of the rows of a (K, d) stack from its two (K, d) stacks
+    of positive parts, plus and minus, as one padded frame per row: the
+    atoms peeled from the plus part, then those of the minus part with
+    negated coefficients, in one stacked ``peel_positive``.
+
+    A part whose norm is at most 1e-10 of its row's (the cutoff
+    ``peel_positive`` applies to its own remainder) is rounding noise, such
+    as the minus part of a cone element, and is skipped: peeled relative to
+    its own norm, it would give spurious atoms or fail the split oracle.
+    """
+    scale = np.sqrt(np.abs(cone.inners(stack, stack)))
+    rows = [np.flatnonzero(np.sqrt(np.abs(cone.inners(part, part))) > 1e-10 * scale)
+            for part in parts]
     values, atoms = peel_positive(
         cone, np.concatenate([part[at] for part, at in zip(parts, rows)]), tol)
     plus = len(rows[0])
     # each row's plus and minus frames side by side; 0 - c negates a
     # coefficient exactly and keeps the padding +0.0
-    signed = np.zeros((len(parts[0]), 2, values.shape[1]))
+    signed = np.zeros((len(stack), 2, values.shape[1]))
     frames = np.zeros(signed.shape + (cone.ambient_dim,))
     signed[rows[0], 0], frames[rows[0], 0] = values[:plus], atoms[:plus]
     signed[rows[1], 1], frames[rows[1], 1] = 0.0 - values[plus:], atoms[plus:]
@@ -552,23 +526,16 @@ def _peel_signed(cone: SelfDualCone, parts, kept, tol: Tolerance):
 
 def peel_spectral(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL):
     """Atom representation of an arbitrary element: route through the Moreau
-    split, then peel both positive parts.
-
-    A part whose norm is at most 1e-10 of the input's (the cutoff
-    ``peel_positive`` applies to its own remainder) is rounding noise, such as
-    the minus part of a cone element, and is skipped: peeled relative to its
-    own norm, it would give spurious atoms or fail the split oracle.  A
-    (K, d) stack gives padded frames, the plus part's atoms first in each
-    row, as ``peel_positive`` does; one element its list of ``PeeledAtom``.
+    split, then peel both positive parts (``_peel_signed``, which skips a
+    part that is rounding noise).  A (K, d) stack gives padded frames, the
+    plus part's atoms first in each row, as ``peel_positive`` does; one
+    element its list of ``PeeledAtom``.
     """
     vec = cone.as_vec(a)
     if vec.ndim == 1:
         return _peeled(cone, *peel_spectral(cone, vec[np.newaxis], tol))
     pair = moreau_decompose(cone, vec, tol)
-    scale = np.sqrt(np.abs(cone.inners(vec, vec)))
-    parts = (pair.a_plus, pair.a_minus)
-    kept = [np.sqrt(np.abs(cone.inners(part, part))) > 1e-10 * scale for part in parts]
-    return _peel_signed(cone, parts, kept, tol)
+    return _peel_signed(cone, vec, (pair.a_plus, pair.a_minus), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +567,7 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
     ``random_frame_params_batch`` call for all trials; the pairings, frames,
     Moreau parts and cone defects then come from the cone's stack forms.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     a = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
     b = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
     c = np.array([cone.as_vec(cone.random_element(rng)) for rng in rngs])

@@ -62,6 +62,14 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_words(int(seed), int(trial))))
 
 
+def trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
+    """``trial_rng(seed, k)`` for k in range(trials): the generators of a
+    sampled verifier, one per trial.  Fewer than one trial raises."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [trial_rng(seed, k) for k in range(trials)]
+
+
 def random_element(model: Model, seed: int, shape: str = "any") -> Element:
     """Deterministic random element with the requested spectral shape."""
     if shape not in SHAPES:

@@ -28,7 +28,7 @@ from .spectral import (
     polarized_coords,
     random_coords_batch,
     trial_coords,
-    trial_rng,
+    trial_rngs,
     worst,
 )
 from .transition import (
@@ -110,9 +110,7 @@ def logic_suite(model: Model, seed: int, trials: int,
     lattice operations on every trial's pair run as (K, d) stacks, one
     ``decompose_batch`` per stage of meets and one ``eigenvalues_batch``
     for every norm, logic test and cone defect."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(min(trials, 250))]
+    rngs = trial_rngs(seed, min(trials, 250))
     params = model.random_frame_params_batch(rngs)
     m = params.shape[1]
     # each generator draws the flags of q, then those of p among them
@@ -215,9 +213,7 @@ def tp_suite(model: Model, seed: int, trials: int,
     """Transition probabilities are read from the atom parameters of every
     trial at once; the cone tests and the top atom of every trial's positive
     element run as (trials, d) stacks."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     p1 = model.random_atom_param_batch(rngs)
     p2 = model.random_atom_param_batch(rngs)
     frames = model.random_frame_params_batch(rngs)
@@ -274,8 +270,6 @@ def tp_suite(model: Model, seed: int, trials: int,
 
 def axioms_suite(model: Model, seed: int, trials: int,
                  tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     checks = verify_atom_state_uniqueness(model, seed, trials, tol)
     checks += verify_pure_state_sampling(model, seed, min(trials, 64))
     checks += verify_certainty_order(model, seed, trials, tol)
@@ -286,7 +280,7 @@ def axioms_suite(model: Model, seed: int, trials: int,
 
 def _uncertain_samples(model: Model, seed: int, trials: int) -> CheckResult:
     """Counts sampled effects an atom state is not certain of; no claim made."""
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     params = model.random_atom_param_batch(rngs)
     effects = random_coords_batch(model, rngs, "unit_interval")
     uncertain = int(np.sum(model.state_values(params, effects) < 1.0 - 1e-6))
@@ -327,7 +321,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     cone = SpectralSelfDualCone(model)
     sweep = min(trials, 120)
     thinned = range(0, sweep, 5)
-    rngs = [trial_rng(seed, k) for k in range(sweep)]
+    rngs = trial_rngs(seed, sweep)
     a = random_coords_batch(model, rngs)
     effects = random_coords_batch(model, rngs[::5], "unit_interval")
     plus, minus = cone.moreau_parts(a, tol)

@@ -16,13 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends.base import Model, row_norms
+from .backends.base import AtomSpace, Model, row_norms
 from .core import cone_contains, order_norm, order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import UnsupportedModelError
 from .logic import NOT_IN_LOGIC, logic_rows
 from .reports import CheckResult, skipped_check
-from .spectral import random_coords_batch, trial_rng, worst
+from .spectral import random_coords_batch, trial_rng, trial_rngs, worst
 
 
 def atom_param(model: Model, e: Element):
@@ -193,7 +193,7 @@ def check_inner_product(model: Model, seed: int, trials: int,
         ]
 
     m, d = model.info_capacity, model.ambient_dim
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     a, b, c = (random_coords_batch(model, rngs) for _ in range(3))
     alpha = np.array([rng.normal() for rng in rngs])
     p1 = model.random_atom_param_batch(rngs)
@@ -239,19 +239,14 @@ def check_inner_product(model: Model, seed: int, trials: int,
 # ---------------------------------------------------------------------------
 # atom-space verifiers
 #
-# Each axiom on atoms is verified once, for models and self-dual cones alike.
-# A verifier uses only what both supply: the batch samplers
-# random_atom_param_batch and random_frame_params_batch, atom_coords_batch,
-# atom_param_from_coords, state_values, transitions_from_params (and their
-# per-element forms), info_capacity, complements (for each atom of a (K, d)
-# stack, the atoms that complete it to a maximal family) and cone_defects
-# (of each row of a stack).  Atoms enter as coordinate vectors;
-# on a cone an atom is its own parameter and its state is the pairing.  A
-# caller whose checks are pinned under other names passes them.
+# Each axiom on atoms is verified once, for models and self-dual cones alike:
+# a verifier takes an ``AtomSpace`` (``backends/base.py``) and uses only its
+# stack kernels.  A caller whose checks are pinned under other names passes
+# them.
 # ---------------------------------------------------------------------------
 
 
-def _mixture_values(space, params, weights, coords: np.ndarray) -> np.ndarray:
+def _mixture_values(space: AtomSpace, params, weights, coords: np.ndarray) -> np.ndarray:
     """Value at each row of a (K, d) stack of coordinates of a weighted sum
     of atom states: ``params[j]`` is the stack of the j-th atoms and
     ``weights[j]`` their weights, and the terms add up in that order from
@@ -262,24 +257,22 @@ def _mixture_values(space, params, weights, coords: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mixture_value(space, params, weights, coords) -> float:
+def _mixture_value(space: AtomSpace, params, weights, coords) -> float:
     """Value at ``coords`` of the weighted sum of the atom states of ``params``."""
     return float(_mixture_values(space, [np.asarray(p)[np.newaxis] for p in params], weights,
                                  np.asarray(coords)[np.newaxis])[0])
 
 
-def symmetry_defect(space, seed: int, trials: int) -> float:
+def symmetry_defect(space: AtomSpace, seed: int, trials: int) -> float:
     """Largest observed |P_{e1}(e2) - P_{e2}(e1)| over sampled atom pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     p1 = space.random_atom_param_batch(rngs)
     p2 = space.random_atom_param_batch(rngs)
     return worst(np.abs(space.transitions_from_params(p1, p2)
                         - space.transitions_from_params(p2, p1)))
 
 
-def _random_bounded_mixtures(space, rngs: Sequence[np.random.Generator]):
+def _random_bounded_mixtures(space: AtomSpace, rngs: Sequence[np.random.Generator]):
     """Atom parameters and weights of a two-atom mixture from each generator,
     as stacks, whose atoms are boundedly non-parallel: neither transition
     probability exceeds 0.95.  Each generator draws its first atom, then
@@ -301,7 +294,7 @@ def _random_bounded_mixtures(space, rngs: Sequence[np.random.Generator]):
     return (first, second), (lam, 1.0 - lam)
 
 
-def verify_atom_state_uniqueness(space, seed: int, trials: int,
+def verify_atom_state_uniqueness(space: AtomSpace, seed: int, trials: int,
                                  tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """Sampled evidence that P_e is the only state attaining 1 at atom e.
 
@@ -309,9 +302,7 @@ def verify_atom_state_uniqueness(space, seed: int, trials: int,
     uniqueness is analytic per backend and recorded as assumed.  The
     complements of every trial's atom come from one ``complements`` call.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     params = space.random_atom_param_batch(rngs)
     atoms = space.atom_coords_batch(params)
     checks = [CheckResult("states.atom_state_attains_one",
@@ -341,7 +332,7 @@ UNITY_NAMES = {"columns": "unity.family_pairings_sum_to_one",
                "shared_sum": "unity.families_share_one_sum"}
 
 
-def verify_unity_resolution(space, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
+def verify_unity_resolution(space: AtomSpace, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
                             names: dict = UNITY_NAMES) -> list[CheckResult]:
     """Every maximal orthogonal atom family resolves unity.
 
@@ -350,9 +341,7 @@ def verify_unity_resolution(space, seed: int, trials: int, tol: Tolerance = DEFA
     distance of sum f from the first family's sum.  ``names`` maps each
     measure the caller reports to its check name.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     frames = space.random_frame_params_batch(rngs)
     extra = space.random_atom_param_batch(rngs)
     ones = np.ones(frames.shape[:2])
@@ -366,7 +355,7 @@ def verify_unity_resolution(space, seed: int, trials: int, tol: Tolerance = DEFA
     return [CheckResult(name, measured[key], tol.check_tol) for key, name in names.items()]
 
 
-def verify_certainty_order(space, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
+def verify_certainty_order(space: AtomSpace, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
                            names: tuple = ("certainty.state_attains_one",
                                            "certainty.atom_below_effect")) -> list[CheckResult]:
     """If a state is certain of an effect in [0, unit], its atom lies below it.
@@ -377,11 +366,9 @@ def verify_certainty_order(space, seed: int, trials: int, tol: Tolerance = DEFAU
     minus atom from the cone; the complements and the cone defects of all
     trials come from one stack call each.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     # each trial's generator draws the atom now and the junk weights once
     # the complements of every trial's atom are known
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     params = space.random_atom_param_batch(rngs)
     atoms = space.atom_coords_batch(params)
     comps = space.complements(atoms, tol)
@@ -457,9 +444,7 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     but not of q is sought among the atoms of p.  This is a testable
     surrogate, not a global certificate.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = [trial_rng(seed, k) for k in range(trials)]
+    rngs = trial_rngs(seed, trials)
     ps = random_coords_batch(model, rngs, "logic")
     qs = random_coords_batch(model, rngs, "logic")
     # the atoms of every p, as atomic_decomposition finds them: the frame

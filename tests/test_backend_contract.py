@@ -7,9 +7,9 @@ backend or subclass silently falls through), on a comparison between an
 attribute and a string literal (a per-kind tag such as a representation
 name, which a backend method should replace), on a read of a private
 attribute of an object other than ``self`` or ``cls``, or on an
-``isinstance`` test against ``Model``, ``SelfDualCone`` or any subclass of
-either (each model and cone flavour supplies its formulas as methods, so
-that one verifier serves them all).  The CLI is exempt from the string rule:
+``isinstance`` test against ``AtomSpace``, ``Model``, ``SelfDualCone`` or
+any subclass of them (each model and cone flavour supplies its formulas as
+methods, so that one verifier serves them all).  The CLI is exempt from the string rule:
 it compares parsed option values, not tags of a model.
 
 A second walk, over every module but ``elements.py`` (the backends
@@ -36,12 +36,16 @@ either from scipy, on naming either as an attribute of anything but
 ``convexgeom``, and on importing a private ``scipy.optimize._*`` module.  So
 every solve goes through the one wrapper and shows in the traced LP count.
 
-A walk of its own keeps each cone flavour to its stack kernels: it fails
-on a subclass of ``SelfDualCone`` that defines a per-element cone method
-(``inner``, ``cone_defect``, ``moreau``, ``frame``, ``complement_coords``,
-``split_orthogonal`` or one of the two per-element samplers), each of which
-``SelfDualCone`` writes once as the one-row case of its stack form, and on
-a loop or comprehension in ``SelfDualCone`` itself.
+A walk of its own keeps each model class and cone flavour to its stack
+kernels: it fails on a subclass of ``AtomSpace`` (``Model``,
+``SelfDualCone`` and theirs) that defines one of the one-row cases
+``AtomSpace`` writes once (``atom_coords``, ``state_value``,
+``transition_from_params`` and the two per-element samplers), on a subclass
+of ``SelfDualCone`` that defines a per-element cone method (``inner``,
+``cone_defect``, ``moreau``, ``frame``, ``complement_coords`` or
+``split_orthogonal``), each of which ``SelfDualCone`` writes once as the
+one-row case of its stack form, and on a loop or comprehension in
+``AtomSpace`` or ``SelfDualCone`` itself.
 
 A fifth walk, over every module, fails on a parameter that no concrete
 definition of a function reads.  Definitions are grouped by name, so the
@@ -68,7 +72,7 @@ import jordantp
 from conftest import ALL_MODEL_SPECS
 from jordantp import UnnormalizedParamError, get_model
 from jordantp.backends import REGISTRY
-from jordantp.backends.base import Model
+from jordantp.backends.base import AtomSpace, Model
 from jordantp.selfdual import GeneratorSelfDualCone, SelfDualCone, SpectralSelfDualCone
 from jordantp.spectral import SHAPES, _random_coords, random_coords_batch, trial_rng
 from test_selfdual import near_duplicate_orthant, rotated_orthant
@@ -83,7 +87,8 @@ def _class_names(cls):
 
 
 # class name -> what an isinstance test against it switches on
-SPACE_CLASSES = {**dict.fromkeys(_class_names(Model), "model class"),
+SPACE_CLASSES = {"AtomSpace": "atom space",
+                 **dict.fromkeys(_class_names(Model), "model class"),
                  **dict.fromkeys(_class_names(SelfDualCone), "cone flavour")}
 
 
@@ -222,6 +227,8 @@ def test_guard_flags_model_class_switches():
         "        return isinstance(space, (backends.SymMatrixModel, HermMatrixModel))\n"
         "    if isinstance(space, PolytopeAffineModel | LpQubitModel):\n"
         "        return ClassicalModel(3)\n"
+        "    if isinstance(space, base.AtomSpace):\n"
+        "        return a\n"
         "    return isinstance(space, dict)\n"
     )
     assert contract_violations(source) == [
@@ -230,6 +237,7 @@ def test_guard_flags_model_class_switches():
         "<source>:3: switches on model class 'HermMatrixModel'",
         "<source>:4: switches on model class 'PolytopeAffineModel'",
         "<source>:4: switches on model class 'LpQubitModel'",
+        "<source>:6: switches on atom space 'AtomSpace'",
     ]
 
 
@@ -347,11 +355,15 @@ def test_guard_flags_a_second_spectral_kernel():
 
 
 # the per-element cone methods: each is the one-row case of its stack form,
-# written once in ``SelfDualCone``, which keeps no per-row loop of its own
+# written once in ``SelfDualCone``, which keeps no per-row loop of its own;
+# likewise the one-row cases of the atom kernels, written once in ``AtomSpace``
 PER_ELEMENT_CONE_METHODS = frozenset({
-    "inner", "cone_defect", "moreau", "frame", "random_atom_param", "random_frame_params",
-    "complement_coords", "split_orthogonal"})
+    "inner", "cone_defect", "moreau", "frame", "complement_coords", "split_orthogonal"})
+ATOM_SPACE_ONE_ROW = frozenset({
+    "atom_coords", "random_atom_param", "random_frame_params", "state_value",
+    "transition_from_params"})
 CONE_CLASSES = frozenset(_class_names(SelfDualCone))
+ATOM_SPACE_CLASSES = frozenset(_class_names(AtomSpace))
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -360,13 +372,13 @@ def cone_violations(source: str, filename: str = "<source>") -> list[str]:
     for cls in ast.walk(ast.parse(source, filename)):
         if not isinstance(cls, ast.ClassDef):
             continue
-        if cls.name == "SelfDualCone":
-            hits += [(node.lineno, "SelfDualCone loops over rows")
+        if cls.name in ("AtomSpace", "SelfDualCone"):
+            hits += [(node.lineno, f"{cls.name} loops over rows")
                      for node in ast.walk(cls) if isinstance(node, LOOPS)]
-            continue
         bases = {getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases}
-        if not bases & CONE_CLASSES:
+        if not bases & ATOM_SPACE_CLASSES:
             continue
+        forbidden = ATOM_SPACE_ONE_ROW | (PER_ELEMENT_CONE_METHODS if bases & CONE_CLASSES else set())
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names = [node.name]
@@ -376,7 +388,7 @@ def cone_violations(source: str, filename: str = "<source>") -> list[str]:
             else:
                 continue
             hits += [(node.lineno, f"{cls.name} defines {name}")
-                     for name in names if name in PER_ELEMENT_CONE_METHODS]
+                     for name in names if name in forbidden]
     return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
 
 
@@ -401,11 +413,25 @@ def test_guard_flags_per_element_cone_methods_and_row_loops():
         "class Other(Model):\n"
         "    def inner(self, x, y):\n"
         "        return x\n"
+        "    def state_value(self, param, coords):\n"
+        "        return coords\n"
+        "class AtomSpace(ABC):\n"
+        "    def atom_coords(self, param):\n"
+        "        return [self.atom_coords_batch(p) for p in param]\n"
+        "class SelfDualCone(AtomSpace):\n"
+        "    transition_from_params = AtomSpace.state_value\n"
+        "class Spin(_QubitModel):\n"
+        "    def random_frame_params(self, rng):\n"
+        "        return rng\n"
     )
     assert cone_violations(source, "selfdual.py") == [
         "selfdual.py:3: SelfDualCone loops over rows",
         "selfdual.py:5: Cone defines frame",
         "selfdual.py:7: Cone defines moreau",
+        "selfdual.py:13: Other defines state_value",
+        "selfdual.py:17: AtomSpace loops over rows",
+        "selfdual.py:19: SelfDualCone defines transition_from_params",
+        "selfdual.py:21: Spin defines random_frame_params",
     ]
 
 

@@ -107,3 +107,16 @@ def test_generator_cones_do_not_move_under_a_rotation_of_the_generators(data, d,
         _assert_close(turned_part, part @ rotation.T, scale)
     _assert_close(turned.cone_defects(moved, TOL), cone.cone_defects(stack, TOL), scale)
     _assert_same_frames(turned.frames(moved, TOL)[0], cone.frames(stack, TOL)[0], scale)
+
+
+@settings(max_examples=20, deadline=None)
+@given(gauss=arrays(np.float64, (2, 2, 2), elements=gaussian_entries))
+def test_a_generator_and_its_negative_are_one_atom_in_every_rotated_plane_orthant(gauss):
+    # the projection of -g, for a generator g, is rounding noise, which the
+    # frame skips, so +-g keeps one atom whatever the rotation.  Only in the
+    # plane: from three dimensions on, scipy's NNLS misses the zero
+    # projection of some -g
+    for generators in (_orthonormal(gauss[0]), _orthonormal(gauss[0]) @ _orthonormal(gauss[1]).T):
+        rays = np.concatenate((generators, -generators))
+        values = GeneratorSelfDualCone(generators).frames(rays, TOL)[0]
+        assert np.count_nonzero(values, axis=1).tolist() == [1] * 4

@@ -31,11 +31,29 @@ def test_a_coordinate_vector_of_the_wrong_shape_is_refused(kind, n, p):
     # the raw-array entry points check the shape as an element does
     model = get_model(kind, n, p)
     d = model.ambient_dim
+    param = model.random_atom_param(np.random.default_rng(0))
     for coords in (np.ones(d - 1), np.ones(d + 1), np.ones((1, d))):
         with pytest.raises(DimensionMismatchError, match=f"expected {d} coordinates"):
             model.eigenvalues(coords)
         with pytest.raises(DimensionMismatchError, match=f"expected {d} coordinates"):
             model.cone_defect(coords)
+        with pytest.raises(DimensionMismatchError, match=f"expected {d} coordinates"):
+            model.state_value(param, coords)
+
+
+@pytest.mark.parametrize("spec,other", [(("spin", 3, None), ("classical", 4, None)),
+                                        (("spin", 2, None), ("sym", 2, None)),
+                                        (("herm", 2, None), ("classical", 4, None))])
+def test_an_element_of_another_model_is_refused(spec, other):
+    # the two models share the ambient dimension, so only the element's
+    # model tells its coordinates apart
+    for model, foreign in ((get_model(*spec), get_model(*other)),
+                           (get_model(*other), get_model(*spec))):
+        a = foreign.element(np.arange(1.0, model.ambient_dim + 1))
+        param = model.random_atom_param(np.random.default_rng(0))
+        for call in (model.eigenvalues, model.cone_defect, lambda x: model.state_value(param, x)):
+            with pytest.raises(DimensionMismatchError, match="element belongs to"):
+                call(a)
 
 
 def test_decompose_classical_coordinates():

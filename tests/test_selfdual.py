@@ -243,6 +243,19 @@ def test_peel_spectral_generator_cone_elements():
             assert gcone.inner(p.atom, x) == pytest.approx(p.coefficient, abs=1e-9)
 
 
+def test_generator_frames_skip_a_part_that_is_rounding_noise(tol):
+    # on a rotated orthant the projection of -g, for an extreme generator g,
+    # is about 2e-16 rather than 0; the frame skips it as peel_spectral
+    # does, so each of the 800 rows +-g is one atom, as on the plain orthant
+    counts = []
+    for seed in range(200):
+        cone = rotated_orthant(2, seed)
+        ext = cone.extreme_generators()
+        values, _ = cone.frames(np.concatenate((ext, -ext)), tol)
+        counts += np.count_nonzero(values, axis=1).tolist()
+    assert counts == [1] * 800
+
+
 def _kernel_forbidden(*args, **kwargs):
     raise AssertionError("an independent oracle reached the spectral kernel")
 
