@@ -86,8 +86,8 @@ class LpQubitModel(_QubitModel):
         with np.errstate(over="ignore", under="ignore"):
             sums = (a ** exponent).sum(axis=1)
             peaks = a.max(axis=1, initial=0.0) ** exponent
-        # margins of 4 keep the branch of pnorm's scalar peak test
-        plain = ((4.0 * _TINY <= peaks) & (peaks * (4.0 * a.shape[1]) < math.inf)).tolist()
+            # margins of 4 keep the branch of pnorm's scalar peak test
+            plain = ((4.0 * _TINY <= peaks) & (peaks * (4.0 * a.shape[1]) < math.inf)).tolist()
         root = 1.0 / exponent
         return np.array([s ** root if ok else cls.pnorm(row, exponent)
                          for s, ok, row in zip(sums.tolist(), plain, rows)])

@@ -5,6 +5,12 @@ Exit codes: 0 all checks passed, 1 at least one check or property failed,
 2 usage or input errors, 3 an internal failure of the library.  Identical
 command lines with identical seeds produce byte-identical reports (except
 wall_time_ms).
+
+Only the layers that ``spectral`` and ``geom`` use are imported here; the
+verify suites and the transition layer are imported by the commands that run
+them, so a cold process loads what its one command needs.  ``convexgeom``
+must stay a module-level import: the layer tracer of ``bench/tracer.py``
+finds it in ``sys.modules`` after importing this module and the suites.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from .core import order_norm
 from .elements import Tolerance
 from .errors import JordanTpError
 from .reports import dump_canonical_json, format_double
-from .suites import SUITES, run_suite
-from .transition import tp_matrix, tp_matrix_from_params
 
 TOL_KEYS = ("eig_cluster", "cone_slack", "check_tol")
+# the keys of suites.SUITES, spelled out so that building the parser does
+# not import the suites
+SUITE_NAMES = ("axioms", "spectral", "logic", "tp", "selfdual")
 
 
 def _resolve_seed(value) -> int:
@@ -61,6 +68,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_suite
+
     model = parse_model_spec(args.model)
     seed = _resolve_seed(args.seed)
     if args.trials < 1:
@@ -101,6 +110,8 @@ def _cmd_geom(args) -> int:
 
 
 def _cmd_tpmatrix(args) -> int:
+    from .transition import tp_matrix, tp_matrix_from_params
+
     model = parse_model_spec(args.model)
     if args.random is not None:
         if args.random < 1:
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common],
                             help="run a verification suite on a model")
     verify.add_argument("model", help="model spec kind:n[:p], e.g. herm:3 or lpq:2:3")
-    verify.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    verify.add_argument("--suite", choices=[*sorted(SUITE_NAMES), "all"], default="all")
     verify.add_argument("--seed", type=int, default=None,
                         help="sampling seed (fallback: JORDAN_TP_SEED, then 0)")
     verify.add_argument("--trials", type=int, default=500)

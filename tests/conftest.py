@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import jordantp
 from jordantp import Tolerance, backends, get_model
 
 ALL_MODEL_SPECS = [
@@ -20,6 +26,17 @@ SYMMETRIC_MODEL_SPECS = [
     ("lpq", 2, 2.0),
 ]
 
+
+def run_fresh(script, *args):
+    """Run a Python script in a fresh interpreter that finds this checkout's
+    ``jordantp`` first; returns the JSON value on its last stdout line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jordantp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _regular_polygon(k):

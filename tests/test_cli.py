@@ -58,6 +58,15 @@ def test_verify_lpq_symmetry_fails_exit_one(capsys):
     assert all(c.get("note") for c in skipped)
 
 
+def test_verify_lpq_near_one_exponent_warns_nothing(capsys):
+    # the overflow test of LpQubitModel.pnorms raises no RuntimeWarning, which
+    # the test configuration turns into an error and the CLI into exit 3
+    code, out, err = run_cli(capsys, "verify", "lpq:3:1.001", "--suite", "all",
+                             "--trials", "60", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == ["tp.symmetry"]
+
+
 def test_verify_malformed_model_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "nosuch:3")
     assert code == 2

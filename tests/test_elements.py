@@ -200,3 +200,13 @@ def test_pnorm_matches_function_form():
         for v in vectors:
             for exponent in exponents:
                 assert LpQubitModel.pnorm(v, exponent) == reference_pnorm(v, exponent)
+
+
+def test_pnorms_rows_whose_peak_overflows_match_pnorm():
+    # at 1e307 the peak power is finite but four times the row length times it
+    # is not; at 1e308 the peak power itself overflows (exponents above 1)
+    rows = np.array([[1e307, 2.0, -3.0], [-1e307, 1e307, 0.0], [1e308, 1.0, 0.0],
+                     [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1e-300, 0.0, 1e-301]])
+    for exponent in (1.001, 1.01, 2.0, 40.0):
+        assert LpQubitModel.pnorms(rows, exponent).tolist() == [
+            LpQubitModel.pnorm(row, exponent) for row in rows]

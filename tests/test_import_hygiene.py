@@ -1,15 +1,14 @@
-"""Import hygiene: scipy.optimize is loaded only by the commands that solve an
-LP or an NNLS problem, so a cold `spectral` or `tpmatrix` call does not pay
-for it."""
+"""Import hygiene: a cold command loads only the layers it runs.
 
-import json
-import os
-import subprocess
-import sys
+scipy.optimize is loaded only by the commands that solve an LP or an NNLS
+problem, so a cold `spectral` or `tpmatrix` call does not pay for it; and the
+verify-side layers (suites, transition, self-dual cones, logic, sampling)
+are loaded only by the commands that use them."""
 
 import numpy as np
+import pytest
 
-import jordantp
+from conftest import run_fresh
 
 SCRIPT = """
 import json, sys
@@ -23,17 +22,51 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded,
                   "optimize_after_geom": "scipy.optimize" in sys.modules}))
 """
 
+# run one command as `python -m jordantp.cli` does and list what it loaded
+COLD_SCRIPT = """
+import json, sys
+from jordantp.cli import main
 
-def test_spectral_and_tpmatrix_do_not_load_scipy(tmp_path):
-    element = tmp_path / "element.json"
-    element.write_text("[1.0, 2.0, 3.0, 0.5, -0.5, 0.25]")
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}))
+"""
+
+VERIFY_LAYERS = {f"jordantp.{name}"
+                 for name in ("suites", "transition", "selfdual", "logic", "spectral")}
+
+
+@pytest.fixture
+def element(tmp_path):
+    path = tmp_path / "element.json"
+    path.write_text("[1.0, 2.0, 3.0, 0.5, -0.5, 0.25]")
+    return path
+
+
+def test_spectral_and_tpmatrix_do_not_load_scipy(tmp_path, element):
     vertices = tmp_path / "tri.csv"
     np.savetxt(vertices, [[0, 0], [1, 0], [0, 1]], delimiter=",")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(jordantp.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(element), str(vertices)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = run_fresh(SCRIPT, element, vertices)
     assert result == {"codes": [0, 0, 0], "scipy_loaded": [], "optimize_after_geom": True}
+
+
+def test_a_cold_spectral_loads_no_verify_layer_and_no_sampling(element):
+    result = run_fresh(COLD_SCRIPT, "spectral", "sym:3", element)
+    assert result["code"] == 0
+    loaded = set(result["loaded"])
+    assert loaded & VERIFY_LAYERS == set()
+    assert "numpy.random" not in loaded
+
+
+def test_a_cold_tpmatrix_loads_neither_the_suites_nor_the_cones():
+    result = run_fresh(COLD_SCRIPT, "tpmatrix", "lpq:2:3", "--random", "4")
+    assert result["code"] == 0
+    loaded = set(result["loaded"])
+    assert "jordantp.transition" in loaded
+    assert loaded & {"jordantp.suites", "jordantp.selfdual"} == set()
+
+
+def test_a_cold_verify_loads_what_it_runs():
+    result = run_fresh(COLD_SCRIPT, "verify", "classical:2", "--suite", "spectral",
+                       "--trials", "2")
+    assert result["code"] == 0
+    assert VERIFY_LAYERS <= set(result["loaded"])

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -21,13 +23,23 @@ def tracer_module():
     return module
 
 
-def test_the_tracer_binds_every_entry_point(tracer_module):
-    tracer = tracer_module.Tracer()
-    try:
-        tracer_module.install(tracer)
-        assert tracer.missing == []
-    finally:
-        tracer.activate(False)
+# as `bench/child.py trace` does: only jordantp.cli is imported before install
+FRESH_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import jordantp.cli
+from tracer import Tracer, install
+
+tracer = Tracer()
+install(tracer)
+print(json.dumps(tracer.missing))
+"""
+
+
+def test_the_tracer_binds_every_entry_point():
+    # in a fresh interpreter: inside pytest every module is already imported,
+    # which would hide a layer that the package loads only on first use
+    assert run_fresh(FRESH_SCRIPT, TRACER.parent) == []
 
 
 # one request like each verify workload: a closed-form and a matrix family
