@@ -38,18 +38,18 @@ _EXPORTS = {name: module for module, names in {
     "selfdual": (
         "GeneratorSelfDualCone", "MoreauPair", "PeeledAtom", "SelfDualCone",
         "SpectralSelfDualCone", "generator_cone_from_csv", "is_atom_sd",
-        "moreau_decompose", "peel_positive", "peel_spectral", "recover_order_unit",
-        "self_duality_report"),
+        "moreau_decompose", "peel_positive", "peel_spectral", "recover_order_unit"),
     "spectral": (
         "func_calculus", "jordan_product_polarized", "linearity_defect",
         "random_element", "square"),
-    "suites": ("SUITES", "run_suite"),
-    "transition": (
-        "State", "TPMatrix", "check_inner_product", "inner_product", "mix_states",
-        "state_of_atom", "symmetry_defect", "tp_matrix", "tp_matrix_from_params",
-        "transition_prob", "verify_atom_state_uniqueness", "verify_certainty_order",
+    "suites": (
+        "SUITES", "check_inner_product", "run_suite", "self_duality_report",
+        "symmetry_defect", "verify_atom_state_uniqueness", "verify_certainty_order",
         "verify_pure_state_sampling", "verify_strong_state_space",
         "verify_unity_resolution"),
+    "transition": (
+        "State", "TPMatrix", "inner_product", "mix_states", "state_of_atom", "tp_matrix",
+        "tp_matrix_from_params", "transition_prob"),
 }.items() for name in names}
 
 __all__ = [*_EXPORTS]

@@ -56,6 +56,7 @@ def parse_model_spec(spec: str) -> Model:
 
 
 __all__ = [
+    "AtomSpace",
     "Model",
     "ModelDescriptor",
     "ClassicalModel",

@@ -37,7 +37,7 @@ class ModelDescriptor:
 
 class AtomSpace(ABC):
     """A space whose atoms carry a transition probability: what the atom
-    verifiers of ``transition`` run on.  Every ``Model`` is one, and so is
+    verifiers of ``suites`` run on.  Every ``Model`` is one, and so is
     every ``SelfDualCone``, where an atom is its own parameter and its state
     is the pairing.
 

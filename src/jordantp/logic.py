@@ -143,7 +143,7 @@ def information_capacity_empirical(
         live = np.abs(values).max(axis=1) > 1e-6
         running, values, atoms = running[live], values[live], atoms[live]
         if not logic_rows(values, tol).all():
-            raise ValueError(NOT_IN_LOGIC)
+            raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
         grows = []
         for k, row, frame in zip(running.tolist(), values, atoms):
             top = frame[row > 0.5]

@@ -1,5 +1,5 @@
-"""Euclidean spaces with self-dual cones: Moreau splits, atom peeling,
-order-unit recovery and the self-duality verifier.
+"""Euclidean spaces with self-dual cones: Moreau splits, atom peeling and
+order-unit recovery.
 
 Two cone flavors are supported:
 
@@ -22,8 +22,8 @@ import numpy as np
 from .backends.base import AtomSpace, Model, row_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import ConeProjectionError, UnsupportedModelError
-from .reports import CheckResult, read_csv_rows
-from .spectral import _random_element, trial_rng, trial_rngs, worst
+from .reports import read_csv_rows
+from .spectral import _random_element, trial_rng
 
 
 @dataclass(frozen=True)
@@ -539,7 +539,7 @@ def peel_spectral(cone: SelfDualCone, a, tol: Tolerance = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# order-unit recovery and self-duality
+# order-unit recovery
 # ---------------------------------------------------------------------------
 
 
@@ -547,67 +547,7 @@ def recover_order_unit(cone: SelfDualCone, seed: int):
     """Sum of the maximal orthogonal atom family drawn from ``trial_rng(seed, 0)``.
 
     That every maximal family resolves this one element, and that atoms pair
-    to 1 with it, is what ``transition.verify_unity_resolution`` checks.
+    to 1 with it, is what ``suites.verify_unity_resolution`` checks.
     """
     family = cone.random_frame_params(trial_rng(seed, 0))
     return cone.wrap(sum(cone.as_vec(e) for e in family))
-
-
-def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
-                        tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Witness both inclusions of self-duality on samples.
-
-    The cone lies in its dual when cone elements pair nonnegatively: the
-    sampled pairs, and every pair of the extreme rays a cone lists
-    (``extreme_generators``), which generate it and so witness this
-    exactly.  The dual lies in the cone when the frame pairings of an
-    element recover its coefficients, so that their signs decide
-    membership, and when Moreau minus parts (dual vectors) lie in the cone.
-    Each trial draws from ``trial_rng(seed, k)``, its witness family in one
-    ``random_frame_params_batch`` call for all trials; the pairings, frames,
-    Moreau parts and cone defects then come from the cone's stack forms.
-    """
-    rngs = trial_rngs(seed, trials)
-    a = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
-    b = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
-    c = np.array([cone.as_vec(cone.random_element(rng)) for rng in rngs])
-    # witness: one negative coefficient on a maximal family pairs negatively
-    # with its own atom; a padded zero atom gets weight -0.0, adding nothing
-    families = cone.random_frame_params_batch(rngs)
-    coeffs = np.full(families.shape[:2], -0.0)
-    neg = np.empty(trials, dtype=int)
-    for k, (rng, family) in enumerate(zip(rngs, families)):
-        size = np.count_nonzero(family.any(axis=1))
-        coeffs[k, :size] = np.abs(rng.normal(size=size)) + 0.1
-        neg[k] = rng.integers(size)
-        coeffs[k, neg[k]] = -0.1 - abs(rng.normal())
-    bad = resum(coeffs, coeffs, families)
-    neg_atom = families[np.arange(trials), neg]
-    rays = cone.extreme_generators()
-    forward = worst(np.concatenate((-cone.inners(a, b),
-                                    -cone.inners(rays[:, np.newaxis], rays).ravel())))
-    values, atoms = cone.frames(c, tol)
-    pairings = cone.inners(atoms, c[:, np.newaxis])
-    reverse = worst(np.abs(pairings - values).ravel())
-    plus, minus = cone.moreau_parts(c, tol)
-    contained = cone.cone_defects(np.concatenate((c, minus)), tol) <= tol.cone_slack
-    mismatches = np.sum((pairings >= -tol.cone_slack).all(axis=1) != contained[:trials])
-    witness_defect = 0.0
-    witness: tuple | None = None
-    for row, pairing in zip(bad, (cone.inners(bad, neg_atom) + 0.05).tolist()):
-        if pairing > witness_defect:
-            witness_defect, witness = pairing, tuple(row)
-    plus_pairing = worst(-cone.inners(plus, a))
-    dual_in_cone = 0.0 if contained[trials:].all() else 1.0
-    return [
-        CheckResult("selfdual.forward", forward, tol.check_tol,
-                    note="<a|b> >= 0 for sampled positive pairs"),
-        CheckResult("selfdual.reverse", reverse, tol.check_tol,
-                    note="frame pairings recover eigenvalues"),
-        CheckResult("selfdual.membership_agreement", float(mismatches), 0.0),
-        CheckResult("selfdual.negative_witness", witness_defect, 0.0, witness=witness,
-                    note="one negative eigenvalue yields a strictly negative pairing"),
-        CheckResult("selfdual.cone_pairings_nonnegative", plus_pairing, tol.check_tol),
-        CheckResult("selfdual.dual_vectors_in_cone", dual_in_cone, 0.0),
-    ]
-

@@ -133,9 +133,9 @@ def linearity_defect(
     """Largest additivity violation of the polarized product over samples:
     the order norm of (a, b + c) - (a, b) - (a, c) for the first three
     elements drawn in each trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return worst(linearity_defects(model, *trial_coords(model, seed, range(trials), 3), tol))
+    rngs = trial_rngs(seed, trials)
+    a, b, c = (random_coords_batch(model, rngs) for _ in range(3))
+    return worst(linearity_defects(model, a, b, c, tol))
 
 
 def linearity_defects(model: Model, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -153,14 +153,6 @@ def polarized_coords(model: Model, xs: np.ndarray, ys, tol: Tolerance = DEFAULT_
     values, atoms = model.decompose_batch(np.concatenate((xs + ys, xs - ys)), tol)
     plus, minus = np.split(resum(values, values * values, atoms), 2)
     return 0.25 * (plus - minus)
-
-
-def trial_coords(model: Model, seed: int, trials: range, count: int) -> list[np.ndarray]:
-    """``count`` stacks (len(trials), d): row k of the j-th holds the
-    coordinates of the j-th element that ``_random_element`` draws from
-    ``trial_rng(seed, trials[k])``."""
-    rngs = [trial_rng(seed, trial) for trial in trials]
-    return [random_coords_batch(model, rngs) for _ in range(count)]
 
 
 def worst(defects: np.ndarray, floor: float = 0.0) -> float:

@@ -40,20 +40,20 @@ from jordantp.selfdual import (
     peel_positive,
     peel_spectral,
     recover_order_unit,
-    self_duality_report,
 )
 from jordantp.spectral import _random_element, random_element, trial_rng
-from jordantp.suites import axioms_suite, selfdual_suite
-from jordantp.transition import (
-    _mixture_value,
+from jordantp.suites import (
     _random_bounded_mixtures,
-    atom_param,
+    axioms_suite,
+    self_duality_report,
+    selfdual_suite,
     verify_atom_state_uniqueness,
     verify_certainty_order,
     verify_pure_state_sampling,
     verify_strong_state_space,
     verify_unity_resolution,
 )
+from jordantp.transition import _mixture_value, atom_param
 from test_selfdual import rotated_orthant, square_cone
 
 

@@ -23,7 +23,11 @@ A third walk, over every module, keeps each spectral frame container to the
 one module that builds it: ``SpectralForm(...)`` is called only in
 ``backends/base.py`` (from the arrays of ``decompose_coords``) and
 ``SpectralPair(...)`` only in ``elements.py`` (when a caller reads
-``SpectralForm.pairs``), so a frame has one format everywhere else.  A
+``SpectralForm.pairs``), so a frame has one format everywhere else.  The
+same walk keeps ``CheckResult(...)`` and ``skipped_check(...)`` to
+``suites.py``, the one module that verifies (``reports.py`` builds the
+skipped form): the state, transition-probability and cone layers only
+compute.  A
 walk of its own keeps the four public spectral entry points
 (``decompose_coords``, ``eigenvalues_coords``, ``decompose_batch``,
 ``eigenvalues_batch``) to ``backends/base.py``: a backend supplies only the
@@ -54,6 +58,10 @@ method) count as one protocol: a parameter one of them reads is live in all.
 A declaration whose body is only a docstring, ``raise``, ``pass`` or ``...``
 counts as neither a read nor a definition.
 
+A sixth walk, over every module, fails on a module-level import whose
+name the module never reads and does not list in its ``__all__``, so a
+move leaves no stale import behind.
+
 The last tests pin the batch sampling kernels on every model family and both
 cone flavours: row k of each equals the per-element kernel of row k bit for
 bit, every generator is left where the per-element calls leave it, and a
@@ -63,6 +71,7 @@ for bit.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +95,10 @@ def _class_names(cls):
     return {cls.__name__}.union(*(_class_names(sub) for sub in cls.__subclasses__()))
 
 
-# class name -> what an isinstance test against it switches on
+# class name -> what an isinstance test against it switches on; the model
+# classes include convexgeom's PolytopeAffineModel, so that module is loaded
+# first: ``import jordantp`` loads no submodule
+importlib.import_module("jordantp.convexgeom")
 SPACE_CLASSES = {"AtomSpace": "atom space",
                  **dict.fromkeys(_class_names(Model), "model class"),
                  **dict.fromkeys(_class_names(SelfDualCone), "cone flavour")}
@@ -270,25 +282,28 @@ def test_guard_flags_unchecked_element_construction():
     ]
 
 
-# frame container -> the one module (relative to the package) that calls it
-FRAME_BUILDERS = {"SpectralForm": "backends/base.py", "SpectralPair": "elements.py"}
+# frame container or check result -> the modules (relative to the package)
+# that call it: check results are built where the checks run, and
+# ``reports.py`` builds the skipped form that ``skipped_check`` returns
+CALLERS = {"SpectralForm": {"backends/base.py"}, "SpectralPair": {"elements.py"},
+           "CheckResult": {"suites.py", "reports.py"}, "skipped_check": {"suites.py"}}
 
 
-def frame_violations(source: str, filename: str = "<source>") -> list[str]:
+def caller_violations(source: str, filename: str = "<source>") -> list[str]:
     hits = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in FRAME_BUILDERS and filename != FRAME_BUILDERS[name]:
+            if name in CALLERS and filename not in CALLERS[name]:
                 hits.append(f"{filename}:{node.lineno}: constructs {name}")
     return hits
 
 
-def test_frames_are_built_in_one_module_each():
+def test_frames_and_check_results_are_built_in_their_own_modules():
     hits = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        hits += frame_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+        hits += caller_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
     assert hits == []
 
 
@@ -299,11 +314,24 @@ def test_guard_flags_frames_built_elsewhere():
         "    pair = elements.SpectralPair(1.0, model.zero())\n"
         "    return form, pair, SpectralFormat(values)\n"
     )
-    assert frame_violations(source, "logic.py") == [
+    assert caller_violations(source, "logic.py") == [
         "logic.py:2: constructs SpectralForm", "logic.py:3: constructs SpectralPair"]
-    assert frame_violations(source, "backends/base.py") == [
+    assert caller_violations(source, "backends/base.py") == [
         "backends/base.py:3: constructs SpectralPair"]
-    assert frame_violations(source, "elements.py") == ["elements.py:2: constructs SpectralForm"]
+    assert caller_violations(source, "elements.py") == ["elements.py:2: constructs SpectralForm"]
+
+
+def test_guard_flags_check_results_built_elsewhere():
+    source = (
+        "def verify(model, defect, tol):\n"
+        "    checks = [CheckResult(\"x.defect\", defect, tol)]\n"
+        "    checks.append(reports.skipped_check(\"x.other\", \"no reason\"))\n"
+        "    return checks + [CheckResults(defect)]\n"
+    )
+    assert caller_violations(source, "transition.py") == [
+        "transition.py:2: constructs CheckResult", "transition.py:3: constructs skipped_check"]
+    assert caller_violations(source, "reports.py") == ["reports.py:3: constructs skipped_check"]
+    assert caller_violations(source, "suites.py") == []
 
 
 # the spectral entry points, written once in backends/base.py on the two
@@ -555,6 +583,55 @@ def test_guard_flags_dead_parameters():
     )
     assert dead_parameters({"<source>": source}) == [
         "closure(unused)", "forward(rest)", "probe(hint)"]
+
+
+def _exported(tree) -> set:
+    """The names a module lists in a literal ``__all__``."""
+    return {name for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for name in _strings(stmt.value)}
+
+
+def unused_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Each module-level import whose name the module neither reads nor
+    lists in ``__all__``."""
+    tree = ast.parse(source, filename)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    live = read | _exported(tree)
+    hits = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in live:
+                    hits.append(f"{filename}:{stmt.lineno}: imports {bound} unused")
+    return hits
+
+
+def test_no_module_level_import_is_unused():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += unused_imports(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import scipy.optimize\n"
+        "from .base import Model, Tolerance as Tol, row_norms\n"
+        "__all__ = [\"Model\"]\n"
+        "def f(x: Tol):\n"
+        "    import json\n"
+        "    return np.abs(scipy.optimize.nnls(x, x)[0])\n"
+    )
+    assert unused_imports(source, "spectral.py") == [
+        "spectral.py:2: imports os unused", "spectral.py:5: imports row_norms unused"]
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,8 @@ def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     assert "projector basis extraction failed" in err
 
 
-@pytest.mark.parametrize("module,suite", [("suites", "logic"), ("transition", "axioms")])
+@pytest.mark.parametrize("module,suite",
+                         [("suites", "logic"), ("suites", "axioms"), ("logic", "logic")])
 def test_a_sampled_element_outside_the_logic_exits_three(capsys, monkeypatch, module, suite):
     # the suites draw their logic elements themselves, so an element that
     # fails the logic test is an internal fault, not the user's input

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jordantp import Tolerance, get_model
-from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone, self_duality_report
+from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone
+from jordantp.suites import self_duality_report
 
 TOL = Tolerance()
 ROUNDING = 1e-12  # relative to the scale of the inputs

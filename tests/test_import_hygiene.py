@@ -57,12 +57,22 @@ def test_a_cold_spectral_loads_no_verify_layer_and_no_sampling(element):
     assert "numpy.random" not in loaded
 
 
-def test_a_cold_tpmatrix_loads_neither_the_suites_nor_the_cones():
-    result = run_fresh(COLD_SCRIPT, "tpmatrix", "lpq:2:3", "--random", "4")
+@pytest.mark.parametrize("source", ["random", "atoms_file"])
+def test_a_cold_tpmatrix_loads_only_the_transition_layer(tmp_path, source):
+    # the transition layer computes and verifies nothing, so it needs neither
+    # the logic nor the sampling layer; only --random draws from numpy.random
+    if source == "random":
+        args = ["--random", "4"]
+    else:
+        atoms = tmp_path / "atoms.json"
+        atoms.write_text("[[1.0, 0.0], [0.6, 0.8]]")
+        args = [str(atoms)]
+    result = run_fresh(COLD_SCRIPT, "tpmatrix", "sym:2", *args)
     assert result["code"] == 0
     loaded = set(result["loaded"])
     assert "jordantp.transition" in loaded
-    assert loaded & {"jordantp.suites", "jordantp.selfdual"} == set()
+    assert loaded & VERIFY_LAYERS == {"jordantp.transition"}
+    assert ("numpy.random" in loaded) == (source == "random")
 
 
 def test_a_cold_verify_loads_what_it_runs():

@@ -21,18 +21,19 @@ from jordantp import get_model, random_element
 from jordantp.cli import main
 from jordantp.logic import atomic_decomposition, information_capacity_empirical
 from jordantp.reports import dump_canonical_json
-from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone, self_duality_report
+from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone
 from jordantp.spectral import _SeedWords, _seed_words, trial_rng
 from jordantp.suites import (
     SUITES,
     axioms_suite,
     logic_suite,
     run_suite,
+    self_duality_report,
     selfdual_suite,
     spectral_suite,
     tp_suite,
+    verify_pure_state_sampling,
 )
-from jordantp.transition import verify_pure_state_sampling
 
 
 def _count_kernel(monkeypatch, model):

@@ -26,8 +26,7 @@ from jordantp.logic import (
 )
 from jordantp.reports import CheckResult, dump_canonical_json
 from jordantp.spectral import _random_element, trial_rng
-from jordantp.suites import logic_suite, tp_suite
-from jordantp.transition import check_inner_product, verify_unity_resolution
+from jordantp.suites import check_inner_product, logic_suite, tp_suite, verify_unity_resolution
 
 
 def _tp(model, e1, e2):
