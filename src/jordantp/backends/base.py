@@ -16,17 +16,11 @@ from ..errors import DimensionMismatchError, UnnormalizedParamError, Unsupported
 
 @dataclass(frozen=True)
 class ModelDescriptor:
-    """Backend identity plus the derived structural constants."""
+    """Backend identity: the kind and its parameters, which fix every
+    structural constant of the model."""
 
     backend_kind: str
     params: tuple
-    ambient_dim: int
-    info_capacity: int
-    symmetric_tp: bool
-
-    def __post_init__(self):
-        if self.info_capacity > self.ambient_dim:
-            raise ValueError("information capacity cannot exceed the ambient dimension")
 
     def to_json(self) -> dict:
         out = {"kind": self.backend_kind}
@@ -168,13 +162,7 @@ class Model(AtomSpace):
 
     @property
     def descriptor(self) -> ModelDescriptor:
-        return ModelDescriptor(
-            backend_kind=self.kind,
-            params=self.param_items,
-            ambient_dim=self.ambient_dim,
-            info_capacity=self.info_capacity,
-            symmetric_tp=self.symmetric_tp,
-        )
+        return ModelDescriptor(self.kind, self.param_items)
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v}" for k, v in self.param_items)

@@ -55,14 +55,21 @@ def linprog(*args, **kwargs):
     return milp(*args, **kwargs)
 
 
-def _block_diagonal(blocks: np.ndarray):
-    """CSC matrix with the K dense blocks of ``blocks`` (shape (K, h, w)) on
-    its diagonal."""
+def _stacked_lp(cost: np.ndarray, blocks: np.ndarray, lower, upper, bounds, what: str):
+    """The solution (K, w) of one LP: minimise ``cost`` (K, w) subject to
+    lower <= A x <= upper and ``bounds``, A the CSC matrix with the K dense
+    blocks of ``blocks`` (shape (K, h, w)) on its diagonal.  The one place
+    that builds an LP; a failed solve raises ``LinearProgramError`` naming
+    ``what``."""
     from scipy import sparse
 
     k, h, w = blocks.shape
     b, r, c = np.nonzero(blocks)
-    return sparse.csc_array((blocks[b, r, c], (b * h + r, b * w + c)), shape=(k * h, k * w))
+    matrix = sparse.csc_array((blocks[b, r, c], (b * h + r, b * w + c)), shape=(k * h, k * w))
+    res = linprog(cost.ravel(), constraints=(matrix, lower, upper), bounds=bounds)
+    if res.status != 0:
+        raise LinearProgramError(f"{what} failed with status {res.status}: {res.message}")
+    return res.x.reshape(k, w)
 
 
 def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
@@ -82,21 +89,13 @@ def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
     blocks[:, d, :m] = 1.0
     cost = np.concatenate([np.zeros(m), np.ones(2 * d)])
     rhs = np.hstack([points, np.ones((k, 1))]).ravel()
-    res = linprog(np.tile(cost, k), constraints=(_block_diagonal(blocks), rhs, rhs),
-                  bounds=(0, np.inf))
-    if res.status != 0:
-        raise LinearProgramError(f"hull LP failed with status {res.status}: {res.message}")
-    return res.x.reshape(k, m + 2 * d)[:, m:].sum(axis=1)
+    x = _stacked_lp(np.tile(cost, k), blocks, rhs, rhs, (0, np.inf), "hull LP")
+    return x[:, m:].sum(axis=1)
 
 
 def _others(n: int) -> np.ndarray:
     """Row i: the indices 0..n-1 except i, in order (shape (n, n - 1))."""
     return np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-
-
-def _vertex_hull_distances(verts: np.ndarray) -> np.ndarray:
-    """L1 distance of each vertex from the hull of the others, from one LP."""
-    return _hull_distances(verts, verts[_others(len(verts))])
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,8 @@ class PolytopeStateSpace:
         close = np.argwhere(np.triu(gaps <= HULL_CUTOFF, 1))
         if len(close):
             raise ValueError(f"vertices {close[0][0]} and {close[0][1]} coincide")
-        inside = np.flatnonzero(_vertex_hull_distances(self.normalised) <= HULL_CUTOFF)
+        distances = _hull_distances(self.normalised, self.normalised[_others(len(verts))])
+        inside = np.flatnonzero(distances <= HULL_CUTOFF)
         if len(inside):
             raise ValueError(f"vertex {inside[0]} is not extreme (inside the hull of the others)")
 
@@ -209,18 +209,13 @@ def _e_omega_normalised_lp(poly: PolytopeStateSpace, omega_index,
     """
     verts = poly.normalised
     n = poly.n_vertices
-    k, d = zetas.shape
-    omegas = np.broadcast_to(np.asarray(omega_index), (k,))
+    omegas = np.broadcast_to(np.asarray(omega_index), (len(zetas),))
     edges = verts[_others(n)[omegas]] - verts[omegas][:, None, :]
     objectives = zetas - verts[omegas]
-    res = linprog(objectives.ravel(), constraints=(_block_diagonal(edges), -1.0, 0.0),
-                  bounds=(-np.inf, np.inf))
-    if res.status != 0:
-        failed = np.unique(omegas).tolist()
-        which = f"point {failed[0]}" if len(failed) == 1 else f"points {failed}"
-        raise LinearProgramError(
-            f"LP for extreme {which} failed with status {res.status}: {res.message}")
-    return 1.0 + np.einsum("ij,ij->i", objectives, res.x.reshape(k, d))
+    extremes = sorted(set(omegas.tolist()))
+    which = f"point {extremes[0]}" if len(extremes) == 1 else f"points {extremes}"
+    x = _stacked_lp(objectives, edges, -1.0, 0.0, (-np.inf, np.inf), f"LP for extreme {which}")
+    return 1.0 + np.einsum("ij,ij->i", objectives, x)
 
 
 def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray, omegas=None) -> np.ndarray:

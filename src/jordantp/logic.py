@@ -33,17 +33,26 @@ def _unwrap(a) -> Element:
     return a.value if isinstance(a, LogicElement) else a
 
 
+# The least cutoff the logic tests read, whatever eig_cluster says: the
+# double rounding of the eigenvalues of a logic element (in [0, 1]) or of a
+# sum of two (in [0, 2]), so that no cutoff calls a logic element's own
+# rounding a defect.  Both tests read max(eig_cluster, this).
+LOGIC_CLUSTER_FLOOR = 64 * np.finfo(float).eps
+
+
 def logic_rows(eigs: np.ndarray, tol: Tolerance) -> np.ndarray:
     """For each spectrum of a (K, m) stack, or for one spectrum (m,): is
-    every eigenvalue within eig_cluster of 0 or of 1?  The test of
-    ``is_logic_element``."""
+    every eigenvalue within eig_cluster (at least ``LOGIC_CLUSTER_FLOOR``)
+    of 0 or of 1?  The test of ``is_logic_element``."""
     nearest = eigs.round()
-    return ((abs(eigs - nearest) <= tol.eig_cluster).all(axis=-1)
+    cutoff = max(tol.eig_cluster, LOGIC_CLUSTER_FLOOR)
+    return ((abs(eigs - nearest) <= cutoff).all(axis=-1)
             & ((nearest == 0) | (nearest == 1)).all(axis=-1))
 
 
 def is_logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every eigenvalue is within eig_cluster of 0 or of 1."""
+    """True iff every eigenvalue is within eig_cluster (at least
+    ``LOGIC_CLUSTER_FLOOR``) of 0 or of 1."""
     return bool(logic_rows(model.eigenvalues(_unwrap(a), tol), tol))
 
 
@@ -89,9 +98,11 @@ def meet_coords(values: np.ndarray, atoms: np.ndarray, tol: Tolerance) -> np.nda
     of K sums q1 + q2: each row sums, from zeros in frame order, the atoms
     whose eigenvalue reaches the selection threshold.  Each row with an
     eigenvalue near the threshold warns, in row order; the warning names the
-    caller of this function's caller (for one frame, the caller of ``meet``)."""
-    threshold = 2.0 - 10.0 * tol.eig_cluster
-    near = abs(values - threshold) < 5.0 * tol.eig_cluster
+    caller of this function's caller (for one frame, the caller of ``meet``).
+    eig_cluster is read as at least ``LOGIC_CLUSTER_FLOOR``."""
+    cluster = max(tol.eig_cluster, LOGIC_CLUSTER_FLOOR)
+    threshold = 2.0 - 10.0 * cluster
+    near = abs(values - threshold) < 5.0 * cluster
     for row in np.flatnonzero(near.any(axis=1)):
         warnings.warn(
             f"meet eigenvalues {list(values[row][near[row]])} lie within 5*eig_cluster of "

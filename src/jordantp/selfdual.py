@@ -285,14 +285,18 @@ class GeneratorSelfDualCone(SelfDualCone):
         return mask
 
     def nnls_fit(self, target: np.ndarray) -> tuple[np.ndarray, float]:
+        """Nonnegative generator coefficients c fitted to ``target``, and the
+        residual |G^T c - target| of those coefficients.  G^T c lies in the
+        cone, so the residual bounds the distance to it from above; scipy's
+        own reported residual can read below that distance."""
         import scipy.optimize
 
         maxiter = max(10 * self.ambient_dim**2, 3 * len(self.generators))
         try:
-            coeffs, residual = scipy.optimize.nnls(self.generators.T, target, maxiter=maxiter)
+            coeffs, _ = scipy.optimize.nnls(self.generators.T, target, maxiter=maxiter)
         except RuntimeError as exc:
             raise ConeProjectionError(f"nonnegative least squares stalled: {exc}") from exc
-        return coeffs, float(residual)
+        return coeffs, float(np.linalg.norm(self.generators.T @ coeffs - target))
 
     def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         # the distance to the cone relative to max(|x|, 1), in hundredths:

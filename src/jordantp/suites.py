@@ -175,17 +175,13 @@ def logic_suite(model: Model, seed: int, trials: int,
 
 
 def _sorted_gap(coefficients: np.ndarray, spectra: np.ndarray) -> float:
-    """The largest gap between the sorted peel coefficients of a row of
-    padded frames (K, m) and its sorted spectrum (K, n), the shorter of the
-    two padded with zeros.  Each row is padded to the width of the whole
-    stack with +inf, which sorts last in both and is left out."""
-    width = np.maximum(np.count_nonzero(coefficients, axis=1), spectra.shape[1])[:, np.newaxis]
-    cols = np.arange(max(coefficients.shape[1], spectra.shape[1]))
-    inside = cols < width
-    sorted_rows = [np.sort(np.where(inside, np.pad(rows, ((0, 0), (0, len(cols) - rows.shape[1]))),
-                                    np.inf), axis=1)
-                   for rows in (coefficients, spectra)]
-    return worst(np.abs(sorted_rows[0][inside] - sorted_rows[1][inside]))
+    """The largest gap between the sorted peel coefficients of each row of
+    padded frames (K, m) and its sorted spectrum (K, n), both padded with
+    zeros to one width."""
+    width = max(coefficients.shape[1], spectra.shape[1])
+    coefficients, spectra = (np.sort(np.pad(rows, ((0, 0), (0, width - rows.shape[1]))), axis=1)
+                             for rows in (coefficients, spectra))
+    return worst(np.abs(coefficients - spectra).ravel())
 
 
 def _tps_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ from jordantp.selfdual import (
 from jordantp.spectral import _random_element, random_element, trial_rng
 from jordantp.suites import (
     _random_bounded_mixtures,
+    _sorted_gap,
     axioms_suite,
     self_duality_report,
     selfdual_suite,
@@ -557,6 +558,15 @@ def test_the_stacked_peel_equals_the_per_element_peel_on_generator_cones(make, t
                 stacked(cone, stack, tol)
             continue
         _assert_rows_peeled(cone, stacked(cone, stack, tol), per_row)
+
+
+def test_the_peel_comparison_pads_both_sides_with_zeros():
+    # the zero of a frame that skipped its first atom is compared like any
+    # other entry, and a shorter spectrum has zero eigenvalues to fill it
+    assert _sorted_gap(np.array([[0.0, -1.2, 1.0]]), np.array([[-1.2]])) == 1.0
+    assert _sorted_gap(np.array([[2.0, 0.0], [0.0, 0.5]]),
+                       np.array([[2.0, 0.0, 0.0], [0.25, 0.0, 0.0]])) == 0.25
+    assert _sorted_gap(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]])) == 0.0
 
 
 def test_the_square_cone_fails_the_same_self_duality_checks(tol):

@@ -464,21 +464,41 @@ def test_guard_flags_per_element_cone_methods_and_row_loops():
 
 
 # scipy's LP solvers: the package names them only inside convexgeom.linprog,
-# so every solve goes through it and shows in the traced LP count
+# so every solve goes through it and shows in the traced LP count; and it
+# calls that only from the one LP function, which alone builds LP matrices
 LP_SOLVERS = frozenset({"linprog", "milp"})
+LP_FUNCTION = "_stacked_lp"
+
+
+def _body_nodes(tree, name: str) -> set:
+    """The ids of the nodes of the module-level function ``name``."""
+    return {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == name
+            for node in ast.walk(fn)}
 
 
 def lp_solver_violations(source: str, filename: str = "<source>") -> list[str]:
     tree = ast.parse(source, filename)
-    allowed = set()
+    solver, lp_function = set(), set()
     if filename == "convexgeom.py":
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name == "linprog":
-                allowed = {id(node) for node in ast.walk(fn)}
+        solver, lp_function = _body_nodes(tree, "linprog"), _body_nodes(tree, LP_FUNCTION)
     hits = []
     for node in ast.walk(tree):
-        if id(node) in allowed:
+        if id(node) in solver:
             continue
+        if id(node) not in lp_function:
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id == "linprog")
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "linprog"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "convexgeom")):
+                hits.append((node.lineno, f"calls linprog outside {LP_FUNCTION}"))
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("scipy.sparse")
+                    or (node.module == "scipy" and any(a.name == "sparse" for a in node.names))):
+                hits.append((node.lineno, f"imports scipy.sparse outside {LP_FUNCTION}"))
+            if isinstance(node, ast.Import):
+                hits += [(node.lineno, f"imports scipy.sparse outside {LP_FUNCTION}")
+                         for alias in node.names if alias.name.startswith("scipy.sparse")]
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
             if node.module.startswith("scipy.optimize._"):
                 hits.append((node.lineno, f"imports the private module {node.module}"))
@@ -510,18 +530,34 @@ def test_guard_flags_a_second_lp_call_site():
         "def linprog(*args):\n"
         "    from scipy.optimize import milp\n"
         "    return milp(*args)\n"
+        "def _stacked_lp(c, blocks):\n"
+        "    from scipy import sparse\n"
+        "    return linprog(c, sparse.csc_array(blocks))\n"
+        "def _hull_distances(c, blocks):\n"
+        "    import scipy.sparse\n"
+        "    from scipy.sparse import csc_array\n"
+        "    return linprog(c, csc_array(blocks))\n"
     )
     planted = [
         "1: imports scipy's linprog",
         "3: imports scipy's milp",
         "3: imports the private module scipy.optimize._milp",
+        "5: calls linprog outside _stacked_lp",
         "5: names .linprog",
         "5: names .milp",
     ]
+    second_site = [
+        "13: imports scipy.sparse outside _stacked_lp",
+        "14: imports scipy.sparse outside _stacked_lp",
+        "15: calls linprog outside _stacked_lp",
+    ]
     assert lp_solver_violations(source, "selfdual.py") == [
-        *[f"selfdual.py:{hit}" for hit in planted], "selfdual.py:7: imports scipy's milp"]
+        *[f"selfdual.py:{hit}" for hit in planted], "selfdual.py:7: imports scipy's milp",
+        "selfdual.py:10: imports scipy.sparse outside _stacked_lp",
+        "selfdual.py:11: calls linprog outside _stacked_lp",
+        *[f"selfdual.py:{hit}" for hit in second_site]]
     assert lp_solver_violations(source, "convexgeom.py") == [
-        f"convexgeom.py:{hit}" for hit in planted]
+        f"convexgeom.py:{hit}" for hit in planted + second_site]
     assert lp_solver_violations("import scipy.optimize._linprog_highs\n") == [
         "<source>:1: imports the private module scipy.optimize._linprog_highs"]
 

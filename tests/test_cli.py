@@ -244,6 +244,24 @@ def test_a_sampled_element_outside_the_logic_exits_three(capsys, monkeypatch, mo
     assert "not in the quantum logic" in err
 
 
+@pytest.mark.parametrize("eig_cluster", ["1e-16", "1e-20"])
+@pytest.mark.parametrize("spec,failing", [("sym:4", []), ("herm:3", []), ("spin:3", []),
+                                          ("classical:4", []), ("lpq:2:3", ["tp.symmetry"])])
+def test_an_eig_cluster_below_rounding_decides_no_logic_verdict(capsys, spec, failing,
+                                                                eig_cluster):
+    # the logic test and the meet threshold read eig_cluster as at least the
+    # rounding of a logic element: a tighter cutoff neither rejects the
+    # suites' own logic elements nor warns on an exact meet
+    from jordantp.logic import MeetThresholdWarning
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", MeetThresholdWarning)
+        code, out, err = run_cli(capsys, "verify", spec, "--suite", "all", "--trials", "24",
+                                 "--seed", "1", "--tol", f"eig_cluster={eig_cluster}")
+    assert (code, err, caught) == (1 if failing else 0, "", [])
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == failing
+
+
 def test_geom_triangle_exit_zero(capsys, tmp_path):
     path = tmp_path / "tri.csv"
     np.savetxt(path, [[0, 0], [1, 0], [0, 1]], delimiter=",")

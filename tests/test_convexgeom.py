@@ -399,8 +399,9 @@ def test_stacked_hull_lp_matches_feasibility_oracle(seed):
     cloud = rng.normal(size=(8 + 2 * seed, dim)) * rng.uniform(0.1, 10.0) + rng.normal(size=dim)
     want = [not in_hull_by_feasibility(cloud, cloud[i], exclude=i) for i in range(len(cloud))]
     assert 0 < sum(want) < len(cloud)
-    got = convexgeom._vertex_hull_distances(_normalised(cloud)) > convexgeom.HULL_CUTOFF
-    assert got.tolist() == want
+    normalised = _normalised(cloud)
+    distances = convexgeom._hull_distances(normalised, normalised[convexgeom._others(len(cloud))])
+    assert (distances > convexgeom.HULL_CUTOFF).tolist() == want
     with pytest.raises(ValueError, match=f"vertex {want.index(False)} is not extreme"):
         PolytopeStateSpace(cloud)
     extreme = cloud[np.array(want)]

@@ -312,18 +312,10 @@ def test_herm_coords_round_trip():
 
 
 def test_model_descriptor_contents(any_model):
-    desc = any_model.descriptor
-    assert desc.info_capacity <= desc.ambient_dim
-    echo = desc.to_json()
+    assert any_model.info_capacity <= any_model.ambient_dim
+    echo = any_model.descriptor.to_json()
     assert echo["kind"] == any_model.kind
     assert echo["n"] >= 1
-
-
-def test_descriptor_rejects_inconsistency():
-    from jordantp import ModelDescriptor
-    with pytest.raises(ValueError):
-        ModelDescriptor("classical", (("n", 2),), ambient_dim=2, info_capacity=3,
-                        symmetric_tp=True)
 
 
 def test_lpq_one_dimensional_ball_is_symmetric():

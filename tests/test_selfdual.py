@@ -438,6 +438,17 @@ def test_projection_failure_is_diagnosed():
         herm.split_orthogonal(-herm.model.order_unit())
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_generator_cone_defect_is_the_residual_of_its_coefficients(d):
+    # -g for an extreme ray g of an orthant lies at distance 1 from the cone;
+    # scipy's nnls can report a smaller residual than its coefficients leave,
+    # which the cone defect (in hundredths of a unit row) must not read
+    cones = [rotated_orthant(d, seed) for seed in range(60)]
+    defects = np.concatenate([cone.cone_defects(-cone.extreme_generators()) for cone in cones])
+    assert len(defects) == 60 * d
+    assert (100 * defects).min() >= 1 - 1e-12
+
+
 def near_duplicate_orthant(seed, noise=1e-9):
     """A rotated orthant in dimension 2-5 whose first d - 1 generators are
     repeated with ``noise``: at 1e-9 the same cone, with near-parallel
