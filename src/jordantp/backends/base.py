@@ -37,7 +37,7 @@ class AtomSpace(ABC):
 
     A space supplies ``ambient_dim`` and ``info_capacity``, a checked
     ``_row`` and its atom kernels on stacks: ``atom_coords_batch``,
-    ``atom_param_from_coords``, the two batch samplers, ``state_values``,
+    ``atom_params_from_coords``, the two batch samplers, ``state_values``,
     ``complements`` and ``cone_defects``.  Atoms enter the verifiers as
     coordinate vectors.  Each per-element entry point below is the one-row
     case of its stack form, written here once.  One atom parameter has
@@ -80,8 +80,14 @@ class AtomSpace(ABC):
         return self.atom_coords_batch(self._one_row(param))[0]
 
     @abstractmethod
-    def atom_param_from_coords(self, coords: np.ndarray):
+    def atom_params_from_coords(self, stack: np.ndarray) -> np.ndarray:
+        """The defining parameter of the atom in each row of a (K, d) stack
+        of coordinates, as a stack.  Raises NotAtomError when a row is not
+        an atom; the whole stack is tested at once."""
+
+    def atom_param_from_coords(self, coords):
         """Recover the defining parameter of an atom given its coordinates."""
+        return self.atom_params_from_coords(self._row(coords))[0]
 
     @abstractmethod
     def random_atom_param_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:

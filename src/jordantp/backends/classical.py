@@ -77,11 +77,9 @@ class ClassicalModel(Model):
     def atom_coords_batch(self, params) -> np.ndarray:
         return np.eye(self._n)[self._indices(params)]
 
-    def atom_param_from_coords(self, coords):
-        idx = int(np.argmax(coords))
-        atom = np.zeros(self._n)
-        atom[idx] = 1.0
-        if np.max(np.abs(coords - atom)) > 1e-7:
+    def atom_params_from_coords(self, stack) -> np.ndarray:
+        idx = stack.argmax(axis=1)
+        if (np.abs(stack - np.eye(self._n)[idx]).max(axis=1) > 1e-7).any():
             raise NotAtomError("classical atoms are exactly the standard basis vectors")
         return idx
 

@@ -81,13 +81,19 @@ class LpQubitModel(_QubitModel):
         and sums are taken for the whole stack and the root row by row (the
         vectorised power rounds differently from the scalar one); a row
         whose sum of powers leaves the normal range, or comes near leaving
-        it, goes through ``pnorm``."""
+        it, goes through ``pnorm``.  A zero row sums to zero either way, and
+        stays on the stack.  A one-row stack is ``pnorm``'s own row."""
+        if len(rows) == 1:
+            return np.array([cls.pnorm(rows[0], exponent)])
         a = np.abs(rows)
         with np.errstate(over="ignore", under="ignore"):
             sums = (a ** exponent).sum(axis=1)
-            peaks = a.max(axis=1, initial=0.0) ** exponent
-            # margins of 4 keep the branch of pnorm's scalar peak test
-            plain = ((4.0 * _TINY <= peaks) & (peaks * (4.0 * a.shape[1]) < math.inf)).tolist()
+            tops = a.max(axis=1, initial=0.0)
+            peaks = tops ** exponent
+            # margins of 4 keep the branch of pnorm's scalar peak test; the
+            # test is on the top entry, not its power, which a tiny row underflows
+            plain = (((4.0 * _TINY <= peaks) & (peaks * (4.0 * a.shape[1]) < math.inf))
+                     | (tops == 0.0)).tolist()
         root = 1.0 / exponent
         return np.array([s ** root if ok else cls.pnorm(row, exponent)
                          for s, ok, row in zip(sums.tolist(), plain, rows)])
@@ -100,10 +106,12 @@ class LpQubitModel(_QubitModel):
         return (f / self.pnorms(f, self._q)[:, np.newaxis]).reshape(omega.shape)
 
     def sphere_point_of_functional(self, f) -> np.ndarray:
-        """Inverse of the duality map: boundary point supported by ``f``."""
+        """Inverse of the duality map: boundary point supported by ``f``, or
+        the stack (..., n) of them for a stack of functionals."""
         f = np.asarray(f, dtype=float)
         omega = np.sign(f) * np.abs(f) ** (self._q - 1.0)
-        return omega / self.pnorm(omega, self._p)
+        norms = self.pnorms(omega.reshape(-1, self._n), self._p)
+        return omega / norms.reshape(omega.shape[:-1] + (1,))
 
     def _radii(self, xs) -> np.ndarray:  # the spectrum is {c - |f|_q, c + |f|_q}
         return self.pnorms(xs, self._q)
@@ -123,10 +131,10 @@ class LpQubitModel(_QubitModel):
             raise UnnormalizedParamError("boundary point must lie on the unit l^p sphere")
         return half_atom(self.supporting_functional(omegas))
 
-    def atom_param_from_coords(self, coords):
-        c = float(coords[0])
-        f = 2.0 * np.asarray(coords[1:], dtype=float)
-        if abs(c - 0.5) > 1e-7 or abs(self.pnorm(f, self._q) - 1.0) > 1e-7:
+    def atom_params_from_coords(self, stack) -> np.ndarray:
+        f = 2.0 * stack[:, 1:]
+        if ((np.abs(stack[:, 0] - 0.5) > 1e-7)
+                | (np.abs(self.pnorms(f, self._q) - 1.0) > 1e-7)).any():
             raise NotAtomError("lp qubit atoms have the form (1, f_omega)/2 with |f_omega|_q = 1")
         return self.sphere_point_of_functional(f)
 

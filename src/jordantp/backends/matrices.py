@@ -16,7 +16,7 @@ Pairings and atoms are formulas in the coordinates and build no matrix:
     weights 1 and 2 both are exactly symmetric.
   - rank one: v v* has diagonal coordinates |v_i|^2 and off-diagonal entries
     v_i conj(v_j) for i < j.
-The spectral kernel (``eigh``), ``atom_param_from_coords`` and the two
+The spectral kernel (``eigh``), ``atom_params_from_coords`` and the two
 oracles (Cholesky, SVD) gather the coordinates into a matrix with one
 precomputed index array.
 """
@@ -226,13 +226,14 @@ class _MatrixModel(Model):
         # a gather from a stack is not C-contiguous
         return np.ascontiguousarray(self._rank_one_coords(vecs))
 
-    def atom_param_from_coords(self, coords):
-        mat = self._matrix_from_coords(np.asarray(coords, dtype=float))
-        eigvals, eigvecs = np.linalg.eigh(mat)
-        rest = float(np.max(np.abs(eigvals[:-1]))) if len(eigvals) > 1 else 0.0
-        if abs(eigvals[-1] - 1.0) > 1e-7 or rest > 1e-7:
+    def atom_params_from_coords(self, stack) -> np.ndarray:
+        # the stacked eigh gives each matrix's own bits; the top eigenvectors
+        # are copied out so that each adds up as one vector downstream
+        eigvals, eigvecs = np.linalg.eigh(self._matrix_from_coords(stack))
+        rest = np.abs(eigvals[:, :-1]).max(axis=1, initial=0.0)
+        if ((np.abs(eigvals[:, -1] - 1.0) > 1e-7) | (rest > 1e-7)).any():
             raise NotAtomError("matrix atoms are rank-one projections")
-        return eigvecs[:, -1]
+        return np.ascontiguousarray(eigvecs[:, :, -1])
 
     def _gaussians(self, rngs, shape: tuple) -> np.ndarray:
         """A standard normal array of ``shape`` from each generator, complex

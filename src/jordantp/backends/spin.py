@@ -45,13 +45,12 @@ class SpinFactorModel(_QubitModel):
             raise UnnormalizedParamError("spin atom direction must be a unit vector")
         return half_atom(u)
 
-    def atom_param_from_coords(self, coords):
-        t = float(coords[0])
-        x = np.asarray(coords[1:], dtype=float)
-        r = math.hypot(*x)
-        if abs(t - 0.5) > 1e-7 or abs(r - 0.5) > 1e-7:
+    def atom_params_from_coords(self, stack) -> np.ndarray:
+        xs = stack[:, 1:]
+        r = self._radii(xs)
+        if ((np.abs(stack[:, 0] - 0.5) > 1e-7) | (np.abs(r - 0.5) > 1e-7)).any():
             raise NotAtomError("spin atoms have the form (1, u)/2 with |u| = 1")
-        return x / r
+        return xs / r[:, np.newaxis]
 
     def random_atom_param_batch(self, rngs) -> np.ndarray:
         u = normal_draws(rngs, (self._n,))

@@ -15,7 +15,7 @@ import numpy as np
 from .backends.base import Model
 from .core import cone_contains
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
-from .spectral import trial_rngs
+from .spectral import DrawRecord
 
 NOT_IN_LOGIC = "element is not in the quantum logic (eigenvalues not in {0, 1})"
 
@@ -139,17 +139,19 @@ def information_capacity_empirical(
     Each restart grows a family by decomposing the complement of its sum, so
     the search terminates at a maximal family.  The restarts step together:
     one ``decompose_batch`` per step over the remainders still growing, each
-    restart drawing from its own trial generator.  The result is a
-    consistency check against the analytic capacity, not a proof.
+    restart drawing from its own trial generator.  The first step's atoms
+    and frames are those of the seed's ``DrawRecord``, which a verify run
+    shares with its atom-state checks.  The result is a consistency check
+    against the analytic capacity, not a proof.
     """
-    rngs = trial_rngs(seed, trials)
+    record = DrawRecord.of(model, seed, tol)
     # the unit minus each family, one atom subtracted at a time
-    rests = model.order_unit().coords - model.atom_coords_batch(
-        model.random_atom_param_batch(rngs))
+    rests = model.order_unit().coords - record.rows("atom_coords", trials)
+    values, atoms = record.rows("complement_frames", trials)
+    rngs = record.resumed("atom", range(trials))
     sizes = np.ones(trials, dtype=int)
     running = np.arange(trials)
-    while len(running):
-        values, atoms = model.decompose_batch(rests[running], tol)
+    while True:
         # the order norm, logic test and atom selection of each remainder
         live = np.abs(values).max(axis=1) > 1e-6
         running, values, atoms = running[live], values[live], atoms[live]
@@ -163,4 +165,6 @@ def information_capacity_empirical(
                 grows.append(k)
         running = np.array(grows, dtype=int)
         sizes[running] += 1
-    return int(sizes.max())
+        if not len(running):
+            return int(sizes.max())
+        values, atoms = model.decompose_batch(rests[running], tol)

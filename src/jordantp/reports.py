@@ -7,9 +7,9 @@ identical runs produce byte-identical output (modulo wall_time_ms).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,18 +35,20 @@ def format_double(x: float) -> str:
 
 
 def _dump(value) -> str:
+    # the commonest types first; a bool is an int, so it is tested before int.
+    # For a string, encode_basestring_ascii is what json.dumps returns
+    if isinstance(value, float):
+        return format_double(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_double(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     if value is None:
         return "null"
     if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value.items())
+        inner = ", ".join(f"{_dump(k)}: {_dump(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in value) + "]"

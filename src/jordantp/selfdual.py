@@ -84,8 +84,8 @@ class SelfDualCone(AtomSpace):
     def atom_coords_batch(self, params) -> np.ndarray:
         return np.ascontiguousarray(params, dtype=float)
 
-    def atom_param_from_coords(self, coords) -> np.ndarray:
-        return self.as_vec(coords)
+    def atom_params_from_coords(self, stack) -> np.ndarray:
+        return np.asarray(stack, dtype=float)
 
     def state_values(self, params, coords) -> np.ndarray:
         return self.inners(params, coords)
@@ -126,6 +126,11 @@ class SelfDualCone(AtomSpace):
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """The Moreau parts (plus, minus) of the rows of a (K, d) stack, as
         two (K, d) stacks: the formula behind ``moreau_decompose``."""
+
+    @abstractmethod
+    def frames_and_parts(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+        """``frames`` and ``moreau_parts`` of a (K, d) stack from one
+        decomposition of it, as ((values, atoms), (plus, minus))."""
 
     def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
         plus, minus = self.moreau_parts(self._row(a), tol)
@@ -222,9 +227,13 @@ class SpectralSelfDualCone(SelfDualCone):
                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         return self.model.decompose_batch(stack, tol)
 
+    def frames_and_parts(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+        frames = self.frames(stack, tol)
+        return frames, _signed_parts(*frames)
+
     def moreau_parts(self, stack: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        return _signed_parts(*self.frames(stack, tol))
+        return self.frames_and_parts(stack, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +359,13 @@ class GeneratorSelfDualCone(SelfDualCone):
 
     def moreau_parts(self, stack: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        # the projection is the plus part when the Moreau conditions hold;
-        # the first row that fails them raises
         stack = np.asarray(stack, dtype=float)
-        plus = self._projections(stack)
+        return self._moreau_checked(stack, self._projections(stack))
+
+    def _moreau_checked(self, stack: np.ndarray, plus: np.ndarray):
+        """The Moreau parts of the rows of ``stack`` from their projections
+        ``plus``: the projection is the plus part when the Moreau conditions
+        hold; the first row that fails them raises."""
         minus = plus - stack
         scale = np.maximum(row_norms(stack), 1.0)
         cross = np.abs(self.inners(plus, minus))
@@ -372,8 +384,15 @@ class GeneratorSelfDualCone(SelfDualCone):
         # cone is self-dual; unlike plus - x, a part that vanishes is at most
         # the rounding noise of one projection, which the peel skips
         stack = np.asarray(stack, dtype=float)
-        parts = (self._projections(stack), self._projections(-stack))
-        return _peel_signed(self, stack, parts, tol)
+        return _peel_signed(self, stack, (self._projections(stack), self._projections(-stack)),
+                            tol)
+
+    def frames_and_parts(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+        # one projection of each row serves its frame and its plus part
+        stack = np.asarray(stack, dtype=float)
+        plus = self._projections(stack)
+        frames = _peel_signed(self, stack, (plus, self._projections(-stack)), tol)
+        return frames, self._moreau_checked(stack, plus)
 
     def on_extreme_ray(self, e, tol: Tolerance = DEFAULT_TOL) -> bool:
         # the chord from the direction of e to an extreme unit generator,

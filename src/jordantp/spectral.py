@@ -103,6 +103,126 @@ def random_coords_batch(model: Model, rngs: Sequence[np.random.Generator],
     return resum(weights, weights, atoms)
 
 
+def _resumed(state: dict) -> np.random.Generator:
+    """A new generator in ``state``, a ``bit_generator.state`` of PCG64: the
+    seed words it starts from are overwritten."""
+    bits = np.random.PCG64(_seed_words(0, 0))
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def _parts(stack) -> tuple:
+    """The arrays of a stack: itself, or the two parts of a frame stack."""
+    return stack if isinstance(stack, tuple) else (stack,)
+
+
+# stage -> the stream whose generators draw it, the stage each of them
+# draws just before it, and the draw.  The streams: the samples a, b and c
+# of the spectral, inner-product and Moreau checks; the first atom of the
+# atom-state checks and of the capacity search; the frame and the further
+# atom of the unity check
+_STAGES = {
+    "a": ("samples", None, random_coords_batch),
+    "b": ("samples", "a", random_coords_batch),
+    "c": ("samples", "b", random_coords_batch),
+    "atom": ("atoms", None, lambda model, rngs: model.random_atom_param_batch(rngs)),
+    "frame": ("unity", None, lambda model, rngs: model.random_frame_params_batch(rngs)),
+    "extra": ("unity", "frame", lambda model, rngs: model.random_atom_param_batch(rngs)),
+}
+# the stages that some verifier draws on after (``DrawRecord.resumed``)
+_RESUMED = ("a", "c", "atom")
+# derived stack -> the stack it is computed from, row by row, and how
+_DERIVED = {
+    "a_frames": ("a", lambda record, a: record.model.decompose_batch(a, record.tol)),
+    "a_eigenvalues": ("a", lambda record, a: record.model.eigenvalues_batch(a, record.tol)),
+    "atom_coords": ("atom", lambda record, params: record.model.atom_coords_batch(params)),
+    "complement_frames": ("atom_coords", lambda record, atoms: record.model.decompose_batch(
+        record.model.order_unit().coords - atoms, record.tol)),
+    "frame_coords": ("frame", lambda record, params: record.model.atom_coords_batch(params)),
+    "extra_coords": ("extra", lambda record, params: record.model.atom_coords_batch(params)),
+}
+
+
+class DrawRecord(int):
+    """The trial draws of one verify run on one model, each drawn and
+    decomposed once and shared by the verifiers that replay them.
+
+    A record is an ``int`` equal to the run's seed, so it goes wherever a
+    seed goes: ``run_suite`` makes one per run and passes it to the suites
+    as their seed, and a verifier given a plain seed, or the record of
+    another model or tolerance, makes its own (``of``).  A record thus lives
+    for one run, and concurrent runs share none.  It holds the named stacks
+    of ``_STAGES`` and ``_DERIVED``, nothing keyed by content.
+
+    Row k of a stage is drawn from ``trial_rng(seed, k)`` alone, each
+    generator drawing the stages of its stream in turn, as a verifier
+    drawing alone does.  A stack grows by rows as a verifier asks for more
+    trials; a derived stack (frames, spectra, atoms) is computed row by row
+    with it, as a row of ``decompose_batch`` does not depend on the rest of
+    its stack.  A verifier that draws on after a stage gets new generators
+    resumed where that stage left them (``resumed``), so each of its draws
+    is the one it makes alone.  The stacks are read-only.
+    """
+
+    def __new__(cls, seed: int, model: Model, tol: Tolerance):
+        record = super().__new__(cls, seed)
+        record.model, record.tol = model, tol
+        record._stacks, record._rngs, record._states = {}, {}, {}
+        return record
+
+    @classmethod
+    def of(cls, model: Model, seed: int, tol: Tolerance) -> "DrawRecord":
+        """``seed`` itself if it is a record of ``model`` at ``tol``, else a
+        new record of that seed."""
+        if isinstance(seed, cls) and seed.model is model and seed.tol == tol:
+            return seed
+        return cls(seed, model, tol)
+
+    def rows(self, name: str, n: int):
+        """The first n rows of stack ``name``, a stage or a derived stack,
+        drawing or computing the rows it lacks.  Fewer than one row raises,
+        as ``trial_rngs`` does."""
+        if n < 1:
+            raise ValueError("trials must be >= 1")
+        # a stack is kept as the tuple of its parts: one array, or a frame's two
+        have = self._stacks.get(name, ())
+        done = len(have[0]) if have else 0
+        if done < n:
+            new = _parts(self._extend(name, done, n))
+            if have:
+                new = tuple(map(np.concatenate, zip(have, new)))
+            for part in new:
+                part.setflags(write=False)
+            self._stacks[name] = have = new
+        head = tuple(part[:n] for part in have)
+        return head if len(head) > 1 else head[0]
+
+    def _extend(self, name: str, lo: int, hi: int):
+        """Rows lo to hi of stack ``name``, whose rows before lo are made."""
+        if name in _DERIVED:
+            source, compute = _DERIVED[name]
+            return compute(self, self.rows(source, hi)[lo:])
+        stream, before, draw = _STAGES[name]
+        rngs = self._rngs.setdefault(stream, [])
+        if before is not None:  # each generator draws the stage before first
+            self.rows(before, hi)
+            if before in _RESUMED:  # the states it leaves, before they move on
+                self._states.setdefault(before, []).extend(
+                    rng.bit_generator.state for rng in rngs[lo:hi])
+        rngs += [trial_rng(self, k) for k in range(len(rngs), hi)]
+        return draw(self.model, rngs[lo:hi])
+
+    def resumed(self, stage: str, rows) -> list[np.random.Generator]:
+        """New generators of the given rows, each in the state in which
+        ``stage`` left that row's generator: the state kept when a later
+        stage was drawn, else the row's own, which no later stage moved."""
+        rows = list(rows)
+        self.rows(stage, max(rows) + 1)
+        kept, rngs = self._states.get(stage, []), self._rngs[_STAGES[stage][0]]
+        return [_resumed(kept[k] if k < len(kept) else rngs[k].bit_generator.state)
+                for k in rows]
+
+
 def func_calculus(
     model: Model, a: Element, f: Callable[[float], float], tol: Tolerance = DEFAULT_TOL
 ) -> Element:

@@ -3,8 +3,11 @@ sampled verifier they run.
 
 Each suite is a pure function of (model, seed, trials, tolerances) returning
 a list of CheckResults; ``run_suite`` wraps them into a VerificationReport
-with canonical check ordering.  This is the one module that builds a
-CheckResult: the state, transition-probability and cone layers only compute.
+with canonical check ordering.  ``run_suite`` passes the suites one
+``DrawRecord`` as their seed, so the trial samples several of them replay
+are drawn and decomposed once per run; a suite given a plain seed draws its
+own.  This is the one module that builds a CheckResult: the state,
+transition-probability and cone layers only compute.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from .reports import CheckResult, VerificationReport, skipped_check
 from .selfdual import (
     SelfDualCone,
     SpectralSelfDualCone,
+    _signed_parts,
     peel_positive,
     peel_spectral,
     recover_order_unit,
 )
 from .spectral import (
+    DrawRecord,
     linearity_defects,
     polarized_coords,
     random_coords_batch,
@@ -46,15 +51,15 @@ from .transition import inner_product, mixture_values, pairing_sums
 
 def spectral_suite(model: Model, seed: int, trials: int,
                    tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Every trial's sample is one row of a (trials, d) stack; the kernels
-    decompose the stack at once and the defects are reduced over rows."""
-    rngs = trial_rngs(seed, trials)
+    """Every trial's sample is one row of a (trials, d) stack, drawn and
+    decomposed once per run (``DrawRecord``); the kernels decompose the
+    stack at once and the defects are reduced over rows."""
+    record = DrawRecord.of(model, seed, tol)
     lin = min(trials, 100)
-    a = random_coords_batch(model, rngs)
-    b, c = (random_coords_batch(model, rngs[:lin]) for _ in range(2))
+    a, b, c = record.rows("a", trials), record.rows("b", lin), record.rows("c", lin)
     unit = model.order_unit_coords()
-    values, atoms = model.decompose_batch(a, tol)
-    eigs = model.eigenvalues_batch(a, tol)  # the other path, compared with values
+    values, atoms = record.rows("a_frames", trials)
+    eigs = record.rows("a_eigenvalues", trials)  # the other path, compared with values
     residuals = order_norms(model, resum(values, values, atoms) - a, tol)
     frame_sum = order_norms(model, resum(values, np.ones_like(values), atoms) - unit, tol)
     sort_defect = np.max(np.diff(values, axis=1), axis=1, initial=0.0)
@@ -191,7 +196,7 @@ def _tps_of_atoms(model: Model, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
         return np.abs(model.native_pairings(e1, e2))
     if not len(e1):
         return np.zeros(0)
-    p1, p2 = (np.array([model.atom_param_from_coords(e) for e in stack]) for stack in (e1, e2))
+    p1, p2 = (model.atom_params_from_coords(stack) for stack in (e1, e2))
     return np.maximum(np.abs(model.transitions_from_params(p1, p2)),
                       np.abs(model.transitions_from_params(p2, p1)))
 
@@ -250,9 +255,12 @@ def tp_suite(model: Model, seed: int, trials: int,
         CheckResult("tp.symmetry", worst(np.abs(t12 - t21)), tol.check_tol,
                     note="fails by design on models with non-symmetric transition probability"),
     ]
-    checks += verify_unity_resolution(model, seed, trials, tol, names={
-        "rows": "tp.unity_resolution_rows", "columns": "tp.unity_resolution_columns"})
-    checks += check_inner_product(model, seed, min(trials, 200), tol)
+    record = DrawRecord.of(model, seed, tol)
+    checks += _unity_resolution(
+        model, record.rows("frame", trials), record.rows("frame_coords", trials),
+        record.rows("extra", trials), tol,
+        {"rows": "tp.unity_resolution_rows", "columns": "tp.unity_resolution_columns"})
+    checks += check_inner_product(model, record, min(trials, 200), tol)
     return checks
 
 
@@ -261,9 +269,10 @@ def check_inner_product(model: Model, seed: int, trials: int,
     """Symmetry, bilinearity, positive definiteness and atom pairing, and the
     norm equivalence |a| <= sqrt(<a|a>) <= sqrt(m) |a| on the same samples.
 
-    Every trial's samples are rows of (trials, d) stacks: one
-    ``decompose_batch`` gives all their frames and one ``pairing_sums`` all
-    their pairings."""
+    Every trial's samples are rows of (trials, d) stacks: the samples a, b
+    and c and the frames of a are the seed's ``DrawRecord``'s, one
+    ``decompose_batch`` gives the other frames and one ``pairing_sums`` all
+    the pairings."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not model.symmetric_tp:
@@ -282,15 +291,18 @@ def check_inner_product(model: Model, seed: int, trials: int,
         ]
 
     m, d = model.info_capacity, model.ambient_dim
-    rngs = trial_rngs(seed, trials)
-    a, b, c = (random_coords_batch(model, rngs) for _ in range(3))
+    record = DrawRecord.of(model, seed, tol)
+    a, b, c = (record.rows(stage, trials) for stage in "abc")
+    # each trial's generator draws on where c left it
+    rngs = record.resumed("c", range(trials))
     alpha = np.array([rng.normal() for rng in rngs])
     p1 = model.random_atom_param_batch(rngs)
     p2 = model.random_atom_param_batch(rngs)
     e1, e2 = model.atom_coords_batch(p1), model.atom_coords_batch(p2)
     atom_tp = model.transitions_from_params(p1, p2)
     mixed = alpha[:, np.newaxis] * a + c
-    values, atoms = model.decompose_batch(np.concatenate((a, b, mixed, c, e1)), tol)
+    rest = model.decompose_batch(np.concatenate((b, mixed, c, e1)), tol)
+    values, atoms = (np.concatenate(parts) for parts in zip(record.rows("a_frames", trials), rest))
     values, atoms = values.reshape(5, trials, -1), atoms.reshape(5, trials, -1, d)
     # <x|y> for the frame of x (by its place in the stack above) and y
     pairs = [(0, b), (1, a), (2, b), (3, b), (1, mixed), (1, c), (0, a), (4, e2)]
@@ -298,7 +310,7 @@ def check_inner_product(model: Model, seed: int, trials: int,
     ab, ba, lhs, cb, lhs2, bc, aa, atom_ip = pairing_sums(
         model, values[frames].reshape(8 * trials, -1), atoms[frames].reshape(8 * trials, -1, d),
         np.concatenate([y for _, y in pairs])).reshape(8, trials)
-    norm_a = order_norms(model, a, tol)
+    norm_a = np.abs(record.rows("a_eigenvalues", trials)).max(axis=1)  # order_norms of a
     hilbert = np.sqrt(np.where(0.0 > aa, 0.0, aa))  # max(aa, 0.0), NaN kept
     # Python's power: numpy's square differs from it in the last bit now and then
     definite = np.array([norm ** 2 for norm in norm_a.tolist()]) - aa
@@ -332,9 +344,13 @@ def check_inner_product(model: Model, seed: int, trials: int,
 
 def axioms_suite(model: Model, seed: int, trials: int,
                  tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    checks = verify_atom_state_uniqueness(model, seed, trials, tol)
+    """The atom-state checks read the first atoms of the seed's
+    ``DrawRecord`` and the complements from its one decomposition."""
+    record = DrawRecord.of(model, seed, tol)
+    checks = _atom_state_uniqueness(model, *_recorded_first_atoms(record, trials), tol)
     checks += verify_pure_state_sampling(model, seed, min(trials, 64))
-    checks += verify_certainty_order(model, seed, trials, tol)
+    checks += _certainty_order(model, *_recorded_first_atoms(record, trials), tol,
+                               CERTAINTY_NAMES)
     checks.append(_uncertain_samples(model, seed, trials))
     checks += verify_strong_state_space(model, seed, trials, tol)
     return checks
@@ -391,6 +407,26 @@ def _random_bounded_mixtures(space: AtomSpace, rngs: Sequence[np.random.Generato
     return (first, second), (lam, 1.0 - lam)
 
 
+def _first_atoms(space: AtomSpace, seed: int, trials: int, tol: Tolerance):
+    """The generators of the trials after each drew its first atom, the atom
+    parameters and coordinates (stacks), and each atom's complements, from
+    one ``complements`` call."""
+    rngs = trial_rngs(seed, trials)
+    params = space.random_atom_param_batch(rngs)
+    atoms = space.atom_coords_batch(params)
+    return rngs, params, atoms, space.complements(atoms, tol)
+
+
+def _recorded_first_atoms(record: DrawRecord, trials: int):
+    """``_first_atoms`` of the record's model, read from the record: the
+    complements are the frame atoms of unit - e above 1/2, as
+    ``Model.complements`` selects them."""
+    values, frames = record.rows("complement_frames", trials)
+    return (record.resumed("atom", range(trials)), record.rows("atom", trials),
+            record.rows("atom_coords", trials),
+            [frame[row > 0.5] for row, frame in zip(values, frames)])
+
+
 def verify_atom_state_uniqueness(space: AtomSpace, seed: int, trials: int,
                                  tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """Sampled evidence that P_e is the only state attaining 1 at atom e.
@@ -399,9 +435,11 @@ def verify_atom_state_uniqueness(space: AtomSpace, seed: int, trials: int,
     uniqueness is analytic per backend and recorded as assumed.  The
     complements of every trial's atom come from one ``complements`` call.
     """
-    rngs = trial_rngs(seed, trials)
-    params = space.random_atom_param_batch(rngs)
-    atoms = space.atom_coords_batch(params)
+    return _atom_state_uniqueness(space, *_first_atoms(space, seed, trials, tol), tol)
+
+
+def _atom_state_uniqueness(space: AtomSpace, rngs, params, atoms, comps,
+                           tol: Tolerance) -> list[CheckResult]:
     checks = [CheckResult("states.atom_state_attains_one",
                           worst(np.abs(space.state_values(params, atoms) - 1.0)), tol.check_tol)]
     if space.info_capacity < 2:
@@ -411,11 +449,10 @@ def verify_atom_state_uniqueness(space: AtomSpace, seed: int, trials: int,
     # each trial's generator draws its mixture once every trial has its atom
     mixed = mixture_values(space, *_random_bounded_mixtures(space, rngs), atoms)
     # half/half mixture with an orthogonal atom evaluates to one half
-    comps = space.complements(atoms, tol)
     rows = [k for k, comp in enumerate(comps) if len(comp)]
     half_defect = 0.0
     if rows:
-        others = np.array([space.atom_param_from_coords(comps[k][0]) for k in rows])
+        others = space.atom_params_from_coords(np.array([comps[k][0] for k in rows]))
         half_defect = worst(np.abs(mixture_values(
             space, (params[rows], others), (0.5, 0.5), atoms[rows]) - 0.5))
     return checks + [
@@ -441,9 +478,17 @@ def verify_unity_resolution(space: AtomSpace, seed: int, trials: int, tol: Toler
     rngs = trial_rngs(seed, trials)
     frames = space.random_frame_params_batch(rngs)
     extra = space.random_atom_param_batch(rngs)
+    return _unity_resolution(space, frames, space.atom_coords_batch(frames), extra, tol, names)
+
+
+def _unity_resolution(space: AtomSpace, frames, frame_atoms: np.ndarray, extra,
+                      tol: Tolerance, names: dict) -> list[CheckResult]:
+    """``verify_unity_resolution`` on drawn families: their parameters
+    ``frames`` (K, m, ...) and coordinates ``frame_atoms`` (K, m, d), and the
+    parameters ``extra`` of the further atoms."""
     ones = np.ones(frames.shape[:2])
-    total = resum(ones, ones, space.atom_coords_batch(frames))
-    columns = np.zeros(trials)
+    total = resum(ones, ones, frame_atoms)
+    columns = np.zeros(len(extra))
     for j in range(frames.shape[1]):
         columns += space.transitions_from_params(frames[:, j], extra)
     measured = {"rows": worst(np.abs(space.state_values(extra, total) - 1.0)),
@@ -452,9 +497,11 @@ def verify_unity_resolution(space: AtomSpace, seed: int, trials: int, tol: Toler
     return [CheckResult(name, measured[key], tol.check_tol) for key, name in names.items()]
 
 
+CERTAINTY_NAMES = ("certainty.state_attains_one", "certainty.atom_below_effect")
+
+
 def verify_certainty_order(space: AtomSpace, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
-                           names: tuple = ("certainty.state_attains_one",
-                                           "certainty.atom_below_effect")) -> list[CheckResult]:
+                           names: tuple = CERTAINTY_NAMES) -> list[CheckResult]:
     """If a state is certain of an effect in [0, unit], its atom lies below it.
 
     Positive cases are constructed as the atom plus convex junk on its
@@ -465,13 +512,14 @@ def verify_certainty_order(space: AtomSpace, seed: int, trials: int, tol: Tolera
     """
     # each trial's generator draws the atom now and the junk weights once
     # the complements of every trial's atom are known
-    rngs = trial_rngs(seed, trials)
-    params = space.random_atom_param_batch(rngs)
-    atoms = space.atom_coords_batch(params)
-    comps = space.complements(atoms, tol)
+    return _certainty_order(space, *_first_atoms(space, seed, trials, tol), tol, names)
+
+
+def _certainty_order(space: AtomSpace, rngs, params, atoms, comps, tol: Tolerance,
+                     names: tuple) -> list[CheckResult]:
     # a shorter complement is padded with weight -0.0 on a zero atom: the
     # product -0.0 leaves every sum unchanged, signed zeros included
-    weights = np.full((trials, max(map(len, comps))), -0.0)
+    weights = np.full((len(atoms), max(map(len, comps))), -0.0)
     junk = np.zeros(weights.shape + (space.ambient_dim,))
     for k, (rng, comp) in enumerate(zip(rngs, comps)):
         weights[k, :len(comp)] = rng.uniform(size=len(comp))
@@ -555,7 +603,7 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     owner = np.repeat(np.arange(trials), [len(a) for a in atoms])
     at_q = at_p = np.empty(0)
     if len(owner):
-        params = np.array([model.atom_param_from_coords(e) for a in atoms for e in a])
+        params = model.atom_params_from_coords(np.concatenate(atoms))
         at_q, at_p = (model.state_values(params, x[owner]) for x in (qs, ps))
     splits = np.cumsum([len(a) for a in atoms])[:-1]
     consistency = 0.0
@@ -596,9 +644,10 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
 
 def selfdual_suite(model: Model, seed: int, trials: int,
                    tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """The Moreau sweep draws every trial's element from ``trial_rng(seed,
-    k)``; its Moreau parts, and those of their differences, come from two
-    ``moreau_parts`` calls, and every order norm and cone defect from one
+    """The Moreau sweep reads every trial's element a, its frame and its
+    spectrum from the seed's ``DrawRecord``; the Moreau parts of a come from
+    that frame, those of their differences from one ``moreau_parts`` call,
+    and every other order norm and cone defect from one
     ``eigenvalues_batch``.  The peel checks on every fifth trial peel the
     thinned rows as stacks, without the spectral kernel they check."""
     if trials < 1:
@@ -620,16 +669,17 @@ def selfdual_suite(model: Model, seed: int, trials: int,
             skipped_check("orthogonal.parts_inherit_orthogonality", reason),
         ]
     cone = SpectralSelfDualCone(model)
+    record = DrawRecord.of(model, seed, tol)
     sweep = min(trials, 120)
     thinned = range(0, sweep, 5)
-    rngs = trial_rngs(seed, sweep)
-    a = random_coords_batch(model, rngs)
-    effects = random_coords_batch(model, rngs[::5], "unit_interval")
-    plus, minus = cone.moreau_parts(a, tol)
+    a = record.rows("a", sweep)
+    # the thinned trials' generators draw their effects where a left them
+    effects = random_coords_batch(model, record.resumed("a", thinned), "unit_interval")
+    plus, minus = _signed_parts(*record.rows("a_frames", sweep))  # cone.moreau_parts(a)
     again_plus, again_minus = cone.moreau_parts(plus - minus, tol)
     # order norms of the reconstruction and uniqueness residuals and of the
-    # minus parts, cone defects of both parts, spectra of the thinned elements
-    stacks = [(plus - minus) - a, again_plus - plus, again_minus - minus, minus, plus, a[thinned]]
+    # minus parts, cone defects of both parts
+    stacks = [(plus - minus) - a, again_plus - plus, again_minus - minus, minus, plus]
     eigs = np.split(model.eigenvalues_batch(np.concatenate(stacks), tol),
                     np.cumsum([len(stack) for stack in stacks])[:-1])
     recon, again_plus_norm, again_minus_norm, minus_norm = (
@@ -637,7 +687,8 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     minus_in, plus_in = (cone_distances(eig) <= tol.cone_slack for eig in eigs[3:5])
     # the peel checks: the Moreau parts of the thinned elements, then the
     # effects and the thinned plus parts, each peeled as one stack
-    peel_match = _sorted_gap(peel_spectral(cone, a[thinned], tol=tol)[0], eigs[5])
+    peel_match = _sorted_gap(peel_spectral(cone, a[thinned], tol=tol)[0],
+                             record.rows("a_eigenvalues", sweep)[thinned])
     values, atoms = peel_positive(cone, np.concatenate((effects, plus[thinned])), tol=tol)
     coeffs = values[:len(effects)]
     peel_interval = worst(np.maximum(-coeffs, coeffs - 1.0).ravel())
@@ -662,7 +713,10 @@ def selfdual_suite(model: Model, seed: int, trials: int,
         CheckResult("unit.recovered_from_families", unit_defect, tol.check_tol),
         CheckResult("orthogonal.parts_inherit_orthogonality", orth_parts, tol.check_tol),
     ]
-    checks += verify_unity_resolution(cone, seed, sweep, tol)
+    # the cone's atoms are the model's, as coordinates
+    frames = record.rows("frame_coords", sweep)
+    checks += _unity_resolution(cone, frames, cone.atom_coords_batch(frames),
+                                record.rows("extra_coords", sweep), tol, UNITY_NAMES)
     checks += verify_certainty_order(cone, seed, sweep, tol, names=(
         "certainty_ip.pairing_attains_one", "certainty_ip.atom_below_effect"))
     checks += self_duality_report(cone, seed, min(trials, 200), tol)
@@ -701,10 +755,9 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
     rays = cone.extreme_generators()
     forward = worst(np.concatenate((-cone.inners(a, b),
                                     -cone.inners(rays[:, np.newaxis], rays).ravel())))
-    values, atoms = cone.frames(c, tol)
+    (values, atoms), (plus, minus) = cone.frames_and_parts(c, tol)
     pairings = cone.inners(atoms, c[:, np.newaxis])
     reverse = worst(np.abs(pairings - values).ravel())
-    plus, minus = cone.moreau_parts(c, tol)
     contained = cone.cone_defects(np.concatenate((c, minus)), tol) <= tol.cone_slack
     mismatches = np.sum((pairings >= -tol.cone_slack).all(axis=1) != contained[:trials])
     witness_defect = 0.0
@@ -743,9 +796,10 @@ def run_suite(model: Model, suite: str, seed: int, trials: int,
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     start = time.monotonic()
     names = list(SUITES) if suite == "all" else [suite]
+    record = DrawRecord(seed, model, tol)  # this run's draws, shared by its suites
     checks: list[CheckResult] = []
     for name in names:
-        checks += SUITES[name](model, seed, trials, tol)
+        checks += SUITES[name](model, record, trials, tol)
     report = VerificationReport(
         model=model.descriptor.to_json(),
         suite=suite,

@@ -43,8 +43,9 @@ every solve goes through the one wrapper and shows in the traced LP count.
 A walk of its own keeps each model class and cone flavour to its stack
 kernels: it fails on a subclass of ``AtomSpace`` (``Model``,
 ``SelfDualCone`` and theirs) that defines one of the one-row cases
-``AtomSpace`` writes once (``atom_coords``, ``state_value``,
-``transition_from_params`` and the two per-element samplers), on a subclass
+``AtomSpace`` writes once (``atom_coords``, ``atom_param_from_coords``,
+``state_value``, ``transition_from_params`` and the two per-element
+samplers), on a subclass
 of ``SelfDualCone`` that defines a per-element cone method (``inner``,
 ``cone_defect``, ``moreau``, ``frame``, ``complement_coords`` or
 ``split_orthogonal``), each of which ``SelfDualCone`` writes once as the
@@ -65,9 +66,11 @@ move leaves no stale import behind.
 The last tests pin the batch sampling kernels on every model family and both
 cone flavours: row k of each equals the per-element kernel of row k bit for
 bit, every generator is left where the per-element calls leave it, and a
-stack with one unnormalised row raises the per-element error.  On both cone
+stack with one unnormalised row raises the per-element error; likewise the
+atom parameters read from a stack of atoms, where one row that is no atom
+raises ``NotAtomError``.  On both cone
 flavours, each per-element cone method equals row k of its stack form bit
-for bit.
+for bit, and ``frames_and_parts`` equals ``frames`` and ``moreau_parts``.
 """
 
 import ast
@@ -79,7 +82,7 @@ import pytest
 
 import jordantp
 from conftest import ALL_MODEL_SPECS
-from jordantp import UnnormalizedParamError, get_model
+from jordantp import NotAtomError, UnnormalizedParamError, get_model
 from jordantp.backends import REGISTRY
 from jordantp.backends.base import AtomSpace, Model
 from jordantp.selfdual import GeneratorSelfDualCone, SelfDualCone, SpectralSelfDualCone
@@ -388,8 +391,8 @@ def test_guard_flags_a_second_spectral_kernel():
 PER_ELEMENT_CONE_METHODS = frozenset({
     "inner", "cone_defect", "moreau", "frame", "complement_coords", "split_orthogonal"})
 ATOM_SPACE_ONE_ROW = frozenset({
-    "atom_coords", "random_atom_param", "random_frame_params", "state_value",
-    "transition_from_params"})
+    "atom_coords", "atom_param_from_coords", "random_atom_param", "random_frame_params",
+    "state_value", "transition_from_params"})
 CONE_CLASSES = frozenset(_class_names(SelfDualCone))
 ATOM_SPACE_CLASSES = frozenset(_class_names(AtomSpace))
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -747,6 +750,20 @@ def test_batch_atom_kernels_equal_the_per_element_kernels(space):
         assert values[k].tobytes() == np.float64(space.state_value(src[k], coords[k])).tobytes()
         assert tps[k].tobytes() == np.float64(
             space.transition_from_params(src[k], dst[k])).tobytes()
+    # the atoms' parameters, read as one stack, and row k's read alone
+    params = space.atom_params_from_coords(atoms)
+    assert len(params) == TRIALS
+    for k in range(TRIALS):
+        alone = space.atom_param_from_coords(atoms[k])
+        assert _bits(params[k], params.dtype) == _bits(alone, params.dtype)
+        np.testing.assert_allclose(space.atom_coords(alone), atoms[k], atol=1e-12)
+    if isinstance(space, Model):  # a cone's atom is its own parameter, unchecked
+        bad = atoms.copy()
+        bad[TRIALS // 2] *= 2.0  # twice an atom is no atom
+        with pytest.raises(NotAtomError):
+            space.atom_params_from_coords(bad)
+        with pytest.raises(NotAtomError):
+            space.atom_param_from_coords(bad[TRIALS // 2])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -793,6 +810,10 @@ def test_each_per_element_cone_method_is_row_k_of_its_stack_form(make, tol):
     defects = cone.cone_defects(mixed, tol)
     values, frames = cone.frames(mixed, tol)
     plus, minus = cone.moreau_parts(mixed, tol)
+    # both from one decomposition, bit for bit
+    (one_values, one_frames), one_parts = cone.frames_and_parts(mixed, tol)
+    for got, want in zip((one_values, one_frames, *one_parts), (values, frames, plus, minus)):
+        assert _bits(got, float) == _bits(want, float)
     complements = cone.complements(atoms, tol)
     heads, rests, single = cone.split_orthogonal_batch(
         positive, tol, np.sqrt(np.abs(cone.inners(positive, positive))))

@@ -202,6 +202,23 @@ def test_pnorm_matches_function_form():
                 assert LpQubitModel.pnorm(v, exponent) == reference_pnorm(v, exponent)
 
 
+def test_pnorms_zero_rows_stay_on_the_stack(monkeypatch):
+    # a zero row sums to zero on the stacked path, signed zeros included; a
+    # 1e-200 row, whose power underflows, still takes pnorm's scaled branch
+    rows = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-200, 0.0, -1e-200],
+                     [1.0, -2.0, 0.5]])
+    scalar = LpQubitModel.pnorm
+    calls = []
+    monkeypatch.setattr(LpQubitModel, "pnorm", staticmethod(
+        lambda v, exponent: calls.append(list(v)) or scalar(v, exponent)))
+    for exponent in (2.0, 3.0, 40.0):
+        calls.clear()
+        got = LpQubitModel.pnorms(rows, exponent)
+        want = np.array([scalar(row, exponent) for row in rows])
+        assert got.tobytes() == want.tobytes()
+        assert calls == [[1e-200, 0.0, -1e-200]]
+
+
 def test_pnorms_rows_whose_peak_overflows_match_pnorm():
     # at 1e307 the peak power is finite but four times the row length times it
     # is not; at 1e308 the peak power itself overflows (exponents above 1)

@@ -1,13 +1,17 @@
 """Kernel calls: what reaches the per-element and batch spectral kernels.
 
-A spectrum is never cached: every ``spectral_form`` and ``eigenvalues`` call
-reaches its own kernel, so a suite that decomposes a sample twice shows in
-the counts below; the capacity search makes one batch decomposition per
-step.  Only ``spectral.trial_rng`` caches, the hashed seed words
-of recent trials, and it draws what ``default_rng`` of the trial's seed
-sequence draws.  ``run_suite`` reports what the plain suites report, from any
-number of threads.  The pure-state cloud and the self-duality report's
-witness families are drawn in a fixed number of sampler calls.
+A per-element spectrum is never cached: every ``spectral_form`` and
+``eigenvalues`` call reaches its own kernel, and the capacity search makes
+one batch decomposition per step.  Within one ``verify`` run the trial
+samples that several suites replay are drawn and decomposed once, in the
+run's ``DrawRecord``: the rows a run passes to ``decompose_batch`` are
+bounded below, so a suite that decomposes a shared sample again shows.
+``spectral.trial_rng`` caches the hashed seed words of recent trials, and it
+draws what ``default_rng`` of the trial's seed sequence draws.
+``run_suite`` reports what the plain suites report, each suite run alone,
+across the trial caps of the shared samples and from any number of threads.
+The pure-state cloud and the self-duality report's witness families are
+drawn in a fixed number of sampler calls.
 """
 
 import sys
@@ -218,6 +222,45 @@ def test_run_suite_reports_what_the_plain_suites_report(kind, n, p, tol):
         direct = [check for suite in SUITES.values() for check in suite(model, seed, 8, tol)]
         report = run_suite(model, "all", seed, 8, tol)
         assert _checks_json(report.checks) == _checks_json(direct)
+
+
+@pytest.mark.parametrize("kind,n,p", [("sym", 4, None), ("classical", 4, None), ("lpq", 2, 3.0)])
+def test_run_suite_reports_what_the_plain_suites_report_across_the_caps(kind, n, p, tol):
+    # a run's record grows past the caps of its shared samples: b and c at
+    # 100 trials, the Moreau sweep at 120 and the inner product at 200
+    model = get_model(kind, n, p)
+    for trials in (1, 101, 130, 250):
+        direct = [check for suite in SUITES.values() for check in suite(model, 1, trials, tol)]
+        report = run_suite(model, "all", 1, trials, tol)
+        assert _checks_json(report.checks) == _checks_json(direct)
+
+
+@pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
+def test_each_suite_alone_reports_what_it_reports_inside_all(kind, n, p, tol):
+    model = get_model(kind, n, p)
+    alone = [check for name in SUITES for check in run_suite(model, name, 2, 24, tol).checks]
+    assert _checks_json(run_suite(model, "all", 2, 24, tol).checks) == _checks_json(alone)
+
+
+# the rows a verify run passes to decompose_batch; a bound may only fall
+DECOMPOSED_ROWS = {("sym:4", 8): 188, ("classical:4", 24): 527}
+
+
+@pytest.mark.parametrize("spec,trials", list(DECOMPOSED_ROWS))
+def test_a_verify_run_decomposes_each_shared_sample_once(monkeypatch, capsys, spec, trials):
+    kind, n = spec.split(":")
+    model = get_model(kind, int(n))
+    rows = []
+    kernel = model.decompose_batch
+
+    def counted(stack, tol):
+        rows.append(len(stack))
+        return kernel(stack, tol)
+
+    monkeypatch.setitem(vars(model), "decompose_batch", counted)
+    assert main(["verify", spec, "--suite", "all", "--trials", str(trials), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert sum(rows) <= DECOMPOSED_ROWS[spec, trials]
 
 
 def test_concurrent_runs_report_what_serial_runs_report(tol):
