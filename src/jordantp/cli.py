@@ -117,8 +117,8 @@ def _cmd_tpmatrix(args) -> int:
         if args.random < 1:
             raise ValueError("--random needs at least one atom")
         rng = np.random.default_rng(_resolve_seed(args.seed))
-        params = [model.random_atom_param(rng) for _ in range(args.random)]
-        matrix = tp_matrix_from_params(model, params)
+        # one generator drawing the K atoms in turn, as one stack
+        matrix = tp_matrix_from_params(model, model.random_atom_param_batch([rng] * args.random))
     elif args.atoms_file:
         with open(args.atoms_file) as handle:
             data = json.load(handle)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends.base import AtomSpace, Model, row_norms
+from .backends.base import AtomSpace, Model, normal_draws, row_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .errors import ConeProjectionError, UnsupportedModelError
 from .reports import read_csv_rows
@@ -48,10 +48,9 @@ class SelfDualCone(AtomSpace):
     states are the pairing.  A flavor writes each kernel once, on (K, d)
     stacks or one generator per row: the stack forms of ``AtomSpace`` and
     those below (``inners`` defaults to the ambient dot product), plus
-    ``ambient_dim``, ``info_capacity``, ``random_element`` and
-    ``random_positive``.  Each per-element method is the one-row case of its
-    stack form, written here once; a raw array is checked through ``wrap``
-    first.
+    ``ambient_dim`` and ``info_capacity``.  Each per-element method is the
+    one-row case of its stack form, written here once; a raw array is
+    checked through ``wrap`` first.
     """
 
     def as_vec(self, x) -> np.ndarray:
@@ -131,6 +130,20 @@ class SelfDualCone(AtomSpace):
     def frames_and_parts(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         """``frames`` and ``moreau_parts`` of a (K, d) stack from one
         decomposition of it, as ((values, atoms), (plus, minus))."""
+
+    @abstractmethod
+    def random_element_batch(self, rngs) -> np.ndarray:
+        """An element drawn from each generator, as a (K, d) stack."""
+
+    @abstractmethod
+    def random_positive_batch(self, rngs) -> np.ndarray:
+        """A cone element drawn from each generator, as a (K, d) stack."""
+
+    def random_element(self, rng: np.random.Generator):
+        return self.wrap(self.random_element_batch([rng])[0])
+
+    def random_positive(self, rng: np.random.Generator):
+        return self.wrap(self.random_positive_batch([rng])[0])
 
     def moreau(self, a, tol: Tolerance = DEFAULT_TOL) -> MoreauPair:
         plus, minus = self.moreau_parts(self._row(a), tol)
@@ -213,11 +226,11 @@ class SpectralSelfDualCone(SelfDualCone):
             out[k] = row[:count]
         return out
 
-    def random_element(self, rng: np.random.Generator) -> Element:
-        return _random_element(self.model, rng)
+    def random_element_batch(self, rngs) -> np.ndarray:
+        return _random_element(self.model, rngs)
 
-    def random_positive(self, rng: np.random.Generator) -> Element:
-        return _random_element(self.model, rng, "positive")
+    def random_positive_batch(self, rngs) -> np.ndarray:
+        return _random_element(self.model, rngs, "positive")
 
     def split_orthogonal_batch(self, stack: np.ndarray, tol: Tolerance, scales: np.ndarray):
         # the kernel's cutoffs are relative to each row's own trace
@@ -351,11 +364,14 @@ class GeneratorSelfDualCone(SelfDualCone):
         return [np.reshape(self._extend_orthogonally([e], self.extreme_generators())[1:],
                            (-1, self.ambient_dim)) for e in np.asarray(stack, dtype=float)]
 
-    def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(size=self.ambient_dim)
+    def random_element_batch(self, rngs) -> np.ndarray:
+        return normal_draws(rngs, (self.ambient_dim,))
 
-    def random_positive(self, rng: np.random.Generator) -> np.ndarray:
-        return self.generators.T @ np.abs(rng.normal(size=len(self.generators)))
+    def random_positive_batch(self, rngs) -> np.ndarray:
+        # one matrix-vector product per row, which a stacked product may
+        # round differently
+        return np.array([self.generators.T @ np.abs(rng.normal(size=len(self.generators)))
+                         for rng in rngs]).reshape(len(rngs), self.ambient_dim)
 
     def moreau_parts(self, stack: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     Parallel and serial sweeps over trials therefore draw identical samples.
     The draws are those of ``default_rng(SeedSequence(entropy=seed,
     spawn_key=(trial,)))``.  The verifiers keep one generator per trial and
-    pass the list of them to the batch samplers (``random_coords_batch`` and
+    pass the list of them to the batch samplers (``_random_element`` and
     the backends' ``random_*_batch``): row k of a batch is trial k's, drawn
     from its generator alone, and each generator makes its draws in the
     order of the per-trial loop (the first atom of every trial, then the
@@ -74,24 +74,15 @@ def random_element(model: Model, seed: int, shape: str = "any") -> Element:
     """Deterministic random element with the requested spectral shape."""
     if shape not in SHAPES:
         raise ValueError(f"shape must be one of {SHAPES}, got {shape!r}")
-    rng = np.random.default_rng(int(seed))
-    return _random_element(model, rng, shape)
+    return model.element(_random_element(model, [np.random.default_rng(int(seed))], shape)[0])
 
 
-def _random_element(model: Model, rng: np.random.Generator, shape: str = "any") -> Element:
-    return model.element(_random_coords(model, rng, shape))
-
-
-def _random_coords(model: Model, rng: np.random.Generator, shape: str = "any") -> np.ndarray:
-    """The coordinates of the element ``_random_element`` draws."""
-    return random_coords_batch(model, [rng], shape)[0]
-
-
-def random_coords_batch(model: Model, rngs: Sequence[np.random.Generator],
-                        shape: str = "any") -> np.ndarray:
-    """A (K, d) stack whose row k holds the coordinates of the element drawn
-    from rngs[k]: a random frame, then one weight per atom of that frame,
-    the weighted atoms summed in frame order from zero."""
+def _random_element(model: Model, rngs: Sequence[np.random.Generator],
+                    shape: str = "any") -> np.ndarray:
+    """The package's one element sampler: a (K, d) stack whose row k holds
+    the coordinates of the element drawn from rngs[k] alone: a random frame,
+    then one weight per atom of that frame, the weighted atoms summed in
+    frame order from zero."""
     atoms = model.atom_coords_batch(model.random_frame_params_batch(rngs))
     # a cone pads a shorter family with zero atoms, and no atom is zero: each
     # generator draws the weights of its own family, and a padded atom gets
@@ -117,14 +108,15 @@ def _parts(stack) -> tuple:
 
 
 # stage -> the stream whose generators draw it, the stage each of them
-# draws just before it, and the draw.  The streams: the samples a, b and c
-# of the spectral, inner-product and Moreau checks; the first atom of the
-# atom-state checks and of the capacity search; the frame and the further
-# atom of the unity check
+# draws just before it, and the draw, which looks the sampler up by name
+# when it runs.  The streams: the samples a, b and c of the spectral,
+# inner-product and Moreau checks; the first atom of the atom-state checks
+# and of the capacity search; the frame and the further atom of the unity
+# check
 _STAGES = {
-    "a": ("samples", None, random_coords_batch),
-    "b": ("samples", "a", random_coords_batch),
-    "c": ("samples", "b", random_coords_batch),
+    "a": ("samples", None, lambda model, rngs: _random_element(model, rngs)),
+    "b": ("samples", "a", lambda model, rngs: _random_element(model, rngs)),
+    "c": ("samples", "b", lambda model, rngs: _random_element(model, rngs)),
     "atom": ("atoms", None, lambda model, rngs: model.random_atom_param_batch(rngs)),
     "frame": ("unity", None, lambda model, rngs: model.random_frame_params_batch(rngs)),
     "extra": ("unity", "frame", lambda model, rngs: model.random_atom_param_batch(rngs)),
@@ -254,7 +246,7 @@ def linearity_defect(
     the order norm of (a, b + c) - (a, b) - (a, c) for the first three
     elements drawn in each trial."""
     rngs = trial_rngs(seed, trials)
-    a, b, c = (random_coords_batch(model, rngs) for _ in range(3))
+    a, b, c = (_random_element(model, rngs) for _ in range(3))
     return worst(linearity_defects(model, a, b, c, tol))
 
 

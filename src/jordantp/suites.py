@@ -34,9 +34,9 @@ from .selfdual import (
 )
 from .spectral import (
     DrawRecord,
+    _random_element,
     linearity_defects,
     polarized_coords,
-    random_coords_batch,
     trial_rng,
     trial_rngs,
     worst,
@@ -215,7 +215,7 @@ def tp_suite(model: Model, seed: int, trials: int,
     p1 = model.random_atom_param_batch(rngs)
     p2 = model.random_atom_param_batch(rngs)
     frames = model.random_frame_params_batch(rngs)
-    positive = random_coords_batch(model, rngs, "positive")
+    positive = _random_element(model, rngs, "positive")
     t11, t12, t21 = (model.transitions_from_params(src, dst)
                      for src, dst in ((p1, p1), (p1, p2), (p2, p1)))
     pair = model.atom_coords_batch(np.stack((p1, p2), axis=1))
@@ -360,7 +360,7 @@ def _uncertain_samples(model: Model, seed: int, trials: int) -> CheckResult:
     """Counts sampled effects an atom state is not certain of; no claim made."""
     rngs = trial_rngs(seed, trials)
     params = model.random_atom_param_batch(rngs)
-    effects = random_coords_batch(model, rngs, "unit_interval")
+    effects = _random_element(model, rngs, "unit_interval")
     uncertain = int(np.sum(model.state_values(params, effects) < 1.0 - 1e-6))
     return CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
                        note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made")
@@ -590,8 +590,8 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     surrogate, not a global certificate.
     """
     rngs = trial_rngs(seed, trials)
-    ps = random_coords_batch(model, rngs, "logic")
-    qs = random_coords_batch(model, rngs, "logic")
+    ps = _random_element(model, rngs, "logic")
+    qs = _random_element(model, rngs, "logic")
     # the atoms of every p, as atomic_decomposition finds them: the frame
     # atoms of eigenvalue above 1/2 (its rule that an order norm at most
     # check_tol has none adds nothing once each eigenvalue is near 0 or 1)
@@ -674,7 +674,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     thinned = range(0, sweep, 5)
     a = record.rows("a", sweep)
     # the thinned trials' generators draw their effects where a left them
-    effects = random_coords_batch(model, record.resumed("a", thinned), "unit_interval")
+    effects = _random_element(model, record.resumed("a", thinned), "unit_interval")
     plus, minus = _signed_parts(*record.rows("a_frames", sweep))  # cone.moreau_parts(a)
     again_plus, again_minus = cone.moreau_parts(plus - minus, tol)
     # order norms of the reconstruction and uniqueness residuals and of the
@@ -722,6 +722,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     checks += self_duality_report(cone, seed, min(trials, 200), tol)
     return checks
 
+
 def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
                         tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """Witness both inclusions of self-duality on samples.
@@ -732,14 +733,14 @@ def self_duality_report(cone: SelfDualCone, seed: int, trials: int,
     exactly.  The dual lies in the cone when the frame pairings of an
     element recover its coefficients, so that their signs decide
     membership, and when Moreau minus parts (dual vectors) lie in the cone.
-    Each trial draws from ``trial_rng(seed, k)``, its witness family in one
-    ``random_frame_params_batch`` call for all trials; the pairings, frames,
-    Moreau parts and cone defects then come from the cone's stack forms.
+    Each trial draws a, b, c and then its witness family from
+    ``trial_rng(seed, k)``, each stage in one stack call for all trials; the
+    pairings, frames, Moreau parts and cone defects then come from the
+    cone's stack forms.
     """
     rngs = trial_rngs(seed, trials)
-    a = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
-    b = np.array([cone.as_vec(cone.random_positive(rng)) for rng in rngs])
-    c = np.array([cone.as_vec(cone.random_element(rng)) for rng in rngs])
+    a, b = cone.random_positive_batch(rngs), cone.random_positive_batch(rngs)
+    c = cone.random_element_batch(rngs)
     # witness: one negative coefficient on a maximal family pairs negatively
     # with its own atom; a padded zero atom gets weight -0.0, adding nothing
     families = cone.random_frame_params_batch(rngs)

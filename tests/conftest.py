@@ -27,6 +27,14 @@ SYMMETRIC_MODEL_SPECS = [
 ]
 
 
+def draw_element(model, rng, shape="any"):
+    """The element the package's sampler draws from ``rng`` alone: row 0 of
+    a one-generator stack, for the reference loops that draw one at a time."""
+    from jordantp.spectral import _random_element
+
+    return model.element(_random_element(model, [rng], shape)[0])
+
+
 def run_fresh(script, *args):
     """Run a Python script in a fresh interpreter that finds this checkout's
     ``jordantp`` first; returns the JSON value on its last stdout line."""

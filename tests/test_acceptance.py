@@ -40,8 +40,8 @@ from jordantp import (
 )
 from jordantp.convexgeom import _e_omega_lp
 from jordantp.cli import main as cli_main
-from jordantp.spectral import _random_element, trial_rng
-from conftest import random_projection
+from jordantp.spectral import trial_rng
+from conftest import draw_element, random_projection
 
 TOL = Tolerance()
 
@@ -84,7 +84,7 @@ def test_criterion_01_02_spectral_reconstruction_and_cone_consistency():
         unit = model.order_unit_coords()
         for k in range(1000):
             rng = trial_rng(k, 0)
-            a = _random_element(model, rng).coords
+            a = draw_element(model, rng).coords
             eigs, atoms = model.decompose_coords(a, TOL)
             recon = sum(s * atom for s, atom in zip(eigs, atoms))
             resid = np.abs(model.decompose_coords(recon - a, TOL)[0])

@@ -23,7 +23,7 @@ frames and cone defects from its model's per-element kernels.
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS
+from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS, draw_element
 from jordantp import get_model
 from jordantp.backends import ClassicalModel, LpQubitModel, SpinFactorModel
 from jordantp.backends.base import Model
@@ -41,7 +41,7 @@ from jordantp.selfdual import (
     peel_spectral,
     recover_order_unit,
 )
-from jordantp.spectral import _random_element, random_element, trial_rng
+from jordantp.spectral import random_element, trial_rng
 from jordantp.suites import (
     _random_bounded_mixtures,
     _sorted_gap,
@@ -276,7 +276,7 @@ def reference_uncertain(model, seed, trials):
     for k in range(trials):
         rng = trial_rng(seed, k)
         ep = model.random_atom_param(rng)
-        b = _random_element(model, rng, "unit_interval")
+        b = draw_element(model, rng, "unit_interval")
         uncertain += model.state_value(ep, b.coords) < 1.0 - 1e-6
     return CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
                        note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made")
@@ -291,8 +291,8 @@ def reference_strong(model, seed, trials, tol):
     incomparable = 0
     for k in range(trials):
         rng = trial_rng(seed, k)
-        p = _random_element(model, rng, "logic")
-        q = _random_element(model, rng, "logic")
+        p = draw_element(model, rng, "logic")
+        q = draw_element(model, rng, "logic")
         params = [atom_param(model, e) for e in atomic_decomposition(model, p, tol)]
         if cone_contains(model, q - p, tol):
             comparable += 1
@@ -432,7 +432,7 @@ def reference_selfdual(model, seed, trials, tol):
             coeffs = np.sort(np.pad(coeffs, (0, width - len(coeffs))))
             eigs = np.sort(np.pad(eigs, (0, width - len(eigs))))
             peel_match = max(peel_match, float(np.max(np.abs(coeffs - eigs))))
-            b = _random_element(model, rng, "unit_interval")
+            b = draw_element(model, rng, "unit_interval")
             for p in peel_one(cone, b, tol):
                 peel_interval = max(peel_interval, -p.coefficient, p.coefficient - 1.0)
             parts = peel_one(cone, pair.a_plus, tol)

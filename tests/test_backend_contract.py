@@ -86,7 +86,7 @@ from jordantp import NotAtomError, UnnormalizedParamError, get_model
 from jordantp.backends import REGISTRY
 from jordantp.backends.base import AtomSpace, Model
 from jordantp.selfdual import GeneratorSelfDualCone, SelfDualCone, SpectralSelfDualCone
-from jordantp.spectral import SHAPES, _random_coords, random_coords_batch, trial_rng
+from jordantp.spectral import SHAPES, _random_element, trial_rng
 from test_selfdual import near_duplicate_orthant, rotated_orthant
 
 PACKAGE = Path(jordantp.__file__).parent
@@ -389,7 +389,8 @@ def test_guard_flags_a_second_spectral_kernel():
 # written once in ``SelfDualCone``, which keeps no per-row loop of its own;
 # likewise the one-row cases of the atom kernels, written once in ``AtomSpace``
 PER_ELEMENT_CONE_METHODS = frozenset({
-    "inner", "cone_defect", "moreau", "frame", "complement_coords", "split_orthogonal"})
+    "inner", "cone_defect", "moreau", "frame", "complement_coords", "split_orthogonal",
+    "random_element", "random_positive"})
 ATOM_SPACE_ONE_ROW = frozenset({
     "atom_coords", "atom_param_from_coords", "random_atom_param", "random_frame_params",
     "state_value", "transition_from_params"})
@@ -773,11 +774,11 @@ def test_batched_elements_are_the_per_element_draws(space, shape):
     per_element = [trial_rng(7, k) for k in range(TRIALS)]
     batched = [trial_rng(7, k) for k in range(TRIALS)]
     for _ in range(2):  # the second draw continues each generator's stream
-        stack = random_coords_batch(space, batched, shape)
+        stack = _random_element(space, batched, shape)
         for row, rng in zip(stack, per_element):
-            assert row.tobytes() == _random_coords(space, rng, shape).tobytes()
+            assert row.tobytes() == _random_element(space, [rng], shape)[0].tobytes()
     assert [rng.random() for rng in batched] == [rng.random() for rng in per_element]
-    assert random_coords_batch(space, [], shape).shape == (0, space.ambient_dim)
+    assert _random_element(space, [], shape).shape == (0, space.ambient_dim)
 
 
 def _unnormalised(model, param):
@@ -803,8 +804,8 @@ def test_a_stack_with_one_unnormalised_row_raises_the_per_element_error(any_mode
 def test_each_per_element_cone_method_is_row_k_of_its_stack_form(make, tol):
     cone = make()
     rngs = [trial_rng(9, k) for k in range(TRIALS)]
-    mixed = random_coords_batch(cone, rngs)
-    positive = random_coords_batch(cone, rngs, "positive")
+    mixed = _random_element(cone, rngs)
+    positive = _random_element(cone, rngs, "positive")
     atoms = cone.random_atom_param_batch(rngs)
     pairings = cone.inners(mixed, positive)
     defects = cone.cone_defects(mixed, tol)
@@ -836,6 +837,16 @@ def test_each_per_element_cone_method_is_row_k_of_its_stack_form(make, tol):
         assert (split is None) == single[k]
         if split is not None:
             assert _bits(split, float) == _bits((heads[k], rests[k]), float)
+    # the stack samplers: row k is the one-row draw from generator k, and
+    # every generator is left where the one-row draws leave it
+    batched = [trial_rng(10, k) for k in range(TRIALS)]
+    alone = [trial_rng(10, k) for k in range(TRIALS)]
+    for draw in ("random_positive", "random_element", "random_positive"):
+        stack = getattr(cone, f"{draw}_batch")(batched)
+        assert stack.shape == (TRIALS, cone.ambient_dim)
+        for row, rng in zip(stack, alone):
+            assert _bits(row, float) == _bits(cone.as_vec(getattr(cone, draw)(rng)), float)
+    assert [rng.random() for rng in batched] == [rng.random() for rng in alone]
 
 
 @pytest.mark.parametrize("make", list(CONES.values()), ids=list(CONES))
@@ -849,3 +860,5 @@ def test_cone_stack_forms_take_an_empty_stack(make, tol):
     assert cone.complements(empty, tol) == []
     assert cone.random_atom_param_batch([]).shape == empty.shape
     assert cone.random_frame_params_batch([]).shape[::2] == (0, cone.ambient_dim)
+    for draw in (cone.random_element_batch, cone.random_positive_batch):
+        assert draw([]).shape == empty.shape

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from jordantp import PolytopeStateSpace, check_extreme_affinity
+from jordantp.backends import parse_model_spec
 from jordantp.cli import main
+from jordantp.reports import format_double
+from jordantp.transition import tp_matrix_from_params
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +351,18 @@ def test_tpmatrix_random_lpq_asymmetric(capsys):
     assert code == 0
     defect = float(out.strip().split("= ")[-1])
     assert defect > 1e-3
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "herm:3", "classical:4", "spin:3", "lpq:2:3",
+                                  "lpq:2:40", "lpq:3:1.5", "classical:1", "sym:1"])
+def test_tpmatrix_random_table_is_the_per_element_draws(capsys, spec):
+    # the K atoms are one stack drawn from one generator: the table the
+    # loop of K one-row draws gives, byte for byte
+    model = parse_model_spec(spec)
+    rng = np.random.default_rng(11)
+    matrix = tp_matrix_from_params(model, [model.random_atom_param(rng) for _ in range(7)])
+    want = f"{matrix.to_csv()}# symmetry_defect = {format_double(matrix.symmetry_defect())}\n"
+    assert run_cli(capsys, "tpmatrix", spec, "--random", "7", "--seed", "11") == (0, want, "")
 
 
 def test_tpmatrix_non_atom_exit_two(capsys, tmp_path):

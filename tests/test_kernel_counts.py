@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS, random_projection
-from jordantp import get_model, random_element
+from jordantp import get_model, random_element, selfdual, spectral, suites
 from jordantp.cli import main
 from jordantp.logic import atomic_decomposition, information_capacity_empirical
 from jordantp.reports import dump_canonical_json
@@ -453,3 +453,25 @@ def test_the_self_duality_report_draws_its_witness_families_in_one_call(make, to
         calls.clear()
         self_duality_report(cone, 3, trials, tol)
         assert calls == [trials]
+
+
+@pytest.mark.parametrize("kind,n,p", SYMMETRIC_MODEL_SPECS)
+def test_the_self_duality_report_draws_a_b_and_c_in_three_sampler_calls(
+        monkeypatch, kind, n, p, tol):
+    # a spectral cone draws a, b and c through the package's one element
+    # sampler, one stack each: as many calls at 200 trials as at 8, where
+    # drawing one element at a time made three calls per trial
+    cone = SpectralSelfDualCone(get_model(kind, n, p))
+    calls = []
+    sampler = spectral._random_element
+
+    def counted(model, rngs, shape="any"):
+        calls.append((len(rngs), shape))
+        return sampler(model, rngs, shape)
+
+    for module in (spectral, selfdual, suites):  # every binding, as the tracer rebinds it
+        monkeypatch.setattr(module, "_random_element", counted)
+    for trials in (8, 200):
+        calls.clear()
+        self_duality_report(cone, 3, trials, tol)
+        assert calls == [(trials, "positive"), (trials, "positive"), (trials, "any")]

@@ -13,15 +13,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS
+from conftest import ALL_MODEL_SPECS, draw_element
 from jordantp import get_model
 from jordantp.core import cone_contains, order_norm
-from jordantp.spectral import (
-    _random_element,
-    jordan_product_polarized,
-    linearity_defect,
-    trial_rng,
-)
+from jordantp.spectral import jordan_product_polarized, linearity_defect, trial_rng
 from jordantp.suites import spectral_suite
 
 
@@ -38,7 +33,7 @@ def reference_linearity(model, seed, trials, tol):
     worst = 0.0
     for k in range(trials):
         rng = trial_rng(seed, k)
-        a, b, c = (_random_element(model, rng) for _ in range(3))
+        a, b, c = (draw_element(model, rng) for _ in range(3))
         lhs = jordan_product_polarized(model, a, b + c, tol)
         rhs = (jordan_product_polarized(model, a, b, tol)
                + jordan_product_polarized(model, a, c, tol))
@@ -55,7 +50,7 @@ def reference_spectral(model, seed, trials, tol):
     out["cone_matches_spectrum"] = out["cone_matches_oracle"] = 0.0
     size = 0
     for k in range(trials):
-        a = _random_element(model, trial_rng(seed, k))
+        a = draw_element(model, trial_rng(seed, k))
         form = model.spectral_form(a, tol)
         eigs = form.eigenvalues
         residual = order_norm(model, form.reconstruct() - a, tol)

@@ -12,7 +12,7 @@ Every defect and note must agree exactly, signs of zeros included.
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS
+from conftest import ALL_MODEL_SPECS, draw_element
 from jordantp import get_model
 from jordantp.core import cone_contains, order_norm
 from jordantp.logic import (
@@ -25,7 +25,7 @@ from jordantp.logic import (
     orthocomplement,
 )
 from jordantp.reports import CheckResult, dump_canonical_json
-from jordantp.spectral import _random_element, trial_rng
+from jordantp.spectral import trial_rng
 from jordantp.suites import check_inner_product, logic_suite, tp_suite, verify_unity_resolution
 
 
@@ -56,7 +56,7 @@ def reference_inner_product(model, seed, trials, tol):
     pd_defect = -np.inf
     for k in range(trials):
         rng = trial_rng(seed, k)
-        a, b, c = (_random_element(model, rng) for _ in range(3))
+        a, b, c = (draw_element(model, rng) for _ in range(3))
         alpha = float(rng.normal())
         ab = _inner_product(model, a, b, tol)
         ba = _inner_product(model, b, a, tol)
@@ -125,7 +125,7 @@ def reference_tp(model, seed, trials, tol):
                                  - model.atom(frame[0]) - model.atom(frame[1]), tol)
             if not (abs(f12) <= 1e-8 and abs(f21) <= 1e-8 and both):
                 biconditional += 1
-        a = _random_element(model, rng, "positive")
+        a = draw_element(model, rng, "positive")
         top = model.spectral_form(a, tol).atom_coords[0]
         top_param = model.atom_param_from_coords(top)
         norm = order_norm(model, a, tol)
