@@ -27,7 +27,7 @@ from .backends import parse_model_spec
 from .convexgeom import check_extreme_affinity, polytope_from_csv
 from .core import order_norm
 from .elements import Tolerance
-from .errors import JordanTpError
+from .errors import JordanTpError, NotAtomError
 from .reports import dump_canonical_json, format_double
 
 TOL_KEYS = ("eig_cluster", "cone_slack", "check_tol")
@@ -193,12 +193,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotAtomError as exc:  # no command reads atom coordinates: the atom is the library's
+        failure = exc
     except (JordanTpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal failure must not read as a failed check
-        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        failure = exc
+    print(f"error: internal failure: {type(failure).__name__}: {failure}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

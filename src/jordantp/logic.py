@@ -15,7 +15,7 @@ import numpy as np
 from .backends.base import Model
 from .core import cone_contains
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
-from .spectral import DrawRecord
+from .spectral import DrawRecord, trial_rngs
 
 NOT_IN_LOGIC = "element is not in the quantum logic (eigenvalues not in {0, 1})"
 
@@ -139,16 +139,16 @@ def information_capacity_empirical(
     Each restart grows a family by decomposing the complement of its sum, so
     the search terminates at a maximal family.  The restarts step together:
     one ``decompose_batch`` per step over the remainders still growing, each
-    restart drawing from its own trial generator.  The first step's atoms
-    and frames are those of the seed's ``DrawRecord``, which a verify run
-    shares with its atom-state checks.  The result is a consistency check
-    against the analytic capacity, not a proof.
+    restart picking its atoms from its own trial's "picks" stream.  The first
+    step's atoms and frames are those of the seed's ``DrawRecord``, which a
+    verify run shares with its atom-state checks.  The result is a
+    consistency check against the analytic capacity, not a proof.
     """
     record = DrawRecord.of(model, seed, tol)
     # the unit minus each family, one atom subtracted at a time
     rests = model.order_unit().coords - record.rows("atom_coords", trials)
     values, atoms = record.rows("complement_frames", trials)
-    rngs = record.resumed("atom", range(trials))
+    rngs = trial_rngs(record, trials, "picks")
     sizes = np.ones(trials, dtype=int)
     running = np.arange(trials)
     while True:

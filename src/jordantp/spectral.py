@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backends.base import Model
+from .backends.base import AtomSpace, Model
 from .core import order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 
@@ -43,31 +43,44 @@ def _seed_words(seed: int, trial: int) -> _SeedWords:
     return _SeedWords(seed, trial)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator derived from (seed, trial index).
+# the named streams of a trial, each drawn at one place: "" holds the first
+# draws, the others the draws that follow another verifier's
+STREAMS = ("", "b", "c", "extra", "ip", "mixtures", "junk", "effects", "picks")
+# stream name -> its advance, as ``PCG64.jumped`` makes non-overlapping
+# streams: i jumps of 2^128 times the golden ratio, mod 2^128
+_ADVANCE = {name: i * 0x9E3779B97F4A7C15F39CC0605CEDC835 % 2**128
+            for i, name in enumerate(STREAMS)}
+
+
+def trial_rng(seed: int, trial: int, stream: str = "") -> np.random.Generator:
+    """Per-trial generator derived from (seed, trial index, stream name).
 
     Parallel and serial sweeps over trials therefore draw identical samples.
-    The draws are those of ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(trial,)))``.  The verifiers keep one generator per trial and
-    pass the list of them to the batch samplers (``_random_element`` and
-    the backends' ``random_*_batch``): row k of a batch is trial k's, drawn
-    from its generator alone, and each generator makes its draws in the
-    order of the per-trial loop (the first atom of every trial, then the
-    second of every trial, ...), so a batched sweep draws exactly what that
-    loop draws.  The hashed seed words of the last 1,024
-    (seed, trial) pairs are cached, so the verifiers that replay a trial
-    share that cost; every call still returns a fresh generator at the start
-    of the trial's stream.
+    Stream "" draws what ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(trial,)))`` draws, stream ``STREAMS[i]`` what that PCG64
+    ``jumped(i)`` draws.  The verifiers pass one generator per trial to the
+    batch samplers (``_random_element`` and the backends'
+    ``random_*_batch``): row k of a batch is trial k's, drawn from its
+    generator alone, and each generator makes its draws in the order of the
+    per-trial loop (the first atom of every trial, then the second of every
+    trial, ...), so a batched sweep draws exactly what that loop draws.  The
+    hashed seed words of the last 1,024 (seed, trial) pairs are cached, so
+    the verifiers that replay a trial share that cost.
     """
-    return np.random.Generator(np.random.PCG64(_seed_words(int(seed), int(trial))))
+    bits = np.random.PCG64(_seed_words(int(seed), int(trial)))
+    if stream:
+        bits.advance(_ADVANCE[stream])
+    return np.random.Generator(bits)
 
 
-def trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    """``trial_rng(seed, k)`` for k in range(trials): the generators of a
-    sampled verifier, one per trial.  Fewer than one trial raises."""
-    if trials < 1:
+def trial_rngs(seed: int, trials, stream: str = "") -> list[np.random.Generator]:
+    """``trial_rng(seed, k, stream)`` for each trial k of ``trials``, a count
+    or a range of trial indices: the generators of a sampled verifier, one
+    per trial.  Fewer than one trial raises."""
+    rows = trials if isinstance(trials, range) else range(trials)
+    if not rows:
         raise ValueError("trials must be >= 1")
-    return [trial_rng(seed, k) for k in range(trials)]
+    return [trial_rng(seed, k, stream) for k in rows]
 
 
 def random_element(model: Model, seed: int, shape: str = "any") -> Element:
@@ -94,35 +107,24 @@ def _random_element(model: Model, rngs: Sequence[np.random.Generator],
     return resum(weights, weights, atoms)
 
 
-def _resumed(state: dict) -> np.random.Generator:
-    """A new generator in ``state``, a ``bit_generator.state`` of PCG64: the
-    seed words it starts from are overwritten."""
-    bits = np.random.PCG64(_seed_words(0, 0))
-    bits.state = state
-    return np.random.Generator(bits)
-
-
 def _parts(stack) -> tuple:
     """The arrays of a stack: itself, or the two parts of a frame stack."""
     return stack if isinstance(stack, tuple) else (stack,)
 
 
-# stage -> the stream whose generators draw it, the stage each of them
-# draws just before it, and the draw, which looks the sampler up by name
-# when it runs.  The streams: the samples a, b and c of the spectral,
-# inner-product and Moreau checks; the first atom of the atom-state checks
-# and of the capacity search; the frame and the further atom of the unity
+# stage -> the stream whose first draw it is, and the draw, which looks the
+# sampler up by name when it runs.  The stages: the samples a, b and c of the
+# spectral, inner-product and Moreau checks; the first atom of the atom-state
+# checks and of the capacity search; the frame and further atom of the unity
 # check
 _STAGES = {
-    "a": ("samples", None, lambda model, rngs: _random_element(model, rngs)),
-    "b": ("samples", "a", lambda model, rngs: _random_element(model, rngs)),
-    "c": ("samples", "b", lambda model, rngs: _random_element(model, rngs)),
-    "atom": ("atoms", None, lambda model, rngs: model.random_atom_param_batch(rngs)),
-    "frame": ("unity", None, lambda model, rngs: model.random_frame_params_batch(rngs)),
-    "extra": ("unity", "frame", lambda model, rngs: model.random_atom_param_batch(rngs)),
+    "a": ("", lambda space, rngs: _random_element(space, rngs)),
+    "b": ("b", lambda space, rngs: _random_element(space, rngs)),
+    "c": ("c", lambda space, rngs: _random_element(space, rngs)),
+    "atom": ("", lambda space, rngs: space.random_atom_param_batch(rngs)),
+    "frame": ("", lambda space, rngs: space.random_frame_params_batch(rngs)),
+    "extra": ("extra", lambda space, rngs: space.random_atom_param_batch(rngs)),
 }
-# the stages that some verifier draws on after (``DrawRecord.resumed``)
-_RESUMED = ("a", "c", "atom")
 # derived stack -> the stack it is computed from, row by row, and how
 _DERIVED = {
     "a_frames": ("a", lambda record, a: record.model.decompose_batch(a, record.tol)),
@@ -143,27 +145,24 @@ class DrawRecord(int):
     seed goes: ``run_suite`` makes one per run and passes it to the suites
     as their seed, and a verifier given a plain seed, or the record of
     another model or tolerance, makes its own (``of``).  A record thus lives
-    for one run, and concurrent runs share none.  It holds the named stacks
-    of ``_STAGES`` and ``_DERIVED``, nothing keyed by content.
+    for one run, and concurrent runs share none.  It is a memo of the named
+    stacks of ``_STAGES`` and ``_DERIVED``, nothing keyed by content.  The
+    atom stages draw on any atom space, a cone's record among them.
 
-    Row k of a stage is drawn from ``trial_rng(seed, k)`` alone, each
-    generator drawing the stages of its stream in turn, as a verifier
-    drawing alone does.  A stack grows by rows as a verifier asks for more
-    trials; a derived stack (frames, spectra, atoms) is computed row by row
-    with it, as a row of ``decompose_batch`` does not depend on the rest of
-    its stack.  A verifier that draws on after a stage gets new generators
-    resumed where that stage left them (``resumed``), so each of its draws
-    is the one it makes alone.  The stacks are read-only.
+    Row k of a stage is the first draw of its stream of trial k,
+    ``trial_rng(seed, k, stream)``, so a stack grows by rows as a verifier
+    asks for more trials, and a derived stack (frames, spectra, atoms) is
+    computed row by row with it, as a row of ``decompose_batch`` does not
+    depend on the rest of its stack.  The stacks are read-only.
     """
 
-    def __new__(cls, seed: int, model: Model, tol: Tolerance):
+    def __new__(cls, seed: int, model: AtomSpace, tol: Tolerance):
         record = super().__new__(cls, seed)
-        record.model, record.tol = model, tol
-        record._stacks, record._rngs, record._states = {}, {}, {}
+        record.model, record.tol, record._stacks = model, tol, {}
         return record
 
     @classmethod
-    def of(cls, model: Model, seed: int, tol: Tolerance) -> "DrawRecord":
+    def of(cls, model: AtomSpace, seed: int, tol: Tolerance) -> "DrawRecord":
         """``seed`` itself if it is a record of ``model`` at ``tol``, else a
         new record of that seed."""
         if isinstance(seed, cls) and seed.model is model and seed.tol == tol:
@@ -194,25 +193,8 @@ class DrawRecord(int):
         if name in _DERIVED:
             source, compute = _DERIVED[name]
             return compute(self, self.rows(source, hi)[lo:])
-        stream, before, draw = _STAGES[name]
-        rngs = self._rngs.setdefault(stream, [])
-        if before is not None:  # each generator draws the stage before first
-            self.rows(before, hi)
-            if before in _RESUMED:  # the states it leaves, before they move on
-                self._states.setdefault(before, []).extend(
-                    rng.bit_generator.state for rng in rngs[lo:hi])
-        rngs += [trial_rng(self, k) for k in range(len(rngs), hi)]
-        return draw(self.model, rngs[lo:hi])
-
-    def resumed(self, stage: str, rows) -> list[np.random.Generator]:
-        """New generators of the given rows, each in the state in which
-        ``stage`` left that row's generator: the state kept when a later
-        stage was drawn, else the row's own, which no later stage moved."""
-        rows = list(rows)
-        self.rows(stage, max(rows) + 1)
-        kept, rngs = self._states.get(stage, []), self._rngs[_STAGES[stage][0]]
-        return [_resumed(kept[k] if k < len(kept) else rngs[k].bit_generator.state)
-                for k in rows]
+        stream, draw = _STAGES[name]
+        return draw(self.model, trial_rngs(self, range(lo, hi), stream))
 
 
 def func_calculus(
@@ -243,11 +225,10 @@ def linearity_defect(
     model: Model, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Largest additivity violation of the polarized product over samples:
-    the order norm of (a, b + c) - (a, b) - (a, c) for the first three
-    elements drawn in each trial."""
-    rngs = trial_rngs(seed, trials)
-    a, b, c = (_random_element(model, rngs) for _ in range(3))
-    return worst(linearity_defects(model, a, b, c, tol))
+    the order norm of (a, b + c) - (a, b) - (a, c) for the samples a, b and
+    c of the seed's ``DrawRecord`` in each trial."""
+    record = DrawRecord.of(model, seed, tol)
+    return worst(linearity_defects(model, *(record.rows(stage, trials) for stage in "abc"), tol))
 
 
 def linearity_defects(model: Model, a: np.ndarray, b: np.ndarray, c: np.ndarray,

@@ -256,10 +256,8 @@ def tp_suite(model: Model, seed: int, trials: int,
                     note="fails by design on models with non-symmetric transition probability"),
     ]
     record = DrawRecord.of(model, seed, tol)
-    checks += _unity_resolution(
-        model, record.rows("frame", trials), record.rows("frame_coords", trials),
-        record.rows("extra", trials), tol,
-        {"rows": "tp.unity_resolution_rows", "columns": "tp.unity_resolution_columns"})
+    checks += verify_unity_resolution(model, record, trials, tol, {
+        "rows": "tp.unity_resolution_rows", "columns": "tp.unity_resolution_columns"})
     checks += check_inner_product(model, record, min(trials, 200), tol)
     return checks
 
@@ -270,7 +268,8 @@ def check_inner_product(model: Model, seed: int, trials: int,
     norm equivalence |a| <= sqrt(<a|a>) <= sqrt(m) |a| on the same samples.
 
     Every trial's samples are rows of (trials, d) stacks: the samples a, b
-    and c and the frames of a are the seed's ``DrawRecord``'s, one
+    and c and the frames of a are the seed's ``DrawRecord``'s, alpha and the
+    atom pair are drawn from the trial's "ip" stream, one
     ``decompose_batch`` gives the other frames and one ``pairing_sums`` all
     the pairings."""
     if trials < 1:
@@ -293,8 +292,7 @@ def check_inner_product(model: Model, seed: int, trials: int,
     m, d = model.info_capacity, model.ambient_dim
     record = DrawRecord.of(model, seed, tol)
     a, b, c = (record.rows(stage, trials) for stage in "abc")
-    # each trial's generator draws on where c left it
-    rngs = record.resumed("c", range(trials))
+    rngs = trial_rngs(seed, trials, "ip")
     alpha = np.array([rng.normal() for rng in rngs])
     p1 = model.random_atom_param_batch(rngs)
     p2 = model.random_atom_param_batch(rngs)
@@ -347,10 +345,10 @@ def axioms_suite(model: Model, seed: int, trials: int,
     """The atom-state checks read the first atoms of the seed's
     ``DrawRecord`` and the complements from its one decomposition."""
     record = DrawRecord.of(model, seed, tol)
-    checks = _atom_state_uniqueness(model, *_recorded_first_atoms(record, trials), tol)
+    first_atoms = _recorded_first_atoms(record, trials)
+    checks = _atom_state_uniqueness(model, seed, *first_atoms, tol)
     checks += verify_pure_state_sampling(model, seed, min(trials, 64))
-    checks += _certainty_order(model, *_recorded_first_atoms(record, trials), tol,
-                               CERTAINTY_NAMES)
+    checks += _certainty_order(model, seed, *first_atoms, tol, CERTAINTY_NAMES)
     checks.append(_uncertain_samples(model, seed, trials))
     checks += verify_strong_state_space(model, seed, trials, tol)
     return checks
@@ -408,13 +406,11 @@ def _random_bounded_mixtures(space: AtomSpace, rngs: Sequence[np.random.Generato
 
 
 def _first_atoms(space: AtomSpace, seed: int, trials: int, tol: Tolerance):
-    """The generators of the trials after each drew its first atom, the atom
-    parameters and coordinates (stacks), and each atom's complements, from
-    one ``complements`` call."""
-    rngs = trial_rngs(seed, trials)
-    params = space.random_atom_param_batch(rngs)
+    """The first atom of each trial: its parameters and coordinates
+    (stacks), and its complements, from one ``complements`` call."""
+    params = space.random_atom_param_batch(trial_rngs(seed, trials))
     atoms = space.atom_coords_batch(params)
-    return rngs, params, atoms, space.complements(atoms, tol)
+    return params, atoms, space.complements(atoms, tol)
 
 
 def _recorded_first_atoms(record: DrawRecord, trials: int):
@@ -422,8 +418,7 @@ def _recorded_first_atoms(record: DrawRecord, trials: int):
     complements are the frame atoms of unit - e above 1/2, as
     ``Model.complements`` selects them."""
     values, frames = record.rows("complement_frames", trials)
-    return (record.resumed("atom", range(trials)), record.rows("atom", trials),
-            record.rows("atom_coords", trials),
+    return (record.rows("atom", trials), record.rows("atom_coords", trials),
             [frame[row > 0.5] for row, frame in zip(values, frames)])
 
 
@@ -435,10 +430,10 @@ def verify_atom_state_uniqueness(space: AtomSpace, seed: int, trials: int,
     uniqueness is analytic per backend and recorded as assumed.  The
     complements of every trial's atom come from one ``complements`` call.
     """
-    return _atom_state_uniqueness(space, *_first_atoms(space, seed, trials, tol), tol)
+    return _atom_state_uniqueness(space, seed, *_first_atoms(space, seed, trials, tol), tol)
 
 
-def _atom_state_uniqueness(space: AtomSpace, rngs, params, atoms, comps,
+def _atom_state_uniqueness(space: AtomSpace, seed: int, params, atoms, comps,
                            tol: Tolerance) -> list[CheckResult]:
     checks = [CheckResult("states.atom_state_attains_one",
                           worst(np.abs(space.state_values(params, atoms) - 1.0)), tol.check_tol)]
@@ -446,8 +441,8 @@ def _atom_state_uniqueness(space: AtomSpace, rngs, params, atoms, comps,
         return checks + [skipped_check(name, "capacity-1 model has a single state")
                          for name in ("states.mixed_states_below_one",
                                       "states.half_mixture_value")]
-    # each trial's generator draws its mixture once every trial has its atom
-    mixed = mixture_values(space, *_random_bounded_mixtures(space, rngs), atoms)
+    mixed = mixture_values(space, *_random_bounded_mixtures(
+        space, trial_rngs(seed, len(atoms), "mixtures")), atoms)
     # half/half mixture with an orthogonal atom evaluates to one half
     rows = [k for k, comp in enumerate(comps) if len(comp)]
     half_defect = 0.0
@@ -473,12 +468,12 @@ def verify_unity_resolution(space: AtomSpace, seed: int, trials: int, tol: Toler
     For a sampled family f and a further atom x the measures are ``rows``,
     |P_x(sum f) - 1|; ``columns``, |sum P_f(x) - 1|; and ``shared_sum``, the
     distance of sum f from the first family's sum.  ``names`` maps each
-    measure the caller reports to its check name.
+    measure the caller reports to its check name.  The families and atoms
+    are those of the seed's ``DrawRecord``.
     """
-    rngs = trial_rngs(seed, trials)
-    frames = space.random_frame_params_batch(rngs)
-    extra = space.random_atom_param_batch(rngs)
-    return _unity_resolution(space, frames, space.atom_coords_batch(frames), extra, tol, names)
+    record = DrawRecord.of(space, seed, tol)
+    return _unity_resolution(space, *(record.rows(name, trials)
+                                      for name in ("frame", "frame_coords", "extra")), tol, names)
 
 
 def _unity_resolution(space: AtomSpace, frames, frame_atoms: np.ndarray, extra,
@@ -510,18 +505,17 @@ def verify_certainty_order(space: AtomSpace, seed: int, trials: int, tol: Tolera
     minus atom from the cone; the complements and the cone defects of all
     trials come from one stack call each.
     """
-    # each trial's generator draws the atom now and the junk weights once
-    # the complements of every trial's atom are known
-    return _certainty_order(space, *_first_atoms(space, seed, trials, tol), tol, names)
+    return _certainty_order(space, seed, *_first_atoms(space, seed, trials, tol), tol, names)
 
 
-def _certainty_order(space: AtomSpace, rngs, params, atoms, comps, tol: Tolerance,
+def _certainty_order(space: AtomSpace, seed: int, params, atoms, comps, tol: Tolerance,
                      names: tuple) -> list[CheckResult]:
     # a shorter complement is padded with weight -0.0 on a zero atom: the
     # product -0.0 leaves every sum unchanged, signed zeros included
     weights = np.full((len(atoms), max(map(len, comps))), -0.0)
     junk = np.zeros(weights.shape + (space.ambient_dim,))
-    for k, (rng, comp) in enumerate(zip(rngs, comps)):
+    # each trial's junk weights are drawn from its "junk" stream
+    for k, (rng, comp) in enumerate(zip(trial_rngs(seed, len(atoms), "junk"), comps)):
         weights[k, :len(comp)] = rng.uniform(size=len(comp))
         junk[k, :len(comp)] = np.reshape(comp, (len(comp), space.ambient_dim))
     effects = atoms.copy()
@@ -673,8 +667,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     sweep = min(trials, 120)
     thinned = range(0, sweep, 5)
     a = record.rows("a", sweep)
-    # the thinned trials' generators draw their effects where a left them
-    effects = _random_element(model, record.resumed("a", thinned), "unit_interval")
+    effects = _random_element(model, trial_rngs(seed, thinned, "effects"), "unit_interval")
     plus, minus = _signed_parts(*record.rows("a_frames", sweep))  # cone.moreau_parts(a)
     again_plus, again_minus = cone.moreau_parts(plus - minus, tol)
     # order norms of the reconstruction and uniqueness residuals and of the

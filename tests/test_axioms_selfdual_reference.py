@@ -7,9 +7,9 @@ trial's samples into (K, d) stacks and run each stage through the stack forms
 of models and cones.  The references below are the per-trial loops they
 replaced: every spectrum, cone defect, pairing, frame and Moreau split is
 taken one element at a time (``spectral_form``, ``order_norm``,
-``cone_defect``, ``inner``, ``frame``, ...), drawing from ``trial_rng`` in the
-same order.  Every defect, note and witness must agree exactly, signs of
-zeros included.
+``cone_defect``, ``inner``, ``frame``, ...), drawing from the same
+``trial_rng`` streams in the same order.  Every defect, note and witness must
+agree exactly, signs of zeros included.
 
 Peeling runs on stacks, and its one-element form is the stack of one, so
 the references peel with the per-element peel and split oracles frozen
@@ -231,13 +231,13 @@ def reference_uniqueness(space, seed, trials, tol):
     half_defect = 0.0
     can_mix = space.info_capacity >= 2
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        ep = space.random_atom_param(rng)
+        ep = space.random_atom_param(trial_rng(seed, k))
         e = space.atom_coords(ep)
         self_defect = max(self_defect, abs(space.state_value(ep, e) - 1.0))
         if not can_mix:
             continue
-        mixed_max = max(mixed_max, _mixture_value(space, *_random_bounded_mixture(space, rng), e))
+        mixture = _random_bounded_mixture(space, trial_rng(seed, k, "mixtures"))
+        mixed_max = max(mixed_max, _mixture_value(space, *mixture, e))
         comp = _complement(space, e, tol)
         if comp:
             half = (ep, space.atom_param_from_coords(comp[0]))
@@ -259,10 +259,10 @@ def reference_certainty(space, seed, trials, tol,
     value_defect = 0.0
     order_defect = 0.0
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        ep = space.random_atom_param(rng)
+        ep = space.random_atom_param(trial_rng(seed, k))
         e = space.atom_coords(ep)
         a = e
+        rng = trial_rng(seed, k, "junk")
         for f in _complement(space, e, tol):
             a = a + float(rng.uniform()) * f
         value_defect = max(value_defect, abs(space.state_value(ep, a) - 1.0))
@@ -432,7 +432,7 @@ def reference_selfdual(model, seed, trials, tol):
             coeffs = np.sort(np.pad(coeffs, (0, width - len(coeffs))))
             eigs = np.sort(np.pad(eigs, (0, width - len(eigs))))
             peel_match = max(peel_match, float(np.max(np.abs(coeffs - eigs))))
-            b = draw_element(model, rng, "unit_interval")
+            b = draw_element(model, trial_rng(seed, k, "effects"), "unit_interval")
             for p in peel_one(cone, b, tol):
                 peel_interval = max(peel_interval, -p.coefficient, p.coefficient - 1.0)
             parts = peel_one(cone, pair.a_plus, tol)

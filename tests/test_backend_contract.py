@@ -86,7 +86,7 @@ from jordantp import NotAtomError, UnnormalizedParamError, get_model
 from jordantp.backends import REGISTRY
 from jordantp.backends.base import AtomSpace, Model
 from jordantp.selfdual import GeneratorSelfDualCone, SelfDualCone, SpectralSelfDualCone
-from jordantp.spectral import SHAPES, _random_element, trial_rng
+from jordantp.spectral import SHAPES, STREAMS, _random_element, trial_rng
 from test_selfdual import near_duplicate_orthant, rotated_orthant
 
 PACKAGE = Path(jordantp.__file__).parent
@@ -564,6 +564,96 @@ def test_guard_flags_a_second_lp_call_site():
         f"convexgeom.py:{hit}" for hit in planted + second_site]
     assert lp_solver_violations("import scipy.optimize._linprog_highs\n") == [
         "<source>:1: imports the private module scipy.optimize._linprog_highs"]
+
+
+# a trial's named streams (``spectral.STREAMS``): each is drawn at one place,
+# so every later draw of a trial has a place fixed by its name alone.  A
+# place is a call of a stream drawer naming its stream as a literal (none
+# named is stream ""), or a stage of ``_STAGES``, whose streams
+# ``DrawRecord._extend`` draws; only it and ``trial_rngs``, which passes its
+# stream on, draw a stream that is not a literal
+STREAM_DRAWERS = frozenset({"trial_rng", "trial_rngs"})
+PASSES_STREAMS_ON = ("_extend", "trial_rngs")
+
+
+def stream_draws(source: str, filename: str = "<source>") -> list[tuple]:
+    """``(stream, place)`` for each place of ``source`` that draws a trial
+    stream, in line order, with the stream None where it is not a literal and
+    the place is not one that passes streams on."""
+    tree = ast.parse(source, filename)
+    passing = set()
+    if filename == "spectral.py":
+        passing = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   and fn.name in PASSES_STREAMS_ON for node in ast.walk(fn)}
+    draws = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "_STAGES" for t in node.targets)):
+            draws += [(key.lineno, stage.elts[0].value)
+                      for key, stage in zip(node.value.keys, node.value.values)]
+        elif isinstance(node, ast.Call) and (
+                node.func.id if isinstance(node.func, ast.Name)
+                else getattr(node.func, "attr", None)) in STREAM_DRAWERS:
+            given = node.args[2:] + [kw.value for kw in node.keywords if kw.arg == "stream"]
+            stream = given[0] if given else ast.Constant("")
+            if isinstance(stream, ast.Constant) and isinstance(stream.value, str):
+                draws.append((node.lineno, stream.value))
+            elif id(node) not in passing:
+                draws.append((node.lineno, None))
+    return [(stream, f"{filename}:{line}")
+            for line, stream in sorted(draws, key=lambda draw: (draw[0], draw[1] or ""))]
+
+
+def stream_violations(draws: list[tuple]) -> list[str]:
+    """A stream that is not a literal, a name not in ``STREAMS``, and a
+    named stream drawn at more than one place."""
+    places: dict = {}
+    for stream, place in draws:
+        places.setdefault(stream, []).append(place)
+    hits = [f"{place}: draws a stream that is not a literal" for place in places.pop(None, [])]
+    for stream, at in places.items():
+        if stream not in STREAMS:
+            hits.append(f"{', '.join(at)}: draw the unknown stream {stream!r}")
+        elif stream and len(at) > 1:
+            hits.append(f"{', '.join(at)}: draw the stream {stream!r}")
+    return hits
+
+
+def test_each_named_stream_is_drawn_at_one_place():
+    draws = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        draws += stream_draws(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert stream_violations(draws) == []
+    assert {stream for stream, _ in draws} == set(STREAMS)  # every stream is drawn
+
+
+def test_guard_flags_a_stream_drawn_twice():
+    source = (
+        "def f(seed, k, name):\n"
+        "    a = trial_rng(seed, k, 'junk')\n"
+        "    b = spectral.trial_rngs(seed, 4, stream='junk')\n"
+        "    c = trial_rngs(seed, range(0, 8, 2)), trial_rng(seed, k, '')\n"
+        "    return trial_rngs(seed, k, name), trial_rng(seed, k, 'spare')\n"
+        "_STAGES = {'b': ('b', draw),\n"
+        "           'a': ('', draw)}\n"
+        "def trial_rngs(seed, trials, stream):\n"
+        "    return [trial_rng(seed, k, stream) for k in range(trials)]\n"
+    )
+    draws = stream_draws(source, "suites.py")
+    assert draws == [("junk", "suites.py:2"), ("junk", "suites.py:3"), ("", "suites.py:4"),
+                     ("", "suites.py:4"), (None, "suites.py:5"), ("spare", "suites.py:5"),
+                     ("b", "suites.py:6"), ("", "suites.py:7"), (None, "suites.py:9")]
+    assert stream_violations(draws) == [
+        "suites.py:5: draws a stream that is not a literal",
+        "suites.py:9: draws a stream that is not a literal",
+        "suites.py:2, suites.py:3: draw the stream 'junk'",
+        "suites.py:5: draw the unknown stream 'spare'"]
+    # in spectral.py, the generator list passes its stream on; a stage's
+    # stream counts as a place
+    assert stream_violations(stream_draws(source.replace("'junk'", "'b'", 1), "spectral.py")) \
+        == ["spectral.py:5: draws a stream that is not a literal",
+            "spectral.py:2, spectral.py:6: draw the stream 'b'",
+            "spectral.py:5: draw the unknown stream 'spare'"]
 
 
 def _is_declaration(fn) -> bool:

@@ -247,6 +247,24 @@ def test_a_sampled_element_outside_the_logic_exits_three(capsys, monkeypatch, mo
     assert "not in the quantum logic" in err
 
 
+@pytest.mark.parametrize("suite", ["all", "axioms", "tp"])
+def test_a_kernel_fault_on_atoms_exits_three(capsys, monkeypatch, suite):
+    # no command reads atom coordinates, so atoms that fail the atom test are
+    # the library's own: a kernel fault, not the user's mistake
+    from jordantp.backends.matrices import SymMatrixModel
+
+    frames = SymMatrixModel._frames
+
+    def shifted(self, stack, tol):
+        values, atoms = frames(self, stack, tol)
+        return values, atoms + 1e-7
+
+    monkeypatch.setattr(SymMatrixModel, "_frames", shifted)
+    code, out, err = run_cli(capsys, "verify", "sym:4", "--suite", suite, "--trials", "24")
+    assert (code, out) == (3, "")
+    assert err == "error: internal failure: NotAtomError: matrix atoms are rank-one projections\n"
+
+
 @pytest.mark.parametrize("eig_cluster", ["1e-16", "1e-20"])
 @pytest.mark.parametrize("spec,failing", [("sym:4", []), ("herm:3", []), ("spin:3", []),
                                           ("classical:4", []), ("lpq:2:3", ["tp.symmetry"])])

@@ -7,7 +7,9 @@ samples that several suites replay are drawn and decomposed once, in the
 run's ``DrawRecord``: the rows a run passes to ``decompose_batch`` are
 bounded below, so a suite that decomposes a shared sample again shows.
 ``spectral.trial_rng`` caches the hashed seed words of recent trials, and it
-draws what ``default_rng`` of the trial's seed sequence draws.
+draws what ``default_rng`` of the trial's seed sequence draws; its named
+streams draw what that generator jumped draws, and row k of each record
+stage is the first draw of its stream of trial k.
 ``run_suite`` reports what the plain suites report, each suite run alone,
 across the trial caps of the shared samples and from any number of threads.
 The pure-state cloud and the self-duality report's witness families are
@@ -26,7 +28,15 @@ from jordantp.cli import main
 from jordantp.logic import atomic_decomposition, information_capacity_empirical
 from jordantp.reports import dump_canonical_json
 from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone
-from jordantp.spectral import _SeedWords, _seed_words, trial_rng
+from jordantp.spectral import (
+    STREAMS,
+    DrawRecord,
+    _random_element,
+    _SeedWords,
+    _seed_words,
+    trial_rng,
+    trial_rngs,
+)
 from jordantp.suites import (
     SUITES,
     axioms_suite,
@@ -177,7 +187,7 @@ def test_trial_rng_draws_the_seed_sequence_stream(seed):
         _seed_words.cache_clear()
         first = _draws(trial_rng(seed, trial))  # hashes the seed words
         again = _draws(trial_rng(seed, trial))  # reuses them
-        for got in (first, again):
+        for got in (first, again, _draws(trial_rng(seed, trial, ""))):
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         words = _SeedWords(seed, trial).generate_state(4, np.uint64)
@@ -204,6 +214,59 @@ def test_seed_words_refuse_another_shape():
             words.generate_state(n_words, dtype)
     with pytest.raises(ValueError):
         words.generate_state(4)  # the default dtype of a seed sequence is uint32
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+def test_each_named_stream_draws_what_the_jumped_generator_draws(seed):
+    for trial in RNG_TRIALS:
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        lows = set()
+        for index, name in enumerate(STREAMS):
+            jumped = np.random.PCG64(sequence).jumped(index)
+            rng = trial_rng(seed, trial, name)
+            # streams apart by a multiple of 2^64 would share their low state bits
+            lows.add(rng.bit_generator.state["state"]["state"] % 2**64)
+            for got, want in zip(_draws(rng), _draws(np.random.Generator(jumped))):
+                assert got.tobytes() == want.tobytes()
+        assert len(lows) == len(STREAMS)
+
+
+def test_trial_rngs_take_a_count_or_the_trial_indices():
+    for trials, rows in ((5, range(5)), (range(0, 23, 5), range(0, 23, 5))):
+        for name in STREAMS:
+            got = [_draws(rng) for rng in trial_rngs(3, trials, name)]
+            want = [_draws(trial_rng(3, k, name)) for k in rows]
+            assert [[g.tobytes() for g in row] for row in got] == [
+                [w.tobytes() for w in row] for row in want]
+    for trials in (0, -2, range(4, 4)):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            trial_rngs(3, trials, "junk")
+
+
+# stage -> its stream and its one-row draw
+STAGE_DRAWS = {
+    "a": ("", lambda model, rng: _random_element(model, [rng])[0]),
+    "b": ("b", lambda model, rng: _random_element(model, [rng])[0]),
+    "c": ("c", lambda model, rng: _random_element(model, [rng])[0]),
+    "atom": ("", lambda model, rng: model.random_atom_param_batch([rng])[0]),
+    "frame": ("", lambda model, rng: model.random_frame_params_batch([rng])[0]),
+    "extra": ("extra", lambda model, rng: model.random_atom_param_batch([rng])[0]),
+}
+
+
+@pytest.mark.parametrize("kind,n,p", [("sym", 3, None), ("classical", 4, None),
+                                      ("spin", 3, None), ("lpq", 2, 3.0)])
+def test_each_record_stage_row_is_the_first_draw_of_its_stream(kind, n, p, tol):
+    # the rows grow across the caps of the shared samples: 100, 120 and 200
+    model = get_model(kind, n, p)
+    record = DrawRecord(4, model, tol)
+    for stage, (stream, draw) in STAGE_DRAWS.items():
+        for rows in (90, 130, 7, 210):
+            stack = record.rows(stage, rows)
+            assert len(stack) == rows and not stack.flags.writeable
+        for k, row in enumerate(stack):
+            one = draw(model, trial_rng(4, k, stream))
+            assert row.dtype == one.dtype and row.tobytes() == one.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 as one (K, d) stack.  The reference below computes the same defects one
 element at a time through the public per-element API (``spectral_form``,
 ``order_norm``, ``cone_contains``, ``jordan_product_polarized``), drawing
-each trial's elements from ``trial_rng`` as the suite does; every defect
-must agree exactly, not merely to rounding.
+each trial's elements from ``trial_rng`` as the suite does, a, b and c each
+the first draw of its own stream; every defect must agree exactly, not
+merely to rounding.
 """
 
 from itertools import combinations
@@ -32,8 +33,7 @@ def _tp(model, e1, e2):
 def reference_linearity(model, seed, trials, tol):
     worst = 0.0
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        a, b, c = (draw_element(model, rng) for _ in range(3))
+        a, b, c = (draw_element(model, trial_rng(seed, k, stream)) for stream in ("", "b", "c"))
         lhs = jordan_product_polarized(model, a, b + c, tol)
         rhs = (jordan_product_polarized(model, a, b, tol)
                + jordan_product_polarized(model, a, c, tol))

@@ -5,7 +5,8 @@ trial's samples into (K, d) stacks and run each stage through the batch
 kernels.  The references below are the per-trial loops they replaced: each
 sample is an ``Element`` and every spectrum goes through the per-element API
 (``spectral_form``, ``order_norm``, ``cone_defect``, ``meet``, ``join``,
-``is_logic_element``, ...), drawing from ``trial_rng`` in the same order.
+``is_logic_element``, ...), drawing from the same ``trial_rng`` streams in
+the same order.
 Every defect and note must agree exactly, signs of zeros included.
 """
 
@@ -55,8 +56,8 @@ def reference_inner_product(model, seed, trials, tol):
     sym_defect = bilin_defect = atom_defect = lower = upper = 0.0
     pd_defect = -np.inf
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        a, b, c = (draw_element(model, rng) for _ in range(3))
+        a, b, c = (draw_element(model, trial_rng(seed, k, stream)) for stream in ("", "b", "c"))
+        rng = trial_rng(seed, k, "ip")
         alpha = float(rng.normal())
         ab = _inner_product(model, a, b, tol)
         ba = _inner_product(model, b, a, tol)
@@ -164,8 +165,8 @@ def reference_capacity(model, seed, trials, tol):
     unit = model.order_unit()
     best = 0
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        family = [model.atom(model.random_atom_param(rng))]
+        family = [model.atom(model.random_atom_param(trial_rng(seed, k)))]
+        rng = trial_rng(seed, k, "picks")
         while True:
             rest = unit
             for e in family:
