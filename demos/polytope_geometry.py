@@ -15,7 +15,6 @@ from jordantp import (
     check_extreme_affinity,
     e_omega_value,
     get_model,
-    smooth_ball_e_omega,
     vertex_tp_matrix,
 )
 
@@ -49,12 +48,12 @@ def main():
     print("\nthe triangle is classical: its atoms have the identity TP matrix")
     print(np.round(vertex_tp_matrix(triangle), 9))
 
-    print("\nsmooth balls are handled analytically; on the l^3 disk:")
+    print("\nsmooth balls go through the lpq backend; on the l^3 disk:")
     ball = get_model("lpq", 2, 3.0)
     omega = np.array([1.0, 0.0])
     for zeta in (omega, -omega, np.array([0.0, 1.0]), np.array([0.3, -0.4])):
         print(f"  e_omega({np.array2string(zeta, precision=2)}) ="
-              f" {smooth_ball_e_omega(ball, omega, zeta):.6f}")
+              f" {ball.transition_from_params(zeta, omega):.6f}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ _EXPORTS = {name: module for module, names in {
     "convexgeom": (
         "AffineFunction", "EOmegaReport", "PolytopeAffineModel", "PolytopeStateSpace",
         "check_extreme_affinity", "e_omega_value", "induced_affine_model",
-        "polytope_from_csv", "smooth_ball_e_omega", "vertex_tp_matrix"),
+        "polytope_from_csv", "vertex_tp_matrix"),
     "core": ("cone_contains", "in_unit_interval", "order_norm"),
     "elements": ("DEFAULT_TOL", "Element", "SpectralForm", "SpectralPair", "Tolerance"),
     "errors": (

@@ -13,8 +13,8 @@ The polytope passes the affinity property iff every e_omega is affine on the
 hull and attains 1 only at omega.  The property is affine invariant, so every
 LP runs on a normalised copy of the vertices: centred, whitened on the axes of
 their affine hull and scaled to largest absolute entry 1.  Smooth bodies (the
-l^p balls) are handled analytically through the generalized qubit backend
-instead: polygonal approximation would change the verdict.
+l^p balls) are not polytopes: their e_omega is the closed-form transition
+probability of the lpq backend, which inscribed polygons only approach.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends.classical import ClassicalModel
-from .backends.lpqubit import LpQubitModel
 from .elements import DEFAULT_TOL, Tolerance
-from .errors import InfeasiblePointError, LinearProgramError, UnnormalizedParamError
+from .errors import InfeasiblePointError, LinearProgramError
 from .reports import read_csv_rows
 
 # A point whose L1 distance from a convex hull is at most this, in normalised
@@ -319,28 +318,6 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
 def vertex_tp_matrix(poly: PolytopeStateSpace) -> np.ndarray:
     """T[i][j] = value at vertex i of the minimal unit effect of vertex j."""
     return _e_omega_stacks(poly, poly.normalised).T
-
-
-# ---------------------------------------------------------------------------
-# smooth bodies, handled analytically through the l^p qubit backend
-# ---------------------------------------------------------------------------
-
-
-def smooth_ball_e_omega(lp_model: LpQubitModel, omega, zeta) -> float:
-    """Minimal unit effect on a smooth strictly convex ball.
-
-    It is the backend's transition probability from zeta to omega, which
-    allocates exactly 1 to omega and exactly 0 to its antipode in floating
-    point.
-    """
-    omega = np.asarray(omega, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    p = lp_model.p
-    if abs(lp_model.pnorm(omega, p) - 1.0) > 1e-9:
-        raise UnnormalizedParamError("omega must lie on the boundary sphere")
-    if lp_model.pnorm(zeta, p) > 1.0 + 1e-9:
-        raise ValueError("zeta must lie in the closed unit ball")
-    return lp_model.transition_from_params(zeta, omega)
 
 
 # ---------------------------------------------------------------------------

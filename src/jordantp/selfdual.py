@@ -254,6 +254,18 @@ class SpectralSelfDualCone(SelfDualCone):
 # ---------------------------------------------------------------------------
 
 
+def nonnegative_fit(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients c >= 0 minimising |matrix @ c - target|, and the residual
+    |matrix @ c - target| of those coefficients, which scipy's own reported
+    residual can read below.  The package's one NNLS call; a stall raises
+    scipy's ``RuntimeError``."""
+    import scipy.optimize
+
+    rows, cols = matrix.shape
+    coeffs, _ = scipy.optimize.nnls(matrix, target, maxiter=max(10 * rows**2, 3 * cols))
+    return coeffs, float(np.linalg.norm(matrix @ coeffs - target))
+
+
 class GeneratorSelfDualCone(SelfDualCone):
     """Cone of nonnegative combinations of the rows of a generator matrix,
     with the ambient dot product.
@@ -294,31 +306,22 @@ class GeneratorSelfDualCone(SelfDualCone):
     def _extreme_mask(self) -> np.ndarray:
         """Generators not expressible as nonnegative combinations of the
         others."""
-        import scipy.optimize
-
         gen = self.generators
         mask = np.ones(len(gen), dtype=bool)
         if len(gen) == 1:  # no others, and NNLS aborts on an empty matrix
             return mask
         for j in range(len(gen)):
-            coeffs, residual = scipy.optimize.nnls(np.delete(gen, j, axis=0).T, gen[j])
-            if residual <= 1e-8:
+            if nonnegative_fit(np.delete(gen, j, axis=0).T, gen[j])[1] <= 1e-8:
                 mask[j] = False
         return mask
 
     def nnls_fit(self, target: np.ndarray) -> tuple[np.ndarray, float]:
-        """Nonnegative generator coefficients c fitted to ``target``, and the
-        residual |G^T c - target| of those coefficients.  G^T c lies in the
-        cone, so the residual bounds the distance to it from above; scipy's
-        own reported residual can read below that distance."""
-        import scipy.optimize
-
-        maxiter = max(10 * self.ambient_dim**2, 3 * len(self.generators))
+        """``nonnegative_fit`` of the generators to ``target``.  G^T c lies in
+        the cone, so the residual bounds the distance to it from above."""
         try:
-            coeffs, _ = scipy.optimize.nnls(self.generators.T, target, maxiter=maxiter)
+            return nonnegative_fit(self.generators.T, target)
         except RuntimeError as exc:
             raise ConeProjectionError(f"nonnegative least squares stalled: {exc}") from exc
-        return coeffs, float(np.linalg.norm(self.generators.T @ coeffs - target))
 
     def cone_defects(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         # the distance to the cone relative to max(|x|, 1), in hundredths:

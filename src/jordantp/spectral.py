@@ -45,7 +45,7 @@ def _seed_words(seed: int, trial: int) -> _SeedWords:
 
 # the named streams of a trial, each drawn at one place: "" holds the first
 # draws, the others the draws that follow another verifier's
-STREAMS = ("", "b", "c", "extra", "ip", "mixtures", "junk", "effects", "picks")
+STREAMS = ("", "b", "c", "extra", "ip", "mixtures", "junk", "effects", "picks", "uncertain")
 # stream name -> its advance, as ``PCG64.jumped`` makes non-overlapping
 # streams: i jumps of 2^128 times the golden ratio, mod 2^128
 _ADVANCE = {name: i * 0x9E3779B97F4A7C15F39CC0605CEDC835 % 2**128

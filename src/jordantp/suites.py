@@ -28,6 +28,7 @@ from .selfdual import (
     SelfDualCone,
     SpectralSelfDualCone,
     _signed_parts,
+    nonnegative_fit,
     peel_positive,
     peel_spectral,
     recover_order_unit,
@@ -315,7 +316,7 @@ def check_inner_product(model: Model, seed: int, trials: int,
     unit = model.order_unit()
     unit_unit = inner_product(model, unit, unit, tol)
     # the upper bound is tight at the unit, the lower bound at atoms
-    e = model.atom(model.random_atom_param(trial_rng(seed, trials)))
+    e = model.atom(record.rows("atom", trials + 1)[trials])
     tight_unit = abs(np.sqrt(unit_unit) - np.sqrt(m) * order_norm(model, unit, tol))
     tight_atom = max(abs(np.sqrt(inner_product(model, e, e, tol)) - 1.0),
                      abs(order_norm(model, e, tol) - 1.0))
@@ -349,16 +350,16 @@ def axioms_suite(model: Model, seed: int, trials: int,
     checks = _atom_state_uniqueness(model, seed, *first_atoms, tol)
     checks += verify_pure_state_sampling(model, seed, min(trials, 64))
     checks += _certainty_order(model, seed, *first_atoms, tol, CERTAINTY_NAMES)
-    checks.append(_uncertain_samples(model, seed, trials))
+    checks.append(_uncertain_samples(model, seed, first_atoms[0]))
     checks += verify_strong_state_space(model, seed, trials, tol)
     return checks
 
 
-def _uncertain_samples(model: Model, seed: int, trials: int) -> CheckResult:
-    """Counts sampled effects an atom state is not certain of; no claim made."""
-    rngs = trial_rngs(seed, trials)
-    params = model.random_atom_param_batch(rngs)
-    effects = _random_element(model, rngs, "unit_interval")
+def _uncertain_samples(model: Model, seed: int, params) -> CheckResult:
+    """Counts sampled effects the states of the atoms ``params`` (one per
+    trial) are not certain of; no claim made."""
+    trials = len(params)
+    effects = _random_element(model, trial_rngs(seed, trials, "uncertain"), "unit_interval")
     uncertain = int(np.sum(model.state_values(params, effects) < 1.0 - 1e-6))
     return CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
                        note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made")
@@ -545,8 +546,6 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
         return [skipped_check("states.pure_states_extremal",
                               "capacity-1 model has a single state")]
 
-    import scipy.optimize
-
     rng = trial_rng(seed, 0)
     cloud = _state_vectors(model, *_random_bounded_mixtures(
         model, [rng] * min(max(trials, 8), 64)))
@@ -559,7 +558,7 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
     min_residual = np.inf
     for pure in pures:
         target = np.concatenate([pure, [scale]])
-        coeffs, _ = scipy.optimize.nnls(stacked, target)
+        coeffs, _ = nonnegative_fit(stacked, target)
         min_residual = min(min_residual, float(np.linalg.norm(cloud.T @ coeffs - pure)))
     return [CheckResult("states.pure_states_extremal",
                         max(0.0, 1e-3 - min_residual), 0.0,
@@ -710,7 +709,8 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     frames = record.rows("frame_coords", sweep)
     checks += _unity_resolution(cone, frames, cone.atom_coords_batch(frames),
                                 record.rows("extra_coords", sweep), tol, UNITY_NAMES)
-    checks += verify_certainty_order(cone, seed, sweep, tol, names=(
+    atoms = record.rows("atom_coords", sweep)  # the cone's atoms are their own parameters
+    checks += _certainty_order(cone, seed, atoms, atoms, cone.complements(atoms, tol), tol, (
         "certainty_ip.pairing_attains_one", "certainty_ip.atom_below_effect"))
     checks += self_duality_report(cone, seed, min(trials, 200), tol)
     return checks

@@ -30,7 +30,6 @@ from jordantp import (
     orthocomplement,
     recover_order_unit,
     self_duality_report,
-    smooth_ball_e_omega,
     symmetry_defect,
     transition_prob,
     verify_certainty_order,
@@ -258,7 +257,7 @@ def test_criterion_08_polytope_geometry():
     disk = get_model("lpq", 2, 2.0)
     rng = np.random.default_rng(8)
     endpoints_exact = all(
-        smooth_ball_e_omega(disk, w, -w) == 0.0 and smooth_ball_e_omega(disk, w, w) == 1.0
+        disk.transition_from_params(-w, w) == 0.0 and disk.transition_from_params(w, w) == 1.0
         for w in (disk.random_atom_param(rng) for _ in range(20)))
 
     _report(8, "polytope geometry",

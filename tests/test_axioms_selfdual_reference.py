@@ -274,9 +274,8 @@ def reference_certainty(space, seed, trials, tol,
 def reference_uncertain(model, seed, trials):
     uncertain = 0
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        ep = model.random_atom_param(rng)
-        b = draw_element(model, rng, "unit_interval")
+        ep = model.random_atom_param(trial_rng(seed, k))
+        b = draw_element(model, trial_rng(seed, k, "uncertain"), "unit_interval")
         uncertain += model.state_value(ep, b.coords) < 1.0 - 1e-6
     return CheckResult("certainty.uncertain_samples_no_claim", 0.0, 0.0,
                        note=f"{uncertain}/{trials} sampled effects had P_e(a) < 1; no claim made")

@@ -39,6 +39,8 @@ A fourth walk, over every module, keeps scipy's LP solvers ``linprog`` and
 either from scipy, on naming either as an attribute of anything but
 ``convexgeom``, and on importing a private ``scipy.optimize._*`` module.  So
 every solve goes through the one wrapper and shows in the traced LP count.
+Likewise scipy's ``nnls`` is named only inside ``selfdual.nonnegative_fit``,
+the one NNLS seam, with one iteration budget and one residual.
 
 A walk of its own keeps each model class and cone flavour to its stack
 kernels: it fails on a subclass of ``AtomSpace`` (``Model``,
@@ -564,6 +566,56 @@ def test_guard_flags_a_second_lp_call_site():
         f"convexgeom.py:{hit}" for hit in planted + second_site]
     assert lp_solver_violations("import scipy.optimize._linprog_highs\n") == [
         "<source>:1: imports the private module scipy.optimize._linprog_highs"]
+
+
+# scipy's NNLS: the package names it only inside selfdual.nonnegative_fit, the
+# one seam every nonnegative fit goes through, with one iteration budget
+NNLS_SEAM = "nonnegative_fit"
+
+
+def nnls_violations(source: str, filename: str = "<source>") -> list[str]:
+    tree = ast.parse(source, filename)
+    seam = _body_nodes(tree, NNLS_SEAM) if filename == "selfdual.py" else set()
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in seam:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hits += [(node.lineno, "imports nnls") for alias in node.names
+                     if "nnls" in (alias.name, alias.asname)]
+        elif ((isinstance(node, ast.Name) and node.id == "nnls")
+              or (isinstance(node, ast.Attribute) and node.attr == "nnls")):
+            hits.append((node.lineno, "names nnls"))
+    return [f"{filename}:{line}: {what} outside {NNLS_SEAM}" for line, what in sorted(hits)]
+
+
+def test_scipy_nnls_is_named_only_in_selfdual_nonnegative_fit():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += nnls_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_a_second_nnls_call_site():
+    source = (
+        "from scipy.optimize import nnls\n"
+        "from scipy.optimize import nnls as fit\n"
+        "def f(a, b):\n"
+        "    return scipy.optimize.nnls(a, b), nnls(a, b), fit(a, b)\n"
+        "def nonnegative_fit(matrix, target):\n"
+        "    import scipy.optimize\n"
+        "    return scipy.optimize.nnls(matrix, target)\n"
+        "class Cone:\n"
+        "    def nonnegative_fit(self, target):\n"
+        "        return scipy.optimize.nnls(self.generators.T, target)\n"
+    )
+    planted = ["1: imports nnls", "2: imports nnls", "4: names nnls", "4: names nnls"]
+    assert nnls_violations(source, "selfdual.py") == [
+        f"selfdual.py:{hit} outside nonnegative_fit" for hit in [*planted, "10: names nnls"]]
+    # the seam is selfdual's module-level function, not one of that name elsewhere
+    assert nnls_violations(source, "suites.py") == [
+        f"suites.py:{hit} outside nonnegative_fit"
+        for hit in [*planted, "7: names nnls", "10: names nnls"]]
 
 
 # a trial's named streams (``spectral.STREAMS``): each is drawn at one place,

@@ -15,7 +15,6 @@ from jordantp import (
     induced_affine_model,
     polytope_from_csv,
     run_suite,
-    smooth_ball_e_omega,
     tp_matrix,
     verify_atom_state_uniqueness,
     verify_certainty_order,
@@ -183,27 +182,25 @@ def test_polytope_csv(tmp_path):
     assert poly.n_vertices == 3
 
 
-def test_disk_analytic_endpoints_exact():
-    disk = get_model("lpq", 2, 2.0)
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        omega = disk.random_atom_param(rng)
-        assert smooth_ball_e_omega(disk, omega, -omega) == 0.0
-        assert smooth_ball_e_omega(disk, omega, omega) == 1.0
-
-
-def test_lp_ball_p3_example():
-    ball = get_model("lpq", 2, 3.0)
-    got = smooth_ball_e_omega(ball, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert got == pytest.approx(0.5, abs=1e-12)
-
-
-def test_smooth_ball_validates_inputs():
-    ball = get_model("lpq", 2, 3.0)
-    with pytest.raises(Exception):
-        smooth_ball_e_omega(ball, np.array([0.5, 0.0]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        smooth_ball_e_omega(ball, np.array([1.0, 0.0]), np.array([3.0, 0.0]))
+@pytest.mark.parametrize("spec", [("lpq", 2, 1.1), ("lpq", 2, 1.5), ("spin", 2), ("lpq", 2, 3.0)],
+                         ids=lambda spec: ":".join(map(str, spec)))
+def test_inscribed_polygon_e_omega_approaches_the_closed_form_tp(spec):
+    # the paper's e_omega of N-gons inscribed in the unit l^p circle, by LP,
+    # against the backend's closed-form transition probability to vertex 0:
+    # two kernels that share nothing.  The error falls at first order in N
+    # (about 1.6/N on the circle, at most 2.1/N here)
+    model = get_model(*spec)
+    p = getattr(model, "p", 2.0)
+    errors = []
+    for n in (16, 32, 64):
+        angles = 0.37 + 2.0 * np.pi * np.arange(n) / n
+        vertices = np.column_stack((np.cos(angles), np.sin(angles)))
+        vertices /= np.sum(np.abs(vertices) ** p, axis=1, keepdims=True) ** (1.0 / p)
+        poly = PolytopeStateSpace(vertices)
+        closed_form = model.transitions_from_params(vertices, np.tile(vertices[0], (n, 1)))
+        errors.append(float(np.abs(_e_omega_lp(poly, 0, poly.vertices) - closed_form).max()))
+        assert errors[-1] <= 2.5 / n
+    assert all(coarse >= 1.8 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -9,7 +9,9 @@ bounded below, so a suite that decomposes a shared sample again shows.
 ``spectral.trial_rng`` caches the hashed seed words of recent trials, and it
 draws what ``default_rng`` of the trial's seed sequence draws; its named
 streams draw what that generator jumped draws, and row k of each record
-stage is the first draw of its stream of trial k.
+stage is the first draw of its stream of trial k, and in a run only the
+verifiers whose stream goes on past that draw build a stream-``""``
+generator of their own.
 ``run_suite`` reports what the plain suites report, each suite run alone,
 across the trial caps of the shared samples and from any number of threads.
 The pure-state cloud and the self-duality report's witness families are
@@ -267,6 +269,36 @@ def test_each_record_stage_row_is_the_first_draw_of_its_stream(kind, n, p, tol):
         for k, row in enumerate(stack):
             one = draw(model, trial_rng(4, k, stream))
             assert row.dtype == one.dtype and row.tobytes() == one.tobytes()
+
+
+# who builds a generator on stream "" in a verify run: the record's stages
+# (``DrawRecord._extend``), the verifiers whose stream goes on past its first
+# draw (tp, logic, strongness, the self-duality report and the pure-state
+# cloud), and ``recover_order_unit``, which draws on a cone, not on the
+# record's model.  Every other first draw is a row the record holds
+FIRST_DRAWERS = frozenset({"_extend", "tp_suite", "logic_suite", "verify_strong_state_space",
+                           "self_duality_report", "verify_pure_state_sampling",
+                           "recover_order_unit"})
+
+
+@pytest.mark.parametrize("kind,n,p", [("sym", 3, None), ("lpq", 2, 3.0)])
+def test_a_run_draws_a_first_sample_again_only_where_its_stream_goes_on(
+        monkeypatch, kind, n, p, tol):
+    built = spectral.trial_rng
+    callers = {}
+
+    def counted(seed, trial, stream=""):
+        if not stream:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name in ("trial_rngs", "<listcomp>"):
+                frame = frame.f_back
+            callers[frame.f_code.co_name] = callers.get(frame.f_code.co_name, 0) + 1
+        return built(seed, trial, stream)
+
+    for module in (spectral, suites, selfdual):
+        monkeypatch.setattr(module, "trial_rng", counted)
+    run_suite(get_model(kind, n, p), "all", 1, 24, tol)
+    assert "_extend" in callers and callers.keys() <= FIRST_DRAWERS, callers
 
 
 # ---------------------------------------------------------------------------

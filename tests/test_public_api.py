@@ -28,11 +28,10 @@ PUBLIC_NAMES = [
     "jordan_product_polarized", "linearity_defect", "logic_element", "meet", "mix_states",
     "moreau_decompose", "order_norm", "orthocomplement", "parse_model_spec",
     "peel_positive", "peel_spectral", "polytope_from_csv", "random_element",
-    "recover_order_unit", "run_suite", "self_duality_report", "smooth_ball_e_omega",
-    "square", "state_of_atom", "symmetry_defect", "tp_matrix", "tp_matrix_from_params",
-    "transition_prob", "verify_atom_state_uniqueness", "verify_certainty_order",
-    "verify_pure_state_sampling", "verify_strong_state_space", "verify_unity_resolution",
-    "vertex_tp_matrix",
+    "recover_order_unit", "run_suite", "self_duality_report", "square", "state_of_atom",
+    "symmetry_defect", "tp_matrix", "tp_matrix_from_params", "transition_prob",
+    "verify_atom_state_uniqueness", "verify_certainty_order", "verify_pure_state_sampling",
+    "verify_strong_state_space", "verify_unity_resolution", "vertex_tp_matrix",
 ]
 
 
