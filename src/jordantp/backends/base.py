@@ -316,13 +316,6 @@ class Model(AtomSpace):
         A row's parts do not depend on the rest of the stack; a row that is
         not a cone element raises ``ConeProjectionError``."""
 
-    def split_orthogonal_coords(self, coords: np.ndarray, tol: Tolerance):
-        """``(head, rest)`` of one element, or None for a multiple of one
-        atom: the one-row case of ``split_orthogonal_batch``."""
-        heads, rests, single = self.split_orthogonal_batch(
-            np.asarray(coords, dtype=float)[np.newaxis], tol)
-        return None if single[0] else (heads[0], rests[0])
-
     # ------------------------------------------------------------------
     # atoms, states and pairings
     # ------------------------------------------------------------------
@@ -331,10 +324,9 @@ class Model(AtomSpace):
         return self.element(self.atom_coords(param))
 
     def complements(self, stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-        """The frame of the logic element unit - e, from one
-        ``decompose_batch``."""
-        values, atoms = self.decompose_batch(self.order_unit().coords - stack, tol)
-        return [frame[row > 0.5] for row, frame in zip(values, atoms)]
+        """The atoms (``logic_atoms``) of the logic element unit - e, from
+        one ``decompose_batch``."""
+        return logic_atoms(*self.decompose_batch(self.order_unit().coords - stack, tol))
 
     def native_pairing(self, ca: np.ndarray, cb: np.ndarray) -> float:
         """Closed-form value of the self-dualizing inner product, where it
@@ -358,6 +350,14 @@ def cone_distances(eigs: np.ndarray) -> np.ndarray:
     infinitely far.  The one cone-distance formula."""
     least = eigs.min(axis=1)
     return np.where(np.isnan(least), math.inf, np.where(least < 0.0, -least, 0.0))
+
+
+def logic_atoms(values: np.ndarray, atoms: np.ndarray) -> list[np.ndarray]:
+    """The atoms of the logic element in each row of a stack of frames
+    (values (K, m), atoms (K, m, d)): its frame atoms of eigenvalue above
+    1/2, in frame order.  The one rule of the stack paths;
+    ``logic.atomic_decomposition`` keeps its own for one element."""
+    return [frame[row > 0.5] for row, frame in zip(values, atoms)]
 
 
 def normal_draws(rngs: Sequence[np.random.Generator], shape: tuple) -> np.ndarray:

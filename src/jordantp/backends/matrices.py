@@ -126,8 +126,11 @@ class _MatrixModel(Model):
         return coords
 
     def to_matrix(self, a: Element | np.ndarray) -> np.ndarray:
-        coords = a.coords if isinstance(a, Element) else np.asarray(a, dtype=float)
-        return self._matrix_from_coords(coords)
+        """The matrix of an element of this model, or of a coordinate vector
+        or a stack (..., d) of them."""
+        if isinstance(a, Element):
+            return self._matrix_from_coords(self.check_element(a).coords)
+        return self._matrix_from_coords(np.asarray(a, dtype=float))
 
     def from_matrix(self, mat: np.ndarray) -> Element:
         return self.element(self.matrix_coords(mat))

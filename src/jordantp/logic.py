@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends.base import Model
+from .backends.base import Model, logic_atoms
 from .core import cone_contains
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
 from .spectral import DrawRecord, trial_rngs
@@ -158,8 +158,7 @@ def information_capacity_empirical(
         if not logic_rows(values, tol).all():
             raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
         grows = []
-        for k, row, frame in zip(running.tolist(), values, atoms):
-            top = frame[row > 0.5]
+        for k, top in zip(running.tolist(), logic_atoms(values, atoms)):
             if len(top):
                 rests[k] = rests[k] - top[int(rngs[k].integers(len(top)))]
                 grows.append(k)

@@ -196,7 +196,11 @@ class SpectralSelfDualCone(SelfDualCone):
         return self.model.info_capacity
 
     def as_vec(self, x) -> np.ndarray:
-        return x.coords if isinstance(x, Element) else np.asarray(x, dtype=float)
+        """The coordinates of ``x``; an element of another model raises
+        ``DimensionMismatchError``."""
+        if isinstance(x, Element):
+            return self.model.check_element(x).coords
+        return np.asarray(x, dtype=float)
 
     def wrap(self, vec: np.ndarray) -> Element:
         return self.model.element(vec)
@@ -284,6 +288,8 @@ class GeneratorSelfDualCone(SelfDualCone):
         gen = np.atleast_2d(np.asarray(generators, dtype=float))
         if gen.ndim != 2 or gen.shape[0] < 1:
             raise ValueError("generator matrix must have one generator per row")
+        if not np.isfinite(gen).all():
+            raise ValueError("generators must be finite")
         norms = np.linalg.norm(gen, axis=1)
         if np.any(norms <= 0):
             raise ValueError("zero generator")
@@ -591,5 +597,6 @@ def recover_order_unit(cone: SelfDualCone, seed: int):
     That every maximal family resolves this one element, and that atoms pair
     to 1 with it, is what ``suites.verify_unity_resolution`` checks.
     """
-    family = cone.random_frame_params(trial_rng(seed, 0))
-    return cone.wrap(sum(cone.as_vec(e) for e in family))
+    family = cone.random_frame_params_batch([trial_rng(seed, 0)])
+    ones = np.ones(family.shape[:2])
+    return cone.wrap(resum(ones, ones, family)[0])

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends.base import AtomSpace, Model, cone_distances, row_norms
+from .backends.base import AtomSpace, Model, cone_distances, logic_atoms, row_norms
 from .core import cone_contains, order_norm, order_norms
 from .elements import DEFAULT_TOL, Tolerance, resum
 from .errors import UnsupportedModelError
@@ -36,7 +36,7 @@ from .selfdual import (
 from .spectral import (
     DrawRecord,
     _random_element,
-    linearity_defects,
+    linearity_defect,
     polarized_coords,
     trial_rng,
     trial_rngs,
@@ -56,8 +56,7 @@ def spectral_suite(model: Model, seed: int, trials: int,
     decomposed once per run (``DrawRecord``); the kernels decompose the
     stack at once and the defects are reduced over rows."""
     record = DrawRecord.of(model, seed, tol)
-    lin = min(trials, 100)
-    a, b, c = record.rows("a", trials), record.rows("b", lin), record.rows("c", lin)
+    a = record.rows("a", trials)
     unit = model.order_unit_coords()
     values, atoms = record.rows("a_frames", trials)
     eigs = record.rows("a_eigenvalues", trials)  # the other path, compared with values
@@ -75,7 +74,7 @@ def spectral_suite(model: Model, seed: int, trials: int,
                                atoms[thinned][:, j].reshape(-1, model.ambient_dim))
     unit_product = order_norms(model, polarized_coords(model, a[thinned], unit, tol)
                                - a[thinned], tol)
-    lin_defect = worst(linearity_defects(model, a[:lin], b, c, tol))
+    lin_defect = linearity_defect(model, record, min(trials, 100), tol)
     checks = [
         CheckResult("spectral.reconstruction", worst(residuals), tol.check_tol),
         CheckResult("spectral.frame_sums_to_unit", worst(frame_sum), tol.check_tol),
@@ -407,20 +406,19 @@ def _random_bounded_mixtures(space: AtomSpace, rngs: Sequence[np.random.Generato
 
 
 def _first_atoms(space: AtomSpace, seed: int, trials: int, tol: Tolerance):
-    """The first atom of each trial: its parameters and coordinates
-    (stacks), and its complements, from one ``complements`` call."""
-    params = space.random_atom_param_batch(trial_rngs(seed, trials))
-    atoms = space.atom_coords_batch(params)
-    return params, atoms, space.complements(atoms, tol)
+    """The first atoms of the seed's ``DrawRecord``, as parameters and
+    coordinates (stacks), and their complements from one ``complements`` call."""
+    record = DrawRecord.of(space, seed, tol)
+    atoms = record.rows("atom_coords", trials)
+    return record.rows("atom", trials), atoms, space.complements(atoms, tol)
 
 
 def _recorded_first_atoms(record: DrawRecord, trials: int):
-    """``_first_atoms`` of the record's model, read from the record: the
-    complements are the frame atoms of unit - e above 1/2, as
-    ``Model.complements`` selects them."""
-    values, frames = record.rows("complement_frames", trials)
+    """``_first_atoms`` of the record's model, with the complements read off
+    the frames of unit - e that the record shares with the capacity
+    search."""
     return (record.rows("atom", trials), record.rows("atom_coords", trials),
-            [frame[row > 0.5] for row, frame in zip(values, frames)])
+            logic_atoms(*record.rows("complement_frames", trials)))
 
 
 def verify_atom_state_uniqueness(space: AtomSpace, seed: int, trials: int,
@@ -496,8 +494,8 @@ def _unity_resolution(space: AtomSpace, frames, frame_atoms: np.ndarray, extra,
 CERTAINTY_NAMES = ("certainty.state_attains_one", "certainty.atom_below_effect")
 
 
-def verify_certainty_order(space: AtomSpace, seed: int, trials: int, tol: Tolerance = DEFAULT_TOL,
-                           names: tuple = CERTAINTY_NAMES) -> list[CheckResult]:
+def verify_certainty_order(space: AtomSpace, seed: int, trials: int,
+                           tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     """If a state is certain of an effect in [0, unit], its atom lies below it.
 
     Positive cases are constructed as the atom plus convex junk on its
@@ -506,7 +504,8 @@ def verify_certainty_order(space: AtomSpace, seed: int, trials: int, tol: Tolera
     minus atom from the cone; the complements and the cone defects of all
     trials come from one stack call each.
     """
-    return _certainty_order(space, seed, *_first_atoms(space, seed, trials, tol), tol, names)
+    return _certainty_order(space, seed, *_first_atoms(space, seed, trials, tol), tol,
+                            CERTAINTY_NAMES)
 
 
 def _certainty_order(space: AtomSpace, seed: int, params, atoms, comps, tol: Tolerance,
@@ -585,13 +584,10 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     rngs = trial_rngs(seed, trials)
     ps = _random_element(model, rngs, "logic")
     qs = _random_element(model, rngs, "logic")
-    # the atoms of every p, as atomic_decomposition finds them: the frame
-    # atoms of eigenvalue above 1/2 (its rule that an order norm at most
-    # check_tol has none adds nothing once each eigenvalue is near 0 or 1)
+    # the atoms of every p, as atomic_decomposition finds them
     if not logic_rows(model.eigenvalues_batch(ps, tol), tol).all():
         raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
-    values, frames = model.decompose_batch(ps, tol)
-    atoms = [frame[row > 0.5] for row, frame in zip(values, frames)]
+    atoms = logic_atoms(*model.decompose_batch(ps, tol))
     # P_e(q) and P_e(p) for every atom e of every p, split by trial
     owner = np.repeat(np.arange(trials), [len(a) for a in atoms])
     at_q = at_p = np.empty(0)

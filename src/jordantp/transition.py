@@ -166,7 +166,7 @@ def inner_product(model: Model, a: Element, b: Element, tol: Tolerance = DEFAULT
         )
     form = model.spectral_form(a, tol)
     return float(pairing_sums(model, form.eigenvalues[np.newaxis], form.atom_coords[np.newaxis],
-                              b.coords[np.newaxis])[0])
+                              model.check_element(b).coords[np.newaxis])[0])
 
 
 def pairing_sums(model: Model, values: np.ndarray, atoms: np.ndarray,

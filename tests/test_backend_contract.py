@@ -54,6 +54,13 @@ of ``SelfDualCone`` that defines a per-element cone method (``inner``,
 one-row case of its stack form, and on a loop or comprehension in
 ``AtomSpace`` or ``SelfDualCone`` itself.
 
+A walk of its own keeps the rule that reads the atoms of a logic element
+off its frame (the frame atoms of eigenvalue above 1/2) to its two homes:
+over every module it fails on a comparison with the constant 0.5 as an
+operand outside ``backends.base.logic_atoms`` (the stack form) and
+``logic.atomic_decomposition`` (one element, which the reference loops of
+the tests read atoms through).
+
 A fifth walk, over every module, fails on a parameter that no concrete
 definition of a function reads.  Definitions are grouped by name, so the
 same-named methods of different classes (and the overrides of an abstract
@@ -706,6 +713,56 @@ def test_guard_flags_a_stream_drawn_twice():
         == ["spectral.py:5: draws a stream that is not a literal",
             "spectral.py:2, spectral.py:6: draw the stream 'b'",
             "spectral.py:5: draw the unknown stream 'spare'"]
+
+
+# the atoms of a logic element are its frame atoms of eigenvalue above 1/2:
+# on stacks the rule lives in ``backends.base.logic_atoms``, and for one
+# element in ``logic.atomic_decomposition``, which the reference loops in the
+# tests read atoms through, so it stays independent of the stack helper
+HALF_RULE_HOMES = {"backends/base.py": "logic_atoms", "logic.py": "atomic_decomposition"}
+
+
+def half_rule_violations(source: str, filename: str = "<source>") -> list[str]:
+    """Each comparison with the constant 0.5 as an operand outside the two
+    homes of the logic-atom rule."""
+    tree = ast.parse(source, filename)
+    home = _body_nodes(tree, HALF_RULE_HOMES[filename]) if filename in HALF_RULE_HOMES else set()
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Compare) and id(node) not in home
+                   and any(isinstance(operand, ast.Constant) and operand.value == 0.5
+                           for operand in (node.left, *node.comparators)))
+    return [f"{filename}:{line}: compares against 0.5 outside the logic-atom rule"
+            for line in lines]
+
+
+def test_the_logic_atom_rule_has_one_home_per_form():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += half_rule_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
+    assert hits == []
+
+
+def test_guard_flags_a_copied_logic_atom_rule():
+    source = (
+        "def logic_atoms(values, atoms):\n"
+        "    return [frame[row > 0.5] for row, frame in zip(values, atoms)]\n"
+        "def atomic_decomposition(model, p, tol):\n"
+        "    return form.atom_coords[form.eigenvalues > 0.5]\n"
+        "def capacity(values, frames):\n"
+        "    top = [frame[0.5 < row] for row, frame in zip(values, frames)]\n"
+        "    return top, np.abs(frames[:, 0] - 0.5) > 1e-7\n"
+        "class Model:\n"
+        "    def logic_atoms(self, values):\n"
+        "        return values >= 0.5\n"
+    )
+    planted = ["6", "10"]
+    assert half_rule_violations(source, "backends/base.py") == [
+        f"backends/base.py:{line}: compares against 0.5 outside the logic-atom rule"
+        for line in ["4", *planted]]
+    assert half_rule_violations(source, "logic.py") == [
+        f"logic.py:{line}: compares against 0.5 outside the logic-atom rule"
+        for line in ["2", *planted]]
+    assert len(half_rule_violations(source, "suites.py")) == 4
 
 
 def _is_declaration(fn) -> bool:

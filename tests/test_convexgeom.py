@@ -175,6 +175,14 @@ def test_polytope_validation():
         PolytopeStateSpace(np.vstack([SQUARE, [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_vertex_is_refused(bad):
+    verts = TRIANGLE.copy()
+    verts[1, 0] = bad
+    with pytest.raises(ValueError, match="^vertices must be finite$"):
+        PolytopeStateSpace(verts)
+
+
 def test_polytope_csv(tmp_path):
     path = tmp_path / "triangle.csv"
     np.savetxt(path, TRIANGLE, delimiter=",")

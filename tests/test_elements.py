@@ -17,6 +17,7 @@ from jordantp import (
     DimensionMismatchError,
     Element,
     LpQubitModel,
+    ModelMismatchError,
     Tolerance,
     get_model,
     is_logic_element,
@@ -86,6 +87,15 @@ def test_arithmetic_overflow_rejected(any_model):
             2.0 * a
         with pytest.raises(ValueError, match=FINITE_MESSAGE):
             a - (-a)
+
+
+def test_arithmetic_across_models_of_one_dimension_is_refused():
+    # sym:2 and spin:2 share the ambient dimension 3, not the coordinates
+    a, b = get_model("sym", 2).order_unit(), get_model("spin", 2).order_unit()
+    for combine in (lambda x, y: x + y, lambda x, y: x - y):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ModelMismatchError, match="elements belong to different models"):
+                combine(x, y)
 
 
 def test_order_unit_is_one_immutable_element(any_model):

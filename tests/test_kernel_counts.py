@@ -11,7 +11,8 @@ draws what ``default_rng`` of the trial's seed sequence draws; its named
 streams draw what that generator jumped draws, and row k of each record
 stage is the first draw of its stream of trial k, and in a run only the
 verifiers whose stream goes on past that draw build a stream-``""``
-generator of their own.
+generator of their own; the public atom verifiers, given a plain seed,
+build one only in their own record.
 ``run_suite`` reports what the plain suites report, each suite run alone,
 across the trial caps of the shared samples and from any number of threads.
 The pure-state cloud and the self-duality report's witness families are
@@ -48,8 +49,12 @@ from jordantp.suites import (
     selfdual_suite,
     spectral_suite,
     tp_suite,
+    verify_atom_state_uniqueness,
+    verify_certainty_order,
     verify_pure_state_sampling,
+    verify_unity_resolution,
 )
+from test_selfdual import rotated_orthant
 
 
 def _count_kernel(monkeypatch, model):
@@ -299,6 +304,34 @@ def test_a_run_draws_a_first_sample_again_only_where_its_stream_goes_on(
         monkeypatch.setattr(module, "trial_rng", counted)
     run_suite(get_model(kind, n, p), "all", 1, 24, tol)
     assert "_extend" in callers and callers.keys() <= FIRST_DRAWERS, callers
+
+
+@pytest.mark.parametrize("make", [lambda: get_model("sym", 3), lambda: get_model("lpq", 2, 3.0),
+                                  lambda: SpectralSelfDualCone(get_model("sym", 3)),
+                                  lambda: rotated_orthant(3)],
+                         ids=["sym:3", "lpq:2:3", "spectral sym:3", "rotated 3-orthant"])
+def test_the_public_atom_verifiers_draw_first_samples_only_as_record_rows(monkeypatch, make, tol):
+    # given a plain seed, each reads its first atoms, frames and further atoms
+    # from its own record, on a model as on a cone
+    space = make()
+    built = spectral.trial_rng
+    callers = {}
+
+    def counted(seed, trial, stream=""):
+        if not stream:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name in ("trial_rngs", "<listcomp>"):
+                frame = frame.f_back
+            callers[frame.f_code.co_name] = callers.get(frame.f_code.co_name, 0) + 1
+        return built(seed, trial, stream)
+
+    for module in (spectral, suites, selfdual):
+        monkeypatch.setattr(module, "trial_rng", counted)
+    for verifier in (verify_atom_state_uniqueness, verify_certainty_order,
+                     verify_unity_resolution):
+        callers.clear()
+        verifier(space, 5, 24, tol)
+        assert callers.keys() == {"_extend"}, (verifier.__name__, callers)
 
 
 # ---------------------------------------------------------------------------

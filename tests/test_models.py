@@ -57,6 +57,16 @@ def test_an_element_of_another_model_is_refused(spec, other):
                 call(a)
 
 
+@pytest.mark.parametrize("spec,other", [(("sym", 3, None), ("classical", 6, None)),
+                                        (("sym", 3, None), ("spin", 5, None)),
+                                        (("herm", 2, None), ("classical", 4, None))])
+def test_to_matrix_refuses_an_element_of_another_model(spec, other):
+    model, foreign = get_model(*spec), get_model(*other)
+    with pytest.raises(DimensionMismatchError, match="element belongs to"):
+        model.to_matrix(foreign.order_unit())
+    model.to_matrix(foreign.order_unit().coords)  # coordinates are this model's
+
+
 def test_decompose_classical_coordinates():
     m = get_model("classical", 2)
     form = m.spectral_form(m.element([3.0, -1.0]))

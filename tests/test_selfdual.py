@@ -271,9 +271,9 @@ def test_oracles_do_not_use_the_spectral_kernel(any_model, monkeypatch, tol):
         monkeypatch.setitem(vars(any_model), name, _kernel_forbidden)
     for a in positives:
         assert any_model.cone_oracle(a.coords, tol.cone_slack)
-        parts = any_model.split_orthogonal_coords(a.coords, tol)
-        if parts is not None:
-            np.testing.assert_allclose(parts[0] + parts[1], a.coords, rtol=0, atol=1e-9)
+        heads, rests, single = any_model.split_orthogonal_batch(a.coords[np.newaxis], tol)
+        if not single[0]:
+            np.testing.assert_allclose(heads[0] + rests[0], a.coords, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("kind, n", [("sym", 4), ("herm", 3), ("sym", 6), ("herm", 5)])
@@ -420,6 +420,45 @@ def test_an_empty_generator_csv_raises_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="generator matrix must have one generator per row"):
             generator_cone_from_csv(path)
+
+
+@pytest.mark.parametrize("gens", [[[np.nan, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, np.nan]],
+                                  [[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]]])
+def test_non_finite_generators_are_refused(gens, tmp_path):
+    # a NaN chord fails every merge test, so a NaN row would replace a valid
+    # generator or be dropped as a duplicate
+    with pytest.raises(ValueError, match="^generators must be finite$"):
+        GeneratorSelfDualCone(np.array(gens))
+    path = tmp_path / "gens.csv"
+    np.savetxt(path, gens, delimiter=",")
+    with pytest.raises(ValueError, match="^generators must be finite$"):
+        generator_cone_from_csv(path)
+
+
+def test_a_failed_moreau_projection_raises(monkeypatch, tol):
+    # zero coefficients project every row to 0, whose minus part -x pairs
+    # negatively with the generators of a positive x
+    cone = GeneratorSelfDualCone(np.eye(3))
+    monkeypatch.setattr(cone, "nnls_fit",
+                        lambda target: (np.zeros(3), float(np.linalg.norm(target))))
+    with pytest.raises(ConeProjectionError, match="projection failed Moreau conditions"):
+        cone.moreau_parts(np.array([[1.0, 2.0, 3.0]]), tol)
+
+
+def test_a_non_orthogonal_family_fails_the_negative_witness_with_its_witness(tol):
+    # the cone spanned by e1 and (cos 30°, sin 30°), whose two generators are
+    # served as every trial's "maximal orthogonal" family: one negative
+    # coefficient no longer pairs negatively with its own atom
+    angle = np.pi / 6
+    cone = GeneratorSelfDualCone(np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]]))
+    cone.random_frame_params_batch = lambda rngs: np.repeat(
+        cone.generators[np.newaxis], len(rngs), axis=0)
+    check = {c.name: c for c in self_duality_report(cone, 0, 8, tol)}["selfdual.negative_witness"]
+    assert not check.passed and check.defect > 0.0
+    assert len(check.witness) == 2
+    written = check.to_json()
+    assert written["witness"] == [float(x) for x in check.witness]
+    assert written["defect"] == check.defect
 
 
 def test_spectral_cone_requires_symmetry():
@@ -579,3 +618,16 @@ def test_spectral_one_row_cases_take_an_element_or_checked_coordinates(cone, tol
             one_row(np.zeros(cone.ambient_dim + 1), tol)
         with pytest.raises(ValueError, match="finite"):
             one_row(np.full(cone.ambient_dim, np.inf), tol)
+    # an element of another model of the same dimension is refused, as the
+    # model's own entry points refuse it, and not read as this model's
+    # coordinates
+    d = cone.ambient_dim
+    other = next(model for model in (get_model("classical", d), get_model("spin", d - 1))
+                 if model.descriptor != cone.model.descriptor)
+    foreign = other.element(np.eye(d)[0])
+    for one_row in one_rows + [lambda x, tol: cone.inner(a, x)]:
+        with pytest.raises(DimensionMismatchError, match="element belongs to"):
+            one_row(foreign, tol)
+    for function in (is_atom_sd, peel_positive, peel_spectral, moreau_decompose):
+        with pytest.raises(DimensionMismatchError, match="element belongs to"):
+            function(cone, foreign, tol)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jordantp import (
+    DimensionMismatchError,
     SpectralSelfDualCone,
     SpinFactorModel,
     State,
@@ -298,6 +299,16 @@ def test_inner_product_rejected_on_asymmetric_model():
     m = get_model("lpq", 2, 3.0)
     with pytest.raises(UnsupportedModelError):
         inner_product(m, m.order_unit(), m.order_unit())
+
+
+def test_inner_product_refuses_an_element_of_another_model_in_either_slot():
+    # sym:3, classical:6 and spin:5 share the ambient dimension 6
+    model = get_model("sym", 3)
+    unit = model.order_unit()
+    for other in (get_model("classical", 6), get_model("spin", 5)):
+        for a, b in ((unit, other.order_unit()), (other.order_unit(), unit)):
+            with pytest.raises(DimensionMismatchError, match="element belongs to"):
+                inner_product(model, a, b)
 
 
 def test_check_inner_product_passes(symmetric_model):
