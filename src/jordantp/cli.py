@@ -27,7 +27,7 @@ from .backends import parse_model_spec
 from .convexgeom import check_extreme_affinity, polytope_from_csv
 from .core import order_norm
 from .elements import Tolerance
-from .errors import JordanTpError, NotAtomError
+from .errors import JordanTpError, LinearProgramError, NotAtomError
 from .reports import dump_canonical_json, format_double
 
 TOL_KEYS = ("eig_cluster", "cone_slack", "check_tol")
@@ -193,7 +193,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotAtomError as exc:  # no command reads atom coordinates: the atom is the library's
+    # no command reads atom coordinates, and every LP is the library's own,
+    # built from a polytope it accepted: both failures are internal
+    except (NotAtomError, LinearProgramError) as exc:
         failure = exc
     except (JordanTpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,9 @@ a(zeta) over affine functions a with 0 <= a <= 1 on the polytope and
 a(omega) = 1.  Bounding affine functions by their vertex values is exact on a
 polytope, and a(omega) = 1 fixes the constant, so the infimum reduces to a
 small LP over the d linear coefficients, one row 0 <= a(v) <= 1 per other
-vertex v.  These LPs share no variable, so those of whole extreme points are
-stacked block-diagonally into one LP of at most ``LP_STACK_ROWS`` rows.
+vertex v; its dual has only d rows.  The LPs share no variable, so those of
+whole extreme points are solved as one stack of blocks by ``linprog``, a
+revised simplex in numpy that certifies every block.
 
 The polytope passes the affinity property iff every e_omega is affine on the
 hull and attains 1 only at omega.  The property is affine invariant, so every
@@ -30,45 +31,117 @@ from .reports import read_csv_rows
 
 # A point whose L1 distance from a convex hull is at most this, in normalised
 # units (the largest absolute whitened vertex entry is 1), counts as inside
-# it.  HiGHS accepts bound violations up to its primal feasibility tolerance
-# of 1e-7, so a distance below a few times that can read as 0; the cutoff
-# sits above that band.
+# it.  The value is kept from when HiGHS solved the LPs, so that the same
+# polytopes load, and sits above the simplex's CERT_TOL.  A polygon inscribed
+# in a flat-sided curve can have vertices closer than this to the hull of the
+# others, and then does not load (the l^10 32- and 64-gons, CHANGES.md).
 HULL_CUTOFF = 1e-6
 
-# The e_omega LPs of several extreme points are solved as one stacked LP of
-# at most this many two-sided rows, n - 1 per query point.  A call has a
-# fixed cost of about 0.85 ms (2.1 ms through ``scipy.optimize.linprog``),
-# while HiGHS holds over 1 KB per row: one 11,704-row LP raised the peak RSS
-# by 15 MB, against 1.8 MB as eight LPs at this budget (Intel Xeon, scipy
-# 1.17).  With 16 random probes, every polytope with up to 8 vertices is one
-# LP at this budget, the cube's 1,400 rows included.
+# The e_omega LPs of several extreme points are solved in one call of at most
+# this many (query point, other vertex) pairs, n - 1 per query point, each
+# pair two columns of a d-row block.  A call costs a few numpy operations
+# per pivot whatever its size, so stacking saves calls; the budget keeps
+# each shape at the number of calls it took when HiGHS solved the LPs, which
+# the benchmark counts: with 16 random probes, every polytope with up to 8
+# vertices is one call, the cube's 1,400 pairs included.
 LP_STACK_ROWS = 1536
 
+# The simplex's tolerances, relative to the largest absolute entry of a
+# block's matrix and right-hand side (at least 1): on the normalised
+# coordinates every entry is of order 1.  A reduced cost, a basic level or a
+# gap between two step lengths below ROUNDING is rounding.  A pivot entry
+# must exceed PIVOT_TOL: on a 5-cube whose axes were stretched by 8e-3 to
+# 7e2 and moved by 2.5e5, pivots down to 1e-9 made bases of condition 1e9
+# to 1e12 among which the simplex cycled.  A row that does not block a
+# step for want of a pivot can go that much below 0, so the certificate
+# allows residuals of CERT_TOL, as HiGHS allowed bound violations of 1e-7.
+ROUNDING = 1e-11
+PIVOT_TOL = 1e-7
+CERT_TOL = 1e-7
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.milp``, imported on first use: loading scipy.optimize
-    costs several times the rest of the package's import.  With no integer
-    variable it is an LP with two-sided rows, minus ``linprog``'s overhead."""
-    from scipy.optimize import milp
-
-    return milp(*args, **kwargs)
+_FAILURES = {1: "starts infeasible", 2: "is unbounded", 3: "did not terminate",
+             4: "failed its optimality certificate"}
 
 
-def _stacked_lp(cost: np.ndarray, blocks: np.ndarray, lower, upper, bounds, what: str):
-    """The solution (K, w) of one LP: minimise ``cost`` (K, w) subject to
-    lower <= A x <= upper and ``bounds``, A the CSC matrix with the K dense
-    blocks of ``blocks`` (shape (K, h, w)) on its diagonal.  The one place
-    that builds an LP; a failed solve raises ``LinearProgramError`` naming
-    ``what``."""
-    from scipy import sparse
+def linprog(cost: np.ndarray, matrix: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
+            what: str) -> np.ndarray:
+    """The solutions (K, N) of K standard-form LPs: minimise cost[k] . x
+    subject to matrix[k] x = rhs[k] and x >= 0, with ``matrix`` of shape
+    (K, r, N), from the feasible bases ``basis`` (K, r) of column indices.
+    The one place that solves an LP.
 
-    k, h, w = blocks.shape
-    b, r, c = np.nonzero(blocks)
-    matrix = sparse.csc_array((blocks[b, r, c], (b * h + r, b * w + c)), shape=(k * h, k * w))
-    res = linprog(cost.ravel(), constraints=(matrix, lower, upper), bounds=bounds)
-    if res.status != 0:
-        raise LinearProgramError(f"{what} failed with status {res.status}: {res.message}")
-    return res.x.reshape(k, w)
+    Each block's final basis is checked by its KKT certificate, solved
+    afresh: primal feasibility, dual feasibility and equal primal and dual
+    objectives.  A block that starts infeasible, is unbounded, runs out of
+    steps or fails its certificate raises ``LinearProgramError`` naming
+    ``what``, as does a basis that rounding made singular.
+    """
+    k, _, n = matrix.shape
+    scale = np.maximum(1.0, np.maximum(np.abs(matrix).max(axis=(1, 2)), np.abs(rhs).max(axis=1)))
+    try:
+        basis, status = _simplex(cost, matrix, rhs, basis.copy(), scale)
+        bases = np.take_along_axis(matrix, basis[:, None, :], axis=2)
+        x_basic = np.linalg.solve(bases, rhs[..., None])[..., 0]
+        duals = np.linalg.solve(bases.transpose(0, 2, 1),
+                                np.take_along_axis(cost, basis, axis=1)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise LinearProgramError(f"{what} failed: {exc}") from exc
+    x = np.zeros((k, n))
+    x[np.arange(k)[:, None], basis] = np.maximum(x_basic, 0.0)
+    primal, dual = np.einsum("kn,kn->k", cost, x), np.einsum("ki,ki->k", duals, rhs)
+    residual = np.abs(np.einsum("kin,kn->ki", matrix, x) - rhs).max(axis=1)
+    reduced = cost - np.einsum("ki,kin->kn", duals, matrix)
+    certified = ((x_basic.min(axis=1) >= -CERT_TOL * scale) & (residual <= CERT_TOL * scale)
+                 & (reduced.min(axis=1) >= -CERT_TOL * scale)
+                 & (np.abs(primal - dual) <= CERT_TOL * scale * (1.0 + np.abs(primal))))
+    status[(status == 0) & ~certified] = 4
+    failed = np.flatnonzero(status)
+    if len(failed):
+        block = failed[0]
+        raise LinearProgramError(f"{what} failed: block {block} of {k} {_FAILURES[status[block]]}")
+    return x
+
+
+def _simplex(cost, matrix, rhs, basis, scale):
+    """The final bases (K, r) of ``linprog``'s blocks, updated in place, and
+    each block's status: 0 at an optimum, else a key of ``_FAILURES``.
+
+    A revised simplex runs on the blocks not yet at an optimum, all at once.
+    Every step re-solves their (r, r) bases, so rounding does not
+    accumulate, and picks the entering and the leaving column by Bland's
+    rule, the lowest index among the candidates, which cannot cycle (Bland,
+    Math. Oper. Res. 2, 1977).
+    """
+    n = matrix.shape[2]
+    status = np.full(len(basis), -1)  # -1 while a block runs
+    live = np.arange(len(basis))
+    for step in range(10 * n):
+        a, c, tol = matrix[live], cost[live], scale[live, None]
+        inverse = np.linalg.inv(np.take_along_axis(a, basis[live, None, :], axis=2))
+        x = np.einsum("kij,kj->ki", inverse, rhs[live])
+        if step == 0:
+            status[x.min(axis=1) < -CERT_TOL * scale] = 1
+        duals = np.einsum("ki,kij->kj", np.take_along_axis(c, basis[live], axis=1), inverse)
+        reduced = c - np.einsum("ki,kin->kn", duals, a)
+        reduced[np.arange(len(live))[:, None], basis[live]] = 0.0
+        entering = reduced < -ROUNDING * tol
+        status[live[~entering.any(axis=1) & (status[live] < 0)]] = 0
+        j = np.argmax(entering, axis=1)
+        u = np.einsum("kij,kj->ki", inverse, a[np.arange(len(live)), :, j])
+        blocking = u > PIVOT_TOL * tol
+        level = np.where(x > ROUNDING * tol, x, 0.0)
+        ratio = np.where(blocking, level / np.where(blocking, u, 1.0), np.inf)
+        theta = ratio.min(axis=1, keepdims=True)
+        ties = blocking & (ratio <= theta + ROUNDING * (1.0 + theta))
+        status[live[(status[live] < 0) & ~blocking.any(axis=1)]] = 2
+        move = status[live] < 0
+        leave = np.argmin(np.where(ties, basis[live], n), axis=1)
+        basis[live[move], leave[move]] = j[move]
+        live = live[move]
+        if not len(live):
+            break
+    status[live] = 3
+    return basis, status
 
 
 def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
@@ -76,9 +149,9 @@ def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
     of the rows of ``hulls[b]`` (shape (B, m, d)), all from one LP.
 
     Block b has weights lam >= 0 with sum 1 and slacks u+, u- >= 0 tied by
-    hulls[b].T lam + u+ - u- = points[b], and minimises sum(u+ + u-).  Every
-    block is feasible and bounded below by 0, so the stacked optimum is
-    optimal in every block.
+    hulls[b].T lam + u+ - u- = points[b], and minimises sum(u+ + u-).  It
+    starts from lam = e_0 and the slack of each row that absorbs
+    points[b] - hulls[b][0] with its sign.
     """
     k, m, d = hulls.shape
     blocks = np.zeros((k, d + 1, m + 2 * d))
@@ -87,9 +160,26 @@ def _hull_distances(points: np.ndarray, hulls: np.ndarray) -> np.ndarray:
     blocks[:, :d, m + d:] = -np.eye(d)
     blocks[:, d, :m] = 1.0
     cost = np.concatenate([np.zeros(m), np.ones(2 * d)])
-    rhs = np.hstack([points, np.ones((k, 1))]).ravel()
-    x = _stacked_lp(np.tile(cost, k), blocks, rhs, rhs, (0, np.inf), "hull LP")
+    rhs = np.hstack([points, np.ones((k, 1))])
+    slacks = m + np.arange(d) + d * (points < hulls[:, 0])
+    basis = np.hstack([np.zeros((k, 1), dtype=int), slacks])
+    x = linprog(np.broadcast_to(cost, (k, m + 2 * d)), blocks, rhs, basis, "hull LP")
     return x[:, m:].sum(axis=1)
+
+
+def _spanning_columns(matrix: np.ndarray) -> np.ndarray:
+    """Indices (K, r) of r columns of each block of ``matrix`` (K, r, N)
+    that span its column space, if it has full row rank: Gram-Schmidt on the
+    columns, each step taking the one with the largest residual."""
+    k, r, _ = matrix.shape
+    residual = matrix.copy()
+    chosen = np.empty((k, r), dtype=int)
+    for i in range(r):
+        chosen[:, i] = np.argmax(np.einsum("kin,kin->kn", residual, residual), axis=1)
+        q = residual[np.arange(k), :, chosen[:, i]]
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        residual -= q[:, :, None] * np.einsum("ki,kin->kn", q, residual)[:, None, :]
+    return chosen
 
 
 def _others(n: int) -> np.ndarray:
@@ -199,22 +289,31 @@ def _e_omega_normalised_lp(poly: PolytopeStateSpace, omega_index,
     coordinates), from one LP; ``omega_index`` gives the extreme point of
     each row, one index for all of them or K.
 
-    a(omega) = 1 fixes a = 1 + f . (x - omega), so per point: minimize
-    f . (zeta - omega)  s.t.  -1 <= f . (v - omega) <= 0 on the other
-    vertices, and e_omega(zeta) = 1 + the minimum (exactly 1 at omega).  The
-    K problems are stacked block-diagonally with one variable block f_k per
-    point; the blocks share no variable, so the stacked optimum is optimal
-    in every block.
+    a(omega) = 1 fixes a = 1 + f . (x - omega), so per point e_omega(zeta) =
+    1 + min f . (zeta - omega) s.t. -1 <= f . (v - omega) <= 0 on the other
+    vertices.  By LP duality that minimum is -min sum(y+) s.t.
+    E.T (y+ - y-) = zeta - omega, y+, y- >= 0, with E the edges v - omega:
+    a block of d rows however many vertices there are, feasible since the
+    edges span the normalised space and bounded below by 0.  Each block
+    starts from d edges that span the space, each as y+ or y- by the sign
+    of its coefficient in zeta - omega.  The K blocks are solved in one
+    call.
     """
     verts = poly.normalised
     n = poly.n_vertices
     omegas = np.broadcast_to(np.asarray(omega_index), (len(zetas),))
-    edges = verts[_others(n)[omegas]] - verts[omegas][:, None, :]
-    objectives = zetas - verts[omegas]
-    extremes = sorted(set(omegas.tolist()))
-    which = f"point {extremes[0]}" if len(extremes) == 1 else f"points {extremes}"
-    x = _stacked_lp(objectives, edges, -1.0, 0.0, (-np.inf, np.inf), f"LP for extreme {which}")
-    return 1.0 + np.einsum("ij,ij->i", objectives, x)
+    edges = (verts[_others(n)[omegas]] - verts[omegas][:, None, :]).transpose(0, 2, 1)
+    rhs = zetas - verts[omegas]
+    # the blocks of one extreme point share its edges: choose their span once
+    extremes, first, blocks_of = np.unique(omegas, return_index=True, return_inverse=True)
+    spanning = _spanning_columns(edges[first])[blocks_of]
+    start = np.linalg.solve(np.take_along_axis(edges, spanning[:, None, :], axis=2), rhs[..., None])
+    basis = spanning + (n - 1) * (start[..., 0] < 0)
+    cost = np.concatenate([np.ones(n - 1), np.zeros(n - 1)])
+    which = f"point {extremes[0]}" if len(extremes) == 1 else f"points {extremes.tolist()}"
+    y = linprog(np.broadcast_to(cost, (len(zetas), 2 * n - 2)),
+                np.concatenate([edges, -edges], axis=2), rhs, basis, f"LP for extreme {which}")
+    return 1.0 - y[:, :n - 1].sum(axis=1)
 
 
 def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray, omegas=None) -> np.ndarray:
@@ -223,8 +322,8 @@ def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray, omegas=None) ->
     row j of the (len(omegas), K) result is omegas[j]'s.
 
     Whole extreme points are grouped into LPs of at most ``LP_STACK_ROWS``
-    constraint rows, an extreme point alone being one LP however many rows
-    it needs.
+    (query point, other vertex) pairs, an extreme point alone being one LP
+    however many pairs it has.
     """
     n = poly.n_vertices
     omegas = np.arange(n) if omegas is None else np.asarray(omegas)

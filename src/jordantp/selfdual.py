@@ -21,7 +21,7 @@ import numpy as np
 
 from .backends.base import AtomSpace, Model, normal_draws, row_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
-from .errors import ConeProjectionError, UnsupportedModelError
+from .errors import ConeProjectionError, DimensionMismatchError, UnsupportedModelError
 from .reports import read_csv_rows
 from .spectral import _random_element, trial_rng
 
@@ -54,6 +54,11 @@ class SelfDualCone(AtomSpace):
     """
 
     def as_vec(self, x) -> np.ndarray:
+        """The coordinates of ``x``; a raw-array flavour has no model to
+        check an element against, so any ``Element`` raises
+        ``DimensionMismatchError``."""
+        if isinstance(x, Element):
+            raise DimensionMismatchError(f"{type(self).__name__} takes raw vectors, not an element")
         return np.asarray(x, dtype=float)
 
     def wrap(self, vec: np.ndarray):

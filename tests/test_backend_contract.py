@@ -34,11 +34,12 @@ walk of its own keeps the four public spectral entry points
 stack kernels ``_frames`` and ``_eigenvalues``, so no backend keeps a second
 kernel path.
 
-A fourth walk, over every module, keeps scipy's LP solvers ``linprog`` and
-``milp`` inside ``convexgeom.linprog``: anywhere else it fails on importing
-either from scipy, on naming either as an attribute of anything but
-``convexgeom``, and on importing a private ``scipy.optimize._*`` module.  So
-every solve goes through the one wrapper and shows in the traced LP count.
+A fourth walk, over every module, keeps scipy's LP solvers out of the
+package: it fails on importing ``linprog`` or ``milp`` from scipy, on naming
+either as an attribute of anything but ``convexgeom``, on importing a
+private ``scipy.optimize._*`` module and on importing ``scipy.sparse``.  So
+every LP is solved by the package's own ``convexgeom.linprog`` and shows in
+the traced LP count.
 Likewise scipy's ``nnls`` is named only inside ``selfdual.nonnegative_fit``,
 the one NNLS seam, with one iteration budget and one residual.
 
@@ -476,11 +477,10 @@ def test_guard_flags_per_element_cone_methods_and_row_loops():
     ]
 
 
-# scipy's LP solvers: the package names them only inside convexgeom.linprog,
-# so every solve goes through it and shows in the traced LP count; and it
-# calls that only from the one LP function, which alone builds LP matrices
+# scipy's LP solvers: the package names none of them and imports no
+# scipy.sparse, so every LP is convexgeom.linprog's own and shows in the
+# traced LP count
 LP_SOLVERS = frozenset({"linprog", "milp"})
-LP_FUNCTION = "_stacked_lp"
 
 
 def _body_nodes(tree, name: str) -> set:
@@ -491,49 +491,35 @@ def _body_nodes(tree, name: str) -> set:
 
 def lp_solver_violations(source: str, filename: str = "<source>") -> list[str]:
     tree = ast.parse(source, filename)
-    solver, lp_function = set(), set()
-    if filename == "convexgeom.py":
-        solver, lp_function = _body_nodes(tree, "linprog"), _body_nodes(tree, LP_FUNCTION)
     hits = []
     for node in ast.walk(tree):
-        if id(node) in solver:
-            continue
-        if id(node) not in lp_function:
-            if isinstance(node, ast.Call) and (
-                    (isinstance(node.func, ast.Name) and node.func.id == "linprog")
-                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "linprog"
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "convexgeom")):
-                hits.append((node.lineno, f"calls linprog outside {LP_FUNCTION}"))
-            if isinstance(node, ast.ImportFrom) and (
-                    (node.module or "").startswith("scipy.sparse")
-                    or (node.module == "scipy" and any(a.name == "sparse" for a in node.names))):
-                hits.append((node.lineno, f"imports scipy.sparse outside {LP_FUNCTION}"))
-            if isinstance(node, ast.Import):
-                hits += [(node.lineno, f"imports scipy.sparse outside {LP_FUNCTION}")
-                         for alias in node.names if alias.name.startswith("scipy.sparse")]
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
             if node.module.startswith("scipy.optimize._"):
                 hits.append((node.lineno, f"imports the private module {node.module}"))
+            if node.module.startswith("scipy.sparse") or (
+                    node.module == "scipy" and any(a.name == "sparse" for a in node.names)):
+                hits.append((node.lineno, "imports scipy.sparse"))
             hits += [(node.lineno, f"imports scipy's {alias.name}") for alias in node.names
                      if alias.name in LP_SOLVERS | {"*"}]
         elif isinstance(node, ast.Import):
             hits += [(node.lineno, f"imports the private module {alias.name}")
                      for alias in node.names if alias.name.startswith("scipy.optimize._")]
+            hits += [(node.lineno, "imports scipy.sparse")
+                     for alias in node.names if alias.name.startswith("scipy.sparse")]
         elif (isinstance(node, ast.Attribute) and node.attr in LP_SOLVERS
               and not (isinstance(node.value, ast.Name) and node.value.id == "convexgeom")):
             hits.append((node.lineno, f"names .{node.attr}"))
     return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
 
 
-def test_scipy_lp_solvers_are_named_only_in_convexgeom_linprog():
+def test_the_package_names_no_scipy_lp_solver():
     hits = []
     for path in sorted(PACKAGE.rglob("*.py")):
         hits += lp_solver_violations(path.read_text(), path.relative_to(PACKAGE).as_posix())
     assert hits == []
 
 
-def test_guard_flags_a_second_lp_call_site():
+def test_guard_flags_a_scipy_lp_solver_anywhere():
     source = (
         "from scipy.optimize import linprog, nnls\n"
         "from scipy import optimize as opt\n"
@@ -543,34 +529,25 @@ def test_guard_flags_a_second_lp_call_site():
         "def linprog(*args):\n"
         "    from scipy.optimize import milp\n"
         "    return milp(*args)\n"
-        "def _stacked_lp(c, blocks):\n"
-        "    from scipy import sparse\n"
-        "    return linprog(c, sparse.csc_array(blocks))\n"
         "def _hull_distances(c, blocks):\n"
         "    import scipy.sparse\n"
         "    from scipy.sparse import csc_array\n"
+        "    from scipy import sparse\n"
         "    return linprog(c, csc_array(blocks))\n"
     )
     planted = [
         "1: imports scipy's linprog",
         "3: imports scipy's milp",
         "3: imports the private module scipy.optimize._milp",
-        "5: calls linprog outside _stacked_lp",
         "5: names .linprog",
         "5: names .milp",
+        "7: imports scipy's milp",
+        "10: imports scipy.sparse",
+        "11: imports scipy.sparse",
+        "12: imports scipy.sparse",
     ]
-    second_site = [
-        "13: imports scipy.sparse outside _stacked_lp",
-        "14: imports scipy.sparse outside _stacked_lp",
-        "15: calls linprog outside _stacked_lp",
-    ]
-    assert lp_solver_violations(source, "selfdual.py") == [
-        *[f"selfdual.py:{hit}" for hit in planted], "selfdual.py:7: imports scipy's milp",
-        "selfdual.py:10: imports scipy.sparse outside _stacked_lp",
-        "selfdual.py:11: calls linprog outside _stacked_lp",
-        *[f"selfdual.py:{hit}" for hit in second_site]]
-    assert lp_solver_violations(source, "convexgeom.py") == [
-        f"convexgeom.py:{hit}" for hit in planted + second_site]
+    for filename in ("selfdual.py", "convexgeom.py"):
+        assert lp_solver_violations(source, filename) == [f"{filename}:{hit}" for hit in planted]
     assert lp_solver_violations("import scipy.optimize._linprog_highs\n") == [
         "<source>:1: imports the private module scipy.optimize._linprog_highs"]
 

@@ -312,21 +312,23 @@ def test_stacked_lp_matches_per_point_lp(monkeypatch, shape, similar):
         np.testing.assert_allclose(_e_omega_lp(poly, w, points), want[w], rtol=0, atol=1e-12)
 
 
-def _counting_linprog(monkeypatch, fail_first=0, rows=None):
-    """Wrap convexgeom.linprog: record each solve's variable bounds and fail
-    the first few; append each solve's number of constraint rows to ``rows``
+def _counting_linprog(monkeypatch, fail=(), rows=None):
+    """Wrap convexgeom.linprog: record the kind of each solve, "hull" or
+    "e_omega", and make block 0 of the solves numbered in ``fail`` (from 0)
+    unbounded by negating its cost; append the (query point, other vertex)
+    pairs of each e_omega solve, two columns of its blocks each, to ``rows``
     if given."""
     calls = []
     solve = convexgeom.linprog
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["bounds"])
-        if rows is not None:
-            rows.append(kwargs["constraints"][0].shape[0])
-        res = solve(*args, **kwargs)
-        if len(calls) <= fail_first:
-            res.status, res.message = 4, "forced failure"
-        return res
+    def counted(cost, matrix, rhs, basis, what):
+        calls.append("hull" if what == "hull LP" else "e_omega")
+        if rows is not None and calls[-1] == "e_omega":
+            rows.append(matrix.shape[0] * matrix.shape[2] // 2)
+        if len(calls) - 1 in fail:
+            cost = cost.copy()
+            cost[0] *= -1.0
+        return solve(cost, matrix, rhs, basis, what)
 
     monkeypatch.setattr(convexgeom, "linprog", counted)
     return calls
@@ -368,15 +370,34 @@ def test_one_lp_per_stack(monkeypatch, shape, affinity_lps):
 
 def test_lp_failure_raises_after_one_attempt(monkeypatch):
     poly = PolytopeStateSpace(PENTAGON)
-    calls = _counting_linprog(monkeypatch, fail_first=1)
-    with pytest.raises(LinearProgramError, match="LP for extreme point 2 failed with status 4"):
-        _e_omega_lp(poly, 2, PENTAGON)
-    assert calls == [(-np.inf, np.inf)]
-    calls.clear()
+    calls = _counting_linprog(monkeypatch, fail={0})
     with pytest.raises(LinearProgramError,
-                       match=r"LP for extreme points \[0, 1, 2, 3, 4\] failed with status 4"):
+                       match="LP for extreme point 2 failed: block 0 of 5 is unbounded"):
+        _e_omega_lp(poly, 2, PENTAGON)
+    assert calls == ["e_omega"]
+    calls.clear()
+    with pytest.raises(LinearProgramError, match=r"LP for extreme points \[0, 1, 2, 3, 4\] failed: "
+                       "block 0 of 30 is unbounded"):
         check_extreme_affinity(poly)
-    assert calls == [(-np.inf, np.inf)]
+    assert calls == ["e_omega"]
+
+
+@pytest.mark.parametrize("failing,what", [
+    (0, "hull LP failed: block 0 of 5"),
+    (1, "LP for extreme points [0, 1, 2, 3, 4] failed: block 0 of 30")])
+def test_a_failed_lp_exits_three(tmp_path, capsys, monkeypatch, failing, what):
+    # every LP is the library's own, built from a polytope it accepted, so a
+    # block that fails is an internal failure, not the user's input error
+    from jordantp.cli import main
+
+    path = tmp_path / "pentagon.csv"
+    np.savetxt(path, PENTAGON, delimiter=",", fmt="%.17g")
+    calls = _counting_linprog(monkeypatch, fail={failing})
+    code = main(["geom", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == f"error: internal failure: LinearProgramError: {what} is unbounded\n"
+    assert calls == ["hull", "e_omega"][:failing + 1]
 
 
 def in_hull_by_feasibility(verts, zeta, exclude=None):
@@ -411,6 +432,62 @@ def test_stacked_hull_lp_matches_feasibility_oracle(seed):
         PolytopeStateSpace(cloud)
     extreme = cloud[np.array(want)]
     assert PolytopeStateSpace(extreme).n_vertices == len(extreme)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_polytopes_match_per_point_highs(seed):
+    # Gaussian clouds in R^2 to R^5, every third one stretched by 1e-2 to 1e2
+    # and moved away.  The per-point HiGHS solves run on the normalised
+    # vertices: e_omega is affine invariant, and on the raw vertices of seed
+    # 14, a stretched 4-simplex, HiGHS read the TP matrix 3.6e-12 off the
+    # identity, with its feasibility tolerances at 1e-7 or at 1e-10
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 4
+    cloud = rng.normal(size=(d + 1 + rng.integers(0, 4), d))
+    if seed % 3 == 2:
+        left, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        right, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        cloud = cloud @ (left @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, d)) @ right).T
+        cloud += 100.0 * rng.normal(size=d)
+    extreme = np.array([not in_hull_by_feasibility(cloud, x, exclude=i)
+                        for i, x in enumerate(cloud)])
+    if not extreme.all():
+        with pytest.raises(ValueError, match=f"vertex {np.argmin(extreme)} is not extreme"):
+            PolytopeStateSpace(cloud)
+    poly = PolytopeStateSpace(cloud[extreme])
+    n = poly.n_vertices
+    reference = PolytopeStateSpace(poly.normalised)
+    want = np.array([[e_omega_per_point(reference, w, v) for w in range(n)]
+                     for v in poly.normalised])
+    np.testing.assert_allclose(vertex_tp_matrix(poly), want, rtol=0, atol=1e-12)
+    combos = _probe_combos(n, 4, seed)
+    reports = check_extreme_affinity(poly, midpoint_samples=4, seed=seed)
+    for r in reports:
+        at_probes = [e_omega_per_point(reference, r.omega_index, zeta)
+                     for zeta in combos @ poly.normalised]
+        defect = np.max(np.abs(np.array(at_probes) - combos @ want[:, r.omega_index]))
+        np.testing.assert_allclose(r.values_at_vertices, want[:, r.omega_index], rtol=0, atol=1e-12)
+        assert r.affinity_defect == pytest.approx(defect, rel=0, abs=1e-12)
+        assert r.passes == (defect <= Tolerance().check_tol
+                            and np.delete(want[:, r.omega_index], r.omega_index).max() <= 1 - 1e-6)
+    assert all(r.passes for r in reports) == (n == d + 1)
+
+
+@pytest.mark.parametrize("d,seed", [(4, 1), (4, 7), (4, 8), (5, 6), (5, 7)])
+def test_far_stretched_cubes_keep_their_answers(d, seed):
+    # cubes stretched by 1e-3 to 1e3 along rotated axes and moved up to 1e6
+    # away, whose normalised vertices carry rounding up to 1e-8: with pivots
+    # down to 1e-9 the simplex met bases of condition 1e9 to 1e12, among
+    # which it cycled or found one singular.  The cube's TP matrix is the
+    # identity, and every extreme point fails
+    rng = np.random.default_rng(seed)
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    left, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    right, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    vertices = cube @ (left @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, d)) @ right).T
+    poly = PolytopeStateSpace(vertices + rng.normal(size=d) * 10.0 ** rng.uniform(0.0, 6.0))
+    np.testing.assert_allclose(vertex_tp_matrix(poly), np.eye(2 ** d), rtol=0, atol=1e-6)
+    assert not any(r.passes for r in check_extreme_affinity(poly, midpoint_samples=8, seed=seed))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -451,6 +528,24 @@ def test_coincidence_is_scale_free(scale):
         PolytopeStateSpace(np.vstack([TRIANGLE, TRIANGLE[1]]) * scale)
     with pytest.raises(ValueError, match="vertices 0 and 1 coincide"):
         PolytopeStateSpace(np.full((3, 2), scale))
+
+
+@pytest.mark.parametrize("axes", ["plain", "graded", "random"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_simplex_tp_matrix_is_the_identity(tmp_path, capsys, d, axes):
+    # on a d-simplex e_omega is the barycentric coordinate of omega, so the
+    # vertex values are exactly 0 and 1 whatever the axes' scales
+    scales = {"plain": np.ones(d), "graded": np.array([1.0, 1e-3, 1e-5, 1.0, 10.0, 0.1])[:d],
+              "random": 10.0 ** np.random.default_rng(d).uniform(-5.0, 1.0, d)}[axes]
+    vertices = np.vstack([np.zeros(d), np.eye(d)]) * scales
+    np.testing.assert_allclose(vertex_tp_matrix(PolytopeStateSpace(vertices)), np.eye(d + 1),
+                               rtol=0, atol=1e-15)
+    from jordantp.cli import main
+
+    path = tmp_path / "simplex.csv"
+    np.savetxt(path, vertices, delimiter=",", fmt="%.17g")
+    assert main(["geom", str(path), "--midpoint-samples", "16"]) == 0
+    assert all(r["passes"] for r in json.loads(capsys.readouterr().out))
 
 
 @pytest.mark.parametrize("squash", [1e-7, 1e-9])
@@ -499,13 +594,13 @@ def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
     vertices = POLYTOPE_SHAPES[shape][0]
     calls = _counting_linprog(monkeypatch)
     poly = PolytopeStateSpace(vertices)
-    assert calls == [(0, np.inf)]
+    assert calls == ["hull"]
     calls.clear()
     assert poly.contains(vertices.mean(axis=0))
-    assert calls == [(0, np.inf)]
+    assert calls == ["hull"]
     calls.clear()
     e_omega_value(poly, 0, vertices.mean(axis=0))
-    assert calls == [(0, np.inf), (-np.inf, np.inf)]
+    assert calls == ["hull", "e_omega"]
 
 
 def _probe_combos(n, midpoint_samples, seed, midpoints=False):

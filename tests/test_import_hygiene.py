@@ -1,9 +1,10 @@
 """Import hygiene: a cold command loads only the layers it runs.
 
-scipy.optimize is loaded only by the commands that solve an LP or an NNLS
-problem, so a cold `spectral` or `tpmatrix` call does not pay for it; and the
-verify-side layers (suites, transition, self-dual cones, logic, sampling)
-are loaded only by the commands that use them."""
+scipy.optimize is loaded only by the commands that solve an NNLS problem,
+so a cold `spectral`, `tpmatrix` or `geom` call does not pay for it (the
+LPs of `geom` are solved in numpy, with neither scipy.optimize nor
+scipy.sparse); and the verify-side layers (suites, transition, self-dual
+cones, logic, sampling) are loaded only by the commands that use them."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ codes = [main(["spectral", "sym:3", element]), main(["tpmatrix", "lpq:2:3", "--r
 scipy_loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main(["geom", vertices, "--midpoint-samples", "4"]))
 print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded,
-                  "optimize_after_geom": "scipy.optimize" in sys.modules}))
+                  "optimize_after_geom": "scipy.optimize" in sys.modules,
+                  "sparse_after_geom": "scipy.sparse" in sys.modules}))
 """
 
 # run one command as `python -m jordantp.cli` does and list what it loaded
@@ -46,7 +48,8 @@ def test_spectral_and_tpmatrix_do_not_load_scipy(tmp_path, element):
     vertices = tmp_path / "tri.csv"
     np.savetxt(vertices, [[0, 0], [1, 0], [0, 1]], delimiter=",")
     result = run_fresh(SCRIPT, element, vertices)
-    assert result == {"codes": [0, 0, 0], "scipy_loaded": [], "optimize_after_geom": True}
+    assert result == {"codes": [0, 0, 0], "scipy_loaded": [], "optimize_after_geom": False,
+                      "sparse_after_geom": False}
 
 
 def test_a_cold_spectral_loads_no_verify_layer_and_no_sampling(element):

@@ -631,3 +631,17 @@ def test_spectral_one_row_cases_take_an_element_or_checked_coordinates(cone, tol
     for function in (is_atom_sd, peel_positive, peel_spectral, moreau_decompose):
         with pytest.raises(DimensionMismatchError, match="element belongs to"):
             function(cone, foreign, tol)
+
+
+def test_a_generator_cone_refuses_any_element(tol):
+    # a raw-array cone has no model to check an element against, so an
+    # element of any model, of the cone's dimension or not, is refused with
+    # the library's own error rather than numpy's TypeError
+    cone = GeneratorSelfDualCone(np.eye(6))
+    for element in (get_model("sym", 3).order_unit(), get_model("classical", 4).order_unit()):
+        with pytest.raises(DimensionMismatchError, match="takes raw vectors, not an element"):
+            cone.inner(element, element)
+        for one_row in (cone.frame, cone.moreau, cone.cone_defect, cone.split_orthogonal):
+            with pytest.raises(DimensionMismatchError, match="takes raw vectors"):
+                one_row(element, tol)
+    assert cone.inner(np.ones(6), np.ones(6)) == 6.0

@@ -10,6 +10,16 @@ Two checkouts report the same bytes exactly when their outputs are equal:
     python tools/report_grid.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
+Where outputs may drift by rounding, digests cannot tell a drift from a
+changed answer.  ``--compare`` runs the grid on this checkout and on the one
+in ``--src``, each in a fresh interpreter, and prints, for each command line
+whose exit code, stdout or stderr differs, the two exit codes (``--src``'s
+first), the largest absolute difference between corresponding numbers of
+the two stdouts (``text`` where they differ in more than numbers) and the
+argv; then one summary line:
+
+    python tools/report_grid.py --compare --src ../parent/src
+
 The grid:
 
 * ``verify --suite all`` on twelve specs at seeds 0-3 and trials 1, 8, 24
@@ -33,6 +43,7 @@ import hashlib
 import io
 import json
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -44,7 +55,9 @@ SPECS = ("classical:1", "classical:4", "spin:2", "spin:3", "sym:2", "sym:4", "he
 FAMILIES = ("sym:4", "herm:3", "classical:4", "spin:3", "lpq:2:3")
 SUITES = ("axioms", "spectral", "logic", "tp", "selfdual")
 WALL_TIME = re.compile(r'"wall_time_ms": \d+')
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
 DIR = "{dir}"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _polygon(k: int) -> np.ndarray:
@@ -90,23 +103,83 @@ def write_inputs(workdir: str) -> None:
         Path(workdir, f"{name}.csv").write_text("\n".join(rows) + "\n")
 
 
-def digest_line(argv: list[str], workdir: str) -> str:
-    """Run one command line in-process and describe what it printed."""
+def run_line(argv: list[str], workdir: str) -> tuple[int, str, str]:
+    """Run one command line in-process: its exit code, its stdout with every
+    wall time removed, and its stderr."""
     from jordantp.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([arg.replace(DIR, workdir) for arg in argv])
-    stdout = WALL_TIME.sub('"wall_time_ms"', out.getvalue())
-    digests = (hashlib.sha256(text.encode()).hexdigest() for text in (stdout, err.getvalue()))
+    return code, WALL_TIME.sub('"wall_time_ms"', out.getvalue()), err.getvalue()
+
+
+def digest_line(argv: list[str], workdir: str) -> str:
+    """Run one command line in-process and describe what it printed."""
+    code, stdout, stderr = run_line(argv, workdir)
+    digests = (hashlib.sha256(text.encode()).hexdigest() for text in (stdout, stderr))
     return " ".join((str(code), *digests, *argv))
+
+
+def number_gap(before: str, after: str) -> float | None:
+    """The largest absolute difference between corresponding numbers of two
+    outputs, or None where they differ in more than their numbers."""
+    if NUMBER.sub("#", before) != NUMBER.sub("#", after):
+        return None
+    pairs = [(a, b) for a, b in zip(NUMBER.findall(before), NUMBER.findall(after)) if a != b]
+    return max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+
+
+def compare(base: list, change: list, lines: list[list[str]]) -> list[str]:
+    """The report of ``--compare``: one line per command line whose outputs
+    (exit code, stdout, stderr) differ, then the summary."""
+    out, codes, texts, largest = [], 0, 0, 0.0
+    for (code0, stdout0, stderr0), (code1, stdout1, stderr1), argv in zip(base, change, lines):
+        if (code0, stdout0, stderr0) == (code1, stdout1, stderr1):
+            continue
+        gap = number_gap(stdout0, stdout1)
+        codes += code0 != code1
+        texts += gap is None
+        largest = largest if gap is None else max(largest, gap)
+        shown = "text" if gap is None else f"{gap:.3g}"
+        out.append(" ".join((str(code0), str(code1), shown, *argv)))
+    out.append(f"{len(out)} of {len(lines)} grid lines differ: {codes} in exit code, {texts} in "
+               f"more than numbers; largest number difference {largest:.3g}")
+    return out
+
+
+def _outputs(src: str) -> list:
+    """Exit code, stdout and stderr of every grid line, run on the package
+    in ``src`` in a fresh interpreter."""
+    script = (f"import sys; sys.path[:0] = [{src!r}, {str(Path(__file__).parent)!r}]\n"
+              "import report_grid\n"
+              "report_grid.print_outputs()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def print_outputs() -> None:
+    """Print the outputs of every grid line, one JSON list per line, with
+    the input directory shown as ``{dir}``."""
+    with tempfile.TemporaryDirectory() as workdir:
+        write_inputs(workdir)
+        for line in commands():
+            code, stdout, stderr = run_line(line, workdir)
+            print(json.dumps([code, stdout, stderr.replace(workdir, DIR)]), flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+    parser.add_argument("--src", default=str(SRC),
                         help="the directory holding the jordantp package to run")
+    parser.add_argument("--compare", action="store_true",
+                        help="compare the numbers printed by this checkout and by --src")
     args = parser.parse_args(argv)
+    if args.compare:
+        for line in compare(_outputs(args.src), _outputs(str(SRC)), commands()):
+            print(line, flush=True)
+        return 0
     sys.path.insert(0, args.src)
     with tempfile.TemporaryDirectory() as workdir:
         write_inputs(workdir)
