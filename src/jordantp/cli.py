@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     geom.add_argument("vertices_csv", help="CSV, one vertex per row")
     geom.add_argument("--midpoint-samples", type=int, default=0,
                       help="add N random convex combinations of the vertices as probes "
-                           "that cross-check the exact centroid certificate")
+                           "that cross-check the exact affine-fit certificate")
     geom.add_argument("--seed", type=int, default=None)
     geom.set_defaults(func=_cmd_geom)
 

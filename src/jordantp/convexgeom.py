@@ -40,21 +40,20 @@ HULL_CUTOFF = 1e-6
 # The e_omega LPs of several extreme points are solved in one call of at most
 # this many (query point, other vertex) pairs, n - 1 per query point, each
 # pair two columns of a d-row block.  A call costs a few numpy operations
-# per pivot whatever its size, so stacking saves calls; the budget keeps
-# each shape at the number of calls it took when HiGHS solved the LPs, which
-# the benchmark counts: with 16 random probes, every polytope with up to 8
-# vertices is one call, the cube's 1,400 pairs included.
+# per pivot whatever its size, so stacking saves calls, and the budget bounds
+# its memory: unbounded, a regular 512-gon with 16 probes would stack
+# 512 x 528 blocks of 2 x 1,022 doubles in one call, about 4.4 GB.
 LP_STACK_ROWS = 1536
 
 # The simplex's tolerances, relative to the largest absolute entry of a
 # block's matrix and right-hand side (at least 1): on the normalised
-# coordinates every entry is of order 1.  A reduced cost, a basic level or a
-# gap between two step lengths below ROUNDING is rounding.  A pivot entry
-# must exceed PIVOT_TOL: on a 5-cube whose axes were stretched by 8e-3 to
-# 7e2 and moved by 2.5e5, pivots down to 1e-9 made bases of condition 1e9
-# to 1e12 among which the simplex cycled.  A row that does not block a
-# step for want of a pivot can go that much below 0, so the certificate
-# allows residuals of CERT_TOL, as HiGHS allowed bound violations of 1e-7.
+# coordinates every entry is of order 1.  A reduced cost or a basic level
+# below ROUNDING is rounding, and no step takes a row with a larger pivot
+# further below 0 than that.  A pivot entry must exceed PIVOT_TOL: on a
+# 5-cube whose axes were stretched by 8e-3 to 7e2 and moved by 2.5e5, pivots
+# down to 1e-9 made bases of condition 1e9 to 1e12 among which the simplex
+# cycled.  The certificate allows residuals of CERT_TOL, as HiGHS allowed
+# bound violations of 1e-7.
 ROUNDING = 1e-11
 PIVOT_TOL = 1e-7
 CERT_TOL = 1e-7
@@ -109,35 +108,51 @@ def _simplex(cost, matrix, rhs, basis, scale):
     A revised simplex runs on the blocks not yet at an optimum, all at once.
     Every step re-solves their (r, r) bases, so rounding does not
     accumulate, and picks the entering and the leaving column by Bland's
-    rule, the lowest index among the candidates, which cannot cycle (Bland,
-    Math. Oper. Res. 2, 1977).
+    rule, the lowest index among the candidates, which cannot cycle in exact
+    arithmetic (Bland, Math. Oper. Res. 2, 1977).  Rows leave by Harris's
+    ratio test (Math. Programming 5, 1973): a pivot above PIVOT_TOL and 0
+    within the longest step that leaves every row above -ROUNDING.  A column
+    with no such row is barred until the basis changes; with every improving
+    column barred, the first that gains more than CERT_TOL enters, and a
+    smaller pivot may leave if no larger one ties.
     """
     n = matrix.shape[2]
     status = np.full(len(basis), -1)  # -1 while a block runs
-    live = np.arange(len(basis))
+    # block k's columns up to barred[k] are barred: Bland's rule tries them in order
+    live, barred = np.arange(len(basis)), np.full(len(basis), -1)
     for step in range(10 * n):
-        a, c, tol = matrix[live], cost[live], scale[live, None]
-        inverse = np.linalg.inv(np.take_along_axis(a, basis[live, None, :], axis=2))
+        a, c, b, tol = matrix[live], cost[live], basis[live], scale[live, None]
+        inverse = np.linalg.inv(np.take_along_axis(a, b[:, None, :], axis=2))
         x = np.einsum("kij,kj->ki", inverse, rhs[live])
-        if step == 0:
-            status[x.min(axis=1) < -CERT_TOL * scale] = 1
-        duals = np.einsum("ki,kij->kj", np.take_along_axis(c, basis[live], axis=1), inverse)
+        duals = np.einsum("ki,kij->kj", np.take_along_axis(c, b, axis=1), inverse)
         reduced = c - np.einsum("ki,kin->kn", duals, a)
-        reduced[np.arange(len(live))[:, None], basis[live]] = 0.0
-        entering = reduced < -ROUNDING * tol
-        status[live[~entering.any(axis=1) & (status[live] < 0)]] = 0
+        rows = np.arange(len(live))
+        reduced[rows[:, None], b] = 0.0
+        rounding = ROUNDING * tol
+        entering = (reduced < -rounding) & (np.arange(n) > barred[:, None])
         j = np.argmax(entering, axis=1)
-        u = np.einsum("kij,kj->ki", inverse, a[np.arange(len(live)), :, j])
-        blocking = u > PIVOT_TOL * tol
-        level = np.where(x > ROUNDING * tol, x, 0.0)
-        ratio = np.where(blocking, level / np.where(blocking, u, 1.0), np.inf)
-        theta = ratio.min(axis=1, keepdims=True)
-        ties = blocking & (ratio <= theta + ROUNDING * (1.0 + theta))
-        status[live[(status[live] < 0) & ~blocking.any(axis=1)]] = 2
-        move = status[live] < 0
-        leave = np.argmin(np.where(ties, basis[live], n), axis=1)
+        # with every improving column barred, one that gains more than CERT_TOL
+        forced = ~entering[rows, j]
+        gaining = reduced < -CERT_TOL * tol
+        j = np.where(forced, np.argmax(gaining, axis=1), j)
+        u = np.einsum("kij,kj->ki", inverse, a[rows, :, j])
+        level = np.maximum(x, 0.0)
+        rising = u > rounding
+        pivot = np.where(rising, u, 1.0)
+        reach = np.where(rising, (level + rounding) / pivot, np.inf).min(axis=1, keepdims=True)
+        strong = u > PIVOT_TOL * tol
+        ties = rising & (level <= reach * pivot) & (strong | forced[:, None])
+        leave = np.argmin(np.where(ties, b + n * ~strong, 2 * n), axis=1)
+        # 0 at an optimum, 2 with no row to bound the step, 1 on a start
+        # that is infeasible, -1 to go on
+        code = np.where(~forced | gaining[rows, j], np.where(np.isinf(reach[:, 0]), 2, -1), 0)
+        if step == 0:
+            code[x.min(axis=1) < -CERT_TOL * tol[:, 0]] = 1
+        status[live] = code
+        move = (code < 0) & ties[rows, leave]
+        stuck = (code < 0) & ~move
         basis[live[move], leave[move]] = j[move]
-        live = live[move]
+        live, barred = live[code < 0], np.where(stuck, j, -1)[code < 0]
         if not len(live):
             break
     status[live] = 3
@@ -316,23 +331,20 @@ def _e_omega_normalised_lp(poly: PolytopeStateSpace, omega_index,
     return 1.0 - y[:, :n - 1].sum(axis=1)
 
 
-def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray, omegas=None) -> np.ndarray:
-    """Values of e_omega for each of ``omegas`` (default: every extreme
-    point) at each row of ``zetas`` (shape (K, d), normalised coordinates):
-    row j of the (len(omegas), K) result is omegas[j]'s.
+def _e_omega_stacks(poly: PolytopeStateSpace, zetas: np.ndarray) -> np.ndarray:
+    """Values of every e_omega at each row of ``zetas`` (shape (K, d),
+    normalised coordinates): row w of the (n, K) result is extreme point w's.
 
     Whole extreme points are grouped into LPs of at most ``LP_STACK_ROWS``
     (query point, other vertex) pairs, an extreme point alone being one LP
     however many pairs it has.
     """
-    n = poly.n_vertices
-    omegas = np.arange(n) if omegas is None else np.asarray(omegas)
-    k = len(zetas)
+    n, k = poly.n_vertices, len(zetas)
     per_lp = max(1, LP_STACK_ROWS // ((n - 1) * k))
-    values = np.empty((len(omegas), k))
-    for start in range(0, len(omegas), per_lp):
-        group = omegas[start:start + per_lp]
-        values[start:start + len(group)] = _e_omega_normalised_lp(
+    values = np.empty((n, k))
+    for start in range(0, n, per_lp):
+        group = np.arange(start, min(start + per_lp, n))
+        values[group] = _e_omega_normalised_lp(
             poly, np.repeat(group, k), np.tile(zetas, (len(group), 1))).reshape(len(group), k)
     return values
 
@@ -361,57 +373,38 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
     """Decide, per extreme point, whether its minimal unit effect is affine
     and attains 1 only there.
 
-    The affinity defect is the largest gap |e(c) - sum_i w_i e(v_i)| over
-    probe points c = sum_i w_i v_i.  The first probe, the vertex centroid
-    (w_i = 1/n), is an exact certificate: e = e_omega is concave, being an
-    infimum of affine functions, and it is affine on the hull exactly when
-    e(centroid) equals the mean of its vertex values.  Proof: let a be the
-    LP optimum at the centroid.  a is feasible, so a(v_i) >= e(v_i) at every
-    vertex, while mean a(v_i) = a(centroid) = e(centroid) = mean e(v_i);
-    hence a(v_i) = e(v_i) for every i.  Then at any hull point
-    z = sum_i l_i v_i, e(z) <= a(z) = sum_i l_i e(v_i) <= e(z) by
-    concavity, so e = a.  Near the tolerance this is approximate: a centroid
-    gap g bounds each vertex gap a(v_i) - e(v_i), so every probe's gap, only
-    by n g.  Where check_tol / n < g <= check_tol and no probe has failed the
-    extreme point yet, its pairwise midpoints are solved too, stacked under
-    the same row budget, and enter the defect.  ``midpoint_samples``
-    random convex combinations are an opt-in cross-check.
+    e = e_omega is affine on the hull exactly when its vertex values are
+    those of one affine function a.  Proof: a is then in [0, 1] at every
+    vertex and a(omega) = 1, so a is feasible and e <= a; e is concave, being
+    an infimum of affine functions, so at z = sum_i l_i v_i,
+    e(z) >= sum_i l_i e(v_i) = a(z).  The affinity defect is the largest
+    residual of the vertex values from their least-squares affine fit, 0 to
+    rounding on a simplex, whose n = d + 1 vertices any values fit.  The gaps
+    |e(c) - sum_i w_i e(v_i)| at ``midpoint_samples`` random convex
+    combinations c = sum_i w_i v_i, an opt-in cross-check, enter it too.
+    A nonzero ``check_tol`` bounds the residual, not the gaps, which can be
+    larger (2 eps against 4/3 eps on a triangle with a fourth vertex eps past
+    its hypotenuse), so near the tolerance the probes can change a verdict.
     """
     if midpoint_samples < 0:
         raise ValueError("midpoint_samples must be nonnegative")
-    verts = poly.normalised
-    n = poly.n_vertices
-    rng = np.random.default_rng(seed)
-    # one row of convex weights per probe: the centroid, then the random ones
-    combos = np.vstack([np.full((1, n), 1.0 / n),
-                        rng.dirichlet(np.ones(n), size=midpoint_samples)])
+    verts, n = poly.normalised, poly.n_vertices
+    combos = np.random.default_rng(seed).dirichlet(np.ones(n), size=midpoint_samples)
     # the vertices first, then every probe
     all_values = _e_omega_stacks(poly, np.vstack([verts, combos @ verts]))
     vertex_values = all_values[:, :n]
-    gaps = np.abs(all_values[:, n:] - vertex_values @ combos.T)
-    defects = gaps.max(axis=1)
-    # an omega that no probe has failed yet, with a centroid gap in the band
-    band = np.flatnonzero((gaps[:, 0] > tol.check_tol / n) & (defects <= tol.check_tol))
-    if len(band):
-        first, second = np.triu_indices(n, 1)
-        halves = 0.5 * (np.eye(n)[first] + np.eye(n)[second])
-        at_halves = _e_omega_stacks(poly, halves @ verts, band)
-        defects[band] = np.maximum(defects[band], np.abs(
-            at_halves - vertex_values[band] @ halves.T).max(axis=1))
-
-    reports = []
-    for w, (values, defect) in enumerate(zip(vertex_values, defects)):
-        off = np.delete(values, w)
-        max_off = float(off.max()) if len(off) else 0.0
-        passes = bool(defect <= tol.check_tol and max_off <= 1.0 - 1e-6)
-        reports.append(EOmegaReport(
-            omega_index=w,
-            values_at_vertices=tuple(float(v) for v in values),
-            affinity_defect=float(defect),
-            max_off_value=max_off,
-            passes=passes,
-        ))
-    return reports
+    # each e_omega's vertex values (a column) less their least-squares affine
+    # fit, on the vertices centred afresh: rounding at a far shift leaves the
+    # normalised ones off centre
+    centred = verts - verts.mean(axis=0)
+    values = vertex_values.T - vertex_values.mean(axis=1)
+    residuals = values - centred @ np.linalg.solve(centred.T @ centred, centred.T @ values)
+    defects = np.maximum(np.abs(residuals).max(axis=0), np.abs(
+        all_values[:, n:] - vertex_values @ combos.T).max(axis=1, initial=0.0))
+    max_off = np.where(np.eye(n, dtype=bool), -np.inf, vertex_values).max(axis=1)
+    passes = (defects <= tol.check_tol) & (max_off <= 1.0 - 1e-6)
+    return [EOmegaReport(w, tuple(map(float, vertex_values[w])), float(defects[w]),
+                         float(max_off[w]), bool(passes[w])) for w in range(n)]
 
 
 def vertex_tp_matrix(poly: PolytopeStateSpace) -> np.ndarray:

@@ -347,7 +347,7 @@ def axioms_suite(model: Model, seed: int, trials: int,
     record = DrawRecord.of(model, seed, tol)
     first_atoms = _recorded_first_atoms(record, trials)
     checks = _atom_state_uniqueness(model, seed, *first_atoms, tol)
-    checks += verify_pure_state_sampling(model, seed, min(trials, 64))
+    checks += verify_pure_state_sampling(model, record, min(trials, 64))
     checks += _certainty_order(model, seed, *first_atoms, tol, CERTAINTY_NAMES)
     checks.append(_uncertain_samples(model, seed, first_atoms[0]))
     checks += verify_strong_state_space(model, seed, trials, tol)
@@ -539,7 +539,9 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
     discretization of the state space; it is recorded as sampled, not proven.
     The cloud's m mixtures are one rejection batch on ``trial_rng(seed, 0)``:
     it draws the m first atoms, then in each round one candidate for every
-    mixture still pending, in mixture order, then the m weights.
+    mixture still pending, in mixture order, then the m weights.  The eight
+    pure atoms are rows 1 to 8 of the ``atom`` stage of the seed's
+    ``DrawRecord`` at any tolerance, as a tolerance changes no atom row.
     """
     if model.info_capacity < 2:
         return [skipped_check("states.pure_states_extremal",
@@ -548,8 +550,9 @@ def verify_pure_state_sampling(model: Model, seed: int, trials: int) -> list[Che
     rng = trial_rng(seed, 0)
     cloud = _state_vectors(model, *_random_bounded_mixtures(
         model, [rng] * min(max(trials, 8), 64)))
-    pures = _state_vectors(model, [model.random_atom_param_batch(
-        [trial_rng(seed, k + 1) for k in range(8)])], [np.ones(8)])
+    record = (seed if isinstance(seed, DrawRecord) and seed.model is model
+              else DrawRecord(seed, model, DEFAULT_TOL))
+    pures = _state_vectors(model, [record.rows("atom", 9)[1:]], [np.ones(8)])
     # distance from each pure state to the convex hull of the cloud, via
     # nonnegative least squares with a penalized sum-to-one row
     scale = 1e3

@@ -70,6 +70,13 @@ POLYTOPE_SHAPES = {
     "octahedron": (np.vstack([np.eye(3), -np.eye(3)]), False),
 }
 
+# name -> the affinity defect of each of its extreme points without probes:
+# the largest residual of e_omega's vertex values from their least-squares
+# affine fit, the same at every vertex of these shapes, and 0 on a simplex
+AFFINITY_DEFECTS = {"triangle": 0.0, "tetrahedron": 0.0, "4-simplex": 0.0, "5-simplex": 0.0,
+                    "square": 1.0 / 4.0, "pentagon": (3.0 - np.sqrt(5.0)) / 5.0,
+                    "hexagon": 1.0 / 6.0, "cube": 1.0 / 2.0, "octahedron": 1.0 / 3.0}
+
 
 def similar_copy(vertices, rng):
     """Rotate, scale and translate: the affinity verdict is affine invariant."""

@@ -292,14 +292,14 @@ def test_geom_triangle_exit_zero(capsys, tmp_path):
     assert all(r["passes"] for r in reports)
 
 
-def test_geom_square_exit_one_with_centroid_gap(capsys, tmp_path):
+def test_geom_square_exit_one_with_its_fit_residual(capsys, tmp_path):
     path = tmp_path / "sq.csv"
     np.savetxt(path, [[0, 0], [1, 0], [1, 1], [0, 1]], delimiter=",")
     code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "0")
     assert code == 1
     reports = json.loads(out)
     assert not any(r["passes"] for r in reports)
-    # e_0(centre) - mean e_0(v_i) = 1/2 - 1/4
+    # e_0's vertex values (1, 0, 0, 0) are 1/4 (1, -1, 1, -1) off their affine fit
     assert reports[0]["affinity_defect"] == pytest.approx(0.25, abs=1e-6)
     code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "8", "--seed", "3")
     assert code == 1

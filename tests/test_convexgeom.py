@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import POLYTOPE_SHAPES, similar_copy
+from conftest import AFFINITY_DEFECTS, POLYTOPE_SHAPES, similar_copy
 from jordantp import (
     InfeasiblePointError,
     PolytopeStateSpace,
@@ -120,7 +120,8 @@ def test_square_fails_with_half_defect():
         i, j = sorted(((w + 1) % 4, (w + 3) % 4))
         assert gaps[i, j] == pytest.approx(0.5, abs=1e-6)
         assert np.max(gaps) == pytest.approx(0.5, abs=1e-6)
-    # the centroid certificate alone: e_w(centre) - mean e_w(v_i) = 1/2 - 1/4
+    # the fit residual alone: e_w's vertex values are 1 at w and 0 elsewhere,
+    # 1/4 (1, -1, 1, -1) off their affine fit
     for r in check_extreme_affinity(poly):
         assert r.affinity_defect == pytest.approx(0.25, abs=1e-6)
         assert not r.passes
@@ -141,9 +142,20 @@ def test_pentagon_fails_with_positive_defect():
     # golden-ratio geometry: the worst midpoint defect is sqrt(5) - 2
     worst = max(np.max(np.abs(pairwise_midpoint_gaps(poly, w))) for w in range(5))
     assert worst == pytest.approx(np.sqrt(5.0) - 2.0, abs=1e-9)
-    # and the centroid gap is 2/5 of it at every extreme point
+    # and the fit residual is (3 - sqrt 5) / 5 at every extreme point
     for r in check_extreme_affinity(poly):
-        assert r.affinity_defect == pytest.approx(0.4 * (np.sqrt(5.0) - 2.0), abs=1e-9)
+        assert r.affinity_defect == pytest.approx((3.0 - np.sqrt(5.0)) / 5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+def test_the_defect_is_the_closed_form_fit_residual(shape):
+    # without probes the defect is the residual alone; the shapes are exact
+    # in binary or nearly so, and their normalised vertices well conditioned
+    vertices, simplex = POLYTOPE_SHAPES[shape]
+    reports = check_extreme_affinity(PolytopeStateSpace(vertices), midpoint_samples=0)
+    np.testing.assert_allclose([r.affinity_defect for r in reports], AFFINITY_DEFECTS[shape],
+                               rtol=0, atol=1e-12)
+    assert all(r.passes for r in reports) == simplex
 
 
 def test_e_omega_below_feasible_functions():
@@ -348,7 +360,8 @@ def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n
         at_vertices = [e_omega_per_point(poly, r.omega_index, v) for v in poly.vertices]
         at_probes = [e_omega_per_point(poly, r.omega_index, zeta) for zeta in probes]
         np.testing.assert_allclose(r.values_at_vertices, at_vertices, rtol=0, atol=1e-12)
-        defect = np.max(np.abs(np.array(at_probes) - combos @ at_vertices))
+        defect = max(fit_residuals(poly.vertices, np.array(at_vertices)[:, None])[0],
+                     np.max(np.abs(np.array(at_probes) - combos @ at_vertices)))
         assert r.affinity_defect == pytest.approx(defect, rel=0, abs=1e-12)
 
 
@@ -358,9 +371,8 @@ def test_one_lp_per_stack(monkeypatch, shape, affinity_lps):
     n = poly.n_vertices
     calls = _counting_linprog(monkeypatch)
     check_extreme_affinity(poly, midpoint_samples=8)
-    # per extreme point, n - 1 rows for each vertex and probe: the centroid
-    # and the 8 random combinations
-    rows = (n - 1) * (n + 1 + 8)
+    # per extreme point, n - 1 rows for each vertex and random probe
+    rows = (n - 1) * (n + 8)
     assert len(calls) == affinity_lps == -(-n // max(1, convexgeom.LP_STACK_ROWS // rows))
     calls.clear()
     vertex_tp_matrix(poly)
@@ -377,14 +389,14 @@ def test_lp_failure_raises_after_one_attempt(monkeypatch):
     assert calls == ["e_omega"]
     calls.clear()
     with pytest.raises(LinearProgramError, match=r"LP for extreme points \[0, 1, 2, 3, 4\] failed: "
-                       "block 0 of 30 is unbounded"):
+                       "block 0 of 25 is unbounded"):
         check_extreme_affinity(poly)
     assert calls == ["e_omega"]
 
 
 @pytest.mark.parametrize("failing,what", [
     (0, "hull LP failed: block 0 of 5"),
-    (1, "LP for extreme points [0, 1, 2, 3, 4] failed: block 0 of 30")])
+    (1, "LP for extreme points [0, 1, 2, 3, 4] failed: block 0 of 25")])
 def test_a_failed_lp_exits_three(tmp_path, capsys, monkeypatch, failing, what):
     # every LP is the library's own, built from a polytope it accepted, so a
     # block that fails is an internal failure, not the user's input error
@@ -440,7 +452,8 @@ def test_random_polytopes_match_per_point_highs(seed):
     # and moved away.  The per-point HiGHS solves run on the normalised
     # vertices: e_omega is affine invariant, and on the raw vertices of seed
     # 14, a stretched 4-simplex, HiGHS read the TP matrix 3.6e-12 off the
-    # identity, with its feasibility tolerances at 1e-7 or at 1e-10
+    # identity, with its feasibility tolerances at 1e-7 or at 1e-10.  The fit
+    # residual is recomputed by lstsq from HiGHS's vertex values
     rng = np.random.default_rng(seed)
     d = 2 + seed % 4
     cloud = rng.normal(size=(d + 1 + rng.integers(0, 4), d))
@@ -462,10 +475,12 @@ def test_random_polytopes_match_per_point_highs(seed):
     np.testing.assert_allclose(vertex_tp_matrix(poly), want, rtol=0, atol=1e-12)
     combos = _probe_combos(n, 4, seed)
     reports = check_extreme_affinity(poly, midpoint_samples=4, seed=seed)
+    residuals = fit_residuals(poly.normalised, want)
     for r in reports:
         at_probes = [e_omega_per_point(reference, r.omega_index, zeta)
                      for zeta in combos @ poly.normalised]
-        defect = np.max(np.abs(np.array(at_probes) - combos @ want[:, r.omega_index]))
+        defect = max(residuals[r.omega_index],
+                     np.max(np.abs(np.array(at_probes) - combos @ want[:, r.omega_index])))
         np.testing.assert_allclose(r.values_at_vertices, want[:, r.omega_index], rtol=0, atol=1e-12)
         assert r.affinity_defect == pytest.approx(defect, rel=0, abs=1e-12)
         assert r.passes == (defect <= Tolerance().check_tol
@@ -473,21 +488,53 @@ def test_random_polytopes_match_per_point_highs(seed):
     assert all(r.passes for r in reports) == (n == d + 1)
 
 
-@pytest.mark.parametrize("d,seed", [(4, 1), (4, 7), (4, 8), (5, 6), (5, 7)])
-def test_far_stretched_cubes_keep_their_answers(d, seed):
-    # cubes stretched by 1e-3 to 1e3 along rotated axes and moved up to 1e6
-    # away, whose normalised vertices carry rounding up to 1e-8: with pivots
+def _stretched_and_moved(points, rng, stretch, shift):
+    """``points`` with their axes stretched by 10 ** uniform(-stretch, stretch),
+    rotated and moved by shift * N(0, 1)."""
+    d = points.shape[1]
+    rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    scales = 10.0 ** rng.uniform(-stretch, stretch, d)
+    return (points * scales) @ rotation.T + shift * rng.normal(size=d)
+
+
+@pytest.mark.parametrize("d,seed,stretch,shift", [
+    (4, 61, 4.0, 1.0), (3, 56, 3.0, 1e6), (3, 62, 3.0, 1e6), (3, 114, 3.0, 1e6),
+    (4, 17, 3.0, 1e6), (4, 20, 3.0, 1e6), (4, 28, 3.0, 1e6), (5, 3, 3.0, 1e6), (5, 5, 3.0, 1e6)])
+def test_far_stretched_cubes_keep_their_answers(tmp_path, capsys, d, seed, stretch, shift):
+    # cubes whose normalised vertices carry rounding up to 1e-8.  With pivots
     # down to 1e-9 the simplex met bases of condition 1e9 to 1e12, among
-    # which it cycled or found one singular.  The cube's TP matrix is the
+    # which it cycled or found one singular; and no step may leave a row
+    # below 0 by more than rounding, neither one whose pivot is too small to
+    # block nor one whose step length ties with that of a far smaller pivot.
+    # Else a certificate fails and geom exits 3 on a polytope it accepted (the
+    # 4-cube of seed 61 in its hull LP).  The cube's TP matrix is the
     # identity, and every extreme point fails
-    rng = np.random.default_rng(seed)
+    from jordantp.cli import main
+
     cube = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
-    left, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    right, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    vertices = cube @ (left @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, d)) @ right).T
-    poly = PolytopeStateSpace(vertices + rng.normal(size=d) * 10.0 ** rng.uniform(0.0, 6.0))
-    np.testing.assert_allclose(vertex_tp_matrix(poly), np.eye(2 ** d), rtol=0, atol=1e-6)
-    assert not any(r.passes for r in check_extreme_affinity(poly, midpoint_samples=8, seed=seed))
+    vertices = _stretched_and_moved(cube, np.random.default_rng(seed), stretch, shift)
+    np.testing.assert_allclose(vertex_tp_matrix(PolytopeStateSpace(vertices)), np.eye(2 ** d),
+                               rtol=0, atol=1e-6)
+    path = tmp_path / "cube.csv"
+    np.savetxt(path, vertices, delimiter=",", fmt="%.17g")
+    assert main(["geom", str(path), "--midpoint-samples", "8", "--seed", str(seed)]) == 1
+    assert not any(r["passes"] for r in json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_simplices_pass(seed):
+    # simplices in R^2 to R^5, every other one stretched by 1e-3 to 1e3 and
+    # moved by 1e6.  The bound, stated before the run: any values at
+    # n = d + 1 vertices fit, so the defect is the rounding of the fit and of
+    # the probes' LPs on the whitened vertices, at most 16 n eps
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 4
+    vertices = rng.normal(size=(d + 1, d))
+    if seed % 2:
+        vertices = _stretched_and_moved(vertices, rng, 3.0, 1e6)
+    reports = check_extreme_affinity(PolytopeStateSpace(vertices), midpoint_samples=16, seed=seed)
+    assert all(r.passes for r in reports)
+    assert max(r.affinity_defect for r in reports) <= 16 * (d + 1) * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -603,33 +650,33 @@ def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
     assert calls == ["hull", "e_omega"]
 
 
-def _probe_combos(n, midpoint_samples, seed, midpoints=False):
-    """The convex weights of ``check_extreme_affinity``'s probes, one row
-    each: the centroid, then the random ones.  With ``midpoints``, the
-    pairwise midpoints, which it probes only for an extreme point in the
-    tolerance band, follow the centroid."""
+def _probe_combos(n, midpoint_samples, seed):
+    """The convex weights of ``check_extreme_affinity``'s random probes, one
+    row each."""
     rng = np.random.default_rng(seed)
-    combos = [np.full(n, 1.0 / n)]
-    for i in range(n if midpoints else 0):
-        for j in range(i + 1, n):
-            lam = np.zeros(n)
-            lam[i] = lam[j] = 0.5
-            combos.append(lam)
-    for _ in range(midpoint_samples):
-        combos.append(rng.dirichlet(np.ones(n)))
-    return np.array(combos)
+    return np.array([rng.dirichlet(np.ones(n)) for _ in range(midpoint_samples)]).reshape(-1, n)
+
+
+def fit_residuals(vertices, values):
+    """Reference: the largest residual of each column of ``values`` (row i
+    at vertex i) from its least-squares affine fit on ``vertices``, by
+    lstsq on the vertices as given."""
+    design = np.column_stack([np.ones(len(vertices)), vertices])
+    coeffs = np.linalg.lstsq(design, values, rcond=None)[0]
+    return np.abs(design @ coeffs - values).max(axis=0)
 
 
 def affinity_defects_by_loop(poly, combos):
-    """Reference: the defect of each omega over the probes with the convex
-    weights ``combos`` (one row each), one np.dot per probe."""
+    """Reference: the defect of each omega, its fit residual maxed with its
+    gap at each probe with the convex weights ``combos`` (one row each), one
+    np.dot per probe."""
     verts = poly.normalised
     n = poly.n_vertices
     points = np.vstack([verts] + [verts.T @ lam for lam in combos])
     defects = []
     for w in range(n):
         values = convexgeom._e_omega_normalised_lp(poly, w, points)
-        defect = 0.0
+        defect = float(fit_residuals(poly.vertices, values[:n, None])[0])
         for lam, value in zip(combos, values[n:]):
             defect = max(defect, abs(float(value) - float(np.dot(lam, values[:n]))))
         defects.append(defect)
@@ -646,107 +693,76 @@ def test_vectorised_defect_matches_loop(shape):
                                affinity_defects_by_loop(poly, combos), rtol=0, atol=1e-13)
 
 
-# The triangle with its hypotenuse pushed out by 1e-5: a quadrilateral whose
-# centroid gaps (1e-5 at vertices 0 and 3, 5e-6 at 1 and 2) are tiny, while
-# the midpoint gaps are twice as large.
-NEAR_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5 + 1e-5, 0.5 + 1e-5]])
+# The triangle with its hypotenuse pushed out by EPS: a quadrilateral whose
+# vertices have one affine dependency, l = (-2 EPS, 1/2 + EPS, 1/2 + EPS, -1)
+# with sum_i l_i = 0 and sum_i l_i v_i = 0.  Each e_omega has l . e = +-2 EPS
+# at the vertices, so its values are |l . e| / |l|^2 off their affine fit.
+EPS = 1e-5
+NEAR_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5 + EPS, 0.5 + EPS]])
+NEAR_TRIANGLE_DEFECT = 2.0 * EPS / (1.5 + 2.0 * EPS + 6.0 * EPS ** 2)
 
 
-def test_centroid_gap_in_the_band_falls_back_to_midpoints(monkeypatch):
-    # check_tol / n = 3.75e-6 < every centroid gap <= check_tol: each omega
-    # is in the band, and the midpoints fail vertices 0 and 3, whose centroid
-    # gaps alone would pass
+def test_near_triangle_defect_is_its_fit_residual(monkeypatch):
+    # one LP decides every omega, with no second pass.  The tolerance bounds
+    # the fit residual, not the gaps elsewhere: at omega = 0 and 3 the
+    # midpoint gaps reach 2 EPS / (1 + 2 EPS), half as much again
     poly = PolytopeStateSpace(NEAR_TRIANGLE)
-    tol = Tolerance(check_tol=1.5e-5)
+    for w in (0, 3):
+        assert np.abs(pairwise_midpoint_gaps(poly, w)).max() == pytest.approx(
+            2.0 * EPS / (1.0 + 2.0 * EPS), rel=1e-9)
     calls = _counting_linprog(monkeypatch)
-    reports = check_extreme_affinity(poly, tol)
-    assert len(calls) == 2  # every omega's vertices and centroid, then the midpoints
-    every_probe = affinity_defects_by_loop(poly, _probe_combos(4, 0, 0, midpoints=True))
-    np.testing.assert_allclose([r.affinity_defect for r in reports], every_probe,
-                               rtol=0, atol=1e-13)
-    assert [r.passes for r in reports] == [False, True, True, False]
-    centroid_only = affinity_defects_by_loop(poly, _probe_combos(4, 0, 0))
-    assert max(centroid_only) <= tol.check_tol < min(every_probe[0], every_probe[3])
-
-
-def test_centroid_gap_below_the_band_solves_no_midpoint_lp(monkeypatch):
-    # every centroid gap is at most check_tol / n = 2.5e-5: exact, and the
-    # stack of vertices and centroids is the only affinity LP
-    poly = PolytopeStateSpace(NEAR_TRIANGLE)
-    tol = Tolerance(check_tol=1e-4)
-    calls = _counting_linprog(monkeypatch)
-    reports = check_extreme_affinity(poly, tol)
+    reports = check_extreme_affinity(poly)
     assert len(calls) == 1
-    np.testing.assert_allclose([r.affinity_defect for r in reports],
-                               affinity_defects_by_loop(poly, _probe_combos(4, 0, 0)),
-                               rtol=0, atol=1e-13)
-    assert all(r.passes for r in reports)
-
-
-def test_band_midpoints_keep_the_row_budget(monkeypatch):
-    # the triangle with nine points bulging out of its hypotenuse by at most
-    # 1e-4: n = 12, and the midpoints of one omega are 726 rows, so the
-    # band's omegas go two to an LP rather than all in one LP over the budget
-    t = np.arange(1, 10) / 10
-    bulge = np.column_stack([1 - t, t]) + (4e-4 * t * (1 - t))[:, None]
-    poly = PolytopeStateSpace(np.vstack([TRIANGLE, bulge]))
-    n = poly.n_vertices
-    tol = Tolerance(check_tol=1.2e-4)
-    centroid_only = np.array(affinity_defects_by_loop(poly, _probe_combos(n, 0, 0)))
-    every_probe = affinity_defects_by_loop(poly, _probe_combos(n, 0, 0, midpoints=True))
-    in_band = (centroid_only > tol.check_tol / n) & (centroid_only <= tol.check_tol)
-    assert in_band.sum() >= 2
-    rows = []
-    _counting_linprog(monkeypatch, rows=rows)
-    reports = check_extreme_affinity(poly, tol)
-    one_omega = (n - 1) * n * (n - 1) // 2
-    assert convexgeom.LP_STACK_ROWS // one_omega == 2
-    first_pass = -(-n // (convexgeom.LP_STACK_ROWS // ((n - 1) * (n + 1))))
-    band_lps = [one_omega * min(2, in_band.sum() - i) for i in range(0, in_band.sum(), 2)]
-    assert rows[first_pass:] == band_lps
-    assert max(rows) <= convexgeom.LP_STACK_ROWS
-    np.testing.assert_allclose([r.affinity_defect for r in reports],
-                               np.where(in_band, every_probe, centroid_only), rtol=0, atol=1e-13)
-
-
-def test_band_skips_an_omega_a_random_probe_failed(monkeypatch):
-    # every centroid gap is in the band of check_tol = 1.5e-5, but random
-    # probes already fail vertices 1 and 2 (defect 1.76e-5), so only 0 and
-    # 3 (random defect 1.22e-5) get midpoints, which fail them too
-    poly = PolytopeStateSpace(NEAR_TRIANGLE)
-    tol = Tolerance(check_tol=1.5e-5)
-    rows = []
-    _counting_linprog(monkeypatch, rows=rows)
-    reports = check_extreme_affinity(poly, tol, midpoint_samples=16, seed=4)
-    one_omega = 3 * 6
-    assert rows == [4 * 3 * (4 + 1 + 16), 2 * one_omega]
+    np.testing.assert_allclose([r.affinity_defect for r in reports], NEAR_TRIANGLE_DEFECT,
+                               rtol=1e-9, atol=0)
     assert not any(r.passes for r in reports)
+    for check_tol, passes in ((0.99 * NEAR_TRIANGLE_DEFECT, False),
+                              (1.01 * NEAR_TRIANGLE_DEFECT, True)):
+        reports = check_extreme_affinity(poly, Tolerance(check_tol=check_tol))
+        assert [r.passes for r in reports] == [passes] * 4
 
 
-def test_regular_32_gon_probes_no_midpoints(monkeypatch):
-    # the midpoints would add n(n - 1)/2 = 496 probes to each extreme point
-    n = 32
+def test_probes_join_the_vertex_lp_and_the_defect(monkeypatch):
+    # the random probes stack with the vertices in one LP; at vertices 1 and
+    # 2 their gaps (1.76e-5) exceed the fit residual, at 0 and 3 they do not
+    poly = PolytopeStateSpace(NEAR_TRIANGLE)
+    rows = []
+    _counting_linprog(monkeypatch, rows=rows)
+    reports = check_extreme_affinity(poly, midpoint_samples=16, seed=4)
+    assert rows == [4 * 3 * (4 + 16)]
+    defects = [r.affinity_defect for r in reports]
+    np.testing.assert_allclose(defects, affinity_defects_by_loop(poly, _probe_combos(4, 16, 4)),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(defects[::3], NEAR_TRIANGLE_DEFECT, rtol=1e-9, atol=0)
+    assert min(defects[1:3]) > 1.3 * NEAR_TRIANGLE_DEFECT
+
+
+@pytest.mark.parametrize("n,per_lp", [(12, 11), (32, 1)])
+def test_stacks_keep_the_row_budget(monkeypatch, n, per_lp):
+    # LP_STACK_ROWS bounds what one call holds: the regular n-gon's extreme
+    # points go per_lp to an LP, each with n - 1 pairs per vertex query
     angles = 2.0 * np.pi * np.arange(n) / n
     poly = PolytopeStateSpace(np.column_stack([np.cos(angles), np.sin(angles)]))
     rows = []
     _counting_linprog(monkeypatch, rows=rows)
     reports = check_extreme_affinity(poly, midpoint_samples=0)
-    # n - 1 rows for each vertex and the centroid, for every extreme point
-    assert sum(rows) == n * (n - 1) * (n + 1)
+    one_omega = (n - 1) * n
+    assert convexgeom.LP_STACK_ROWS // one_omega == per_lp
+    assert rows == [one_omega * min(per_lp, n - i) for i in range(0, n, per_lp)]
+    assert max(rows) <= convexgeom.LP_STACK_ROWS
     assert not any(r.passes for r in reports)
 
 
 # A polytope in R^4 on which every pairwise midpoint of e_4 sits on the
-# affine interpolant of its vertex values; only the centroid exposes it.
+# affine interpolant of its vertex values; the fit residual exposes it.
 MIDPOINT_BLIND = np.vstack([np.eye(4), -0.25 * np.ones(4), 0.3 * np.ones(4)])
 
 
-def test_centroid_certificate_catches_what_midpoints_miss():
+def test_the_fit_residual_catches_what_midpoints_miss():
     poly = PolytopeStateSpace(MIDPOINT_BLIND)
-    midpoints = _probe_combos(poly.n_vertices, 0, 0, midpoints=True)[1:]
-    assert affinity_defects_by_loop(poly, midpoints)[4] <= 1e-12
+    assert np.abs(pairwise_midpoint_gaps(poly, 4)).max() <= 1e-12
     report = check_extreme_affinity(poly, midpoint_samples=0)[4]
-    assert report.affinity_defect == pytest.approx(2.0 / 33.0, abs=1e-9)
+    assert report.affinity_defect == pytest.approx(8.0 / 105.0, abs=1e-12)
     assert not report.passes
 
 
@@ -757,5 +773,5 @@ def test_geom_fails_the_midpoint_blind_polytope(tmp_path, capsys):
     np.savetxt(path, MIDPOINT_BLIND, delimiter=",")
     assert main(["geom", str(path), "--midpoint-samples", "0"]) == 1
     report = json.loads(capsys.readouterr().out)[4]
-    assert report["affinity_defect"] == pytest.approx(2.0 / 33.0, abs=1e-9)
+    assert report["affinity_defect"] == pytest.approx(8.0 / 105.0, abs=1e-12)
     assert report["passes"] is False

@@ -3,7 +3,9 @@ affine invariant, so moving, scaling, stretching or embedding a polytope must
 not change its verdict.
 
 The expected verdicts come from theory, as in the verdict gate: a simplex
-passes (exit 0) and every other shape fails (exit 1).
+passes (exit 0) and every other shape fails (exit 1).  The affinity defects
+without probes are the closed forms of ``AFFINITY_DEFECTS``, up to what
+rounding the mapped input can move them by.
 """
 
 import json
@@ -11,7 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import POLYTOPE_SHAPES
+from conftest import AFFINITY_DEFECTS, POLYTOPE_SHAPES
+from jordantp import check_extreme_affinity, polytope_from_csv
 from jordantp.cli import main
 
 
@@ -54,6 +57,17 @@ def _check(capsys, tmp_path, shape, transform, arg):
     assert code == (0 if simplex else 1)
     assert [r["omega_index"] for r in reports] == list(range(len(vertices)))
     assert all(r["passes"] for r in reports) == simplex
+    # the bound, stated before the run: the input's rounding, eps times its
+    # largest entry, in units of its thinnest spread (the smallest of the
+    # shape's own singular values of the centred vertices), with the LP's
+    # own rounding, times 8
+    mapped = np.loadtxt(path, delimiter=",")
+    spread = np.linalg.svd(mapped - mapped.mean(axis=0), compute_uv=False)
+    thinnest = spread[np.linalg.matrix_rank(vertices[1:] - vertices[0]) - 1]
+    eps = np.finfo(float).eps
+    bound = 8.0 * eps * (1.0 + np.abs(mapped).max() / thinnest)
+    defects = [r.affinity_defect for r in check_extreme_affinity(polytope_from_csv(path))]
+    np.testing.assert_allclose(defects, AFFINITY_DEFECTS[shape], rtol=0, atol=bound)
 
 
 @pytest.mark.parametrize("transform,arg", MAPS,

@@ -28,6 +28,7 @@ import pytest
 from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS, random_projection
 from jordantp import get_model, random_element, selfdual, spectral, suites
 from jordantp.cli import main
+from jordantp.elements import Tolerance
 from jordantp.logic import atomic_decomposition, information_capacity_empirical
 from jordantp.reports import dump_canonical_json
 from jordantp.selfdual import GeneratorSelfDualCone, SpectralSelfDualCone
@@ -535,9 +536,10 @@ def test_the_selfdual_suite_peels_with_a_fixed_number_of_split_calls(monkeypatch
 def test_the_pure_state_cloud_draws_one_atom_batch_per_rejection_round(
         monkeypatch, kind, n, p):
     # one call for the cloud's first atoms, one per rejection round on the
-    # mixtures still pending, one for the eight pure states: at trials 64 as
-    # at trials 8, however many mixtures the cloud holds; drawing the
-    # mixtures one at a time made at least 2m + 1 calls
+    # mixtures still pending, one for the record's atom rows 0 to 8, whose
+    # rows 1 to 8 are the eight pure states: at trials 64 as at trials 8,
+    # however many mixtures the cloud holds; drawing the mixtures one at a
+    # time made at least 2m + 1 calls
     model = get_model(kind, n, p)
     draws, rounds = [], []
     sampler, transitions = model.random_atom_param_batch, model.transitions_from_params
@@ -559,8 +561,49 @@ def test_the_pure_state_cloud_draws_one_atom_batch_per_rejection_round(
             verify_pure_state_sampling(model, seed, m)
             # both transition directions of a round test the same candidates
             assert rounds[::2] == rounds[1::2]
-            assert draws == [m] + rounds[::2] + [8]
+            assert draws == [m] + rounds[::2] + [9]
             assert rounds[0] == m and rounds[::2] == sorted(rounds[::2], reverse=True)
+
+
+@pytest.mark.parametrize("kind,n,p", [("sym", 3, None), ("lpq", 2, 3.0)])
+def test_the_pure_state_check_builds_only_trial_zeros_generator(monkeypatch, kind, n, p):
+    # the cloud goes on drawing on trial 0's stream "", and the pure atoms
+    # are record rows, whose generators DrawRecord._extend builds
+    built = spectral.trial_rng
+    callers = []
+
+    def counted(seed, trial, stream=""):
+        if not stream:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name in ("trial_rngs", "<listcomp>"):
+                frame = frame.f_back
+            callers.append((frame.f_code.co_name, trial))
+        return built(seed, trial, stream)
+
+    for module in (spectral, suites):
+        monkeypatch.setattr(module, "trial_rng", counted)
+    verify_pure_state_sampling(get_model(kind, n, p), 3, 24)
+    assert [trial for name, trial in callers if name == "verify_pure_state_sampling"] == [0]
+    assert {name for name, _ in callers} == {"verify_pure_state_sampling", "_extend"}
+
+
+@pytest.mark.parametrize("kind,n,p", [("sym", 3, None), ("lpq", 2, 3.0)])
+def test_the_axioms_suite_draws_each_atom_row_once_at_any_tolerance(monkeypatch, kind, n, p):
+    # the pure-state check reads its atoms from the suite's record, whose
+    # atom rows no tolerance changes
+    extend = spectral.DrawRecord._extend
+    drawn = []
+
+    def counted(record, name, lo, hi):
+        if name == "atom":
+            drawn.extend(range(lo, hi))
+        return extend(record, name, lo, hi)
+
+    monkeypatch.setattr(spectral.DrawRecord, "_extend", counted)
+    for tol in (Tolerance(), Tolerance(check_tol=1e-8)):
+        drawn.clear()
+        axioms_suite(get_model(kind, n, p), 3, 4, tol)
+        assert sorted(drawn) == list(range(max(drawn) + 1)), (tol, drawn)
 
 
 @pytest.mark.parametrize("make", [lambda: SpectralSelfDualCone(get_model("sym", 3)),
