@@ -67,6 +67,29 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _json_array(path: str, what: str) -> list:
+    """The entries of the JSON array in the file at ``path``: a number as
+    given, an array as a float array.  An entry that is not a number, at any
+    depth, raises a ValueError naming it, as does a number beyond the range
+    of a double: both are the user's input, not a fault inside numpy."""
+    with open(path) as handle:
+        data = json.load(handle)
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must hold a JSON array")
+
+    def check(value, where: str) -> None:
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                check(item, f"{where}[{i}]")
+        elif not isinstance(value, (int, float)):
+            raise ValueError(f"{what} entry {where} is not a number: {json.dumps(value)}")
+        elif not isinstance(value, float) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{what} entry {where} exceeds the range of a double")
+
+    check(data, "")
+    return [entry if np.isscalar(entry) else np.asarray(entry, dtype=float) for entry in data]
+
+
 def _cmd_verify(args) -> int:
     from .suites import run_suite
 
@@ -84,11 +107,7 @@ def _cmd_verify(args) -> int:
 def _cmd_spectral(args) -> int:
     model = parse_model_spec(args.model)
     tol = _parse_tol(args.tol)
-    with open(args.element_file) as handle:
-        data = json.load(handle)
-    if not isinstance(data, list):
-        raise ValueError("element file must hold a JSON array of doubles")
-    a = model.element(np.asarray(data, dtype=float))
+    a = model.element(np.asarray(_json_array(args.element_file, "element file"), dtype=float))
     form = model.spectral_form(a, tol)
     payload = {
         "model": model.descriptor.to_json(),
@@ -120,13 +139,8 @@ def _cmd_tpmatrix(args) -> int:
         # one generator drawing the K atoms in turn, as one stack
         matrix = tp_matrix_from_params(model, model.random_atom_param_batch([rng] * args.random))
     elif args.atoms_file:
-        with open(args.atoms_file) as handle:
-            data = json.load(handle)
-        if not isinstance(data, list):
-            raise ValueError("atoms file must hold a JSON array of atom parameters")
-        atoms = [model.atom(entry if np.isscalar(entry) else np.asarray(entry, dtype=float))
-                 for entry in data]
-        matrix = tp_matrix(model, atoms)
+        matrix = tp_matrix(model, [model.atom(entry)
+                                   for entry in _json_array(args.atoms_file, "atoms file")])
     else:
         raise ValueError("provide an atoms file or --random K")
     text = matrix.to_csv()

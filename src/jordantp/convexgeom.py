@@ -237,6 +237,8 @@ class PolytopeStateSpace:
     ``vertices`` is the input as given; ``normalised`` is its image under
     ``normalise``, the affine map on which every LP runs, with one column
     per axis of the affine hull (which may be fewer than ``dim``).
+    ``affinely_independent`` holds when there are n - 1 such axes: the
+    vertices span a simplex, and loading it solves no LP.
     """
 
     def __init__(self, vertices):
@@ -266,10 +268,19 @@ class PolytopeStateSpace:
         close = np.argwhere(np.triu(gaps <= HULL_CUTOFF, 1))
         if len(close):
             raise ValueError(f"vertices {close[0][0]} and {close[0][1]} coincide")
-        distances = _hull_distances(self.normalised, self.normalised[_others(len(verts))])
-        inside = np.flatnonzero(distances <= HULL_CUTOFF)
-        if len(inside):
-            raise ValueError(f"vertex {inside[0]} is not extreme (inside the hull of the others)")
+        # n vertices on n - 1 axes are affinely independent, hence all
+        # extreme, with no hull LP: [whitened[:, keep] | 1 / sqrt(n)] is
+        # orthogonal, so the normalised vertices, the rows of whitened[:, keep]
+        # over scale (at most 1), form a regular simplex, each vertex at L2
+        # distance at least sqrt(n / (n - 1)) from the hull of the others: far
+        # above HULL_CUTOFF and the rounding an axis must rise above
+        self.affinely_independent = bool(keep.sum() == len(verts) - 1)
+        if not self.affinely_independent:
+            distances = _hull_distances(self.normalised, self.normalised[_others(len(verts))])
+            inside = np.flatnonzero(distances <= HULL_CUTOFF)
+            if len(inside):
+                raise ValueError(
+                    f"vertex {inside[0]} is not extreme (inside the hull of the others)")
 
     @property
     def n_vertices(self) -> int:
@@ -442,7 +453,6 @@ def induced_affine_model(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
     if not all(r.passes for r in reports):
         failing = [r.omega_index for r in reports if not r.passes]
         raise ValueError(f"polytope fails the affinity property at extreme points {failing}")
-    diffs = poly.normalised[1:] - poly.normalised[0]
-    if np.linalg.matrix_rank(diffs, tol=1e-9) != poly.n_vertices - 1:
+    if not poly.affinely_independent:
         raise ValueError("vertex-value representation needs affinely independent vertices")
     return PolytopeAffineModel(poly)

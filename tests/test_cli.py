@@ -406,6 +406,24 @@ def test_tpmatrix_classical_integral_float_index(capsys, tmp_path):
     assert out.split("\n")[1:3] == ["1,0", "0,1"]
 
 
+@pytest.mark.parametrize("command,spec,data,entry", [
+    ("spectral", "spin:2", [{"a": 1}, 1, 2], "[0]"),
+    ("tpmatrix", "spin:2", [[1, {"a": 1}]], "[0][1]"),
+    ("tpmatrix", "classical:2", [{"a": 1}], "[0]"),
+    ("spectral", "classical:2", [1.0, None], "[1]"),
+    ("tpmatrix", "spin:2", [[1, 10 ** 400]], "[0][1]")])
+def test_a_non_numeric_json_entry_exits_two(capsys, tmp_path, command, spec, data, entry):
+    # numpy's float conversion raised TypeError (or OverflowError on an
+    # integer beyond a double), which read as an internal failure, exit 3,
+    # and read a null as NaN; the entry is now named
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, spec, str(path))
+    assert (code, out) == (2, "")
+    what = "element file" if command == "spectral" else "atoms file"
+    assert err.startswith(f"error: {what} entry {entry} ")
+
+
 def test_tpmatrix_requires_source(capsys):
     assert run_cli(capsys, "tpmatrix", "herm:2")[0] == 2
 

@@ -636,18 +636,58 @@ def test_e_omega_value_on_a_far_embedded_square(shift):
     assert e_omega_value(poly, 0, square.mean(axis=0)) == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize("shape", ["triangle", "square", "cube"])
-def test_load_and_contains_solve_one_lp_each(monkeypatch, shape):
+@pytest.mark.parametrize("shape,load", [("triangle", []), ("square", ["hull"]),
+                                        ("cube", ["hull"])])
+def test_load_and_contains_solve_one_lp_each(monkeypatch, shape, load):
+    # a simplex loads with no LP: affinely independent vertices are extreme
     vertices = POLYTOPE_SHAPES[shape][0]
     calls = _counting_linprog(monkeypatch)
     poly = PolytopeStateSpace(vertices)
-    assert calls == ["hull"]
+    assert calls == load
     calls.clear()
     assert poly.contains(vertices.mean(axis=0))
     assert calls == ["hull"]
     calls.clear()
     e_omega_value(poly, 0, vertices.mean(axis=0))
     assert calls == ["hull", "e_omega"]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_simplices_load_with_no_lp_and_every_vertex_far_outside(monkeypatch, d):
+    # rotated simplices with axes stretched by 1e-3 to 1e3 and moved by 1e6:
+    # the normalised vertices form a regular simplex, each at L2 distance at
+    # least sqrt(n / (n - 1)) > 1 from the hull of the others, so the hull
+    # LP, run here by hand, finds every vertex extreme, as the load assumes
+    rng = np.random.default_rng(d)
+    calls = _counting_linprog(monkeypatch)
+    for _ in range(16):
+        vertices = _stretched_and_moved(rng.normal(size=(d + 1, d)), rng, 3.0, 1e6)
+        poly = PolytopeStateSpace(vertices)
+        assert calls == [] and poly.affinely_independent
+        verts = poly.normalised
+        distances = convexgeom._hull_distances(verts, verts[convexgeom._others(d + 1)])
+        calls.clear()
+        assert distances.min() >= 1.0 > convexgeom.HULL_CUTOFF
+
+
+@pytest.mark.parametrize("vertices,independent", [(TRIANGLE, True), (SQUARE, False),
+                                                  (np.vstack([np.zeros(4), np.eye(4)[:3]]), True)])
+def test_one_affine_independence_verdict(monkeypatch, vertices, independent):
+    # the load's verdict skips its hull LP and decides whether the induced
+    # model exists; it agrees with the rank of the normalised edges
+    calls = _counting_linprog(monkeypatch)
+    poly = PolytopeStateSpace(vertices)
+    diffs = poly.normalised[1:] - poly.normalised[0]
+    assert poly.affinely_independent is independent
+    assert bool(np.linalg.matrix_rank(diffs, tol=1e-9) == poly.n_vertices - 1) is independent
+    assert calls == ([] if independent else ["hull"])
+    # past the affinity check, which only simplices pass
+    monkeypatch.setattr(convexgeom, "check_extreme_affinity", lambda poly, tol, samples: [])
+    if independent:
+        assert induced_affine_model(poly).polytope is poly
+    else:
+        with pytest.raises(ValueError, match="needs affinely independent vertices"):
+            induced_affine_model(poly)
 
 
 def _probe_combos(n, midpoint_samples, seed):
