@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in {
     "core": ("cone_contains", "in_unit_interval", "order_norm"),
     "elements": ("DEFAULT_TOL", "Element", "SpectralForm", "SpectralPair", "Tolerance"),
     "errors": (
-        "ConeProjectionError", "DimensionMismatchError", "InfeasiblePointError",
+        "ConeProjectionError", "DimensionMismatchError", "InfeasiblePointError", "InputError",
         "JordanTpError", "LinearProgramError", "ModelMismatchError", "NotAtomError",
         "UnnormalizedParamError", "UnsupportedModelError"),
     "logic": (

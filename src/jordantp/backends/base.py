@@ -11,7 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from ..elements import DEFAULT_TOL, Element, SpectralForm, Tolerance
-from ..errors import DimensionMismatchError, UnnormalizedParamError, UnsupportedModelError
+from ..errors import (DimensionMismatchError, InputError, UnnormalizedParamError,
+                      UnsupportedModelError)
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ class Model(AtomSpace):
         """The frames of ``_frames``, with the atoms C-contiguous so that a
         reduction over an atom (a dot product) adds up in one order whatever
         the stack.  A row with an eigenvalue outside the doubles raises the
-        ``ValueError`` that ``spectral_form`` raises for it."""
+        ``InputError`` that ``spectral_form`` raises for it."""
         values, atoms = self._frames(stack, tol)
         self._refuse_overflow(values, stack, tol)
         return values, np.ascontiguousarray(atoms)
@@ -253,14 +254,16 @@ class Model(AtomSpace):
         return values[0], np.ascontiguousarray(atoms[0])
 
     def _refuse_overflow(self, values: np.ndarray, stack: np.ndarray, tol: Tolerance) -> None:
-        """Raise for the first eigenvalue of a (K, m) stack of spectra of the
-        rows of ``stack`` that is not finite, row by row."""
+        """Raise for the first non-finite eigenvalue of the (K, m) spectra of
+        the rows of ``stack``: ``InputError`` for an overflow, a fault for NaN."""
         bad = np.argwhere(~np.isfinite(values))
         if len(bad):
             row, k = bad[0]
+            if np.isnan(values[row, k]):
+                raise FloatingPointError(f"eigenvalue {k} (largest first) of the element is NaN")
             # eigenvalues are homogeneous: halving the element names the value
             half = self.eigenvalues_coords(0.5 * stack[row], tol)[k]
-            raise ValueError(f"eigenvalue {k} (largest first) of the element is "
+            raise InputError(f"eigenvalue {k} (largest first) of the element is "
                              f"{2 * Decimal(half):.6e}, outside the range of a double")
 
     def spectral_form(self, a: Element, tol: Tolerance = DEFAULT_TOL) -> SpectralForm:

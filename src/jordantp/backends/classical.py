@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..elements import Tolerance
-from ..errors import NotAtomError, UnnormalizedParamError
+from ..errors import InputError, NotAtomError, UnnormalizedParamError
 from .base import Model
 
 
@@ -17,7 +17,7 @@ class ClassicalModel(Model):
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("classical model needs n >= 1")
+            raise InputError("classical model needs n >= 1")
         self._n = int(n)
 
     @property

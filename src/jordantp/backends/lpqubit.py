@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..errors import NotAtomError, UnnormalizedParamError
+from ..errors import InputError, NotAtomError, UnnormalizedParamError
 from .base import normal_draws
 from .qubit import _QubitModel, half_atom
 
@@ -32,10 +32,10 @@ class LpQubitModel(_QubitModel):
 
     def __init__(self, n: int, p: float):
         if n < 1:
-            raise ValueError("lp qubit needs n >= 1")
+            raise InputError("lp qubit needs n >= 1")
         p = float(p)
         if not (1.0 < p < math.inf):
-            raise ValueError("lp qubit needs 1 < p < inf (smooth, strictly convex ball)")
+            raise InputError("lp qubit needs 1 < p < inf (smooth, strictly convex ball)")
         super().__init__(n)
         self._p = p
         self._q = p / (p - 1.0)

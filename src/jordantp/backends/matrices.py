@@ -26,12 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..elements import Element, Tolerance
-from ..errors import (
-    ConeProjectionError,
-    DimensionMismatchError,
-    NotAtomError,
-    UnnormalizedParamError,
-)
+from ..errors import (ConeProjectionError, DimensionMismatchError, InputError, NotAtomError,
+                      UnnormalizedParamError)
 from .base import Model, normal_draws, row_norms
 
 
@@ -82,7 +78,7 @@ class _MatrixModel(Model):
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("matrix model needs n >= 1")
+            raise InputError("matrix model needs n >= 1")
         self._n = int(n)
         # the matrix entries that carry coordinates, in coordinate order: the
         # diagonal, then the strict upper triangle row-major

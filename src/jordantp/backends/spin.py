@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import NotAtomError, UnnormalizedParamError
+from ..errors import InputError, NotAtomError, UnnormalizedParamError
 from .base import normal_draws, row_norms
 from .qubit import _QubitModel, half_atom
 
@@ -21,7 +21,7 @@ class SpinFactorModel(_QubitModel):
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("spin factor needs n >= 1")
+            raise InputError("spin factor needs n >= 1")
         super().__init__(n)
 
     @property

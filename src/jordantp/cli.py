@@ -2,9 +2,9 @@
 probability tables and polytope geometry checks.
 
 Exit codes: 0 all checks passed, 1 at least one check or property failed,
-2 usage or input errors, 3 an internal failure of the library.  Identical
-command lines with identical seeds produce byte-identical reports (except
-wall_time_ms).
+2 an ``InputError`` or ``OSError`` (the user's input), 3 any other exception
+(an internal failure of the library).  Identical command lines with
+identical seeds produce byte-identical reports (except wall_time_ms).
 
 Only the layers that ``spectral`` and ``geom`` use are imported here; the
 verify suites and the transition layer are imported by the commands that run
@@ -27,7 +27,7 @@ from .backends import parse_model_spec
 from .convexgeom import check_extreme_affinity, polytope_from_csv
 from .core import order_norm
 from .elements import Tolerance
-from .errors import JordanTpError, LinearProgramError, NotAtomError
+from .errors import DimensionMismatchError, InputError, UnnormalizedParamError, as_input_error
 from .reports import dump_canonical_json, format_double
 
 TOL_KEYS = ("eig_cluster", "cone_slack", "check_tol")
@@ -37,23 +37,23 @@ SUITE_NAMES = ("axioms", "spectral", "logic", "tp", "selfdual")
 
 
 def _resolve_seed(value) -> int:
-    if value is None:
-        value = os.environ.get("JORDAN_TP_SEED", "0")
-    seed = int(value)
+    with as_input_error(ValueError):
+        seed = int(os.environ.get("JORDAN_TP_SEED", "0") if value is None else value)
     if seed < 0:
-        raise ValueError("seed must be nonnegative")
+        raise InputError("seed must be nonnegative")
     return seed
 
 
-def _parse_tol(overrides: list[str]) -> Tolerance:
+def _parse_tol(overrides: list[str], keys: tuple[str, ...]) -> Tolerance:
     kwargs = {}
     for item in overrides:
         if "=" not in item:
-            raise ValueError(f"--tol expects KEY=VAL, got {item!r}")
+            raise InputError(f"--tol expects KEY=VAL, got {item!r}")
         key, _, raw = item.partition("=")
-        if key not in TOL_KEYS:
-            raise ValueError(f"unknown tolerance key {key!r}; known: {TOL_KEYS}")
-        kwargs[key] = float(raw)
+        if key not in keys:
+            raise InputError(f"unknown tolerance key {key!r}; known: {keys}")
+        with as_input_error(ValueError):
+            kwargs[key] = float(raw)
     return Tolerance(**kwargs)
 
 
@@ -69,24 +69,27 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _json_array(path: str, what: str) -> list:
     """The entries of the JSON array in the file at ``path``: a number as
-    given, an array as a float array.  An entry that is not a number, at any
-    depth, raises a ValueError naming it, as does a number beyond the range
-    of a double: both are the user's input, not a fault inside numpy."""
-    with open(path) as handle:
+    given, an array as a float array.  Text that is not JSON, an entry that
+    is not a finite double, at any depth, and a ragged array raise an
+    ``InputError``: numpy would raise a plain ``ValueError``, or take a NaN."""
+    with open(path) as handle, as_input_error(ValueError):
         data = json.load(handle)
     if not isinstance(data, list):
-        raise ValueError(f"{what} must hold a JSON array")
+        raise InputError(f"{what} must hold a JSON array")
 
-    def check(value, where: str) -> None:
+    def shape(value, where: str) -> tuple:
         if isinstance(value, list):
-            for i, item in enumerate(value):
-                check(item, f"{where}[{i}]")
-        elif not isinstance(value, (int, float)):
-            raise ValueError(f"{what} entry {where} is not a number: {json.dumps(value)}")
-        elif not isinstance(value, float) and abs(value) > sys.float_info.max:
-            raise ValueError(f"{what} entry {where} exceeds the range of a double")
+            shapes = {shape(item, f"{where}[{i}]") for i, item in enumerate(value)}
+            if len(shapes) > 1:
+                raise InputError(f"{what} array{where} is ragged")
+            return (len(value), *next(iter(shapes), ()))
+        if not isinstance(value, (int, float)):
+            raise InputError(f"{what} entry {where} is not a number: {json.dumps(value)}")
+        if not abs(value) <= sys.float_info.max:
+            raise InputError(f"{what} entry {where} is not a finite double")
+        return ()
 
-    check(data, "")
+    shape(data, "")
     return [entry if np.isscalar(entry) else np.asarray(entry, dtype=float) for entry in data]
 
 
@@ -96,8 +99,8 @@ def _cmd_verify(args) -> int:
     model = parse_model_spec(args.model)
     seed = _resolve_seed(args.seed)
     if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    tol = _parse_tol(args.tol)
+        raise InputError("--trials must be at least 1")
+    tol = _parse_tol(args.tol, args.tol_keys)
     report = run_suite(model, args.suite, seed, args.trials, tol)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
@@ -106,8 +109,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectral(args) -> int:
     model = parse_model_spec(args.model)
-    tol = _parse_tol(args.tol)
-    a = model.element(np.asarray(_json_array(args.element_file, "element file"), dtype=float))
+    tol = _parse_tol(args.tol, args.tol_keys)
+    with as_input_error(DimensionMismatchError):
+        a = model.element(np.asarray(_json_array(args.element_file, "element file"), dtype=float))
     form = model.spectral_form(a, tol)
     payload = {
         "model": model.descriptor.to_json(),
@@ -120,7 +124,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_geom(args) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _parse_tol(args.tol, args.tol_keys)
     poly = polytope_from_csv(args.vertices_csv)
     reports = check_extreme_affinity(poly, tol, args.midpoint_samples,
                                      seed=_resolve_seed(args.seed))
@@ -133,16 +137,15 @@ def _cmd_tpmatrix(args) -> int:
 
     model = parse_model_spec(args.model)
     if args.random is not None:
-        if args.random < 1:
-            raise ValueError("--random needs at least one atom")
         rng = np.random.default_rng(_resolve_seed(args.seed))
         # one generator drawing the K atoms in turn, as one stack
         matrix = tp_matrix_from_params(model, model.random_atom_param_batch([rng] * args.random))
     elif args.atoms_file:
-        matrix = tp_matrix(model, [model.atom(entry)
-                                   for entry in _json_array(args.atoms_file, "atoms file")])
+        with as_input_error(UnnormalizedParamError):
+            atoms = [model.atom(entry) for entry in _json_array(args.atoms_file, "atoms file")]
+        matrix = tp_matrix(model, atoms)
     else:
-        raise ValueError("provide an atoms file or --random K")
+        raise InputError("provide an atoms file or --random K")
     text = matrix.to_csv()
     text += f"# symmetry_defect = {format_double(matrix.symmetry_defect())}\n"
     _emit(text, args.out)
@@ -162,11 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", metavar="PATH", help="write output to a file")
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
-                        help=f"tolerance override, keys: {', '.join(TOL_KEYS)}")
 
-    verify = sub.add_parser("verify", parents=[common],
+    verify = sub.add_parser("verify", parents=[output],
                             help="run a verification suite on a model")
     verify.add_argument("model", help="model spec kind:n[:p], e.g. herm:3 or lpq:2:3")
     verify.add_argument("--suite", choices=[*sorted(SUITE_NAMES), "all"], default="all")
@@ -176,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=["json", "csv"], default="json")
     verify.set_defaults(func=_cmd_verify)
 
-    spectral = sub.add_parser("spectral", parents=[common],
+    spectral = sub.add_parser("spectral", parents=[output],
                               help="print the spectral form of an element")
     spectral.add_argument("model")
     spectral.add_argument("element_file", help="JSON array of coordinates")
     spectral.set_defaults(func=_cmd_spectral)
 
-    geom = sub.add_parser("geom", parents=[common],
+    geom = sub.add_parser("geom", parents=[output],
                           help="decide the extreme-point affinity property of a polytope")
     geom.add_argument("vertices_csv", help="CSV, one vertex per row")
     geom.add_argument("--midpoint-samples", type=int, default=0,
@@ -190,6 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "that cross-check the exact affine-fit certificate")
     geom.add_argument("--seed", type=int, default=None)
     geom.set_defaults(func=_cmd_geom)
+    # each command takes the tolerance keys it reads; tpmatrix reads none
+    for command, keys in ((verify, TOL_KEYS), (spectral, ("eig_cluster",)), (geom, ("check_tol",))):
+        command.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
+                             help=f"tolerance override, keys: {', '.join(keys)}")
+        command.set_defaults(tol_keys=keys)
 
     tpm = sub.add_parser("tpmatrix", parents=[output],
                          help="tabulate transition probabilities between atoms")
@@ -207,17 +212,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # no command reads atom coordinates, and every LP is the library's own,
-    # built from a polytope it accepted: both failures are internal
-    except (NotAtomError, LinearProgramError) as exc:
-        failure = exc
-    except (JordanTpError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal failure must not read as a failed check
-        failure = exc
-    print(f"error: internal failure: {type(failure).__name__}: {failure}", file=sys.stderr)
-    return 3
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

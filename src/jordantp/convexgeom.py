@@ -26,7 +26,7 @@ import numpy as np
 
 from .backends.classical import ClassicalModel
 from .elements import DEFAULT_TOL, Tolerance
-from .errors import InfeasiblePointError, LinearProgramError
+from .errors import InfeasiblePointError, InputError, LinearProgramError
 from .reports import read_csv_rows
 
 # A point whose L1 distance from a convex hull is at most this, in normalised
@@ -244,20 +244,22 @@ class PolytopeStateSpace:
     def __init__(self, vertices):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.ndim != 2 or verts.shape[0] < 2:
-            raise ValueError("a polytope needs at least two vertices")
+            raise InputError("a polytope needs at least two vertices")
         if not np.all(np.isfinite(verts)):
-            raise ValueError("vertices must be finite")
+            raise InputError("vertices must be finite")
         self.vertices = verts
         self.dim = verts.shape[1]
         self._center = verts.mean(axis=0)
-        centred = verts - self._center
+        # an exact power of two scales the centred vertices to at most 1: no spread is subnormal
+        self._exponent = np.frexp(np.max(np.abs(verts - self._center)))[1]
+        centred = np.ldexp(verts - self._center, -self._exponent)
         whitened, spread, axes = np.linalg.svd(centred, full_matrices=False)
         # an axis spans the affine hull only where its spread is well above
         # what rounding every entry at the input's magnitude can make
         rounding = 64 * np.finfo(float).eps * np.sqrt(verts.size) * np.max(np.abs(verts))
-        keep = spread > rounding
+        keep = np.ldexp(spread, self._exponent) > rounding
         if not keep[0]:
-            raise ValueError("vertices 0 and 1 coincide")
+            raise InputError("vertices 0 and 1 coincide")
         scale = np.max(np.abs(whitened[:, keep]))
         self._map = axes[keep].T / (spread[keep] * scale)
         # the component off the affine hull, in normalised units of the widest
@@ -267,7 +269,7 @@ class PolytopeStateSpace:
         gaps = np.abs(self.normalised[:, None, :] - self.normalised[None, :, :]).sum(axis=2)
         close = np.argwhere(np.triu(gaps <= HULL_CUTOFF, 1))
         if len(close):
-            raise ValueError(f"vertices {close[0][0]} and {close[0][1]} coincide")
+            raise InputError(f"vertices {close[0][0]} and {close[0][1]} coincide")
         # n vertices on n - 1 axes are affinely independent, hence all
         # extreme, with no hull LP: [whitened[:, keep] | 1 / sqrt(n)] is
         # orthogonal, so the normalised vertices, the rows of whitened[:, keep]
@@ -279,7 +281,7 @@ class PolytopeStateSpace:
             distances = _hull_distances(self.normalised, self.normalised[_others(len(verts))])
             inside = np.flatnonzero(distances <= HULL_CUTOFF)
             if len(inside):
-                raise ValueError(
+                raise InputError(
                     f"vertex {inside[0]} is not extreme (inside the hull of the others)")
 
     @property
@@ -288,13 +290,13 @@ class PolytopeStateSpace:
 
     def normalise(self, points) -> np.ndarray:
         """Points in the normalised coordinates of the LPs."""
-        return (np.asarray(points, dtype=float) - self._center) @ self._map
+        return np.ldexp(np.asarray(points, dtype=float) - self._center, -self._exponent) @ self._map
 
     def contains(self, zeta) -> bool:
         """Whether zeta lies within L1 distance ``HULL_CUTOFF`` of the hull, in
         normalised units: its distance within the affine hull plus its
         off-hull residual."""
-        offset = np.asarray(zeta, dtype=float) - self._center
+        offset = np.ldexp(np.asarray(zeta, dtype=float) - self._center, -self._exponent)
         distance = _hull_distances((offset @ self._map)[None, :], self.normalised[None])[0]
         return bool(distance + np.abs(offset @ self._off_hull).sum() <= HULL_CUTOFF)
 
@@ -398,7 +400,7 @@ def check_extreme_affinity(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TO
     its hypotenuse), so near the tolerance the probes can change a verdict.
     """
     if midpoint_samples < 0:
-        raise ValueError("midpoint_samples must be nonnegative")
+        raise InputError("midpoint_samples must be nonnegative")
     verts, n = poly.normalised, poly.n_vertices
     combos = np.random.default_rng(seed).dirichlet(np.ones(n), size=midpoint_samples)
     # the vertices first, then every probe

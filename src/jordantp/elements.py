@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ModelMismatchError
+from .errors import DimensionMismatchError, InputError, ModelMismatchError
 
 if TYPE_CHECKING:
     from .backends.base import Model
@@ -36,7 +36,7 @@ class Tolerance:
         for name in ("eig_cluster", "cone_slack", "check_tol"):
             val = getattr(self, name)
             if not (0.0 < val < 1e-3):
-                raise ValueError(f"{name} must lie strictly in (0, 1e-3), got {val}")
+                raise InputError(f"{name} must lie strictly in (0, 1e-3), got {val}")
 
     def replace(self, **kwargs) -> "Tolerance":
         return dataclasses.replace(self, **kwargs)

@@ -1,8 +1,23 @@
 """Exception types shared across the library."""
 
+from contextlib import contextmanager
+
 
 class JordanTpError(Exception):
     """Base class for all library errors."""
+
+
+class InputError(JordanTpError, ValueError):
+    """A value the caller gave failed the library's check of it (CLI exit 2)."""
+
+
+@contextmanager
+def as_input_error(*kinds):
+    """Re-raise ``kinds`` as an ``InputError``: wrap a caller's value's read."""
+    try:
+        yield
+    except kinds as exc:
+        raise InputError(exc) from exc
 
 
 class DimensionMismatchError(JordanTpError):
@@ -27,10 +42,6 @@ class UnsupportedModelError(JordanTpError):
 
 class ConeProjectionError(JordanTpError):
     """Cone projection did not converge within its iteration budget."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class LinearProgramError(JordanTpError):

@@ -156,7 +156,7 @@ def information_capacity_empirical(
         live = np.abs(values).max(axis=1) > 1e-6
         running, values, atoms = running[live], values[live], atoms[live]
         if not logic_rows(values, tol).all():
-            raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
+            raise ValueError(f"a sampled {NOT_IN_LOGIC}")
         grows = []
         for k, top in zip(running.tolist(), logic_atoms(values, atoms)):
             if len(top):

@@ -13,11 +13,14 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .errors import as_input_error
+
 
 def read_csv_rows(path) -> np.ndarray:
     """The rows of a CSV file of numbers, one array row each.  An empty file
-    gives no rows and no warning: the caller's size check names it."""
-    with warnings.catch_warnings():
+    gives no rows and no warning: the caller's size check names it.  Text
+    that is not rows of numbers of one length raises an ``InputError``."""
+    with warnings.catch_warnings(), as_input_error(ValueError):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(path, delimiter=",", ndmin=2)
 

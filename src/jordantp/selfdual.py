@@ -21,7 +21,7 @@ import numpy as np
 
 from .backends.base import AtomSpace, Model, normal_draws, row_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
-from .errors import ConeProjectionError, DimensionMismatchError, UnsupportedModelError
+from .errors import ConeProjectionError, DimensionMismatchError, InputError, UnsupportedModelError
 from .reports import read_csv_rows
 from .spectral import _random_element, trial_rng
 
@@ -292,12 +292,12 @@ class GeneratorSelfDualCone(SelfDualCone):
     def __init__(self, generators: np.ndarray):
         gen = np.atleast_2d(np.asarray(generators, dtype=float))
         if gen.ndim != 2 or gen.shape[0] < 1:
-            raise ValueError("generator matrix must have one generator per row")
+            raise InputError("generator matrix must have one generator per row")
         if not np.isfinite(gen).all():
-            raise ValueError("generators must be finite")
+            raise InputError("generators must be finite")
         norms = np.linalg.norm(gen, axis=1)
         if np.any(norms <= 0):
-            raise ValueError("zero generator")
+            raise InputError("zero generator")
         unit = gen / norms[:, None]
         keep = []
         for j, row in enumerate(unit):
@@ -306,7 +306,7 @@ class GeneratorSelfDualCone(SelfDualCone):
         self.generators = unit[keep]
         self._extreme = self._extreme_mask()
         if not self._extreme.any():
-            raise ValueError("no generator spans an extreme ray (the cone contains a line), "
+            raise InputError("no generator spans an extreme ray (the cone contains a line), "
                              "so the cone has no atoms")
         self.info_capacity = len(self._extend_orthogonally([], self.extreme_generators()))
 
@@ -405,7 +405,7 @@ class GeneratorSelfDualCone(SelfDualCone):
             k = failed[0]
             raise ConeProjectionError(
                 f"projection failed Moreau conditions (cross={cross[k]:.3e}, "
-                f"dual slack={dual_slack[k]:.3e})", residual=float(cross[k]))
+                f"dual slack={dual_slack[k]:.3e})")
         return plus, minus
 
     def frames(self, stack: np.ndarray,
@@ -441,8 +441,7 @@ class GeneratorSelfDualCone(SelfDualCone):
             # the NNLS residual is rounding noise on the scale of the element
             # being peeled, however small its remainder
             if residual > 1e-7 * peeled:
-                raise ConeProjectionError(
-                    "orthogonal-split oracle needs a cone element", residual=residual)
+                raise ConeProjectionError("orthogonal-split oracle needs a cone element")
             if coeffs.max() <= 0.0:
                 continue
             active = np.flatnonzero(coeffs > 1e-12 * coeffs.max())

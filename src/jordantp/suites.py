@@ -126,7 +126,7 @@ def logic_suite(model: Model, seed: int, trials: int,
     # p and q summed from zeros in frame order, as elements add up
     p, q = (resum(flags, flags, frames) for flags in (in_p.astype(float), in_q.astype(float)))
     if not logic_rows(model.eigenvalues_batch(np.concatenate((p, q)), tol), tol).all():
-        raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
+        raise ValueError(f"a sampled {NOT_IN_LOGIC}")
     # the meets q ^ p' (the difference q - p), p ^ q and p' ^ q' (for the join)
     comp_p = unit - p
     values, atoms = model.decompose_batch(np.concatenate((q + comp_p, p + q, comp_p + (unit - q))),
@@ -589,7 +589,7 @@ def verify_strong_state_space(model: Model, seed: int, trials: int,
     qs = _random_element(model, rngs, "logic")
     # the atoms of every p, as atomic_decomposition finds them
     if not logic_rows(model.eigenvalues_batch(ps, tol), tol).all():
-        raise RuntimeError(f"a sampled {NOT_IN_LOGIC}")  # a fault, not bad input
+        raise ValueError(f"a sampled {NOT_IN_LOGIC}")
     atoms = logic_atoms(*model.decompose_batch(ps, tol))
     # P_e(q) and P_e(p) for every atom e of every p, split by trial
     owner = np.repeat(np.arange(trials), [len(a) for a in atoms])

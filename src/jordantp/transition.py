@@ -17,7 +17,7 @@ import numpy as np
 
 from .backends.base import AtomSpace, Model
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
-from .errors import UnsupportedModelError
+from .errors import InputError, UnsupportedModelError
 
 
 def atom_param(model: Model, e: Element):
@@ -135,6 +135,8 @@ class TPMatrix:
 
 def tp_matrix_from_params(model: Model, params: Sequence) -> TPMatrix:
     k = len(params)
+    if k < 1:
+        raise InputError("need at least one atom")
     mat = np.empty((k, k))
     for i, pi in enumerate(params):
         for j, pj in enumerate(params):
@@ -143,8 +145,6 @@ def tp_matrix_from_params(model: Model, params: Sequence) -> TPMatrix:
 
 
 def tp_matrix(model: Model, atoms: Sequence[Element]) -> TPMatrix:
-    if len(atoms) < 1:
-        raise ValueError("need at least one atom")
     return tp_matrix_from_params(model, [atom_param(model, e) for e in atoms])
 
 

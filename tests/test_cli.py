@@ -454,9 +454,9 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     seen = []
     parse_tol = cli._parse_tol
 
-    def recording(items):
+    def recording(items, keys):
         seen.append(list(items))
-        return parse_tol(items)
+        return parse_tol(items, keys)
 
     monkeypatch.setattr(cli, "_parse_tol", recording)
     for extra in (["--tol", "check_tol=1e-8"], []):
@@ -465,3 +465,122 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
         assert code == 0
     # the append action's default list is not shared between calls
     assert seen == [["check_tol=1e-8"], []]
+
+
+# The exit-code table.  Each bad input exits 2 with nothing on stdout and one
+# "error:" line on stderr, this one; "{dir}" is the directory holding
+# INPUT_FILES, and a leading KEY=VALUE word sets an environment variable.
+INPUT_FILES = {
+    "ragged.csv": "0,0\n1,0,0\n0,1\n",
+    "junk.csv": "0,0\n1,junk\n0,1\n",
+    "empty.csv": "",
+    "interior.csv": "0\n1\n0.5\n",
+    "triangle.csv": "0,0\n1,0\n0,1\n",
+    "ragged.json": "[1.0, [2.0, 3.0], 4.0]",
+    "malformed.json": "[1.0, 2.0",
+    "nested.json": "[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]",
+    "nan.json": "[NaN, 0.0, 0.0]",
+    "overflow.json": "[1e308, 1e308, 1e308]",
+    "element.json": "[1.0, 0.5, 0.25]",
+    "no_atoms.json": "[]",
+    "herm_short.json": "[[1.0, 0.0, 0.0]]",
+    "lpq_off_sphere.json": "[[1.0, 1.0]]",
+    "spin_3d.json": "[[[1.0, 0.0], [0.0, 1.0]]]",
+}
+BAD_INPUTS = [
+    (["geom", "{dir}/ragged.csv"], "the number of columns changed from 2 to 3 at row 2; "
+                                   "use `usecols` to select a subset and avoid this error"),
+    (["geom", "{dir}/junk.csv"], "could not convert string 'junk' to float64 at row 1, column 2."),
+    (["geom", "{dir}/empty.csv"], "a polytope needs at least two vertices"),
+    (["geom", "{dir}/interior.csv"], "vertex 2 is not extreme (inside the hull of the others)"),
+    (["geom", "{dir}/triangle.csv", "--tol", "eig_cluster=1e-8"],
+     "unknown tolerance key 'eig_cluster'; known: ('check_tol',)"),
+    (["spectral", "spin:2", "{dir}/ragged.json"], "element file array is ragged"),
+    (["spectral", "spin:2", "{dir}/malformed.json"], "Expecting ',' delimiter: line 1 column 10 "
+                                                     "(char 9)"),
+    (["spectral", "spin:2", "{dir}/nested.json"], "expected 3 coordinates, got shape (3, 2)"),
+    (["spectral", "spin:2", "{dir}/nan.json"], "element file entry [0] is not a finite double"),
+    (["spectral", "spin:2", "{dir}/overflow.json"],
+     "eigenvalue 0 (largest first) of the element is 2.414214e+308, outside the range of a double"),
+    (["spectral", "spin:2", "{dir}/element.json", "--tol", "check_tol=1e-8"],
+     "unknown tolerance key 'check_tol'; known: ('eig_cluster',)"),
+    (["tpmatrix", "spin:2", "{dir}/no_atoms.json"], "need at least one atom"),
+    (["tpmatrix", "spin:2", "--random", "0"], "need at least one atom"),
+    (["tpmatrix", "herm:2", "{dir}/herm_short.json"],
+     "atom parameter must be a vector in dimension 2"),
+    (["tpmatrix", "lpq:2:3", "{dir}/lpq_off_sphere.json"],
+     "boundary point must lie on the unit l^p sphere"),
+    (["tpmatrix", "spin:2", "{dir}/spin_3d.json"], "atom parameter must be a vector"),
+    (["verify", "classical:2", "--trials", "1", "--tol", "check_tol=nan"],
+     "check_tol must lie strictly in (0, 1e-3), got nan"),
+    (["verify", "classical:2", "--trials", "1", "--out", "{dir}/missing/report.json"],
+     "[Errno 2] No such file or directory: '{dir}/missing/report.json'"),
+    (["verify", "sym:0", "--trials", "1"], "matrix model needs n >= 1"),
+    (["verify", "classical:1.5", "--trials", "1"], "model size must be an integer, got '1.5'"),
+    (["JORDAN_TP_SEED=abc", "verify", "classical:2", "--trials", "1"],
+     "invalid literal for int() with base 10: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_a_bad_input_exits_two_with_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.replace('{dir}', str(tmp_path))}\n"
+
+
+def _eigh_fails(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def _frames_mutant(change):
+    def patch(monkeypatch):
+        from jordantp.backends.matrices import SymMatrixModel
+
+        frames = SymMatrixModel._frames
+        monkeypatch.setattr(SymMatrixModel, "_frames",
+                            lambda self, stack, tol: change(*frames(self, stack, tol)))
+    return patch
+
+
+def _nan_top(values, atoms):
+    values = values.copy()
+    values[:, 0] = np.nan
+    return values, atoms
+
+
+KERNEL_FAULTS = {
+    "eigh raises": (_eigh_fails, "LinAlgError: Eigenvalues did not converge"),
+    "NaN eigenvalue": (_frames_mutant(_nan_top),
+                       "FloatingPointError: eigenvalue 0 (largest first) of the element is NaN"),
+    "atoms one coordinate short": (_frames_mutant(lambda values, atoms: (values, atoms[..., :-1])),
+                                   "DimensionMismatchError: expected 6 coordinates, got shape "
+                                   "(4, 5)"),
+}
+
+
+@pytest.mark.parametrize("fault,command", [("eigh raises", "verify"), ("eigh raises", "spectral"),
+                                           ("NaN eigenvalue", "verify"),
+                                           ("NaN eigenvalue", "spectral"),
+                                           ("atoms one coordinate short", "verify")])
+def test_a_kernel_fault_exits_three(capsys, tmp_path, monkeypatch, fault, command):
+    # numpy's LinAlgError and the kernel's own faults are ValueErrors or
+    # JordanTpErrors that no input check raised: they exited 2, as if the
+    # user had erred
+    patch, message = KERNEL_FAULTS[fault]
+    element = tmp_path / "element.json"
+    element.write_text("[1.0, 0.5, 0.25]")
+    argv = (["verify", "sym:3", "--trials", "4"] if command == "verify"
+            else ["spectral", "sym:2", str(element)])
+    patch(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: internal failure: {message}\n"

@@ -577,6 +577,24 @@ def test_coincidence_is_scale_free(scale):
         PolytopeStateSpace(np.full((3, 2), scale))
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-315, 1e-320])
+@pytest.mark.parametrize("shape,code", [("triangle", 0), ("square", 1)])
+def test_a_polytope_of_subnormal_spread_is_decided(tmp_path, capsys, scale, shape, code):
+    # the map divided by the subnormal spread and overflowed, so geom exited
+    # 3 on a polytope it had accepted; scaled by a power of two first, the
+    # shape is decided as at unit scale
+    from jordantp.cli import main
+
+    verts = {"triangle": TRIANGLE, "square": SQUARE}[shape] * scale
+    path = tmp_path / "tiny.csv"
+    np.savetxt(path, verts, delimiter=",", fmt="%.17g")
+    assert main(["geom", str(path)]) == code
+    assert capsys.readouterr().err == ""
+    poly = PolytopeStateSpace(verts)
+    assert poly.contains(verts.mean(axis=0)) and not poly.contains(-verts[1])
+    np.testing.assert_allclose(np.abs(poly.normalised).max(), 1.0, rtol=1e-3)
+
+
 @pytest.mark.parametrize("axes", ["plain", "graded", "random"])
 @pytest.mark.parametrize("d", range(1, 7))
 def test_simplex_tp_matrix_is_the_identity(tmp_path, capsys, d, axes):

@@ -14,7 +14,8 @@ from jordantp.suites import SUITES
 PUBLIC_NAMES = [
     "AffineFunction", "AtomSpace", "CheckResult", "ClassicalModel", "ConeProjectionError",
     "DEFAULT_TOL", "DimensionMismatchError", "EOmegaReport", "Element",
-    "GeneratorSelfDualCone", "HermMatrixModel", "InfeasiblePointError", "JordanTpError",
+    "GeneratorSelfDualCone", "HermMatrixModel", "InfeasiblePointError", "InputError",
+    "JordanTpError",
     "LinearProgramError", "LogicElement", "LpQubitModel", "MeetThresholdWarning", "Model",
     "ModelDescriptor", "ModelMismatchError", "MoreauPair", "NotAtomError", "PeeledAtom",
     "PolytopeAffineModel", "PolytopeStateSpace", "SUITES", "SelfDualCone", "SpectralForm",

@@ -6,6 +6,7 @@ between corresponding numbers."""
 
 import hashlib
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -31,8 +32,9 @@ def _sha(text: str) -> str:
 def test_the_grid_holds_each_command_line_once(grid):
     lines = [" ".join(argv) for argv in grid.commands()]
     assert len(lines) == len(set(lines))
-    # the verify grid, each suite alone, spectral, tpmatrix and geom
-    assert len(lines) == 197 + 300 + 12 + 48 + 18
+    # the verify grid, each suite alone, spectral, tpmatrix, geom and the
+    # bad inputs
+    assert len(lines) == 197 + 300 + 12 + 48 + 18 + 21
 
 
 def test_two_command_lines_print_their_exit_codes_and_digests(grid, tmp_path, capsys):
@@ -44,12 +46,31 @@ def test_two_command_lines_print_their_exit_codes_and_digests(grid, tmp_path, ca
     assert main(argv) == 0
     report = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms"', capsys.readouterr().out)
     assert line == " ".join(["0", _sha(report), _sha(""), *argv])
-    # a usage error: exit 2, nothing on stdout and the message on stderr
+    # a usage error: exit 2, nothing on stdout and the message on stderr,
+    # the input directory shown as {dir}
     argv = ["spectral", "spin:2", "{dir}/missing.json"]
     code, out, err, *rest = grid.digest_line(argv, str(tmp_path)).split(" ")
     assert (code, out, rest) == ("2", _sha(""), argv)
     assert main(["spectral", "spin:2", f"{tmp_path}/missing.json"]) == 2
-    assert err == _sha(capsys.readouterr().err)
+    assert err == _sha(capsys.readouterr().err.replace(str(tmp_path), "{dir}"))
+
+
+def test_a_leading_assignment_sets_the_environment_of_its_line(grid, tmp_path, monkeypatch):
+    monkeypatch.delenv("JORDAN_TP_SEED", raising=False)
+    argv = ["verify", "classical:2", "--suite", "spectral", "--trials", "2"]
+    code, out, err = grid.run_line(["JORDAN_TP_SEED=17", *argv], str(tmp_path))
+    assert (code, err) == (0, "") and '"seed": 17,' in out
+    assert "JORDAN_TP_SEED" not in os.environ
+    assert grid.run_line(["JORDAN_TP_SEED=abc", *argv], str(tmp_path)) == (
+        2, "", "error: invalid literal for int() with base 10: 'abc'\n")
+
+
+def test_every_bad_input_exits_two_with_one_error_line(grid, tmp_path):
+    grid.write_inputs(str(tmp_path))
+    for argv in grid.BAD_INPUTS:
+        code, out, err = grid.run_line(argv, str(tmp_path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_compare_reports_exit_codes_and_the_largest_number_gap(grid):
@@ -58,14 +79,17 @@ def test_compare_reports_exit_codes_and_the_largest_number_gap(grid):
     assert grid.number_gap(report, report) == 0.0
     assert grid.number_gap(report, drifted) == pytest.approx(1.5e-16, rel=1e-9)
     assert grid.number_gap(report, report.replace("true", "false")) is None
-    lines = [["geom", "a.csv"], ["geom", "b.csv"], ["geom", "c.csv"], ["spectral", "x"]]
-    base = [(0, report, ""), (0, report, ""), (1, report, ""), (0, "[1, 2]\n", "")]
+    lines = [["geom", "a.csv"], ["geom", "b.csv"], ["geom", "c.csv"], ["spectral", "x"],
+             ["spectral", "y"]]
+    base = [(0, report, ""), (0, report, ""), (1, report, ""), (0, "[1, 2]\n", ""),
+            (2, "", "error: no\n")]
     change = [(0, report, ""), (0, drifted, ""), (1, report.replace("true", "false"), ""),
-              (2, "", "error: no\n")]
+              (2, "", "error: no\n"), (2, "", "error: other\n")]
     assert grid.compare(base, change, lines) == [
         "0 0 1.5e-16 geom b.csv",
         "1 1 text geom c.csv",
         "0 2 text spectral x",
-        "3 of 4 grid lines differ: 1 in exit code, 2 in more than numbers; "
+        "2 2 text spectral y",
+        "4 of 5 grid lines differ: 1 in exit code, 3 in more than numbers; "
         "largest number difference 1.5e-16",
     ]

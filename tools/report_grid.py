@@ -15,8 +15,8 @@ changed answer.  ``--compare`` runs the grid on this checkout and on the one
 in ``--src``, each in a fresh interpreter, and prints, for each command line
 whose exit code, stdout or stderr differs, the two exit codes (``--src``'s
 first), the largest absolute difference between corresponding numbers of
-the two stdouts (``text`` where they differ in more than numbers) and the
-argv; then one summary line:
+the two stdouts (``text`` where they differ in more than numbers, or the
+stderrs differ) and the argv; then one summary line:
 
     python tools/report_grid.py --compare --src ../parent/src
 
@@ -29,10 +29,15 @@ The grid:
 * ``spectral`` of a Gaussian element, and ``tpmatrix --random`` 1 and 8 at
   seeds 0 and 1, on the twelve specs;
 * ``geom`` on nine shapes (four simplices, five other polytopes) at
-  ``--midpoint-samples`` 0 and 16, seed 1.
+  ``--midpoint-samples`` 0 and 16, seed 1;
+* 21 bad inputs, each of which exits 2 with one ``error:`` line: malformed
+  CSV and JSON files, atoms that are no atom parameters, out-of-range
+  tolerances, model specs and seeds, tolerance keys a command does not
+  read, an unwritable ``--out`` and an element whose spectrum overflows.
 
-The input files of ``spectral`` and ``geom`` are written to a temporary
-directory, shown as ``{dir}`` in the printed argv.
+The input files are written to a temporary directory, shown as ``{dir}`` in
+the printed argv and on stderr.  A leading ``KEY=VALUE`` word of a command
+line sets an environment variable for that line, as in a shell.
 """
 
 from __future__ import annotations
@@ -42,11 +47,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -75,6 +82,41 @@ SHAPES = {
 }
 
 
+# the bad inputs' files, and their command lines
+BAD_FILES = {
+    "ragged.csv": "0,0\n1,0,0\n0,1\n",
+    "junk.csv": "0,0\n1,junk\n0,1\n",
+    "empty.csv": "",
+    "interior.csv": "0\n1\n0.5\n",
+    "ragged.json": "[1.0, [2.0, 3.0], 4.0]",
+    "malformed.json": "[1.0, 2.0",
+    "nested.json": "[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]",
+    "nan.json": "[NaN, 0.0, 0.0]",
+    "overflow.json": "[1e308, 1e308, 1e308]",
+    "no_atoms.json": "[]",
+    "herm_short.json": "[[1.0, 0.0, 0.0]]",
+    "lpq_off_sphere.json": "[[1.0, 1.0]]",
+    "spin_3d.json": "[[[1.0, 0.0], [0.0, 1.0]]]",
+}
+BAD_INPUTS = [
+    *[["geom", f"{DIR}/{name}.csv"] for name in ("ragged", "junk", "empty", "interior")],
+    ["geom", f"{DIR}/2-simplex.csv", "--tol", "eig_cluster=1e-8"],
+    *[["spectral", "spin:2", f"{DIR}/{name}.json"]
+      for name in ("ragged", "malformed", "nested", "nan", "overflow")],
+    ["spectral", "spin:2", f"{DIR}/spin:2.json", "--tol", "check_tol=1e-8"],
+    ["tpmatrix", "spin:2", f"{DIR}/no_atoms.json"],
+    ["tpmatrix", "spin:2", "--random", "0"],
+    ["tpmatrix", "herm:2", f"{DIR}/herm_short.json"],
+    ["tpmatrix", "lpq:2:3", f"{DIR}/lpq_off_sphere.json"],
+    ["tpmatrix", "spin:2", f"{DIR}/spin_3d.json"],
+    ["verify", "classical:2", "--trials", "1", "--tol", "check_tol=nan"],
+    ["verify", "classical:2", "--trials", "1", "--out", f"{DIR}/missing/report.json"],
+    ["verify", "sym:0", "--trials", "1"],
+    ["verify", "classical:1.5", "--trials", "1"],
+    ["JORDAN_TP_SEED=abc", "verify", "classical:2", "--trials", "1"],
+]
+
+
 def commands() -> list[list[str]]:
     """The grid's command lines, input files named under ``{dir}``."""
     lines = [["verify", spec, "--suite", "all", "--seed", str(seed), "--trials", str(trials)]
@@ -88,11 +130,12 @@ def commands() -> list[list[str]]:
               for spec in SPECS for k in (1, 8) for seed in (0, 1)]
     lines += [["geom", f"{DIR}/{name}.csv", "--midpoint-samples", str(samples), "--seed", "1"]
               for name in SHAPES for samples in (0, 16)]
-    return lines
+    return lines + BAD_INPUTS
 
 
 def write_inputs(workdir: str) -> None:
-    """The element of each spec and the vertices of each shape."""
+    """The element of each spec, the vertices of each shape and the files of
+    the bad inputs."""
     from jordantp.cli import parse_model_spec
 
     for k, spec in enumerate(SPECS):
@@ -101,17 +144,27 @@ def write_inputs(workdir: str) -> None:
     for name, vertices in SHAPES.items():
         rows = [",".join(format(x, ".17g") for x in row) for row in vertices]
         Path(workdir, f"{name}.csv").write_text("\n".join(rows) + "\n")
+    for name, text in BAD_FILES.items():
+        Path(workdir, name).write_text(text)
 
 
 def run_line(argv: list[str], workdir: str) -> tuple[int, str, str]:
-    """Run one command line in-process: its exit code, its stdout with every
-    wall time removed, and its stderr."""
+    """Run one command line in-process, its leading ``KEY=VALUE`` words set
+    in the environment: its exit code, its stdout with every wall time
+    removed, and its stderr with ``workdir`` shown as ``{dir}``."""
     from jordantp.cli import main
 
+    argv = [arg.replace(DIR, workdir) for arg in argv]
+    env = {}
+    while "=" in argv[0]:
+        key, value = argv.pop(0).split("=", 1)
+        env[key] = value
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([arg.replace(DIR, workdir) for arg in argv])
-    return code, WALL_TIME.sub('"wall_time_ms"', out.getvalue()), err.getvalue()
+    with (mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        code = main(argv)
+    return (code, WALL_TIME.sub('"wall_time_ms"', out.getvalue()),
+            err.getvalue().replace(workdir, DIR))
 
 
 def digest_line(argv: list[str], workdir: str) -> str:
@@ -137,7 +190,7 @@ def compare(base: list, change: list, lines: list[list[str]]) -> list[str]:
     for (code0, stdout0, stderr0), (code1, stdout1, stderr1), argv in zip(base, change, lines):
         if (code0, stdout0, stderr0) == (code1, stdout1, stderr1):
             continue
-        gap = number_gap(stdout0, stdout1)
+        gap = number_gap(stdout0, stdout1) if stderr0 == stderr1 else None
         codes += code0 != code1
         texts += gap is None
         largest = largest if gap is None else max(largest, gap)
@@ -166,7 +219,7 @@ def print_outputs() -> None:
         write_inputs(workdir)
         for line in commands():
             code, stdout, stderr = run_line(line, workdir)
-            print(json.dumps([code, stdout, stderr.replace(workdir, DIR)]), flush=True)
+            print(json.dumps([code, stdout, stderr]), flush=True)
 
 
 def main(argv=None) -> int:
