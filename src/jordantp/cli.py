@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,10 @@ TOL_KEYS = ("eig_cluster", "cone_slack", "check_tol")
 # the keys of suites.SUITES, spelled out so that building the parser does
 # not import the suites
 SUITE_NAMES = ("axioms", "spectral", "logic", "tp", "selfdual")
+# numpy's most dimensions: a JSON file nested deeper holds no numpy array
+MAX_JSON_DEPTH = 64
+# a JSON string, to skip, or a bracket
+JSON_MARK = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 def _resolve_seed(value) -> int:
@@ -69,11 +74,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _json_array(path: str, what: str) -> list:
     """The entries of the JSON array in the file at ``path``: a number as
-    given, an array as a float array.  Text that is not JSON, an entry that
-    is not a finite double, at any depth, and a ragged array raise an
-    ``InputError``: numpy would raise a plain ``ValueError``, or take a NaN."""
+    given, an array as a float array.  Text that is not JSON or nests more
+    than ``MAX_JSON_DEPTH`` deep, an entry that is not a finite double, at any
+    depth, and a ragged array raise an ``InputError``: numpy would raise a
+    plain ``ValueError``, or take a NaN, and Python's JSON reader a
+    ``RecursionError``."""
     with open(path) as handle, as_input_error(ValueError):
-        data = json.load(handle)
+        text = handle.read()
+    depth = deepest = 0
+    for mark in JSON_MARK.findall(text):
+        depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(mark, 0)
+        deepest = max(deepest, depth)
+    if deepest > MAX_JSON_DEPTH:
+        raise InputError(f"{what} is nested {deepest} deep, past numpy's {MAX_JSON_DEPTH} "
+                         "dimensions")
+    with as_input_error(ValueError):
+        data = json.loads(text)
     if not isinstance(data, list):
         raise InputError(f"{what} must hold a JSON array")
 

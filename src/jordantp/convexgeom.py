@@ -249,7 +249,10 @@ class PolytopeStateSpace:
             raise InputError("vertices must be finite")
         self.vertices = verts
         self.dim = verts.shape[1]
-        self._center = verts.mean(axis=0)
+        # each column scaled by an exact power of two to at most 1 in
+        # magnitude, so its sum cannot overflow: the mean, scaled back
+        columns = np.frexp(np.max(np.abs(verts), axis=0))[1]
+        self._center = np.ldexp(np.ldexp(verts, -columns).mean(axis=0), columns)
         # an exact power of two scales the centred vertices to at most 1: no spread is subnormal
         self._exponent = np.frexp(np.max(np.abs(verts - self._center)))[1]
         centred = np.ldexp(verts - self._center, -self._exponent)
@@ -372,10 +375,10 @@ def e_omega_value(poly: PolytopeStateSpace, omega_index: int, zeta) -> float:
     """Value at zeta of the minimal unit effect pinned to 1 at the vertex: the
     infimum over affine functions with values in [0, 1] on the polytope."""
     if not 0 <= omega_index < poly.n_vertices:
-        raise ValueError(f"omega_index {omega_index} out of range")
+        raise InputError(f"omega_index {omega_index} out of range")
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape != (poly.dim,):
-        raise ValueError(f"query point must live in R^{poly.dim}")
+        raise InputError(f"query point must live in R^{poly.dim}")
     if not poly.contains(zeta):
         raise InfeasiblePointError("query point lies outside the convex hull")
     return float(_e_omega_lp(poly, omega_index, zeta[None, :])[0])
@@ -454,7 +457,7 @@ def induced_affine_model(poly: PolytopeStateSpace, tol: Tolerance = DEFAULT_TOL,
     reports = check_extreme_affinity(poly, tol, midpoint_samples)
     if not all(r.passes for r in reports):
         failing = [r.omega_index for r in reports if not r.passes]
-        raise ValueError(f"polytope fails the affinity property at extreme points {failing}")
+        raise InputError(f"polytope fails the affinity property at extreme points {failing}")
     if not poly.affinely_independent:
-        raise ValueError("vertex-value representation needs affinely independent vertices")
+        raise InputError("vertex-value representation needs affinely independent vertices")
     return PolytopeAffineModel(poly)

@@ -15,6 +15,7 @@ import numpy as np
 from .backends.base import Model, logic_atoms
 from .core import cone_contains
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
+from .errors import InputError
 from .spectral import DrawRecord, trial_rngs
 
 NOT_IN_LOGIC = "element is not in the quantum logic (eigenvalues not in {0, 1})"
@@ -61,7 +62,7 @@ def logic_element(model: Model, a: Element, tol: Tolerance = DEFAULT_TOL) -> Log
         return a
     a = _unwrap(a)
     if not is_logic_element(model, a, tol):
-        raise ValueError(NOT_IN_LOGIC)
+        raise InputError(NOT_IN_LOGIC)
     return LogicElement(a)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 from .backends.base import AtomSpace, Model
 from .core import order_norms
 from .elements import DEFAULT_TOL, Element, Tolerance, resum
+from .errors import InputError
 
 # the weights of the m frame atoms of an element of each spectral shape
 _WEIGHTS = {
@@ -79,14 +80,14 @@ def trial_rngs(seed: int, trials, stream: str = "") -> list[np.random.Generator]
     per trial.  Fewer than one trial raises."""
     rows = trials if isinstance(trials, range) else range(trials)
     if not rows:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     return [trial_rng(seed, k, stream) for k in rows]
 
 
 def random_element(model: Model, seed: int, shape: str = "any") -> Element:
     """Deterministic random element with the requested spectral shape."""
     if shape not in SHAPES:
-        raise ValueError(f"shape must be one of {SHAPES}, got {shape!r}")
+        raise InputError(f"shape must be one of {SHAPES}, got {shape!r}")
     return model.element(_random_element(model, [np.random.default_rng(int(seed))], shape)[0])
 
 
@@ -174,7 +175,7 @@ class DrawRecord(int):
         drawing or computing the rows it lacks.  Fewer than one row raises,
         as ``trial_rngs`` does."""
         if n < 1:
-            raise ValueError("trials must be >= 1")
+            raise InputError("trials must be >= 1")
         # a stack is kept as the tuple of its parts: one array, or a frame's two
         have = self._stacks.get(name, ())
         done = len(have[0]) if have else 0

@@ -21,7 +21,7 @@ import numpy as np
 from .backends.base import AtomSpace, Model, cone_distances, logic_atoms, row_norms
 from .core import cone_contains, order_norm, order_norms
 from .elements import DEFAULT_TOL, Tolerance, resum
-from .errors import UnsupportedModelError
+from .errors import InputError, UnsupportedModelError
 from .logic import NOT_IN_LOGIC, information_capacity_empirical, logic_rows, meet_coords
 from .reports import CheckResult, VerificationReport, skipped_check
 from .selfdual import (
@@ -273,7 +273,7 @@ def check_inner_product(model: Model, seed: int, trials: int,
     ``decompose_batch`` gives the other frames and one ``pairing_sums`` all
     the pairings."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     if not model.symmetric_tp:
         raised = False
         try:
@@ -643,7 +643,7 @@ def selfdual_suite(model: Model, seed: int, trials: int,
     ``eigenvalues_batch``.  The peel checks on every fifth trial peel the
     thinned rows as stacks, without the spectral kernel they check."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     if not model.symmetric_tp:
         reason = "self-dual cone layer needs a symmetric transition probability"
         return [skipped_check(f"moreau.{name}", reason)
@@ -786,7 +786,7 @@ SUITES = {
 def run_suite(model: Model, suite: str, seed: int, trials: int,
               tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+        raise InputError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     start = time.monotonic()
     names = list(SUITES) if suite == "all" else [suite]
     record = DrawRecord(seed, model, tol)  # this run's draws, shared by its suites

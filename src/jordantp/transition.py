@@ -42,10 +42,10 @@ class State:
 
     def __post_init__(self):
         if len(self.params) != len(self.weights):
-            raise ValueError(f"a state needs one weight per atom parameter, got "
+            raise InputError(f"a state needs one weight per atom parameter, got "
                              f"{len(self.params)} parameters and {len(self.weights)} weights")
         if not all(map(math.isfinite, self.weights)):
-            raise ValueError("state weights must be finite")
+            raise InputError("state weights must be finite")
 
     def value(self, a: Element) -> float:
         self.model.check_element(a)
@@ -80,16 +80,16 @@ def mix_states(states: Sequence[State], weights: Sequence[float]) -> State:
     """Convex mixture of states of one model; the weights are normalised."""
     weights = np.asarray(weights, dtype=float)
     if len(states) == 0 or weights.shape != (len(states),):
-        raise ValueError("a mixture needs one weight per state and at least one state")
+        raise InputError("a mixture needs one weight per state and at least one state")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("mixture weights must be finite and nonnegative")
+        raise InputError("mixture weights must be finite and nonnegative")
     if weights.max() == 0.0:
-        raise ValueError("mixture weights must not all be zero")
+        raise InputError("mixture weights must not all be zero")
     weights = weights / weights.max()  # keeps the sum of huge weights finite
     weights = weights / weights.sum()
     model = states[0].model
     if any(s.model is not model for s in states):
-        raise ValueError("states must share one model")
+        raise InputError("states must share one model")
     return State(model, tuple(p for s in states for p in s.params),
                  tuple(float(w * v) for w, s in zip(weights, states) for v in s.weights))
 

@@ -1,13 +1,18 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jordantp
 from jordantp import Tolerance, backends, get_model
+from jordantp.reports import dump_canonical_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ALL_MODEL_SPECS = [
     ("classical", 4, None),
@@ -25,6 +30,19 @@ SYMMETRIC_MODEL_SPECS = [
     ("herm", 3, None),
     ("lpq", 2, 2.0),
 ]
+
+
+def load_module(path):
+    """The module in the file at ``path``, relative to the repository root,
+    run once and kept in ``sys.modules`` under the file's stem, as an import
+    would: a dataclass looks its module up there while it is defined."""
+    file = ROOT / path
+    if file.stem not in sys.modules:
+        spec = importlib.util.spec_from_file_location(file.stem, file)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[file.stem] = module
+        spec.loader.exec_module(module)
+    return sys.modules[file.stem]
 
 
 def draw_element(model, rng, shape="any"):
@@ -47,28 +65,13 @@ def run_fresh(script, *args):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _regular_polygon(k):
-    angles = 2.0 * np.pi * np.arange(k) / k
-    return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-def _simplex(d):
-    return np.vstack([np.zeros(d), np.eye(d)])
-
-
-# name -> (vertices, is a simplex); the shapes of the geom benchmark.  By the
-# paper's criterion exactly the simplices have affine minimal unit effects.
-POLYTOPE_SHAPES = {
-    "triangle": (_simplex(2), True),
-    "tetrahedron": (_simplex(3), True),
-    "4-simplex": (_simplex(4), True),
-    "5-simplex": (_simplex(5), True),
-    "square": (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), False),
-    "pentagon": (_regular_polygon(5), False),
-    "hexagon": (_regular_polygon(6), False),
-    "cube": (np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float), False),
-    "octahedron": (np.vstack([np.eye(3), -np.eye(3)]), False),
-}
+# the benchmark's oracles, check-name contract and geom shapes; the tests
+# read them and never edit them
+workloads = load_module("bench/workloads.py")
+# name -> (vertices, is a simplex).  By the paper's criterion exactly the
+# simplices have affine minimal unit effects.
+SHAPES = workloads.SHAPES
+similar_copy = workloads._similar_copy
 
 # name -> the affinity defect of each of its extreme points without probes:
 # the largest residual of e_omega's vertex values from their least-squares
@@ -78,12 +81,15 @@ AFFINITY_DEFECTS = {"triangle": 0.0, "tetrahedron": 0.0, "4-simplex": 0.0, "5-si
                     "hexagon": 1.0 / 6.0, "cube": 1.0 / 2.0, "octahedron": 1.0 / 3.0}
 
 
-def similar_copy(vertices, rng):
-    """Rotate, scale and translate: the affinity verdict is affine invariant."""
-    d = vertices.shape[1]
-    q, r = np.linalg.qr(rng.normal(size=(d, d)))
-    q = q * np.sign(np.diag(r))
-    return rng.uniform(0.5, 2.0) * vertices @ q.T + rng.normal(size=d)
+def assert_all_pass(checks):
+    failed = [c for c in checks if not c.passed]
+    assert not failed, [f"{c.name}: defect={c.defect} tol={c.tolerance}" for c in failed]
+
+
+def report_text(checks):
+    """The checks as the report prints them: names, defects to the last bit
+    and the sign of zero, tolerances, notes and witnesses."""
+    return dump_canonical_json([check.to_json() for check in checks])
 
 
 @pytest.fixture(autouse=True)

@@ -40,7 +40,7 @@ from jordantp import (
 from jordantp.convexgeom import _e_omega_lp
 from jordantp.cli import main as cli_main
 from jordantp.spectral import trial_rng
-from conftest import draw_element, random_projection
+from conftest import SHAPES, draw_element, random_projection
 
 TOL = Tolerance()
 
@@ -228,16 +228,14 @@ def test_criterion_07_selfdual_cone_suite():
 
 
 def test_criterion_08_polytope_geometry():
-    triangle = PolytopeStateSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    simplex3 = PolytopeStateSpace(np.vstack([np.zeros(3), np.eye(3)]))
-    simplex4 = PolytopeStateSpace(np.vstack([np.zeros(4), np.eye(4)]))
     passing_defect = 0.0
-    for poly in (triangle, simplex3, simplex4):
-        reports = check_extreme_affinity(poly, TOL, midpoint_samples=32)
+    for name in ("triangle", "tetrahedron", "4-simplex"):
+        reports = check_extreme_affinity(PolytopeStateSpace(SHAPES[name][0]), TOL,
+                                         midpoint_samples=32)
         assert all(r.passes for r in reports)
         passing_defect = max(passing_defect, max(r.affinity_defect for r in reports))
 
-    square = PolytopeStateSpace([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    square = PolytopeStateSpace(SHAPES["square"][0])
     square_reports = check_extreme_affinity(square, TOL, midpoint_samples=32)
     assert not any(r.passes for r in square_reports)
     # the centre halves the diagonal whose ends e_w sends to 0

@@ -23,7 +23,7 @@ frames and cone defects from its model's per-element kernels.
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS, draw_element
+from conftest import ALL_MODEL_SPECS, SYMMETRIC_MODEL_SPECS, draw_element, report_text
 from jordantp import get_model
 from jordantp.backends import ClassicalModel, LpQubitModel, SpinFactorModel
 from jordantp.backends.base import Model
@@ -31,7 +31,7 @@ from jordantp.backends.qubit import half_atom
 from jordantp.core import cone_contains, order_norm
 from jordantp.errors import ConeProjectionError
 from jordantp.logic import atomic_decomposition
-from jordantp.reports import CheckResult, dump_canonical_json, skipped_check
+from jordantp.reports import CheckResult, skipped_check
 from jordantp.selfdual import (
     GeneratorSelfDualCone,
     MoreauPair,
@@ -455,12 +455,6 @@ def reference_selfdual(model, seed, trials, tol):
     return checks + reference_self_duality(cone, seed, min(trials, 200), tol)
 
 
-def _report(checks):
-    """The checks as the report prints them: names, defects to the last bit
-    and the sign of zero, tolerances, notes and witnesses."""
-    return dump_canonical_json([check.to_json() for check in checks])
-
-
 # 130 trials pass the Moreau sweep's cap of 120 trials and 260 the
 # self-duality report's cap of 200
 @pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
@@ -468,10 +462,10 @@ def _report(checks):
 def test_axioms_and_selfdual_suites_equal_the_per_element_references(kind, n, p, trials, tol):
     model = get_model(kind, n, p)
     for seed in range(5):
-        want_axioms = _report(reference_axioms(model, seed, trials, tol))
-        want_selfdual = _report(reference_selfdual(model, seed, trials, tol))
-        assert _report(axioms_suite(model, seed, trials, tol)) == want_axioms
-        assert _report(selfdual_suite(model, seed, trials, tol)) == want_selfdual
+        want_axioms = report_text(reference_axioms(model, seed, trials, tol))
+        want_selfdual = report_text(reference_selfdual(model, seed, trials, tol))
+        assert report_text(axioms_suite(model, seed, trials, tol)) == want_axioms
+        assert report_text(selfdual_suite(model, seed, trials, tol)) == want_selfdual
 
 
 GENERATOR_CONES = {
@@ -490,12 +484,12 @@ def test_cone_verifiers_equal_the_per_element_references_on_generator_cones(make
     cone = make()
     for seed in range(3):
         for trials in (1, 8, 30):
-            assert (_report(self_duality_report(cone, seed, trials, tol))
-                    == _report(reference_self_duality(cone, seed, trials, tol)))
-            assert (_report(verify_certainty_order(cone, seed, trials, tol))
-                    == _report(reference_certainty(cone, seed, trials, tol)))
-            assert (_report(verify_atom_state_uniqueness(cone, seed, trials, tol))
-                    == _report(reference_uniqueness(cone, seed, trials, tol)))
+            assert (report_text(self_duality_report(cone, seed, trials, tol))
+                    == report_text(reference_self_duality(cone, seed, trials, tol)))
+            assert (report_text(verify_certainty_order(cone, seed, trials, tol))
+                    == report_text(reference_certainty(cone, seed, trials, tol)))
+            assert (report_text(verify_atom_state_uniqueness(cone, seed, trials, tol))
+                    == report_text(reference_uniqueness(cone, seed, trials, tol)))
 
 
 def _assert_rows_peeled(cone, stacked, per_row):
@@ -571,7 +565,7 @@ def test_the_peel_comparison_pads_both_sides_with_zeros():
 def test_the_square_cone_fails_the_same_self_duality_checks(tol):
     # the cone over a square lies in its dual but is not self-dual
     checks = self_duality_report(square_cone(), 5, 60, tol)
-    assert _report(checks) == _report(reference_self_duality(square_cone(), 5, 60, tol))
+    assert report_text(checks) == report_text(reference_self_duality(square_cone(), 5, 60, tol))
     assert [c.name for c in checks if not c.passed] == [
         "selfdual.membership_agreement", "selfdual.dual_vectors_in_cone"]
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import SHAPES, load_module
 from jordantp import PolytopeStateSpace, check_extreme_affinity
 from jordantp.backends import parse_model_spec
 from jordantp.cli import main
@@ -285,7 +286,7 @@ def test_an_eig_cluster_below_rounding_decides_no_logic_verdict(capsys, spec, fa
 
 def test_geom_triangle_exit_zero(capsys, tmp_path):
     path = tmp_path / "tri.csv"
-    np.savetxt(path, [[0, 0], [1, 0], [0, 1]], delimiter=",")
+    np.savetxt(path, SHAPES["triangle"][0], delimiter=",")
     code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "8")
     assert code == 0
     reports = json.loads(out)
@@ -294,7 +295,7 @@ def test_geom_triangle_exit_zero(capsys, tmp_path):
 
 def test_geom_square_exit_one_with_its_fit_residual(capsys, tmp_path):
     path = tmp_path / "sq.csv"
-    np.savetxt(path, [[0, 0], [1, 0], [1, 1], [0, 1]], delimiter=",")
+    np.savetxt(path, SHAPES["square"][0], delimiter=",")
     code, out, _ = run_cli(capsys, "geom", str(path), "--midpoint-samples", "0")
     assert code == 1
     reports = json.loads(out)
@@ -310,14 +311,13 @@ def test_geom_square_exit_one_with_its_fit_residual(capsys, tmp_path):
 
 def test_geom_pentagon_exit_one(capsys, tmp_path):
     path = tmp_path / "pent.csv"
-    verts = [[np.cos(2 * np.pi * k / 5), np.sin(2 * np.pi * k / 5)] for k in range(5)]
-    np.savetxt(path, verts, delimiter=",")
+    np.savetxt(path, SHAPES["pentagon"][0], delimiter=",")
     assert run_cli(capsys, "geom", str(path), "--midpoint-samples", "8")[0] == 1
 
 
 def test_geom_negative_samples_exit_two(capsys, tmp_path):
     path = tmp_path / "tri.csv"
-    np.savetxt(path, [[0, 0], [1, 0], [0, 1]], delimiter=",")
+    np.savetxt(path, SHAPES["triangle"][0], delimiter=",")
     code, out, err = run_cli(capsys, "geom", str(path), "--midpoint-samples", "-3")
     assert (code, out) == (2, "")
     assert "midpoint_samples" in err
@@ -467,71 +467,50 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert seen == [["check_tol=1e-8"], []]
 
 
-# The exit-code table.  Each bad input exits 2 with nothing on stdout and one
-# "error:" line on stderr, this one; "{dir}" is the directory holding
-# INPUT_FILES, and a leading KEY=VALUE word sets an environment variable.
-INPUT_FILES = {
-    "ragged.csv": "0,0\n1,0,0\n0,1\n",
-    "junk.csv": "0,0\n1,junk\n0,1\n",
-    "empty.csv": "",
-    "interior.csv": "0\n1\n0.5\n",
-    "triangle.csv": "0,0\n1,0\n0,1\n",
-    "ragged.json": "[1.0, [2.0, 3.0], 4.0]",
-    "malformed.json": "[1.0, 2.0",
-    "nested.json": "[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]",
-    "nan.json": "[NaN, 0.0, 0.0]",
-    "overflow.json": "[1e308, 1e308, 1e308]",
-    "element.json": "[1.0, 0.5, 0.25]",
-    "no_atoms.json": "[]",
-    "herm_short.json": "[[1.0, 0.0, 0.0]]",
-    "lpq_off_sphere.json": "[[1.0, 1.0]]",
-    "spin_3d.json": "[[[1.0, 0.0], [0.0, 1.0]]]",
-}
-BAD_INPUTS = [
-    (["geom", "{dir}/ragged.csv"], "the number of columns changed from 2 to 3 at row 2; "
-                                   "use `usecols` to select a subset and avoid this error"),
-    (["geom", "{dir}/junk.csv"], "could not convert string 'junk' to float64 at row 1, column 2."),
-    (["geom", "{dir}/empty.csv"], "a polytope needs at least two vertices"),
-    (["geom", "{dir}/interior.csv"], "vertex 2 is not extreme (inside the hull of the others)"),
-    (["geom", "{dir}/triangle.csv", "--tol", "eig_cluster=1e-8"],
-     "unknown tolerance key 'eig_cluster'; known: ('check_tol',)"),
-    (["spectral", "spin:2", "{dir}/ragged.json"], "element file array is ragged"),
-    (["spectral", "spin:2", "{dir}/malformed.json"], "Expecting ',' delimiter: line 1 column 10 "
-                                                     "(char 9)"),
-    (["spectral", "spin:2", "{dir}/nested.json"], "expected 3 coordinates, got shape (3, 2)"),
-    (["spectral", "spin:2", "{dir}/nan.json"], "element file entry [0] is not a finite double"),
-    (["spectral", "spin:2", "{dir}/overflow.json"],
-     "eigenvalue 0 (largest first) of the element is 2.414214e+308, outside the range of a double"),
-    (["spectral", "spin:2", "{dir}/element.json", "--tol", "check_tol=1e-8"],
-     "unknown tolerance key 'check_tol'; known: ('eig_cluster',)"),
-    (["tpmatrix", "spin:2", "{dir}/no_atoms.json"], "need at least one atom"),
-    (["tpmatrix", "spin:2", "--random", "0"], "need at least one atom"),
-    (["tpmatrix", "herm:2", "{dir}/herm_short.json"],
-     "atom parameter must be a vector in dimension 2"),
-    (["tpmatrix", "lpq:2:3", "{dir}/lpq_off_sphere.json"],
-     "boundary point must lie on the unit l^p sphere"),
-    (["tpmatrix", "spin:2", "{dir}/spin_3d.json"], "atom parameter must be a vector"),
-    (["verify", "classical:2", "--trials", "1", "--tol", "check_tol=nan"],
-     "check_tol must lie strictly in (0, 1e-3), got nan"),
-    (["verify", "classical:2", "--trials", "1", "--out", "{dir}/missing/report.json"],
-     "[Errno 2] No such file or directory: '{dir}/missing/report.json'"),
-    (["verify", "sym:0", "--trials", "1"], "matrix model needs n >= 1"),
-    (["verify", "classical:1.5", "--trials", "1"], "model size must be an integer, got '1.5'"),
-    (["JORDAN_TP_SEED=abc", "verify", "classical:2", "--trials", "1"],
-     "invalid literal for int() with base 10: 'abc'"),
+# The exit-code table: the error line of each of the grid's bad inputs, in
+# its order.  Each exits 2 with nothing on stdout and this one "error:" line
+# on stderr, the grid's input directory shown as "{dir}".
+GRID = load_module("tools/report_grid.py")
+BAD_INPUT_MESSAGES = [
+    "the number of columns changed from 2 to 3 at row 2; "
+    "use `usecols` to select a subset and avoid this error",
+    "could not convert string 'junk' to float64 at row 1, column 2.",
+    "a polytope needs at least two vertices",
+    "vertex 2 is not extreme (inside the hull of the others)",
+    "unknown tolerance key 'eig_cluster'; known: ('check_tol',)",
+    "element file array is ragged",
+    "Expecting ',' delimiter: line 1 column 10 (char 9)",
+    "expected 3 coordinates, got shape (3, 2)",
+    "element file entry [0] is not a finite double",
+    "eigenvalue 0 (largest first) of the element is 2.414214e+308, outside the range of a double",
+    "element file is nested 65 deep, past numpy's 64 dimensions",
+    "unknown tolerance key 'check_tol'; known: ('eig_cluster',)",
+    "need at least one atom",
+    "need at least one atom",
+    "atom parameter must be a vector in dimension 2",
+    "boundary point must lie on the unit l^p sphere",
+    "atom parameter must be a vector",
+    "atoms file is nested 2000 deep, past numpy's 64 dimensions",
+    "check_tol must lie strictly in (0, 1e-3), got nan",
+    "[Errno 2] No such file or directory: '{dir}/missing/report.json'",
+    "matrix model needs n >= 1",
+    "model size must be an integer, got '1.5'",
+    "invalid literal for int() with base 10: 'abc'",
 ]
 
 
-@pytest.mark.parametrize("argv,message", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
-def test_a_bad_input_exits_two_with_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
-    for name, text in INPUT_FILES.items():
-        (tmp_path / name).write_text(text)
-    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
-    while "=" in argv[0]:
-        monkeypatch.setenv(*argv.pop(0).split("=", 1))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {message.replace('{dir}', str(tmp_path))}\n"
+@pytest.fixture(scope="module")
+def grid_inputs(tmp_path_factory):
+    workdir = str(tmp_path_factory.mktemp("grid"))
+    GRID.write_inputs(workdir)
+    return workdir
+
+
+@pytest.mark.parametrize("argv,message",
+                         list(zip(GRID.BAD_INPUTS, BAD_INPUT_MESSAGES, strict=True)),
+                         ids=[" ".join(argv) for argv in GRID.BAD_INPUTS])
+def test_a_bad_input_exits_two_with_one_error_line(grid_inputs, argv, message):
+    assert GRID.run_line(argv, grid_inputs) == (2, "", f"error: {message}\n")
 
 
 def _eigh_fails(monkeypatch):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import AFFINITY_DEFECTS, POLYTOPE_SHAPES, similar_copy
+from conftest import AFFINITY_DEFECTS, SHAPES, load_module, similar_copy
 from jordantp import (
     InfeasiblePointError,
     PolytopeStateSpace,
@@ -24,8 +24,7 @@ from jordantp import convexgeom
 from jordantp.convexgeom import _e_omega_lp
 from jordantp.errors import LinearProgramError
 
-TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+TRIANGLE, SQUARE = SHAPES["triangle"][0], SHAPES["square"][0]
 PENTAGON = np.array([[np.cos(2.0 * np.pi * k / 5 + np.pi / 2),
                       np.sin(2.0 * np.pi * k / 5 + np.pi / 2)] for k in range(5)])
 
@@ -147,11 +146,11 @@ def test_pentagon_fails_with_positive_defect():
         assert r.affinity_defect == pytest.approx((3.0 - np.sqrt(5.0)) / 5.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_the_defect_is_the_closed_form_fit_residual(shape):
     # without probes the defect is the residual alone; the shapes are exact
     # in binary or nearly so, and their normalised vertices well conditioned
-    vertices, simplex = POLYTOPE_SHAPES[shape]
+    vertices, simplex = SHAPES[shape]
     reports = check_extreme_affinity(PolytopeStateSpace(vertices), midpoint_samples=0)
     np.testing.assert_allclose([r.affinity_defect for r in reports], AFFINITY_DEFECTS[shape],
                                rtol=0, atol=1e-12)
@@ -253,7 +252,7 @@ def test_induced_model_passes_every_suite(name, seed):
     # the induced model is a classical subclass with its own kind string; it
     # must reach the classical formulas through the backend, not fall through
     # a kind switch into another backend's branch
-    vertices, _ = POLYTOPE_SHAPES[name]
+    vertices, _ = SHAPES[name]
     model = induced_affine_model(PolytopeStateSpace(vertices))
     report = run_suite(model, "all", seed, 40)
     assert [c.name for c in report.checks if not c.passed] == []
@@ -306,10 +305,10 @@ def _probe_points(verts, rng):
 
 
 @pytest.mark.parametrize("similar", [False, True])
-@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_stacked_lp_matches_per_point_lp(monkeypatch, shape, similar):
     rng = np.random.default_rng(41)
-    verts = POLYTOPE_SHAPES[shape][0]
+    verts = SHAPES[shape][0]
     if similar:
         verts = similar_copy(verts, rng)
     poly = PolytopeStateSpace(verts)
@@ -350,7 +349,7 @@ def _counting_linprog(monkeypatch, fail=(), rows=None):
 def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n_lps):
     # the budget splits the hexagon's stack; with 220 random probes a single
     # extreme point of the cube exceeds it and is one LP on its own
-    poly = PolytopeStateSpace(similar_copy(POLYTOPE_SHAPES[shape][0], np.random.default_rng(7)))
+    poly = PolytopeStateSpace(similar_copy(SHAPES[shape][0], np.random.default_rng(7)))
     combos = _probe_combos(poly.n_vertices, midpoint_samples, 3)
     probes = combos @ poly.vertices
     calls = _counting_linprog(monkeypatch)
@@ -367,7 +366,7 @@ def test_split_stacks_match_per_point_lp(monkeypatch, shape, midpoint_samples, n
 
 @pytest.mark.parametrize("shape,affinity_lps", [("triangle", 1), ("square", 1), ("cube", 1)])
 def test_one_lp_per_stack(monkeypatch, shape, affinity_lps):
-    poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
+    poly = PolytopeStateSpace(SHAPES[shape][0])
     n = poly.n_vertices
     calls = _counting_linprog(monkeypatch)
     check_extreme_affinity(poly, midpoint_samples=8)
@@ -595,6 +594,31 @@ def test_a_polytope_of_subnormal_spread_is_decided(tmp_path, capsys, scale, shap
     np.testing.assert_allclose(np.abs(poly.normalised).max(), 1.0, rtol=1e-3)
 
 
+@pytest.mark.parametrize("name,code", [("triangle-1e308", 0), ("square-1e308", 1)])
+def test_a_polytope_near_the_top_of_the_doubles_is_decided(tmp_path, capsys, name, code):
+    # verts.mean(axis=0) overflowed, so geom warned and refused the distinct
+    # vertices as coincident; each column scaled by a power of two first,
+    # the mean is finite
+    from jordantp.cli import main
+
+    verts = load_module("tools/report_grid.py").EXTREME_SHAPES[name]
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, verts, delimiter=",", fmt="%.17g")
+    assert main(["geom", str(path)]) == code
+    assert capsys.readouterr().err == ""
+    np.testing.assert_allclose(np.abs(PolytopeStateSpace(verts).normalised).max(), 1.0,
+                               rtol=1e-3)
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_the_center_is_the_plain_mean_in_the_normal_range(shape):
+    # the power-of-two scaling is exact, so it moves no bit of the mean
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        verts = _stretched_and_moved(SHAPES[shape][0], rng, 3.0, 1e6)
+        np.testing.assert_array_equal(PolytopeStateSpace(verts)._center, verts.mean(axis=0))
+
+
 @pytest.mark.parametrize("axes", ["plain", "graded", "random"])
 @pytest.mark.parametrize("d", range(1, 7))
 def test_simplex_tp_matrix_is_the_identity(tmp_path, capsys, d, axes):
@@ -658,7 +682,7 @@ def test_e_omega_value_on_a_far_embedded_square(shift):
                                         ("cube", ["hull"])])
 def test_load_and_contains_solve_one_lp_each(monkeypatch, shape, load):
     # a simplex loads with no LP: affinely independent vertices are extreme
-    vertices = POLYTOPE_SHAPES[shape][0]
+    vertices = SHAPES[shape][0]
     calls = _counting_linprog(monkeypatch)
     poly = PolytopeStateSpace(vertices)
     assert calls == load
@@ -741,10 +765,10 @@ def affinity_defects_by_loop(poly, combos):
     return defects
 
 
-@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_vectorised_defect_matches_loop(shape):
     # the probes are summed in another order, so values agree to rounding
-    poly = PolytopeStateSpace(POLYTOPE_SHAPES[shape][0])
+    poly = PolytopeStateSpace(SHAPES[shape][0])
     reports = check_extreme_affinity(poly, midpoint_samples=12, seed=5)
     combos = _probe_combos(poly.n_vertices, 12, 5)
     np.testing.assert_allclose([r.affinity_defect for r in reports],

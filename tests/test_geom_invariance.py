@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import AFFINITY_DEFECTS, POLYTOPE_SHAPES
+from conftest import AFFINITY_DEFECTS, SHAPES
 from jordantp import check_extreme_affinity, polytope_from_csv
 from jordantp.cli import main
 
@@ -49,7 +49,7 @@ PLANAR = ["triangle", "square"]
 
 
 def _check(capsys, tmp_path, shape, transform, arg):
-    vertices, simplex = POLYTOPE_SHAPES[shape]
+    vertices, simplex = SHAPES[shape]
     path = tmp_path / "shape.csv"
     np.savetxt(path, transform(vertices, arg), delimiter=",", fmt="%.17g")
     code = main(["geom", str(path), "--midpoint-samples", "16", "--seed", "0"])
@@ -72,7 +72,7 @@ def _check(capsys, tmp_path, shape, transform, arg):
 
 @pytest.mark.parametrize("transform,arg", MAPS,
                          ids=[f"{t.__name__.strip('_')}-{a:g}" for t, a in MAPS])
-@pytest.mark.parametrize("shape", list(POLYTOPE_SHAPES))
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_geom_verdict_survives_affine_maps(capsys, tmp_path, shape, transform, arg):
     _check(capsys, tmp_path, shape, transform, arg)
 

@@ -1,21 +1,15 @@
 """``tools/geom_sweep.py`` counts ``geom`` exit codes per shape and
 dimension over seeds of simplices and cubes in general position."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "geom_sweep.py"
+from conftest import load_module
 
 
 @pytest.fixture(scope="module")
 def tool():
-    spec = importlib.util.spec_from_file_location("jordantp_geom_sweep", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("tools/geom_sweep.py")
 
 
 def test_the_sweep_reads_the_theory_verdicts(tool):

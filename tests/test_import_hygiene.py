@@ -9,7 +9,7 @@ cones, logic, sampling) are loaded only by the commands that use them."""
 import numpy as np
 import pytest
 
-from conftest import run_fresh
+from conftest import SHAPES, run_fresh
 
 SCRIPT = """
 import json, sys
@@ -46,7 +46,7 @@ def element(tmp_path):
 
 def test_spectral_and_tpmatrix_do_not_load_scipy(tmp_path, element):
     vertices = tmp_path / "tri.csv"
-    np.savetxt(vertices, [[0, 0], [1, 0], [0, 1]], delimiter=",")
+    np.savetxt(vertices, SHAPES["triangle"][0], delimiter=",")
     result = run_fresh(SCRIPT, element, vertices)
     assert result == {"codes": [0, 0, 0], "scipy_loaded": [], "optimize_after_geom": False,
                       "sparse_after_geom": False}

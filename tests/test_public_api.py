@@ -3,12 +3,15 @@ resolves to the object of its owning submodule, and ``dir`` lists it.  The
 CLI's suite names are the suite table's keys."""
 
 import importlib
+import math
+import re
 
 import pytest
 
 import jordantp
-from conftest import run_fresh
+from conftest import SHAPES, run_fresh
 from jordantp import cli
+from jordantp.spectral import DrawRecord, trial_rngs
 from jordantp.suites import SUITES
 
 PUBLIC_NAMES = [
@@ -77,3 +80,71 @@ def test_import_jordantp_loads_a_layer_on_first_use():
     result = run_fresh(LAZY_SCRIPT)
     assert result["bare"] == []
     assert {"jordantp.suites", "jordantp.transition", "jordantp.selfdual"} <= set(result["after"])
+
+
+
+SPIN = jordantp.get_model("spin", 2)
+CLASSICAL = jordantp.get_model("classical", 2)
+
+
+def _square():
+    return jordantp.PolytopeStateSpace(SHAPES["square"][0])
+
+
+def _spin_state():
+    return jordantp.state_of_atom(SPIN, SPIN.atom([1.0, 0.0]))
+
+
+def _induced_past_the_affinity_check(monkeypatch):
+    from jordantp import convexgeom
+
+    monkeypatch.setattr(convexgeom, "check_extreme_affinity", lambda poly, tol, samples: [])
+    return jordantp.induced_affine_model(_square())
+
+
+# name -> (a call, given the monkeypatch fixture, on a value its caller got
+# wrong; the start of its message)
+CALLER_CHECKS = {
+    "trial_rngs trials": (lambda mp: trial_rngs(0, 0), "trials must be >= 1"),
+    "random_element shape": (lambda mp: jordantp.random_element(SPIN, 0, "flat"),
+                             "shape must be one of"),
+    "DrawRecord.rows trials": (lambda mp: DrawRecord(0, SPIN, jordantp.DEFAULT_TOL).rows("a", 0),
+                               "trials must be >= 1"),
+    "check_inner_product trials": (lambda mp: jordantp.check_inner_product(SPIN, 0, 0),
+                                   "trials must be >= 1"),
+    "selfdual_suite trials": (lambda mp: SUITES["selfdual"](SPIN, 0, 0), "trials must be >= 1"),
+    "run_suite suite": (lambda mp: jordantp.run_suite(SPIN, "bogus", 0, 1), "unknown suite"),
+    "e_omega_value omega_index": (lambda mp: jordantp.e_omega_value(_square(), 4, [0.5, 0.5]),
+                                  "omega_index 4 out of range"),
+    "e_omega_value query point": (lambda mp: jordantp.e_omega_value(_square(), 0, [0.5]),
+                                  "query point must live in R^2"),
+    "induced_affine_model affinity": (lambda mp: jordantp.induced_affine_model(_square()),
+                                      "polytope fails the affinity property"),
+    "induced_affine_model independence": (_induced_past_the_affinity_check,
+                                          "vertex-value representation needs affinely "
+                                          "independent vertices"),
+    "State weights per parameter": (lambda mp: jordantp.State(SPIN, ([1.0, 0.0],), (0.5, 0.5)),
+                                    "a state needs one weight per atom parameter"),
+    "State weight finite": (lambda mp: jordantp.State(SPIN, ([1.0, 0.0],), (math.nan,)),
+                            "state weights must be finite"),
+    "mix_states no state": (lambda mp: jordantp.mix_states([], []), "a mixture needs"),
+    "mix_states negative weight": (lambda mp: jordantp.mix_states([_spin_state()], [-1.0]),
+                                   "mixture weights must be finite and nonnegative"),
+    "mix_states zero weights": (lambda mp: jordantp.mix_states([_spin_state()], [0.0]),
+                                "mixture weights must not all be zero"),
+    "mix_states two models": (lambda mp: jordantp.mix_states(
+        [_spin_state(), jordantp.state_of_atom(CLASSICAL, CLASSICAL.atom(0))], [1.0, 1.0]),
+        "states must share one model"),
+    "logic_element": (lambda mp: jordantp.logic_element(SPIN, SPIN.element([0.5, 0.0, 0.0])),
+                      "element is not in the quantum logic"),
+}
+
+
+@pytest.mark.parametrize("check", list(CALLER_CHECKS))
+def test_a_caller_s_wrong_value_raises_an_input_error(monkeypatch, check):
+    # an InputError, still a ValueError, tells a library caller's own mistake
+    # from a fault of the library, and the CLI exits 2 on it, 3 on a fault
+    call, message = CALLER_CHECKS[check]
+    with pytest.raises(jordantp.InputError, match=f"^{re.escape(message)}"):
+        call(monkeypatch)
+    assert issubclass(jordantp.InputError, ValueError)

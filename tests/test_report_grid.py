@@ -5,24 +5,18 @@ prints, for each line that differs, both exit codes and the largest gap
 between corresponding numbers."""
 
 import hashlib
-import importlib.util
 import os
 import re
-from pathlib import Path
 
 import pytest
 
+from conftest import load_module
 from jordantp.cli import main
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_grid.py"
 
 
 @pytest.fixture(scope="module")
 def grid():
-    spec = importlib.util.spec_from_file_location("jordantp_report_grid", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("tools/report_grid.py")
 
 
 def _sha(text: str) -> str:
@@ -32,9 +26,9 @@ def _sha(text: str) -> str:
 def test_the_grid_holds_each_command_line_once(grid):
     lines = [" ".join(argv) for argv in grid.commands()]
     assert len(lines) == len(set(lines))
-    # the verify grid, each suite alone, spectral, tpmatrix, geom and the
-    # bad inputs
-    assert len(lines) == 197 + 300 + 12 + 48 + 18 + 21
+    # the verify grid, each suite alone, spectral, tpmatrix, geom on the
+    # benchmark's shapes and on three extreme ones, and the bad inputs
+    assert len(lines) == 197 + 300 + 12 + 48 + 18 + 3 + 23
 
 
 def test_two_command_lines_print_their_exit_codes_and_digests(grid, tmp_path, capsys):
@@ -63,14 +57,6 @@ def test_a_leading_assignment_sets_the_environment_of_its_line(grid, tmp_path, m
     assert "JORDAN_TP_SEED" not in os.environ
     assert grid.run_line(["JORDAN_TP_SEED=abc", *argv], str(tmp_path)) == (
         2, "", "error: invalid literal for int() with base 10: 'abc'\n")
-
-
-def test_every_bad_input_exits_two_with_one_error_line(grid, tmp_path):
-    grid.write_inputs(str(tmp_path))
-    for argv in grid.BAD_INPUTS:
-        code, out, err = grid.run_line(argv, str(tmp_path))
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_compare_reports_exit_codes_and_the_largest_number_gap(grid):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import assert_all_pass
 from jordantp import (
     ConeProjectionError,
     DimensionMismatchError,
@@ -25,11 +26,6 @@ from jordantp import (
     verify_certainty_order,
     verify_unity_resolution,
 )
-
-
-def _assert_all_pass(checks):
-    failed = [c for c in checks if not c.passed]
-    assert not failed, [f"{c.name}: defect={c.defect} tol={c.tolerance}" for c in failed]
 
 
 @pytest.fixture(params=["classical:4", "spin:3", "sym:3", "herm:3", "lpq:3:2"])
@@ -317,29 +313,29 @@ def test_recover_order_unit_rotated_frames_sym3():
 
 
 def test_unity_resolution_and_certainty(cone, tol):
-    _assert_all_pass(verify_unity_resolution(cone, 13, 40, tol))
-    _assert_all_pass(verify_certainty_order(cone, 14, 40, tol))
+    assert_all_pass(verify_unity_resolution(cone, 13, 40, tol))
+    assert_all_pass(verify_certainty_order(cone, 14, 40, tol))
 
 
 def test_self_duality_report_spectral(cone, tol):
-    _assert_all_pass(self_duality_report(cone, 15, 40, tol))
+    assert_all_pass(self_duality_report(cone, 15, 40, tol))
 
 
 def test_induced_axioms_chain_spectral(cone, tol):
     # through its pairing the cone has unique atom states and a symmetric
     # transition probability
-    _assert_all_pass(verify_atom_state_uniqueness(cone, 16, 30, tol))
+    assert_all_pass(verify_atom_state_uniqueness(cone, 16, 30, tol))
     assert symmetry_defect(cone, 16, 30) <= tol.check_tol
 
 
 def test_generator_cone_chain_rotated_orthant(tol):
     gcone = rotated_orthant()
-    _assert_all_pass(verify_unity_resolution(gcone, 1, 30, tol))
-    _assert_all_pass(verify_certainty_order(gcone, 2, 30, tol))
+    assert_all_pass(verify_unity_resolution(gcone, 1, 30, tol))
+    assert_all_pass(verify_certainty_order(gcone, 2, 30, tol))
     report = self_duality_report(gcone, 3, 30, tol)
     assert {c.name for c in report} == SELF_DUALITY_CHECKS
-    _assert_all_pass(report)
-    _assert_all_pass(verify_atom_state_uniqueness(gcone, 4, 30, tol))
+    assert_all_pass(report)
+    assert_all_pass(verify_atom_state_uniqueness(gcone, 4, 30, tol))
     assert symmetry_defect(gcone, 4, 30) <= tol.check_tol
 
 
@@ -351,9 +347,9 @@ ALL_UNITY_MEASURES = {key: f"unity.{key}" for key in ("rows", "columns", "shared
 def test_shared_verifiers_pass_on_model_and_its_cone(symmetric_model, seed, tol):
     # one verifier per axiom: the model and its spectral cone both satisfy it
     for space in (symmetric_model, SpectralSelfDualCone(symmetric_model)):
-        _assert_all_pass(verify_atom_state_uniqueness(space, seed, 30, tol))
-        _assert_all_pass(verify_unity_resolution(space, seed, 30, tol, ALL_UNITY_MEASURES))
-        _assert_all_pass(verify_certainty_order(space, seed, 30, tol))
+        assert_all_pass(verify_atom_state_uniqueness(space, seed, 30, tol))
+        assert_all_pass(verify_unity_resolution(space, seed, 30, tol, ALL_UNITY_MEASURES))
+        assert_all_pass(verify_certainty_order(space, seed, 30, tol))
         assert symmetry_defect(space, seed, 30) <= tol.check_tol
 
 

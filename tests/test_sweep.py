@@ -2,20 +2,14 @@
 ``verify --suite all`` verdict disagrees with the benchmark's theory
 oracle, in both directions."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
+from conftest import load_module
 
 
 @pytest.fixture(scope="module")
 def tool():
-    spec = importlib.util.spec_from_file_location("jordantp_sweep", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("tools/sweep.py")
 
 
 def test_the_sweep_finds_the_theory_verdicts_on_two_specs(tool):

@@ -13,7 +13,7 @@ Every defect and note must agree exactly, signs of zeros included.
 import numpy as np
 import pytest
 
-from conftest import ALL_MODEL_SPECS, draw_element
+from conftest import ALL_MODEL_SPECS, draw_element, report_text
 from jordantp import get_model
 from jordantp.core import cone_contains, order_norm
 from jordantp.logic import (
@@ -25,7 +25,7 @@ from jordantp.logic import (
     meet,
     orthocomplement,
 )
-from jordantp.reports import CheckResult, dump_canonical_json
+from jordantp.reports import CheckResult
 from jordantp.spectral import trial_rng
 from jordantp.suites import check_inner_product, logic_suite, tp_suite, verify_unity_resolution
 
@@ -236,12 +236,6 @@ def reference_logic(model, seed, trials, tol):
     ]
 
 
-def _report(checks):
-    """The checks as the report prints them: names, defects to the last bit
-    and the sign of zero, tolerances and notes."""
-    return dump_canonical_json([check.to_json() for check in checks])
-
-
 # 260 trials pass the logic suite's cap of 250 trials and check_inner_product's
 # cap of 200
 @pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)
@@ -249,10 +243,10 @@ def _report(checks):
 def test_tp_and_logic_suites_equal_the_per_element_references(kind, n, p, trials, tol):
     model = get_model(kind, n, p)
     for seed in range(5):
-        want_tp = _report(reference_tp(model, seed, trials, tol))
-        want_logic = _report(reference_logic(model, seed, trials, tol))
-        assert _report(tp_suite(model, seed, trials, tol)) == want_tp
-        assert _report(logic_suite(model, seed, trials, tol)) == want_logic
+        want_tp = report_text(reference_tp(model, seed, trials, tol))
+        want_logic = report_text(reference_logic(model, seed, trials, tol))
+        assert report_text(tp_suite(model, seed, trials, tol)) == want_tp
+        assert report_text(logic_suite(model, seed, trials, tol)) == want_logic
 
 
 @pytest.mark.parametrize("kind,n,p", ALL_MODEL_SPECS)

@@ -4,23 +4,16 @@ from the traced metrics; and on the two verify workloads every call layer it
 counts is reached, as the benchmark's traced gate requires."""
 
 import contextlib
-import importlib.util
 import io
-from pathlib import Path
 
 import pytest
 
-from conftest import run_fresh
-
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from conftest import ROOT, load_module, run_fresh
 
 
 @pytest.fixture
 def tracer_module():
-    spec = importlib.util.spec_from_file_location("jordantp_bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("bench/tracer.py")
 
 
 # as `bench/child.py trace` does: only jordantp.cli is imported before install
@@ -39,7 +32,7 @@ print(json.dumps(tracer.missing))
 def test_the_tracer_binds_every_entry_point():
     # in a fresh interpreter: inside pytest every module is already imported,
     # which would hide a layer that the package loads only on first use
-    assert run_fresh(FRESH_SCRIPT, TRACER.parent) == []
+    assert run_fresh(FRESH_SCRIPT, ROOT / "bench") == []
 
 
 # one request like each verify workload: a closed-form and a matrix family

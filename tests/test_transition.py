@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_all_pass
 from jordantp import (
     DimensionMismatchError,
     SpectralSelfDualCone,
@@ -31,11 +32,6 @@ from jordantp import (
 # asymmetry of the l^p model observed at p=3, n=2 over 200 sampled pairs with
 # seed 7; frozen as a regression baseline
 LPQ23_SYMMETRY_BASELINE = 0.22604286707759064
-
-
-def _assert_all_pass(checks):
-    failed = [c for c in checks if not c.passed]
-    assert not failed, [f"{c.name}: defect={c.defect} tol={c.tolerance}" for c in failed]
 
 
 def test_transition_prob_self_is_one(any_model, tol):
@@ -312,7 +308,7 @@ def test_inner_product_refuses_an_element_of_another_model_in_either_slot():
 
 
 def test_check_inner_product_passes(symmetric_model):
-    _assert_all_pass(check_inner_product(symmetric_model, 1, 60))
+    assert_all_pass(check_inner_product(symmetric_model, 1, 60))
 
 
 def test_check_inner_product_reports_rejection():
@@ -324,7 +320,7 @@ def test_check_inner_product_reports_rejection():
 
 
 def test_check_self_duality_passes(symmetric_model):
-    _assert_all_pass(self_duality_report(SpectralSelfDualCone(symmetric_model), 2, 60))
+    assert_all_pass(self_duality_report(SpectralSelfDualCone(symmetric_model), 2, 60))
 
 
 def test_self_duality_negative_witness():
@@ -340,7 +336,7 @@ def test_self_duality_negative_witness():
 def test_check_norm_equivalence(symmetric_model):
     norms = [c for c in check_inner_product(symmetric_model, 3, 60) if c.name.startswith("norms.")]
     assert [c.name for c in norms] == ["norms.lower", "norms.upper", "norms.tightness"]
-    _assert_all_pass(norms)
+    assert_all_pass(norms)
 
 
 def test_norm_equivalence_tightness():
@@ -353,15 +349,15 @@ def test_norm_equivalence_tightness():
 
 
 def test_verify_atom_state_uniqueness(any_model):
-    _assert_all_pass(verify_atom_state_uniqueness(any_model, 4, 100))
+    assert_all_pass(verify_atom_state_uniqueness(any_model, 4, 100))
 
 
 def test_verify_pure_state_sampling(any_model):
-    _assert_all_pass(verify_pure_state_sampling(any_model, 5, 40))
+    assert_all_pass(verify_pure_state_sampling(any_model, 5, 40))
 
 
 def test_verify_certainty_order(any_model):
-    _assert_all_pass(verify_certainty_order(any_model, 6, 60))
+    assert_all_pass(verify_certainty_order(any_model, 6, 60))
 
 
 def test_certainty_order_construction_example():
@@ -376,7 +372,7 @@ def test_certainty_order_construction_example():
 
 
 def test_verify_strong_state_space(any_model):
-    _assert_all_pass(verify_strong_state_space(any_model, 7, 60))
+    assert_all_pass(verify_strong_state_space(any_model, 7, 60))
 
 
 def test_strong_state_space_classical_witness():

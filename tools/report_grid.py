@@ -28,12 +28,15 @@ The grid:
   seed 1 (300 lines);
 * ``spectral`` of a Gaussian element, and ``tpmatrix --random`` 1 and 8 at
   seeds 0 and 1, on the twelve specs;
-* ``geom`` on nine shapes (four simplices, five other polytopes) at
-  ``--midpoint-samples`` 0 and 16, seed 1;
-* 21 bad inputs, each of which exits 2 with one ``error:`` line: malformed
-  CSV and JSON files, atoms that are no atom parameters, out-of-range
-  tolerances, model specs and seeds, tolerance keys a command does not
-  read, an unwritable ``--out`` and an element whose spectrum overflows.
+* ``geom`` on the benchmark's nine shapes (four simplices, five other
+  polytopes) at ``--midpoint-samples`` 0 and 16, seed 1, and on a triangle
+  and a square near the top of the doubles and a triangle of subnormal
+  spread at 0;
+* 23 bad inputs, each of which exits 2 with one ``error:`` line: malformed
+  CSV and JSON files, JSON nested past numpy's 64 dimensions, atoms that are
+  no atom parameters, out-of-range tolerances, model specs and seeds,
+  tolerance keys a command does not read, an unwritable ``--out`` and an
+  element whose spectrum overflows.
 
 The input files are written to a temporary directory, shown as ``{dir}`` in
 the printed argv and on stderr.  A leading ``KEY=VALUE`` word of a command
@@ -57,30 +60,29 @@ from unittest import mock
 
 import numpy as np
 
-SPECS = ("classical:1", "classical:4", "spin:2", "spin:3", "sym:2", "sym:4", "herm:2",
-         "herm:3", "lpq:2:3", "lpq:2:40", "lpq:2:2", "lpq:3:1.5")
 FAMILIES = ("sym:4", "herm:3", "classical:4", "spin:3", "lpq:2:3")
 SUITES = ("axioms", "spectral", "logic", "tp", "selfdual")
 WALL_TIME = re.compile(r'"wall_time_ms": \d+')
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
 DIR = "{dir}"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tools")]
+try:
+    from sweep import SPECS  # the twelve specs of the verdict sweep
+    from workloads import SHAPES, _write_shape  # the benchmark's geom shapes
+finally:
+    del sys.path[:2]
 
-def _polygon(k: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(k) / k
-    return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-SHAPES = {
-    **{f"{d}-simplex": np.vstack([np.zeros(d), np.eye(d)]) for d in (2, 3, 4, 5)},
-    "square": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-    "pentagon": _polygon(5),
-    "hexagon": _polygon(6),
-    "cube": np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float),
-    "octahedron": np.vstack([np.eye(3), -np.eye(3)]),
+# polytopes near the ends of the doubles: coordinates whose sum overflows,
+# and a spread that is subnormal
+EXTREME_SHAPES = {
+    "triangle-1e308": np.array([[1e308, 0.0], [1.5e308, 1e308], [1.7e308, 0.0]]),
+    "square-1e308": np.array([[1e308, 1e308], [1.7e308, 1e308], [1.7e308, 1.7e308],
+                              [1e308, 1.7e308]]),
+    "triangle-1e-310": SHAPES["triangle"][0] * 1e-310,
 }
-
 
 # the bad inputs' files, and their command lines
 BAD_FILES = {
@@ -97,18 +99,21 @@ BAD_FILES = {
     "herm_short.json": "[[1.0, 0.0, 0.0]]",
     "lpq_off_sphere.json": "[[1.0, 1.0]]",
     "spin_3d.json": "[[[1.0, 0.0], [0.0, 1.0]]]",
+    "deep65.json": "[" * 65 + "1.0" + "]" * 65,
+    "deep2000.json": "[" * 2000 + "1.0" + "]" * 2000,
 }
 BAD_INPUTS = [
     *[["geom", f"{DIR}/{name}.csv"] for name in ("ragged", "junk", "empty", "interior")],
-    ["geom", f"{DIR}/2-simplex.csv", "--tol", "eig_cluster=1e-8"],
+    ["geom", f"{DIR}/triangle.csv", "--tol", "eig_cluster=1e-8"],
     *[["spectral", "spin:2", f"{DIR}/{name}.json"]
-      for name in ("ragged", "malformed", "nested", "nan", "overflow")],
+      for name in ("ragged", "malformed", "nested", "nan", "overflow", "deep65")],
     ["spectral", "spin:2", f"{DIR}/spin:2.json", "--tol", "check_tol=1e-8"],
     ["tpmatrix", "spin:2", f"{DIR}/no_atoms.json"],
     ["tpmatrix", "spin:2", "--random", "0"],
     ["tpmatrix", "herm:2", f"{DIR}/herm_short.json"],
     ["tpmatrix", "lpq:2:3", f"{DIR}/lpq_off_sphere.json"],
     ["tpmatrix", "spin:2", f"{DIR}/spin_3d.json"],
+    ["tpmatrix", "spin:2", f"{DIR}/deep2000.json"],
     ["verify", "classical:2", "--trials", "1", "--tol", "check_tol=nan"],
     ["verify", "classical:2", "--trials", "1", "--out", f"{DIR}/missing/report.json"],
     ["verify", "sym:0", "--trials", "1"],
@@ -130,6 +135,7 @@ def commands() -> list[list[str]]:
               for spec in SPECS for k in (1, 8) for seed in (0, 1)]
     lines += [["geom", f"{DIR}/{name}.csv", "--midpoint-samples", str(samples), "--seed", "1"]
               for name in SHAPES for samples in (0, 16)]
+    lines += [["geom", f"{DIR}/{name}.csv", "--midpoint-samples", "0"] for name in EXTREME_SHAPES]
     return lines + BAD_INPUTS
 
 
@@ -141,9 +147,10 @@ def write_inputs(workdir: str) -> None:
     for k, spec in enumerate(SPECS):
         coords = np.random.default_rng(k).normal(size=parse_model_spec(spec).ambient_dim)
         Path(workdir, f"{spec}.json").write_text(json.dumps(coords.tolist()))
-    for name, vertices in SHAPES.items():
-        rows = [",".join(format(x, ".17g") for x in row) for row in vertices]
-        Path(workdir, f"{name}.csv").write_text("\n".join(rows) + "\n")
+    for name, (vertices, _) in SHAPES.items():
+        _write_shape(workdir, name, vertices)
+    for name, vertices in EXTREME_SHAPES.items():
+        _write_shape(workdir, name, vertices)
     for name, text in BAD_FILES.items():
         Path(workdir, name).write_text(text)
 
