@@ -31,44 +31,51 @@ from ..errors import (ConeProjectionError, DimensionMismatchError, InputError, N
 from .base import Model, normal_draws, row_norms
 
 
-def _eigenspace_bases(vecs: np.ndarray) -> np.ndarray:
-    """Orthonormal bases, reproducible across runs, of the spans of a stack
-    (G, r, n) of r orthonormal eigenvectors each, as rows, in the same layout.
+def _eigenspace_bases(projectors: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Orthonormal bases, reproducible across runs, of the ranges of a stack
+    (C, n, n) of projectors of non-increasing ranks (C,): a stack
+    (C, ranks[0], n) of each range's vectors as rows, a range of lower rank
+    padded with zero rows.
 
-    The columns of each span's projector are orthogonalized in index order
-    (twice, for stability) against the vectors kept so far; a column of norm
-    at most 1e-6 is skipped, and each kept vector is phase-fixed so that its
-    first significant component is real positive.  Each column index is one
-    pass over the spans that still lack vectors.  The gathers are contiguous
-    copies, so that each dot product and norm adds up as for one vector.
+    One sweep serves every range.  The columns of each projector are
+    orthogonalized in index order (twice, for stability) against the vectors
+    kept so far; a column of norm at most 1e-6 is skipped, and each kept
+    vector is phase-fixed so that its first significant component is real
+    positive.  Each column index is one pass over the ranges that still lack
+    vectors; until a column is skipped, those are the first ones, and each
+    has one vector per column so far.  Every row a pass works on is
+    contiguous, so that each dot product and norm adds up as for one vector,
+    whatever the other ranges.
     """
-    cols = np.ascontiguousarray(np.swapaxes(vecs, 1, 2))
-    projectors = cols @ np.swapaxes(cols.conj(), 1, 2)
-    count, rank, n = vecs.shape
-    basis = np.zeros_like(vecs)
+    count, n = len(ranks), projectors.shape[-1]
+    columns = np.ascontiguousarray(np.moveaxis(projectors, 2, 0))  # column i of each, as rows
+    basis = np.zeros((ranks[0], count, n), dtype=projectors.dtype)  # vector k of each in row k
     kept = np.zeros(count, dtype=np.intp)
+    lockstep = True
     for i in range(n):
-        todo = np.flatnonzero(kept < rank)
-        if not len(todo):
+        todo = slice(0, np.count_nonzero(ranks > i)) if lockstep else np.flatnonzero(kept < ranks)
+        w = columns[i, todo]
+        if not len(w):
             break
-        w = projectors[todo, :, i]  # a contiguous copy of column i
         have = kept[todo]
-        least = have.min()
-        for k in list(range(have.max())) * 2:
-            v = basis[todo, k]
+        least, most = (i, i) if lockstep else (have.min(), have.max())
+        for k in list(range(most)) * 2:
+            v = basis[k, todo]
             step = w - v * np.vecdot(v, w)[:, np.newaxis]
             # a row with at most k vectors so far keeps its w
             w = step if k < least else np.where((have > k)[:, np.newaxis], step, w)
         norms = row_norms(w)
         keep = ~(norms <= 1e-6)
-        w = w[keep] / norms[keep, np.newaxis]
-        lead = w[np.arange(len(w)), np.argmax(np.abs(w) > 1e-8, axis=1)]
-        rows = todo[keep]
-        basis[rows, kept[rows]] = w / (lead / np.abs(lead))[:, np.newaxis]
-        kept[rows] += 1
-    if np.any(kept != rank):
+        if not keep.all():
+            lockstep = False
+            todo, w, norms = np.arange(count)[todo][keep], w[keep], norms[keep]
+        w = w / norms[:, np.newaxis]
+        lead = w[np.arange(len(w)), (np.abs(w) > 1e-8).argmax(axis=1)]
+        basis[i if lockstep else kept[todo], todo] = w / (lead / np.abs(lead))[:, np.newaxis]
+        kept[todo] += 1
+    if (kept != ranks).any():
         raise RuntimeError("projector basis extraction failed")  # pragma: no cover
-    return basis
+    return np.swapaxes(basis, 0, 1)
 
 
 class _MatrixModel(Model):
@@ -138,43 +145,64 @@ class _MatrixModel(Model):
         """Of each row of a (K, d) stack: the eigenvalues sorted descending,
         each cluster replaced by its mean; the eigenvectors as columns in
         eigh's ascending order; the permutation sorting them like the
-        eigenvalues; and the clusters of more than one eigenvalue by rank r,
-        as rows (G, 1) and columns (G, r).  A gap above ``eig_cluster`` times
-        the spectral diameter ends a cluster.  Gaps and means are of halves,
-        which cannot overflow and are exact above the subnormal range."""
+        eigenvalues, or None where that is the reversal; and the rank of each
+        cluster, row after row, or None where every cluster is one
+        eigenvalue.  A gap above ``eig_cluster`` times the spectral diameter
+        ends a cluster.  Gaps and means are of halves, which cannot overflow
+        and are exact above the subnormal range."""
         eigvals, eigvecs = np.linalg.eigh(self._matrix_from_coords(stack))
-        order = np.argsort(-eigvals, axis=1, kind="stable")
-        eigvals = eigvals[np.arange(len(order))[:, np.newaxis], order]
+        if (eigvals[:, :-1] < eigvals[:, 1:]).all():
+            order = None  # strictly ascending rows: descending is the reversal
+            eigvals = eigvals[:, ::-1].copy()
+        else:  # a tie or a NaN: the stable sort keeps eigh's order within a tie
+            order = (-eigvals).argsort(axis=1, kind="stable")
+            eigvals = eigvals[np.arange(len(order))[:, np.newaxis], order]
         half = 0.5 * eigvals
         threshold = tol.eig_cluster * (half[:, :1] - half[:, -1:])
         starts = np.ones(eigvals.shape, dtype=bool)
         starts[:, 1:] = half[:, :-1] - half[:, 1:] > threshold
-        # every row starts a cluster at column 0, so the next start in the
-        # flattened stack ends each cluster, the last one of a row included
-        first = np.flatnonzero(starts)
-        clusters = []
-        if len(first) == starts.size:  # no row has a cluster
-            return eigvals, eigvecs, order, clusters
-        ranks = np.append(first[1:], starts.size) - first
-        for rank in np.unique(ranks[ranks > 1]).tolist():
-            at = first[ranks == rank]
-            rows, cols = np.divmod(at, eigvals.shape[1])
-            at = rows[:, np.newaxis], cols[:, np.newaxis] + np.arange(rank)
-            eigvals[at] = 2.0 * np.mean(0.5 * eigvals[at], axis=1, keepdims=True)
-            clusters.append(at)
-        return eigvals, eigvecs, order, clusters
+        if starts.all():
+            return eigvals, eigvecs, order, None
+        # every row starts a cluster at column 0, so counting the starts
+        # through the flattened stack numbers each row's clusters apart
+        ids = starts.cumsum() - 1
+        ranks = np.bincount(ids)
+        # below 8 terms np.mean adds left to right from +0.0, as bincount
+        # does; from 8 terms on it adds pairwise, so those clusters keep it
+        means = 2.0 * (np.bincount(ids, half.ravel()) / ranks)
+        if ranks.max() >= 8:
+            for rank in np.unique(ranks[ranks >= 8]).tolist():
+                at = (ranks.cumsum() - ranks)[ranks == rank, np.newaxis] + np.arange(rank)
+                means[ranks == rank] = 2.0 * np.mean(half.ravel()[at], axis=1)
+        eigvals = np.where(ranks[ids] > 1, means[ids], eigvals.ravel()).reshape(eigvals.shape)
+        return eigvals, eigvecs, order, ranks
 
     def _eigenvalues(self, stack, tol: Tolerance) -> np.ndarray:
         return self._spectra(stack, tol)[0]
 
     def _frames(self, stack, tol: Tolerance):
-        eigvals, eigvecs, order, clusters = self._spectra(stack, tol)
+        eigvals, eigvecs, order, ranks = self._spectra(stack, tol)
+        count, n, m = eigvecs.shape
         # the columns of each row's eigenvectors in that row's order
-        eigvecs = eigvecs[np.arange(len(order))[:, np.newaxis, np.newaxis],
-                          np.arange(order.shape[1])[:, np.newaxis], order[:, np.newaxis]]
-        for rows, cols in clusters:  # one basis pass per cluster rank
-            at = rows, slice(None), cols  # (G, r, n): each cluster's eigenvectors as rows
-            eigvecs[at] = _eigenspace_bases(eigvecs[at])
+        eigvecs = (eigvecs[..., ::-1] if order is None else
+                   eigvecs[np.arange(count)[:, np.newaxis, np.newaxis], np.arange(n)[:, np.newaxis],
+                           order[:, np.newaxis]])
+        if ranks is not None:
+            # the clusters of more than one eigenvalue, by rank from the highest
+            multi = np.flatnonzero(ranks > 1)
+            multi = multi[(-ranks[multi]).argsort(kind="stable")]
+            spans = ranks[multi]
+            rows, cols = np.divmod((ranks.cumsum() - ranks)[multi], m)
+            # one matmul per rank, since its inner dimension can change the bits
+            projectors = np.empty((len(multi), n, n), dtype=eigvecs.dtype)
+            edges = [0, *(np.flatnonzero(spans[1:] != spans[:-1]) + 1).tolist(), len(multi)]
+            for a, b in zip(edges[:-1], edges[1:]):
+                vecs = eigvecs[rows[a:b, np.newaxis, np.newaxis], np.arange(n)[:, np.newaxis],
+                               cols[a:b, np.newaxis, np.newaxis] + np.arange(spans[a])]
+                projectors[a:b] = vecs @ np.swapaxes(vecs.conj(), 1, 2)
+            inside = np.arange(spans[0]) < spans[:, np.newaxis]
+            eigvecs[rows.repeat(spans), :, (cols[:, np.newaxis] + np.arange(spans[0]))[inside]] = \
+                _eigenspace_bases(projectors, spans)[inside]
         return eigvals, self._rank_one_coords(np.swapaxes(eigvecs, 1, 2))
 
     def cone_oracle(self, coords, slack: float) -> bool:

@@ -66,10 +66,16 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``), which is no verdict on the input:
+        # stdout goes to devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json_array(path: str, what: str) -> list:

@@ -53,14 +53,19 @@ def draw_element(model, rng, shape="any"):
     return model.element(_random_element(model, [rng], shape)[0])
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that finds this checkout's
+    ``jordantp`` first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jordantp.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def run_fresh(script, *args):
     """Run a Python script in a fresh interpreter that finds this checkout's
     ``jordantp`` first; returns the JSON value on its last stdout line."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(jordantp.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

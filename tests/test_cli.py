@@ -1,12 +1,14 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import SHAPES, load_module
+from conftest import SHAPES, fresh_env, load_module
 from jordantp import PolytopeStateSpace, check_extreme_affinity
 from jordantp.backends import parse_model_spec
 from jordantp.cli import main
@@ -219,7 +221,7 @@ def test_internal_failure_exit_three(capsys, tmp_path, monkeypatch):
     # a degenerate spectrum reaches the deterministic-basis step of the kernel
     from jordantp.backends import matrices
 
-    def broken(vecs):
+    def broken(projectors, ranks):
         raise RuntimeError("projector basis extraction failed")
 
     monkeypatch.setattr(matrices, "_eigenspace_bases", broken)
@@ -307,6 +309,20 @@ def test_geom_square_exit_one_with_its_fit_residual(capsys, tmp_path):
     want = check_extreme_affinity(PolytopeStateSpace(np.loadtxt(path, delimiter=",")),
                                   midpoint_samples=8, seed=3)
     assert json.loads(out) == [r.to_json() for r in want]
+
+
+def test_a_closed_stdout_keeps_the_verdict(tmp_path):
+    # `geom square.csv | head -c 0`: the reader is gone before the report is
+    # written, which says nothing about the input, so the exit code is the
+    # verdict's and stderr stays empty
+    path = tmp_path / "square.csv"
+    np.savetxt(path, SHAPES["square"][0], delimiter=",")
+    proc = subprocess.Popen([sys.executable, "-m", "jordantp.cli", "geom", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_geom_pentagon_exit_one(capsys, tmp_path):

@@ -19,6 +19,7 @@ The pure-state cloud and the self-duality report's witness families are
 drawn in a fixed number of sampler calls.
 """
 
+import collections
 import sys
 import threading
 
@@ -134,9 +135,10 @@ def test_the_capacity_search_decomposes_once_per_step(monkeypatch, any_model, to
     assert counts == {"decompose_coords": 0, "eigenvalues_coords": 0}
 
 
-def test_degenerate_eigenspaces_take_one_basis_pass_per_cluster_rank(monkeypatch, tol):
+def test_degenerate_eigenspaces_take_one_basis_pass_per_stack(monkeypatch, tol):
     # every row is degenerate: projections of rank 1 and 3 have one cluster
-    # of rank 3, those of rank 2 two clusters of rank 2, the unit one of rank 4
+    # of rank 3, those of rank 2 two clusters of rank 2, the unit one of rank
+    # 4; one sweep resolves all 41 of them
     from jordantp.backends import matrices
 
     model = get_model("sym", 4)
@@ -147,13 +149,13 @@ def test_degenerate_eigenspaces_take_one_basis_pass_per_cluster_rank(monkeypatch
     passes = []
     bases = matrices._eigenspace_bases
 
-    def counted(vecs):
-        passes.append(vecs.shape)
-        return bases(vecs)
+    def counted(projectors, ranks):
+        passes.append((projectors.shape, sorted(collections.Counter(ranks.tolist()).items())))
+        return bases(projectors, ranks)
 
     monkeypatch.setattr(matrices, "_eigenspace_bases", counted)
     model.decompose_batch(stack, tol)
-    assert passes == [(20, 2, 4), (20, 3, 4), (1, 4, 4)]
+    assert passes == [((41, 4, 4), [(2, 20), (3, 20), (4, 1)])]
 
 
 def test_eigenvalues_are_read_only(any_model, tol):

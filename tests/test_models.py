@@ -462,14 +462,17 @@ def _with_spectrum(model, spectrum, rng):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("kind,n", MATRIX_KERNEL_SPECS)
+# sym:9 and herm:8 hold clusters of rank 8 and more, whose means np.mean adds
+# pairwise
+@pytest.mark.parametrize("kind,n", MATRIX_KERNEL_SPECS + [("sym", 9), ("herm", 8)])
 def test_a_mixed_stack_gives_every_row_its_own_frame(kind, n, tol):
-    # rows of different cluster patterns share one stack, so each cluster
-    # rank is resolved over rows that differ in everything else
+    # rows of different cluster patterns share one stack, so the clusters of
+    # every rank are resolved together over rows that differ in everything else
     model = get_model(kind, n)
     rng = np.random.default_rng(4112 + 10 * n + len(kind))
     rows = {label: a.coords for label, a in _kernel_elements(model, rng).items()}
     for label, spectrum in (("1100", [1.0] * (n // 2) + [0.0] * (n - n // 2)),
+                            ("1..100", [1.0] * (n - 2) + [0.0] * 2),  # two ranks in a row
                             ("222-1", [2.0] * (n - 1) + [-1.0]),
                             ("3-.5", [3.0] + [-0.5] * (n - 1))):
         rows[label] = _with_spectrum(model, np.array(spectrum), rng)
@@ -478,6 +481,8 @@ def test_a_mixed_stack_gives_every_row_its_own_frame(kind, n, tol):
     rows["-zero"] = -0.0 * rows["zero"]
     # its degenerate eigenspaces have zero projector columns, which are skipped
     rows["axes"] = model.matrix_coords(np.diag([0.0] + [1.0] * (n - 1)))
+    # eigenvalues that tie exactly, as eigh gives them
+    rows["ties"] = model.matrix_coords(np.diag([1.0, 1.0] + [0.0] * (n - 2)))
     labels = list(rows)
     stack = np.array([rows[label] for label in labels])
     values, atoms = model.decompose_batch(stack, tol)
